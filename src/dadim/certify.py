@@ -17,7 +17,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CorpusMismatch, HashMismatch, InvalidInput
+from .errors import HashMismatch, InvalidInput
 
 __all__ = [
     "canonical_json",
@@ -200,12 +200,3 @@ def corpus_dir() -> Path:
     if not p.is_dir():
         raise InvalidInput("bundled corpus directory is missing")
     return p
-
-
-def check_against_golden(name: str, produced, golden_path) -> None:
-    golden = load_certificate(golden_path)
-    diffs = compare_artifacts(_normalize(produced), golden)
-    if diffs:
-        raise CorpusMismatch(
-            f"corpus case {name}: {len(diffs)} difference(s); first: {diffs[0]}"
-        )

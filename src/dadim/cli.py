@@ -35,7 +35,7 @@ from .nerve import (
     nice_cover_assign,
 )
 from .pipeline import corpus_check, run_pipeline
-from .pou import NestedColorTower, PartitionOfUnity, pou_from_group_action, verify_pou
+from .pou import PartitionOfUnity, pou_from_group_action, verify_pou
 from .symbolic import system_from_json
 from .witness import construct_minimal_z_witness, verify_dad_witness, witness_from_json
 
@@ -266,20 +266,7 @@ def _pou_from_cert(cert) -> tuple:
     K = symmetrize_arrows(
         G, frozenset((e % order, x) for e in cert["E"] for x in range(order))
     )
-    data = cert["pou"]
-    towers = [
-        NestedColorTower(i, [frozenset(int(u) for u in lvl) for lvl in levels])
-        for i, levels in enumerate(data["tower_levels"])
-    ]
-    psi = [
-        {int(u): Fraction(v) for u, v in p.items()} for p in data["psi"]
-    ]
-    norm_sq = {}
-    for x in set().union(*(p.keys() for p in psi)) if psi else set():
-        s = sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0))
-        norm_sq[x] = max(s, Fraction(1))
-    pou = PartitionOfUnity(G, K, towers, int(data["N"]), psi, norm_sq)
-    return G, K, pou
+    return G, K, PartitionOfUnity.from_json(G, K, cert["pou"])
 
 
 def cmd_pou_verify(args):

@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, TooLarge, VerificationFailed
-from .groupoid import BlockArrows, GroupoidDadWitness, TubeArrows, TubePairGroupoid, verify_groupoid_dad
+from .groupoid import (
+    BlockArrows,
+    GroupoidDadWitness,
+    TubeArrows,
+    TubePairGroupoid,
+    _connected_components,
+    _seed_in_color,
+    generate_subgroupoid,
+    verify_groupoid_dad,
+)
 from .reporting import VerificationReport
 
 __all__ = [
@@ -467,53 +476,17 @@ def exhaustive_min_colors_with_witness(
             fams: list[list[frozenset]] = [[] for _ in range(k)]
             for fam in range(k):
                 members = [pts[i] for i in range(n) if assignment[i] == fam]
-                comps = _r_components(X, members, R)
+                comps = _connected_components(
+                    ((p, q) for p in members for q in members if X.dist(p, q) <= R), members
+                )
                 fams[fam] = [frozenset(c) for c in comps]
             w = AsdimWitness(R, S, fams, meta={"oracle": True})
             return k, w
     raise InvalidInput("unreachable: n singleton families always work")  # pragma: no cover
 
 
-def _r_components(X: FiniteMetricSpace, members, R: int):
-    remaining = set(members)
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            u = frontier.pop()
-            near = [v for v in remaining if X.dist(u, v) <= R]
-            for v in near:
-                remaining.discard(v)
-                comp.add(v)
-                frontier.append(v)
-        comps.append(comp)
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # bridge to groupoids
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, u):
-        p = self.parent
-        root = u
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(u, u) != u:
-            p[u], u = root, p[u]
-        return root
-
-    def union(self, u, v):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.parent[ru] = rv
 
 
 def bridge_to_groupoid(
@@ -535,21 +508,7 @@ def bridge_to_groupoid(
     K = TubeArrows(w.scale_R)
     colors = [frozenset(p for cls in fam for p in cls) for fam in w.families]
 
-    generated: list[BlockArrows] = []
-    for fam in w.families:
-        uf = _UnionFind()
-        members = [p for cls in fam for p in cls]
-        memberset = set(members)
-        for p in members:
-            uf.find(p)
-            for q in X.iter_ball(p, w.scale_R):
-                if q > p and q in memberset:
-                    uf.union(p, q)
-        comps: dict = {}
-        for p in members:
-            comps.setdefault(uf.find(p), set()).add(p)
-        generated.append(BlockArrows(frozenset(frozenset(c) for c in comps.values())))
-
+    generated = [generate_subgroupoid(G, _seed_in_color(G, K, c)) for c in colors]
     size_bound = max(g.size() for g in generated) if generated else 0
     witness = GroupoidDadWitness(
         K, colors, generated, meta={"scale_R": w.scale_R, "bound_S": w.bound_S}

@@ -7,19 +7,19 @@ Elements are finitely supported coefficient maps on arrows; the product is
 the adjoint is f*(g) = conj(f(g^-1)), and the reduced norm is the maximum
 over one unit per orbit of the spectral norm of the regular-representation
 matrix on the source fiber.  Coefficients stay exact (Fraction pairs) under
-the algebra operations; norms are computed in floats via scaled repeated
-squaring of f*f with a Gershgorin cross-check.
+the algebra operations; norms are computed in floats as the largest
+singular value of the representation matrix (LAPACK SVD).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import GroupoidMismatch, InvalidInput, NotFree, SupportLeak
+from .groupoid import _connected_components
 
 __all__ = [
     "ConvElement",
@@ -201,67 +201,27 @@ def regular_representation(f: ConvElement, x) -> RegularRep:
     return RegularRep(x, basis, mat)
 
 
-def spectral_norm(A: np.ndarray, iters: int = 48) -> float:
-    """Largest singular value via scaled repeated squaring of A^H A.
-
-    After m squarings the Frobenius norm of the scaled power pins the top
-    eigenvalue within a factor n^(1/2^m); the Gershgorin row-sum bound of
-    A^H A caps the result.
-    """
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value of A (LAPACK SVD); 0.0 for an empty matrix."""
     if A.size == 0:
         return 0.0
-    B = A.conj().T @ A
-    gershgorin = float(np.abs(B).sum(axis=1).max()) if B.size else 0.0
-    acc = 0.0
-    for i in range(iters):
-        s = float(np.linalg.norm(B, "fro"))
-        if s == 0.0:
-            return 0.0
-        acc += math.log(s) / (2.0**i)
-        B = B / s
-        B = B @ B
-    s = float(np.linalg.norm(B, "fro"))
-    if s == 0.0:
-        return 0.0
-    acc += math.log(s) / (2.0**iters)
-    lam = math.exp(acc)
-    lam = min(lam, gershgorin) if gershgorin else lam
-    return math.sqrt(lam)
-
-
-def _unit_orbits(G):
-    parent: dict = {}
-
-    def find(u):
-        r = u
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(u, u) != u:
-            parent[u], u = r, parent[u]
-        return r
-
-    for a in G.arrows:
-        ru, rv = find(G.source(a)), find(G.range(a))
-        if ru != rv:
-            parent[ru] = rv
-    orbits: dict = {}
-    for u in G.units:
-        orbits.setdefault(find(u), []).append(u)
-    return list(orbits.values())
+    return float(np.linalg.norm(A, 2))
 
 
 def reduced_norm(f: ConvElement) -> float:
     """sup over units of ||pi_x(f)||; one representative per orbit suffices
     because the regular representations along an orbit are unitarily
     conjugate, and orbits missing the support contribute zero."""
+    G = f.G
     touched = set()
     for g in f.coeffs:
-        touched.add(f.G.source(g))
-        touched.add(f.G.range(g))
+        touched.add(G.source(g))
+        touched.add(G.range(g))
     if not touched:
         return 0.0
     best = 0.0
-    for orbit in _unit_orbits(f.G):
+    edges = ((G.source(a), G.range(a)) for a in G.arrows)
+    for orbit in _connected_components(edges, G.units):
         if not touched.intersection(orbit):
             continue
         x = min(orbit, key=repr)
@@ -457,68 +417,37 @@ def block_decompose(G, arrows=None) -> BlockDecomposition:
 
     For each orbit pick a base unit x; freeness makes the source fiber at x
     meet every unit of the orbit exactly once, so arrows coordinatize as
-    matrix units e_{r, s}.
+    matrix units e_{r, s}.  Raises NotFree on isotropy of G at the units the
+    arrows touch, and when the arrows do not give each matrix unit of their
+    orbits exactly once (then they are not a subgroupoid).
     """
     arrow_set = frozenset(G.arrows if arrows is None else arrows)
-    for g in arrow_set:
-        if G.source(g) == G.range(g) and g != G.unit_arrow(G.source(g)):
-            raise NotFree(f"isotropy arrow {g!r} at unit {G.source(g)!r}")
-
-    parent: dict = {}
-
-    def find(u):
-        r = u
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(u, u) != u:
-            parent[u], u = r, parent[u]
-        return r
-
-    units = set()
-    for g in arrow_set:
-        units.add(G.source(g))
-        units.add(G.range(g))
-        ru, rv = find(G.source(g)), find(G.range(g))
-        if ru != rv:
-            parent[ru] = rv
-    orbits: dict = {}
-    for u in sorted(units, key=repr):
-        orbits.setdefault(find(u), []).append(u)
-
+    orbits = _connected_components((G.source(g), G.range(g)) for g in arrow_set)
+    units = {u for orbit in orbits for u in orbit}
+    for g in G.arrows:
+        u = G.source(g)
+        if u in units and G.range(g) == u and g != G.unit_arrow(u):
+            raise NotFree(f"isotropy arrow {g!r} at unit {u!r}")
     classes = []
     arrow_pos: dict = {}
     by_source: dict = {}
     for g in arrow_set:
         by_source.setdefault(G.source(g), []).append(g)
-    for root in sorted(orbits, key=repr):
-        members = tuple(sorted(orbits[root], key=repr))
-        base = members[0]
-        # connecting arrows base -> u, found by search over the orbit
-        connect = {base: G.unit_arrow(base)}
-        frontier = [base]
-        while frontier:
-            u = frontier.pop()
-            for g in by_source.get(u, ()):
-                v = G.range(g)
-                if v not in connect:
-                    connect[v] = G.compose(g, connect[u])
-                    frontier.append(v)
-            # arrows pointing into u
-            for g in arrow_set:
-                if G.range(g) == u and G.source(g) not in connect:
-                    v = G.source(g)
-                    connect[v] = G.compose(G.inverse(g), connect[u])
-                    frontier.append(v)
-        if set(connect) != set(members):
-            raise NotFree("orbit not reachable; arrow set is not a subgroupoid")
+    orbits = sorted((tuple(sorted(o, key=repr)) for o in orbits), key=lambda m: repr(m[0]))
+    for members in orbits:
         index = {u: i for i, u in enumerate(members)}
         k = len(classes)
-        classes.append((base, members))
+        classes.append((members[0], members))
         for u in members:
             for g in by_source.get(u, ()):
                 arrow_pos[g] = (k, index[G.range(g)], index[G.source(g)])
-    if set(arrow_pos) != set(arrow_set):
-        raise NotFree("some arrows missed the coordinates; arrow set is not a subgroupoid")
+    # with no isotropy at these units G has at most one arrow between two of
+    # them, so the arrow set is the full restriction of G to its orbits
+    # exactly when the coordinates are distinct and fill every block
+    if len(set(arrow_pos.values())) != len(arrow_pos) or len(arrow_pos) != sum(
+        len(m) ** 2 for _, m in classes
+    ):
+        raise NotFree("arrow set is not a subgroupoid: its coordinates do not fill the blocks")
     return BlockDecomposition(G, arrow_set, classes, arrow_pos)
 
 

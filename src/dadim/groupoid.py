@@ -126,7 +126,7 @@ class FiniteGroupoid:
             if self.source(e) != u or self.range(e) != u:
                 raise InvalidInput(f"unit arrow of {u!r} has wrong endpoints")
         by_source = self.arrows_by_source()
-        composable = []
+        by_range = self.arrows_by_range()
         for g in self.arrows:
             if self.source(g) not in self.unit_set or self.range(g) not in self.unit_set:
                 raise InvalidInput(f"arrow {g!r} has endpoints outside the unit space")
@@ -141,23 +141,25 @@ class FiniteGroupoid:
                 raise InvalidInput(f"right unit law fails at {g!r}")
             if self.compose(self.unit_arrow(self.range(g)), g) != g:
                 raise InvalidInput(f"left unit law fails at {g!r}")
-        # composition defined exactly on composable pairs
-        for g in self.arrows:
-            for h in self.arrows:
-                gh = self.compose(g, h)
-                defined = self.source(g) == self.range(h)
-                if defined and gh is None:
-                    raise InvalidInput(f"composable pair {(g, h)!r} missing from table")
-                if not defined and gh is not None:
-                    raise InvalidInput(f"non-composable pair {(g, h)!r} present in table")
-                if gh is not None:
-                    if self.source(gh) != self.source(h) or self.range(gh) != self.range(g):
-                        raise InvalidInput(f"composition endpoints wrong at {(g, h)!r}")
-            if len(self.arrows) ** 2 > 4 * _AXIOM_TRIPLE_CAP:
-                break
+        # composition defined exactly on composable pairs: every key is a
+        # composable pair with a correctly placed value, and there are as
+        # many keys as composable pairs
+        for (g, h), gh in self._compose.items():
+            if g not in self.arrow_set or h not in self.arrow_set:
+                raise InvalidInput(f"table key {(g, h)!r} is not a pair of arrows")
+            if self.source(g) != self.range(h):
+                raise InvalidInput(f"non-composable pair {(g, h)!r} present in table")
+            if gh not in self.arrow_set:
+                raise InvalidInput(f"composite of {(g, h)!r} is not an arrow")
+            if self.source(gh) != self.source(h) or self.range(gh) != self.range(g):
+                raise InvalidInput(f"composition endpoints wrong at {(g, h)!r}")
+        pairs = sum(len(hs) * len(by_range.get(u, ())) for u, hs in by_source.items())
+        if len(self._compose) != pairs:
+            raise InvalidInput(
+                f"composition table has {len(self._compose)} entries for {pairs} composable pairs"
+            )
         # associativity: exhaustive when small, seeded samples otherwise
         triples = []
-        by_source = self.arrows_by_source()
         count = 0
         exhaustive = True
         for g in self.arrows:
@@ -225,8 +227,6 @@ class TransformationGroupoid(FiniteGroupoid):
             units, arrows, source, range_, inverse, compose_table={},
             unit_arrow=unit_arrow, check=False,
         )
-        # rule-based composition; the dict stays empty
-        self._compose_rule = True
 
     def compose(self, g, h):
         if g is None or h is None:
@@ -404,9 +404,6 @@ class TubePairGroupoid:
         self.units = tuple(space.points)
         self.unit_set = frozenset(self.units)
 
-    def has_arrow(self, x, y) -> bool:
-        return self.space.dist(x, y) <= self.radius
-
     def source(self, a):
         return a[1]
 
@@ -428,6 +425,33 @@ class TubePairGroupoid:
 # subgroupoid generation
 
 
+def _connected_components(pairs, units=()) -> list[list]:
+    """Connected components of the graph on ``units`` plus the endpoints
+    of ``pairs``, with an edge per pair; in order of first appearance."""
+    parent: dict = {}
+
+    def root(u):
+        r = u
+        while parent[r] != r:
+            r = parent[r]
+        while parent[u] != r:
+            parent[u], u = r, parent[u]
+        return r
+
+    for u in units:
+        parent.setdefault(u, u)
+    for x, y in pairs:
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        rx, ry = root(x), root(y)
+        if rx != ry:
+            parent[rx] = ry
+    comps: dict = {}
+    for u in parent:
+        comps.setdefault(root(u), []).append(u)
+    return list(comps.values())
+
+
 def generate_subgroupoid(G, seed):
     """Least subgroupoid of G containing ``seed``.
 
@@ -438,28 +462,7 @@ def generate_subgroupoid(G, seed):
     connected components of the seed graph).
     """
     if isinstance(G, TubePairGroupoid):
-        parent: dict = {}
-
-        def find(u):
-            while parent.get(u, u) != u:
-                parent[u] = parent.get(parent[u], parent[u])
-                u = parent[u]
-            return u
-
-        def union(u, v):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-
-        touched = set()
-        for x, y in seed:
-            touched.add(x)
-            touched.add(y)
-            union(x, y)
-        comps: dict = {}
-        for u in touched:
-            comps.setdefault(find(u), set()).add(u)
-        return BlockArrows(frozenset(frozenset(c) for c in comps.values()))
+        return BlockArrows(frozenset(frozenset(c) for c in _connected_components(seed)))
 
     by_source: dict = {}
     by_range: dict = {}

@@ -46,7 +46,7 @@ def project_witness_to_quotient(system: Odometer, witness, depth: int):
             raise DepthExceeded(
                 f"quotient depth {depth} below color depth {c.depth}"
             )
-        colors_q.append(frozenset(c._at_depth(depth)))
+        colors_q.append(frozenset(c.values_at_depth(depth)))
     return q, colors_q
 
 

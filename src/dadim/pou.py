@@ -238,6 +238,27 @@ class PartitionOfUnity:
             out.append(generate_subgroupoid(self.G, seed))
         return out
 
+    @classmethod
+    def from_json(cls, G, K, data: dict) -> "PartitionOfUnity":
+        """Inverse of ``to_json``; unit keys are matched to G's units by repr."""
+        units = {repr(u): u for u in G.units}
+
+        def unit(key):
+            if key not in units:
+                raise InvalidInput(f"partition of unity names unknown unit {key!r}")
+            return units[key]
+
+        try:
+            towers = [
+                NestedColorTower(i, [frozenset(map(unit, lvl)) for lvl in levels])
+                for i, levels in enumerate(data["tower_levels"])
+            ]
+            psi = [{unit(u): Fraction(v) for u, v in p.items()} for p in data["psi"]]
+            N = int(data["N"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InvalidInput(f"malformed partition of unity: {exc!r}") from None
+        return cls(G, K, towers, N, psi, _norm_sq(psi))
+
     def to_json(self) -> dict:
         def key(u):
             return repr(u)
@@ -253,6 +274,14 @@ class PartitionOfUnity:
                 [sorted(map(key, lvl)) for lvl in t.levels] for t in self.towers
             ],
         }
+
+
+def _norm_sq(psi: list[dict]) -> dict:
+    """x -> max(sum_j psi_j(x)^2, 1) on the union of the supports."""
+    return {
+        x: max(sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0)), Fraction(1))
+        for x in set().union(*psi)
+    }
 
 
 def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
@@ -281,11 +310,7 @@ def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
                 vals[x] = Fraction(count, N)
         psi.append(vals)
 
-    norm_sq: dict = {}
-    for x in set().union(*(p.keys() for p in psi)):
-        s = sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0))
-        norm_sq[x] = max(s, Fraction(1))
-
+    norm_sq = _norm_sq(psi)
     pou = PartitionOfUnity(G, K, towers, N, psi, norm_sq)
 
     for x in base:

@@ -443,8 +443,6 @@ class OdometerClopen(ClopenSet):
         lifts = q_new // q_here
         return frozenset(v + j * q_here for v in self.values for j in range(lifts))
 
-    _at_depth = values_at_depth
-
     def is_empty(self) -> bool:
         return not self.values
 
@@ -455,8 +453,8 @@ class OdometerClopen(ClopenSet):
         if self.system is not other.system:
             raise InvalidInput("clopen sets belong to different systems")
         depth = max(self.depth, other.depth)
-        a = self._at_depth(depth)
-        b = other._at_depth(depth)
+        a = self.values_at_depth(depth)
+        b = other.values_at_depth(depth)
         return OdometerClopen(self.system, depth, frozenset(op(a, b)))
 
     def union(self, other):

@@ -166,6 +166,32 @@ def test_spectral_norm_corner_cases():
     assert abs(spectral_norm(2.0 * np.eye(8, dtype=complex)) - 2.0) < 1e-9
 
 
+def power_iteration_norm(A, iters=2000, seed=0):
+    """Largest singular value by power iteration on A^H A: each Rayleigh
+    quotient is a lower bound for sigma_max^2 and converges to it."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
+    B = A.conj().T @ A
+    for _ in range(iters):
+        w = B @ v
+        n = np.linalg.norm(w)
+        if n == 0.0:
+            return 0.0
+        v = w / n
+    return float(np.sqrt(np.vdot(v, B @ v).real))
+
+
+def test_spectral_norm_matches_power_iteration():
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 1), (3, 3), (5, 2), (8, 8), (12, 12)):
+        for _ in range(4):
+            A = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            want = power_iteration_norm(A)
+            got = spectral_norm(A)
+            assert want <= got * (1 + 1e-12)
+            assert abs(got - want) <= 1e-9 * max(1.0, got)
+
+
 def test_cstar_identity_random():
     rng = np.random.default_rng(7)
     P6 = pair_groupoid(range(6))
@@ -266,6 +292,32 @@ def test_block_decompose_examples():
     )
     with pytest.raises(NotFree):
         block_decompose(iso)
+
+
+def test_block_decompose_rejects_non_subgroupoids():
+    # (1, 0) is missing: the orbit {0, 1} is not filled
+    P3 = pair_groupoid(range(3))
+    with pytest.raises(NotFree):
+        block_decompose(P3, {(0, 1), (0, 0), (1, 1), (2, 2)})
+    # the inverse (5, 1) of (1, 0) is missing
+    Z6 = cyclic_rotation_groupoid(6)
+    with pytest.raises(NotFree):
+        block_decompose(Z6, {(1, 0), (0, 0), (0, 1)})
+    # a lone arrow: no arrow leaves its range
+    with pytest.raises(NotFree):
+        block_decompose(Z6, {(1, 0)})
+    # Z/4 acting on {0, 1} through Z/2: every matrix unit is given once, but
+    # (1, 1)(1, 0) = (2, 0) is isotropy outside the arrow set
+    Z4 = transformation_groupoid(
+        {"elements": range(4), "mult": lambda a, b: (a + b) % 4,
+         "inv": lambda a: (-a) % 4, "unit": 0, "act": lambda g, x: (x + g) % 2},
+        [0, 1],
+    )
+    with pytest.raises(NotFree):
+        block_decompose(Z4, {(0, 0), (0, 1), (1, 0), (1, 1)})
+    # the full restriction to the orbit {0, 1} is accepted
+    bd = block_decompose(Z6, {(1, 0), (5, 1), (0, 0), (0, 1)})
+    assert bd.sizes() == [2] and bd.check_multiplicative() == 0.0
 
 
 def test_block_norm_matches_reduced_norm():

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dadim.coarse import Grid1dSpace
 from dadim.errors import InvalidInput, NotAnAction
 from dadim.groupoid import (
     FiniteGroupoid,
     GroupoidDadWitness,
+    TubePairGroupoid,
     block_union_pair_groupoid,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
@@ -79,6 +81,27 @@ def test_generation_is_a_closure_operator(seed1, seed2):
     if s1 <= s2:
         assert g1 <= generate_subgroupoid(G, s2)
     assert g1 <= generate_subgroupoid(G, s1 | s2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    radius=st.integers(0, 7),
+    pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=8),
+)
+def test_tube_blocks_match_worklist_closure(radius, pairs):
+    """Block form on the tube pair groupoid against the worklist closure
+    on the explicit pair groupoid of the same points."""
+    X = Grid1dSpace(0, 7)
+    seed = [(x, y) for x, y in pairs if X.dist(x, y) <= radius]
+    blocks = generate_subgroupoid(TubePairGroupoid(X, radius), seed)
+    P = pair_groupoid(X.points)
+    closure = generate_subgroupoid(P, seed)
+    orbits = frozenset(
+        frozenset(P.range(a) for a in closure if P.source(a) == u)
+        for u in {P.source(a) for a in closure}
+    )
+    assert blocks.blocks == orbits
+    assert blocks.size() == len(closure)
 
 
 def test_verify_groupoid_dad_block_example():
@@ -179,9 +202,9 @@ def test_freeness_matches_bruteforce_isotropy():
     assert bool(iso) == (not G.is_free())
 
 
-def test_explicit_groupoid_axiom_checks():
-    pts = (0, 1)
-    arrows = ((0, 0), (1, 1), (0, 1), (1, 0))
+def pair_tables(pts):
+    """Structure maps and composition table of the full pair groupoid."""
+    arrows = tuple((x, y) for x in pts for y in pts)
     source = {a: a[1] for a in arrows}
     range_ = {a: a[0] for a in arrows}
     inverse = {a: (a[1], a[0]) for a in arrows}
@@ -190,6 +213,12 @@ def test_explicit_groupoid_axiom_checks():
     for x, y in arrows:
         for z in pts:
             compose[((x, y), (y, z))] = (x, z)
+    return arrows, source, range_, inverse, compose, unit_arrow
+
+
+def test_explicit_groupoid_axiom_checks():
+    pts = (0, 1)
+    arrows, source, range_, inverse, compose, unit_arrow = pair_tables(pts)
     FiniteGroupoid(pts, arrows, source, range_, inverse, compose, unit_arrow)
 
     bad = dict(compose)
@@ -201,6 +230,26 @@ def test_explicit_groupoid_axiom_checks():
     del missing[((0, 1), (1, 0))]
     with pytest.raises(InvalidInput):
         FiniteGroupoid(pts, arrows, source, range_, inverse, missing, unit_arrow)
+
+    extra = dict(compose)
+    extra[((0, 1), (0, 1))] = (0, 1)  # not composable
+    with pytest.raises(InvalidInput):
+        FiniteGroupoid(pts, arrows, source, range_, inverse, extra, unit_arrow)
+
+    stray = dict(compose)
+    stray[((0, 1), (1, 2))] = (0, 2)  # (1, 2) is not an arrow
+    with pytest.raises(InvalidInput):
+        FiniteGroupoid(pts, arrows, source, range_, inverse, stray, unit_arrow)
+
+
+def test_axiom_check_reads_every_row_of_a_large_table():
+    # 900 arrows: the missing entry sits far from the first row
+    pts = tuple(range(30))
+    arrows, source, range_, inverse, compose, unit_arrow = pair_tables(pts)
+    FiniteGroupoid(pts, arrows, source, range_, inverse, compose, unit_arrow)
+    del compose[((29, 28), (28, 27))]
+    with pytest.raises(InvalidInput):
+        FiniteGroupoid(pts, arrows, source, range_, inverse, compose, unit_arrow)
 
 
 def test_unit_space_groupoid():

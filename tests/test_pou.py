@@ -1,10 +1,17 @@
 """Cover enlargement, nested towers, and the squared partition of unity."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from dadim.errors import PropagationEscapesColor, TowerInvalid, WitnessInsufficient
+from dadim.certify import corpus_dir
+from dadim.errors import (
+    InvalidInput,
+    PropagationEscapesColor,
+    TowerInvalid,
+    WitnessInsufficient,
+)
 from dadim.exactmath import (
     diff_lt_osc_bound,
     diff_lt_rational,
@@ -14,6 +21,7 @@ from dadim.exactmath import (
 )
 from dadim.groupoid import cyclic_rotation_groupoid, symmetrize_arrows
 from dadim.pou import (
+    PartitionOfUnity,
     build_pou,
     build_tower,
     enlarge_cover,
@@ -206,3 +214,34 @@ def test_build_pou_requires_depth_three(z12):
     towers = build_tower(G, K, enlarged, 2, None)
     with pytest.raises(TowerInvalid):
         build_pou(G, K, towers)
+
+
+def test_z12_corpus_pou_json_roundtrip():
+    corpus = corpus_dir()
+    case = next(
+        c for c in json.loads((corpus / "cases.json").read_text())["cases"]
+        if c["name"] == "z12_pou_n16"
+    )
+    data = json.loads((corpus / case["golden"]).read_text())["pou"]
+    order = case["params"]["order"]
+    G = cyclic_rotation_groupoid(order)
+    K = symmetrize_arrows(
+        G, frozenset((e % order, x) for e in case["params"]["E"] for x in range(order))
+    )
+    pou = PartitionOfUnity.from_json(G, K, data)
+    assert pou.to_json() == data
+    assert verify_pou(G, K, pou).accepted
+    # the normalizer matches the one build_pou computes
+    built = build_pou(G, K, pou.towers)
+    assert pou.psi == built.psi and pou.norm_sq == built.norm_sq
+
+    stray = json.loads(json.dumps(data))
+    stray["psi"][0]["99"] = "1"
+    with pytest.raises(InvalidInput):
+        PartitionOfUnity.from_json(G, K, stray)
+    garbled = json.loads(json.dumps(data))
+    garbled["psi"][0]["3"] = "abc"
+    with pytest.raises(InvalidInput):
+        PartitionOfUnity.from_json(G, K, garbled)
+    with pytest.raises(InvalidInput):
+        PartitionOfUnity.from_json(G, K, {k: v for k, v in data.items() if k != "N"})
