@@ -261,12 +261,15 @@ def cmd_pou_build(args):
 
 
 def _pou_from_cert(cert) -> tuple:
-    order = cert["order"]
+    try:
+        order, E, data = cert["order"], [int(e) for e in cert["E"]], cert["pou"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed partition-of-unity certificate: {exc!r}") from None
+    if not isinstance(order, int) or order < 1:
+        raise InvalidInput(f"certificate order must be a positive integer, not {order!r}")
     G = cyclic_rotation_groupoid(order)
-    K = symmetrize_arrows(
-        G, frozenset((e % order, x) for e in cert["E"] for x in range(order))
-    )
-    return G, K, PartitionOfUnity.from_json(G, K, cert["pou"])
+    K = symmetrize_arrows(G, frozenset((e % order, x) for e in E for x in range(order)))
+    return G, K, PartitionOfUnity.from_json(G, K, data)
 
 
 def cmd_pou_verify(args):

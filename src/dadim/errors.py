@@ -142,6 +142,10 @@ class CorpusMismatch(DadimError):
     exit_code = 30
 
 
+class FiniteSetMismatch(DadimError):
+    exit_code = 31
+
+
 ALL_ERRORS = [
     InvalidInput, DepthExceeded, NotMinimal, EmptySet, BoundExceeded,
     BlowupExceeded, CoverGap, NotAnAction, SizeExceeded, NotClosed,
@@ -149,5 +153,5 @@ ALL_ERRORS = [
     NotInComplex, NoFiniteS, MissingSample, ConditionViolated,
     DepthInsufficient, EquivarianceTooWeak, WitnessInsufficient,
     PropagationEscapesColor, TowerInvalid, GroupoidMismatch, SupportLeak,
-    NotFree, VerificationFailed, HashMismatch, CorpusMismatch,
+    NotFree, VerificationFailed, HashMismatch, CorpusMismatch, FiniteSetMismatch,
 ]

@@ -159,6 +159,7 @@ class _Subshift(SymbolicSystem):
         self.alphabet = alph
         self.depth_limit = int(depth_limit)
         self._lang_cache: dict[int, frozenset[str]] = {0: frozenset({""})}
+        self._group_cache: dict[int, tuple[dict, dict]] = {}
 
     # subclasses fill the cache through _materialize
     def _materialize(self, length: int) -> frozenset[str]:
@@ -178,6 +179,18 @@ class _Subshift(SymbolicSystem):
         if length not in self._lang_cache:
             self._lang_cache[length] = self._materialize(length)
         return self._lang_cache[length]
+
+    def _groupings(self, length: int) -> tuple[dict, dict]:
+        """The words of the given length grouped by their prefix and by
+        their suffix of length ``length - 1``."""
+        if length not in self._group_cache:
+            by_prefix: dict[str, set[str]] = {}
+            by_suffix: dict[str, set[str]] = {}
+            for w in self.language(length):
+                by_prefix.setdefault(w[:-1], set()).add(w)
+                by_suffix.setdefault(w[1:], set()).add(w)
+            self._group_cache[length] = (by_prefix, by_suffix)
+        return self._group_cache[length]
 
     def whole(self) -> "SubshiftClopen":
         return SubshiftClopen(self, 0, frozenset({""}))
@@ -605,14 +618,12 @@ def _canonical_subshift(system: _Subshift, left: int, words: frozenset[str]):
     changed = True
     while changed and wlen > 0:
         changed = False
+        full_by_prefix, full_by_suffix = system._groupings(wlen)
         # shrink on the right: group by the word minus its last letter
         groups: dict[str, set[str]] = {}
         for w in words:
             groups.setdefault(w[:-1], set()).add(w)
-        full: dict[str, set[str]] = {}
-        for w in system.language(wlen):
-            full.setdefault(w[:-1], set()).add(w)
-        if all(groups[u] == full[u] for u in groups):
+        if all(groups[u] == full_by_prefix[u] for u in groups):
             words = frozenset(groups.keys())
             wlen -= 1
             changed = True
@@ -621,10 +632,7 @@ def _canonical_subshift(system: _Subshift, left: int, words: frozenset[str]):
         groups.clear()
         for w in words:
             groups.setdefault(w[1:], set()).add(w)
-        full.clear()
-        for w in system.language(wlen):
-            full.setdefault(w[1:], set()).add(w)
-        if all(groups[u] == full[u] for u in groups):
+        if all(groups[u] == full_by_suffix[u] for u in groups):
             words = frozenset(groups.keys())
             left += 1
             wlen -= 1
@@ -720,28 +728,30 @@ def return_time_report(s: ClopenSet, search_bound: int = 4096) -> ReturnTimeRepo
 
 
 def system_from_json(data: dict) -> SymbolicSystem:
-    kind = data.get("kind")
-    if kind == "odometer":
-        return Odometer(data["base"], data.get("depth_limit", 64))
-    if kind == "subshift":
-        if "substitution" in data:
-            return SubstitutionSubshift(
-                data["alphabet"], data["substitution"], data.get("depth_limit", 64)
-            )
-        if "forbidden" in data:
-            return ForbiddenWordSubshift(
-                data["alphabet"], data["forbidden"], data.get("depth_limit", 64)
-            )
-        raise InvalidInput("subshift needs 'substitution' or 'forbidden'")
+    try:
+        kind = data.get("kind")
+        depth_limit = int(data.get("depth_limit", 64))
+        if kind == "odometer":
+            return Odometer(data["base"], depth_limit)
+        if kind == "subshift":
+            if "substitution" in data:
+                return SubstitutionSubshift(data["alphabet"], data["substitution"], depth_limit)
+            if "forbidden" in data:
+                return ForbiddenWordSubshift(data["alphabet"], data["forbidden"], depth_limit)
+            raise InvalidInput("subshift needs 'substitution' or 'forbidden'")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidInput(f"malformed system: {exc!r}") from None
     raise InvalidInput(f"unknown system kind {kind!r}")
 
 
 def clopen_from_json(system: SymbolicSystem, data: dict) -> ClopenSet:
-    if isinstance(system, Odometer):
-        words = data["cylinders"]
-        out = system.empty()
-        for w in words:
-            digits = [int(c) for c in (w.split(".") if "." in w else w)] if w else []
-            out = out.union(system.cylinder(digits))
-        return out
-    return system.clopen(data.get("left", 0), data["words"])
+    try:
+        if isinstance(system, Odometer):
+            out = system.empty()
+            for w in data["cylinders"]:
+                digits = [int(c) for c in (w.split(".") if "." in w else w)] if w else []
+                out = out.union(system.cylinder(digits))
+            return out
+        return system.clopen(int(data.get("left", 0)), data["words"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidInput(f"malformed clopen set: {exc!r}") from None

@@ -3,13 +3,17 @@
 A witness is a finite clopen cover {U_0, ..., U_d} of the space together
 with, for each color, the finite set F_i of group elements realizable by
 E-paths whose intermediate points all stay inside U_i.  The verifier
-recomputes F_i by breadth-first search over (element, constraint) pairs,
-where the constraint is the exact clopen set of starting points compatible
-with the path so far.
+recomputes every F_i exactly.  On an odometer a color of depth m is a set of
+residues mod q_m on which Z acts by rotation, so F_i is read off a walk over
+those residues that records each one's displacement.  On a subshift the
+verifier runs a breadth-first search over (element, constraint) pairs, where
+the constraint is the exact clopen set of starting points compatible with
+the path so far.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -18,6 +22,7 @@ from .reporting import VerificationReport
 from .symbolic import (
     ClopenSet,
     Odometer,
+    OdometerClopen,
     SymbolicSystem,
     clopen_from_json,
     disjoint_translates_radius,
@@ -60,12 +65,18 @@ class DadWitness:
 
 
 def witness_from_json(system: SymbolicSystem, data: dict) -> DadWitness:
-    return DadWitness(
-        colors=[clopen_from_json(system, c) for c in data["colors"]],
-        generator_set=tuple(int(e) for e in data["E"]),
-        finite_sets=[frozenset(int(n) for n in F) for F in data["finite_sets"]],
-        meta=data.get("meta", {}),
-    )
+    try:
+        witness = DadWitness(
+            colors=[clopen_from_json(system, c) for c in data["colors"]],
+            generator_set=tuple(int(e) for e in data["E"]),
+            finite_sets=[frozenset(int(n) for n in F) for F in data["finite_sets"]],
+            meta=dict(data.get("meta", {})),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidInput(f"malformed witness: {exc!r}") from None
+    if not isinstance(witness.meta.get("blowup_bound", 0), int):
+        raise InvalidInput("witness meta blowup_bound must be an integer")
+    return witness
 
 
 def _symmetrize(E) -> tuple[int, ...]:
@@ -89,10 +100,81 @@ def default_blowup_bound(E, max_gap: int | None, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# BFS over path constraints
+# broken-orbit element sets
 
 
 def _color_elements(
+    system: SymbolicSystem,
+    color: ClopenSet,
+    E: tuple[int, ...],
+    blowup_bound: int,
+):
+    """Broken-orbit element set of one color under the symmetric set E.
+
+    Returns (elements, complete) where ``complete`` is False when the set
+    has more than ``blowup_bound`` elements (or is infinite); ``elements``
+    then holds only ``blowup_bound + 1`` of them, or is None for the whole
+    space.  Odometer colors take the exact residue walk, subshift colors
+    the constraint BFS.
+    """
+    if isinstance(color, OdometerClopen):
+        return _residue_walk(system, color, E, blowup_bound)
+    return _constraint_bfs(system, color, E, blowup_bound)
+
+
+def _residue_walk(
+    system: Odometer,
+    color: OdometerClopen,
+    E: tuple[int, ...],
+    blowup_bound: int,
+):
+    """Exact element set of an odometer color by a walk on the residues.
+
+    A color of depth m is a set U of residues mod q_m and n.x = x + n mod
+    q_m, so F is the union over r in U of the E-connected component of 0 in
+    {n : r + n mod q_m in U}.  Each graph component of U is walked once,
+    recording each residue's displacement D from the component's root; the
+    component contributes D - D.  A residue reached at a second displacement
+    closes a loop with nonzero net displacement P, whose multiples all lie
+    in F, so F is infinite.  A bound below 1 acts as 1, as in the constraint
+    BFS, which compares with the bound only after its first step.
+    """
+    steps = [e for e in E if e != 0]
+    if color.is_whole() and steps:
+        return None, False
+    bound = max(blowup_bound, 1)
+    q = system.level_size(color.depth)
+    U = color.values
+    placed: set[int] = set()
+    F: set[int] = set()
+    for root in U:
+        if root in placed:
+            continue
+        disp = {root: 0}
+        stack = [root]
+        while stack:
+            r = stack.pop()
+            d = disp[r]
+            for e in steps:
+                s = (r + e) % q
+                if s not in U:
+                    continue
+                if s not in disp:
+                    disp[s] = d + e
+                    stack.append(s)
+                elif disp[s] != d + e:
+                    period = d + e - disp[s]
+                    return frozenset(j * period for j in range(bound + 1)), False
+        placed.update(disp)
+        D = disp.values()
+        for a in D:
+            F.update(a - b for b in D)
+            if len(F) > bound:
+                return frozenset(itertools.islice(F, bound + 1)), False
+    return frozenset(F), True
+
+
+def _constraint_bfs(
     system: SymbolicSystem,
     color: ClopenSet,
     E: tuple[int, ...],
@@ -174,11 +256,12 @@ def verify_dad_witness(
     witness: DadWitness,
     blowup_bound: int | None = None,
 ) -> VerificationReport:
-    """Check cover exactness and recompute every finite set by BFS.
+    """Check cover exactness and recompute every finite set.
 
-    Accepts iff the colors cover the space, each BFS terminates within
-    ``blowup_bound`` distinct elements, and the reached sets equal the
-    declared ``finite_sets``.
+    Accepts iff the colors cover the space, each color's element set has at
+    most ``blowup_bound`` elements, and the recomputed sets equal the
+    declared ``finite_sets``.  Report messages say "BFS" on both search
+    paths; they are part of the byte-exact report contract.
     """
     if blowup_bound is None:
         blowup_bound = witness.meta.get("blowup_bound", BLOWUP_CAP)

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from dadim.cli import main
-from dadim.errors import BlowupExceeded, HashMismatch, SeparationViolation, VerificationFailed
+from dadim.errors import (
+    BlowupExceeded,
+    FiniteSetMismatch,
+    HashMismatch,
+    InvalidInput,
+    SeparationViolation,
+)
 
 
 @pytest.fixture()
@@ -34,7 +40,7 @@ def test_construct_verify_roundtrip(workdir):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(data))
     code = run(["verify", "--system", workdir / "system.json", "--witness", bad])
-    assert code == VerificationFailed.exit_code
+    assert code == FiniteSetMismatch.exit_code
 
 
 def test_construct_verify_subshift_roundtrip(workdir):
@@ -204,3 +210,63 @@ def test_help_lists_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "exit codes" in out
     assert "BlowupExceeded" in out and "HashMismatch" in out
+
+
+def test_finite_set_mismatch_exit_code(workdir):
+    wit = workdir / "wit.json"
+    assert run(["construct", "--system", workdir / "system.json", "--N", 1, "-o", wit]) == 0
+    data = json.loads(wit.read_text())
+    data["finite_sets"][1] = data["finite_sets"][1][1:]
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run(["verify", "--system", workdir / "system.json", "--witness", bad])
+    assert code == FiniteSetMismatch.exit_code == 31
+
+
+@pytest.mark.parametrize("change", ["drop_colors", "non_digit_word"])
+def test_verify_malformed_witness_exit_code(workdir, capsys, change):
+    wit = workdir / "wit.json"
+    assert run(["construct", "--system", workdir / "system.json", "--N", 1, "-o", wit]) == 0
+    data = json.loads(wit.read_text())
+    if change == "drop_colors":
+        del data["colors"]
+    else:
+        data["colors"][0]["cylinders"][0] = "0a1"
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run(["verify", "--system", workdir / "system.json", "--witness", bad])
+    assert code == InvalidInput.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system", [
+    {"kind": "odometer"},
+    {"kind": "odometer", "base": ["x"]},
+    {"kind": "subshift", "substitution": {"a": "ab", "b": "a"}},
+    [],
+])
+def test_malformed_system_exit_code(workdir, system):
+    sysfile = workdir / "bad_system.json"
+    sysfile.write_text(json.dumps(system))
+    code = run(["construct", "--system", sysfile, "--N", 1, "-o", workdir / "w.json"])
+    assert code == InvalidInput.exit_code
+
+
+@pytest.mark.parametrize("command", ["pou-verify", "decompose"])
+@pytest.mark.parametrize("change", ["drop_order", "drop_E", "text_order"])
+def test_pou_malformed_certificate_exit_code(workdir, command, change):
+    pou = workdir / "pou.json"
+    assert run([
+        "pou-build", "--order", 12, "--E", -1, 0, 1,
+        "--colors", workdir / "colors.json", "--N", 8, "-o", pou,
+    ]) == 0
+    data = json.loads(pou.read_text())
+    if change == "drop_order":
+        del data["order"]
+    elif change == "drop_E":
+        del data["E"]
+    else:
+        data["order"] = "twelve"
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run([command, "--pou", bad]) == InvalidInput.exit_code

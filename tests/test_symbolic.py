@@ -11,6 +11,7 @@ from dadim.symbolic import (
     ForbiddenWordSubshift,
     Odometer,
     SubstitutionSubshift,
+    _canonical_subshift,
     clopen_from_json,
     disjoint_translates_radius,
     return_time_report,
@@ -251,3 +252,51 @@ def test_return_report_invariant_min_le_gap(dyadic):
     for values in ([0], [0, 3], [1, 2, 7], range(8)):
         r = return_time_report(dyadic.clopen(3, values))
         assert r.min_forward_return <= r.max_gap
+
+
+def _canonical_subshift_uncached(system, left, words):
+    """Window shrinking that regroups the language on every step."""
+    if not words:
+        return 0, frozenset()
+    wlen = len(next(iter(words)))
+    while wlen > 0:
+        for cut, shift in ((lambda w: w[:-1], 0), (lambda w: w[1:], 1)):
+            groups, full = {}, {}
+            for w in words:
+                groups.setdefault(cut(w), set()).add(w)
+            for w in system.language(wlen):
+                full.setdefault(cut(w), set()).add(w)
+            if all(groups[u] == full[u] for u in groups):
+                words, left, wlen = frozenset(groups), left + shift, wlen - 1
+                break
+        else:
+            break
+    return (0 if wlen == 0 else left), words
+
+
+SUBSHIFTS = {
+    "fibonacci": lambda: SubstitutionSubshift(["a", "b"], {"a": "ab", "b": "a"}, depth_limit=16),
+    "silver": lambda: SubstitutionSubshift(["a", "b"], {"a": "aab", "b": "a"}, depth_limit=16),
+    "golden_mean": lambda: ForbiddenWordSubshift(["0", "1"], ["11"], depth_limit=16),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SUBSHIFTS)),
+    length=st.integers(1, 7),
+    left=st.integers(-4, 4),
+    data=st.data(),
+)
+def test_canonical_subshift_matches_uncached_reference(name, length, left, data):
+    system = SUBSHIFTS[name]()
+    lang = sorted(system.language(length))
+    words = frozenset(data.draw(st.sets(st.sampled_from(lang), max_size=len(lang))))
+    want = _canonical_subshift_uncached(system, left, words)
+    assert _canonical_subshift(system, left, words) == want  # cold cache
+    assert _canonical_subshift(system, left, words) == want  # warm cache
+    # clopens built through the algebra canonicalize alike
+    other = system.cylinder(lang[0], left=left + 1)
+    for op in ("union", "intersect"):
+        got = getattr(system.clopen(left, words), op)(other)
+        assert (got.left, got.words) == _canonical_subshift_uncached(system, got.left, got.words)

@@ -1,11 +1,19 @@
-"""Witness construction and the broken-orbit BFS verifier."""
+"""Witness construction and the broken-orbit verifier: the residue walk on
+odometers, the constraint BFS on subshifts (and as the walk's oracle)."""
+
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dadim.errors import NotMinimal
+from dadim import witness as witness_mod
+from dadim.errors import InvalidInput, NotMinimal
 from dadim.symbolic import ForbiddenWordSubshift, Odometer, SubstitutionSubshift
 from dadim.witness import (
     DadWitness,
+    _constraint_bfs,
+    _residue_walk,
     color_element_sets,
     construct_minimal_z_witness,
     default_blowup_bound,
@@ -197,3 +205,130 @@ def test_default_blowup_bound():
     assert default_blowup_bound((-1, 0, 1), None, 1) == 10**6
     assert default_blowup_bound((1,), 1, 0) == 3 ** 1
     assert default_blowup_bound((-2, -1, 0, 1, 2), 16, 1) == 10**6
+
+
+# ---------------------------------------------------------------------------
+# the residue walk against the constraint BFS
+
+
+@st.composite
+def odometer_colors(draw, max_residues=16, max_q=81):
+    """A random color on an odometer of base [2], [3] or [2, 3] at depth <= 4
+    and q_depth <= max_q, with a random symmetric generator set.  Colors stay
+    small because the BFS oracle grows fast with dense colors."""
+    base = draw(st.sampled_from([[2], [3], [2, 3]]))
+    system = Odometer(base, depth_limit=12)
+    depth = draw(st.integers(1, 4).filter(lambda d: system.level_size(d) <= max_q))
+    q = system.level_size(depth)
+    residues = draw(st.sets(st.integers(0, q - 1), max_size=min(q, max_residues)))
+    steps = draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))
+    E = tuple(sorted({0} | steps | {-e for e in steps}))
+    return system, system.clopen(depth, residues), E
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=odometer_colors(), bound=st.sampled_from([0, 1, 3, 5, 50, 10**4]))
+def test_residue_walk_matches_constraint_bfs(case, bound):
+    system, color, E = case
+    depth = max(color.depth, 1)
+    q = system.level_size(depth)
+    exact = quotient_oracle(q, color.values_at_depth(depth), E, 2 * q * max(E))
+    if exact is None and bound > 5:
+        bound = 5  # the BFS needs seconds to collect many elements of an infinite set
+    got, got_complete = _residue_walk(system, color, E, bound)
+    want, want_complete = _constraint_bfs(system, color, E, bound)
+    assert got_complete == want_complete
+    if want_complete or want is None:
+        assert got == want
+    else:
+        # a cut-off search holds bound + 1 elements; the report uses only the count
+        assert len(got) == len(want) == max(bound, 1) + 1
+        if exact is not None:
+            assert got <= exact
+    if got_complete and not color.is_whole():
+        assert got == exact
+
+
+def _reports(system, wit, bound):
+    """verify_dad_witness with the residue walk and with the BFS in its place."""
+    walk = verify_dad_witness(system, wit, bound).to_json()
+    saved = witness_mod._color_elements
+    witness_mod._color_elements = _constraint_bfs
+    try:
+        bfs = verify_dad_witness(system, wit, bound).to_json()
+    finally:
+        witness_mod._color_elements = saved
+    return walk, bfs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=odometer_colors(max_q=16),  # the complement, too, stays small
+    bound=st.sampled_from([0, 1, 3, 5, 50]),
+    declare_exact=st.booleans(),
+)
+def test_verify_reports_match_constraint_bfs(case, bound, declare_exact):
+    system, color, E = case
+    colors = [color, color.complement()]
+    finite_sets = [frozenset({0})] * 2
+    if declare_exact:
+        walks = [_residue_walk(system, c, E, 10**4) for c in colors]
+        finite_sets = [F if ok else frozenset({0}) for F, ok in walks]
+    wit = DadWitness(colors=colors, generator_set=E, finite_sets=finite_sets)
+    walk, bfs = _reports(system, wit, bound)
+    assert walk == bfs
+
+
+def test_rejection_reports_match_constraint_bfs(dyadic):
+    whole = DadWitness(
+        colors=[dyadic.whole()], generator_set=(-1, 0, 1), finite_sets=[frozenset({0})],
+    )
+    walk, bfs = _reports(dyadic, whole, 1000)
+    assert walk == bfs and walk["details"]["elements_found"] is None
+    w = construct_minimal_z_witness(dyadic, 1)
+    for bound in (0, 1, 3):
+        walk, bfs = _reports(dyadic, w, bound)
+        assert walk == bfs and walk["code"] == "BlowupExceeded"
+        assert walk["details"]["elements_found"] == max(bound, 1) + 1
+        assert walk["details"]["frontier_active"]
+
+
+# ---------------------------------------------------------------------------
+# sizes the BFS could not reach
+
+
+@pytest.mark.parametrize("base,N", [([2], 4), ([2], 8), ([2, 3], 4), ([3], 4)])
+def test_large_witnesses(base, N):
+    system = Odometer(base, depth_limit=12)
+    start = time.perf_counter()
+    w = construct_minimal_z_witness(system, N)
+    report = verify_dad_witness(system, w)
+    assert time.perf_counter() - start < 1.0
+    assert report.accepted
+    M = w.meta["M"]
+    f0, f1 = w.finite_sets
+    assert all(abs(n) <= 3 * N for n in f0)
+    assert all(abs(n) <= M + N for n in f1)
+    depth = max(c.depth for c in w.colors)
+    q = system.level_size(depth)
+    for color, F in zip(w.colors, w.finite_sets):
+        oracle = quotient_oracle(q, color.values_at_depth(depth), range(-N, N + 1), 2 * (M + N))
+        assert oracle == F
+
+
+# ---------------------------------------------------------------------------
+# malformed witness files
+
+
+@pytest.mark.parametrize("data", [
+    {"E": [-1, 0, 1], "finite_sets": [[0]]},
+    {"E": [-1, 0, 1], "colors": [{"cylinders": ["0x1"]}], "finite_sets": [[0]]},
+    {"E": [-1, 0, 1], "colors": [{"words": ["0"]}], "finite_sets": [[0]]},
+    {"E": ["one"], "colors": [{"cylinders": [""]}], "finite_sets": [[0]]},
+    {"E": [0], "colors": [{"cylinders": [""]}], "finite_sets": [[0]],
+     "meta": {"blowup_bound": "many"}},
+    [],
+])
+def test_witness_from_json_rejects_malformed_input(dyadic, data):
+    with pytest.raises(InvalidInput):
+        witness_from_json(dyadic, data)
