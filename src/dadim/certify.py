@@ -158,8 +158,11 @@ def _is_float_like(x) -> bool:
 
 
 def compare_artifacts(got, want, rel_tol: float = 1e-9, path: str = "$") -> list[str]:
-    """Byte-exact comparison except for floats (relative tolerance) and
-    volatile keys; returns a list of human-readable differences."""
+    """Byte-exact comparison except for floats and volatile keys; returns a
+    list of human-readable differences.
+
+    Floats may differ by ``rel_tol * max(1, |want|)``: relative above 1,
+    an absolute ``rel_tol`` below it."""
     diffs: list[str] = []
     if isinstance(want, dict) and isinstance(got, dict):
         keys = (set(got) | set(want)) - VOLATILE_KEYS

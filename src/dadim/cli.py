@@ -91,7 +91,10 @@ def cmd_asdim_construct(args):
     spacedata = _load(args.space)
     if "grid" not in spacedata:
         raise InvalidInput("asdim-construct needs a grid space file")
-    dims = spacedata["grid"]["dims"]
+    try:
+        dims = [int(d) for d in spacedata["grid"]["dims"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed grid space: {exc!r}") from None
     if len(dims) == 1:
         witness = construct_grid_witness(1, (0, dims[0] - 1), args.R)
     elif len(dims) == 2:
@@ -142,7 +145,10 @@ def cmd_bridge(args):
 
 
 def _complex_from_json(data) -> SimplicialComplex:
-    return SimplicialComplex(data["vertices"], [set(f) for f in data["maximal_faces"]])
+    try:
+        return SimplicialComplex(data["vertices"], [set(f) for f in data["maximal_faces"]])
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed simplicial complex: {exc!r}") from None
 
 
 def cmd_nerve(args):
@@ -213,11 +219,13 @@ def cmd_blr_check(args):
     group = cyclic_group(n)
     act = lambda g, x: (x + g) % n  # noqa: E731
     C = _complex_from_json(_load(args.complex))
-    mapdata = _load(args.map)["samples"]
-    f = {
-        int(x): SimplicialPoint({int(v): Fraction(t) for v, t in wt.items()})
-        for x, wt in mapdata.items()
-    }
+    try:
+        f = {
+            int(x): SimplicialPoint({int(v): Fraction(t) for v, t in wt.items()})
+            for x, wt in _load(args.map)["samples"].items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"malformed map file: {exc!r}") from None
     E = [e % n for e in args.E]
     eps = Fraction(args.epsilon) if args.epsilon else Fraction(1, 3 * 10**C.dimension)
     eq = check_equivariance(f, act, act, group.symmetrized(E), eps)
@@ -284,10 +292,13 @@ def cmd_pou_verify(args):
 
 
 def _element_from_json(G, data) -> ConvElement:
-    coeffs = {}
-    for arrow_key, re, im in data["coeffs"]:
-        arrow = tuple(arrow_key) if isinstance(arrow_key, list) else arrow_key
-        coeffs[arrow] = (Fraction(re), Fraction(im))
+    try:
+        coeffs = {
+            tuple(key) if isinstance(key, list) else key: (Fraction(re), Fraction(im))
+            for key, re, im in data["coeffs"]
+        }
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"malformed element: {exc!r}") from None
     if not frozenset(coeffs) <= frozenset(G.arrows):
         raise InvalidInput("element references unknown arrows")
     return ConvElement(G, coeffs)

@@ -295,14 +295,17 @@ def _point_from_json(p):
 
 
 def asdim_witness_from_json(data: dict) -> AsdimWitness:
-    return AsdimWitness(
-        scale_R=int(data["scale_R"]),
-        bound_S=int(data["bound_S"]),
-        families=[
-            [frozenset(_point_from_json(p) for p in cls) for cls in fam]
-            for fam in data["families"]
-        ],
-    )
+    try:
+        return AsdimWitness(
+            scale_R=int(data["scale_R"]),
+            bound_S=int(data["bound_S"]),
+            families=[
+                [frozenset(_point_from_json(p) for p in cls) for cls in fam]
+                for fam in data["families"]
+            ],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed coarse witness: {exc!r}") from None
 
 
 def verify_asdim_witness(X: FiniteMetricSpace, w: AsdimWitness) -> VerificationReport:

@@ -14,7 +14,6 @@ singular value of the representation matrix (LAPACK SVD).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -84,11 +83,6 @@ class ConvElement:
     def delta(cls, G, arrow, value=1) -> "ConvElement":
         return cls(G, {arrow: _cnum(value)})
 
-    @classmethod
-    def from_unit_function(cls, G, phi: dict) -> "ConvElement":
-        """Multiplication operator of a function on units."""
-        return cls(G, {G.unit_arrow(u): _cnum(v) for u, v in phi.items()})
-
     def support(self):
         return frozenset(self.coeffs)
 
@@ -125,12 +119,6 @@ class ConvElement:
         """Pointwise product with a scalar function on arrows."""
         return ConvElement(
             self.G, {g: _cmul(_cnum(weight(g)), c) for g, c in self.coeffs.items()}
-        )
-
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(c[0], (int, Fraction)) and isinstance(c[1], (int, Fraction))
-            for c in self.coeffs.values()
         )
 
     def to_json(self, arrow_key=repr) -> list:

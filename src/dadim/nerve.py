@@ -34,6 +34,7 @@ from .errors import (
 )
 from .groupoid import (
     GroupoidDadWitness,
+    _seed_in_color,
     generate_subgroupoid,
     transformation_groupoid,
     verify_groupoid_dad,
@@ -705,8 +706,7 @@ def dad_witness_from_blr(
     K = frozenset((g, x) for g in sym_E for x in space)
     generated = []
     for color in colors:
-        seed = [a for a in K if G.source(a) in color and G.range(a) in color]
-        gen = generate_subgroupoid(G, seed)
+        gen = generate_subgroupoid(G, _seed_in_color(G, K, color))
         parts = {a[0] for a in gen}
         if not parts <= F:
             raise InvalidInput(

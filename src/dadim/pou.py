@@ -26,6 +26,8 @@ from .errors import (
 )
 from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
 from .groupoid import (
+    _endpoint_units,
+    _seed_in_color,
     arrow_set_power,
     compose_arrow_sets,
     generate_subgroupoid,
@@ -45,14 +47,6 @@ __all__ = [
 ]
 
 Rat = Fraction
-
-
-def _endpoints(G, K):
-    out = set()
-    for a in K:
-        out.add(G.source(a))
-        out.add(G.range(a))
-    return frozenset(out)
 
 
 def _propagate(G, K, units: frozenset) -> frozenset:
@@ -77,8 +71,8 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     """
     K = symmetrize_arrows(G, K)
     K3 = arrow_set_power(G, K, 3)
-    base = _endpoints(G, K)
-    base3 = _endpoints(G, K3)
+    base = _endpoint_units(G, K)
+    base3 = _endpoint_units(G, K3)
 
     covered = frozenset().union(*colors) if colors else frozenset()
     if not base3 <= covered:
@@ -88,8 +82,7 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
 
     G_is = []
     for i, color in enumerate(colors):
-        seed = [a for a in K3 if G.source(a) in color and G.range(a) in color]
-        gen = generate_subgroupoid(G, seed)
+        gen = generate_subgroupoid(G, _seed_in_color(G, K3, color))
         if size_bound is not None and len(gen) > size_bound:
             raise WitnessInsufficient(
                 f"color {i} generates {len(gen)} arrows for K^3 > bound {size_bound}"
@@ -116,8 +109,7 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
 
     gen_sizes = []
     for i, u in enumerate(enlarged):
-        seed = [a for a in K if G.source(a) in u and G.range(a) in u]
-        gen = generate_subgroupoid(G, seed)
+        gen = generate_subgroupoid(G, _seed_in_color(G, K, u))
         envelope = compose_arrow_sets(G, compose_arrow_sets(G, K, G_is[i]), K)
         if not gen <= envelope:
             raise WitnessInsufficient(
@@ -159,7 +151,7 @@ def build_tower(G, K, colors, N: int, size_bound: int | None):
     if N < 1:
         raise InvalidInput("tower depth N must be positive")
     K = symmetrize_arrows(G, K)
-    base = _endpoints(G, K)
+    base = _endpoint_units(G, K)
     covered = frozenset().union(*colors) if colors else frozenset()
     if not base <= covered:
         raise TowerInvalid(
@@ -180,10 +172,7 @@ def build_tower(G, K, colors, N: int, size_bound: int | None):
 
     if size_bound is not None:
         for t in towers:
-            seed = [
-                a for a in K if G.source(a) in t.top and G.range(a) in t.top
-            ]
-            gen = generate_subgroupoid(G, seed)
+            gen = generate_subgroupoid(G, _seed_in_color(G, K, t.top))
             if len(gen) > size_bound:
                 raise PropagationEscapesColor(
                     f"color {t.color}: top level generates {len(gen)} arrows "
@@ -222,21 +211,13 @@ class PartitionOfUnity:
         p, S = self.phi_pair(i, x)
         return sqrt_pair_float(p, S)
 
-    def phi_sup_float(self, i: int) -> float:
-        return max((self.phi_float(i, x) for x in self.psi[i]), default=0.0)
-
     def small_subgroupoids(self) -> list[frozenset]:
         """Per color, the subgroupoid generated by the K-arrows inside the
         tower top; cutdowns by phi_i land in its convolution algebra."""
-        out = []
-        for t in self.towers:
-            seed = [
-                a
-                for a in self.K
-                if self.G.source(a) in t.top and self.G.range(a) in t.top
-            ]
-            out.append(generate_subgroupoid(self.G, seed))
-        return out
+        return [
+            generate_subgroupoid(self.G, _seed_in_color(self.G, self.K, t.top))
+            for t in self.towers
+        ]
 
     @classmethod
     def from_json(cls, G, K, data: dict) -> "PartitionOfUnity":
@@ -299,7 +280,7 @@ def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
         raise TowerInvalid("averaging depth must satisfy N >= 3")
     if any(t.depth != N for t in towers):
         raise TowerInvalid("towers have mismatched depths")
-    base = _endpoints(G, K)
+    base = _endpoint_units(G, K)
 
     psi: list[dict] = []
     for t in towers:
@@ -329,7 +310,7 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
     way the comparison is decided on squares with zero tolerance.
     """
     K = symmetrize_arrows(G, K)
-    base = _endpoints(G, K)
+    base = _endpoint_units(G, K)
     d, N = pou.d, pou.N
 
     for i, t in enumerate(pou.towers):

@@ -270,3 +270,64 @@ def test_pou_malformed_certificate_exit_code(workdir, command, change):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(data))
     assert run([command, "--pou", bad]) == InvalidInput.exit_code
+
+
+def blr_files(workdir, n=6):
+    """Action, complex and map files for a valid blr-check on Z/n."""
+    paths = {k: workdir / f"{k}.json" for k in ("action", "complex", "map")}
+    paths["action"].write_text(json.dumps({"cyclic": n}))
+    paths["complex"].write_text(json.dumps({
+        "vertices": list(range(n)),
+        "maximal_faces": [[i, (i + 1) % n] for i in range(n)],
+    }))
+    paths["map"].write_text(json.dumps({
+        "samples": {str(x): {str(x): "3/5", str((x + 1) % n): "2/5"} for x in range(n)}
+    }))
+    return paths
+
+
+def malformed_command(workdir, case):
+    """A command whose one malformed input file is read by the named reader."""
+    def write(name, data):
+        path = workdir / name
+        path.write_text(json.dumps(data))
+        return path
+
+    group = write("g.json", {"action": {"cyclic": 4}})
+    element = write("e.json", {"coeffs": [[[1, 0], "1", "0"]]})
+    if case == "element_empty":
+        return ["norm", "--groupoid", group, "--element", write("bad.json", {})]
+    if case == "element_coefficient":
+        bad = write("bad.json", {"coeffs": [[[1, 0], "x", "0"]]})
+        return ["norm", "--groupoid", group, "--element", bad]
+    if case == "groupoid_units":
+        bad = write("bad.json", {"arrows": [], "compose": [], "inverse": {}})
+        return ["norm", "--groupoid", bad, "--element", element]
+    if case == "nerve_complex":
+        return ["nerve", "--complex", write("bad.json", {}), "--denominator", 4]
+    blr = blr_files(workdir)
+    if case in ("blr_complex", "blr_map"):
+        blr[case[4:]] = write("bad.json", {})
+        return [
+            "blr-check", "--action", blr["action"], "--map", blr["map"],
+            "--complex", blr["complex"], "--E", 1, "--witness",
+        ]
+    if case == "grid_dims":
+        return ["asdim-construct", "--space", write("bad.json", {"grid": {}}),
+                "--R", 10, "-o", workdir / "aw.json"]
+    aw = workdir / "aw.json"
+    assert run(["asdim-construct", "--space", workdir / "space1d.json", "--R", 10, "-o", aw]) == 0
+    data = json.loads(aw.read_text())
+    del data["scale_R"]
+    command = case.split("_")[1]
+    return [command, "--space", workdir / "space1d.json", "--witness", write("bad.json", data)]
+
+
+@pytest.mark.parametrize("case", [
+    "element_empty", "element_coefficient", "groupoid_units", "nerve_complex",
+    "blr_complex", "blr_map", "grid_dims", "witness_asdim-verify", "witness_bridge",
+])
+def test_malformed_input_exit_code(workdir, capsys, case):
+    code = run(malformed_command(workdir, case))
+    assert code == InvalidInput.exit_code
+    assert "Traceback" not in capsys.readouterr().err

@@ -10,9 +10,11 @@ from dadim.groupoid import (
     FiniteGroupoid,
     GroupoidDadWitness,
     TubePairGroupoid,
+    _closure,
     block_union_pair_groupoid,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
+    groupoid_from_json,
     pair_groupoid,
     symmetrize_arrows,
     transformation_groupoid,
@@ -95,13 +97,79 @@ def test_tube_blocks_match_worklist_closure(radius, pairs):
     seed = [(x, y) for x, y in pairs if X.dist(x, y) <= radius]
     blocks = generate_subgroupoid(TubePairGroupoid(X, radius), seed)
     P = pair_groupoid(X.points)
-    closure = generate_subgroupoid(P, seed)
+    closure = _closure(P, seed)
     orbits = frozenset(
         frozenset(P.range(a) for a in closure if P.source(a) == u)
         for u in {P.source(a) for a in closure}
     )
     assert blocks.blocks == orbits
     assert blocks.size() == len(closure)
+
+
+def z2_involution_data():
+    # Z/2 as a one-unit groupoid: unit arrow 0 and an involution 1
+    return {
+        "units": ["u"],
+        "arrows": [{"id": 0, "s": "u", "r": "u"}, {"id": 1, "s": "u", "r": "u"}],
+        "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "inverse": {"0": 0, "1": 1},
+    }
+
+
+def z4_action(space, act):
+    return transformation_groupoid(
+        {"elements": range(4), "mult": lambda a, b: (a + b) % 4,
+         "inv": lambda a: (-a) % 4, "unit": 0, "act": act},
+        space,
+    )
+
+
+@st.composite
+def free_groupoids(draw):
+    kind = draw(st.sampled_from(["cyclic", "blocks", "orbits"]))
+    if kind == "cyclic":
+        return cyclic_rotation_groupoid(draw(st.integers(1, 12)))
+    if kind == "blocks":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        return block_union_pair_groupoid(
+            [list(range(b, b + n)) for b, n in zip(starts, sizes)]
+        )
+    # Z/4 rotating the first coordinate of Z/4 x {0, 1}: two orbits
+    return z4_action(
+        [(i, j) for i in range(4) for j in (0, 1)],
+        lambda g, x: ((x[0] + g) % 4, x[1]),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(G=free_groupoids(), data=st.data())
+def test_free_generation_matches_worklist_closure(G, data):
+    """The components path against the worklist closure on free groupoids."""
+    assert G.is_free()
+    seed = data.draw(st.sets(st.sampled_from(G.arrows), max_size=8))
+    assert generate_subgroupoid(G, seed) == _closure(G, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["z4_via_z2", "z2_involution"]), data=st.data())
+def test_isotropy_generation_keeps_the_worklist(which, data):
+    """With isotropy an arrow is not fixed by its endpoints, so generation
+    must not take the components path."""
+    if which == "z4_via_z2":
+        G = z4_action([0, 1], lambda g, x: (x + g) % 2)
+        seeded, iso = [(1, 0), (1, 1)], (2, 0)
+    else:
+        G = groupoid_from_json(z2_involution_data())
+        seeded, iso = [1], 1
+    assert not G.is_free()
+    seed = data.draw(st.sets(st.sampled_from(G.arrows), max_size=4))
+    assert generate_subgroupoid(G, seed) == _closure(G, seed)
+    gen = generate_subgroupoid(G, seeded)
+    assert iso in gen and gen == _closure(G, seeded)
+    # a lone unit generates no isotropy, although its component holds some
+    unit = G.unit_arrow(G.units[0])
+    assert generate_subgroupoid(G, [unit]) == frozenset({unit})
 
 
 def test_verify_groupoid_dad_block_example():
@@ -262,15 +330,7 @@ def test_unit_space_groupoid():
 
 
 def test_groupoid_file_roundtrip():
-    from dadim.groupoid import groupoid_from_json
-
-    # Z/2 as a one-unit groupoid: unit arrow 0 and an involution 1
-    data = {
-        "units": ["u"],
-        "arrows": [{"id": 0, "s": "u", "r": "u"}, {"id": 1, "s": "u", "r": "u"}],
-        "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
-        "inverse": {"0": 0, "1": 1},
-    }
+    data = z2_involution_data()
     G = groupoid_from_json(data)
     assert G.n_arrows() == 2
     assert not G.is_free()  # the involution is isotropy
