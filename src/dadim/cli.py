@@ -24,12 +24,16 @@ from .coarse import (
 )
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
-from .groupoid import cyclic_rotation_groupoid, groupoid_from_json, symmetrize_arrows
+from .groupoid import (
+    cyclic_group,
+    cyclic_rotation_groupoid,
+    groupoid_from_json,
+    symmetrize_arrows,
+)
 from .nerve import (
     SimplicialComplex,
     SimplicialPoint,
     check_equivariance,
-    cyclic_group,
     dad_witness_from_blr,
     l1_distance,
     nice_cover_assign,
@@ -215,7 +219,12 @@ def cmd_blr_check(args):
     action = _load(args.action)
     if "cyclic" not in action:
         raise InvalidInput("blr-check supports cyclic action files")
-    n = int(action["cyclic"])
+    try:
+        n = int(action["cyclic"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed action file: {exc!r}") from None
+    if n < 1:
+        raise InvalidInput("the cyclic action needs a positive order")
     group = cyclic_group(n)
     act = lambda g, x: (x + g) % n  # noqa: E731
     C = _complex_from_json(_load(args.complex))

@@ -22,8 +22,6 @@ from .groupoid import (
     TubeArrows,
     TubePairGroupoid,
     _connected_components,
-    _seed_in_color,
-    generate_subgroupoid,
     verify_groupoid_dad,
 )
 from .reporting import VerificationReport
@@ -499,8 +497,10 @@ def bridge_to_groupoid(
 
     The ambient groupoid is the pair groupoid of the tube of radius S; K is
     the tube of radius R; the colors are the unions of each family's
-    classes; the generated subgroupoids are the K-reachability blocks
-    within classes, in block form.  Returns (groupoid, witness, report).
+    classes, and each family's classes are declared as the blocks of its
+    generated subgroupoid, which the verifier checks against the
+    K-reachability blocks; a class that is not R-connected is rejected
+    with NotClosed.  Returns (groupoid, witness, report).
     """
     if verify:
         rep = verify_asdim_witness(X, w)
@@ -511,8 +511,8 @@ def bridge_to_groupoid(
     K = TubeArrows(w.scale_R)
     colors = [frozenset(p for cls in fam for p in cls) for fam in w.families]
 
-    generated = [generate_subgroupoid(G, _seed_in_color(G, K, c)) for c in colors]
-    size_bound = max(g.size() for g in generated) if generated else 0
+    generated = [BlockArrows(frozenset(frozenset(cls) for cls in fam)) for fam in w.families]
+    size_bound = max((g.size() for g in generated), default=0)
     witness = GroupoidDadWitness(
         K, colors, generated, meta={"scale_R": w.scale_R, "bound_S": w.bound_S}
     )
@@ -537,16 +537,19 @@ def recover_families_from_bridge(witness: GroupoidDadWitness) -> list[list[froze
 
 
 def space_from_json(data: dict) -> FiniteMetricSpace:
-    if "grid" in data:
-        dims = data["grid"]["dims"]
-        if len(dims) == 1:
-            return Grid1dSpace(0, dims[0] - 1)
-        if len(dims) == 2:
-            return Grid2dSpace(dims[0], dims[1])
-        raise InvalidInput("grids supported in dimensions 1 and 2")
-    if "group_ball" in data:
-        gb = data["group_ball"]
-        return GroupBallSpace(gb["generators"], gb["radius"])
-    if "edges" in data:
-        return TableMetricSpace.from_edges(data["points"], [tuple(e) for e in data["edges"]])
+    try:
+        if "grid" in data:
+            dims = data["grid"]["dims"]
+            if len(dims) == 1:
+                return Grid1dSpace(0, dims[0] - 1)
+            if len(dims) == 2:
+                return Grid2dSpace(dims[0], dims[1])
+            raise InvalidInput("grids supported in dimensions 1 and 2")
+        if "group_ball" in data:
+            gb = data["group_ball"]
+            return GroupBallSpace(gb["generators"], gb["radius"])
+        if "edges" in data:
+            return TableMetricSpace.from_edges(data["points"], [tuple(e) for e in data["edges"]])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidInput(f"malformed space: {exc!r}") from None
     raise InvalidInput("space file needs 'grid', 'group_ball', or 'edges'")

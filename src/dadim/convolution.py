@@ -13,6 +13,7 @@ singular value of the representation matrix (LAPACK SVD).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,91 +237,31 @@ def cutdown(f: ConvElement, phi) -> ConvElement:
 
 
 def _min_bisection_cover(G, arrows):
-    """Fewest r- and s-injective pieces covering the arrow set.
+    """Fewest r- and s-injective pieces covering the arrow set, and whether
+    that count is exact.
 
     Arrows form a bipartite multigraph between source units and range
     units; a bisection is a matching, so the cover number is the chromatic
-    index, which for bipartite graphs equals the maximum fiber degree.  Up
-    to 64 arrows the coloring is constructed explicitly (alternating-path
-    recoloring); above, a greedy coloring gives an upper bound, flagged.
+    index, which for bipartite graphs equals the maximum fiber degree
+    (König's theorem).  Up to 64 arrows that degree is returned as exact;
+    above, a greedy coloring gives an upper bound, flagged.
     """
-    arrows = sorted(arrows, key=repr)
-    if not arrows:
-        return 0, [], True
-    deg: dict = {}
-    for a in arrows:
-        deg[("s", G.source(a))] = deg.get(("s", G.source(a)), 0) + 1
-        deg[("r", G.range(a))] = deg.get(("r", G.range(a)), 0) + 1
-    delta = max(deg.values())
-
-    color_at: dict = {}  # (node, color) -> arrow
-    assigned: dict = {}
-
-    def free_color(node, limit):
-        for c in range(limit):
-            if (node, c) not in color_at:
-                return c
-        return None
-
-    exact = len(arrows) <= 64
-    if exact:
-        def endpoints(edge):
-            return ("s", G.source(edge)), ("r", G.range(edge))
-
-        for a in arrows:
-            u = ("s", G.source(a))
-            v = ("r", G.range(a))
-            ca = free_color(u, delta)
-            cb = free_color(v, delta)
-            if ca != cb:
-                # walk the ca/cb alternating path from v, then flip it; the
-                # path cannot reach u (arriving there would take a ca-edge,
-                # which u misses, by bipartite parity), so afterwards both
-                # endpoints miss ca
-                path = []
-                node, want = v, ca
-                while (node, want) in color_at:
-                    edge = color_at[(node, want)]
-                    path.append((edge, want))
-                    e1, e2 = endpoints(edge)
-                    node = e2 if node == e1 else e1
-                    want = cb if want == ca else ca
-                for edge, c in path:
-                    e1, e2 = endpoints(edge)
-                    del color_at[(e1, c)]
-                    del color_at[(e2, c)]
-                for edge, c in path:
-                    newc = cb if c == ca else ca
-                    e1, e2 = endpoints(edge)
-                    color_at[(e1, newc)] = edge
-                    color_at[(e2, newc)] = edge
-                    assigned[edge] = newc
-            color_at[(u, ca)] = a
-            color_at[(v, ca)] = a
-            assigned[a] = ca
-        count = delta
-    else:
-        for a in arrows:
-            u = ("s", G.source(a))
-            v = ("r", G.range(a))
-            c = 0
-            while (u, c) in color_at or (v, c) in color_at:
-                c += 1
-            color_at[(u, c)] = a
-            color_at[(v, c)] = a
-            assigned[a] = c
-        count = max(assigned.values()) + 1
-
-    pieces: list[set] = [set() for _ in range(count)]
-    for a, c in assigned.items():
-        pieces[c].add(a)
-    # each piece must be a bisection
-    for piece in pieces:
-        srcs = [G.source(a) for a in piece]
-        rngs = [G.range(a) for a in piece]
-        if len(set(srcs)) != len(srcs) or len(set(rngs)) != len(rngs):
-            raise InvalidInput("internal: bisection cover invalid")  # pragma: no cover
-    return count, pieces, exact
+    if len(arrows) <= 64:
+        deg = Counter(("s", G.source(a)) for a in arrows)
+        deg.update(("r", G.range(a)) for a in arrows)
+        return max(deg.values(), default=0), True
+    used: set = set()  # (node, color)
+    count = 0
+    for a in sorted(arrows, key=repr):
+        u = ("s", G.source(a))
+        v = ("r", G.range(a))
+        c = 0
+        while (u, c) in used or (v, c) in used:
+            c += 1
+        used.add((u, c))
+        used.add((v, c))
+        count = max(count, c + 1)
+    return count, False
 
 
 def commutator_report(f: ConvElement, phi) -> dict:
@@ -335,7 +276,7 @@ def commutator_report(f: ConvElement, phi) -> dict:
         osc = max(
             osc, abs(float(_phi_value(phi, G.source(g))) - float(_phi_value(phi, G.range(g))))
         )
-    M, pieces, exact = _min_bisection_cover(G, f.support())
+    M, exact = _min_bisection_cover(G, f.support())
     return {
         "commutator": comm,
         "commutator_norm": reduced_norm(comm),

@@ -6,8 +6,10 @@ composition.  Three concrete flavors cover everything the artifact needs:
 * ``FiniteGroupoid`` -- explicit arrow list with a composition table,
   axiom-checked on construction (exhaustively up to size caps, sampled
   above);
-* ``TransformationGroupoid`` -- a verified finite group action, arrows
-  (g, x) with rule-based composition;
+* ``TransformationGroupoid`` -- a ``FiniteGroup`` (the one group type)
+  acting on a finite space, arrows (g, x) with rule-based composition;
+  the Z/n rotation is built from its formula, any other action is
+  verified exhaustively;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit and generated
   subgroupoids represented in block form (a partition of units).
@@ -34,6 +36,8 @@ from .reporting import VerificationReport
 __all__ = [
     "FiniteGroupoid",
     "TransformationGroupoid",
+    "FiniteGroup",
+    "cyclic_group",
     "TubePairGroupoid",
     "BlockArrows",
     "TubeArrows",
@@ -197,108 +201,115 @@ class FiniteGroupoid:
             if self.compose(self.compose(g, h), k) != self.compose(g, self.compose(h, k)):
                 raise InvalidInput(f"associativity fails at {(g, h, k)!r}")
 
-    def to_json(self) -> dict:
-        ids = {g: i for i, g in enumerate(self.arrows)}
-        return {
-            "units": [repr(u) for u in self.units],
-            "arrows": [
-                {"id": ids[g], "s": repr(self.source(g)), "r": repr(self.range(g))}
-                for g in self.arrows
-            ],
-            "compose": sorted(
-                [ids[g], ids[h], ids[gh]] for (g, h), gh in self._compose.items()
-            ),
-        }
+
+@dataclass(frozen=True)
+class FiniteGroup:
+    """A finite group: its elements, multiplication, inverse and unit."""
+
+    elements: tuple
+    mult: "callable" = field(compare=False)
+    inv: "callable" = field(compare=False)
+    unit: object = None
+
+    def symmetrized(self, E) -> tuple:
+        out = {self.unit}
+        for e in E:
+            out.add(e)
+            out.add(self.inv(e))
+        return tuple(sorted(out, key=repr))
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    return FiniteGroup(
+        elements=tuple(range(n)),
+        mult=lambda a, b: (a + b) % n,
+        inv=lambda a: (-a) % n,
+        unit=0,
+    )
 
 
 class TransformationGroupoid(FiniteGroupoid):
-    """Groupoid of a verified finite group action; arrows are (g, x) with
-    source x and range g.x, composed by multiplying group parts."""
+    """Groupoid of a finite group action; arrows are (g, x) with source x
+    and range g.x, composed by multiplying group parts.
 
-    def __init__(self, group_mult, group_inv, group_unit, group_elements, space, act):
-        self.group_elements = tuple(group_elements)
+    The action is taken as given: build through ``transformation_groupoid``,
+    which verifies caller-supplied actions.
+    """
+
+    def __init__(self, group: FiniteGroup, space, act):
+        self.group = group
         self.space = tuple(space)
-        self._mult = group_mult
-        self._ginv = group_inv
-        self._gunit = group_unit
-        self._act = act
-        _verify_action(group_mult, group_inv, group_unit, self.group_elements, self.space, act)
-        units = self.space
-        arrows = tuple((g, x) for g in self.group_elements for x in self.space)
-        source = {a: a[1] for a in arrows}
-        range_ = {a: act(a[0], a[1]) for a in arrows}
-        inverse = {a: (group_inv(a[0]), act(a[0], a[1])) for a in arrows}
-        unit_arrow = {u: (group_unit, u) for u in units}
+        self.act = act
+        arrows = tuple((g, x) for g in group.elements for x in self.space)
+        range_ = {a: act(*a) for a in arrows}
         super().__init__(
-            units, arrows, source, range_, inverse, compose_table={},
-            unit_arrow=unit_arrow, check=False,
+            self.space, arrows,
+            source={a: a[1] for a in arrows},
+            range_=range_,
+            inverse={a: (group.inv(a[0]), range_[a]) for a in arrows},
+            compose_table={},
+            unit_arrow={u: (group.unit, u) for u in self.space},
+            check=False,
         )
 
     def compose(self, g, h):
-        if g is None or h is None:
-            return None
-        if h not in self.arrow_set or g not in self.arrow_set:
-            return None
+        """gh for arrows g, h of this groupoid if s(g) = r(h), else None."""
         if self.source(g) != self.range(h):
             return None
-        return (self._mult(g[0], h[0]), h[1])
+        return (self.group.mult(g[0], h[0]), h[1])
 
     def isotropy_witness(self):
-        e = self._gunit
-        for g in self.group_elements:
-            if g == e:
-                continue
-            for x in self.space:
-                if self._act(g, x) == x:
-                    return (g, x)
+        for a in self.arrows:
+            if a[0] != self.group.unit and self.range(a) == a[1]:
+                return a
         return None
 
 
-def _verify_action(mult, inv, unit, elements, space, act):
-    elems = set(elements)
-    for g in elements:
-        if inv(g) not in elems:
+def _verify_action(group: FiniteGroup, space, act):
+    """Exhaustive check that ``act`` is an action of ``group`` on ``space``."""
+    elems = set(group.elements)
+    points = set(space)
+    for g in group.elements:
+        if group.inv(g) not in elems:
             raise NotAnAction(f"group inverse of {g!r} missing")
         for x in space:
-            if act(g, x) not in set(space):
+            if act(g, x) not in points:
                 raise NotAnAction(f"action leaves the space at ({g!r}, {x!r})")
     for x in space:
-        if act(unit, x) != x:
+        if act(group.unit, x) != x:
             raise NotAnAction("identity does not act trivially")
-    for g in elements:
-        for h in elements:
-            if mult(g, h) not in elems:
+    for g in group.elements:
+        for h in group.elements:
+            gh = group.mult(g, h)
+            if gh not in elems:
                 raise NotAnAction("group multiplication escapes the element set")
             for x in space:
-                if act(g, act(h, x)) != act(mult(g, h), x):
+                if act(g, act(h, x)) != act(gh, x):
                     raise NotAnAction(f"not an action at ({g!r}, {h!r}, {x!r})")
 
 
-def transformation_groupoid(group, space) -> TransformationGroupoid:
+def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
     """Build a transformation groupoid.
 
-    ``group`` is either a positive integer n (cyclic group Z/n acting on a
-    space of size n by rotation when ``space`` is the same size, otherwise
-    an explicit action table is required) or a dict with keys "elements",
-    "mult" (callable), "inv", "unit", "act".
+    ``group`` is either a positive integer n, for Z/n rotating the n
+    distinct points of ``space`` in their given order (g.x_i = x_{i+g mod
+    n}, free by construction, so only the points are checked), or a
+    ``FiniteGroup`` with its action ``act(g, x)``, which is verified
+    exhaustively.
     """
     if isinstance(group, int):
         n = group
         pts = tuple(space)
-        if len(pts) != n:
-            raise NotAnAction("cyclic shorthand needs |space| == group order")
         idx = {x: i for i, x in enumerate(pts)}
-        return TransformationGroupoid(
-            group_mult=lambda a, b: (a + b) % n,
-            group_inv=lambda a: (-a) % n,
-            group_unit=0,
-            group_elements=range(n),
-            space=pts,
-            act=lambda g, x: pts[(idx[x] + g) % n],
-        )
-    return TransformationGroupoid(
-        group["mult"], group["inv"], group["unit"], group["elements"], space, group["act"]
-    )
+        if len(pts) != n or len(idx) != n:
+            raise NotAnAction(
+                f"Z/{n} rotates {n} distinct points; got {len(pts)} points, {len(idx)} distinct"
+            )
+        return TransformationGroupoid(cyclic_group(n), pts, lambda g, x: pts[(idx[x] + g) % n])
+    if act is None:
+        raise InvalidInput("a FiniteGroup needs its action act(g, x)")
+    _verify_action(group, space, act)
+    return TransformationGroupoid(group, space, act)
 
 
 def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:
@@ -579,7 +590,7 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
     needed = _endpoint_units(G, witness.K)
     covered = set()
     for c in witness.colors:
-        bad = set(c) - set(G.units if isinstance(G, TubePairGroupoid) else G.unit_set)
+        bad = set(c) - G.unit_set
         if bad:
             return VerificationReport(False, "CoverGap", f"color uses unknown units {sorted(map(repr, bad))[:3]}")
         covered |= set(c)

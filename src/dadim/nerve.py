@@ -33,6 +33,7 @@ from .errors import (
     NotInComplex,
 )
 from .groupoid import (
+    FiniteGroup,
     GroupoidDadWitness,
     _seed_in_color,
     generate_subgroupoid,
@@ -44,8 +45,6 @@ from .reporting import VerificationReport
 __all__ = [
     "SimplicialPoint",
     "SimplicialComplex",
-    "FiniteGroup",
-    "cyclic_group",
     "l1_distance",
     "distance_to_skeleton",
     "nice_cover_membership",
@@ -271,31 +270,7 @@ def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
 
 
 # ---------------------------------------------------------------------------
-# groups and equivariance
-
-
-@dataclass(frozen=True)
-class FiniteGroup:
-    elements: tuple
-    mult: "callable" = field(compare=False)
-    inv: "callable" = field(compare=False)
-    unit: object = None
-
-    def symmetrized(self, E) -> tuple:
-        out = {self.unit}
-        for e in E:
-            out.add(e)
-            out.add(self.inv(e))
-        return tuple(sorted(out, key=repr))
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup(
-        elements=tuple(range(n)),
-        mult=lambda a, b: (a + b) % n,
-        inv=lambda a: (-a) % n,
-        unit=0,
-    )
+# group actions and equivariance
 
 
 def _act_point(act_V, g, mu: SimplicialPoint) -> SimplicialPoint:
@@ -693,16 +668,7 @@ def dad_witness_from_blr(
     if uncovered:
         raise InvalidInput("levels failed to cover the samples; complex inconsistent")
 
-    G = transformation_groupoid(
-        {
-            "elements": group.elements,
-            "mult": group.mult,
-            "inv": group.inv,
-            "unit": group.unit,
-            "act": act_X,
-        },
-        space,
-    )
+    G = transformation_groupoid(group, space, act_X)
     K = frozenset((g, x) for g in sym_E for x in space)
     generated = []
     for color in colors:

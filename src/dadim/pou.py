@@ -377,23 +377,19 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
 
 
 def pou_from_group_action(
-    group, space, E, colors, N: int | None, size_bound: int | None,
+    order: int, space, E, colors, N: int | None, size_bound: int | None,
     eps: Rat | None = None,
 ):
-    """Group-action form: K is the arrow set of E.x moves in the
-    transformation groupoid; returns (G, K, towers, pou).
+    """Group-action form: G is Z/order rotating the points of ``space``, K
+    the arrow set of E.x moves; returns (G, K, towers, pou).
 
     Either pass the averaging depth N directly, or a rational eps from
     which the least admissible depth is derived.
     """
     from .exactmath import least_pou_depth
 
-    G = transformation_groupoid(group, space)
-    if isinstance(group, int):
-        elems = {e % group for e in E}
-    else:
-        elems = set(E)
-    K = frozenset((g, x) for g in elems for x in G.space)
+    G = transformation_groupoid(order, space)
+    K = frozenset((e % order, x) for e in E for x in G.space)
     K = symmetrize_arrows(G, K)
     if N is None:
         if eps is None:

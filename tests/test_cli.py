@@ -11,6 +11,7 @@ from dadim.errors import (
     HashMismatch,
     InvalidInput,
     SeparationViolation,
+    VerificationFailed,
 )
 
 
@@ -82,6 +83,17 @@ def test_asdim_commands(workdir):
     bad.write_text(json.dumps(data))
     code = run(["asdim-verify", "--space", workdir / "space1d.json", "--witness", bad])
     assert code == SeparationViolation.exit_code
+
+    # a class with a gap wider than R is not one K-block
+    space = workdir / "space12.json"
+    space.write_text(json.dumps({"grid": {"dims": [12]}}))
+    gap = workdir / "gapaw.json"
+    gap.write_text(json.dumps({
+        "scale_R": 2, "bound_S": 11,
+        "families": [[[0, 1, 2, 10, 11]], [[3, 4, 5, 6, 7, 8, 9]]],
+    }))
+    assert run(["asdim-verify", "--space", space, "--witness", gap]) == 0
+    assert run(["bridge", "--space", space, "--witness", gap]) == VerificationFailed.exit_code
 
 
 def test_nerve_command(workdir):
@@ -306,8 +318,11 @@ def malformed_command(workdir, case):
     if case == "nerve_complex":
         return ["nerve", "--complex", write("bad.json", {}), "--denominator", 4]
     blr = blr_files(workdir)
-    if case in ("blr_complex", "blr_map"):
+    if case in ("blr_action", "blr_order"):
+        blr["action"] = write("bad.json", {"cyclic": "x" if case == "blr_action" else 0})
+    elif case in ("blr_complex", "blr_map"):
         blr[case[4:]] = write("bad.json", {})
+    if case.startswith("blr_"):
         return [
             "blr-check", "--action", blr["action"], "--map", blr["map"],
             "--complex", blr["complex"], "--E", 1, "--witness",
@@ -317,6 +332,9 @@ def malformed_command(workdir, case):
                 "--R", 10, "-o", workdir / "aw.json"]
     aw = workdir / "aw.json"
     assert run(["asdim-construct", "--space", workdir / "space1d.json", "--R", 10, "-o", aw]) == 0
+    if case in ("space_dims", "space_group_ball"):
+        bad = write("bad.json", {"grid": {}} if case == "space_dims" else {"group_ball": {}})
+        return ["asdim-verify", "--space", bad, "--witness", aw]
     data = json.loads(aw.read_text())
     del data["scale_R"]
     command = case.split("_")[1]
@@ -325,7 +343,8 @@ def malformed_command(workdir, case):
 
 @pytest.mark.parametrize("case", [
     "element_empty", "element_coefficient", "groupoid_units", "nerve_complex",
-    "blr_complex", "blr_map", "grid_dims", "witness_asdim-verify", "witness_bridge",
+    "blr_complex", "blr_map", "blr_action", "blr_order", "grid_dims", "space_dims",
+    "space_group_ball", "witness_asdim-verify", "witness_bridge",
 ])
 def test_malformed_input_exit_code(workdir, capsys, case):
     code = run(malformed_command(workdir, case))

@@ -171,6 +171,19 @@ def test_bridge_rejects_corruption():
     assert exc2.value.report.code in {"SizeExceeded", "NotClosed"}
 
 
+def test_bridge_rejects_class_that_is_not_r_connected():
+    """The class {0, 1, 2, 10, 11} passes the coarse checks (one class per
+    family, diameter 11 <= S) but its gap of 8 > R splits it into two
+    K-blocks, so the declared blocks differ from the generated ones."""
+    X = Grid1dSpace(0, 11)
+    w = AsdimWitness(2, 11, [[frozenset({0, 1, 2, 10, 11})], [frozenset(range(3, 10))]])
+    assert verify_asdim_witness(X, w).accepted
+    with pytest.raises(VerificationFailed) as exc:
+        bridge_to_groupoid(X, w)
+    assert exc.value.report.code == "NotClosed"
+    assert exc.value.report.details == {"color": 0}
+
+
 def test_group_ball_word_metric():
     gb = GroupBallSpace([[1, 0], [0, 1]], 3)
     gb.check_metric_axioms()

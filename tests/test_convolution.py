@@ -24,6 +24,7 @@ from dadim.convolution import (
 from dadim.errors import GroupoidMismatch, NotFree, SupportLeak
 from dadim.groupoid import (
     block_union_pair_groupoid,
+    cyclic_group,
     cyclic_rotation_groupoid,
     pair_groupoid,
     transformation_groupoid,
@@ -285,11 +286,7 @@ def test_block_decompose_examples():
     U = unit_space_groupoid(range(4))
     assert sorted(block_decompose(U).sizes()) == [1, 1, 1, 1]
 
-    iso = transformation_groupoid(
-        {"elements": [0, 1], "mult": lambda a, b: (a + b) % 2,
-         "inv": lambda a: a, "unit": 0, "act": lambda g, x: x},
-        ["p"],
-    )
+    iso = transformation_groupoid(cyclic_group(2), ["p"], lambda g, x: x)
     with pytest.raises(NotFree):
         block_decompose(iso)
 
@@ -308,11 +305,7 @@ def test_block_decompose_rejects_non_subgroupoids():
         block_decompose(Z6, {(1, 0)})
     # Z/4 acting on {0, 1} through Z/2: every matrix unit is given once, but
     # (1, 1)(1, 0) = (2, 0) is isotropy outside the arrow set
-    Z4 = transformation_groupoid(
-        {"elements": range(4), "mult": lambda a, b: (a + b) % 4,
-         "inv": lambda a: (-a) % 4, "unit": 0, "act": lambda g, x: (x + g) % 2},
-        [0, 1],
-    )
+    Z4 = transformation_groupoid(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
     with pytest.raises(NotFree):
         block_decompose(Z4, {(0, 0), (0, 1), (1, 0), (1, 1)})
     # the full restriction to the orbit {0, 1} is accepted

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from dadim.coarse import Grid1dSpace
 from dadim.errors import InvalidInput, NotAnAction
 from dadim.groupoid import (
+    FiniteGroup,
     FiniteGroupoid,
     GroupoidDadWitness,
     TubePairGroupoid,
     _closure,
+    _verify_action,
     block_union_pair_groupoid,
+    cyclic_group,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
     groupoid_from_json,
@@ -26,23 +29,12 @@ from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
 
 
-def swap_group():
-    return {
-        "elements": [0, 1],
-        "mult": lambda a, b: (a + b) % 2,
-        "inv": lambda a: a,
-        "unit": 0,
-    }
-
-
 def test_transformation_groupoid_examples():
-    G2 = transformation_groupoid({**swap_group(), "act": lambda g, x: (x + g) % 2}, [0, 1])
+    G2 = transformation_groupoid(cyclic_group(2), [0, 1], lambda g, x: (x + g) % 2)
     assert G2.n_arrows() == 4 and G2.is_free()
 
     trivial = transformation_groupoid(
-        {"elements": [0], "mult": lambda a, b: 0, "inv": lambda a: 0, "unit": 0,
-         "act": lambda g, x: x},
-        range(5),
+        FiniteGroup((0,), lambda a, b: 0, lambda a: 0, 0), range(5), lambda g, x: x
     )
     assert trivial.n_arrows() == 5
     assert all(trivial.source(a) == trivial.range(a) for a in trivial.arrows)
@@ -55,9 +47,29 @@ def test_transformation_groupoid_examples():
 
 
 def test_not_an_action():
-    broken = {**swap_group(), "act": lambda g, x: 0 if g else x}
     with pytest.raises(NotAnAction):
-        transformation_groupoid(broken, [0, 1])
+        transformation_groupoid(cyclic_group(2), [0, 1], lambda g, x: 0 if g else x)
+    # a multiplication that leaves the element set
+    escaping = FiniteGroup((0, 1), lambda a, b: a + b, lambda a: a, 0)
+    with pytest.raises(NotAnAction):
+        transformation_groupoid(escaping, [0, 1], lambda g, x: (x + g) % 2)
+    # the rotation shorthand needs n distinct points
+    for n, points in [(2, [0, 0]), (3, [5, 5, 5]), (3, [0, 1]), (2, [0, 1, 2])]:
+        with pytest.raises(NotAnAction):
+            transformation_groupoid(n, points)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rotation_formula_is_a_free_action(n):
+    """The rotation built from its formula passes the exhaustive action
+    check, on integer points and on labels in reverse order."""
+    labels = [f"p{n - 1 - i}" for i in range(n)]
+    for points in (range(n), labels):
+        G = transformation_groupoid(n, points)
+        _verify_action(G.group, G.space, G.act)
+        assert G.is_free() and G.n_arrows() == n * n
+        assert all(G.range((g, x)) == G.space[(i + g) % n]
+                   for g in range(n) for i, x in enumerate(G.space))
 
 
 def test_generate_subgroupoid_examples():
@@ -117,11 +129,7 @@ def z2_involution_data():
 
 
 def z4_action(space, act):
-    return transformation_groupoid(
-        {"elements": range(4), "mult": lambda a, b: (a + b) % 4,
-         "inv": lambda a: (-a) % 4, "unit": 0, "act": act},
-        space,
-    )
+    return transformation_groupoid(cyclic_group(4), space, act)
 
 
 @st.composite
@@ -255,11 +263,7 @@ def test_action_groupoid_verifier_consistency():
 
 
 def test_freeness_matches_bruteforce_isotropy():
-    G = transformation_groupoid(
-        {"elements": [0, 1], "mult": lambda a, b: (a + b) % 2,
-         "inv": lambda a: a, "unit": 0, "act": lambda g, x: x},
-        ["p", "q"],
-    )
+    G = transformation_groupoid(cyclic_group(2), ["p", "q"], lambda g, x: x)
     assert not G.is_free()
     assert G.isotropy_witness() is not None
     # brute force over arrows

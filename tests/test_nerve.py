@@ -14,13 +14,13 @@ from dadim.errors import (
     NoFiniteS,
     NotInComplex,
 )
+from dadim.groupoid import cyclic_group
 from dadim.nerve import (
     EquivariantCover,
     SimplicialComplex,
     SimplicialPoint,
     check_equivariance,
     cover_from_map,
-    cyclic_group,
     dad_witness_from_blr,
     distance_to_simplex,
     distance_to_skeleton,
