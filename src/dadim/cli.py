@@ -59,6 +59,16 @@ def _fail_from_report(report):
     raise cls(report.message)
 
 
+def _rational(text, default=None):
+    """A rational command-line value such as --epsilon 1/4."""
+    if text is None:
+        return default
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"expected a rational p/q, got {text!r}") from None
+
+
 def _load(path):
     try:
         return load_certificate(path)
@@ -136,7 +146,7 @@ def cmd_bridge(args):
     cert = {
         "ambient_tube_radius": G.radius,
         "K_radius": witness.scale_R,
-        "generated_sizes": [g.size() for g in gw.generated],
+        "generated_sizes": [len(g) for g in gw.generated],
         "verification": report.to_json(),
         "roundtrip_exact": roundtrip,
     }
@@ -236,7 +246,7 @@ def cmd_blr_check(args):
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed map file: {exc!r}") from None
     E = [e % n for e in args.E]
-    eps = Fraction(args.epsilon) if args.epsilon else Fraction(1, 3 * 10**C.dimension)
+    eps = _rational(args.epsilon, Fraction(1, 3 * 10**C.dimension))
     eq = check_equivariance(f, act, act, group.symmetrized(E), eps)
     out = {"equivariance": eq.to_json()}
     if args.witness:
@@ -255,12 +265,15 @@ def cmd_blr_check(args):
 
 
 def cmd_pou_build(args):
-    colors = [frozenset(c) for c in _load(args.colors)]
+    try:
+        colors = [frozenset(c) for c in _load(args.colors)]
+    except TypeError as exc:
+        raise InvalidInput(f"malformed colors file: {exc!r}") from None
     if args.N is None and args.epsilon is None:
         raise InvalidInput("pass --N or --epsilon")
     G, K, towers, pou = pou_from_group_action(
         args.order, range(args.order), args.E, colors, args.N, args.size_bound,
-        eps=Fraction(args.epsilon) if args.epsilon else None,
+        eps=_rational(args.epsilon),
     )
     report = verify_pou(G, K, pou)
     write_certificate(args.output, {
@@ -292,8 +305,7 @@ def _pou_from_cert(cert) -> tuple:
 def cmd_pou_verify(args):
     cert = _load(args.pou)
     G, K, pou = _pou_from_cert(cert)
-    eps = Fraction(args.epsilon) if args.epsilon else None
-    report = verify_pou(G, K, pou, eps)
+    report = verify_pou(G, K, pou, _rational(args.epsilon))
     print(json.dumps(report.to_json(), indent=1, sort_keys=True))
     if not report.accepted:
         _fail_from_report(report)

@@ -71,13 +71,6 @@ class FiniteMetricSpace:
     def diameter(self) -> int:
         return self.subset_diameter(self.points)
 
-    def ball_profile(self, radii) -> dict[int, int]:
-        """Bounded-geometry profile: max ball size per radius."""
-        out = {}
-        for r in radii:
-            out[r] = max(sum(1 for _ in self.iter_ball(x, r)) for x in self.points)
-        return out
-
     def check_metric_axioms(self, sample: int = 20000, seed: int = 7):
         """Symmetry, zero diagonal, triangle inequality.
 
@@ -512,7 +505,7 @@ def bridge_to_groupoid(
     colors = [frozenset(p for cls in fam for p in cls) for fam in w.families]
 
     generated = [BlockArrows(frozenset(frozenset(cls) for cls in fam)) for fam in w.families]
-    size_bound = max((g.size() for g in generated), default=0)
+    size_bound = max(map(len, generated), default=0)
     witness = GroupoidDadWitness(
         K, colors, generated, meta={"scale_R": w.scale_R, "bound_S": w.bound_S}
     )
@@ -526,8 +519,6 @@ def recover_families_from_bridge(witness: GroupoidDadWitness) -> list[list[froze
     """Orbit classes of each color's generated subgroupoid, i.e. its blocks."""
     out = []
     for gen in witness.generated:
-        if not isinstance(gen, BlockArrows):
-            raise InvalidInput("bridge recovery needs block-form subgroupoids")
         out.append(sorted((frozenset(b) for b in gen.blocks), key=lambda b: sorted(map(repr, b))))
     return out
 

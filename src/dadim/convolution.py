@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupoidMismatch, InvalidInput, NotFree, SupportLeak
-from .groupoid import _connected_components
+from .groupoid import BlockArrows, _connected_components
 
 __all__ = [
     "ConvElement",
@@ -293,10 +293,9 @@ def commutator_report(f: ConvElement, phi) -> dict:
 
 @dataclass
 class BlockDecomposition:
-    """Orbit classes of a free groupoid with matrix-unit coordinates."""
+    """Blocks of a subgroupoid of a free groupoid with matrix-unit coordinates."""
 
     G: object
-    arrows: frozenset
     classes: list  # list of (base unit, tuple of units)
     arrow_pos: dict  # arrow -> (class index, row, col)
 
@@ -321,7 +320,7 @@ class BlockDecomposition:
         import random
 
         rng = random.Random(seed)
-        arrows = sorted(self.arrows, key=repr)
+        arrows = sorted(self.arrow_pos, key=repr)
         worst = 0.0
         for _ in range(min(samples, 4 * len(arrows) * len(arrows) + 1)):
             a = rng.choice(arrows)
@@ -341,43 +340,35 @@ class BlockDecomposition:
         return worst
 
 
-def block_decompose(G, arrows=None) -> BlockDecomposition:
-    """Split a free finite groupoid into full matrix blocks, one per orbit.
+def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
+    """Split a subgroupoid of a free finite groupoid into full matrix
+    blocks, one per block of ``sub`` (default: the orbits of G).
 
-    For each orbit pick a base unit x; freeness makes the source fiber at x
-    meet every unit of the orbit exactly once, so arrows coordinatize as
-    matrix units e_{r, s}.  Raises NotFree on isotropy of G at the units the
-    arrows touch, and when the arrows do not give each matrix unit of their
-    orbits exactly once (then they are not a subgroupoid).
+    Within a block, the arrow from s to r coordinatizes as the matrix unit
+    e_{r, s}.  Raises NotFree on isotropy of G at the units of ``sub``, and
+    when the arrows of G do not give each matrix unit exactly once (then a
+    block is not inside one orbit).
     """
-    arrow_set = frozenset(G.arrows if arrows is None else arrows)
-    orbits = _connected_components((G.source(g), G.range(g)) for g in arrow_set)
-    units = {u for orbit in orbits for u in orbit}
-    for g in G.arrows:
-        u = G.source(g)
-        if u in units and G.range(g) == u and g != G.unit_arrow(u):
-            raise NotFree(f"isotropy arrow {g!r} at unit {u!r}")
-    classes = []
+    if sub is None:
+        edges = ((G.source(a), G.range(a)) for a in G.arrows)
+        sub = BlockArrows(frozenset(frozenset(o) for o in _connected_components(edges, G.units)))
+    classes = sorted((tuple(sorted(b, key=repr)) for b in sub.blocks), key=lambda m: repr(m[0]))
+    where = {u: (k, i) for k, members in enumerate(classes) for i, u in enumerate(members)}
     arrow_pos: dict = {}
-    by_source: dict = {}
-    for g in arrow_set:
-        by_source.setdefault(G.source(g), []).append(g)
-    orbits = sorted((tuple(sorted(o, key=repr)) for o in orbits), key=lambda m: repr(m[0]))
-    for members in orbits:
-        index = {u: i for i, u in enumerate(members)}
-        k = len(classes)
-        classes.append((members[0], members))
-        for u in members:
-            for g in by_source.get(u, ()):
-                arrow_pos[g] = (k, index[G.range(g)], index[G.source(g)])
+    for g in G.arrows:
+        s = where.get(G.source(g))
+        r = where.get(G.range(g))
+        if s is None or r is None or s[0] != r[0]:
+            continue
+        if s == r and g != G.unit_arrow(G.source(g)):
+            raise NotFree(f"isotropy arrow {g!r} at unit {G.source(g)!r}")
+        arrow_pos[g] = (s[0], r[1], s[1])
     # with no isotropy at these units G has at most one arrow between two of
-    # them, so the arrow set is the full restriction of G to its orbits
-    # exactly when the coordinates are distinct and fill every block
-    if len(set(arrow_pos.values())) != len(arrow_pos) or len(arrow_pos) != sum(
-        len(m) ** 2 for _, m in classes
-    ):
-        raise NotFree("arrow set is not a subgroupoid: its coordinates do not fill the blocks")
-    return BlockDecomposition(G, arrow_set, classes, arrow_pos)
+    # them, so the blocks are subgroupoids of G exactly when the coordinates
+    # are distinct and fill every block
+    if len(set(arrow_pos.values())) != len(arrow_pos) or len(arrow_pos) != len(sub):
+        raise NotFree("a block is not inside one orbit: its matrix units are not all arrows")
+    return BlockDecomposition(G, [(m[0], m) for m in classes], arrow_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +400,7 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     total = ConvElement(G, {})
     for i, phi in enumerate(phis):
         c = cutdown(f, phi)
-        leak = c.support() - subgroupoids[i]
+        leak = [g for g in c.coeffs if not subgroupoids[i].holds(G, g)]
         if leak:
             raise SupportLeak(
                 f"cut-down {i} escapes its small subgroupoid at {sorted(map(repr, leak))[:3]}"

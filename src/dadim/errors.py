@@ -146,6 +146,26 @@ class FiniteSetMismatch(DadimError):
     exit_code = 31
 
 
+class SupportViolation(DadimError):
+    exit_code = 32
+
+
+class NormalizationDefect(DadimError):
+    exit_code = 33
+
+
+class StepBoundViolation(DadimError):
+    exit_code = 34
+
+
+class OscillationExceeded(DadimError):
+    exit_code = 35
+
+
+class DefectExceeded(DadimError):
+    exit_code = 36
+
+
 ALL_ERRORS = [
     InvalidInput, DepthExceeded, NotMinimal, EmptySet, BoundExceeded,
     BlowupExceeded, CoverGap, NotAnAction, SizeExceeded, NotClosed,
@@ -154,4 +174,6 @@ ALL_ERRORS = [
     DepthInsufficient, EquivarianceTooWeak, WitnessInsufficient,
     PropagationEscapesColor, TowerInvalid, GroupoidMismatch, SupportLeak,
     NotFree, VerificationFailed, HashMismatch, CorpusMismatch, FiniteSetMismatch,
+    SupportViolation, NormalizationDefect, StepBoundViolation, OscillationExceeded,
+    DefectExceeded,
 ]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import sqrt
 
+from .errors import InvalidInput
+
 Rat = Fraction
 
 
@@ -71,7 +73,7 @@ def least_pou_depth(d: int, eps: Rat) -> int:
     Equivalently N*eps^2 - 2*(d+2) > 4*sqrt(d+1), decided by squaring.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InvalidInput(f"eps must be positive, not {eps}")
     k = d + 1
     N = 3
     while True:

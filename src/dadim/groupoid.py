@@ -11,14 +11,14 @@ composition.  Three concrete flavors cover everything the artifact needs:
   the Z/n rotation is built from its formula, any other action is
   verified exhaustively;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
-  restricted to a tube radius, with arrows kept implicit and generated
-  subgroupoids represented in block form (a partition of units).
+  restricted to a tube radius, with arrows kept implicit.
 
-Subgroupoid generation has one path for free groupoids: an arrow of a
-free groupoid is fixed by its source and range, so the generated
-subgroupoid is the pair groupoid over the connected components of the
-seed graph (in block form for the tube, as an arrow set otherwise).  The
-worklist closure runs only on groupoids with isotropy.
+A subgroupoid of a free groupoid has one form, ``BlockArrows``: an arrow
+is fixed by its source and range, so a subgroupoid is the pair groupoid
+over a partition of some units (one matrix algebra per block).
+Generation reads the blocks off the components of the seed graph, and
+consumers read sizes, arrows and group parts from them.  The worklist
+closure (a frozenset of arrows) runs only on groupoids with isotropy.
 
 Finiteness stands in for relative compactness throughout: a witness is
 accepted when each color's generated subgroupoid is small against an
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvalidInput, NotAnAction
 from .reporting import VerificationReport
@@ -99,9 +101,6 @@ class FiniteGroupoid:
     def compose(self, g, h):
         """gh if s(g) = r(h), else None."""
         return self._compose.get((g, h))
-
-    def n_arrows(self) -> int:
-        return len(self.arrows)
 
     # -- derived
     def arrows_by_source(self) -> dict:
@@ -335,19 +334,6 @@ def pair_groupoid(points) -> FiniteGroupoid:
     )
 
 
-def unit_space_groupoid(points) -> FiniteGroupoid:
-    """A space viewed as a groupoid: only identity arrows."""
-    pts = tuple(points)
-    arrows = tuple((u, u) for u in pts)
-    return FiniteGroupoid(
-        pts, arrows,
-        {a: a[0] for a in arrows}, {a: a[0] for a in arrows},
-        {a: a for a in arrows},
-        {((u, u), (u, u)): (u, u) for u in pts},
-        {u: (u, u) for u in pts},
-    )
-
-
 def block_union_pair_groupoid(blocks) -> FiniteGroupoid:
     """Disjoint union of full pair groupoids over the given blocks."""
     units = tuple(u for b in blocks for u in b)
@@ -384,15 +370,24 @@ class TubeArrows:
 
 @dataclass(frozen=True)
 class BlockArrows:
-    """A disjoint union of full pair groupoids, as a partition of units."""
+    """A subgroupoid of a free groupoid as a partition of units: the arrows
+    joining two units of one block.  A free groupoid has at most one arrow
+    between two units, so ``len`` counts the arrows exactly."""
 
     blocks: frozenset[frozenset]
 
-    def size(self) -> int:
+    def __len__(self) -> int:
         return sum(len(b) ** 2 for b in self.blocks)
 
-    def units(self) -> frozenset:
-        return frozenset(u for b in self.blocks for u in b)
+    @cached_property
+    def label(self) -> dict:
+        """unit -> index of its block."""
+        return {u: i for i, b in enumerate(self.blocks) for u in b}
+
+    def holds(self, G, a) -> bool:
+        """Whether arrow ``a`` of G has both endpoints in one block."""
+        s = self.label.get(G.source(a))
+        return s is not None and s == self.label.get(G.range(a))
 
 
 class TubePairGroupoid:
@@ -409,11 +404,9 @@ class TubePairGroupoid:
         self.units = tuple(space.points)
         self.unit_set = frozenset(self.units)
 
-    def source(self, a):
-        return a[1]
-
-    def range(self, a):
-        return a[0]
+    # (x, y) is the arrow from y to x
+    source = staticmethod(itemgetter(1))
+    range = staticmethod(itemgetter(0))
 
     def inverse(self, a):
         return (a[1], a[0])
@@ -424,6 +417,9 @@ class TubePairGroupoid:
         if self.space.dist(a[0], b[1]) > self.radius:
             return None
         return (a[0], b[1])
+
+    def is_free(self) -> bool:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +458,13 @@ def generate_subgroupoid(G, seed):
 
     In a free groupoid an arrow is fixed by its source and range, so the
     result is the pair groupoid over the connected components of the seed
-    graph: in block form for tube pair groupoids (the seed is a set of
-    (x, y) pairs), otherwise the frozenset of G's arrows whose endpoints
-    lie in one component.  Groupoids with isotropy take the worklist
-    closure.
+    graph, returned as ``BlockArrows``.  Groupoids with isotropy take the
+    worklist closure and return a frozenset of arrows.
     """
-    if isinstance(G, TubePairGroupoid):
-        return BlockArrows(frozenset(frozenset(c) for c in _connected_components(seed)))
     if not G.is_free():
         return _closure(G, seed)
     comps = _connected_components((G.source(a), G.range(a)) for a in seed)
-    label = {u: i for i, c in enumerate(comps) for u in c}
-    return frozenset(
-        a for a in G.arrows
-        if G.source(a) in label and label.get(G.range(a)) == label[G.source(a)]
-    )
+    return BlockArrows(frozenset(frozenset(c) for c in comps))
 
 
 def _closure(G, seed) -> frozenset:
@@ -512,20 +500,6 @@ def _closure(G, seed) -> frozenset:
     return frozenset(result)
 
 
-def compose_arrow_sets(G, A, B):
-    """{ab : a in A, b in B composable} for explicit groupoids."""
-    by_range: dict = {}
-    for b in B:
-        by_range.setdefault(G.range(b), []).append(b)
-    out = set()
-    for a in A:
-        for b in by_range.get(G.source(a), ()):
-            c = G.compose(a, b)
-            if c is not None:
-                out.add(c)
-    return frozenset(out)
-
-
 def symmetrize_arrows(G, K):
     """K u K^-1 u unit arrows of all endpoints of K."""
     out = set(K)
@@ -538,11 +512,16 @@ def symmetrize_arrows(G, K):
 
 def arrow_set_power(G, K, p: int):
     """K^p as a set of arrows (K assumed symmetrized so powers nest)."""
-    out = frozenset(K)
-    cur = frozenset(K)
+    by_range: dict = {}
+    for b in K:
+        by_range.setdefault(G.range(b), []).append(b)
+    out = cur = frozenset(K)
     for _ in range(p - 1):
-        cur = compose_arrow_sets(G, cur, K)
-        out = out | cur
+        cur = frozenset(
+            c for a in cur for b in by_range.get(G.source(a), ())
+            if (c := G.compose(a, b)) is not None
+        )
+        out |= cur
     return out
 
 
@@ -556,7 +535,7 @@ class GroupoidDadWitness:
 
     K: object  # frozenset of arrows, or TubeArrows
     colors: list[frozenset]
-    generated: list  # per color: frozenset of arrows, or BlockArrows
+    generated: list  # per color: BlockArrows (a frozenset under isotropy) or None
     meta: dict = field(default_factory=dict)
 
 
@@ -603,11 +582,8 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
 
     sizes = []
     for i, color in enumerate(witness.colors):
-        seed = _seed_in_color(G, witness.K, color)
-        gen = generate_subgroupoid(G, seed)
-        declared = witness.generated[i]
-        if isinstance(gen, BlockArrows):
-            size = gen.size()
+        gen = generate_subgroupoid(G, _seed_in_color(G, witness.K, color))
+        if isinstance(G, TubePairGroupoid):
             # containment in the ambient tube
             for b in gen.blocks:
                 diam = G.space.subset_diameter(b)
@@ -618,8 +594,7 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
                         f"(block diameter {diam} > {G.radius})",
                         {"color": i, "diameter": diam},
                     )
-        else:
-            size = len(gen)
+        size = len(gen)
         sizes.append(size)
         if size_bound is not None and size > size_bound:
             return VerificationReport(
@@ -627,21 +602,13 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
                 f"color {i}: generated subgroupoid has {size} arrows > bound {size_bound}",
                 {"color": i, "size": size, "size_bound": size_bound},
             )
-        if declared is not None:
-            if isinstance(declared, BlockArrows):
-                if not isinstance(gen, BlockArrows) or declared.blocks != gen.blocks:
-                    return VerificationReport(
-                        False, "NotClosed",
-                        f"color {i}: declared block decomposition is not the generated one",
-                        {"color": i},
-                    )
-            else:
-                if frozenset(declared) != gen:
-                    return VerificationReport(
-                        False, "NotClosed",
-                        f"color {i}: declared subgroupoid differs from the generated one",
-                        {"color": i},
-                    )
+        declared = witness.generated[i]
+        if declared is not None and declared != gen:
+            return VerificationReport(
+                False, "NotClosed",
+                f"color {i}: declared subgroupoid differs from the generated one",
+                {"color": i},
+            )
     return VerificationReport(
         True, "ok", "groupoid witness verified",
         {"sizes": sizes, "size_bound": size_bound},

@@ -103,7 +103,8 @@ def run_pipeline(
     # action/groupoid consistency: the generated group parts must be the
     # symbolic element sets reduced mod q
     parts_match = all(
-        {a[0] for a in generated[i]} == {n % q for n in witness.finite_sets[i]}
+        {a[0] for a in G.arrows if generated[i].holds(G, a)}
+        == {n % q for n in witness.finite_sets[i]}
         for i in range(len(colors_q))
     )
     write_certificate(outdir / "03_groupoid_witness.json", {

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .errors import (
     InvalidInput,
+    NotFree,
     PropagationEscapesColor,
     TowerInvalid,
     WitnessInsufficient,
@@ -29,7 +30,6 @@ from .groupoid import (
     _endpoint_units,
     _seed_in_color,
     arrow_set_power,
-    compose_arrow_sets,
     generate_subgroupoid,
     symmetrize_arrows,
     transformation_groupoid,
@@ -58,6 +58,21 @@ def _propagate(G, K, units: frozenset) -> frozenset:
     return frozenset(out)
 
 
+def _in_envelope(G, K, G_i, gen) -> bool:
+    """gen <= K . G_i . K for a symmetrized K, in a free groupoid: an arrow
+    is fixed by its endpoints, so the arrow from x to y lies in K . G_i . K
+    exactly when K-arrows at x and at y end in one block of G_i."""
+    reach: dict = {}  # unit -> blocks of G_i one K-arrow away
+    for a in K:
+        k = G_i.label.get(G.range(a))
+        if k is not None:
+            reach.setdefault(G.source(a), set()).add(k)
+    return all(
+        not reach.get(x, set()).isdisjoint(reach.get(y, ()))
+        for b in gen.blocks for x in b for y in b
+    )
+
+
 def enlarge_cover(G, K, colors, size_bound: int | None):
     """Fatten a cover so every partial orbit lands inside one color.
 
@@ -65,10 +80,12 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     K^3 (WitnessInsufficient otherwise).  The enlarged color is
     U_i = s(K cap r^-1(V_i)) cap (r(K) u s(K)); the generated subgroupoid
     for (K, U_i) is checked to stay inside K . G_i . K, with G_i generated
-    from (K^3, V_i).
+    from (K^3, V_i).  G must be free (NotFree otherwise).
 
     Returns (new_colors, report).
     """
+    if not G.is_free():
+        raise NotFree("cover enlargement needs a free groupoid")
     K = symmetrize_arrows(G, K)
     K3 = arrow_set_power(G, K, 3)
     base = _endpoint_units(G, K)
@@ -110,8 +127,7 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     gen_sizes = []
     for i, u in enumerate(enlarged):
         gen = generate_subgroupoid(G, _seed_in_color(G, K, u))
-        envelope = compose_arrow_sets(G, compose_arrow_sets(G, K, G_is[i]), K)
-        if not gen <= envelope:
+        if not _in_envelope(G, K, G_is[i], gen):
             raise WitnessInsufficient(
                 f"color {i}: generated subgroupoid escapes K.G_i.K"
             )
@@ -211,9 +227,10 @@ class PartitionOfUnity:
         p, S = self.phi_pair(i, x)
         return sqrt_pair_float(p, S)
 
-    def small_subgroupoids(self) -> list[frozenset]:
+    def small_subgroupoids(self) -> list:
         """Per color, the subgroupoid generated by the K-arrows inside the
-        tower top; cutdowns by phi_i land in its convolution algebra."""
+        tower top, in block form; cutdowns by phi_i land in its convolution
+        algebra."""
         return [
             generate_subgroupoid(self.G, _seed_in_color(self.G, self.K, t.top))
             for t in self.towers
@@ -388,6 +405,8 @@ def pou_from_group_action(
     """
     from .exactmath import least_pou_depth
 
+    if order < 1:
+        raise InvalidInput(f"the group order must be positive, not {order}")
     G = transformation_groupoid(order, space)
     K = frozenset((e % order, x) for e in E for x in G.space)
     K = symmetrize_arrows(G, K)

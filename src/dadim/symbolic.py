@@ -18,7 +18,6 @@ upstream relies on determinism, not on any floating approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BoundExceeded,
@@ -487,9 +486,6 @@ class OdometerClopen(ClopenSet):
     def same_set(self, other) -> bool:
         return self == other  # canonical form is unique
 
-    def size_fraction(self) -> Fraction:
-        return Fraction(len(self.values), self.system.level_size(self.depth))
-
     def to_json(self) -> dict:
         words = []
         for v in sorted(self.values):
@@ -676,10 +672,6 @@ class ReturnTimeReport:
     min_forward_return: int
     max_gap: int | None
     search_bound: int
-
-    @property
-    def max_gap_known(self) -> bool:
-        return self.max_gap is not None
 
 
 def return_time_report(s: ClopenSet, search_bound: int = 4096) -> ReturnTimeReport:

@@ -6,11 +6,16 @@ import pytest
 
 from dadim.cli import main
 from dadim.errors import (
+    ALL_ERRORS,
     BlowupExceeded,
     FiniteSetMismatch,
     HashMismatch,
     InvalidInput,
+    NormalizationDefect,
+    OscillationExceeded,
     SeparationViolation,
+    StepBoundViolation,
+    SupportViolation,
     VerificationFailed,
 )
 
@@ -305,6 +310,19 @@ def malformed_command(workdir, case):
         path.write_text(json.dumps(data))
         return path
 
+    if case.startswith("pou_"):
+        colors = workdir / "colors.json"
+        build = ["pou-build", "--order", 12, "--E", -1, 0, 1, "-o", workdir / "pou.json"]
+        if case == "pou_colors":
+            return build + ["--colors", write("bad.json", [1, 2]), "--N", 8]
+        if case == "pou_order":
+            return ["pou-build", "--order", 0, "--E", 1, "--colors", colors, "--N", 8,
+                    "-o", workdir / "pou.json"]
+        if case in ("pou_epsilon_text", "pou_epsilon_zero"):
+            eps = "abc" if case == "pou_epsilon_text" else "0"
+            return build + ["--colors", colors, "--epsilon", eps]
+        assert run(build + ["--colors", colors, "--N", 8]) == 0
+        return ["pou-verify", "--pou", workdir / "pou.json", "--epsilon", "abc"]
     group = write("g.json", {"action": {"cyclic": 4}})
     element = write("e.json", {"coeffs": [[[1, 0], "1", "0"]]})
     if case == "element_empty":
@@ -326,7 +344,7 @@ def malformed_command(workdir, case):
         return [
             "blr-check", "--action", blr["action"], "--map", blr["map"],
             "--complex", blr["complex"], "--E", 1, "--witness",
-        ]
+        ] + (["--epsilon", "abc"] if case == "blr_epsilon" else [])
     if case == "grid_dims":
         return ["asdim-construct", "--space", write("bad.json", {"grid": {}}),
                 "--R", 10, "-o", workdir / "aw.json"]
@@ -344,9 +362,45 @@ def malformed_command(workdir, case):
 @pytest.mark.parametrize("case", [
     "element_empty", "element_coefficient", "groupoid_units", "nerve_complex",
     "blr_complex", "blr_map", "blr_action", "blr_order", "grid_dims", "space_dims",
-    "space_group_ball", "witness_asdim-verify", "witness_bridge",
+    "space_group_ball", "witness_asdim-verify", "witness_bridge", "blr_epsilon",
+    "pou_colors", "pou_order", "pou_epsilon_text", "pou_epsilon_zero", "pou_verify_epsilon",
 ])
 def test_malformed_input_exit_code(workdir, capsys, case):
     code = run(malformed_command(workdir, case))
     assert code == InvalidInput.exit_code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, error", [
+    ("support", SupportViolation),
+    ("normalization", NormalizationDefect),
+    ("step", StepBoundViolation),
+    ("epsilon", OscillationExceeded),
+])
+def test_pou_verify_rejection_exit_codes(workdir, tamper, error):
+    """Each rejection of pou-verify exits with its own code."""
+    pou = workdir / "pou.json"
+    assert run([
+        "pou-build", "--order", 12, "--E", -1, 0, 1,
+        "--colors", workdir / "colors.json", "--N", 8, "-o", pou,
+    ]) == 0
+    data = json.loads(pou.read_text())
+    psi, levels = data["pou"]["psi"], data["pou"]["tower_levels"]
+    if tamper == "support":
+        # a unit where phi_0 is positive leaves the top level of its tower
+        levels[0][-1].remove(sorted(psi[0])[0])
+    elif tamper == "normalization":
+        # no step function is left at unit 3
+        for p in psi:
+            p.pop("3", None)
+    elif tamper == "step":
+        psi[0][sorted(psi[0])[0]] = "1/1000"
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data))
+    extra = ["--epsilon", "1/1000"] if tamper == "epsilon" else []
+    assert run(["pou-verify", "--pou", bad] + extra) == error.exit_code
+
+
+def test_exit_codes_are_distinct():
+    codes = [cls.exit_code for cls in ALL_ERRORS]
+    assert len(set(codes)) == len(codes) and not {0, 1} & set(codes)

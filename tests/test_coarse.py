@@ -208,14 +208,6 @@ def test_metric_axioms_catch_bad_table():
         TableMetricSpace(pts, table)
 
 
-def test_ball_profile():
-    X = TableMetricSpace.path_graph(6)
-    profile = X.ball_profile([0, 1, 2])
-    assert profile == {0: 1, 1: 3, 2: 5}
-    Y = Grid2dSpace(5, 5)
-    assert Y.ball_profile([1])[1] == 5  # interior l1 ball
-
-
 def test_word_ball_oracle_witness_flow():
     """Word-metric ball of Z^2: the exhaustive oracle's witness verifies
     and bridges, with the tube semantics of the word metric."""

@@ -23,12 +23,12 @@ from dadim.convolution import (
 )
 from dadim.errors import GroupoidMismatch, NotFree, SupportLeak
 from dadim.groupoid import (
+    BlockArrows,
     block_union_pair_groupoid,
     cyclic_group,
     cyclic_rotation_groupoid,
     pair_groupoid,
     transformation_groupoid,
-    unit_space_groupoid,
 )
 from dadim.pou import pou_from_group_action
 
@@ -283,7 +283,7 @@ def test_block_decompose_examples():
     assert sorted(bd.sizes()) == [1, 2, 3]
     assert bd.check_multiplicative() == 0.0
 
-    U = unit_space_groupoid(range(4))
+    U = block_union_pair_groupoid([[u] for u in range(4)])
     assert sorted(block_decompose(U).sizes()) == [1, 1, 1, 1]
 
     iso = transformation_groupoid(cyclic_group(2), ["p"], lambda g, x: x)
@@ -291,26 +291,33 @@ def test_block_decompose_examples():
         block_decompose(iso)
 
 
+def blocks(*bs):
+    return BlockArrows(frozenset(frozenset(b) for b in bs))
+
+
 def test_block_decompose_rejects_non_subgroupoids():
-    # (1, 0) is missing: the orbit {0, 1} is not filled
-    P3 = pair_groupoid(range(3))
+    # a block spanning the two orbits {1, 2} and {3, 4, 5}: no arrow joins them
+    B = block_union_pair_groupoid([[0], [1, 2], [3, 4, 5]])
     with pytest.raises(NotFree):
-        block_decompose(P3, {(0, 1), (0, 0), (1, 1), (2, 2)})
-    # the inverse (5, 1) of (1, 0) is missing
-    Z6 = cyclic_rotation_groupoid(6)
+        block_decompose(B, blocks([0], [1, 2, 3]))
+    # Z/4 rotating the first coordinate of Z/4 x {0, 1}: two orbits
+    Z4x2 = transformation_groupoid(
+        cyclic_group(4), [(i, j) for i in range(4) for j in (0, 1)],
+        lambda g, x: ((x[0] + g) % 4, x[1]),
+    )
     with pytest.raises(NotFree):
-        block_decompose(Z6, {(1, 0), (0, 0), (0, 1)})
-    # a lone arrow: no arrow leaves its range
-    with pytest.raises(NotFree):
-        block_decompose(Z6, {(1, 0)})
-    # Z/4 acting on {0, 1} through Z/2: every matrix unit is given once, but
-    # (1, 1)(1, 0) = (2, 0) is isotropy outside the arrow set
+        block_decompose(Z4x2, blocks([(0, 0), (0, 1)]))
+    # Z/4 acting on {0, 1} through Z/2: (2, 0) is isotropy at the block
     Z4 = transformation_groupoid(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
     with pytest.raises(NotFree):
-        block_decompose(Z4, {(0, 0), (0, 1), (1, 0), (1, 1)})
-    # the full restriction to the orbit {0, 1} is accepted
-    bd = block_decompose(Z6, {(1, 0), (5, 1), (0, 0), (0, 1)})
+        block_decompose(Z4, blocks([0, 1]))
+    # a block inside one orbit is accepted, and so is a part of one
+    Z6 = cyclic_rotation_groupoid(6)
+    bd = block_decompose(Z6, blocks([0, 1]))
     assert bd.sizes() == [2] and bd.check_multiplicative() == 0.0
+    assert set(bd.arrow_pos) == {(1, 0), (5, 1), (0, 0), (0, 1)}
+    bd = block_decompose(Z4x2, blocks([(0, 0), (1, 0)], [(2, 1)]))
+    assert bd.sizes() == [2, 1] and bd.check_multiplicative() == 0.0
 
 
 def test_block_norm_matches_reduced_norm():
@@ -364,7 +371,7 @@ def test_decompose_support_leak():
     # shrink a declared color after the fact: the cut-down escapes it
     pou.towers[0].levels[-1] = frozenset({0, 1})
     f = ConvElement(G, {a: 1 for a in K})
-    with pytest.raises(SupportLeak):
+    with pytest.raises(SupportLeak, match="escapes its small subgroupoid"):
         decompose_via_pou(f, pou)
 
 

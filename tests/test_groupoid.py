@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dadim.coarse import Grid1dSpace
 from dadim.errors import InvalidInput, NotAnAction
 from dadim.groupoid import (
+    BlockArrows,
     FiniteGroup,
     FiniteGroupoid,
     GroupoidDadWitness,
@@ -21,7 +22,6 @@ from dadim.groupoid import (
     pair_groupoid,
     symmetrize_arrows,
     transformation_groupoid,
-    unit_space_groupoid,
     verify_groupoid_dad,
 )
 from dadim.pipeline import project_witness_to_quotient
@@ -29,18 +29,23 @@ from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
 
 
+def held(G, gen):
+    """The arrows of G that a block-form subgroupoid holds."""
+    return frozenset(a for a in G.arrows if gen.holds(G, a))
+
+
 def test_transformation_groupoid_examples():
     G2 = transformation_groupoid(cyclic_group(2), [0, 1], lambda g, x: (x + g) % 2)
-    assert G2.n_arrows() == 4 and G2.is_free()
+    assert len(G2.arrows) == 4 and G2.is_free()
 
     trivial = transformation_groupoid(
         FiniteGroup((0,), lambda a, b: 0, lambda a: 0, 0), range(5), lambda g, x: x
     )
-    assert trivial.n_arrows() == 5
+    assert len(trivial.arrows) == 5
     assert all(trivial.source(a) == trivial.range(a) for a in trivial.arrows)
 
     G12 = cyclic_rotation_groupoid(12)
-    assert G12.n_arrows() == 144 and G12.is_free()
+    assert len(G12.arrows) == 144 and G12.is_free()
     # transitive: one orbit
     seeds = [(1, x) for x in range(12)]
     assert len(generate_subgroupoid(G12, seeds)) == 144
@@ -67,16 +72,19 @@ def test_rotation_formula_is_a_free_action(n):
     for points in (range(n), labels):
         G = transformation_groupoid(n, points)
         _verify_action(G.group, G.space, G.act)
-        assert G.is_free() and G.n_arrows() == n * n
+        assert G.is_free() and len(G.arrows) == n * n
         assert all(G.range((g, x)) == G.space[(i + g) % n]
                    for g in range(n) for i, x in enumerate(G.space))
 
 
 def test_generate_subgroupoid_examples():
     P3 = pair_groupoid([1, 2, 3])
-    assert generate_subgroupoid(P3, []) == frozenset()
-    assert len(generate_subgroupoid(P3, [(1, 2), (2, 3)])) == 9
-    assert generate_subgroupoid(P3, [(2, 2)]) == frozenset({(2, 2)})
+    assert generate_subgroupoid(P3, []) == BlockArrows(frozenset())
+    assert generate_subgroupoid(P3, [(1, 2), (2, 3)]).blocks == {frozenset({1, 2, 3})}
+    assert generate_subgroupoid(P3, [(2, 2)]).blocks == {frozenset({2})}
+    for seed in ([], [(1, 2), (2, 3)], [(2, 2)], [(1, 3)]):
+        gen, closure = generate_subgroupoid(P3, seed), _closure(P3, seed)
+        assert held(P3, gen) == closure and len(gen) == len(closure)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,13 +96,14 @@ def test_generation_is_a_closure_operator(seed1, seed2):
     G = cyclic_rotation_groupoid(10)
     s1 = {(g % 10, x) for g, x in seed1}
     s2 = {(g % 10, x) for g, x in seed2}
-    g1 = generate_subgroupoid(G, s1)
+    g1 = held(G, generate_subgroupoid(G, s1))
+    assert g1 == _closure(G, s1)
     # extensive, idempotent, monotone
     assert s1 <= g1
-    assert generate_subgroupoid(G, g1) == g1
+    assert held(G, generate_subgroupoid(G, g1)) == g1
     if s1 <= s2:
-        assert g1 <= generate_subgroupoid(G, s2)
-    assert g1 <= generate_subgroupoid(G, s1 | s2)
+        assert g1 <= held(G, generate_subgroupoid(G, s2))
+    assert g1 <= held(G, generate_subgroupoid(G, s1 | s2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,12 +119,8 @@ def test_tube_blocks_match_worklist_closure(radius, pairs):
     blocks = generate_subgroupoid(TubePairGroupoid(X, radius), seed)
     P = pair_groupoid(X.points)
     closure = _closure(P, seed)
-    orbits = frozenset(
-        frozenset(P.range(a) for a in closure if P.source(a) == u)
-        for u in {P.source(a) for a in closure}
-    )
-    assert blocks.blocks == orbits
-    assert blocks.size() == len(closure)
+    assert held(P, blocks) == closure
+    assert len(blocks) == len(closure)
 
 
 def z2_involution_data():
@@ -156,7 +161,9 @@ def test_free_generation_matches_worklist_closure(G, data):
     """The components path against the worklist closure on free groupoids."""
     assert G.is_free()
     seed = data.draw(st.sets(st.sampled_from(G.arrows), max_size=8))
-    assert generate_subgroupoid(G, seed) == _closure(G, seed)
+    gen, closure = generate_subgroupoid(G, seed), _closure(G, seed)
+    assert isinstance(gen, BlockArrows)
+    assert held(G, gen) == closure and len(gen) == len(closure)
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,6 +181,7 @@ def test_isotropy_generation_keeps_the_worklist(which, data):
     seed = data.draw(st.sets(st.sampled_from(G.arrows), max_size=4))
     assert generate_subgroupoid(G, seed) == _closure(G, seed)
     gen = generate_subgroupoid(G, seeded)
+    assert isinstance(gen, frozenset)
     assert iso in gen and gen == _closure(G, seeded)
     # a lone unit generates no isotropy, although its component holds some
     unit = G.unit_arrow(G.units[0])
@@ -181,12 +189,16 @@ def test_isotropy_generation_keeps_the_worklist(which, data):
 
 
 def test_verify_groupoid_dad_block_example():
-    B = block_union_pair_groupoid([[0, 1, 2], [3, 4], [5]])
-    w = GroupoidDadWitness(
-        frozenset(B.arrows), [frozenset(B.units)], [frozenset(B.arrows)]
-    )
+    blocks = [[0, 1, 2], [3, 4], [5]]
+    B = block_union_pair_groupoid(blocks)
+    declared = BlockArrows(frozenset(map(frozenset, blocks)))
+    w = GroupoidDadWitness(frozenset(B.arrows), [frozenset(B.units)], [declared])
     report = verify_groupoid_dad(B, w, 100)
     assert report.accepted  # locally finite: one color suffices
+    merged = BlockArrows(frozenset({frozenset(range(5)), frozenset({5})}))
+    w = GroupoidDadWitness(frozenset(B.arrows), [frozenset(B.units)], [merged])
+    report = verify_groupoid_dad(B, w, 100)
+    assert not report.accepted and report.code == "NotClosed"
 
 
 def test_verify_groupoid_dad_arcs():
@@ -250,7 +262,7 @@ def test_action_groupoid_verifier_consistency():
     gw = GroupoidDadWitness(K, colors_q, generated)
     assert verify_groupoid_dad(G, gw, (2 * (M + 1) + 1) * q).accepted
     for gen, F in zip(generated, w.finite_sets):
-        assert {a[0] for a in gen} == {n % q for n in F}
+        assert {a[0] for a in held(G, gen)} == {n % q for n in F}
 
     # converse direction: a rejected symbolic witness is rejected here too
     whole = DadWitness(
@@ -325,20 +337,19 @@ def test_axiom_check_reads_every_row_of_a_large_table():
 
 
 def test_unit_space_groupoid():
-    G = unit_space_groupoid(range(4))
-    assert G.n_arrows() == 4 and G.is_free()
-    w = GroupoidDadWitness(
-        frozenset(G.arrows), [frozenset(G.units)], [frozenset(G.arrows)]
-    )
+    G = block_union_pair_groupoid([[u] for u in range(4)])
+    assert len(G.arrows) == 4 and G.is_free()
+    singletons = BlockArrows(frozenset(frozenset({u}) for u in range(4)))
+    w = GroupoidDadWitness(frozenset(G.arrows), [frozenset(G.units)], [singletons])
     assert verify_groupoid_dad(G, w, 10).accepted
 
 
 def test_groupoid_file_roundtrip():
     data = z2_involution_data()
     G = groupoid_from_json(data)
-    assert G.n_arrows() == 2
+    assert len(G.arrows) == 2
     assert not G.is_free()  # the involution is isotropy
-    assert groupoid_from_json({"action": {"cyclic": 3}}).n_arrows() == 9
+    assert len(groupoid_from_json({"action": {"cyclic": 3}}).arrows) == 9
 
     broken = dict(data)
     broken["compose"] = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]

@@ -14,7 +14,7 @@ from dadim.errors import (
     NoFiniteS,
     NotInComplex,
 )
-from dadim.groupoid import cyclic_group
+from dadim.groupoid import cyclic_group, transformation_groupoid
 from dadim.nerve import (
     EquivariantCover,
     SimplicialComplex,
@@ -274,8 +274,9 @@ def test_dad_witness_from_blr():
     res = dad_witness_from_blr(f, [1], C, grp, act, act)
     assert res.report.accepted
     # element sets stay inside the moving set
+    G = transformation_groupoid(grp, f.keys(), act)
     for gen in res.groupoid_witness.generated:
-        assert {a[0] for a in gen} <= res.moving_set
+        assert {a[0] for a in G.arrows if gen.holds(G, a)} <= res.moving_set
     assert set().union(*res.colors) == set(range(12))
 
     const = {x: SimplicialPoint.vertex(0) for x in range(12)}

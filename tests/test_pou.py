@@ -4,10 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadim.certify import corpus_dir
 from dadim.errors import (
     InvalidInput,
+    NotFree,
     PropagationEscapesColor,
     TowerInvalid,
     WitnessInsufficient,
@@ -19,9 +22,18 @@ from dadim.exactmath import (
     osc_bound_float,
     sqrt_pair_float,
 )
-from dadim.groupoid import cyclic_rotation_groupoid, symmetrize_arrows
+from dadim.groupoid import (
+    _seed_in_color,
+    arrow_set_power,
+    cyclic_group,
+    cyclic_rotation_groupoid,
+    generate_subgroupoid,
+    symmetrize_arrows,
+    transformation_groupoid,
+)
 from dadim.pou import (
     PartitionOfUnity,
+    _in_envelope,
     build_pou,
     build_tower,
     enlarge_cover,
@@ -158,6 +170,50 @@ def test_support_violation_detected(z12):
     pou.towers[0].levels[-1] = frozenset(list(pou.towers[0].levels[-1])[:3])
     report = verify_pou(G, K, pou)
     assert not report.accepted and report.code == "SupportViolation"
+
+
+def compose_arrow_sets(G, A, B):
+    """{ab : a in A, b in B composable}: the envelope oracle."""
+    by_range: dict = {}
+    for b in B:
+        by_range.setdefault(G.range(b), []).append(b)
+    out = set()
+    for a in A:
+        for b in by_range.get(G.source(a), ()):
+            c = G.compose(a, b)
+            if c is not None:
+                out.add(c)
+    return frozenset(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(1, 16), data=st.data())
+def test_block_envelope_matches_composed_envelope(q, data):
+    """gen <= K.G_i.K read from the blocks against the composed arrow sets,
+    with G_i generated by K^3 in a color (as in enlarge_cover) or by any
+    arrows."""
+    G = cyclic_rotation_groupoid(q)
+    units = st.frozensets(st.integers(0, q - 1))
+    E = data.draw(st.frozensets(st.integers(0, q - 1), max_size=3))
+    K = symmetrize_arrows(G, frozenset((e, x) for e in E for x in range(q)))
+    if data.draw(st.booleans()):
+        seed_i = _seed_in_color(G, arrow_set_power(G, K, 3), data.draw(units))
+    else:
+        seed_i = data.draw(st.sets(st.sampled_from(G.arrows), max_size=6))
+    G_i = generate_subgroupoid(G, seed_i)
+    gen = generate_subgroupoid(G, _seed_in_color(G, K, data.draw(units)))
+    envelope = compose_arrow_sets(
+        G, compose_arrow_sets(G, K, [a for a in G.arrows if G_i.holds(G, a)]), K
+    )
+    held = frozenset(a for a in G.arrows if gen.holds(G, a))
+    assert _in_envelope(G, K, G_i, gen) == (held <= envelope)
+
+
+def test_enlarge_cover_needs_a_free_groupoid():
+    G = transformation_groupoid(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
+    K = frozenset((1, x) for x in (0, 1))
+    with pytest.raises(NotFree):
+        enlarge_cover(G, K, [frozenset({0, 1})], None)
 
 
 def test_group_wrapper_matches_direct_path(z12):

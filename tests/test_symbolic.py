@@ -1,6 +1,5 @@
 """Exact clopen algebra, translation, and return-time machinery."""
 
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -211,7 +210,7 @@ def test_forbidden_word_subshift_golden_mean():
     # 0^infty avoids "1" forever: the syndeticity search must remain open
     r = return_time_report(gm.cylinder("1"), search_bound=12)
     assert r.min_forward_return == 2
-    assert r.max_gap is None and not r.max_gap_known
+    assert r.max_gap is None
 
 
 def test_forbidden_word_min_return_bound_exceeded():
@@ -240,11 +239,6 @@ def test_clopen_serialization_roundtrip(dyadic, fib):
 def test_system_serialization_roundtrip(dyadic, fib):
     assert system_from_json(dyadic.to_json()).to_json() == dyadic.to_json()
     assert system_from_json(fib.to_json()).to_json() == fib.to_json()
-
-
-def test_odometer_size_fraction(dyadic):
-    s = dyadic.clopen(3, [0, 1])
-    assert s.size_fraction() == Fraction(1, 4)
 
 
 def test_return_report_invariant_min_le_gap(dyadic):
