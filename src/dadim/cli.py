@@ -183,9 +183,11 @@ def cmd_nerve(args):
             i, delta = nice_cover_assign(mu, C)
             level_counts[str(i)] = level_counts.get(str(i), 0) + 1
             points_by_piece.setdefault((i, delta), []).append(mu)
-    for (i, delta), pts in sorted(points_by_piece.items(), key=lambda kv: repr(kv[0])):
-        for (j, delta2), pts2 in points_by_piece.items():
-            if j != i or delta2 == delta:
+    # l1_distance is symmetric: each unordered pair of pieces once
+    pieces = sorted(points_by_piece.items(), key=lambda kv: repr(kv[0]))
+    for a, ((i, _), pts) in enumerate(pieces):
+        for (j, _), pts2 in pieces[a + 1:]:
+            if j != i:
                 continue
             for mu in pts:
                 for nu in pts2:

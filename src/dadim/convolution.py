@@ -314,31 +314,6 @@ class BlockDecomposition:
     def max_block_norm(self, f: ConvElement) -> float:
         return max((spectral_norm(m) for m in self.block_matrices(f)), default=0.0)
 
-    def check_multiplicative(self, samples: int = 400, seed: int = 5) -> float:
-        """Matrix units must compose like the arrows do; exact, so the
-        returned deviation is 0.0 unless the decomposition is broken."""
-        import random
-
-        rng = random.Random(seed)
-        arrows = sorted(self.arrow_pos, key=repr)
-        worst = 0.0
-        for _ in range(min(samples, 4 * len(arrows) * len(arrows) + 1)):
-            a = rng.choice(arrows)
-            b = rng.choice(arrows)
-            ab = self.G.compose(a, b)
-            ka, ia, ja = self.arrow_pos[a]
-            kb, ib, jb = self.arrow_pos[b]
-            if ab is None:
-                composable = ka == kb and ja == ib
-                if composable:
-                    worst = max(worst, 1.0)
-                continue
-            kc, ic, jc = self.arrow_pos[ab]
-            ok = ka == kb == kc and ja == ib and ic == ia and jc == jb
-            if not ok:
-                worst = max(worst, 1.0)
-        return worst
-
 
 def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
     """Split a subgroupoid of a free finite groupoid into full matrix

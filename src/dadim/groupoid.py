@@ -4,8 +4,8 @@ Arrows are hashable labels with source/range/inverse maps and a partial
 composition.  Three concrete flavors cover everything the artifact needs:
 
 * ``FiniteGroupoid`` -- explicit arrow list with a composition table,
-  axiom-checked on construction (exhaustively up to size caps, sampled
-  above);
+  axiom-checked exhaustively on construction (associativity over every
+  composable triple);
 * ``TransformationGroupoid`` -- a ``FiniteGroup`` (the one group type)
   acting on a finite space, arrows (g, x) with rule-based composition;
   the Z/n rotation is built from its formula, any other action is
@@ -27,7 +27,6 @@ explicit size bound.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -51,9 +50,6 @@ __all__ = [
     "verify_groupoid_dad",
     "groupoid_from_json",
 ]
-
-_AXIOM_TRIPLE_CAP = 200_000
-
 
 class FiniteGroupoid:
     """Explicit finite groupoid over hashable unit and arrow labels.
@@ -82,6 +78,7 @@ class FiniteGroupoid:
         self._unit_arrow = unit_arrow
         self.unit_set = frozenset(self.units)
         self.arrow_set = frozenset(self.arrows)
+        self._free = None
         if check:
             self._check_axioms()
 
@@ -126,10 +123,12 @@ class FiniteGroupoid:
         return None
 
     def is_free(self) -> bool:
-        return self.isotropy_witness() is None
+        """No isotropy; decided on the first call, read after."""
+        if self._free is None:
+            self._free = self.isotropy_witness() is None
+        return self._free
 
     def _check_axioms(self):
-        rng = random.Random(20240811)
         for u in self.units:
             e = self._unit_arrow[u]
             if self.source(e) != u or self.range(e) != u:
@@ -167,38 +166,13 @@ class FiniteGroupoid:
             raise InvalidInput(
                 f"composition table has {len(self._compose)} entries for {pairs} composable pairs"
             )
-        # associativity: exhaustive when small, seeded samples otherwise
-        triples = []
-        count = 0
-        exhaustive = True
+        # associativity over every composable triple
         for g in self.arrows:
-            for h in by_source.get(self.source(g), ()):
-                for k in by_source.get(self.source(h), ()):
-                    count += 1
-                    if count > _AXIOM_TRIPLE_CAP:
-                        exhaustive = False
-                        break
-                    triples.append((g, h, k))
-                if not exhaustive:
-                    break
-            if not exhaustive:
-                break
-        if not exhaustive:
-            all_arrows = list(self.arrows)
-            triples = []
-            while len(triples) < 5000:
-                g = rng.choice(all_arrows)
-                hs = by_source.get(self.source(g))
-                if not hs:
-                    continue
-                h = rng.choice(hs)
-                ks = by_source.get(self.source(h))
-                if not ks:
-                    continue
-                triples.append((g, h, rng.choice(ks)))
-        for g, h, k in triples:
-            if self.compose(self.compose(g, h), k) != self.compose(g, self.compose(h, k)):
-                raise InvalidInput(f"associativity fails at {(g, h, k)!r}")
+            for h in by_range.get(self.source(g), ()):
+                gh = self.compose(g, h)
+                for k in by_range.get(self.source(h), ()):
+                    if self.compose(gh, k) != self.compose(g, self.compose(h, k)):
+                        raise InvalidInput(f"associativity fails at {(g, h, k)!r}")
 
 
 @dataclass(frozen=True)

@@ -425,7 +425,7 @@ class EquivariantCover:
                 seen.add(self.act_set(g, U))
         return orbits
 
-    def check_conditions(self, E, family="finite") -> VerificationReport:
+    def check_conditions(self, E) -> VerificationReport:
         """Exact verification of the five cover conditions."""
         pairs = self.all_pairs()
         covered = set().union(*self.sets) if self.sets else set()

@@ -378,6 +378,10 @@ def construct_minimal_z_witness(
     and U_1 = complement of the union of n.V.  The element sets are then
     confined to [-3N, 3N] and [-M-N, M+N], with M the exact syndeticity
     bound of V.
+
+    Each element set is computed once.  The constructor checks that the
+    colors cover the space and that the sets respect those two bounds;
+    ``verify_dad_witness`` is the independent check of a stored witness.
     """
     if N < 1:
         raise InvalidInput("N must be a positive integer")
@@ -405,6 +409,8 @@ def construct_minimal_z_witness(
     E = tuple(range(-N, N + 1))
     d = 1
     bound = default_blowup_bound(E, M, d)
+    if not u0.union(u1).is_whole():
+        raise DepthExceeded("constructed colors do not cover the space")
     f0, ok0 = _color_elements(system, u0, E, bound)
     f1, ok1 = _color_elements(system, u1, E, bound)
     if not (ok0 and ok1):
@@ -425,9 +431,6 @@ def construct_minimal_z_witness(
         },
     )
 
-    report = verify_dad_witness(system, witness, bound)
-    if not report:
-        raise DepthExceeded(f"self-verification failed: {report.message}")
     if any(abs(n) > 3 * N for n in f0):
         raise DepthExceeded("color-0 element set escaped [-3N, 3N]")
     if any(abs(n) > M + N for n in f1):

@@ -18,6 +18,7 @@ from dadim.errors import (
     SupportViolation,
     VerificationFailed,
 )
+from helpers import z2_pair_groupoid_json
 
 
 @pytest.fixture()
@@ -179,6 +180,14 @@ def test_norm_command(workdir):
         "coeffs": [[[1, x], "1", "0"] for x in range(4)]
     }))
     assert run(["norm", "--groupoid", g, "--element", e]) == 0
+
+
+def test_norm_rejects_non_associative_groupoid(workdir):
+    g = workdir / "g.json"
+    e = workdir / "e.json"
+    g.write_text(json.dumps(z2_pair_groupoid_json(15, corrupt=True)))
+    e.write_text(json.dumps({"coeffs": [[1, "1", "0"]]}))
+    assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code == 2
 
 
 def test_blr_command(workdir):

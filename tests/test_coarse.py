@@ -23,6 +23,10 @@ from dadim.errors import InvalidInput, TooLarge, VerificationFailed
 from dadim.groupoid import BlockArrows
 
 
+def path_graph(n):
+    return TableMetricSpace.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
 def test_verify_examples():
     X = Grid1dSpace(0, 199)
     fams = [
@@ -32,7 +36,7 @@ def test_verify_examples():
     assert verify_asdim_witness(X, AsdimWitness(10, 49, fams)).accepted
 
     # one class covering a bounded space
-    Y = TableMetricSpace.path_graph(6)
+    Y = path_graph(6)
     w = AsdimWitness(3, 5, [[frozenset(range(6))]])
     assert verify_asdim_witness(Y, w).accepted
 
@@ -83,7 +87,7 @@ def test_construct_2d_sweep(R, side):
 
 
 def test_exhaustive_examples():
-    P12 = TableMetricSpace.path_graph(12)
+    P12 = path_graph(12)
     assert exhaustive_min_colors(P12, 2, 4) == 2
     assert exhaustive_min_colors(P12, 3, 11) == 1  # diameter <= S
     two = TableMetricSpace.from_edges([0, 1], [(0, 1)])
@@ -96,7 +100,7 @@ def test_oracle_consistency_small_spaces():
     """Any accepted witness uses at least as many families as the oracle,
     and the oracle's witness achieves the minimum."""
     rng = random.Random(11)
-    P8 = TableMetricSpace.path_graph(8)
+    P8 = path_graph(8)
     diam = P8.diameter()
     for R in range(1, diam + 1, 2):
         for S in range(1, diam + 1, 2):
@@ -151,7 +155,7 @@ def test_bridge_roundtrip_1d():
 
 
 def test_bridge_bounded_space_single_color():
-    Y = TableMetricSpace.path_graph(5)
+    Y = path_graph(5)
     w = AsdimWitness(2, 4, [[frozenset(range(5))]])
     G, gw, report = bridge_to_groupoid(Y, w)
     assert report.accepted and len(gw.colors) == 1
@@ -248,3 +252,14 @@ def test_space_and_witness_serialization():
     assert [sorted(map(repr, f)) for f in back.families[0]] == [
         sorted(map(repr, f)) for f in w.families[0]
     ]
+
+
+def test_metric_axioms_checked_on_every_triple():
+    """600 points on a path, with d(0, 2) = 5 > d(0, 1) + d(1, 2): the
+    triangle check runs over every triple at this size."""
+    n = 600
+    table = {(i, j): abs(i - j) for i in range(n) for j in range(n)}
+    assert len(TableMetricSpace(range(n), dict(table)).points) == n
+    table[0, 2] = table[2, 0] = 5
+    with pytest.raises(InvalidInput, match="triangle"):
+        TableMetricSpace(range(n), table)

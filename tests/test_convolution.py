@@ -31,6 +31,7 @@ from dadim.groupoid import (
     transformation_groupoid,
 )
 from dadim.pou import pou_from_group_action
+from helpers import matrix_unit_defects
 
 F = Fraction
 
@@ -281,7 +282,7 @@ def test_block_decompose_examples():
     B = block_union_pair_groupoid([[0], [1, 2], [3, 4, 5]])
     bd = block_decompose(B)
     assert sorted(bd.sizes()) == [1, 2, 3]
-    assert bd.check_multiplicative() == 0.0
+    assert matrix_unit_defects(bd) == []
 
     U = block_union_pair_groupoid([[u] for u in range(4)])
     assert sorted(block_decompose(U).sizes()) == [1, 1, 1, 1]
@@ -289,6 +290,13 @@ def test_block_decompose_examples():
     iso = transformation_groupoid(cyclic_group(2), ["p"], lambda g, x: x)
     with pytest.raises(NotFree):
         block_decompose(iso)
+
+
+def test_matrix_unit_oracle_sees_a_broken_decomposition():
+    bd = block_decompose(block_union_pair_groupoid([[0, 1, 2]]))
+    a, b = (1, 0), (2, 0)
+    bd.arrow_pos[a], bd.arrow_pos[b] = bd.arrow_pos[b], bd.arrow_pos[a]
+    assert matrix_unit_defects(bd)
 
 
 def blocks(*bs):
@@ -314,10 +322,10 @@ def test_block_decompose_rejects_non_subgroupoids():
     # a block inside one orbit is accepted, and so is a part of one
     Z6 = cyclic_rotation_groupoid(6)
     bd = block_decompose(Z6, blocks([0, 1]))
-    assert bd.sizes() == [2] and bd.check_multiplicative() == 0.0
+    assert bd.sizes() == [2] and matrix_unit_defects(bd) == []
     assert set(bd.arrow_pos) == {(1, 0), (5, 1), (0, 0), (0, 1)}
     bd = block_decompose(Z4x2, blocks([(0, 0), (1, 0)], [(2, 1)]))
-    assert bd.sizes() == [2, 1] and bd.check_multiplicative() == 0.0
+    assert bd.sizes() == [2, 1] and matrix_unit_defects(bd) == []
 
 
 def test_block_norm_matches_reduced_norm():

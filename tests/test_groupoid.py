@@ -27,6 +27,7 @@ from dadim.groupoid import (
 from dadim.pipeline import project_witness_to_quotient
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
+from helpers import z2_pair_groupoid_json
 
 
 def held(G, gen):
@@ -355,3 +356,23 @@ def test_groupoid_file_roundtrip():
     broken["compose"] = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
     with pytest.raises(InvalidInput):
         groupoid_from_json(broken)
+
+
+@pytest.mark.parametrize("n", [3, 15])
+def test_associativity_checked_on_every_triple(n):
+    """One wrong composite among 8 n^4 composable triples (648 and 405 000)
+    is rejected; the correct table is accepted."""
+    G = groupoid_from_json(z2_pair_groupoid_json(n))
+    assert len(G.arrows) == 2 * n * n and not G.is_free()
+    with pytest.raises(InvalidInput, match="associativity"):
+        groupoid_from_json(z2_pair_groupoid_json(n, corrupt=True))
+
+
+def test_freeness_decided_once(monkeypatch):
+    G = cyclic_rotation_groupoid(16)
+    calls = []
+    scan = type(G).isotropy_witness
+    monkeypatch.setattr(type(G), "isotropy_witness", lambda self: calls.append(1) or scan(self))
+    for k in range(1, 4):
+        assert len(generate_subgroupoid(G, [(k, 0)])) > 0
+    assert G.is_free() and len(calls) == 1

@@ -316,6 +316,20 @@ def test_large_witnesses(base, N):
         assert oracle == F
 
 
+@pytest.mark.parametrize("system,N", [
+    (Odometer([2], depth_limit=12), 3),
+    (Odometer([3], depth_limit=12), 1),
+    (SubstitutionSubshift(["a", "b"], {"a": "aab", "b": "a"}, depth_limit=64), 1),
+], ids=["dyadic-N3", "triadic-N1", "silver-N1"])
+def test_constructed_sets_equal_verifier_sets(system, N):
+    """The constructor computes each element set once; the verifier's
+    recomputation from the colors alone gives the same sets."""
+    w = construct_minimal_z_witness(system, N)
+    report = verify_dad_witness(system, w)
+    assert report.accepted
+    assert report.details["finite_sets"] == [sorted(F) for F in w.finite_sets]
+
+
 # ---------------------------------------------------------------------------
 # malformed witness files
 
