@@ -39,6 +39,8 @@ def rational_str(q: Fraction) -> str:
 
 
 def _normalize(obj):
+    if obj is None or type(obj) in (int, str, bool):
+        return obj
     if isinstance(obj, Fraction):
         return rational_str(obj)
     if isinstance(obj, float):
@@ -55,7 +57,12 @@ def _normalize(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_normalize(obj), sort_keys=True, separators=(",", ":"))
+    return _dumps(_normalize(obj))
+
+
+def _dumps(data) -> str:
+    """Canonical text of an already normalized payload."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _strip_volatile(obj):
@@ -67,7 +74,7 @@ def _strip_volatile(obj):
 
 
 def content_hash(obj) -> str:
-    payload = canonical_json(_strip_volatile(_normalize(obj)))
+    payload = _dumps(_strip_volatile(_normalize(obj)))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -76,16 +83,16 @@ def file_hash(path) -> str:
         return content_hash(json.load(fh))
 
 
-def write_certificate(path, obj, stamp: bool = True) -> str:
+def write_certificate(path, obj, stamp: bool = True) -> None:
+    """Write ``obj`` normalized, keys sorted, one space per indent level,
+    with a creation stamp on a dict unless ``stamp`` is off."""
     data = _normalize(obj)
     if stamp and isinstance(data, dict):
-        data = dict(data)
         data["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    return content_hash(data)
 
 
 def load_certificate(path) -> dict:
@@ -118,8 +125,8 @@ class CertificateChain:
     def green(self) -> bool:
         return all(s["status"] == "verified" for s in self.stages)
 
-    def write(self) -> str:
-        return write_certificate(
+    def write(self) -> None:
+        write_certificate(
             self.directory / "chain.json",
             {"stages": self.stages, "green": self.green},
         )

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import InvalidInput, NotAnAction
+from .errors import InvalidInput, NotAnAction, TooLarge
 from .reporting import VerificationReport
 
 __all__ = [
@@ -51,11 +51,19 @@ __all__ = [
     "groupoid_from_json",
 ]
 
+# the axiom check compares both sides of every composable triple; they
+# are counted first, and a groupoid with more is refused (about 1 s of
+# checking at the limit on a 2-vCPU Xeon)
+MAX_COMPOSABLE_TRIPLES = 1_000_000
+
+
 class FiniteGroupoid:
     """Explicit finite groupoid over hashable unit and arrow labels.
 
     ``compose`` maps composable pairs (g, h) with s(g) = r(h) to gh.  Units
-    are embedded as identity arrows via ``unit_arrow``.
+    are embedded as identity arrows via ``unit_arrow``.  A checked groupoid
+    with more than ``MAX_COMPOSABLE_TRIPLES`` composable triples raises
+    ``TooLarge`` before any axiom is checked.
     """
 
     def __init__(
@@ -129,12 +137,20 @@ class FiniteGroupoid:
         return self._free
 
     def _check_axioms(self):
+        by_source = self.arrows_by_source()
+        by_range = self.arrows_by_range()
+        # (g, h, k) is composable when r(h) = s(g) and r(k) = s(h)
+        fan_in = {u: len(hs) for u, hs in by_range.items()}
+        paths = {u: sum(fan_in.get(self.source(h), 0) for h in hs) for u, hs in by_range.items()}
+        triples = sum(paths.get(self.source(g), 0) for g in self.arrows)
+        if triples > MAX_COMPOSABLE_TRIPLES:
+            raise TooLarge(
+                f"{triples} composable triples to check; the limit is {MAX_COMPOSABLE_TRIPLES}"
+            )
         for u in self.units:
             e = self._unit_arrow[u]
             if self.source(e) != u or self.range(e) != u:
                 raise InvalidInput(f"unit arrow of {u!r} has wrong endpoints")
-        by_source = self.arrows_by_source()
-        by_range = self.arrows_by_range()
         for g in self.arrows:
             if self.source(g) not in self.unit_set or self.range(g) not in self.unit_set:
                 raise InvalidInput(f"arrow {g!r} has endpoints outside the unit space")
@@ -432,12 +448,21 @@ def generate_subgroupoid(G, seed):
 
     In a free groupoid an arrow is fixed by its source and range, so the
     result is the pair groupoid over the connected components of the seed
-    graph, returned as ``BlockArrows``.  Groupoids with isotropy take the
-    worklist closure and return a frozenset of arrows.
+    graph, returned as ``BlockArrows``.  A tube seed (the radius-r tube
+    arrows inside a color, from ``_seed_in_color``) has for components
+    the color's r-components: on a lattice space they come from the label
+    array, elsewhere from the union-find over its pairs.  Groupoids with
+    isotropy take the worklist closure and return a frozenset of arrows.
     """
     if not G.is_free():
         return _closure(G, seed)
-    comps = _connected_components((G.source(a), G.range(a)) for a in seed)
+    if isinstance(seed, _TubeSeed):
+        lattice = seed.space.lattice
+        comps = None if lattice is None else lattice.components(seed.units, seed.radius)
+        if comps is None:
+            comps = _connected_components(seed)
+    else:
+        comps = _connected_components((G.source(a), G.range(a)) for a in seed)
     return BlockArrows(frozenset(frozenset(c) for c in comps))
 
 
@@ -523,17 +548,26 @@ def _endpoint_units(G, K):
     return frozenset(out)
 
 
+@dataclass(frozen=True)
+class _TubeSeed:
+    """The arrows of the radius-r tube with both endpoints in ``units``,
+    kept implicit.  Iterating gives one arrow (x, y), y >= x, per unordered
+    pair, which is enough to generate; (x, x) keeps isolated units."""
+
+    space: object
+    radius: int
+    units: frozenset
+
+    def __iter__(self):
+        for x in self.units:
+            for y in self.space.iter_ball(x, self.radius):
+                if y >= x and y in self.units:
+                    yield (x, y)
+
+
 def _seed_in_color(G, K, color):
     if isinstance(K, TubeArrows):
-        # one arrow per unordered pair is enough to generate; (x, x) keeps
-        # isolated units in the subgroupoid
-        def gen():
-            for x in color:
-                for y in G.space.iter_ball(x, K.radius):
-                    if y >= x and y in color:
-                        yield (x, y)
-
-        return gen()
+        return _TubeSeed(G.space, K.radius, frozenset(color))
     return [a for a in K if G.source(a) in color and G.range(a) in color]
 
 

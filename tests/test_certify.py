@@ -11,6 +11,7 @@ from dadim.certify import (
     compare_artifacts,
     content_hash,
     corpus_dir,
+    file_hash,
     rational_str,
     write_certificate,
 )
@@ -86,7 +87,14 @@ def test_corpus_env_override_and_missing_dir(tmp_path, monkeypatch):
 
 def test_write_certificate_stamps_and_roundtrips(tmp_path):
     path = tmp_path / "c.json"
-    write_certificate(path, {"value": Fraction(1, 3)})
+    obj = {"value": Fraction(1, 3), "s": {frozenset({2, 1})}, "t": (0.1, None)}
+    write_certificate(path, obj)
     data = json.loads(path.read_text())
     assert data["value"] == "1/3"
     assert "created" in data
+    # the file hashes as the object does: the stamp is volatile
+    assert file_hash(path) == content_hash(obj)
+    del data["created"]
+    assert path.read_text() != json.dumps(data, sort_keys=True, indent=1) + "\n"
+    write_certificate(path, obj, stamp=False)
+    assert path.read_text() == json.dumps(data, sort_keys=True, indent=1) + "\n"

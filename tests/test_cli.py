@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dadim.cli import main
+from dadim.coarse import MAX_TABLE_POINTS
 from dadim.errors import (
     ALL_ERRORS,
     BlowupExceeded,
@@ -16,8 +17,10 @@ from dadim.errors import (
     SeparationViolation,
     StepBoundViolation,
     SupportViolation,
+    TooLarge,
     VerificationFailed,
 )
+from dadim.groupoid import MAX_COMPOSABLE_TRIPLES
 from helpers import z2_pair_groupoid_json
 
 
@@ -188,6 +191,30 @@ def test_norm_rejects_non_associative_groupoid(workdir):
     g.write_text(json.dumps(z2_pair_groupoid_json(15, corrupt=True)))
     e.write_text(json.dumps({"coeffs": [[1, "1", "0"]]}))
     assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code == 2
+
+
+def test_norm_refuses_a_groupoid_with_too_many_triples(workdir):
+    """Z/2 x the pair groupoid on 20 units has 8 * 20^4 = 1 280 000
+    composable triples, above the limit: the file is refused before any
+    triple is checked, so its wrong composite (an associativity fault,
+    exit 2 when checked) is never reached."""
+    assert 8 * 20**4 > MAX_COMPOSABLE_TRIPLES
+    g = workdir / "g.json"
+    e = workdir / "e.json"
+    g.write_text(json.dumps(z2_pair_groupoid_json(20, corrupt=True)))
+    e.write_text(json.dumps({"coeffs": [[1, "1", "0"]]}))
+    assert run(["norm", "--groupoid", g, "--element", e]) == TooLarge.exit_code == 14
+
+
+def test_asdim_verify_refuses_an_edge_space_above_the_cap(workdir):
+    n = MAX_TABLE_POINTS + 1
+    space = workdir / "path.json"
+    space.write_text(json.dumps({
+        "points": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+    }))
+    wit = workdir / "w.json"
+    wit.write_text(json.dumps({"scale_R": 1, "bound_S": n, "families": [[list(range(n))]]}))
+    assert run(["asdim-verify", "--space", space, "--witness", wit]) == TooLarge.exit_code == 14
 
 
 def test_blr_command(workdir):

@@ -1,8 +1,11 @@
 """Single-scale coarse covers, the exhaustive oracle, and the bridge."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadim.coarse import (
     AsdimWitness,
@@ -20,7 +23,14 @@ from dadim.coarse import (
     verify_asdim_witness,
 )
 from dadim.errors import InvalidInput, TooLarge, VerificationFailed
-from dadim.groupoid import BlockArrows
+from dadim.groupoid import (
+    BlockArrows,
+    TubeArrows,
+    TubePairGroupoid,
+    _connected_components,
+    _seed_in_color,
+    generate_subgroupoid,
+)
 
 
 def path_graph(n):
@@ -193,16 +203,17 @@ def test_group_ball_word_metric():
     gb.check_metric_axioms()
     assert gb.dist((0, 0), (1, 1)) == 2
     # tube semantics: pairs in the radius-r tube realize exactly the word
-    # ball of differences, a finite set
-    for r in (1, 2, 3):
+    # ball of differences, a finite set, which is the lattice's offset set
+    for r in (1, 2, 3, 6, 7):
         diffs = {
             tuple(b - a for a, b in zip(x, y))
             for x in gb.points
             for y in gb.points
             if gb.dist(x, y) <= r
         }
-        assert diffs == {v for v in gb.tube_difference_set(r) if gb.word_norm(v) <= r}
-        assert len(diffs) == len(gb.tube_difference_set(r))
+        offsets = [tuple(v) for v in gb.lattice.offsets(r).tolist()]
+        assert set(offsets) == diffs and len(offsets) == len(diffs)
+        assert offsets == sorted(offsets)
 
 
 def test_metric_axioms_catch_bad_table():
@@ -263,3 +274,103 @@ def test_metric_axioms_checked_on_every_triple():
     table[0, 2] = table[2, 0] = 5
     with pytest.raises(InvalidInput, match="triangle"):
         TableMetricSpace(range(n), table)
+
+
+# -- the lattice path against the kept ball scan ----------------------------
+
+
+def scanned(X):
+    """X with its lattice switched off, so verification and generation take
+    the ball scan over all points (the base ``iter_ball``)."""
+    Y = copy.copy(X)
+    Y.__dict__["lattice"] = None
+    return Y
+
+
+SPACES = st.one_of(
+    st.builds(lambda lo, n: Grid1dSpace(lo, lo + n - 1), st.integers(-3, 3), st.integers(1, 12)),
+    st.builds(Grid2dSpace, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(
+        GroupBallSpace,
+        st.sampled_from([[[1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]], [[1]], [[2], [3]]]),
+        st.integers(1, 2),
+    ),
+)
+CASES = ("cover", "foreign", "two_classes", "gap", "meet_at_R", "diameter")
+
+
+def _foreign_points(X):
+    """Points no class may use: outside the box, of the wrong arity, not
+    integers."""
+    p = X.points[-1]
+    if isinstance(p, int):
+        return [X.points[0] - 1, p + 1, (p,), 0.5, "a", None]
+    return [
+        tuple(c + 1 for c in p), tuple(c - 100 for c in p), p[:-1] or (0, 0), p + (0,),
+        (0.5,) * len(p), 0, None,
+    ]
+
+
+@st.composite
+def space_and_witness(draw):
+    X = draw(SPACES)
+    pts = list(X.points)
+    R = draw(st.integers(-1, 3))
+    S = draw(st.integers(0, 6))
+    case = draw(st.sampled_from(CASES))
+    nfam = draw(st.integers(1, 3))
+    fams = [[set() for _ in range(draw(st.integers(1, 3)))] for _ in range(nfam)]
+    for p in pts:
+        fi = draw(st.integers(0, nfam - 1))
+        draw(st.sampled_from(fams[fi])).add(p)
+    if case == "foreign":
+        draw(st.sampled_from(draw(st.sampled_from(fams)))).add(
+            draw(st.sampled_from(_foreign_points(X)))
+        )
+    elif case == "two_classes":
+        fam = draw(st.sampled_from(fams))
+        draw(st.sampled_from(fam)).add(draw(st.sampled_from(pts)))
+    elif case == "gap":
+        for cls in draw(st.sampled_from(fams)):
+            cls.discard(draw(st.sampled_from(pts)))
+    elif case == "meet_at_R":
+        # a first family whose two classes meet only at distance exactly R,
+        # in any direction
+        p = draw(st.sampled_from(pts))
+        at_R = [q for q in pts if X.dist(p, q) == R]
+        if at_R:
+            fams.insert(0, [{p}, {draw(st.sampled_from(at_R))}])
+    elif case == "diameter":
+        S = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # an object equal to a point (1.0 for 1, (1.0, 0) for (1, 0)) is that point
+        p = draw(st.sampled_from(pts))
+        for fam in fams:
+            for cls in fam:
+                if p in cls:
+                    cls.discard(p)
+                    cls.add(float(p) if isinstance(p, int) else (float(p[0]),) + p[1:])
+    return case, X, AsdimWitness(R, S, [[frozenset(c) for c in fam] for fam in fams])
+
+
+@settings(max_examples=400, deadline=None)
+@given(space_and_witness())
+def test_lattice_verification_matches_the_ball_scan(drawn):
+    case, X, w = drawn
+    assert X.lattice is not None
+    report = verify_asdim_witness(X, w)
+    assert report == verify_asdim_witness(scanned(X), w)
+    if case == "foreign":
+        assert report.code == "CoverGap" and "unknown points" in report.message
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPACES, st.integers(-1, 4), st.data())
+def test_lattice_tube_blocks_match_union_find(X, R, data):
+    color = data.draw(st.sets(st.sampled_from(X.points)))
+    G = TubePairGroupoid(X, 2 * max(R, 0))
+    seed = _seed_in_color(G, TubeArrows(R), color)
+    oracle = BlockArrows(frozenset(frozenset(c) for c in _connected_components(iter(seed))))
+    assert generate_subgroupoid(G, seed) == oracle
+    plain = TubePairGroupoid(scanned(X), G.radius)
+    assert generate_subgroupoid(plain, _seed_in_color(plain, TubeArrows(R), color)) == oracle
