@@ -39,7 +39,7 @@ def rational_str(q: Fraction) -> str:
 
 
 def _normalize(obj):
-    if obj is None or type(obj) in (int, str, bool):
+    if obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
         return rational_str(obj)
@@ -51,8 +51,6 @@ def _normalize(obj):
         return [_normalize(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted((_normalize(v) for v in obj), key=json.dumps)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 

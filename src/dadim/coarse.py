@@ -7,13 +7,14 @@ claims the asymptotic limit.  ``bridge_to_groupoid`` translates a verified
 witness into a groupoid witness over the pair groupoid of the tube of
 radius S, realizing the coarse-groupoid correspondence at finite scale.
 
-Grids and word-metric balls are translation-invariant: their R-ball is
-one set of offsets.  Each gives a ``Lattice``, on which a family is an
-integer label array over the bounding box.  The verifier checks the
+Grids are translation-invariant and fill their bounding box: their
+R-ball is one set of l1 offsets.  Each gives a ``Lattice``, on which a
+family is an integer label array over the box.  The verifier checks the
 cover and separation with array writes and shifted comparisons, and the
 bridge's tube generation reads each color's R-components off the same
-arrays.  Explicit tables keep the per-point ball scan and the union-find,
-which also serve the tests as the oracle of the lattice path.
+arrays.  Explicit tables and word-metric balls keep the per-point ball
+scan and the union-find, which also serve the tests as the oracle of the
+lattice path.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ __all__ = [
 class FiniteMetricSpace:
     """Finite point set with an exact integer metric.
 
-    ``lattice`` is None here; the translation-invariant spaces (grids and
-    word-metric balls) give their ``Lattice``, which the cover checks and
-    the tube generation use instead of ball scans.
+    ``lattice`` is None here; the grids give their ``Lattice``, which the
+    cover checks and the tube generation use instead of ball scans.
     """
 
     points: tuple
@@ -106,7 +106,7 @@ class FiniteMetricSpace:
 
 
 class Lattice:
-    """A translation-invariant space as the cells of its integer bounding box.
+    """A grid with the l1 metric as the cells of its integer bounding box.
 
     A family of classes becomes one label array over the box (class index
     at each cell, -1 elsewhere) and the R-ball one list of offsets, so
@@ -116,12 +116,12 @@ class Lattice:
     cell, and anything else (outside the box, of the wrong arity, not an
     integer) finds none, exactly as in a set of the points.
 
-    The metric is l1 on the box unless ``norms`` maps offsets to their
-    norms; it must hold every offset between two points.  The lattice keeps
-    no reference to its space, which holds it.
+    The points must fill the box, so that the arrays are no larger than
+    the space.  The lattice keeps no reference to its space, which holds
+    it.
     """
 
-    def __init__(self, points: tuple, coords, norms: dict | None = None):
+    def __init__(self, points: tuple, coords):
         coords = np.asarray(coords, dtype=np.int64)
         coords = coords - coords.min(axis=0)
         self.points = points
@@ -130,7 +130,6 @@ class Lattice:
         self.index = dict(zip(points, self.cells.tolist()))
         self.point_at = np.full(int(np.prod(self.shape)), -1, dtype=np.intp)
         self.point_at[self.cells] = np.arange(len(points))
-        self._norms = norms
         self._offsets: dict = {}
 
     def cells_of(self, pts) -> np.ndarray:
@@ -146,16 +145,13 @@ class Lattice:
         """The radius-r ball's offsets in lexicographic order, which is the
         order of the points they lead to."""
         if r not in self._offsets:
-            if self._norms is None:
-                k = len(self.shape)
-                reach = min(r, sum(self.shape) - k)
-                ball = [
-                    v for v in product(range(-reach, reach + 1), repeat=k)
-                    if sum(map(abs, v)) <= reach
-                ]
-            else:
-                ball = [v for v, n in self._norms.items() if n <= r]
-            self._offsets[r] = np.array(sorted(ball), dtype=np.int64).reshape(-1, len(self.shape))
+            k = len(self.shape)
+            reach = min(r, sum(self.shape) - k)
+            ball = [
+                v for v in product(range(-reach, reach + 1), repeat=k)
+                if sum(map(abs, v)) <= reach
+            ]
+            self._offsets[r] = np.array(ball, dtype=np.int64).reshape(-1, k)
         return self._offsets[r]
 
     def _shifts(self, r: int) -> list:
@@ -366,15 +362,6 @@ class GroupBallSpace(FiniteMetricSpace):
             frontier = nxt
         self._norms = norms
         self.points = tuple(sorted(v for v, n in norms.items() if n <= self.radius))
-
-    @cached_property
-    def lattice(self) -> Lattice | None:
-        if not self.points or not self.points[0]:
-            return None
-        # the norms are known out to 2 * radius, which bounds every
-        # difference of two points of the ball, so the radius-r tube is
-        # exactly the pairs whose difference has norm <= r in this table
-        return Lattice(self.points, np.array(self.points, dtype=np.int64), self._norms)
 
     def word_norm(self, v) -> int:
         n = self._norms.get(tuple(v))

@@ -135,6 +135,22 @@ def test_asdim_2d_cli(workdir):
     assert run(["bridge", "--space", sp, "--witness", aw]) == 0
 
 
+@pytest.mark.parametrize("generators", [[[10**9]], [[10**9, 0], [0, 10**9]]])
+def test_group_ball_with_long_generators(workdir, generators):
+    """A radius-1 ball is 1 + 2k points however long its generators are;
+    it is checked point by point, never over its bounding box."""
+    sp = workdir / "ball.json"
+    sp.write_text(json.dumps({"group_ball": {"generators": generators, "radius": 1}}))
+    k = len(generators)
+    points = [[0] * k] + [[s * c for c in g] for g in generators for s in (1, -1)]
+    aw = workdir / "aw.json"
+    aw.write_text(json.dumps({
+        "scale_R": 1, "bound_S": 0, "families": [[[p]] for p in points],
+    }))
+    assert run(["asdim-verify", "--space", sp, "--witness", aw]) == 0
+    assert run(["bridge", "--space", sp, "--witness", aw]) == 0
+
+
 def test_pou_commands(workdir):
     pou = workdir / "pou.json"
     assert run([
