@@ -641,15 +641,17 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         if "inverse" not in data:
             raise InvalidInput("explicit groupoid files must carry an 'inverse' map")
         inverse = {int(k): v for k, v in data["inverse"].items()}
+        # identity candidates: the idempotent loops, grouped by unit (a
+        # TypeError here is a unit that is not hashable)
+        loops: dict = {}
+        for g, s in source.items():
+            if s == range_[g] and compose.get((g, g)) == g:
+                loops.setdefault(s, []).append(g)
+        loops_at = {u: loops.get(u, []) for u in units}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidInput(f"malformed groupoid: {exc!r}") from None
-    unit_arrow = {}
-    for u in units:
-        cands = [
-            g for g in source
-            if source[g] == u and range_[g] == u and compose.get((g, g)) == g
-        ]
+    for u, cands in loops_at.items():
         if len(cands) != 1:
             raise InvalidInput(f"unit {u!r} needs exactly one idempotent identity arrow")
-        unit_arrow[u] = cands[0]
+    unit_arrow = {u: cands[0] for u, cands in loops_at.items()}
     return FiniteGroupoid(units, sorted(source), source, range_, inverse, compose, unit_arrow)

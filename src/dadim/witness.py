@@ -5,15 +5,16 @@ with, for each color, the finite set F_i of group elements realizable by
 E-paths whose intermediate points all stay inside U_i.  The verifier
 recomputes every F_i exactly.  On an odometer a color of depth m is a set of
 residues mod q_m on which Z acts by rotation, so F_i is read off a walk over
-those residues that records each one's displacement.  On a subshift the
-verifier runs a breadth-first search over (element, constraint) pairs, where
-the constraint is the exact clopen set of starting points compatible with
-the path so far.
+those residues that records each one's displacement.  On a subshift a color
+is a set of words on one window, and F_i is read off a walk over the words
+of the language: each word is extended letter by letter until every step
+from the component of 0 it has found is decided inside it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,7 +24,9 @@ from .symbolic import (
     ClopenSet,
     Odometer,
     OdometerClopen,
+    SubshiftClopen,
     SymbolicSystem,
+    _Subshift,
     clopen_from_json,
     disjoint_translates_radius,
     return_time_report,
@@ -115,11 +118,11 @@ def _color_elements(
     has more than ``blowup_bound`` elements (or is infinite); ``elements``
     then holds only ``blowup_bound + 1`` of them, or is None for the whole
     space.  Odometer colors take the exact residue walk, subshift colors
-    the constraint BFS.
+    the exact word walk.
     """
     if isinstance(color, OdometerClopen):
         return _residue_walk(system, color, E, blowup_bound)
-    return _constraint_bfs(system, color, E, blowup_bound)
+    return _word_walk(system, color, E, blowup_bound)
 
 
 def _residue_walk(
@@ -137,7 +140,8 @@ def _residue_walk(
     component contributes D - D.  A residue reached at a second displacement
     closes a loop with nonzero net displacement P, whose multiples all lie
     in F, so F is infinite.  A bound below 1 acts as 1, as in the constraint
-    BFS, which compares with the bound only after its first step.
+    BFS both walks replaced (now the tests' oracle), which compares with the
+    bound only after its first step.
     """
     steps = [e for e in E if e != 0]
     if color.is_whole() and steps:
@@ -174,58 +178,74 @@ def _residue_walk(
     return frozenset(F), True
 
 
-def _constraint_bfs(
-    system: SymbolicSystem,
-    color: ClopenSet,
+def _word_walk(
+    system: _Subshift,
+    color: SubshiftClopen,
     E: tuple[int, ...],
     blowup_bound: int,
 ):
-    """Breadth-first exploration of the broken-orbit element set of one color.
+    """Exact element set of a subshift color by a walk on the language's words.
 
-    Returns (elements, complete) where ``complete`` is False when the search
-    was cut off at ``blowup_bound`` distinct elements with frontier still
-    active.  States are (element, constraint) pairs; the constraint is the
-    clopen set of starting points x in U such that every partial sum s of
-    the path satisfies s.x in U; a state is retained iff it is nonempty.
+    A color is a set W of words on the window [l, l+L), so F is the union
+    over x in the color of the E-connected component of 0 in
+    {n : x[n+l, n+l+L) in W}.  A state (a, u, C) knows x on [a, a+|u|) and
+    holds the part C of 0's component found so far, closed under every step
+    whose target window lies inside the known one; a target m joins C iff
+    its slice of u is in W.  A state with no undecided step is a leaf: C is
+    then the component of every point that carries u there.  Otherwise u
+    grows by one letter on the side of the first undecided step, over the
+    language's extensions, and states are processed by word length.  A step
+    whose target window leaves [-depth_limit, depth_limit] raises
+    DepthExceeded, exactly where the constraint BFS's translate would.  The
+    walk stops as soon as its states have found more than ``blowup_bound``
+    elements between them; a bound below 1 acts as 1, as in the residue walk.
     """
     if color.is_empty():
         return frozenset(), True
-    if color.is_whole() and any(e != 0 for e in E):
-        # the whole space puts no constraint on paths, so every element of
-        # the subgroup generated by E is reached; on an infinite system the
-        # element set is infinite
-        if getattr(system, "infinite", True):
+    steps = [e for e in E if e != 0]
+    bound = max(blowup_bound, 1)
+    if color.is_whole() and steps:
+        # every point reaches all of the subgroup generated by E; the BFS
+        # reported no elements for it on an infinite system
+        if system.infinite:
             return None, False
-
-    translate_cache: dict[int, ClopenSet] = {0: color}
-
-    def constraint_at(n: int) -> ClopenSet:
-        if n not in translate_cache:
-            translate_cache[n] = color.translate(-n)
-        return translate_cache[n]
-
-    start = (0, color)
-    seen = {start}
-    elements = {0}
-    queue = deque([start])
+        g = math.gcd(*steps)
+        return frozenset(j * g for j in range(bound + 1)), False
+    left, W, L = color.left, color.words, color.wlen
+    limit = system.depth_limit
+    F = {0}  # every element any state has found; all of F at the end
+    queue = deque((left, w, [0]) for w in sorted(W))
     while queue:
-        n, cset = queue.popleft()
-        for e in E:
-            if e == 0:
-                continue
-            n2 = n + e
-            c2 = cset.intersect(constraint_at(n2))
-            if c2.is_empty():
-                continue
-            state = (n2, c2)
-            if state in seen:
-                continue
-            seen.add(state)
-            elements.add(n2)
-            if len(elements) > blowup_bound:
-                return frozenset(elements), False
-            queue.append(state)
-    return frozenset(elements), True
+        a, u, C = queue.popleft()
+        members = set(C)
+        undecided = []
+        for n in C:  # C grows while it is scanned
+            for e in steps:
+                m = n + e
+                if m in members:
+                    continue
+                lo = m + left
+                if max(abs(lo), abs(lo + L)) > limit:
+                    raise DepthExceeded(
+                        f"window [{lo},{lo + L}) exceeds depth_limit {limit}"
+                    )
+                if lo < a or lo + L > a + len(u):
+                    undecided.append((m, lo < a))
+                elif u[lo - a : lo - a + L] in W:
+                    C.append(m)
+                    members.add(m)
+                    F.add(m)
+                    if len(F) > bound:
+                        return frozenset(itertools.islice(F, bound + 1)), False
+        to_left = next((side for m, side in undecided if m not in members), None)
+        if to_left is None:
+            continue  # a leaf
+        by_prefix, by_suffix = system._groupings(len(u) + 1)
+        if to_left:
+            queue.extend((a - 1, v, list(C)) for v in sorted(by_suffix.get(u, ())))
+        else:
+            queue.extend((a, v, list(C)) for v in sorted(by_prefix.get(u, ())))
+    return frozenset(F), True
 
 
 def color_element_sets(
@@ -357,9 +377,8 @@ def _refine_one_level(system: SymbolicSystem, u: ClopenSet) -> ClopenSet:
     left = u.left
     # extend to the right through forced letters until a genuine branch
     for _ in range(system.depth_limit):
-        exts = sorted(
-            w[-1] for w in system.language(len(word) + 1) if w[:-1] == word
-        )
+        by_prefix = system._groupings(len(word) + 1)[0]
+        exts = sorted(w[-1] for w in by_prefix.get(word, ()))
         if not exts:
             raise DepthExceeded("cylinder admits no extension inside depth budget")
         word = word + exts[0]

@@ -1,5 +1,9 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
+from collections import deque
+
+from dadim.symbolic import ClopenSet, SymbolicSystem
+
 
 def z2_pair_groupoid_json(n: int, corrupt: bool = False) -> dict:
     """Z/2 x the pair groupoid on n units as an explicit groupoid file.
@@ -44,3 +48,57 @@ def matrix_unit_defects(bd) -> list:
             if got != want:
                 out.append((a, b))
     return out
+
+
+def constraint_bfs(
+    system: SymbolicSystem,
+    color: ClopenSet,
+    E: tuple[int, ...],
+    blowup_bound: int,
+):
+    """Breadth-first exploration of the broken-orbit element set of one color.
+
+    Returns (elements, complete) where ``complete`` is False when the search
+    was cut off at ``blowup_bound`` distinct elements with frontier still
+    active.  States are (element, constraint) pairs; the constraint is the
+    clopen set of starting points x in U such that every partial sum s of
+    the path satisfies s.x in U; a state is retained iff it is nonempty.
+    """
+    if color.is_empty():
+        return frozenset(), True
+    if color.is_whole() and any(e != 0 for e in E):
+        # the whole space puts no constraint on paths, so every element of
+        # the subgroup generated by E is reached; on an infinite system the
+        # element set is infinite
+        if getattr(system, "infinite", True):
+            return None, False
+
+    translate_cache: dict[int, ClopenSet] = {0: color}
+
+    def constraint_at(n: int) -> ClopenSet:
+        if n not in translate_cache:
+            translate_cache[n] = color.translate(-n)
+        return translate_cache[n]
+
+    start = (0, color)
+    seen = {start}
+    elements = {0}
+    queue = deque([start])
+    while queue:
+        n, cset = queue.popleft()
+        for e in E:
+            if e == 0:
+                continue
+            n2 = n + e
+            c2 = cset.intersect(constraint_at(n2))
+            if c2.is_empty():
+                continue
+            state = (n2, c2)
+            if state in seen:
+                continue
+            seen.add(state)
+            elements.add(n2)
+            if len(elements) > blowup_bound:
+                return frozenset(elements), False
+            queue.append(state)
+    return frozenset(elements), True

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, exit codes, chain integrity."""
 
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from dadim.coarse import MAX_TABLE_POINTS
 from dadim.errors import (
     ALL_ERRORS,
     BlowupExceeded,
+    DepthExceeded,
     FiniteSetMismatch,
     HashMismatch,
     InvalidInput,
@@ -21,6 +23,8 @@ from dadim.errors import (
     VerificationFailed,
 )
 from dadim.groupoid import MAX_COMPOSABLE_TRIPLES
+from dadim.symbolic import clopen_from_json, system_from_json
+from dadim.witness import construct_minimal_z_witness
 from helpers import z2_pair_groupoid_json
 
 
@@ -62,6 +66,33 @@ def test_construct_verify_subshift_roundtrip(workdir):
     wit = workdir / "fibwit.json"
     assert run(["construct", "--system", sysfile, "--N", 1, "-o", wit]) == 0
     assert run(["verify", "--system", sysfile, "--witness", wit]) == 0
+
+
+def test_verify_subshift_color_with_infinite_component(workdir, capsys):
+    """A silver (a -> aab, b -> a) witness whose color 1 also takes in every
+    point with an a at 0, and whose E widens to [-2, 2] so that steps jump
+    the isolated b's: the a's of a point then form one infinite component.
+    (Under E = [-1, 1] a color of a minimal system with an infinite
+    component is the whole space, which is a BlowupExceeded.)  Under the
+    default bound the word walk reaches the depth limit at once."""
+    sysdata = {
+        "kind": "subshift", "alphabet": ["a", "b"],
+        "substitution": {"a": "aab", "b": "a"}, "depth_limit": 64,
+    }
+    system = system_from_json(sysdata)
+    data = construct_minimal_z_witness(system, 1).to_json()
+    color = clopen_from_json(system, data["colors"][1]).union(system.cylinder("a"))
+    data["colors"][1] = color.to_json()
+    data["E"] = [-2, -1, 0, 1, 2]
+    (workdir / "silver.json").write_text(json.dumps(sysdata))
+    (workdir / "tampered.json").write_text(json.dumps(data))
+    start = time.perf_counter()
+    code = run([
+        "verify", "--system", workdir / "silver.json", "--witness", workdir / "tampered.json",
+    ])
+    assert time.perf_counter() - start < 0.5
+    assert code == DepthExceeded.exit_code
+    assert "DepthExceeded" in capsys.readouterr().err
 
 
 def test_verify_blowup_exit_code(workdir):

@@ -358,6 +358,27 @@ def test_groupoid_file_roundtrip():
         groupoid_from_json(broken)
 
 
+def test_groupoid_file_needs_one_identity_per_unit():
+    lonely = z2_involution_data()
+    lonely["units"] = ["u", "v"]  # no arrow at v
+    with pytest.raises(InvalidInput, match="unit 'v' needs exactly one"):
+        groupoid_from_json(lonely)
+    # both arrows of the trivial group on two labels are idempotent loops at u
+    doubled = z2_involution_data()
+    doubled["compose"] = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
+    with pytest.raises(InvalidInput, match="unit 'u' needs exactly one"):
+        groupoid_from_json(doubled)
+
+
+def test_groupoid_file_with_unhashable_unit():
+    data = {
+        "units": [{"x": 1}], "arrows": [{"id": 0, "s": {"x": 1}, "r": {"x": 1}}],
+        "compose": [[0, 0, 0]], "inverse": {"0": 0},
+    }
+    with pytest.raises(InvalidInput, match="malformed groupoid"):
+        groupoid_from_json(data)
+
+
 @pytest.mark.parametrize("n", [3, 15])
 def test_associativity_checked_on_every_triple(n):
     """One wrong composite among 8 n^4 composable triples (648 and 405 000)

@@ -1,25 +1,33 @@
 """Witness construction and the broken-orbit verifier: the residue walk on
-odometers, the constraint BFS on subshifts (and as the walk's oracle)."""
+odometers and the word walk on subshifts, each against the constraint BFS
+(``helpers.constraint_bfs``) as its oracle."""
 
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dadim import witness as witness_mod
-from dadim.errors import InvalidInput, NotMinimal
-from dadim.symbolic import ForbiddenWordSubshift, Odometer, SubstitutionSubshift
+from dadim.certify import corpus_dir, load_certificate
+from dadim.errors import DepthExceeded, InvalidInput, NotMinimal
+from dadim.symbolic import (
+    ForbiddenWordSubshift,
+    Odometer,
+    SubstitutionSubshift,
+    system_from_json,
+)
 from dadim.witness import (
     DadWitness,
-    _constraint_bfs,
     _residue_walk,
+    _word_walk,
     color_element_sets,
     construct_minimal_z_witness,
     default_blowup_bound,
     verify_dad_witness,
     witness_from_json,
 )
+from helpers import constraint_bfs
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +244,7 @@ def test_residue_walk_matches_constraint_bfs(case, bound):
     if exact is None and bound > 5:
         bound = 5  # the BFS needs seconds to collect many elements of an infinite set
     got, got_complete = _residue_walk(system, color, E, bound)
-    want, want_complete = _constraint_bfs(system, color, E, bound)
+    want, want_complete = constraint_bfs(system, color, E, bound)
     assert got_complete == want_complete
     if want_complete or want is None:
         assert got == want
@@ -253,7 +261,7 @@ def _reports(system, wit, bound):
     """verify_dad_witness with the residue walk and with the BFS in its place."""
     walk = verify_dad_witness(system, wit, bound).to_json()
     saved = witness_mod._color_elements
-    witness_mod._color_elements = _constraint_bfs
+    witness_mod._color_elements = constraint_bfs
     try:
         bfs = verify_dad_witness(system, wit, bound).to_json()
     finally:
@@ -291,6 +299,111 @@ def test_rejection_reports_match_constraint_bfs(dyadic):
         assert walk == bfs and walk["code"] == "BlowupExceeded"
         assert walk["details"]["elements_found"] == max(bound, 1) + 1
         assert walk["details"]["frontier_active"]
+
+
+# ---------------------------------------------------------------------------
+# the word walk against the constraint BFS
+
+GOLDEN_MEAN = ForbiddenWordSubshift(["0", "1"], ["11"], depth_limit=12)
+WALK_SUBSHIFTS = [
+    SubstitutionSubshift(["a", "b"], {"a": "ab", "b": "a"}, depth_limit=16),
+    SubstitutionSubshift(["a", "b"], {"a": "aab", "b": "a"}, depth_limit=16),
+    SubstitutionSubshift(["a", "b"], {"a": "ab", "b": "ba"}, depth_limit=16),
+    GOLDEN_MEAN,
+]
+
+
+@st.composite
+def subshift_colors(draw):
+    """A random color of the Fibonacci, silver, Thue-Morse or golden-mean
+    subshift: a set of 1-5-letter words on a window starting in [-3, 3],
+    with a random symmetric generator set inside {0, +-1, +-2, +-3}."""
+    system = draw(st.sampled_from(WALK_SUBSHIFTS))
+    length = draw(st.integers(1, 5))
+    words = draw(st.sets(st.sampled_from(sorted(system.language(length))), min_size=1))
+    left = draw(st.integers(-3, 3))
+    steps = draw(st.sets(st.integers(1, 3), min_size=1))
+    E = tuple(sorted({0} | steps | {-e for e in steps}))
+    return system, system.clopen(left, words), E
+
+
+def _outcome(search, system, color, E, bound):
+    try:
+        return search(system, color, E, bound)
+    except DepthExceeded:
+        return "DepthExceeded"
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=subshift_colors(), bound=st.sampled_from([0, 1, 3, 50]))
+@example(case=(GOLDEN_MEAN, GOLDEN_MEAN.clopen(3, ["0000"]), (-3, 0, 3)), bound=3)
+def test_word_walk_matches_constraint_bfs(case, bound):
+    """Where the BFS completes the walk finds the same set, and the other
+    way round; a cut-off search holds max(bound, 1) + 1 elements.
+
+    The systems' depth_limit is small (16, and 12 for the golden mean) only
+    because the BFS oracle is exponential on the golden mean: its constraint
+    windows, and so the languages it materializes, widen with every element
+    it reaches.  With the golden mean at 16, one run of this test took 8 s
+    and 550 MB.
+
+    Where neither search completes, the BFS meets the bound and the depth
+    limit in the order of its elements, the walk in the order of its words,
+    so one may be cut off where the other raises DepthExceeded.  On the
+    explicit example the walk raises at the target 6 of 3, whose window
+    [9, 13) leaves [-12, 12], before it has read enough letters to decide
+    -6, which the BFS reaches first and which cuts it off.  Every element
+    but 0 of a search has its window inside [-depth_limit, depth_limit], so
+    this can happen only under a bound below 2 * depth_limit: at bound 50
+    the outcomes are equal.
+    """
+    system, color, E = case
+    got = _outcome(_word_walk, system, color, E, bound)
+    want = _outcome(constraint_bfs, system, color, E, bound)
+    if got == want and (got == "DepthExceeded" or got[1] or got[0] is None):
+        return  # the same exception, the same set, or both a whole color
+    assert "DepthExceeded" not in (got, want) or bound < 2 * system.depth_limit
+    for out in (got, want):
+        if out != "DepthExceeded":
+            assert not out[1]
+            # the report uses only the count of a cut-off search's elements
+            assert out[0] is not None and len(out[0]) == max(bound, 1) + 1
+
+
+def test_word_walk_whole_color_of_periodic_subshift():
+    """On a finite system the whole space is cut off like any other color."""
+    periodic = SubstitutionSubshift(["a", "b"], {"a": "ab", "b": "ab"}, depth_limit=16)
+    assert not periodic.infinite
+    for bound in (0, 1, 5):
+        for search in (_word_walk, constraint_bfs):
+            elements, complete = search(periodic, periodic.whole(), (-2, 0, 2), bound)
+            assert not complete and len(elements) == max(bound, 1) + 1
+
+
+@pytest.mark.parametrize("system", [
+    SubstitutionSubshift(["a", "b"], {"a": "ab", "b": "a"}, depth_limit=64),
+    SubstitutionSubshift(["a", "b"], {"a": "aab", "b": "a"}, depth_limit=64),
+], ids=["fibonacci", "silver"])
+def test_word_walk_matches_constraint_bfs_on_witnesses(system):
+    """The N=1 witnesses' colors, whose sets the constructor took from the walk."""
+    w = construct_minimal_z_witness(system, 1)
+    E = tuple(sorted(set(w.generator_set) | {-e for e in w.generator_set}))
+    for color, F in zip(w.colors, w.finite_sets):
+        assert constraint_bfs(system, color, E, w.meta["blowup_bound"]) == (F, True)
+
+
+@pytest.mark.parametrize("case", ["fibonacci_n2", "thue_morse_n1"])
+def test_subshift_goldens_match_constraint_bfs(case):
+    """The corpus goldens written by the word walk hold the BFS's sets."""
+    root = corpus_dir()
+    spec, = (c for c in load_certificate(root / "cases.json")["cases"] if c["name"] == case)
+    system = system_from_json(spec["params"]["system"])
+    golden = load_certificate(root / spec["golden"])
+    assert golden["accepted"]
+    w = witness_from_json(system, golden["witness"])
+    E = tuple(sorted(set(w.generator_set) | {-e for e in w.generator_set}))
+    for color, F in zip(w.colors, w.finite_sets):
+        assert constraint_bfs(system, color, E, w.meta["blowup_bound"]) == (F, True)
 
 
 # ---------------------------------------------------------------------------
