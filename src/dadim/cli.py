@@ -177,9 +177,7 @@ def cmd_nerve(args):
     for face in C.maximal_faces:
         verts = sorted(face, key=repr)
         for combo in _compositions(den, len(verts)):
-            mu = SimplicialPoint({
-                v: Fraction(k, den) for v, k in zip(verts, combo) if k
-            })
+            mu = SimplicialPoint.from_numerators(dict(zip(verts, combo)), den)
             i, delta = nice_cover_assign(mu, C)
             level_counts[str(i)] = level_counts.get(str(i), 0) + 1
             points_by_piece.setdefault((i, delta), []).append(mu)

@@ -19,6 +19,7 @@ lattice path.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,6 +52,10 @@ __all__ = [
     "space_from_json",
     "asdim_witness_from_json",
 ]
+
+# differences formed per numpy chunk in GroupBallSpace.subset_diameter
+_DIFF_CHUNK = 1 << 20
+
 
 class FiniteMetricSpace:
     """Finite point set with an exact integer metric.
@@ -371,6 +376,48 @@ class GroupBallSpace(FiniteMetricSpace):
 
     def dist(self, x, y) -> int:
         return self.word_norm(tuple(b - a for a, b in zip(x, y)))
+
+    @cached_property
+    def _point_set(self) -> frozenset:
+        return frozenset(self.points)
+
+    def subset_diameter(self, subset) -> int:
+        """Largest word norm of a difference of two points of ``subset``.
+
+        For points of the ball, each point becomes one integer code (mixed
+        radix 2*span+1 per coordinate, so a code difference names the
+        difference vector), the differences are formed in numpy row chunks,
+        and each distinct one is decoded and looked up once in the norm
+        table, which reaches 2*radius and so holds them all.  Other subsets,
+        and codes that would not fit in int64, take the pairwise loop.
+        """
+        pts = list(subset)
+        if len(pts) < 2 or not self._point_set.issuperset(pts):
+            return super().subset_diameter(pts)
+        cols = list(zip(*pts))
+        lows = [min(c) for c in cols]
+        spans = [max(c) - lo for c, lo in zip(cols, lows)]
+        radices = [2 * s + 1 for s in spans]
+        if math.prod(radices) >= 2**62:
+            return super().subset_diameter(pts)
+        place = [math.prod(radices[:c]) for c in range(len(radices))]
+        codes = np.array(
+            [sum((x - lo) * w for x, lo, w in zip(p, lows, place)) for p in pts],
+            dtype=np.int64,
+        )
+        distinct: set = set()
+        step = max(1, _DIFF_CHUNK // len(codes))
+        for i in range(0, len(codes), step):
+            distinct.update(np.unique(codes[i:i + step, None] - codes[None, :]).tolist())
+        best = 0
+        for code in distinct:
+            v = []
+            for s, r in zip(spans, radices):
+                digit = (code + s) % r - s
+                v.append(digit)
+                code = (code - digit) // r
+            best = max(best, self.word_norm(v))
+        return best
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import InvalidInput, NotAnAction, TooLarge
 from .reporting import VerificationReport
 
@@ -255,26 +257,38 @@ class TransformationGroupoid(FiniteGroupoid):
 
 
 def _verify_action(group: FiniteGroup, space, act):
-    """Exhaustive check that ``act`` is an action of ``group`` on ``space``."""
-    elems = set(group.elements)
-    points = set(space)
-    for g in group.elements:
-        if group.inv(g) not in elems:
+    """Exhaustive check that ``act`` is an action of ``group`` on ``space``.
+
+    ``act`` is called once per (g, x); its values go into a |G| x |X| table
+    of point indices, and g.(h.x) = (gh).x is checked on every triple as
+    the gather ``table[g][table[h]] == table[gh]``.  The first violation
+    reported is the first in (g, h, x) order.
+    """
+    elems = group.elements
+    eidx = {g: a for a, g in enumerate(elems)}
+    pts = tuple(space)
+    pidx = {x: j for j, x in enumerate(pts)}
+    table = np.empty((len(elems), len(pts)), dtype=np.intp)
+    for a, g in enumerate(elems):
+        if group.inv(g) not in eidx:
             raise NotAnAction(f"group inverse of {g!r} missing")
-        for x in space:
-            if act(g, x) not in points:
+        for j, x in enumerate(pts):
+            y = pidx.get(act(g, x))
+            if y is None:
                 raise NotAnAction(f"action leaves the space at ({g!r}, {x!r})")
-    for x in space:
+            table[a, j] = y
+    for x in pts:
         if act(group.unit, x) != x:
             raise NotAnAction("identity does not act trivially")
-    for g in group.elements:
-        for h in group.elements:
-            gh = group.mult(g, h)
-            if gh not in elems:
+    for a, g in enumerate(elems):
+        prod = np.array([eidx.get(group.mult(g, h), -1) for h in elems], dtype=np.intp)
+        bad = (table[a][table] != table[prod]).any(axis=1) | (prod < 0)
+        if bad.any():
+            b = int(np.argmax(bad))
+            if prod[b] < 0:
                 raise NotAnAction("group multiplication escapes the element set")
-            for x in space:
-                if act(g, act(h, x)) != act(gh, x):
-                    raise NotAnAction(f"not an action at ({g!r}, {h!r}, {x!r})")
+            j = int(np.argmax(table[a][table[b]] != table[prod[b]]))
+            raise NotAnAction(f"not an action at ({g!r}, {elems[b]!r}, {pts[j]!r})")
 
 
 def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:

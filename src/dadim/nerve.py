@@ -19,6 +19,8 @@ and the translation of an almost-equivariant map into a groupoid witness.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,9 +85,15 @@ def pullback_radius(d: int) -> Rat:
 
 
 class SimplicialPoint:
-    """Finitely supported probability vector with exact rational weights."""
+    """Finitely supported probability vector with exact rational weights.
 
-    __slots__ = ("weights",)
+    A point is stored as positive integer numerators ``num`` over one
+    denominator ``den``, in lowest terms (the gcd of ``den`` and all
+    numerators is 1), so equal points have equal fields.  ``weights`` is
+    the same point as a dict of ``Fraction``s.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, weights: dict):
         w = {}
@@ -99,27 +107,69 @@ class SimplicialPoint:
                 total += t
         if total != 1:
             raise InvalidInput(f"weights sum to {total}, not 1")
-        self.weights = w
+        # over the lcm of reduced denominators the numerators are coprime
+        # to it, so the point is in lowest terms
+        den = math.lcm(*(t.denominator for t in w.values()))
+        self.num = {v: t.numerator * (den // t.denominator) for v, t in w.items()}
+        self.den = den
+
+    @classmethod
+    def from_numerators(cls, num: dict, den: int) -> "SimplicialPoint":
+        """The point with weight num[v]/den at v; zero numerators are dropped."""
+        try:
+            den = operator.index(den)
+            num = {v: operator.index(k) for v, k in num.items()}
+        except TypeError as exc:
+            raise InvalidInput(f"numerators and denominator must be integers: {exc}") from None
+        if den < 1:
+            raise InvalidInput(f"denominator {den} is not positive")
+        for v, k in num.items():
+            if k < 0:
+                raise InvalidInput(f"negative weight at vertex {v!r}")
+        total = sum(num.values())
+        if total != den:
+            raise InvalidInput(f"weights sum to {Fraction(total, den)}, not 1")
+        return cls._reduced({v: k for v, k in num.items() if k}, den)
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int) -> "SimplicialPoint":
+        """Positive numerators summing to ``den``, brought to lowest terms."""
+        g = math.gcd(den, *num.values())
+        mu = object.__new__(cls)
+        mu.num = num if g == 1 else {v: k // g for v, k in num.items()}
+        mu.den = den // g
+        return mu
 
     @classmethod
     def vertex(cls, v) -> "SimplicialPoint":
-        return cls({v: Fraction(1)})
+        return cls._reduced({v: 1}, 1)
+
+    @property
+    def weights(self) -> dict:
+        return {v: Fraction(k, self.den) for v, k in self.num.items()}
 
     def support(self) -> frozenset:
-        return frozenset(self.weights)
+        return frozenset(self.num)
+
+    def _mass_num(self, vertices) -> int:
+        return sum(k for v, k in self.num.items() if v in vertices)
 
     def mass_on(self, vertices) -> Rat:
-        return sum((t for v, t in self.weights.items() if v in vertices), Fraction(0))
+        return Fraction(self._mass_num(vertices), self.den)
 
     def push(self, vertex_map) -> "SimplicialPoint":
         out: dict = {}
-        for v, t in self.weights.items():
+        for v, k in self.num.items():
             u = vertex_map(v)
-            out[u] = out.get(u, Fraction(0)) + t
-        return SimplicialPoint(out)
+            out[u] = out.get(u, 0) + k
+        return SimplicialPoint._reduced(out, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialPoint) and self.weights == other.weights
+        return (
+            isinstance(other, SimplicialPoint)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
         return hash(frozenset(self.weights.items()))
@@ -133,11 +183,19 @@ class SimplicialPoint:
 
 
 def l1_distance(mu: SimplicialPoint, nu: SimplicialPoint) -> Rat:
-    """Exact l1 distance sum_v |mu(v) - nu(v)|."""
-    total = Fraction(0)
-    for v in mu.support() | nu.support():
-        total += abs(mu.weights.get(v, Fraction(0)) - nu.weights.get(v, Fraction(0)))
-    return total
+    """Exact l1 distance sum_v |mu(v) - nu(v)| = 2 (1 - sum_v min(mu(v), nu(v))).
+
+    Over the common denominator D the overlap is a sum of integer minima.
+    """
+    a, b = mu.num, nu.num
+    if mu.den == nu.den:
+        D = mu.den
+        overlap = sum(min(k, b[v]) for v, k in a.items() if v in b)
+    else:
+        D = math.lcm(mu.den, nu.den)
+        sa, sb = D // mu.den, D // nu.den
+        overlap = sum(min(k * sa, b[v] * sb) for v, k in a.items() if v in b)
+    return Fraction(2 * (D - overlap), D)
 
 
 class SimplicialComplex:
@@ -189,6 +247,23 @@ class SimplicialComplex:
         }
 
 
+def _skeleton_mass(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> int:
+    """Numerator of the largest mass mu puts on one face of dimension <= i;
+    mu lies in C."""
+    if len(mu.num) <= i + 1:
+        return mu.den  # the support is a face of dimension <= i
+    best = 0
+    for f in C.maximal_faces:
+        if len(f) <= i + 1:
+            mass = mu._mass_num(f)
+        else:
+            num = mu.num
+            mass = sum(sorted((num.get(v, 0) for v in f), reverse=True)[: i + 1])
+        if mass > best:
+            best = mass
+    return best
+
+
 def distance_to_skeleton(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> Rat:
     """Exact l1 distance from mu to the i-skeleton: 2*(1 - max face mass).
 
@@ -200,25 +275,29 @@ def distance_to_skeleton(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> R
         raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
     if i < 0:
         raise EmptySkeleton("the (-1)-skeleton is empty")
-    best = Fraction(0)
-    for f in C.maximal_faces:
-        if len(f) <= i + 1:
-            mass = mu.mass_on(f)
-        else:
-            top = sorted((mu.weights.get(v, Fraction(0)) for v in f), reverse=True)
-            mass = sum(top[: i + 1], Fraction(0))
-        if mass > best:
-            best = mass
-    return 2 * (1 - best)
+    return Fraction(2 * (mu.den - _skeleton_mass(mu, C, i)), mu.den)
 
 
 def distance_to_simplex(mu: SimplicialPoint, delta) -> Rat:
     """Exact l1 distance from mu to the closed simplex on vertex set delta."""
-    return 2 * (1 - mu.mass_on(frozenset(delta)))
+    return Fraction(2 * (mu.den - mu._mass_num(frozenset(delta))), mu.den)
 
 
 # ---------------------------------------------------------------------------
 # skeleton-neighborhood ("nice") cover
+#
+# With m the numerator over den of the mass on a face, the distance is
+# d = 2 (den - m) / den, and the radius tests are integer comparisons:
+#   d < (1/3) 10^-i  <=>  6 10^i (den - m) < den,
+#   d > (5/2) 10^-i  <=>  4 10^i (den - m) > 5 den.
+
+
+def _inside_inner(den: int, mass: int, i: int) -> bool:
+    return 6 * 10**i * (den - mass) < den
+
+
+def _outside_outer(den: int, mass: int, i: int) -> bool:
+    return 4 * 10**i * (den - mass) > 5 * den
 
 
 def nice_cover_membership(
@@ -234,19 +313,16 @@ def nice_cover_membership(
         raise NotInComplex("point is outside the complex")
     if len(delta) != i + 1 or not C.is_face(delta):
         raise InvalidInput(f"delta must be an {i}-simplex of the complex")
-    if distance_to_simplex(mu, delta) >= inner_radius(i):
+    if not _inside_inner(mu.den, mu._mass_num(delta), i):
         return False
-    if i == 0:
-        return True
-    return distance_to_skeleton(mu, C, i - 1) > outer_radius(i)
+    return i == 0 or _outside_outer(mu.den, _skeleton_mass(mu, C, i - 1), i)
 
 
 def _level_membership(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> bool:
-    if distance_to_skeleton(mu, C, i) >= inner_radius(i):
+    """mu in V_i; the caller has checked that mu lies in C."""
+    if not _inside_inner(mu.den, _skeleton_mass(mu, C, i), i):
         return False
-    if i == 0:
-        return True
-    return distance_to_skeleton(mu, C, i - 1) > outer_radius(i)
+    return i == 0 or _outside_outer(mu.den, _skeleton_mass(mu, C, i - 1), i)
 
 
 def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
@@ -258,7 +334,7 @@ def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
             pieces = [
                 delta
                 for delta in C.simplices_of_dim(i)
-                if distance_to_simplex(mu, delta) < inner_radius(i)
+                if _inside_inner(mu.den, mu._mass_num(delta), i)
             ]
             if len(pieces) != 1:
                 raise InvalidInput(
@@ -337,9 +413,8 @@ def perturb_to_finite_support(
         raise NoFiniteS(f"map is not (E, eps)-equivariant; worst margin {min(margins)}")
 
     def tail(x, vertex_set) -> Rat:
-        return sum(
-            (t for v, t in f[x].weights.items() if v not in vertex_set), Fraction(0)
-        )
+        mu = f[x]
+        return Fraction(mu.den - mu._mass_num(vertex_set), mu.den)
 
     if S is None:
         # smallest prefix of vertices (by max weight, then repr) with all
@@ -366,11 +441,12 @@ def perturb_to_finite_support(
     out: dict = {}
     worst_move = Fraction(0)
     for x, mu in f.items():
-        kept = {v: t for v, t in mu.weights.items() if v in S}
-        T = sum(kept.values(), Fraction(0))
-        out[x] = SimplicialPoint({v: t / T for v, t in kept.items()})
+        kept = {v: k for v, k in mu.num.items() if v in S}
+        T = sum(kept.values())
+        out[x] = SimplicialPoint._reduced(kept, T)
         move = l1_distance(mu, out[x])
-        assert move == 2 * (1 - T)
+        if move != Fraction(2 * (mu.den - T), mu.den):
+            raise NoFiniteS(f"renormalizing sample {x!r} moved it by {move}, not 2*(1 - T)")
         worst_move = max(worst_move, move)
     report = VerificationReport(
         True, "ok", "finite-support perturbation applied",
@@ -380,7 +456,8 @@ def perturb_to_finite_support(
             "support_size": len(S),
         },
     )
-    assert worst_move < delta
+    if worst_move >= delta:
+        raise NoFiniteS(f"perturbation {worst_move} is not below delta = {delta}")
     return out, report
 
 
@@ -575,10 +652,9 @@ def map_from_cover(
     for lvl in interiors:
         psi.append({p: sum(1 for m in range(1, n + 1) if p in lvl[m]) for p in pairs})
     totals = {p: sum(ps[p] for ps in psi) for p in pairs}
-    assert all(t >= n for t in totals.values())
-    phi = [
-        {p: Fraction(ps[p], totals[p]) for p in pairs} for ps in psi
-    ]
+    # every E^m-interior level covers, so each pair has n memberships or more
+    if any(t < n for t in totals.values()):
+        raise DepthInsufficient("a pair lies in fewer than n interiors")
 
     # nerve of the cover
     point_faces = {}
@@ -592,24 +668,24 @@ def map_from_cover(
     f = {}
     for x in cover.space:
         p = (x, group.unit)
-        weights = {
-            cover.sets[j]: phi[j][p] for j in range(len(cover.sets)) if phi[j][p] > 0
-        }
-        f[x] = SimplicialPoint(weights)
+        f[x] = SimplicialPoint.from_numerators(
+            {cover.sets[j]: psi[j][p] for j in range(len(cover.sets))}, totals[p]
+        )
         if not nerve.contains(f[x]):
             raise ConditionViolated("C", "nerve point escaped the nerve")
 
-    # defect: d(f(gx), g f(x)) = sum_U |phi_U(gx, e) - phi_U(gx, g)|
+    # defect: d(f(gx), g f(x)) = sum_U |phi_U(gx, e) - phi_U(gx, g)| with
+    # phi_U(p) = psi_U(p)/totals[p], summed over the denominator t1*t2
     dim = cover.multiplicity() - 1
     bound = Fraction((2 * dim + 2) * (4 * dim + 6), n)
     worst = Fraction(0)
     for g in sym_E:
         for x in cover.space:
             gx = cover.act_X(g, x)
-            total = Fraction(0)
-            for j in range(len(cover.sets)):
-                total += abs(phi[j][(gx, group.unit)] - phi[j][(gx, g)])
-            worst = max(worst, total)
+            p1, p2 = (gx, group.unit), (gx, g)
+            t1, t2 = totals[p1], totals[p2]
+            total = sum(abs(ps[p1] * t2 - ps[p2] * t1) for ps in psi)
+            worst = max(worst, Fraction(total, t1 * t2))
     report = VerificationReport(
         worst <= bound, "ok" if worst <= bound else "DefectExceeded",
         f"equivariance defect {worst} vs bound {bound}",
@@ -661,6 +737,9 @@ def dad_witness_from_blr(
     )
 
     space = tuple(f.keys())
+    for mu in f.values():
+        if not C.contains(mu):
+            raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
     colors = []
     for i in range(d + 1):
         colors.append(frozenset(x for x in space if _level_membership(f[x], C, i)))

@@ -10,7 +10,6 @@ detected on re-verification.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import certify
@@ -250,9 +249,7 @@ def _run_corpus_case(case: dict):
         for a in range(den + 1):
             for b in range(den + 1 - a):
                 c = den - a - b
-                mu = SimplicialPoint({
-                    v: Fraction(k, den) for v, k in (("a", a), ("b", b), ("c", c)) if k
-                })
+                mu = SimplicialPoint.from_numerators({"a": a, "b": b, "c": c}, den)
                 i, _ = nice_cover_assign(mu, C)
                 counts[str(i)] = counts.get(str(i), 0) + 1
         return {"denominator": den, "level_counts": counts}

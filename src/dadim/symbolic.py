@@ -120,7 +120,8 @@ class Odometer(SymbolicSystem):
                 raise InvalidInput(f"digit {d} out of range at position {i}")
             value += d * weight
             weight *= self.base_at(i)
-        assert value < q
+        if value >= q:
+            raise InvalidInput(f"cylinder value {value} is not below q_{depth} = {q}")
         return OdometerClopen(self, depth, frozenset({value}))
 
     def digits_of(self, depth: int, value: int) -> tuple[int, ...]:
@@ -451,7 +452,8 @@ class OdometerClopen(ClopenSet):
         """Residues mod q_depth; exact lift of the canonical form."""
         q_here = self.system.level_size(self.depth)
         q_new = self.system.level_size(depth)
-        assert q_new % q_here == 0
+        if q_new % q_here:
+            raise InvalidInput(f"depth {depth} does not refine depth {self.depth}")
         lifts = q_new // q_here
         return frozenset(v + j * q_here for v in self.values for j in range(lifts))
 
@@ -549,8 +551,12 @@ class SubshiftClopen(ClopenSet):
         if not self.words:
             return frozenset()
         off = self.left - new_left
-        assert off >= 0 and off + self.wlen <= new_len
         wl = self.wlen
+        if off < 0 or off + wl > new_len:
+            raise InvalidInput(
+                f"window [{new_left},{new_left + new_len}) does not contain "
+                f"[{self.left},{self.left + wl})"
+            )
         lang = self.system.language(new_len)
         return frozenset(w for w in lang if w[off : off + wl] in self.words)
 

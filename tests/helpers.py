@@ -1,7 +1,10 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
 from collections import deque
+from fractions import Fraction
 
+from dadim.errors import EmptySkeleton, InvalidInput, NotAnAction, NotInComplex
+from dadim.nerve import inner_radius, outer_radius
 from dadim.symbolic import ClopenSet, SymbolicSystem
 
 
@@ -102,3 +105,119 @@ def constraint_bfs(
                 return frozenset(elements), False
             queue.append(state)
     return frozenset(elements), True
+
+
+# ---------------------------------------------------------------------------
+# nerve: points as dicts of Fractions
+
+
+class FractionPoint:
+    """Finitely supported probability vector with ``Fraction`` weights; the
+    oracle of ``dadim.nerve.SimplicialPoint``."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: dict):
+        w = {}
+        total = Fraction(0)
+        for v, t in weights.items():
+            t = Fraction(t)
+            if t < 0:
+                raise InvalidInput(f"negative weight at vertex {v!r}")
+            if t > 0:
+                w[v] = t
+                total += t
+        if total != 1:
+            raise InvalidInput(f"weights sum to {total}, not 1")
+        self.weights = w
+
+    def support(self) -> frozenset:
+        return frozenset(self.weights)
+
+    def mass_on(self, vertices) -> Fraction:
+        return sum((t for v, t in self.weights.items() if v in vertices), Fraction(0))
+
+    def __eq__(self, other):
+        return isinstance(other, FractionPoint) and self.weights == other.weights
+
+    def __hash__(self):
+        return hash(frozenset(self.weights.items()))
+
+    def to_json(self) -> dict:
+        return {repr(v): str(t) for v, t in sorted(self.weights.items(), key=lambda kv: repr(kv[0]))}
+
+
+def l1_distance_oracle(mu: FractionPoint, nu: FractionPoint) -> Fraction:
+    total = Fraction(0)
+    for v in mu.support() | nu.support():
+        total += abs(mu.weights.get(v, Fraction(0)) - nu.weights.get(v, Fraction(0)))
+    return total
+
+
+def distance_to_skeleton_oracle(mu: FractionPoint, C, i: int) -> Fraction:
+    if not C.contains(mu):
+        raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
+    if i < 0:
+        raise EmptySkeleton("the (-1)-skeleton is empty")
+    best = Fraction(0)
+    for f in C.maximal_faces:
+        if len(f) <= i + 1:
+            mass = mu.mass_on(f)
+        else:
+            top = sorted((mu.weights.get(v, Fraction(0)) for v in f), reverse=True)
+            mass = sum(top[: i + 1], Fraction(0))
+        if mass > best:
+            best = mass
+    return 2 * (1 - best)
+
+
+def nice_cover_assign_oracle(mu: FractionPoint, C):
+    """Least level i with mu in V_i, and its unique i-simplex piece, by
+    comparing ``Fraction`` distances with the radii."""
+    if not C.contains(mu):
+        raise NotInComplex("point is outside the complex")
+    for i in range(C.dimension + 1):
+        if distance_to_skeleton_oracle(mu, C, i) >= inner_radius(i):
+            continue
+        if i > 0 and distance_to_skeleton_oracle(mu, C, i - 1) <= outer_radius(i):
+            continue
+        pieces = [
+            delta
+            for delta in C.simplices_of_dim(i)
+            if 2 * (1 - mu.mass_on(delta)) < inner_radius(i)
+        ]
+        if len(pieces) != 1:
+            raise InvalidInput(
+                f"level {i} piece is not unique ({len(pieces)} candidates); "
+                "separation violated"
+            )
+        return i, pieces[0]
+    raise InvalidInput("point escaped the cover; levels are inconsistent")
+
+
+# ---------------------------------------------------------------------------
+# group actions
+
+
+def verify_action_oracle(group, space, act):
+    """Exhaustive check that ``act`` is an action of ``group`` on ``space``,
+    one call of ``act`` per use, over every (g, h, x) in order."""
+    elems = set(group.elements)
+    points = set(space)
+    for g in group.elements:
+        if group.inv(g) not in elems:
+            raise NotAnAction(f"group inverse of {g!r} missing")
+        for x in space:
+            if act(g, x) not in points:
+                raise NotAnAction(f"action leaves the space at ({g!r}, {x!r})")
+    for x in space:
+        if act(group.unit, x) != x:
+            raise NotAnAction("identity does not act trivially")
+    for g in group.elements:
+        for h in group.elements:
+            gh = group.mult(g, h)
+            if gh not in elems:
+                raise NotAnAction("group multiplication escapes the element set")
+            for x in space:
+                if act(g, act(h, x)) != act(gh, x):
+                    raise NotAnAction(f"not an action at ({g!r}, {h!r}, {x!r})")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dadim.coarse import (
     AsdimWitness,
+    FiniteMetricSpace,
     Grid1dSpace,
     Grid2dSpace,
     GroupBallSpace,
@@ -216,6 +217,34 @@ def test_group_ball_word_metric():
         }
         words = {tuple(map(sum, zip(*w))) for w in product(letters, repeat=min(r, 6))}
         assert diffs == words
+
+
+@st.composite
+def word_balls(draw):
+    k = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-3, 3), st.sampled_from([10**9, -(2**40), 2**61]))
+    gens = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=3))
+    return GroupBallSpace(gens, draw(st.integers(0, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_word_ball_diameter_matches_pairwise_loop(data):
+    """The chunked numpy diameter of a word-metric ball subset equals the
+    pairwise ``dist`` loop's, also on sparse balls, on subsets with a point
+    outside the ball (both raise) and where codes would overflow int64."""
+    gb = data.draw(word_balls())
+    subset = data.draw(st.sets(st.sampled_from(gb.points)))
+    if data.draw(st.booleans()):
+        subset = subset | {tuple(3 * gb.radius + 1 for _ in gb.points[0])}
+
+    def outcome(diameter):
+        try:
+            return diameter(gb, subset)
+        except InvalidInput as exc:
+            return str(exc)
+
+    assert outcome(GroupBallSpace.subset_diameter) == outcome(FiniteMetricSpace.subset_diameter)
 
 
 def test_metric_axioms_catch_bad_table():

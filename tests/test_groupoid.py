@@ -27,7 +27,7 @@ from dadim.groupoid import (
 from dadim.pipeline import project_witness_to_quotient
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
-from helpers import z2_pair_groupoid_json
+from helpers import verify_action_oracle, z2_pair_groupoid_json
 
 
 def held(G, gen):
@@ -63,6 +63,59 @@ def test_not_an_action():
     for n, points in [(2, [0, 0]), (3, [5, 5, 5]), (3, [0, 1]), (2, [0, 1, 2])]:
         with pytest.raises(NotAnAction):
             transformation_groupoid(n, points)
+
+
+@st.composite
+def action_tables(draw):
+    """A cyclic group on the residues mod a divisor of its order, or a
+    dihedral group on the vertices of a polygon, as lookup tables, with at
+    most one entry of the action or the multiplication changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        d = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        elems = tuple(range(n))
+        mult = {(a, b): (a + b) % n for a in elems for b in elems}
+        inv = {a: (-a) % n for a in elems}
+        space = tuple(f"r{x}" for x in range(d))
+        act = {(g, x): f"r{(int(x[1:]) + g) % d}" for g in elems for x in space}
+        unit = 0
+    else:
+        n = draw(st.integers(2, 6))
+        elems = tuple((r, s) for s in (0, 1) for r in range(n))
+
+        def mul(a, b):
+            return ((a[0] + (-1) ** a[1] * b[0]) % n, a[1] ^ b[1])
+
+        mult = {(a, b): mul(a, b) for a in elems for b in elems}
+        inv = {a: next(b for b in elems if mul(a, b) == (0, 0)) for a in elems}
+        space = tuple(range(n))
+        act = {(g, x): (g[0] + (-1) ** g[1] * x) % n for g in elems for x in space}
+        unit = (0, 0)
+    target = draw(st.sampled_from(["none", "action", "mult"]))
+    if target == "action" and space:
+        key = draw(st.sampled_from(sorted(act, key=repr)))
+        act[key] = draw(st.sampled_from(space + ("outside",)))
+    elif target == "mult":
+        key = draw(st.sampled_from(sorted(mult, key=repr)))
+        mult[key] = draw(st.sampled_from(elems + ("outside",)))
+    group = FiniteGroup(elems, lambda a, b: mult[(a, b)], inv.__getitem__, unit)
+    return group, space, lambda g, x: act[(g, x)]
+
+
+def _action_outcome(check, group, space, act):
+    try:
+        check(group, space, act)
+    except NotAnAction as exc:
+        return str(exc)
+    return "ok"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=action_tables())
+def test_tabulated_action_check_matches_triple_loop(case):
+    """The table-and-gather action check accepts, rejects and names the
+    first violation exactly as the triple loop over (g, h, x) does."""
+    assert _action_outcome(_verify_action, *case) == _action_outcome(verify_action_oracle, *case)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,15 +1,21 @@
 """l1 simplices, the skeleton cover, and the map/cover conversions."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dadim import certify
+from dadim.cli import main
 from dadim.errors import (
+    DadimError,
     DepthInsufficient,
     EmptySkeleton,
     EquivarianceTooWeak,
+    InvalidInput,
     MissingSample,
     NoFiniteS,
     NotInComplex,
@@ -31,6 +37,12 @@ from dadim.nerve import (
     nice_cover_membership,
     outer_radius,
     perturb_to_finite_support,
+)
+from helpers import (
+    FractionPoint,
+    distance_to_skeleton_oracle,
+    l1_distance_oracle,
+    nice_cover_assign_oracle,
 )
 
 F = Fraction
@@ -354,3 +366,190 @@ def test_non_simplicial_action_rejected():
     with pytest.raises(InvalidInput):
         dad_witness_from_blr(f, [1], C, grp, lambda g, x: (x + g) % 3,
                              lambda g, v: (v + g) % 3)
+
+
+# ---------------------------------------------------------------------------
+# integer points against the Fraction-dict oracle
+
+VERTEX_POOL = (0, 1, 2, 3, "a", "b", "c", (0, 1), "d")
+
+
+@st.composite
+def complexes(draw):
+    """Complexes of dimension <= 3 over vertices of mixed types."""
+    faces = draw(st.lists(
+        st.sets(st.sampled_from(VERTEX_POOL), min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ))
+    extra = draw(st.sets(st.sampled_from(VERTEX_POOL), max_size=2))
+    return SimplicialComplex(set().union(*faces) | extra, faces)
+
+
+def _spread(draw, vertices, mass: Fraction) -> dict:
+    """``mass`` split over ``vertices`` with mixed denominators."""
+    parts = [F(draw(st.integers(1, 9)), draw(st.integers(1, 7))) for _ in vertices]
+    total = sum(parts)
+    return {v: mass * p / total for v, p in zip(vertices, parts)}
+
+
+@st.composite
+def weight_dicts(draw, C):
+    """Probability vectors on a face of C (sometimes on a non-face), some
+    at distance exactly inner_radius(i) or outer_radius(i) from a face."""
+    verts = sorted(C.vertices, key=repr)
+    kind = draw(st.sampled_from(["face", "radius", "anywhere"]))
+    if kind == "anywhere":
+        support = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True))
+        w = _spread(draw, support, F(1))
+    else:
+        face = sorted(draw(st.sampled_from(C.maximal_faces)), key=repr)
+        k = draw(st.integers(1, len(face)))
+        if kind == "face" or k == len(face):
+            w = _spread(draw, face[:k], F(1))
+        else:
+            i = draw(st.integers(0, 3))
+            r = draw(st.sampled_from([inner_radius(i), outer_radius(i)]))
+            t = min(r / 2, F(1, 2))  # distance 2t to the simplex on face[:k]
+            w = {**_spread(draw, face[:k], 1 - t), **_spread(draw, face[k:], t)}
+    if draw(st.booleans()):
+        w.setdefault(draw(st.sampled_from(verts)), F(0))  # zero weights are dropped
+    return w
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class and message of its error."""
+    try:
+        return ("ok", fn(*args))
+    except DadimError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _as_numerators(w: dict):
+    den = math.lcm(*(F(t).denominator for t in w.values()))
+    return {v: int(F(t) * den) for v, t in w.items()}, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_points_match_fraction_oracle(data):
+    C = data.draw(complexes())
+    w1 = data.draw(weight_dicts(C))
+    w2 = data.draw(weight_dicts(C))
+    mu, nu = SimplicialPoint(w1), SimplicialPoint(w2)
+    om, on = FractionPoint(w1), FractionPoint(w2)
+    assert mu.to_json() == om.to_json() and mu.weights == om.weights
+    assert hash(mu) == hash(om)
+    assert (mu == nu) == (om == on)
+    assert math.gcd(mu.den, *mu.num.values()) == 1
+    assert l1_distance(mu, nu) == l1_distance_oracle(om, on)
+    # the same point from numerators, also over a multiple of its denominator
+    num, den = _as_numerators(w1)
+    for scale in (1, 6):
+        again = SimplicialPoint.from_numerators({v: k * scale for v, k in num.items()}, den * scale)
+        assert again == mu and hash(again) == hash(mu) and again.to_json() == mu.to_json()
+    for i in range(-1, C.dimension + 2):
+        assert _outcome(distance_to_skeleton, mu, C, i) == _outcome(
+            distance_to_skeleton_oracle, om, C, i
+        )
+    assert _outcome(nice_cover_assign, mu, C) == _outcome(nice_cover_assign_oracle, om, C)
+    if C.contains(mu):
+        for i in range(C.dimension + 1):
+            for delta in C.simplices_of_dim(i):
+                want = 2 * (1 - om.mass_on(delta)) < inner_radius(i) and (
+                    i == 0 or distance_to_skeleton_oracle(om, C, i - 1) > outer_radius(i)
+                )
+                assert nice_cover_membership(mu, C, i, delta) == want
+                assert mu.mass_on(delta) == om.mass_on(delta)
+                assert distance_to_simplex(mu, delta) == 2 * (1 - om.mass_on(delta))
+    # pushing forward merges the weights of identified vertices
+    pushed = mu.push(lambda v: repr(v)[0])
+    merged: dict = {}
+    for v, t in om.weights.items():
+        merged[repr(v)[0]] = merged.get(repr(v)[0], F(0)) + t
+    assert pushed == SimplicialPoint(merged) and pushed.to_json() == FractionPoint(merged).to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.dictionaries(
+        st.sampled_from(VERTEX_POOL),
+        st.fractions(min_value=-1, max_value=2, max_denominator=12),
+        max_size=4,
+    ),
+)
+@example(weights={"a": F(1, 2), "b": F(-1, 2), "c": F(1)})
+@example(weights={})
+def test_point_rejections_match_fraction_oracle(weights):
+    """Both constructors accept and reject what the oracle does, with its
+    messages: a negative weight, or weights that do not sum to 1."""
+    want = _outcome(lambda: FractionPoint(weights).to_json())
+    assert _outcome(lambda: SimplicialPoint(weights).to_json()) == want
+    num, den = _as_numerators(weights) if weights else ({}, 1)
+    assert _outcome(lambda: SimplicialPoint.from_numerators(num, den).to_json()) == want
+
+
+def test_from_numerators_rejects_non_integers_and_bad_denominators():
+    with pytest.raises(InvalidInput):
+        SimplicialPoint.from_numerators({"a": F(1, 2), "b": F(1, 2)}, 1)
+    with pytest.raises(InvalidInput):
+        SimplicialPoint.from_numerators({"a": 0}, 0)
+    with pytest.raises(InvalidInput):
+        SimplicialPoint.from_numerators({"a": 1}, 1.0)
+    mu = SimplicialPoint.from_numerators({"a": 2, "b": 0, "c": 4}, 6)
+    assert (mu.num, mu.den) == ({"a": 1, "c": 2}, 3)
+
+
+def _oracle_nerve_certificate(C, den) -> dict:
+    """The certificate of ``dadim nerve`` computed on Fraction-dict points."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, parts - 1):
+                yield (head,) + rest
+
+    counts: dict = {}
+    by_piece: dict = {}
+    for face in C.maximal_faces:
+        verts = sorted(face, key=repr)
+        for combo in compositions(den, len(verts)):
+            mu = FractionPoint({v: F(k, den) for v, k in zip(verts, combo)})
+            i, delta = nice_cover_assign_oracle(mu, C)
+            counts[str(i)] = counts.get(str(i), 0) + 1
+            by_piece.setdefault((i, delta), []).append(mu)
+    seps: dict = {}
+    pieces = sorted(by_piece.items(), key=lambda kv: repr(kv[0]))
+    for a, ((i, _), pts) in enumerate(pieces):
+        for (j, _), pts2 in pieces[a + 1:]:
+            if j == i:
+                d = min(l1_distance_oracle(p, q) for p in pts for q in pts2)
+                seps[str(i)] = min(seps.get(str(i), d), d)
+    return {
+        "certified_on": "sample-grid",
+        "denominator": den,
+        "level_counts": counts,
+        "min_cross_piece_separation": {i: certify.rational_str(s) for i, s in seps.items()},
+        "samples": sum(counts.values()),
+        "separation_ok": all(s >= inner_radius(int(i)) for i, s in seps.items()),
+    }
+
+
+@pytest.mark.parametrize("den, cx", [
+    (40, None),
+    (60, None),
+    (12, {"vertices": [0, 1, 2, "a", "b"],
+          "maximal_faces": [[0, 1, 2], [2, "a"], ["a", "b", 0], [1, "b"]]}),
+])
+def test_nerve_certificate_matches_fraction_oracle(tmp_path, den, cx):
+    args = ["nerve", "--denominator", str(den), "-o", str(tmp_path / "nerve.json")]
+    C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
+    if cx is not None:
+        (tmp_path / "cx.json").write_text(json.dumps(cx))
+        args += ["--complex", str(tmp_path / "cx.json")]
+        C = SimplicialComplex(cx["vertices"], [set(f) for f in cx["maximal_faces"]])
+    assert main(args) == 0
+    cert = json.loads((tmp_path / "nerve.json").read_text())
+    cert.pop("created", None)
+    assert cert == _oracle_nerve_certificate(C, den)

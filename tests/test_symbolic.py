@@ -294,3 +294,19 @@ def test_canonical_subshift_matches_uncached_reference(name, length, left, data)
     for op in ("union", "intersect"):
         got = getattr(system.clopen(left, words), op)(other)
         assert (got.left, got.words) == _canonical_subshift_uncached(system, got.left, got.words)
+
+
+def test_lifts_outside_their_window_raise(dyadic, fib):
+    """Lifting an odometer clopen to a coarser depth, or a subshift clopen
+    to a window that does not contain its own, raises InvalidInput (these
+    were asserts, which python -O strips)."""
+    s = dyadic.cylinder([0, 1, 1])
+    assert s.values_at_depth(4) == frozenset({6, 14})
+    with pytest.raises(InvalidInput):
+        s.values_at_depth(1)
+    c = fib.cylinder("ab", left=2)
+    wider = c._extended(c.left - 1, c.wlen + 2)
+    assert wider == frozenset(w for w in fib.language(c.wlen + 2) if w[1:-1] in c.words)
+    for left, length in ((c.left + 1, c.wlen + 2), (c.left, c.wlen - 1)):
+        with pytest.raises(InvalidInput):
+            c._extended(left, length)
