@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupoidMismatch, InvalidInput, NotFree, SupportLeak
-from .groupoid import BlockArrows, _connected_components
+from .groupoid import BlockArrows
 
 __all__ = [
     "ConvElement",
@@ -86,9 +86,6 @@ class ConvElement:
 
     def support(self):
         return frozenset(self.coeffs)
-
-    def value(self, g):
-        return self.coeffs.get(g, (0, 0))
 
     def scale(self, z) -> "ConvElement":
         z = _cnum(z)
@@ -166,27 +163,25 @@ class RegularRep:
 
     def to_numpy(self) -> np.ndarray:
         n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = _to_complex(self.matrix[i][j])
-        return out
-
-
-def _source_fiber(G, x):
-    return tuple(sorted((g for g in G.arrows if G.source(g) == x), key=repr))
+        return np.array(
+            [[_to_complex(a) for a in row] for row in self.matrix], dtype=complex
+        ).reshape(n, n)
 
 
 def regular_representation(f: ConvElement, x) -> RegularRep:
+    """pi_x(f), read off the support of f: each h in supp f and each basis
+    arrow g_j with r(g_j) = s(h) put f(h) at (h g_j, g_j).  No entry is set
+    twice, since h = g_i g_j^-1 is fixed by the entry (i, j)."""
     G = f.G
-    basis = _source_fiber(G, x)
-    mat = []
-    for gi in basis:
-        row = []
-        for gj in basis:
-            arrow = G.compose(gi, G.inverse(gj))
-            row.append(f.value(arrow) if arrow is not None else (0, 0))
-        mat.append(row)
+    basis = tuple(sorted((g for g in G.arrows if G.source(g) == x), key=repr))
+    pos = {g: i for i, g in enumerate(basis)}
+    by_range: dict = {}
+    for j, g in enumerate(basis):
+        by_range.setdefault(G.range(g), []).append(j)
+    mat = [[(0, 0)] * len(basis) for _ in basis]
+    for h, c in f.coeffs.items():
+        for j in by_range.get(G.source(h), ()):
+            mat[pos[G.compose(h, basis[j])]][j] = c
     return RegularRep(x, basis, mat)
 
 
@@ -209,12 +204,10 @@ def reduced_norm(f: ConvElement) -> float:
     if not touched:
         return 0.0
     best = 0.0
-    edges = ((G.source(a), G.range(a)) for a in G.arrows)
-    for orbit in _connected_components(edges, G.units):
-        if not touched.intersection(orbit):
+    for orbit in G.orbits:
+        if touched.isdisjoint(orbit):
             continue
-        x = min(orbit, key=repr)
-        rep = regular_representation(f, x)
+        rep = regular_representation(f, min(orbit, key=repr))
         best = max(best, spectral_norm(rep.to_numpy()))
     return best
 
@@ -325,8 +318,7 @@ def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
     block is not inside one orbit).
     """
     if sub is None:
-        edges = ((G.source(a), G.range(a)) for a in G.arrows)
-        sub = BlockArrows(frozenset(frozenset(o) for o in _connected_components(edges, G.units)))
+        sub = BlockArrows(frozenset(G.orbits))
     classes = sorted((tuple(sorted(b, key=repr)) for b in sub.blocks), key=lambda m: repr(m[0]))
     where = {u: (k, i) for k, members in enumerate(classes) for i, u in enumerate(members)}
     arrow_pos: dict = {}

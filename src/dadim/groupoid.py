@@ -7,15 +7,18 @@ composition.  Three concrete flavors cover everything the artifact needs:
   axiom-checked exhaustively on construction (associativity over every
   composable triple);
 * ``TransformationGroupoid`` -- a ``FiniteGroup`` (the one group type)
-  acting on a finite space, arrows (g, x) with rule-based composition;
-  the Z/n rotation is built from its formula, any other action is
-  verified exhaustively;
+  acting on a finite space, arrows (g, x) composed by multiplying group
+  parts; it keeps only the action, the map (g, x) -> g.x read off a
+  |G| x |X| table of point indices, and every structure map reads it.
+  The Z/n rotation's table is (j + g) mod n; any other action is
+  verified exhaustively and its checked table kept;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
-A subgroupoid of a free groupoid has one form, ``BlockArrows``: an arrow
-is fixed by its source and range, so a subgroupoid is the pair groupoid
-over a partition of some units (one matrix algebra per block).
+Orbits are computed in one place, ``FiniteGroupoid.orbits``, once per
+groupoid.  A subgroupoid of a free groupoid has one form, ``BlockArrows``:
+an arrow is fixed by its source and range, so a subgroupoid is the pair
+groupoid over a partition of some units (one matrix algebra per block).
 Generation reads the blocks off the components of the seed graph, and
 consumers read sizes, arrows and group parts from them.  The worklist
 closure (a frozenset of arrows) runs only on groupoids with isotropy.
@@ -87,7 +90,6 @@ class FiniteGroupoid:
         self._compose = compose_table
         self._unit_arrow = unit_arrow
         self.unit_set = frozenset(self.units)
-        self.arrow_set = frozenset(self.arrows)
         self._free = None
         if check:
             self._check_axioms()
@@ -110,18 +112,6 @@ class FiniteGroupoid:
         return self._compose.get((g, h))
 
     # -- derived
-    def arrows_by_source(self) -> dict:
-        out: dict = {}
-        for g in self.arrows:
-            out.setdefault(self.source(g), []).append(g)
-        return out
-
-    def arrows_by_range(self) -> dict:
-        out: dict = {}
-        for g in self.arrows:
-            out.setdefault(self.range(g), []).append(g)
-        return out
-
     def isotropy_witness(self):
         """A non-unit arrow with equal source and range, or None."""
         for g in self.arrows:
@@ -138,9 +128,19 @@ class FiniteGroupoid:
             self._free = self.isotropy_witness() is None
         return self._free
 
+    @cached_property
+    def orbits(self) -> tuple[frozenset, ...]:
+        """The orbits of the units: the components of the graph with an
+        edge s(g) -- r(g) per arrow, in order of first appearance."""
+        edges = ((self.source(a), self.range(a)) for a in self.arrows)
+        return tuple(frozenset(c) for c in _connected_components(edges, self.units))
+
     def _check_axioms(self):
-        by_source = self.arrows_by_source()
-        by_range = self.arrows_by_range()
+        by_source: dict = {}
+        by_range: dict = {}
+        for g in self.arrows:
+            by_source.setdefault(self.source(g), []).append(g)
+            by_range.setdefault(self.range(g), []).append(g)
         # (g, h, k) is composable when r(h) = s(g) and r(k) = s(h)
         fan_in = {u: len(hs) for u, hs in by_range.items()}
         paths = {u: sum(fan_in.get(self.source(h), 0) for h in hs) for u, hs in by_range.items()}
@@ -170,12 +170,13 @@ class FiniteGroupoid:
         # composition defined exactly on composable pairs: every key is a
         # composable pair with a correctly placed value, and there are as
         # many keys as composable pairs
+        arrow_set = frozenset(self.arrows)
         for (g, h), gh in self._compose.items():
-            if g not in self.arrow_set or h not in self.arrow_set:
+            if g not in arrow_set or h not in arrow_set:
                 raise InvalidInput(f"table key {(g, h)!r} is not a pair of arrows")
             if self.source(g) != self.range(h):
                 raise InvalidInput(f"non-composable pair {(g, h)!r} present in table")
-            if gh not in self.arrow_set:
+            if gh not in arrow_set:
                 raise InvalidInput(f"composite of {(g, h)!r} is not an arrow")
             if self.source(gh) != self.source(h) or self.range(gh) != self.range(g):
                 raise InvalidInput(f"composition endpoints wrong at {(g, h)!r}")
@@ -220,49 +221,58 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 class TransformationGroupoid(FiniteGroupoid):
-    """Groupoid of a finite group action; arrows are (g, x) with source x
-    and range g.x, composed by multiplying group parts.
+    """Groupoid of a finite group action: arrows (g, x) run from x to g.x
+    and compose by multiplying group parts.
 
+    The groupoid keeps the group, the points and one action map (g, x) ->
+    g.x, built from ``table``, the |G| x |X| table of point indices of the
+    action.  The arrows are its keys, and every structure map reads it.
     The action is taken as given: build through ``transformation_groupoid``,
     which verifies caller-supplied actions.
     """
 
-    def __init__(self, group: FiniteGroup, space, act):
+    def __init__(self, group: FiniteGroup, space, table):
         self.group = group
-        self.space = tuple(space)
-        self.act = act
-        arrows = tuple((g, x) for g in group.elements for x in self.space)
-        range_ = {a: act(*a) for a in arrows}
-        super().__init__(
-            self.space, arrows,
-            source={a: a[1] for a in arrows},
-            range_=range_,
-            inverse={a: (group.inv(a[0]), range_[a]) for a in arrows},
-            compose_table={},
-            unit_arrow={u: (group.unit, u) for u in self.space},
-            check=False,
-        )
+        self.space = self.units = tuple(space)
+        self.unit_set = frozenset(self.units)
+        arrows = ((g, x) for g in group.elements for x in self.space)
+        self._action = dict(zip(arrows, map(self.space.__getitem__, np.ravel(table).tolist())))
+        self.arrows = tuple(self._action)
+        self._free = None
+
+    def act(self, g, x):
+        return self._action[(g, x)]
+
+    source = staticmethod(itemgetter(1))
+
+    def range(self, a):
+        return self._action[a]
+
+    def inverse(self, a):
+        return (self.group.inv(a[0]), self._action[a])
+
+    def unit_arrow(self, u):
+        return (self.group.unit, u)
 
     def compose(self, g, h):
         """gh for arrows g, h of this groupoid if s(g) = r(h), else None."""
-        if self.source(g) != self.range(h):
+        if g[1] != self._action[h]:
             return None
         return (self.group.mult(g[0], h[0]), h[1])
 
     def isotropy_witness(self):
-        for a in self.arrows:
-            if a[0] != self.group.unit and self.range(a) == a[1]:
-                return a
-        return None
+        unit = self.group.unit
+        return next((a for a, y in self._action.items() if y == a[1] and a[0] != unit), None)
 
 
-def _verify_action(group: FiniteGroup, space, act):
-    """Exhaustive check that ``act`` is an action of ``group`` on ``space``.
+def _verify_action(group: FiniteGroup, space, act) -> np.ndarray:
+    """Exhaustive check that ``act`` is an action of ``group`` on ``space``;
+    returns its |G| x |X| table of point indices.
 
-    ``act`` is called once per (g, x); its values go into a |G| x |X| table
-    of point indices, and g.(h.x) = (gh).x is checked on every triple as
-    the gather ``table[g][table[h]] == table[gh]``.  The first violation
-    reported is the first in (g, h, x) order.
+    ``act`` is called once per (g, x); its values go into the table, and
+    g.(h.x) = (gh).x is checked on every triple as the gather
+    ``table[g][table[h]] == table[gh]``.  The first violation reported is
+    the first in (g, h, x) order.
     """
     elems = group.elements
     eidx = {g: a for a, g in enumerate(elems)}
@@ -289,30 +299,33 @@ def _verify_action(group: FiniteGroup, space, act):
                 raise NotAnAction("group multiplication escapes the element set")
             j = int(np.argmax(table[a][table[b]] != table[prod[b]]))
             raise NotAnAction(f"not an action at ({g!r}, {elems[b]!r}, {pts[j]!r})")
+    return table
 
 
 def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
     """Build a transformation groupoid.
 
     ``group`` is either a positive integer n, for Z/n rotating the n
-    distinct points of ``space`` in their given order (g.x_i = x_{i+g mod
+    distinct points of ``space`` in their given order (g.x_j = x_{j+g mod
     n}, free by construction, so only the points are checked), or a
     ``FiniteGroup`` with its action ``act(g, x)``, which is verified
     exhaustively.
     """
+    space = tuple(space)
     if isinstance(group, int):
         n = group
-        pts = tuple(space)
-        idx = {x: i for i, x in enumerate(pts)}
-        if len(pts) != n or len(idx) != n:
+        if n < 1:
+            raise InvalidInput(f"Z/n needs a positive order n, not {n}")
+        if len(space) != n or len(set(space)) != n:
             raise NotAnAction(
-                f"Z/{n} rotates {n} distinct points; got {len(pts)} points, {len(idx)} distinct"
+                f"Z/{n} rotates {n} distinct points; got {len(space)} points, "
+                f"{len(set(space))} distinct"
             )
-        return TransformationGroupoid(cyclic_group(n), pts, lambda g, x: pts[(idx[x] + g) % n])
+        j = np.arange(n)
+        return TransformationGroupoid(cyclic_group(n), space, (j + j[:, None]) % n)
     if act is None:
         raise InvalidInput("a FiniteGroup needs its action act(g, x)")
-    _verify_action(group, space, act)
-    return TransformationGroupoid(group, space, act)
+    return TransformationGroupoid(group, space, _verify_action(group, space, act))
 
 
 def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:
@@ -322,41 +335,23 @@ def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:
 
 def pair_groupoid(points) -> FiniteGroupoid:
     """Full pair groupoid: arrows (x, y) from y to x."""
-    pts = tuple(points)
-    arrows = tuple((x, y) for x in pts for y in pts)
-    source = {a: a[1] for a in arrows}
-    range_ = {a: a[0] for a in arrows}
-    inverse = {a: (a[1], a[0]) for a in arrows}
-    compose = {}
-    for x, y in arrows:
-        for z in pts:
-            compose[((x, y), (y, z))] = (x, z)
-    unit_arrow = {u: (u, u) for u in pts}
-    return FiniteGroupoid(
-        pts, arrows, source, range_, inverse, compose, unit_arrow,
-        check=len(arrows) <= 400,
-    )
+    return block_union_pair_groupoid([tuple(points)])
 
 
 def block_union_pair_groupoid(blocks) -> FiniteGroupoid:
     """Disjoint union of full pair groupoids over the given blocks."""
+    blocks = [tuple(b) for b in blocks]
     units = tuple(u for b in blocks for u in b)
-    arrows = []
-    compose = {}
-    for b in blocks:
-        for x in b:
-            for y in b:
-                arrows.append((x, y))
-        for x in b:
-            for y in b:
-                for z in b:
-                    compose[((x, y), (y, z))] = (x, z)
-    source = {a: a[1] for a in arrows}
-    range_ = {a: a[0] for a in arrows}
-    inverse = {a: (a[1], a[0]) for a in arrows}
-    unit_arrow = {u: (u, u) for u in units}
+    arrows = tuple((x, y) for b in blocks for x in b for y in b)
     return FiniteGroupoid(
-        units, tuple(arrows), source, range_, inverse, compose, unit_arrow,
+        units, arrows,
+        source={a: a[1] for a in arrows},
+        range_={a: a[0] for a in arrows},
+        inverse={a: (a[1], a[0]) for a in arrows},
+        compose_table={
+            ((x, y), (y, z)): (x, z) for b in blocks for x in b for y in b for z in b
+        },
+        unit_arrow={u: (u, u) for u in units},
         check=len(arrows) <= 400,
     )
 

@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ConditionViolated,
@@ -222,20 +223,23 @@ class SimplicialComplex:
         s = frozenset(subset)
         return bool(s) and any(s <= f for f in self.maximal_faces)
 
-    def faces_of_dim_at_most(self, i: int):
-        seen = set()
+    @cached_property
+    def faces(self) -> tuple[frozenset, ...]:
+        """Every face once, in order of first appearance: by maximal face,
+        then by size, then in ``itertools.combinations`` order over the
+        face's vertices sorted by repr."""
+        out: dict = {}
         for f in self.maximal_faces:
-            for k in range(1, min(len(f), i + 1) + 1):
+            for k in range(1, len(f) + 1):
                 for sub in itertools.combinations(sorted(f, key=repr), k):
-                    fs = frozenset(sub)
-                    if fs not in seen:
-                        seen.add(fs)
-                        yield fs
+                    out.setdefault(frozenset(sub))
+        return tuple(out)
 
-    def simplices_of_dim(self, i: int):
-        for f in self.faces_of_dim_at_most(i):
-            if len(f) == i + 1:
-                yield f
+    def faces_of_dim_at_most(self, i: int) -> list[frozenset]:
+        return [f for f in self.faces if len(f) <= i + 1]
+
+    def simplices_of_dim(self, i: int) -> list[frozenset]:
+        return [f for f in self.faces if len(f) == i + 1]
 
     def contains(self, mu: SimplicialPoint) -> bool:
         return self.is_face(mu.support())

@@ -400,8 +400,6 @@ def pou_from_group_action(
     """
     from .exactmath import least_pou_depth
 
-    if order < 1:
-        raise InvalidInput(f"the group order must be positive, not {order}")
     G = transformation_groupoid(order, space)
     K = frozenset((e % order, x) for e in E for x in G.space)
     K = symmetrize_arrows(G, K)

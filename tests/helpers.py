@@ -4,6 +4,7 @@ from collections import deque
 from fractions import Fraction
 
 from dadim.errors import EmptySkeleton, InvalidInput, NotAnAction, NotInComplex
+from dadim.groupoid import FiniteGroupoid
 from dadim.nerve import inner_radius, outer_radius
 from dadim.symbolic import ClopenSet, SymbolicSystem
 
@@ -221,3 +222,40 @@ def verify_action_oracle(group, space, act):
             for x in space:
                 if act(g, act(h, x)) != act(gh, x):
                     raise NotAnAction(f"not an action at ({g!r}, {h!r}, {x!r})")
+
+
+def action_groupoid_oracle(group, space, act) -> FiniteGroupoid:
+    """The transformation groupoid of an action as an explicit groupoid:
+    a dict entry per arrow for each structure map, the full composition
+    table (g, h.x)(h, x) = (gh, x), and the exhaustive axiom check."""
+    space = tuple(space)
+    arrows = tuple((g, x) for g in group.elements for x in space)
+    range_ = {a: act(*a) for a in arrows}
+    return FiniteGroupoid(
+        space, arrows,
+        source={a: a[1] for a in arrows},
+        range_=range_,
+        inverse={a: (group.inv(a[0]), range_[a]) for a in arrows},
+        compose_table={
+            ((g, y), (h, x)): (group.mult(g, h), x)
+            for (h, x), y in range_.items() for g in group.elements
+        },
+        unit_arrow={u: (group.unit, u) for u in space},
+        check=True,
+    )
+
+
+def regular_representation_oracle(f, x) -> tuple:
+    """(basis, matrix) of pi_x(f) by its definition: the source fiber of x
+    sorted by repr, and matrix[i][j] = f(g_i g_j^-1) from one ``compose``
+    per entry."""
+    G = f.G
+    basis = tuple(sorted((g for g in G.arrows if G.source(g) == x), key=repr))
+    matrix = []
+    for gi in basis:
+        row = []
+        for gj in basis:
+            arrow = G.compose(gi, G.inverse(gj))
+            row.append(f.coeffs.get(arrow, (0, 0)) if arrow is not None else (0, 0))
+        matrix.append(row)
+    return basis, matrix

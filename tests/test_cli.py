@@ -416,6 +416,9 @@ def malformed_command(workdir, case):
     if case == "groupoid_units":
         bad = write("bad.json", {"arrows": [], "compose": [], "inverse": {}})
         return ["norm", "--groupoid", bad, "--element", element]
+    if case.startswith("groupoid_cyclic_order"):
+        bad = write("bad.json", {"action": {"cyclic": int(case.rsplit("_", 1)[1])}})
+        return ["norm", "--groupoid", bad, "--element", write("e0.json", {"coeffs": []})]
     if case == "nerve_complex":
         return ["nerve", "--complex", write("bad.json", {}), "--denominator", 4]
     blr = blr_files(workdir)
@@ -443,7 +446,8 @@ def malformed_command(workdir, case):
 
 
 @pytest.mark.parametrize("case", [
-    "element_empty", "element_coefficient", "groupoid_units", "nerve_complex",
+    "element_empty", "element_coefficient", "groupoid_units", "groupoid_cyclic_order_0",
+    "groupoid_cyclic_order_-3", "nerve_complex",
     "blr_complex", "blr_map", "blr_action", "blr_order", "grid_dims", "space_dims",
     "space_group_ball", "witness_asdim-verify", "witness_bridge", "blr_epsilon",
     "pou_colors", "pou_order", "pou_epsilon_text", "pou_epsilon_zero", "pou_verify_epsilon",

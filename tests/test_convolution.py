@@ -24,14 +24,21 @@ from dadim.convolution import (
 from dadim.errors import GroupoidMismatch, NotFree, SupportLeak
 from dadim.groupoid import (
     BlockArrows,
+    FiniteGroup,
     block_union_pair_groupoid,
     cyclic_group,
     cyclic_rotation_groupoid,
+    groupoid_from_json,
     pair_groupoid,
     transformation_groupoid,
 )
 from dadim.pou import pou_from_group_action
-from helpers import matrix_unit_defects
+from helpers import (
+    action_groupoid_oracle,
+    matrix_unit_defects,
+    regular_representation_oracle,
+    z2_pair_groupoid_json,
+)
 
 F = Fraction
 
@@ -110,24 +117,99 @@ def test_star_algebra_axioms_exact(data):
 
 
 def test_regular_representation_multiplicative_exact():
-    G = cyclic_rotation_groupoid(6)
-    f1 = frac_elem(G, {(1, 0): (F(1, 2), F(1, 3)), (2, 3): (F(2, 7), 0), (0, 1): (1, 0)})
-    f2 = frac_elem(G, {(5, 2): (F(1, 5), F(-1, 2)), (1, 1): (F(3, 4), 0)})
-    x = 0
-    lhs = regular_representation(convolve(f1, f2), x).matrix
-    A = regular_representation(f1, x).matrix
-    B = regular_representation(f2, x).matrix
-    lhs_norm = [[(F(a), F(b)) for a, b in row] for row in lhs]
-    assert lhs_norm == exact_matmul(
-        [[(F(a), F(b)) for a, b in row] for row in A],
-        [[(F(a), F(b)) for a, b in row] for row in B],
-    )
-    # *-compatibility: the matrix of f* is the conjugate transpose
-    Astar = regular_representation(adjoint(f1), x).matrix
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            assert Astar[i][j] == (A[j][i][0], -A[j][i][1])
+    """pi_x is a *-homomorphism, exactly, on the free Z/6 rotation and on
+    Z/2 x the pair groupoid on 3 units, which has isotropy at every unit
+    (arrow (g, x, y) is 9g + 3x + y)."""
+    C6 = cyclic_rotation_groupoid(6)
+    Z2P = groupoid_from_json(z2_pair_groupoid_json(3))
+    cases = [
+        (frac_elem(C6, {(1, 0): (F(1, 2), F(1, 3)), (2, 3): (F(2, 7), 0), (0, 1): (1, 0)}),
+         frac_elem(C6, {(5, 2): (F(1, 5), F(-1, 2)), (1, 1): (F(3, 4), 0)})),
+        (frac_elem(Z2P, {1: (F(1, 2), F(1, 3)), 12: (F(2, 7), 0), 0: (1, 0), 17: (-1, F(1, 5))}),
+         frac_elem(Z2P, {9: (F(1, 5), F(-1, 2)), 5: (F(3, 4), 0), 10: (0, 1)})),
+    ]
+    for f1, f2 in cases:
+        x = 0
+        lhs = regular_representation(convolve(f1, f2), x).matrix
+        A = regular_representation(f1, x).matrix
+        B = regular_representation(f2, x).matrix
+        lhs_norm = [[(F(a), F(b)) for a, b in row] for row in lhs]
+        assert lhs_norm == exact_matmul(
+            [[(F(a), F(b)) for a, b in row] for row in A],
+            [[(F(a), F(b)) for a, b in row] for row in B],
+        )
+        # *-compatibility: the matrix of f* is the conjugate transpose
+        Astar = regular_representation(adjoint(f1), x).matrix
+        n = len(A)
+        for i in range(n):
+            for j in range(n):
+                assert Astar[i][j] == (A[j][i][0], -A[j][i][1])
+
+
+@st.composite
+def actions(draw):
+    """Arguments for ``transformation_groupoid`` and the action they
+    define, as (group, space, act): the Z/n rotation from its formula, Z/n
+    on the residues mod a divisor of n (isotropy below n), Z/4 through Z/2,
+    or a dihedral group on the vertices of a polygon."""
+    kind = draw(st.sampled_from(["rotation", "cyclic", "z4_via_z2", "dihedral"]))
+    if kind == "rotation":
+        n = draw(st.integers(1, 8))
+        pts = tuple(f"p{n - 1 - i}" for i in range(n))
+        return (n, pts), (cyclic_group(n), pts, lambda g, x: pts[(pts.index(x) + g) % n])
+    if kind == "cyclic":
+        n = draw(st.integers(1, 8))
+        d = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        action = (cyclic_group(n), tuple(range(d)), lambda g, x: (x + g) % d)
+    elif kind == "z4_via_z2":
+        action = (cyclic_group(4), (0, 1), lambda g, x: (x + g) % 2)
+    else:
+        n = draw(st.integers(2, 6))
+
+        def mul(a, b):
+            return ((a[0] + (-1) ** a[1] * b[0]) % n, a[1] ^ b[1])
+
+        group = FiniteGroup(
+            tuple((r, s) for s in (0, 1) for r in range(n)), mul,
+            lambda a: (a[0] if a[1] else -a[0] % n, a[1]), (0, 0),
+        )
+        action = (group, tuple(range(n)), lambda g, x: (g[0] + (-1) ** g[1] * x) % n)
+    return action, action
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=actions(), data=st.data())
+def test_action_groupoid_matches_explicit_oracle(case, data):
+    """The transformation groupoid read off its one action map against the
+    explicit groupoid with per-arrow tables, and the support-built regular
+    representation against the one-compose-per-entry loop: structure maps,
+    freeness, orbits, pi_x(f) exactly and the reduced norm."""
+    args, (group, space, act) = case
+    G = transformation_groupoid(*args)
+    O = action_groupoid_oracle(group, space, act)
+    assert G.units == O.units and G.arrows == O.arrows
+    for a in O.arrows:
+        assert G.act(*a) == O.range(a)
+        assert (G.source(a), G.range(a), G.inverse(a)) == (O.source(a), O.range(a), O.inverse(a))
+        assert all(G.compose(a, b) == O.compose(a, b) for b in O.arrows)
+    assert all(G.unit_arrow(u) == O.unit_arrow(u) for u in O.units)
+    assert G.is_free() == O.is_free() and G.isotropy_witness() == O.isotropy_witness()
+    assert set(G.orbits) == {frozenset(act(g, x) for g in group.elements) for x in space}
+    assert G.orbits == O.orbits
+
+    fraction = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    support = data.draw(st.lists(st.sampled_from(O.arrows), max_size=6, unique=True))
+    coeffs = {a: (data.draw(fraction), data.draw(fraction)) for a in support}
+    fG, fO = frac_elem(G, coeffs), frac_elem(O, coeffs)
+    norms = [0.0]
+    for x in space:
+        rep = regular_representation(fG, x)
+        basis, matrix = regular_representation_oracle(fO, x)
+        assert rep.basis == basis and rep.matrix == matrix
+        norms.append(spectral_norm(np.array(
+            [[complex(float(re), float(im)) for re, im in row] for row in matrix], dtype=complex,
+        ).reshape(len(basis), len(basis))))
+    assert abs(reduced_norm(fG) - max(norms)) <= 1e-12 * max(1.0, max(norms))
 
 
 def test_reduced_norm_examples():

@@ -404,6 +404,11 @@ def test_groupoid_file_roundtrip():
     assert len(G.arrows) == 2
     assert not G.is_free()  # the involution is isotropy
     assert len(groupoid_from_json({"action": {"cyclic": 3}}).arrows) == 9
+    for n in (0, -3):
+        with pytest.raises(InvalidInput, match="positive order"):
+            groupoid_from_json({"action": {"cyclic": n}})
+        with pytest.raises(InvalidInput, match="positive order"):
+            transformation_groupoid(n, [])
 
     broken = dict(data)
     broken["compose"] = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
