@@ -320,8 +320,12 @@ def _element_from_json(G, data) -> ConvElement:
         }
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed element: {exc!r}") from None
-    if not frozenset(coeffs) <= frozenset(G.arrows):
-        raise InvalidInput("element references unknown arrows")
+    for key in coeffs:
+        # an arrow is what the structure maps accept
+        try:
+            G.source(key), G.range(key)
+        except (KeyError, TypeError, ValueError, IndexError):
+            raise InvalidInput(f"element references unknown arrow {key!r}") from None
     return ConvElement(G, coeffs)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -155,34 +156,31 @@ def adjoint(f: ConvElement) -> ConvElement:
 
 @dataclass
 class RegularRep:
-    """pi_x(f) on the source fiber of x: matrix[i][j] = f(g_i g_j^-1)."""
+    """pi_x(f) on the source fiber of x: entry (i, j) is f(g_i g_j^-1),
+    kept as ``index``, positions into ``values`` (the coefficients of f)
+    with -1 for a zero entry."""
 
     x: object
     basis: tuple
-    matrix: list  # rows of (re, im) pairs; exact when f is
+    values: tuple
+    index: np.ndarray
+
+    @property
+    def matrix(self) -> list:
+        """Rows of (re, im) pairs; exact when f is."""
+        return [[self.values[k] if k >= 0 else (0, 0) for k in row] for row in self.index.tolist()]
 
     def to_numpy(self) -> np.ndarray:
-        n = len(self.basis)
-        return np.array(
-            [[_to_complex(a) for a in row] for row in self.matrix], dtype=complex
-        ).reshape(n, n)
+        """Each coefficient converted to a complex once, then gathered."""
+        return np.array([_to_complex(c) for c in self.values] + [0j])[self.index]
 
 
 def regular_representation(f: ConvElement, x) -> RegularRep:
-    """pi_x(f), read off the support of f: each h in supp f and each basis
-    arrow g_j with r(g_j) = s(h) put f(h) at (h g_j, g_j).  No entry is set
-    twice, since h = g_i g_j^-1 is fixed by the entry (i, j)."""
+    """pi_x(f) on the fiber of x sorted by repr; the groupoid places the
+    support of f in the matrix (``regular_positions``)."""
     G = f.G
-    basis = tuple(sorted((g for g in G.arrows if G.source(g) == x), key=repr))
-    pos = {g: i for i, g in enumerate(basis)}
-    by_range: dict = {}
-    for j, g in enumerate(basis):
-        by_range.setdefault(G.range(g), []).append(j)
-    mat = [[(0, 0)] * len(basis) for _ in basis]
-    for h, c in f.coeffs.items():
-        for j in by_range.get(G.source(h), ()):
-            mat[pos[G.compose(h, basis[j])]][j] = c
-    return RegularRep(x, basis, mat)
+    basis = tuple(sorted(G.fiber(x), key=repr))
+    return RegularRep(x, basis, tuple(f.coeffs.values()), G.regular_positions(basis, tuple(f.coeffs)))
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -286,22 +284,39 @@ def commutator_report(f: ConvElement, phi) -> dict:
 
 @dataclass
 class BlockDecomposition:
-    """Blocks of a subgroupoid of a free groupoid with matrix-unit coordinates."""
+    """Blocks of a subgroupoid of a free groupoid with matrix-unit
+    coordinates: the arrow from s to r is e_{r, s} in the block of both."""
 
     G: object
     classes: list  # list of (base unit, tuple of units)
-    arrow_pos: dict  # arrow -> (class index, row, col)
 
     def sizes(self) -> list[int]:
         return [len(units) for _, units in self.classes]
 
+    @cached_property
+    def where(self) -> dict:
+        """unit -> (class index, position in its class)."""
+        return {u: (k, i) for k, (_, units) in enumerate(self.classes) for i, u in enumerate(units)}
+
+    @cached_property
+    def arrow_pos(self) -> dict:
+        """arrow -> (class index, row, col), each block's arrows read off
+        ``G.block_arrows``; built on first use, |b|^2 entries per block."""
+        return {
+            g: (k, i, j)
+            for k, (_, units) in enumerate(self.classes)
+            for i, row in enumerate(self.G.block_arrows(units))
+            for j, g in enumerate(row)
+        }
+
     def block_matrices(self, f: ConvElement) -> list[np.ndarray]:
         mats = [np.zeros((m, m), dtype=complex) for m in self.sizes()]
         for g, c in f.coeffs.items():
-            if g not in self.arrow_pos:
+            s = self.where.get(self.G.source(g))
+            r = self.where.get(self.G.range(g))
+            if s is None or r is None or s[0] != r[0]:
                 raise SupportLeak(f"element supported outside the decomposed groupoid at {g!r}")
-            k, i, j = self.arrow_pos[g]
-            mats[k][i, j] += _to_complex(c)
+            mats[s[0]][r[1], s[1]] += _to_complex(c)
         return mats
 
     def max_block_norm(self, f: ConvElement) -> float:
@@ -312,30 +327,29 @@ def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
     """Split a subgroupoid of a free finite groupoid into full matrix
     blocks, one per block of ``sub`` (default: the orbits of G).
 
-    Within a block, the arrow from s to r coordinatizes as the matrix unit
-    e_{r, s}.  Raises NotFree on isotropy of G at the units of ``sub``, and
-    when the arrows of G do not give each matrix unit exactly once (then a
-    block is not inside one orbit).
+    Raises NotFree on isotropy of G at the units of ``sub``, and when a
+    block is not a full matrix algebra of arrows of G: it leaves an orbit
+    of G, or shares a unit with another block.
     """
     if sub is None:
         sub = BlockArrows(frozenset(G.orbits))
     classes = sorted((tuple(sorted(b, key=repr)) for b in sub.blocks), key=lambda m: repr(m[0]))
-    where = {u: (k, i) for k, members in enumerate(classes) for i, u in enumerate(members)}
-    arrow_pos: dict = {}
-    for g in G.arrows:
-        s = where.get(G.source(g))
-        r = where.get(G.range(g))
-        if s is None or r is None or s[0] != r[0]:
-            continue
-        if s == r and g != G.unit_arrow(G.source(g)):
-            raise NotFree(f"isotropy arrow {g!r} at unit {G.source(g)!r}")
-        arrow_pos[g] = (s[0], r[1], s[1])
-    # with no isotropy at these units G has at most one arrow between two of
-    # them, so the blocks are subgroupoids of G exactly when the coordinates
-    # are distinct and fill every block
-    if len(set(arrow_pos.values())) != len(arrow_pos) or len(arrow_pos) != len(sub):
+    units = [u for members in classes for u in members]
+    iso = G.isotropy_witness(frozenset(units))
+    if iso is not None:
+        raise NotFree(f"isotropy arrow {iso!r} at unit {G.source(iso)!r}")
+    # with no isotropy at these units G has exactly one arrow between two
+    # of them in one orbit and none across orbits, so each block gives
+    # every matrix unit exactly once when it lies in one orbit and no
+    # other block holds its units
+    orbit_of = {u: k for k, orbit in enumerate(G.orbits) for u in orbit}
+    inside = all(
+        members[0] in orbit_of and len({orbit_of.get(u) for u in members}) == 1
+        for members in classes
+    )
+    if len(set(units)) != len(units) or not inside:
         raise NotFree("a block is not inside one orbit: its matrix units are not all arrows")
-    return BlockDecomposition(G, [(m[0], m) for m in classes], arrow_pos)
+    return BlockDecomposition(G, [(m[0], m) for m in classes])
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,10 @@ class DefectExceeded(DadimError):
     exit_code = 36
 
 
+class StepValueOutOfRange(DadimError):
+    exit_code = 37
+
+
 ALL_ERRORS = [
     InvalidInput, DepthExceeded, NotMinimal, EmptySet, BoundExceeded,
     BlowupExceeded, CoverGap, NotAnAction, SizeExceeded, NotClosed,
@@ -175,5 +179,5 @@ ALL_ERRORS = [
     PropagationEscapesColor, TowerInvalid, GroupoidMismatch, SupportLeak,
     NotFree, VerificationFailed, HashMismatch, CorpusMismatch, FiniteSetMismatch,
     SupportViolation, NormalizationDefect, StepBoundViolation, OscillationExceeded,
-    DefectExceeded,
+    DefectExceeded, StepValueOutOfRange,
 ]

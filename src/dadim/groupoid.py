@@ -8,17 +8,21 @@ composition.  Three concrete flavors cover everything the artifact needs:
   composable triple);
 * ``TransformationGroupoid`` -- a ``FiniteGroup`` (the one group type)
   acting on a finite space, arrows (g, x) composed by multiplying group
-  parts; it keeps only the action, the map (g, x) -> g.x read off a
-  |G| x |X| table of point indices, and every structure map reads it.
-  The Z/n rotation's table is (j + g) mod n; any other action is
-  verified exhaustively and its checked table kept;
+  parts; it keeps the |G| x |X| table of point indices of the action and
+  the |G| x |G| table of the group law, and answers from them: structure
+  maps, isotropy, orbits (the table's columns), fibers, ``between`` (the
+  g taking x to y) and the blocks and group parts read through it, and
+  the regular representation's entries.  Its arrow tuple is built only
+  when asked for.  The Z/n rotation's tables are (j + g) mod n; any
+  other action is verified exhaustively and its checked tables kept;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
-Orbits are computed in one place, ``FiniteGroupoid.orbits``, once per
-groupoid.  A subgroupoid of a free groupoid has one form, ``BlockArrows``:
-an arrow is fixed by its source and range, so a subgroupoid is the pair
-groupoid over a partition of some units (one matrix algebra per block).
+Orbits are computed once per groupoid: by union-find over the arrows of
+an explicit groupoid, off the table of a transformation groupoid.  A
+subgroupoid of a free groupoid has one form, ``BlockArrows``: an arrow is
+fixed by its source and range, so a subgroupoid is the pair groupoid
+over a partition of some units (one matrix algebra per block).
 Generation reads the blocks off the components of the seed graph, and
 consumers read sizes, arrows and group parts from them.  The worklist
 closure (a frozenset of arrows) runs only on groupoids with isotropy.
@@ -112,13 +116,12 @@ class FiniteGroupoid:
         return self._compose.get((g, h))
 
     # -- derived
-    def isotropy_witness(self):
-        """A non-unit arrow with equal source and range, or None."""
+    def isotropy_witness(self, at=None):
+        """The first non-unit arrow with equal source and range, with that
+        unit in ``at`` when given, or None."""
         for g in self.arrows:
-            if (
-                self.source(g) == self.range(g)
-                and g != self.unit_arrow(self.source(g))
-            ):
+            u = self.source(g)
+            if u == self.range(g) and g != self.unit_arrow(u) and (at is None or u in at):
                 return g
         return None
 
@@ -134,6 +137,35 @@ class FiniteGroupoid:
         edge s(g) -- r(g) per arrow, in order of first appearance."""
         edges = ((self.source(a), self.range(a)) for a in self.arrows)
         return tuple(frozenset(c) for c in _connected_components(edges, self.units))
+
+    def fiber(self, x) -> tuple:
+        """The arrows with source x, in arrow order."""
+        return tuple(a for a in self.arrows if self.source(a) == x)
+
+    @cached_property
+    def _arrow_between(self) -> dict:
+        return {(self.source(a), self.range(a)): a for a in self.arrows}
+
+    def block_arrows(self, members) -> list[list]:
+        """[i][j]: the arrow from members[j] to members[i], or None.  It
+        is the only one where G has no isotropy at members."""
+        between = self._arrow_between
+        return [[between.get((s, r)) for s in members] for r in members]
+
+    def regular_positions(self, basis, arrows) -> np.ndarray:
+        """k x k array for a fiber basis of k arrows: [i, j] is the position
+        in ``arrows`` of basis[i] basis[j]^-1, -1 where that arrow is not
+        among them.  Each h in ``arrows`` and each basis arrow g_j with
+        r(g_j) = s(h) place h at (h g_j, g_j)."""
+        pos = {g: i for i, g in enumerate(basis)}
+        by_range: dict = {}
+        for j, g in enumerate(basis):
+            by_range.setdefault(self.range(g), []).append(j)
+        out = np.full((len(basis), len(basis)), -1, dtype=np.intp)
+        for p, h in enumerate(arrows):
+            for j in by_range.get(self.source(h), ()):
+                out[pos[self.compose(h, basis[j])], j] = p
+        return out
 
     def _check_axioms(self):
         by_source: dict = {}
@@ -224,50 +256,141 @@ class TransformationGroupoid(FiniteGroupoid):
     """Groupoid of a finite group action: arrows (g, x) run from x to g.x
     and compose by multiplying group parts.
 
-    The groupoid keeps the group, the points and one action map (g, x) ->
-    g.x, built from ``table``, the |G| x |X| table of point indices of the
-    action.  The arrows are its keys, and every structure map reads it.
-    The action is taken as given: build through ``transformation_groupoid``,
-    which verifies caller-supplied actions.
+    The groupoid keeps the group, the points and two index tables:
+    ``table``, the |G| x |X| table of point indices of the action, and
+    ``mult``, the |G| x |G| table of element indices of the group law.
+    Structure maps, isotropy, orbits, fibers and blocks read them; the
+    arrow tuple is built only when asked for.  The action is taken as
+    given: build through ``transformation_groupoid``, which verifies
+    caller-supplied actions.
     """
 
-    def __init__(self, group: FiniteGroup, space, table):
+    def __init__(self, group: FiniteGroup, space, table: np.ndarray, mult: np.ndarray):
         self.group = group
         self.space = self.units = tuple(space)
         self.unit_set = frozenset(self.units)
-        arrows = ((g, x) for g in group.elements for x in self.space)
-        self._action = dict(zip(arrows, map(self.space.__getitem__, np.ravel(table).tolist())))
-        self.arrows = tuple(self._action)
+        self.table = table
+        self.mult = mult
+        self._element_index = {g: a for a, g in enumerate(group.elements)}
+        self._point_index = {x: j for j, x in enumerate(self.space)}
+        # g -> the points g.x in the order of the space: the table's rows
+        self._image = {
+            g: tuple(map(self.space.__getitem__, row.tolist()))
+            for g, row in zip(group.elements, table)
+        }
         self._free = None
 
+    @cached_property
+    def arrows(self) -> tuple:
+        return tuple((g, x) for g in self.group.elements for x in self.space)
+
     def act(self, g, x):
-        return self._action[(g, x)]
+        return self._image[g][self._point_index[x]]
 
     source = staticmethod(itemgetter(1))
 
     def range(self, a):
-        return self._action[a]
+        g, x = a
+        return self._image[g][self._point_index[x]]
 
     def inverse(self, a):
-        return (self.group.inv(a[0]), self._action[a])
+        return (self.group.inv(a[0]), self.range(a))
 
     def unit_arrow(self, u):
         return (self.group.unit, u)
 
     def compose(self, g, h):
         """gh for arrows g, h of this groupoid if s(g) = r(h), else None."""
-        if g[1] != self._action[h]:
+        if g[1] != self.range(h):
             return None
         return (self.group.mult(g[0], h[0]), h[1])
 
-    def isotropy_witness(self):
-        unit = self.group.unit
-        return next((a for a, y in self._action.items() if y == a[1] and a[0] != unit), None)
+    def isotropy_witness(self, at=None):
+        """The first non-unit arrow (g, x) with g.x = x in arrow order,
+        with x in ``at`` when given: one comparison of the table with the
+        point indices."""
+        fixed = self.table == np.arange(len(self.space))
+        fixed[self._element_index[self.group.unit]] = False
+        if at is not None:
+            fixed[:, [j for x, j in self._point_index.items() if x not in at]] = False
+        hits = np.flatnonzero(fixed)
+        if not hits.size:
+            return None
+        a, j = divmod(int(hits[0]), len(self.space))
+        return (self.group.elements[a], self.space[j])
+
+    @cached_property
+    def orbits(self) -> tuple[frozenset, ...]:
+        """Column x of the table is the orbit of x, labelled here by its
+        least point index; in order of first appearance, as for any
+        groupoid."""
+        members: dict = {}
+        for x, low in zip(self.space, self.table.min(axis=0, initial=len(self.space)).tolist()):
+            members.setdefault(low, []).append(x)
+        return tuple(frozenset(m) for m in members.values())
+
+    @cached_property
+    def between(self) -> np.ndarray:
+        """|X| x |X| array: [x, y] is the index of the g with g.x = y, -1
+        where there is none; one scatter of the table.  The g is unique,
+        so the entry exact, at every x with trivial stabilizer: everywhere
+        for a free action."""
+        n_g, n_x = self.table.shape
+        out = np.full((n_x, n_x), -1, dtype=np.intp)
+        out[np.broadcast_to(np.arange(n_x), (n_g, n_x)), self.table] = np.arange(n_g)[:, None]
+        return out
+
+    def _between_on(self, members) -> np.ndarray:
+        idx = [self._point_index[u] for u in members]
+        return self.between[np.ix_(idx, idx)]
+
+    def fiber(self, x) -> tuple:
+        return tuple((g, x) for g in self.group.elements)
+
+    def block_arrows(self, members) -> list[list]:
+        elems = self.group.elements
+        return [
+            [None if e < 0 else (elems[e], s) for s, e in zip(members, col)]
+            for col in self._between_on(members).T.tolist()
+        ]
+
+    def group_parts(self, gen) -> set:
+        """The group parts of the arrows of a subgroupoid: read through
+        ``between`` on each block of a ``BlockArrows`` (a free action), or
+        off the arrows of a closure."""
+        if not isinstance(gen, BlockArrows):
+            return {a[0] for a in gen}
+        found = np.zeros(len(self.group.elements), dtype=bool)
+        for b in gen.blocks:
+            e = self._between_on(b)
+            found[e[e >= 0]] = True
+        return {self.group.elements[a] for a in np.flatnonzero(found).tolist()}
+
+    @cached_property
+    def _inverse_index(self) -> np.ndarray:
+        return np.array(
+            [self._element_index[self.group.inv(g)] for g in self.group.elements], dtype=np.intp
+        )
+
+    def regular_positions(self, basis, arrows) -> np.ndarray:
+        """Gathered from the tables: basis[i] basis[j]^-1 is
+        (e_i e_j^-1, e_j.x) for the basis (e_k, x) of the fiber of x."""
+        n_x = len(self.space)
+        e = np.fromiter((self._element_index[g] for g, _ in basis), dtype=np.intp, count=len(basis))
+        x = self._point_index[basis[0][1]] if basis else 0
+        flat = self.mult[e[:, None], self._inverse_index[e]] * n_x + self.table[e, x]
+        lookup = np.full(self.table.size, -1, dtype=np.intp)
+        lookup[np.fromiter(
+            (self._element_index[g] * n_x + self._point_index[y] for g, y in arrows),
+            dtype=np.intp, count=len(arrows),
+        )] = np.arange(len(arrows))
+        return lookup[flat]
 
 
-def _verify_action(group: FiniteGroup, space, act) -> np.ndarray:
+def _verify_action(group: FiniteGroup, space, act) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive check that ``act`` is an action of ``group`` on ``space``;
-    returns its |G| x |X| table of point indices.
+    returns its |G| x |X| table of point indices and the |G| x |G| table of
+    element indices of the group law.
 
     ``act`` is called once per (g, x); its values go into the table, and
     g.(h.x) = (gh).x is checked on every triple as the gather
@@ -290,8 +413,10 @@ def _verify_action(group: FiniteGroup, space, act) -> np.ndarray:
     for x in pts:
         if act(group.unit, x) != x:
             raise NotAnAction("identity does not act trivially")
+    mult = np.empty((len(elems), len(elems)), dtype=np.intp)
     for a, g in enumerate(elems):
-        prod = np.array([eidx.get(group.mult(g, h), -1) for h in elems], dtype=np.intp)
+        mult[a] = [eidx.get(group.mult(g, h), -1) for h in elems]
+        prod = mult[a]
         bad = (table[a][table] != table[prod]).any(axis=1) | (prod < 0)
         if bad.any():
             b = int(np.argmax(bad))
@@ -299,7 +424,7 @@ def _verify_action(group: FiniteGroup, space, act) -> np.ndarray:
                 raise NotAnAction("group multiplication escapes the element set")
             j = int(np.argmax(table[a][table[b]] != table[prod[b]]))
             raise NotAnAction(f"not an action at ({g!r}, {elems[b]!r}, {pts[j]!r})")
-    return table
+    return table, mult
 
 
 def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
@@ -322,10 +447,14 @@ def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
                 f"{len(set(space))} distinct"
             )
         j = np.arange(n)
-        return TransformationGroupoid(cyclic_group(n), space, (j + j[:, None]) % n)
+        table = (j + j[:, None]) % n  # also the law of Z/n
+        return TransformationGroupoid(cyclic_group(n), space, table, table)
     if act is None:
         raise InvalidInput("a FiniteGroup needs its action act(g, x)")
-    return TransformationGroupoid(group, space, _verify_action(group, space, act))
+    if len(set(space)) != len(space):
+        raise NotAnAction(f"an action needs distinct points; got {len(space)} points, "
+                          f"{len(set(space))} distinct")
+    return TransformationGroupoid(group, space, *_verify_action(group, space, act))
 
 
 def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:

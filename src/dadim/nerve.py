@@ -756,7 +756,7 @@ def dad_witness_from_blr(
     generated = []
     for color in colors:
         gen = generate_subgroupoid(G, _seed_in_color(G, K, color))
-        parts = {a[0] for a in G.arrows if gen.holds(G, a)}
+        parts = G.group_parts(gen)
         if not parts <= F:
             raise InvalidInput(
                 f"generated elements {sorted(map(repr, parts - F))[:3]} escape the moving set"

@@ -99,11 +99,10 @@ def run_pipeline(
     size_bound = (2 * (M + N) + 1) * q
     gwitness = GroupoidDadWitness(K, colors_q, generated)
     grep = verify_groupoid_dad(G, gwitness, size_bound)
-    # action/groupoid consistency: the generated group parts must be the
-    # symbolic element sets reduced mod q
+    # action/groupoid consistency: the generated group parts, read off the
+    # blocks, must be the symbolic element sets reduced mod q
     parts_match = all(
-        {a[0] for a in G.arrows if generated[i].holds(G, a)}
-        == {n % q for n in witness.finite_sets[i]}
+        G.group_parts(generated[i]) == {n % q for n in witness.finite_sets[i]}
         for i in range(len(colors_q))
     )
     write_certificate(outdir / "03_groupoid_witness.json", {

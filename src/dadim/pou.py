@@ -106,17 +106,18 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
             )
         G_is.append(gen)
 
-    enlarged = []
-    for color in colors:
-        u = frozenset(
-            G.source(a) for a in K if G.range(a) in color
-        ) & base
-        enlarged.append(u)
+    # the partial orbit s(r^-1(x) cap K) of each unit, from one pass over K
+    partial: dict = {}
+    for a in K:
+        partial.setdefault(G.range(a), set()).add(G.source(a))
+    enlarged = [
+        frozenset().union(*(partial.get(x, ()) for x in color)) & base for color in colors
+    ]
 
     # partial-orbit containment
     orbit_fail = []
     for x in base:
-        orbit = frozenset(G.source(a) for a in K if G.range(a) == x)
+        orbit = partial.get(x, set())
         if not any(orbit <= u for u in enlarged):
             orbit_fail.append(x)
     if orbit_fail:
@@ -315,15 +316,26 @@ def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
 
 
 def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> VerificationReport:
-    """Exhaustive exact check of supports, normalization, and oscillation.
+    """Exhaustive exact check of values, supports, normalization, and
+    oscillation.
 
-    With ``eps`` a rational, each arrow's oscillation is compared to it;
-    with ``eps`` None the bound is sqrt(2)(1+sqrt(d+1))/sqrt(N).  Either
-    way the comparison is decided on squares with zero tolerance.
+    Every psi_i must take its values in [0, 1].  With ``eps`` a rational,
+    each arrow's oscillation is compared to it; with ``eps`` None the
+    bound is sqrt(2)(1+sqrt(d+1))/sqrt(N).  Either way the comparison is
+    decided on squares with zero tolerance.
     """
     K = symmetrize_arrows(G, K)
     base = _endpoint_units(G, K)
     d, N = pou.d, pou.N
+
+    for i, p in enumerate(pou.psi):
+        for x, v in p.items():
+            if not 0 <= v <= 1:
+                return VerificationReport(
+                    False, "StepValueOutOfRange",
+                    f"psi_{i} = {v} outside [0, 1] at {x!r}",
+                    {"color": i, "unit": repr(x), "value": str(v)},
+                )
 
     for i, t in enumerate(pou.towers):
         for x, v in pou.psi[i].items():
@@ -350,33 +362,53 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
                 f"sum psi_i < 1 at {x!r}", {"unit": repr(x)},
             )
 
+    # an arrow's checks read only the pairs (psi_i, S) at its endpoints:
+    # each unit gets the id of its pair per color, and each distinct pair
+    # of ids is decided once; K is walked in its order, so the first
+    # violation is the one the per-arrow loop reports
     step_bound = Fraction(2, N)
+    pair_ids: dict = {}
+    ids = [
+        {x: pair_ids.setdefault(pou.phi_pair(i, x), len(pair_ids)) for x in base}
+        for i in range(d + 1)
+    ]
+    pairs = list(pair_ids)
+
+    def decide(key):
+        (ps, Ss), (pr, Sr) = pairs[key[0]], pairs[key[1]]
+        if abs(ps - pr) > step_bound:
+            return "StepBoundViolation", None
+        if eps is None:
+            ok = diff_lt_osc_bound(ps, Ss, pr, Sr, d, N)
+        else:
+            ok = diff_lt_rational(ps, Ss, pr, Sr, Fraction(eps))
+        if not ok:
+            return "OscillationExceeded", None
+        return None, abs(sqrt_pair_float(ps, Ss) - sqrt_pair_float(pr, Sr))
+
+    decided: dict = {}
     max_osc_float = 0.0
     for a in K:
         sx, rx = G.source(a), G.range(a)
         for i in range(d + 1):
-            ps, Ss = pou.phi_pair(i, sx)
-            pr, Sr = pou.phi_pair(i, rx)
-            if abs(pou.psi[i].get(sx, Fraction(0)) - pou.psi[i].get(rx, Fraction(0))) > step_bound:
+            key = (ids[i][sx], ids[i][rx])
+            verdict = decided.get(key)
+            if verdict is None:
+                verdict = decided[key] = decide(key)
+            code, osc = verdict
+            if code == "StepBoundViolation":
                 return VerificationReport(
-                    False, "StepBoundViolation",
+                    False, code,
                     f"|psi_{i}(s) - psi_{i}(r)| > 2/N on arrow {a!r}",
                     {"arrow": repr(a), "color": i},
                 )
-            if eps is None:
-                ok = diff_lt_osc_bound(ps, Ss, pr, Sr, d, N)
-            else:
-                ok = diff_lt_rational(ps, Ss, pr, Sr, Fraction(eps))
-            if not ok:
+            if code == "OscillationExceeded":
                 return VerificationReport(
-                    False, "OscillationExceeded",
+                    False, code,
                     f"|phi_{i}(s(g)) - phi_{i}(r(g))| too large on arrow {a!r}",
                     {"arrow": repr(a), "color": i},
                 )
-            max_osc_float = max(
-                max_osc_float,
-                abs(sqrt_pair_float(ps, Ss) - sqrt_pair_float(pr, Sr)),
-            )
+            max_osc_float = max(max_osc_float, osc)
     return VerificationReport(
         True, "ok", "partition of unity verified",
         {

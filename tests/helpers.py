@@ -3,8 +3,10 @@
 from collections import deque
 from fractions import Fraction
 
-from dadim.errors import EmptySkeleton, InvalidInput, NotAnAction, NotInComplex
-from dadim.groupoid import FiniteGroupoid
+from dadim.errors import EmptySkeleton, InvalidInput, NotAnAction, NotFree, NotInComplex
+from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
+from dadim.groupoid import BlockArrows, FiniteGroupoid, _endpoint_units, symmetrize_arrows
+from dadim.reporting import VerificationReport
 from dadim.nerve import inner_radius, outer_radius
 from dadim.symbolic import ClopenSet, SymbolicSystem
 
@@ -259,3 +261,98 @@ def regular_representation_oracle(f, x) -> tuple:
             row.append(f.coeffs.get(arrow, (0, 0)) if arrow is not None else (0, 0))
         matrix.append(row)
     return basis, matrix
+
+
+# ---------------------------------------------------------------------------
+# block decompositions and partitions of unity, arrow by arrow
+
+
+def block_decompose_oracle(G, sub=None) -> tuple:
+    """(classes, arrow_pos) of ``convolution.block_decompose`` from one scan
+    of every arrow of G: an arrow with both endpoints in one block is
+    placed at (block, row of its range, column of its source); isotropy
+    at a block unit raises NotFree, and so do coordinates that are not
+    distinct or do not fill every block."""
+    if sub is None:
+        sub = BlockArrows(frozenset(G.orbits))
+    classes = sorted((tuple(sorted(b, key=repr)) for b in sub.blocks), key=lambda m: repr(m[0]))
+    where = {u: (k, i) for k, members in enumerate(classes) for i, u in enumerate(members)}
+    arrow_pos: dict = {}
+    for g in G.arrows:
+        s = where.get(G.source(g))
+        r = where.get(G.range(g))
+        if s is None or r is None or s[0] != r[0]:
+            continue
+        if s == r and g != G.unit_arrow(G.source(g)):
+            raise NotFree(f"isotropy arrow {g!r} at unit {G.source(g)!r}")
+        arrow_pos[g] = (s[0], r[1], s[1])
+    if len(set(arrow_pos.values())) != len(arrow_pos) or len(arrow_pos) != len(sub):
+        raise NotFree("a block is not inside one orbit: its matrix units are not all arrows")
+    return [(m[0], m) for m in classes], arrow_pos
+
+
+def verify_pou_oracle(G, K, pou, eps=None) -> VerificationReport:
+    """``pou.verify_pou`` with the step and oscillation checks decided
+    afresh on every (arrow, color), in the order K iterates."""
+    K = symmetrize_arrows(G, K)
+    base = _endpoint_units(G, K)
+    d, N = pou.d, pou.N
+    for i, p in enumerate(pou.psi):
+        for x, v in p.items():
+            if not 0 <= v <= 1:
+                return VerificationReport(
+                    False, "StepValueOutOfRange", f"psi_{i} = {v} outside [0, 1] at {x!r}",
+                    {"color": i, "unit": repr(x), "value": str(v)},
+                )
+    for i, t in enumerate(pou.towers):
+        for x, v in pou.psi[i].items():
+            if v > 0 and x not in t.top:
+                return VerificationReport(
+                    False, "SupportViolation", f"phi_{i} positive outside its color at {x!r}",
+                    {"color": i, "unit": repr(x)},
+                )
+    for x in base:
+        total = sum((p.get(x, Fraction(0)) ** 2 for p in pou.psi), Fraction(0))
+        if total / pou.norm_sq.get(x, Fraction(1)) != 1:
+            return VerificationReport(
+                False, "NormalizationDefect", f"sum phi_i^2 != 1 at {x!r}", {"unit": repr(x)},
+            )
+        if sum((p.get(x, Fraction(0)) for p in pou.psi), Fraction(0)) < 1:
+            return VerificationReport(
+                False, "NormalizationDefect", f"sum psi_i < 1 at {x!r}", {"unit": repr(x)},
+            )
+    step_bound = Fraction(2, N)
+    max_osc_float = 0.0
+    for a in K:
+        sx, rx = G.source(a), G.range(a)
+        for i in range(d + 1):
+            ps, Ss = pou.phi_pair(i, sx)
+            pr, Sr = pou.phi_pair(i, rx)
+            if abs(ps - pr) > step_bound:
+                return VerificationReport(
+                    False, "StepBoundViolation",
+                    f"|psi_{i}(s) - psi_{i}(r)| > 2/N on arrow {a!r}",
+                    {"arrow": repr(a), "color": i},
+                )
+            if eps is None:
+                ok = diff_lt_osc_bound(ps, Ss, pr, Sr, d, N)
+            else:
+                ok = diff_lt_rational(ps, Ss, pr, Sr, Fraction(eps))
+            if not ok:
+                return VerificationReport(
+                    False, "OscillationExceeded",
+                    f"|phi_{i}(s(g)) - phi_{i}(r(g))| too large on arrow {a!r}",
+                    {"arrow": repr(a), "color": i},
+                )
+            max_osc_float = max(
+                max_osc_float, abs(sqrt_pair_float(ps, Ss) - sqrt_pair_float(pr, Sr))
+            )
+    return VerificationReport(
+        True, "ok", "partition of unity verified",
+        {
+            "max_oscillation_float": max_osc_float,
+            "bound_float": osc_bound_float(d, N) if eps is None else float(eps),
+            "d": d,
+            "N": N,
+        },
+    )

@@ -18,6 +18,7 @@ from dadim.errors import (
     OscillationExceeded,
     SeparationViolation,
     StepBoundViolation,
+    StepValueOutOfRange,
     SupportViolation,
     TooLarge,
     VerificationFailed,
@@ -230,6 +231,26 @@ def test_norm_command(workdir):
         "coeffs": [[[1, x], "1", "0"] for x in range(4)]
     }))
     assert run(["norm", "--groupoid", g, "--element", e]) == 0
+
+
+@pytest.mark.parametrize("groupoid, key", [
+    ({"action": {"cyclic": 4}}, [4, 0]),
+    ({"action": {"cyclic": 4}}, [1, 4]),
+    ({"action": {"cyclic": 4}}, [1, 0, 0]),
+    ({"action": {"cyclic": 4}}, [1]),
+    ({"action": {"cyclic": 4}}, 1),
+    ({"action": {"cyclic": 4}}, "ab"),
+    (z2_pair_groupoid_json(2), 99),
+    (z2_pair_groupoid_json(2), [0, 1]),
+])
+def test_norm_rejects_unknown_arrows(workdir, groupoid, key):
+    """An element key that the groupoid's structure maps refuse is an
+    unknown arrow."""
+    g = workdir / "g.json"
+    e = workdir / "e.json"
+    g.write_text(json.dumps(groupoid))
+    e.write_text(json.dumps({"coeffs": [[key, "1", "0"]]}))
+    assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code
 
 
 def test_norm_rejects_non_associative_groupoid(workdir):
@@ -463,6 +484,7 @@ def test_malformed_input_exit_code(workdir, capsys, case):
     ("normalization", NormalizationDefect),
     ("step", StepBoundViolation),
     ("epsilon", OscillationExceeded),
+    ("range", StepValueOutOfRange),
 ])
 def test_pou_verify_rejection_exit_codes(workdir, tamper, error):
     """Each rejection of pou-verify exits with its own code."""
@@ -482,6 +504,11 @@ def test_pou_verify_rejection_exit_codes(workdir, tamper, error):
             p.pop("3", None)
     elif tamper == "step":
         psi[0][sorted(psi[0])[0]] = "1/1000"
+    elif tamper == "range":
+        # psi_0 = 2 and psi_1 = -1 on all of Z/12: sum psi_i^2 = S and no
+        # oscillation, but phi_1 = -1/sqrt(5) < 0
+        data["pou"]["psi"] = [{str(x): v for x in range(12)} for v in ("2", "-1")]
+        levels[0][-1] = [str(x) for x in range(12)]
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(data))
     extra = ["--epsilon", "1/1000"] if tamper == "epsilon" else []

@@ -28,6 +28,7 @@ from dadim.groupoid import (
     block_union_pair_groupoid,
     cyclic_group,
     cyclic_rotation_groupoid,
+    generate_subgroupoid,
     groupoid_from_json,
     pair_groupoid,
     transformation_groupoid,
@@ -35,6 +36,7 @@ from dadim.groupoid import (
 from dadim.pou import pou_from_group_action
 from helpers import (
     action_groupoid_oracle,
+    block_decompose_oracle,
     matrix_unit_defects,
     regular_representation_oracle,
     z2_pair_groupoid_json,
@@ -180,22 +182,44 @@ def actions(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=actions(), data=st.data())
 def test_action_groupoid_matches_explicit_oracle(case, data):
-    """The transformation groupoid read off its one action map against the
-    explicit groupoid with per-arrow tables, and the support-built regular
-    representation against the one-compose-per-entry loop: structure maps,
-    freeness, orbits, pi_x(f) exactly and the reduced norm."""
+    """The transformation groupoid read off its action and group tables
+    against the explicit groupoid with per-arrow tables, and the gathered
+    regular representation against the one-compose-per-entry loop:
+    structure maps, freeness and isotropy witnesses, orbits, fibers,
+    ``between`` and the blocks and group parts read through it, pi_x(f)
+    exactly and the reduced norm."""
     args, (group, space, act) = case
     G = transformation_groupoid(*args)
     O = action_groupoid_oracle(group, space, act)
-    assert G.units == O.units and G.arrows == O.arrows
+    assert G.units == O.units
     for a in O.arrows:
         assert G.act(*a) == O.range(a)
         assert (G.source(a), G.range(a), G.inverse(a)) == (O.source(a), O.range(a), O.inverse(a))
         assert all(G.compose(a, b) == O.compose(a, b) for b in O.arrows)
     assert all(G.unit_arrow(u) == O.unit_arrow(u) for u in O.units)
     assert G.is_free() == O.is_free() and G.isotropy_witness() == O.isotropy_witness()
+    at = frozenset(data.draw(st.sets(st.sampled_from(space))) if space else ())
+    assert G.isotropy_witness(at) == O.isotropy_witness(at)
     assert set(G.orbits) == {frozenset(act(g, x) for g in group.elements) for x in space}
     assert G.orbits == O.orbits
+    assert all(G.fiber(x) == O.fiber(x) for x in space)
+    # between[x, y]: the g with g.x = y, -1 if none; unique where the
+    # stabilizer of x is trivial
+    elems = group.elements
+    for j, x in enumerate(space):
+        free_at = [g for g in elems if act(g, x) == x] == [group.unit]
+        for k, y in enumerate(space):
+            movers = [a for a, g in enumerate(elems) if act(g, x) == y]
+            e = int(G.between[j, k])
+            assert e in movers if movers else e == -1
+            assert len(movers) <= 1 or not free_at
+    members = data.draw(st.lists(st.sampled_from(space), unique=True)) if space else []
+    if not G.isotropy_witness(frozenset(members)):
+        assert G.block_arrows(members) == O.block_arrows(members)
+    if G.is_free():
+        gen = generate_subgroupoid(G, data.draw(st.sets(st.sampled_from(O.arrows), max_size=4)))
+        assert G.group_parts(gen) == {a[0] for a in O.arrows if gen.holds(O, a)}
+    assert G.arrows == O.arrows
 
     fraction = st.fractions(min_value=-2, max_value=2, max_denominator=6)
     support = data.draw(st.lists(st.sampled_from(O.arrows), max_size=6, unique=True))
@@ -408,6 +432,69 @@ def test_block_decompose_rejects_non_subgroupoids():
     assert set(bd.arrow_pos) == {(1, 0), (5, 1), (0, 0), (0, 1)}
     bd = block_decompose(Z4x2, blocks([(0, 0), (1, 0)], [(2, 1)]))
     assert bd.sizes() == [2, 1] and matrix_unit_defects(bd) == []
+
+
+@st.composite
+def decomposable(draw):
+    """A groupoid, free or with isotropy, and blocks of its units drawn
+    as a partition of some of them; now and then one block overlaps
+    another or holds a label that is no unit."""
+    kind = draw(st.sampled_from(["action", "pair_blocks", "involution"]))
+    if kind == "action":
+        args, _ = draw(actions())
+        G = transformation_groupoid(*args)
+    elif kind == "pair_blocks":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        G = block_union_pair_groupoid([list(range(b, b + n)) for b, n in zip(starts, sizes)])
+    else:
+        G = groupoid_from_json(z2_pair_groupoid_json(draw(st.integers(1, 3))))
+    if not G.units or draw(st.booleans()):
+        return G, None
+    units = draw(st.permutations(G.units))
+    units = units[: draw(st.integers(1, len(units)))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(units)), max_size=3)) | {len(units)})
+    blocks = [units[a:b] for a, b in zip([0] + cuts, cuts) if a < b]
+    fault = draw(st.sampled_from(["none", "none", "overlap", "ghost"]))
+    if fault == "overlap" and len(blocks) > 1:
+        blocks[0] = blocks[0] + blocks[1][:1]
+    elif fault == "ghost":
+        blocks[-1] = blocks[-1] + ["ghost"]
+    return G, BlockArrows(frozenset(frozenset(b) for b in blocks))
+
+
+def _decomposition_outcome(decompose, G, sub):
+    try:
+        return decompose(G, sub)
+    except NotFree as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decomposable(), data=st.data())
+def test_block_decompose_matches_arrow_scan(case, data):
+    """Blocks checked through isotropy at their units and orbits, with
+    arrows placed through ``block_arrows``, against the scan of every
+    arrow: the same classes and coordinates, or the same NotFree; and
+    the block matrices put each coefficient at its arrow's coordinates."""
+    G, sub = case
+
+    def new(G, sub):
+        bd = block_decompose(G, sub)
+        return bd.classes, bd.arrow_pos
+
+    got = _decomposition_outcome(new, G, sub)
+    assert got == _decomposition_outcome(block_decompose_oracle, G, sub)
+    if isinstance(got, str):
+        return
+    bd = block_decompose(G, sub)
+    support = data.draw(st.lists(st.sampled_from(sorted(bd.arrow_pos, key=repr)), unique=True))
+    f = ConvElement(G, {a: (n + 1, -n) for n, a in enumerate(support)})
+    mats = bd.block_matrices(f)
+    assert sum(int(np.count_nonzero(m)) for m in mats) == len(support)
+    for n, a in enumerate(support):
+        k, i, j = bd.arrow_pos[a]
+        assert mats[k][i, j] == complex(n + 1, -n)
 
 
 def test_block_norm_matches_reduced_norm():

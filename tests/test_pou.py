@@ -40,6 +40,7 @@ from dadim.pou import (
     pou_from_group_action,
     verify_pou,
 )
+from helpers import verify_pou_oracle
 
 F = Fraction
 
@@ -170,6 +171,65 @@ def test_support_violation_detected(z12):
     pou.towers[0].levels[-1] = frozenset(list(pou.towers[0].levels[-1])[:3])
     report = verify_pou(G, K, pou)
     assert not report.accepted and report.code == "SupportViolation"
+
+
+def test_values_outside_the_unit_interval_rejected():
+    """psi_0 = 2 and psi_1 = -1 everywhere pass normalization (4 + 1 = S)
+    and have no oscillation, but phi_1 = -1/sqrt(5) is no partition of
+    unity into [0, 1]."""
+    G, K, towers, pou = pou_from_group_action(
+        12, range(12), [0, 1, 11],
+        [frozenset(range(12)), frozenset(range(6, 12)) | {0}], 4, None,
+    )
+    data = pou.to_json()
+    data["psi"] = [{str(x): v for x in range(12)} for v in ("2", "-1")]
+    tampered = PartitionOfUnity.from_json(G, K, data)
+    report = verify_pou(G, K, tampered)
+    assert not report.accepted and report.code == "StepValueOutOfRange"
+    assert report.details == {"color": 0, "unit": "0", "value": "2"}
+    data["psi"][0] = {str(x): "1" for x in range(12)}
+    report = verify_pou(G, K, PartitionOfUnity.from_json(G, K, data))
+    assert report.code == "StepValueOutOfRange" and report.details["value"] == "-1"
+
+
+@pytest.fixture(scope="module")
+def built_pous():
+    """Certificates of two- and three-color partitions of unity on Z/12
+    and Z/16, by averaging depth."""
+    out = []
+    for q, arcs in [
+        (12, [range(0, 7), [*range(6, 12), 0]]),
+        (16, [range(0, 7), range(5, 12), [*range(10, 16), 0, 1]]),
+    ]:
+        for N in (3, 8):
+            G, K, _, pou = pou_from_group_action(q, range(q), [-1, 0, 1], list(map(frozenset, arcs)), N, None)
+            out.append((G, K, pou.to_json()))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_verify_pou_memo_matches_arrow_loop(built_pous, data):
+    """Checks decided once per distinct pair of endpoint values against the
+    per-(arrow, color) loop, on tampered certificates: the same report,
+    first violation and max_oscillation_float included."""
+    G, K, cert = data.draw(st.sampled_from(built_pous))
+    cert = json.loads(json.dumps(cert))
+    value = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=16)
+    for _ in range(data.draw(st.integers(0, 3))):
+        psi = cert["psi"][data.draw(st.integers(0, len(cert["psi"]) - 1))]
+        unit = str(data.draw(st.integers(0, len(G.units) - 1)))
+        if data.draw(st.booleans()):
+            psi.pop(unit, None)
+        else:
+            psi[unit] = str(data.draw(value))
+    if data.draw(st.integers(0, 4)) == 0:
+        top = data.draw(st.sampled_from(cert["tower_levels"]))[-1]
+        top.remove(data.draw(st.sampled_from(top)))
+    cert["N"] = data.draw(st.sampled_from([cert["N"], 3, 4, 16, 64]))
+    pou = PartitionOfUnity.from_json(G, K, cert)
+    eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
+    assert verify_pou(G, K, pou, eps).to_json() == verify_pou_oracle(G, K, pou, eps).to_json()
 
 
 def compose_arrow_sets(G, A, B):
