@@ -35,8 +35,7 @@ from .nerve import (
     SimplicialPoint,
     check_equivariance,
     dad_witness_from_blr,
-    l1_distance,
-    nice_cover_assign,
+    grid_certificate,
 )
 from .pipeline import corpus_check, run_pipeline
 from .pou import PartitionOfUnity, pou_from_group_action, verify_pou
@@ -170,59 +169,13 @@ def cmd_nerve(args):
         C = _complex_from_json(_load(args.complex))
     else:
         C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
-    den = args.denominator
-    level_counts: dict[str, int] = {}
-    min_separation: dict[str, Fraction | None] = {}
-    points_by_piece: dict = {}
-    for face in C.maximal_faces:
-        verts = sorted(face, key=repr)
-        for combo in _compositions(den, len(verts)):
-            mu = SimplicialPoint.from_numerators(dict(zip(verts, combo)), den)
-            i, delta = nice_cover_assign(mu, C)
-            level_counts[str(i)] = level_counts.get(str(i), 0) + 1
-            points_by_piece.setdefault((i, delta), []).append(mu)
-    # l1_distance is symmetric: each unordered pair of pieces once
-    pieces = sorted(points_by_piece.items(), key=lambda kv: repr(kv[0]))
-    for a, ((i, _), pts) in enumerate(pieces):
-        for (j, _), pts2 in pieces[a + 1:]:
-            if j != i:
-                continue
-            for mu in pts:
-                for nu in pts2:
-                    d = l1_distance(mu, nu)
-                    key = str(i)
-                    if min_separation.get(key) is None or d < min_separation[key]:
-                        min_separation[key] = d
-    separation_ok = all(
-        sep is None or sep >= Fraction(1, 3 * 10 ** int(i))
-        for i, sep in min_separation.items()
-    )
-    cert = {
-        "denominator": den,
-        "samples": sum(level_counts.values()),
-        "level_counts": level_counts,
-        "min_cross_piece_separation": {
-            i: (certify.rational_str(s) if s is not None else None)
-            for i, s in min_separation.items()
-        },
-        "separation_ok": separation_ok,
-        "certified_on": "sample-grid",
-    }
+    cert = grid_certificate(C, args.denominator)
     if args.output:
         write_certificate(args.output, cert)
     print(json.dumps(certify._normalize(cert), indent=1, sort_keys=True))
-    if not separation_ok:
+    if not cert["separation_ok"]:
         raise VerificationFailed("cross-piece separation violated on the grid")
     return 0
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def cmd_blr_check(args):

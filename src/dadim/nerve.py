@@ -11,6 +11,18 @@ whose per-simplex pieces are pairwise (1/3)10^-i-separated; membership is
 decided by exact inequalities because the distance from a point to the
 simplex on a vertex set D has the closed form 2*(1 - mass on D).
 
+``grid_certificate`` checks the cover on the barycentric grid of one
+denominator.  Every sample is a row of one int64 numerator matrix (one
+column per vertex); the skeleton mass at level i is the largest sum of
+i + 1 numerators on one maximal face, so levels and pieces are column
+sorts and sums, and the least cross-piece separation of a level is a
+chunked minimum of row-wise sums |a - b|, one ``Fraction`` at the end.
+It refuses with ``TooLarge`` a grid of more than ``MAX_GRID_ENTRIES``
+matrix entries before allocating it, and more than
+``MAX_SEPARATION_PAIRS`` cross-piece sample pairs before forming any
+difference.  ``nice_cover_assign`` and ``l1_distance`` decide the same
+predicates one point at a time.
+
 The module also carries the two conversions between almost-equivariant
 maps into complexes and equivariant covers of X x Gamma (finite model),
 and the translation of an almost-equivariant map into a groupoid witness.
@@ -25,6 +37,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
+from .certify import rational_str
+from .coarse import _DIFF_CHUNK
 from .errors import (
     ConditionViolated,
     DepthInsufficient,
@@ -34,6 +50,7 @@ from .errors import (
     MissingSample,
     NoFiniteS,
     NotInComplex,
+    TooLarge,
 )
 from .groupoid import (
     FiniteGroup,
@@ -52,6 +69,7 @@ __all__ = [
     "distance_to_skeleton",
     "nice_cover_membership",
     "nice_cover_assign",
+    "grid_certificate",
     "check_equivariance",
     "check_simplicial_action",
     "perturb_to_finite_support",
@@ -64,6 +82,11 @@ __all__ = [
 ]
 
 Rat = Fraction
+
+# grid_certificate's caps: entries of the sample matrix, and sample pairs
+# in distinct pieces of one level
+MAX_GRID_ENTRIES = 10**7
+MAX_SEPARATION_PAIRS = 10**8
 
 
 def inner_radius(i: int) -> Rat:
@@ -347,6 +370,171 @@ def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
                 )
             return i, pieces[0]
     raise InvalidInput("point escaped the cover; levels are inconsistent")
+
+
+# ---------------------------------------------------------------------------
+# the cover on a barycentric sample grid
+#
+# The radius tests above, for an integer gap g = den - m, are
+#   g < ceil(den / (6 10^i))  and  g > floor(5 den / (4 10^i)),
+# with both bounds Python ints, so no int64 product carries 10^i.
+
+
+def _radius_thresholds(den: int, i: int) -> tuple[int, int]:
+    """The inner and outer gap bounds of level i over denominator den."""
+    return -(-den // (6 * 10**i)), 5 * den // (4 * 10**i)
+
+
+def _compositions(den: int, parts: int) -> np.ndarray:
+    """Every way to write den as ``parts`` nonnegative integers, one row
+    each, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([den], dtype=np.int64)
+    for _ in range(parts - 1):
+        reps = rest + 1
+        head = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack((np.repeat(rows, reps, axis=0), head))
+        rest = np.repeat(rest, reps) - head
+    return np.column_stack((rows, rest))
+
+
+def _skeleton_masses(M: np.ndarray, faces: list, dim: int) -> np.ndarray:
+    """Row i: each sample's largest numerator sum on one face of dimension
+    <= i, the sum of the top i + 1 numerators of some maximal face."""
+    mass = np.zeros((dim + 1, len(M)), dtype=np.int64)
+    for cols in faces:
+        face = M[:, cols]
+        face.sort(axis=1)
+        top = np.zeros(len(M), dtype=np.int64)
+        for i in range(dim + 1):
+            if i < len(cols):
+                top += face[:, -1 - i]
+            np.maximum(mass[i], top, out=mass[i])
+    return mass
+
+
+def _levels(M: np.ndarray, faces: list, den: int, dim: int) -> np.ndarray:
+    """Each sample's least level i with the sample in V_i, or -1."""
+    mass = _skeleton_masses(M, faces, dim)
+    level = np.full(len(M), -1)
+    for i in range(dim + 1):
+        inner, outer = _radius_thresholds(den, i)
+        member = (level < 0) & (den - mass[i] < inner)
+        if i:
+            member &= den - mass[i - 1] > outer
+        level[member] = i
+    return level
+
+
+def grid_certificate(C: SimplicialComplex, den: int) -> dict:
+    """The skeleton cover of C checked on every point with weights in (1/den)Z.
+
+    The samples are taken per maximal face, in ``C.maximal_faces`` order:
+    the compositions of den over the face's vertices sorted by repr, in
+    lexicographic order.  A point on a shared face is sampled once per
+    maximal face, and the counts include the repeats.  A sample without a
+    level or with more than one piece raises ``InvalidInput`` with
+    ``nice_cover_assign``'s message, for the first such sample.
+
+    The certificate gives the samples per occupied level and, for each
+    level with two pieces or more, the least l1 distance between samples
+    of distinct pieces, which must reach the level's inner radius.
+    """
+    try:
+        den = operator.index(den)
+    except TypeError:
+        raise InvalidInput(f"denominator {den!r} is not an integer") from None
+    if den < 1:
+        raise InvalidInput(f"denominator {den} is not positive")
+    if den >= 2**61:
+        raise TooLarge(f"denominator {den} does not fit the int64 sample matrix")
+    verts = sorted(C.vertices, key=repr)
+    column = {v: j for j, v in enumerate(verts)}
+    faces = [[column[v] for v in sorted(f, key=repr)] for f in C.maximal_faces]
+    sizes = [math.comb(den + len(cols) - 1, len(cols) - 1) for cols in faces]
+    samples = sum(sizes)
+    if samples * len(verts) > MAX_GRID_ENTRIES:
+        raise TooLarge(
+            f"{samples} samples x {len(verts)} vertices exceed "
+            f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}"
+        )
+    M = np.zeros((samples, len(verts)), dtype=np.int64)
+    start = 0
+    for cols, n in zip(faces, sizes):
+        M[start:start + n, cols] = _compositions(den, len(cols))
+        start += n
+
+    dim = C.dimension
+    level = _levels(M, faces, den, dim)
+    piece = np.full(len(M), -1)
+    candidates = np.zeros(len(M), dtype=np.int64)
+    piece_level = []
+    for i in range(dim + 1):
+        inner, _ = _radius_thresholds(den, i)
+        rows = np.flatnonzero(level == i)
+        for delta in C.simplices_of_dim(i):
+            on_delta = sum(M[rows, column[v]] for v in delta)
+            hit = rows[den - on_delta < inner]
+            candidates[hit] += 1
+            piece[hit] = len(piece_level)
+            piece_level.append(i)
+    bad = np.flatnonzero(candidates != 1)
+    if len(bad):
+        r = bad[0]
+        if level[r] < 0:
+            raise InvalidInput("point escaped the cover; levels are inconsistent")
+        raise InvalidInput(
+            f"level {level[r]} piece is not unique ({candidates[r]} candidates); "
+            "separation violated"
+        )
+
+    # the rows of each piece, grouped by level
+    order = np.argsort(piece, kind="stable")
+    ends = np.cumsum(np.bincount(piece, minlength=len(piece_level)))
+    by_level: dict = {}
+    for i, rows in zip(piece_level, np.split(order, ends[:-1])):
+        if len(rows):
+            by_level.setdefault(i, []).append(rows)
+    pairs = sum(
+        (sum(map(len, pieces)) ** 2 - sum(len(r) ** 2 for r in pieces)) // 2
+        for pieces in by_level.values()
+    )
+    if pairs > MAX_SEPARATION_PAIRS:
+        raise TooLarge(
+            f"{pairs} cross-piece sample pairs exceed "
+            f"MAX_SEPARATION_PAIRS = {MAX_SEPARATION_PAIRS}"
+        )
+    separation = {}
+    for i, pieces in by_level.items():
+        if len(pieces) < 2:
+            continue
+        used = np.flatnonzero(M[np.concatenate(pieces)].any(axis=0))
+        blocks = [M[np.ix_(rows, used)] for rows in pieces]
+        best = 2 * den
+        # each piece against the union of the later ones, in row chunks
+        for a in range(len(blocks) - 1):
+            A, B = blocks[a], np.concatenate(blocks[a + 1:])
+            step = max(1, _DIFF_CHUNK // len(B))
+            for s in range(0, len(A), step):
+                chunk = A[s:s + step]
+                dist = np.zeros((len(chunk), len(B)), dtype=np.int64)
+                diff = np.empty_like(dist)
+                for c in range(len(used)):
+                    np.subtract(chunk[:, c, None], B[None, :, c], out=diff)
+                    dist += np.abs(diff, out=diff)
+                best = min(best, int(dist.min()))
+        separation[i] = Fraction(best, den)
+    counts = np.bincount(level, minlength=dim + 1)
+    return {
+        "denominator": den,
+        "samples": samples,
+        "level_counts": {str(i): int(n) for i, n in enumerate(counts) if n},
+        "min_cross_piece_separation": {
+            str(i): rational_str(sep) for i, sep in separation.items()
+        },
+        "separation_ok": all(sep >= inner_radius(i) for i, sep in separation.items()),
+        "certified_on": "sample-grid",
+    }
 
 
 # ---------------------------------------------------------------------------

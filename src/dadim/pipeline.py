@@ -203,7 +203,7 @@ def _run_corpus_case(case: dict):
     )
     from .groupoid import block_union_pair_groupoid, pair_groupoid
     from .convolution import block_decompose
-    from .nerve import SimplicialComplex, SimplicialPoint, nice_cover_assign
+    from .nerve import SimplicialComplex, grid_certificate
     from .pou import pou_from_group_action
 
     kind = case["kind"]
@@ -243,15 +243,8 @@ def _run_corpus_case(case: dict):
         return {"sizes": sorted(bd.sizes())}
     if kind == "nice_cover_grid":
         C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
-        den = params["denominator"]
-        counts = {}
-        for a in range(den + 1):
-            for b in range(den + 1 - a):
-                c = den - a - b
-                mu = SimplicialPoint.from_numerators({"a": a, "b": b, "c": c}, den)
-                i, _ = nice_cover_assign(mu, C)
-                counts[str(i)] = counts.get(str(i), 0) + 1
-        return {"denominator": den, "level_counts": counts}
+        cert = grid_certificate(C, params["denominator"])
+        return {key: cert[key] for key in ("denominator", "level_counts")}
     if kind == "pipeline":
         import tempfile
 

@@ -7,7 +7,8 @@ from dadim.errors import EmptySkeleton, InvalidInput, NotAnAction, NotFree, NotI
 from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
 from dadim.groupoid import BlockArrows, FiniteGroupoid, _endpoint_units, symmetrize_arrows
 from dadim.reporting import VerificationReport
-from dadim.nerve import inner_radius, outer_radius
+from dadim.certify import rational_str
+from dadim.nerve import SimplicialPoint, inner_radius, l1_distance, nice_cover_assign, outer_radius
 from dadim.symbolic import ClopenSet, SymbolicSystem
 
 
@@ -196,6 +197,48 @@ def nice_cover_assign_oracle(mu: FractionPoint, C):
             )
         return i, pieces[0]
     raise InvalidInput("point escaped the cover; levels are inconsistent")
+
+
+def compositions(total: int, parts: int):
+    """Every way to write total as ``parts`` nonnegative integers, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def nerve_certificate_pair_loop(C, den: int) -> dict:
+    """The certificate of ``dadim nerve`` from one ``SimplicialPoint`` and
+    one ``nice_cover_assign`` call per sample, and one ``l1_distance`` call
+    per pair of samples in distinct pieces of a level; the oracle of
+    ``dadim.nerve.grid_certificate``."""
+    counts: dict = {}
+    by_piece: dict = {}
+    for face in C.maximal_faces:
+        verts = sorted(face, key=repr)
+        for combo in compositions(den, len(verts)):
+            mu = SimplicialPoint.from_numerators(dict(zip(verts, combo)), den)
+            i, delta = nice_cover_assign(mu, C)
+            counts[str(i)] = counts.get(str(i), 0) + 1
+            by_piece.setdefault((i, delta), []).append(mu)
+    seps: dict = {}
+    pieces = list(by_piece.items())
+    for a, ((i, _), pts) in enumerate(pieces):
+        for (j, _), pts2 in pieces[a + 1:]:
+            if j == i:
+                d = min(l1_distance(mu, nu) for mu in pts for nu in pts2)
+                seps[str(i)] = min(seps.get(str(i), d), d)
+    return {
+        "certified_on": "sample-grid",
+        "denominator": den,
+        "level_counts": counts,
+        "min_cross_piece_separation": {i: rational_str(s) for i, s in seps.items()},
+        "samples": sum(counts.values()),
+        "separation_ok": all(s >= inner_radius(int(i)) for i, s in seps.items()),
+    }
 
 
 # ---------------------------------------------------------------------------

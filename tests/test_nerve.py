@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dadim import certify
 from dadim.cli import main
+from dadim import nerve
 from dadim.errors import (
     DadimError,
     DepthInsufficient,
@@ -19,6 +21,7 @@ from dadim.errors import (
     MissingSample,
     NoFiniteS,
     NotInComplex,
+    TooLarge,
 )
 from dadim.groupoid import cyclic_group, transformation_groupoid
 from dadim.nerve import (
@@ -30,6 +33,7 @@ from dadim.nerve import (
     dad_witness_from_blr,
     distance_to_simplex,
     distance_to_skeleton,
+    grid_certificate,
     inner_radius,
     l1_distance,
     map_from_cover,
@@ -40,8 +44,10 @@ from dadim.nerve import (
 )
 from helpers import (
     FractionPoint,
+    compositions,
     distance_to_skeleton_oracle,
     l1_distance_oracle,
+    nerve_certificate_pair_loop,
     nice_cover_assign_oracle,
 )
 
@@ -501,15 +507,6 @@ def test_from_numerators_rejects_non_integers_and_bad_denominators():
 
 def _oracle_nerve_certificate(C, den) -> dict:
     """The certificate of ``dadim nerve`` computed on Fraction-dict points."""
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
     counts: dict = {}
     by_piece: dict = {}
     for face in C.maximal_faces:
@@ -553,3 +550,100 @@ def test_nerve_certificate_matches_fraction_oracle(tmp_path, den, cx):
     cert = json.loads((tmp_path / "nerve.json").read_text())
     cert.pop("created", None)
     assert cert == _oracle_nerve_certificate(C, den)
+
+
+# ---------------------------------------------------------------------------
+# the certificate on the numerator matrix against the pair loops
+
+FIVE_VERTEX = SimplicialComplex("abcde", [set("abc"), set("cd"), set("dea"), set("bd")])
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes on at most 6 vertices, int and str names mixed, with
+    maximal faces of at most 4 vertices."""
+    pool = draw(st.sets(st.sampled_from((0, 1, 2, "a", "b", "c")), min_size=1, max_size=6))
+    faces = draw(st.lists(
+        st.sets(st.sampled_from(sorted(pool, key=repr)), min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ))
+    return SimplicialComplex(pool, faces)
+
+
+def _grid_samples(C, den) -> int:
+    return sum(math.comb(den + len(f) - 1, len(f) - 1) for f in C.maximal_faces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_grid_certificate_matches_pair_loops(data):
+    C = data.draw(small_complexes())
+    # the Fraction oracle compares every cross-piece pair: keep the grid small
+    top = max(d for d in range(1, 25) if d == 1 or _grid_samples(C, d) <= 300)
+    den = data.draw(st.integers(1, top))
+    cert = grid_certificate(C, den)
+    assert cert == nerve_certificate_pair_loop(C, den) == _oracle_nerve_certificate(C, den)
+
+
+@pytest.mark.parametrize("C, den, counts, seps", [
+    (SimplicialComplex("abc", ["abc"]), 200,
+     {"0": 1785, "1": 1614, "2": 16902}, {"0": "67/50", "1": "7/25"}),
+    (FIVE_VERTEX, 60,
+     {"0": 370, "1": 328, "2": 3206}, {"0": "7/5", "1": "1/3", "2": "1/3"}),
+])
+def test_grid_certificate_pinned_values(C, den, counts, seps):
+    cert = grid_certificate(C, den)
+    assert cert["level_counts"] == counts and cert["min_cross_piece_separation"] == seps
+    assert cert["separation_ok"] and cert["samples"] == sum(counts.values()) == _grid_samples(C, den)
+
+
+def test_grid_certificate_sample_order():
+    """A face's samples come in the pair loops' order: compositions of the
+    denominator, lexicographic over the face's vertices."""
+    assert nerve._compositions(3, 3).tolist() == [list(c) for c in compositions(3, 3)]
+    assert nerve._compositions(5, 1).tolist() == [[5]]
+    assert nerve._compositions(0, 4).tolist() == [[0, 0, 0, 0]]
+
+
+def test_grid_certificate_rejections(monkeypatch):
+    triangle = SimplicialComplex("abc", ["abc"])
+    for den in (0, -3):
+        with pytest.raises(InvalidInput, match="not positive"):
+            grid_certificate(triangle, den)
+    with pytest.raises(InvalidInput, match="not an integer"):
+        grid_certificate(triangle, 2.5)
+    with pytest.raises(TooLarge):
+        grid_certificate(SimplicialComplex("a", ["a"]), 2**61)
+    # radius bounds that break the cover: every vertex sample is inside
+    # every 0-simplex's ball, or no sample is inside any ball
+    monkeypatch.setattr(nerve, "_radius_thresholds", lambda den, i: (2 * den, den))
+    with pytest.raises(InvalidInput, match=r"^level 0 piece is not unique \(3 candidates\); separation violated$"):
+        grid_certificate(triangle, 4)
+    monkeypatch.setattr(nerve, "_radius_thresholds", lambda den, i: (0, den))
+    with pytest.raises(InvalidInput, match="^point escaped the cover; levels are inconsistent$"):
+        grid_certificate(triangle, 4)
+
+
+def test_nerve_grid_cap_exits_fast(tmp_path):
+    """A 6-vertex simplex at denominator 100 has C(105, 5) samples; it is
+    refused before the sample matrix is allocated."""
+    cx = tmp_path / "simplex.json"
+    cx.write_text(json.dumps({"vertices": list("abcdef"), "maximal_faces": [list("abcdef")]}))
+    t0 = time.perf_counter()
+    code = main(["nerve", "--complex", str(cx), "--denominator", "100"])
+    assert code == TooLarge.exit_code == 14
+    assert time.perf_counter() - t0 < 1
+
+
+def test_nerve_pair_cap(monkeypatch, capsys):
+    monkeypatch.setattr(nerve, "MAX_SEPARATION_PAIRS", 1000)
+    assert main(["nerve", "--denominator", "40"]) == TooLarge.exit_code
+    assert "MAX_SEPARATION_PAIRS = 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("C, den", [(SimplicialComplex("abc", ["abc"]), 30), (FIVE_VERTEX, 10)])
+def test_grid_certificate_in_small_chunks(monkeypatch, C, den):
+    """Separations taken a few rows at a time equal the pair loop's."""
+    want = nerve_certificate_pair_loop(C, den)
+    monkeypatch.setattr(nerve, "_DIFF_CHUNK", 50)
+    assert grid_certificate(C, den) == want
