@@ -24,12 +24,7 @@ from .coarse import (
 )
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
-from .groupoid import (
-    cyclic_group,
-    cyclic_rotation_groupoid,
-    groupoid_from_json,
-    symmetrize_arrows,
-)
+from .groupoid import cyclic_group, cyclic_rotation_groupoid, groupoid_from_json
 from .nerve import (
     SimplicialComplex,
     SimplicialPoint,
@@ -225,7 +220,7 @@ def cmd_pou_build(args):
     if args.N is None and args.epsilon is None:
         raise InvalidInput("pass --N or --epsilon")
     G, K, towers, pou = pou_from_group_action(
-        args.order, range(args.order), args.E, colors, args.N, args.size_bound,
+        args.order, args.E, colors, args.N, args.size_bound,
         eps=_rational(args.epsilon),
     )
     report = verify_pou(G, K, pou)
@@ -251,7 +246,7 @@ def _pou_from_cert(cert) -> tuple:
     if not isinstance(order, int) or order < 1:
         raise InvalidInput(f"certificate order must be a positive integer, not {order!r}")
     G = cyclic_rotation_groupoid(order)
-    K = symmetrize_arrows(G, frozenset((e % order, x) for e in E for x in range(order)))
+    K = G.moves(e % order for e in E)
     return G, K, PartitionOfUnity.from_json(G, K, data)
 
 

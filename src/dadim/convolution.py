@@ -214,17 +214,11 @@ def reduced_norm(f: ConvElement) -> float:
 # cut-downs and commutators
 
 
-def _phi_value(phi, u):
-    if callable(phi):
-        return phi(u)
-    return phi.get(u, 0)
-
-
-def cutdown(f: ConvElement, phi) -> ConvElement:
-    """phi f phi for a real function phi on units: coefficients
-    phi(r(g)) f(g) phi(s(g))."""
+def cutdown(f: ConvElement, phi: dict) -> ConvElement:
+    """phi f phi for a real function phi on units, given as a dict (0 where
+    absent): coefficients phi(r(g)) f(g) phi(s(g))."""
     G = f.G
-    return f.pointwise(lambda g: _phi_value(phi, G.range(g)) * _phi_value(phi, G.source(g)))
+    return f.pointwise(lambda g: phi.get(G.range(g), 0) * phi.get(G.source(g), 0))
 
 
 def _min_bisection_cover(G, arrows):
@@ -255,18 +249,15 @@ def _min_bisection_cover(G, arrows):
     return count, False
 
 
-def commutator_report(f: ConvElement, phi) -> dict:
+def commutator_report(f: ConvElement, phi: dict) -> dict:
     """[f, phi](g) = f(g) (phi(s(g)) - phi(r(g))), its norm, the oscillation
-    of phi over supp f, and the bisection-cover constant of supp f."""
+    of phi over supp f, and the bisection-cover constant of supp f; phi as
+    for ``cutdown``."""
     G = f.G
-    comm = f.pointwise(
-        lambda g: _phi_value(phi, G.source(g)) - _phi_value(phi, G.range(g))
-    )
+    comm = f.pointwise(lambda g: phi.get(G.source(g), 0) - phi.get(G.range(g), 0))
     osc = 0.0
     for g in f.coeffs:
-        osc = max(
-            osc, abs(float(_phi_value(phi, G.source(g))) - float(_phi_value(phi, G.range(g))))
-        )
+        osc = max(osc, abs(float(phi.get(G.source(g), 0)) - float(phi.get(G.range(g), 0))))
     M, exact = _min_bisection_cover(G, f.support())
     return {
         "commutator": comm,
@@ -274,7 +265,7 @@ def commutator_report(f: ConvElement, phi) -> dict:
         "oscillation": osc,
         "bisection_count": M,
         "bisection_exact": exact,
-        "phi_sup": max((abs(float(_phi_value(phi, u))) for u in G.units), default=0.0),
+        "phi_sup": max((abs(float(phi.get(u, 0))) for u in G.units), default=0.0),
     }
 
 
@@ -363,7 +354,9 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     defect norm is bounded by sum_i ||phi_i||_inf ||[f, phi_i]||, each
     commutator by M_i * osc_i * ||f||.  Every cut-down must stay inside its
     color's small subgroupoid (SupportLeak otherwise), where it is
-    expressed in matrix blocks.
+    expressed in matrix blocks.  The blocks lie in orbits (``block_decompose``
+    checks it), so the cut-down's reduced norm is its largest block norm,
+    reported as both ``cutdown_norm`` and ``cutdown_block_norm``.
     """
     G = pou.G
     if f.G is not G:
@@ -395,8 +388,7 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     for i, phi in enumerate(phis):
         rep = commutator_report(f, phi)
         blocks = block_decompose(G, subgroupoids[i])
-        cut_norm = reduced_norm(cutdowns[i])
-        block_norm = blocks.max_block_norm(cutdowns[i])
+        cut_norm = blocks.max_block_norm(cutdowns[i])
         per_color.append(
             {
                 "phi_sup": rep["phi_sup"],
@@ -407,7 +399,7 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
                 "commutator_bound": rep["bisection_count"] * rep["oscillation"] * norm_f,
                 "block_sizes": blocks.sizes(),
                 "cutdown_norm": cut_norm,
-                "cutdown_block_norm": block_norm,
+                "cutdown_block_norm": cut_norm,
             }
         )
         bound += rep["phi_sup"] * rep["commutator_norm"]

@@ -13,7 +13,8 @@ composition.  Three concrete flavors cover everything the artifact needs:
   maps, isotropy, orbits (the table's columns), fibers, ``between`` (the
   g taking x to y) and the blocks and group parts read through it, and
   the regular representation's entries.  Its arrow tuple is built only
-  when asked for.  The Z/n rotation's tables are (j + g) mod n; any
+  when asked for; ``moves(E)`` builds the symmetric arrow set K of a
+  generating set.  The Z/n rotation's tables are (j + g) mod n; any
   other action is verified exhaustively and its checked tables kept;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
@@ -236,8 +237,12 @@ class FiniteGroup:
     unit: object = None
 
     def symmetrized(self, E) -> tuple:
+        """{unit} u E u E^-1, sorted by repr; InvalidInput for an e of E
+        that is not an element."""
         out = {self.unit}
         for e in E:
+            if e not in self.elements:
+                raise InvalidInput(f"{e!r} is not an element of the group")
             out.add(e)
             out.add(self.inv(e))
         return tuple(sorted(out, key=repr))
@@ -286,6 +291,12 @@ class TransformationGroupoid(FiniteGroupoid):
 
     def act(self, g, x):
         return self._image[g][self._point_index[x]]
+
+    def moves(self, E) -> frozenset:
+        """K for the generating set E: the arrows (g, x) for g in
+        ``group.symmetrized(E)`` and every point x.  It is symmetric, as
+        the symmetrized set is, and holds every unit arrow."""
+        return frozenset((g, x) for g in self.group.symmetrized(E) for x in self.space)
 
     source = staticmethod(itemgetter(1))
 
@@ -635,16 +646,6 @@ def _closure(G, seed) -> frozenset:
             if c is not None:
                 push(c)
     return frozenset(result)
-
-
-def symmetrize_arrows(G, K):
-    """K u K^-1 u unit arrows of all endpoints of K."""
-    out = set(K)
-    for a in K:
-        out.add(G.inverse(a))
-        out.add(G.unit_arrow(G.source(a)))
-        out.add(G.unit_arrow(G.range(a)))
-    return frozenset(out)
 
 
 def arrow_set_power(G, K, p: int):

@@ -314,17 +314,16 @@ def distance_to_simplex(mu: SimplicialPoint, delta) -> Rat:
 # skeleton-neighborhood ("nice") cover
 #
 # With m the numerator over den of the mass on a face, the distance is
-# d = 2 (den - m) / den, and the radius tests are integer comparisons:
-#   d < (1/3) 10^-i  <=>  6 10^i (den - m) < den,
-#   d > (5/2) 10^-i  <=>  4 10^i (den - m) > 5 den.
+# d = 2 (den - m) / den, and the radius tests are integer comparisons on
+# the gap g = den - m:
+#   d < (1/3) 10^-i  <=>  6 10^i g < den    <=>  g < ceil(den / (6 10^i)),
+#   d > (5/2) 10^-i  <=>  4 10^i g > 5 den  <=>  g > floor(5 den / (4 10^i)),
+# with both bounds Python ints, so no int64 product carries 10^i.
 
 
-def _inside_inner(den: int, mass: int, i: int) -> bool:
-    return 6 * 10**i * (den - mass) < den
-
-
-def _outside_outer(den: int, mass: int, i: int) -> bool:
-    return 4 * 10**i * (den - mass) > 5 * den
+def _radius_thresholds(den: int, i: int) -> tuple[int, int]:
+    """The inner and outer gap bounds of level i over denominator den."""
+    return -(-den // (6 * 10**i)), 5 * den // (4 * 10**i)
 
 
 def nice_cover_membership(
@@ -340,16 +339,18 @@ def nice_cover_membership(
         raise NotInComplex("point is outside the complex")
     if len(delta) != i + 1 or not C.is_face(delta):
         raise InvalidInput(f"delta must be an {i}-simplex of the complex")
-    if not _inside_inner(mu.den, mu._mass_num(delta), i):
+    inner, outer = _radius_thresholds(mu.den, i)
+    if mu.den - mu._mass_num(delta) >= inner:
         return False
-    return i == 0 or _outside_outer(mu.den, _skeleton_mass(mu, C, i - 1), i)
+    return i == 0 or mu.den - _skeleton_mass(mu, C, i - 1) > outer
 
 
 def _level_membership(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> bool:
     """mu in V_i; the caller has checked that mu lies in C."""
-    if not _inside_inner(mu.den, _skeleton_mass(mu, C, i), i):
+    inner, outer = _radius_thresholds(mu.den, i)
+    if mu.den - _skeleton_mass(mu, C, i) >= inner:
         return False
-    return i == 0 or _outside_outer(mu.den, _skeleton_mass(mu, C, i - 1), i)
+    return i == 0 or mu.den - _skeleton_mass(mu, C, i - 1) > outer
 
 
 def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
@@ -358,10 +359,11 @@ def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
         raise NotInComplex("point is outside the complex")
     for i in range(C.dimension + 1):
         if _level_membership(mu, C, i):
+            inner, _ = _radius_thresholds(mu.den, i)
             pieces = [
                 delta
                 for delta in C.simplices_of_dim(i)
-                if _inside_inner(mu.den, mu._mass_num(delta), i)
+                if mu.den - mu._mass_num(delta) < inner
             ]
             if len(pieces) != 1:
                 raise InvalidInput(
@@ -374,15 +376,6 @@ def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
 
 # ---------------------------------------------------------------------------
 # the cover on a barycentric sample grid
-#
-# The radius tests above, for an integer gap g = den - m, are
-#   g < ceil(den / (6 10^i))  and  g > floor(5 den / (4 10^i)),
-# with both bounds Python ints, so no int64 product carries 10^i.
-
-
-def _radius_thresholds(den: int, i: int) -> tuple[int, int]:
-    """The inner and outer gap bounds of level i over denominator den."""
-    return -(-den // (6 * 10**i)), 5 * den // (4 * 10**i)
 
 
 def _compositions(den: int, parts: int) -> np.ndarray:
@@ -940,7 +933,7 @@ def dad_witness_from_blr(
         raise InvalidInput("levels failed to cover the samples; complex inconsistent")
 
     G = transformation_groupoid(group, space, act_X)
-    K = frozenset((g, x) for g in sym_E for x in space)
+    K = G.moves(E)
     generated = []
     for color in colors:
         gen = generate_subgroupoid(G, _seed_in_color(G, K, color))

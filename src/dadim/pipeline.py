@@ -22,7 +22,6 @@ from .groupoid import (
     _seed_in_color,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
-    symmetrize_arrows,
     verify_groupoid_dad,
 )
 from .pou import build_pou, build_tower, enlarge_cover, verify_pou
@@ -94,7 +93,7 @@ def run_pipeline(
     q, colors_q = project_witness_to_quotient(system, witness, quotient_depth)
     G = cyclic_rotation_groupoid(q)
     E = witness.generator_set
-    K = symmetrize_arrows(G, frozenset((e % q, x) for e in E for x in range(q)))
+    K = G.moves(e % q for e in E)
     generated = [generate_subgroupoid(G, _seed_in_color(G, K, c)) for c in colors_q]
     size_bound = (2 * (M + N) + 1) * q
     gwitness = GroupoidDadWitness(K, colors_q, generated)
@@ -168,7 +167,7 @@ def run_pipeline(
     osc_bound = osc_bound_float(pou.d, pou.N)
     osc_ok = prep.details["max_oscillation_float"] < osc_bound
     write_certificate(outdir / "07_decomposition.json", {
-        "decomposition": _decomp_json(drep),
+        "decomposition": drep,
         "pou_oscillation": prep.details["max_oscillation_float"],
         "pou_oscillation_bound": osc_bound,
         "oscillation_below_bound": osc_ok,
@@ -182,12 +181,6 @@ def run_pipeline(
     if not drep["accepted"]:
         raise VerificationFailed("decomposition stage failed")
     return chain
-
-
-def _decomp_json(drep: dict) -> dict:
-    out = dict(drep)
-    out["per_color"] = [dict(pc) for pc in drep["per_color"]]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +220,7 @@ def _run_corpus_case(case: dict):
     if kind == "z12_pou":
         arcs = [frozenset(a) for a in params["arcs"]]
         G, K, towers, pou = pou_from_group_action(
-            params["order"], range(params["order"]), params["E"], arcs,
+            params["order"], params["E"], arcs,
             params["N"], None,
         )
         rep = verify_pou(G, K, pou)

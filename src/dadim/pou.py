@@ -30,9 +30,8 @@ from .groupoid import (
     _endpoint_units,
     _seed_in_color,
     arrow_set_power,
+    cyclic_rotation_groupoid,
     generate_subgroupoid,
-    symmetrize_arrows,
-    transformation_groupoid,
 )
 from .reporting import VerificationReport
 
@@ -49,24 +48,29 @@ __all__ = [
 Rat = Fraction
 
 
-def _propagate(G, K, units: frozenset) -> frozenset:
-    """units u s(K cap r^-1(units))."""
-    out = set(units)
+def _neighbours(G, K) -> dict:
+    """unit -> its K-neighbours s(r^-1(x) cap K), from one pass over K.  For
+    a symmetric K holding its unit arrows, the keys are r(K) u s(K) and
+    each unit is among its own neighbours."""
+    out: dict = {}
     for a in K:
-        if G.range(a) in units:
-            out.add(G.source(a))
-    return frozenset(out)
+        out.setdefault(G.range(a), set()).add(G.source(a))
+    return out
 
 
-def _in_envelope(G, K, G_i, gen) -> bool:
-    """gen <= K . G_i . K for a symmetrized K, in a free groupoid: an arrow
+def _propagate(nbrs: dict, units: frozenset) -> frozenset:
+    """units u s(K cap r^-1(units))."""
+    return units.union(*(nbrs.get(x, ()) for x in units))
+
+
+def _in_envelope(nbrs: dict, G_i, gen) -> bool:
+    """gen <= K . G_i . K for a symmetric K, in a free groupoid: an arrow
     is fixed by its endpoints, so the arrow from x to y lies in K . G_i . K
     exactly when K-arrows at x and at y end in one block of G_i."""
-    reach: dict = {}  # unit -> blocks of G_i one K-arrow away
-    for a in K:
-        k = G_i.label.get(G.range(a))
-        if k is not None:
-            reach.setdefault(G.source(a), set()).add(k)
+    label = G_i.label
+    reach = {  # unit -> blocks of G_i one K-arrow away
+        x: {label[y] for y in ys if y in label} for x, ys in nbrs.items()
+    }
     return all(
         not reach.get(x, set()).isdisjoint(reach.get(y, ()))
         for b in gen.blocks for x in b for y in b
@@ -76,25 +80,27 @@ def _in_envelope(G, K, G_i, gen) -> bool:
 def enlarge_cover(G, K, colors, size_bound: int | None):
     """Fatten a cover so every partial orbit lands inside one color.
 
-    Requires the input colors to witness small generated subgroupoids for
-    K^3 (WitnessInsufficient otherwise).  The enlarged color is
-    U_i = s(K cap r^-1(V_i)) cap (r(K) u s(K)); the generated subgroupoid
-    for (K, U_i) is checked to stay inside K . G_i . K, with G_i generated
-    from (K^3, V_i).  G must be free (NotFree otherwise).
+    K is symmetric and holds the unit arrows of its endpoints, as
+    ``TransformationGroupoid.moves`` builds it; then K <= K^3 and both
+    have the endpoints r(K) u s(K).  Requires the input colors to witness
+    small generated subgroupoids for K^3 (WitnessInsufficient otherwise).
+    The enlarged color is U_i = s(K cap r^-1(V_i)) cap (r(K) u s(K)); the
+    generated subgroupoid for (K, U_i) is checked to stay inside
+    K . G_i . K, with G_i generated from (K^3, V_i).  G must be free
+    (NotFree otherwise).
 
     Returns (new_colors, report).
     """
     if not G.is_free():
         raise NotFree("cover enlargement needs a free groupoid")
-    K = symmetrize_arrows(G, K)
     K3 = arrow_set_power(G, K, 3)
-    base = _endpoint_units(G, K)
-    base3 = _endpoint_units(G, K3)
+    nbrs = _neighbours(G, K)
+    base = frozenset(nbrs)
 
     covered = frozenset().union(*colors) if colors else frozenset()
-    if not base3 <= covered:
+    if not base <= covered:
         raise WitnessInsufficient(
-            f"colors do not cover r(K^3) u s(K^3); {len(base3 - covered)} units missing"
+            f"colors do not cover r(K^3) u s(K^3); {len(base - covered)} units missing"
         )
 
     G_is = []
@@ -106,20 +112,13 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
             )
         G_is.append(gen)
 
-    # the partial orbit s(r^-1(x) cap K) of each unit, from one pass over K
-    partial: dict = {}
-    for a in K:
-        partial.setdefault(G.range(a), set()).add(G.source(a))
+    # the partial orbit s(r^-1(x) cap K) of a unit is its K-neighbours
     enlarged = [
-        frozenset().union(*(partial.get(x, ()) for x in color)) & base for color in colors
+        frozenset().union(*(nbrs.get(x, ()) for x in color)) & base for color in colors
     ]
 
     # partial-orbit containment
-    orbit_fail = []
-    for x in base:
-        orbit = partial.get(x, set())
-        if not any(orbit <= u for u in enlarged):
-            orbit_fail.append(x)
+    orbit_fail = [x for x in base if not any(nbrs[x] <= u for u in enlarged)]
     if orbit_fail:
         raise WitnessInsufficient(
             f"partial orbits not contained in a single color at {orbit_fail[:3]!r}"
@@ -128,7 +127,7 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     gen_sizes = []
     for i, u in enumerate(enlarged):
         gen = generate_subgroupoid(G, _seed_in_color(G, K, u))
-        if not _in_envelope(G, K, G_is[i], gen):
+        if not _in_envelope(nbrs, G_is[i], gen):
             raise WitnessInsufficient(
                 f"color {i}: generated subgroupoid escapes K.G_i.K"
             )
@@ -165,13 +164,14 @@ class NestedColorTower:
 def build_tower(G, K, colors, N: int, size_bound: int | None):
     """Grow each color through N+1 propagation steps.
 
-    Each level is the K-propagation of the one below, which it contains, so
-    nesting and propagation hold by construction; the checks are the base
-    cover and, given ``size_bound``, the small top."""
+    K is symmetric and holds the unit arrows of its endpoints.  Each level
+    is the K-propagation of the one below, which it contains, so nesting
+    and propagation hold by construction; the checks are the base cover
+    and, given ``size_bound``, the small top."""
     if N < 1:
         raise InvalidInput("tower depth N must be positive")
-    K = symmetrize_arrows(G, K)
-    base = _endpoint_units(G, K)
+    nbrs = _neighbours(G, K)
+    base = frozenset(nbrs)
     covered = frozenset().union(*colors) if colors else frozenset()
     if not base <= covered:
         raise TowerInvalid(
@@ -181,7 +181,7 @@ def build_tower(G, K, colors, N: int, size_bound: int | None):
     for i, color in enumerate(colors):
         levels = [frozenset(color)]
         for _ in range(N + 1):
-            levels.append(_propagate(G, K, levels[-1]))
+            levels.append(_propagate(nbrs, levels[-1]))
         towers.append(NestedColorTower(i, levels))
 
     if size_bound is not None:
@@ -286,8 +286,8 @@ def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
     psi_i(x) = #{n in [1, N] : x in U_i^(n-1)} / N; at least one psi_i
     equals 1 on r(K) u s(K) because the base levels cover it, so the
     squared normalizer is the honest sum there and sum phi_i^2 = 1 exactly.
+    K is symmetric, as for ``build_tower``, and is kept in the result.
     """
-    K = symmetrize_arrows(G, K)
     if not towers:
         raise TowerInvalid("need at least one tower")
     N = towers[0].depth
@@ -323,9 +323,13 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
     each arrow's oscillation is compared to it; with ``eps`` None the
     bound is sqrt(2)(1+sqrt(d+1))/sqrt(N).  Either way the comparison is
     decided on squares with zero tolerance.
+
+    K is walked as given, once.  Its symmetrization would not change the
+    verdict: both checks on an arrow are symmetric in its endpoints, and
+    a unit arrow passes them.
     """
-    K = symmetrize_arrows(G, K)
-    base = _endpoint_units(G, K)
+    ends = [(a, G.source(a), G.range(a)) for a in K]
+    base = frozenset(x for _, sx, rx in ends for x in (sx, rx))
     d, N = pou.d, pou.N
 
     for i, p in enumerate(pou.psi):
@@ -388,8 +392,7 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
 
     decided: dict = {}
     max_osc_float = 0.0
-    for a in K:
-        sx, rx = G.source(a), G.range(a)
+    for a, sx, rx in ends:
         for i in range(d + 1):
             key = (ids[i][sx], ids[i][rx])
             verdict = decided.get(key)
@@ -421,20 +424,20 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
 
 
 def pou_from_group_action(
-    order: int, space, E, colors, N: int | None, size_bound: int | None,
+    order: int, E, colors, N: int | None, size_bound: int | None,
     eps: Rat | None = None,
 ):
-    """Group-action form: G is Z/order rotating the points of ``space``, K
-    the arrow set of E.x moves; returns (G, K, towers, pou).
+    """Group-action form: G is Z/order rotating itself, K the moves of E
+    (``TransformationGroupoid.moves``, E read mod order); returns
+    (G, K, towers, pou).
 
     Either pass the averaging depth N directly, or a rational eps from
     which the least admissible depth is derived.
     """
     from .exactmath import least_pou_depth
 
-    G = transformation_groupoid(order, space)
-    K = frozenset((e % order, x) for e in E for x in G.space)
-    K = symmetrize_arrows(G, K)
+    G = cyclic_rotation_groupoid(order)
+    K = G.moves(e % order for e in E)
     if N is None:
         if eps is None:
             raise InvalidInput("pass an averaging depth N or a rational eps")

@@ -3,12 +3,29 @@
 from collections import deque
 from fractions import Fraction
 
-from dadim.errors import EmptySkeleton, InvalidInput, NotAnAction, NotFree, NotInComplex
+from dadim.errors import (
+    EmptySkeleton,
+    InvalidInput,
+    NotAnAction,
+    NotFree,
+    NotInComplex,
+    PropagationEscapesColor,
+    TowerInvalid,
+    WitnessInsufficient,
+)
 from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
-from dadim.groupoid import BlockArrows, FiniteGroupoid, _endpoint_units, symmetrize_arrows
+from dadim.groupoid import (
+    BlockArrows,
+    FiniteGroupoid,
+    _endpoint_units,
+    _seed_in_color,
+    arrow_set_power,
+    generate_subgroupoid,
+)
 from dadim.reporting import VerificationReport
 from dadim.certify import rational_str
 from dadim.nerve import SimplicialPoint, inner_radius, l1_distance, nice_cover_assign, outer_radius
+from dadim.pou import NestedColorTower, PartitionOfUnity
 from dadim.symbolic import ClopenSet, SymbolicSystem
 
 
@@ -334,10 +351,138 @@ def block_decompose_oracle(G, sub=None) -> tuple:
     return [(m[0], m) for m in classes], arrow_pos
 
 
+def symmetrize_arrows(G, K):
+    """K u K^-1 u unit arrows of all endpoints of K."""
+    out = set(K)
+    for a in K:
+        out.add(G.inverse(a))
+        out.add(G.unit_arrow(G.source(a)))
+        out.add(G.unit_arrow(G.range(a)))
+    return frozenset(out)
+
+
+def _propagate_oracle(G, K, units):
+    """units u s(K cap r^-1(units)), one scan of K."""
+    return frozenset(units) | {G.source(a) for a in K if G.range(a) in units}
+
+
+def in_envelope_oracle(G, K, G_i, gen) -> bool:
+    """gen <= K . G_i . K read from the blocks, with each unit's reach
+    scanned off a symmetrized K."""
+    reach: dict = {}
+    for a in K:
+        k = G_i.label.get(G.range(a))
+        if k is not None:
+            reach.setdefault(G.source(a), set()).add(k)
+    return all(
+        not reach.get(x, set()).isdisjoint(reach.get(y, ()))
+        for b in gen.blocks for x in b for y in b
+    )
+
+
+def enlarge_cover_oracle(G, K, colors, size_bound):
+    """``pou.enlarge_cover`` symmetrizing K itself and rescanning it for
+    the endpoints of K and of K^3, the partial orbits and each reach."""
+    if not G.is_free():
+        raise NotFree("cover enlargement needs a free groupoid")
+    K = symmetrize_arrows(G, K)
+    K3 = arrow_set_power(G, K, 3)
+    base = _endpoint_units(G, K)
+    base3 = _endpoint_units(G, K3)
+    covered = frozenset().union(*colors) if colors else frozenset()
+    if not base3 <= covered:
+        raise WitnessInsufficient(
+            f"colors do not cover r(K^3) u s(K^3); {len(base3 - covered)} units missing"
+        )
+    G_is = []
+    for i, color in enumerate(colors):
+        gen = generate_subgroupoid(G, _seed_in_color(G, K3, color))
+        if size_bound is not None and len(gen) > size_bound:
+            raise WitnessInsufficient(
+                f"color {i} generates {len(gen)} arrows for K^3 > bound {size_bound}"
+            )
+        G_is.append(gen)
+    partial = {x: {G.source(a) for a in K if G.range(a) == x} for x in base}
+    enlarged = [
+        frozenset().union(*(partial.get(x, ()) for x in color)) & base for color in colors
+    ]
+    orbit_fail = [x for x in base if not any(partial[x] <= u for u in enlarged)]
+    if orbit_fail:
+        raise WitnessInsufficient(
+            f"partial orbits not contained in a single color at {orbit_fail[:3]!r}"
+        )
+    gen_sizes = []
+    for i, u in enumerate(enlarged):
+        gen = generate_subgroupoid(G, _seed_in_color(G, K, u))
+        if not in_envelope_oracle(G, K, G_is[i], gen):
+            raise WitnessInsufficient(f"color {i}: generated subgroupoid escapes K.G_i.K")
+        gen_sizes.append(len(gen))
+    report = VerificationReport(
+        True, "ok", "cover enlarged; partial orbits contained",
+        {
+            "generated_sizes_k3": [len(g) for g in G_is],
+            "generated_sizes": gen_sizes,
+            "enlarged_sizes": [len(u) for u in enlarged],
+        },
+    )
+    return enlarged, report
+
+
+def build_tower_oracle(G, K, colors, N, size_bound):
+    """``pou.build_tower`` symmetrizing K itself and scanning it once per
+    level and color."""
+    if N < 1:
+        raise InvalidInput("tower depth N must be positive")
+    K = symmetrize_arrows(G, K)
+    base = _endpoint_units(G, K)
+    covered = frozenset().union(*colors) if colors else frozenset()
+    if not base <= covered:
+        raise TowerInvalid(f"colors do not cover r(K) u s(K); {len(base - covered)} units missing")
+    towers = []
+    for i, color in enumerate(colors):
+        levels = [frozenset(color)]
+        for _ in range(N + 1):
+            levels.append(_propagate_oracle(G, K, levels[-1]))
+        towers.append(NestedColorTower(i, levels))
+    if size_bound is not None:
+        for t in towers:
+            gen = generate_subgroupoid(G, _seed_in_color(G, K, t.top))
+            if len(gen) > size_bound:
+                raise PropagationEscapesColor(
+                    f"color {t.color}: top level generates {len(gen)} arrows "
+                    f"> bound {size_bound}; witness inadequate for depth {N}"
+                )
+    return towers
+
+
+def build_pou_oracle(G, K, towers):
+    """``pou.build_pou`` symmetrizing K itself: psi counts the levels below
+    N holding a unit, norm_sq is max(sum_j psi_j^2, 1) on their supports."""
+    K = symmetrize_arrows(G, K)
+    if not towers:
+        raise TowerInvalid("need at least one tower")
+    N = towers[0].depth
+    if N < 3:
+        raise TowerInvalid("averaging depth must satisfy N >= 3")
+    if any(t.depth != N for t in towers):
+        raise TowerInvalid("towers have mismatched depths")
+    psi = []
+    for t in towers:
+        counts = {x: sum(1 for n in range(1, N + 1) if x in t.levels[n - 1]) for x in t.top}
+        psi.append({x: Fraction(c, N) for x, c in counts.items() if c})
+    norm_sq = {
+        x: max(sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0)), Fraction(1))
+        for x in set().union(*psi)
+    }
+    for x in _endpoint_units(G, K):
+        if not any(p.get(x) == 1 for p in psi):
+            raise TowerInvalid(f"no step function equals 1 at {x!r}; base cover broken")
+    return PartitionOfUnity(G, K, towers, N, psi, norm_sq)
+
+
 def verify_pou_oracle(G, K, pou, eps=None) -> VerificationReport:
     """``pou.verify_pou`` with the step and oscillation checks decided
-    afresh on every (arrow, color), in the order K iterates."""
-    K = symmetrize_arrows(G, K)
+    afresh on every (arrow, color), walking K as given."""
     base = _endpoint_units(G, K)
     d, N = pou.d, pou.N
     for i, p in enumerate(pou.psi):

@@ -156,7 +156,7 @@ def test_criterion_4_pou_constants(N):
     rational inequality, and sum phi_i^2 = 1 exactly."""
     arcs = [frozenset(range(0, 7)), frozenset(list(range(6, 12)) + [0])]
     G, K, towers, pou = pou_from_group_action(
-        12, range(12), [-1, 0, 1], arcs, N, None
+        12, [-1, 0, 1], arcs, N, None
     )
     assert pou.d == 1
     report = verify_pou(G, K, pou)  # exact squared comparison inside

@@ -57,8 +57,8 @@ def test_exact_artifacts_are_deterministic():
     assert canonical_json(w1.to_json()) == canonical_json(w2.to_json())
 
     arcs = [frozenset(range(0, 7)), frozenset(list(range(6, 12)) + [0])]
-    _, _, _, p1 = pou_from_group_action(12, range(12), [-1, 0, 1], arcs, 8, None)
-    _, _, _, p2 = pou_from_group_action(12, range(12), [-1, 0, 1], arcs, 8, None)
+    _, _, _, p1 = pou_from_group_action(12, [-1, 0, 1], arcs, 8, None)
+    _, _, _, p2 = pou_from_group_action(12, [-1, 0, 1], arcs, 8, None)
     assert canonical_json(p1.to_json()) == canonical_json(p2.to_json())
 
 

@@ -482,6 +482,7 @@ def test_malformed_input_exit_code(workdir, capsys, case):
 @pytest.mark.parametrize("tamper, error", [
     ("support", SupportViolation),
     ("normalization", NormalizationDefect),
+    ("normalization_empty_E", NormalizationDefect),
     ("step", StepBoundViolation),
     ("epsilon", OscillationExceeded),
     ("range", StepValueOutOfRange),
@@ -498,10 +499,13 @@ def test_pou_verify_rejection_exit_codes(workdir, tamper, error):
     if tamper == "support":
         # a unit where phi_0 is positive leaves the top level of its tower
         levels[0][-1].remove(sorted(psi[0])[0])
-    elif tamper == "normalization":
-        # no step function is left at unit 3
+    elif tamper.startswith("normalization"):
+        # no step function is left at unit 3; an empty E still leaves the
+        # unit arrows in K, so every unit is checked
         for p in psi:
             p.pop("3", None)
+        if tamper == "normalization_empty_E":
+            data["E"] = []
     elif tamper == "step":
         psi[0][sorted(psi[0])[0]] = "1/1000"
     elif tamper == "range":

@@ -517,12 +517,12 @@ def test_block_norm_matches_reduced_norm():
 
 def z12_pou(N):
     arcs = [frozenset(range(0, 7)), frozenset(list(range(6, 12)) + [0])]
-    return pou_from_group_action(12, range(12), [-1, 0, 1], arcs, N, None)
+    return pou_from_group_action(12, [-1, 0, 1], arcs, N, None)
 
 
 def test_decompose_single_color_is_exact():
     G, K, towers, pou = pou_from_group_action(
-        6, range(6), [-1, 0, 1], [frozenset(range(6))], 4, None
+        6, [-1, 0, 1], [frozenset(range(6))], 4, None
     )
     f = ConvElement(G, {a: 1 for a in K})
     rep = decompose_via_pou(f, pou)
@@ -537,10 +537,13 @@ def test_decompose_z12(N):
     rep = decompose_via_pou(f, pou)
     assert rep["accepted"]
     assert rep["defect"] <= rep["triangle_bound"] + 1e-9
-    for pc in rep["per_color"]:
+    for i, pc in enumerate(rep["per_color"]):
         assert pc["commutator_norm"] <= pc["commutator_bound"] + 1e-9
         assert pc["cutdown_norm"] <= reduced_norm(f) + 1e-9
-        assert abs(pc["cutdown_norm"] - pc["cutdown_block_norm"]) <= 1e-9
+        # the largest block norm is the reduced norm over the orbits
+        phi = {u: pou.phi_float(i, u) for u in G.units}
+        assert abs(pc["cutdown_norm"] - reduced_norm(cutdown(f, phi))) <= 1e-9
+        assert pc["cutdown_block_norm"] == pc["cutdown_norm"]
 
 
 def test_decompose_support_leak():

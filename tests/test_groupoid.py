@@ -20,14 +20,13 @@ from dadim.groupoid import (
     generate_subgroupoid,
     groupoid_from_json,
     pair_groupoid,
-    symmetrize_arrows,
     transformation_groupoid,
     verify_groupoid_dad,
 )
 from dadim.pipeline import project_witness_to_quotient
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
-from helpers import verify_action_oracle, z2_pair_groupoid_json
+from helpers import symmetrize_arrows, verify_action_oracle, z2_pair_groupoid_json
 
 
 def held(G, gen):
@@ -116,6 +115,24 @@ def test_tabulated_action_check_matches_triple_loop(case):
     """The table-and-gather action check accepts, rejects and names the
     first violation exactly as the triple loop over (g, h, x) does."""
     assert _action_outcome(_verify_action, *case) == _action_outcome(verify_action_oracle, *case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=action_tables(), data=st.data())
+def test_moves_are_the_symmetrized_arrows(case, data):
+    """moves(E) is the symmetrization of the E-arrows with every unit arrow
+    added (they are already there unless E is empty), and is closed under
+    inverse."""
+    group, space, act = case
+    try:
+        G = transformation_groupoid(group, space, act)
+    except NotAnAction:
+        return
+    E = data.draw(st.lists(st.sampled_from(group.elements), max_size=3))
+    K = G.moves(E)
+    raw = frozenset((e, x) for e in E for x in G.space)
+    assert K == symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.space}
+    assert all(G.inverse(a) in K for a in K)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -285,7 +302,7 @@ def test_verify_groupoid_dad_cover_gap():
 
 def test_verify_groupoid_dad_not_closed():
     G = cyclic_rotation_groupoid(6)
-    K = symmetrize_arrows(G, frozenset((1, x) for x in range(6)))
+    K = G.moves([1])
     colors = [frozenset(range(6))]
     declared = [frozenset({(1, 0)})]  # not a subgroupoid
     w = GroupoidDadWitness(K, colors, declared)
@@ -303,9 +320,7 @@ def test_action_groupoid_verifier_consistency():
     depth = 6
     q, colors_q = project_witness_to_quotient(dyadic, w, depth)
     G = cyclic_rotation_groupoid(q)
-    K = symmetrize_arrows(
-        G, frozenset((e % q, x) for e in w.generator_set for x in range(q))
-    )
+    K = G.moves(e % q for e in w.generator_set)
     generated = [
         generate_subgroupoid(
             G, [a for a in K if G.source(a) in c and G.range(a) in c]

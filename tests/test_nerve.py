@@ -314,6 +314,19 @@ def test_dad_witness_from_blr_zero_complex_free_action():
     assert res.moving_set == frozenset(range(n))
 
 
+def test_blr_generators_must_be_group_elements():
+    """-1 names no element of Z/6 (its elements are 0..5): InvalidInput,
+    not a KeyError from the groupoid's tables."""
+    grp = cyclic_group(6)
+    act = lambda g, x: (x + g) % 6  # noqa: E731
+    C0 = SimplicialComplex(range(6), [{i} for i in range(6)])
+    f = {x: SimplicialPoint.vertex(x) for x in range(6)}
+    with pytest.raises(InvalidInput, match=r"^-1 is not an element of the group$"):
+        grp.symmetrized([-1])
+    with pytest.raises(InvalidInput, match="not an element"):
+        dad_witness_from_blr(f, [-1], C0, grp, act, act)
+
+
 def test_pullback_of_exact_map_through_one_complex():
     # pullback of the skeleton cover of a 1-complex under an exact
     # equivariant map: all five conditions verified exhaustively

@@ -28,19 +28,25 @@ from dadim.groupoid import (
     cyclic_group,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
-    symmetrize_arrows,
     transformation_groupoid,
 )
 from dadim.pou import (
     PartitionOfUnity,
     _in_envelope,
+    _neighbours,
     build_pou,
     build_tower,
     enlarge_cover,
     pou_from_group_action,
     verify_pou,
 )
-from helpers import verify_pou_oracle
+from helpers import (
+    build_pou_oracle,
+    build_tower_oracle,
+    enlarge_cover_oracle,
+    symmetrize_arrows,
+    verify_pou_oracle,
+)
 
 F = Fraction
 
@@ -48,7 +54,7 @@ F = Fraction
 @pytest.fixture(scope="module")
 def z12():
     G = cyclic_rotation_groupoid(12)
-    K = frozenset((g % 12, x) for g in (-1, 0, 1) for x in range(12))
+    K = G.moves([11, 0, 1])
     arcs = [frozenset(range(0, 7)), frozenset(list(range(6, 12)) + [0])]
     return G, K, arcs
 
@@ -64,9 +70,8 @@ def test_enlarge_units_only_keeps_colors():
 def test_enlarge_z12_contains_partial_orbits(z12):
     G, K, arcs = z12
     enlarged, report = enlarge_cover(G, K, arcs, size_bound=2000)
-    Ks = symmetrize_arrows(G, K)
     for x in range(12):
-        orbit = {G.source(a) for a in Ks if G.range(a) == x}
+        orbit = {G.source(a) for a in K if G.range(a) == x}
         assert len(orbit) == 3
         assert any(orbit <= u for u in enlarged)
 
@@ -89,12 +94,11 @@ def test_tower_growth_and_propagation(z12):
     G, K, arcs = z12
     enlarged, _ = enlarge_cover(G, K, arcs, size_bound=2000)
     towers = build_tower(G, K, enlarged, 4, size_bound=None)
-    Ks = symmetrize_arrows(G, K)
     for t in towers:
         for n in range(len(t.levels) - 1):
             lvl, nxt = t.levels[n], t.levels[n + 1]
             assert lvl <= nxt
-            moved = {G.source(a) for a in Ks if G.range(a) in lvl}
+            moved = {G.source(a) for a in K if G.range(a) in lvl}
             assert moved <= nxt
         # arcs grow by one unit per side per level until saturation
         assert len(t.levels[1]) == min(12, len(t.levels[0]) + 2)
@@ -109,14 +113,14 @@ def test_tower_escape_guard(z12):
 
 def test_tower_needs_cover():
     G = cyclic_rotation_groupoid(6)
-    K = symmetrize_arrows(G, frozenset((1, x) for x in range(6)))
+    K = G.moves([1])
     with pytest.raises(TowerInvalid):
         build_tower(G, K, [frozenset({0, 1})], 3, None)
 
 
 def test_single_color_constant_pou():
     G = cyclic_rotation_groupoid(6)
-    K = symmetrize_arrows(G, frozenset((1, x) for x in range(6)))
+    K = G.moves([1])
     towers = build_tower(G, K, [frozenset(range(6))], 3, None)
     pou = build_pou(G, K, towers)
     report = verify_pou(G, K, pou, eps=F(1, 1000))
@@ -136,8 +140,7 @@ def test_z12_pou_bounds(z12, N):
     assert report.details["max_oscillation_float"] < osc_bound_float(1, N)
 
     # psi-step bound and normalizer lower bound, exhaustively and exactly
-    Ks = symmetrize_arrows(G, K)
-    for a in Ks:
+    for a in K:
         for i in range(2):
             step = abs(
                 pou.psi[i].get(G.source(a), F(0)) - pou.psi[i].get(G.range(a), F(0))
@@ -152,7 +155,7 @@ def test_z12_pou_bounds(z12, N):
 def test_constant_overlap_normalization():
     # two identical colors: phi_i = 1/sqrt(2) each, oscillation 0
     G = cyclic_rotation_groupoid(4)
-    K = symmetrize_arrows(G, frozenset((1, x) for x in range(4)))
+    K = G.moves([1])
     whole = frozenset(range(4))
     towers = build_tower(G, K, [whole, whole], 3, None)
     pou = build_pou(G, K, towers)
@@ -178,7 +181,7 @@ def test_values_outside_the_unit_interval_rejected():
     and have no oscillation, but phi_1 = -1/sqrt(5) is no partition of
     unity into [0, 1]."""
     G, K, towers, pou = pou_from_group_action(
-        12, range(12), [0, 1, 11],
+        12, [0, 1, 11],
         [frozenset(range(12)), frozenset(range(6, 12)) | {0}], 4, None,
     )
     data = pou.to_json()
@@ -202,7 +205,7 @@ def built_pous():
         (16, [range(0, 7), range(5, 12), [*range(10, 16), 0, 1]]),
     ]:
         for N in (3, 8):
-            G, K, _, pou = pou_from_group_action(q, range(q), [-1, 0, 1], list(map(frozenset, arcs)), N, None)
+            G, K, _, pou = pou_from_group_action(q, [-1, 0, 1], list(map(frozenset, arcs)), N, None)
             out.append((G, K, pou.to_json()))
     return out
 
@@ -232,6 +235,86 @@ def test_verify_pou_memo_matches_arrow_loop(built_pous, data):
     assert verify_pou(G, K, pou, eps).to_json() == verify_pou_oracle(G, K, pou, eps).to_json()
 
 
+def _outcome(fn, *args):
+    """("ok", result) or ("raise", error class, message)."""
+    try:
+        return ("ok", fn(*args))
+    except (InvalidInput, PropagationEscapesColor, TowerInvalid, WitnessInsufficient) as exc:
+        return ("raise", type(exc), str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(1, 16), data=st.data())
+def test_stages_match_symmetrizing_oracles(q, data):
+    """Each stage, reading K = moves(E) through one neighbour map, against
+    the old stage that symmetrizes the raw E-arrows itself and rescans
+    them: the same enlarged colors and report, tower levels, psi and
+    norm_sq, and verify_pou report, or the same error."""
+    G = cyclic_rotation_groupoid(q)
+    E = data.draw(st.frozensets(st.integers(0, q - 1), min_size=1, max_size=3))
+    K = G.moves(E)
+    K_raw = frozenset((e, x) for e in E for x in range(q))
+    units = st.frozensets(st.integers(0, q - 1), max_size=q)
+    colors = data.draw(st.lists(units, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        colors[0] |= frozenset(range(q)) - frozenset().union(*colors)
+    bound = data.draw(st.one_of(st.none(), st.integers(0, 3 * q * q)))
+
+    enlarged = _outcome(enlarge_cover, G, K, colors, bound)
+    want = _outcome(enlarge_cover_oracle, G, K_raw, colors, bound)
+    if enlarged[0] == "ok":
+        assert want[0] == "ok" and enlarged[1][0] == want[1][0]
+        assert enlarged[1][1].to_json() == want[1][1].to_json()
+        colors = enlarged[1][0]
+    else:
+        assert enlarged == want
+
+    N = data.draw(st.integers(1, 6))
+    towers = _outcome(build_tower, G, K, colors, N, bound)
+    want = _outcome(build_tower_oracle, G, K_raw, colors, N, bound)
+    if towers[0] != "ok":
+        assert towers == want
+        return
+    assert [t.levels for t in towers[1]] == [t.levels for t in want[1]]
+
+    pou = _outcome(build_pou, G, K, towers[1])
+    want = _outcome(build_pou_oracle, G, K_raw, towers[1])
+    if pou[0] != "ok":
+        assert pou == want
+        return
+    assert pou[1].psi == want[1].psi and pou[1].norm_sq == want[1].norm_sq
+    eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
+    assert verify_pou(G, K, pou[1], eps).to_json() == verify_pou_oracle(G, K, pou[1], eps).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(1, 16), data=st.data())
+def test_verify_pou_needs_no_symmetrization(q, data):
+    """verify_pou accepts or rejects alike on the raw E-arrows and on their
+    symmetrization, with the same max_oscillation_float: both checks on
+    an arrow are symmetric in its endpoints, and unit arrows pass."""
+    G = cyclic_rotation_groupoid(q)
+    E = data.draw(st.frozensets(st.integers(0, q - 1), max_size=3))
+    K_raw = frozenset((e, x) for e in E for x in range(q))
+    colors = data.draw(st.lists(st.frozensets(st.integers(0, q - 1)), min_size=1, max_size=3))
+    colors[0] |= frozenset(range(q)) - frozenset().union(*colors)
+    K = G.moves(E)
+    towers = build_tower(G, K, colors, data.draw(st.integers(3, 8)), None)
+    cert = build_pou(G, K, towers).to_json()
+    for _ in range(data.draw(st.integers(0, 2))):
+        psi = data.draw(st.sampled_from(cert["psi"]))
+        psi[str(data.draw(st.integers(0, q - 1)))] = str(
+            data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+        )
+    pou = PartitionOfUnity.from_json(G, K, cert)
+    eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
+    raw = verify_pou(G, K_raw, pou, eps)
+    sym = verify_pou(G, symmetrize_arrows(G, K_raw), pou, eps)
+    assert raw.accepted == sym.accepted
+    if raw.accepted:
+        assert raw.details == sym.details
+
+
 def compose_arrow_sets(G, A, B):
     """{ab : a in A, b in B composable}: the envelope oracle."""
     by_range: dict = {}
@@ -255,7 +338,7 @@ def test_block_envelope_matches_composed_envelope(q, data):
     G = cyclic_rotation_groupoid(q)
     units = st.frozensets(st.integers(0, q - 1))
     E = data.draw(st.frozensets(st.integers(0, q - 1), max_size=3))
-    K = symmetrize_arrows(G, frozenset((e, x) for e in E for x in range(q)))
+    K = G.moves(E)
     if data.draw(st.booleans()):
         seed_i = _seed_in_color(G, arrow_set_power(G, K, 3), data.draw(units))
     else:
@@ -266,7 +349,7 @@ def test_block_envelope_matches_composed_envelope(q, data):
         G, compose_arrow_sets(G, K, [a for a in G.arrows if G_i.holds(G, a)]), K
     )
     held = frozenset(a for a in G.arrows if gen.holds(G, a))
-    assert _in_envelope(G, K, G_i, gen) == (held <= envelope)
+    assert _in_envelope(_neighbours(G, K), G_i, gen) == (held <= envelope)
 
 
 def test_enlarge_cover_needs_a_free_groupoid():
@@ -281,7 +364,7 @@ def test_group_wrapper_matches_direct_path(z12):
     enlarged, _ = enlarge_cover(G, K, arcs, size_bound=None)
     towers = build_tower(G, K, enlarged, 8, None)
     direct = build_pou(G, K, towers)
-    G2, K2, tw2, wrapped = pou_from_group_action(12, range(12), [-1, 0, 1], arcs, 8, None)
+    G2, K2, tw2, wrapped = pou_from_group_action(12, [-1, 0, 1], arcs, 8, None)
     assert wrapped.psi == direct.psi
     assert wrapped.norm_sq == direct.norm_sq
 
@@ -317,7 +400,7 @@ def test_least_pou_depth():
 def test_depth_derived_from_eps(z12):
     G, K, arcs = z12
     G2, K2, towers, pou = pou_from_group_action(
-        12, range(12), [-1, 0, 1], arcs, N=None, size_bound=None, eps=F(1, 2)
+        12, [-1, 0, 1], arcs, N=None, size_bound=None, eps=F(1, 2)
     )
     assert pou.N == least_pou_depth(1, F(1, 2))
     report = verify_pou(G2, K2, pou, eps=F(1, 2))
@@ -341,9 +424,7 @@ def test_z12_corpus_pou_json_roundtrip():
     data = json.loads((corpus / case["golden"]).read_text())["pou"]
     order = case["params"]["order"]
     G = cyclic_rotation_groupoid(order)
-    K = symmetrize_arrows(
-        G, frozenset((e % order, x) for e in case["params"]["E"] for x in range(order))
-    )
+    K = G.moves(e % order for e in case["params"]["E"])
     pou = PartitionOfUnity.from_json(G, K, data)
     assert pou.to_json() == data
     assert verify_pou(G, K, pou).accepted
