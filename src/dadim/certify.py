@@ -1,9 +1,11 @@
 """Certificate serialization, hashing, chaining, and the regression corpus.
 
 Artifacts are canonical JSON: keys sorted, rationals as "p/q" strings,
-floats rounded to 12 significant digits.  A certificate chain records one
-entry per pipeline stage with input/output file hashes; a chain is green
-iff every stage verified and every recorded hash still matches, so any
+floats rounded to 12 significant digits.  A certificate chain is linear:
+each pipeline stage writes one certificate, recorded with the content hash
+it was written with, and takes as its input the certificate of the stage
+before, under that stage's recorded hash.  A chain is green iff every stage
+verified; re-verification recomputes every recorded hash from disk, so any
 tampering with an intermediate file is detected.  Timestamps are carried
 for provenance but excluded from hashes and comparisons.
 """
@@ -71,9 +73,20 @@ def _strip_volatile(obj):
     return obj
 
 
+def _digest(data) -> str:
+    """Content hash of an already normalized payload."""
+    # the stamp sits at the top; a volatile key deeper down shows in the
+    # text as the key followed by ':', and only then is a stripped copy built
+    if isinstance(data, dict):
+        data = {k: v for k, v in data.items() if k not in VOLATILE_KEYS}
+    text = _dumps(data)
+    if any(f'"{k}":' in text for k in VOLATILE_KEYS):
+        text = _dumps(_strip_volatile(data))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def content_hash(obj) -> str:
-    payload = _dumps(_strip_volatile(_normalize(obj)))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return _digest(_normalize(obj))
 
 
 def file_hash(path) -> str:
@@ -81,16 +94,19 @@ def file_hash(path) -> str:
         return content_hash(json.load(fh))
 
 
-def write_certificate(path, obj, stamp: bool = True) -> None:
+def write_certificate(path, obj, stamp: bool = True) -> str:
     """Write ``obj`` normalized, keys sorted, one space per indent level,
-    with a creation stamp on a dict unless ``stamp`` is off."""
+    with a creation stamp on a dict unless ``stamp`` is off.  Returns the
+    content hash of what was written, the one ``file_hash`` reads back."""
     data = _normalize(obj)
+    digest = _digest(data)
     if stamp and isinstance(data, dict):
         data["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    return digest
 
 
 def load_certificate(path) -> dict:
@@ -99,21 +115,26 @@ def load_certificate(path) -> dict:
 
 
 class CertificateChain:
-    """Ordered stages with hash links between consecutive artifacts."""
+    """Ordered stages, each linked to the output of the one before."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.stages: list[dict] = []
 
-    def add_stage(self, kind: str, inputs: dict, outputs: dict, status: str, details=None):
+    def add_stage(self, kind: str, name: str, path: str, payload, status: str, details=None):
+        """Write ``payload`` to ``path`` in the chain directory as the stage's
+        one output, under the hash it was written with; the stage's input is
+        the previous stage's output (none for the first stage)."""
+        digest = write_certificate(self.directory / path, payload)
+        prev = self.stages[-1] if self.stages else {"outputs": {}, "output_files": {}}
         self.stages.append(
             {
                 "index": len(self.stages),
                 "kind": kind,
-                "inputs": {name: file_hash(self.directory / p) for name, p in inputs.items()},
-                "input_files": {name: str(p) for name, p in inputs.items()},
-                "outputs": {name: file_hash(self.directory / p) for name, p in outputs.items()},
-                "output_files": {name: str(p) for name, p in outputs.items()},
+                "inputs": prev["outputs"],
+                "input_files": prev["output_files"],
+                "outputs": {name: digest},
+                "output_files": {name: str(path)},
                 "status": status,
                 "details": details or {},
             }
@@ -131,26 +152,30 @@ class CertificateChain:
 
     @classmethod
     def verify_directory(cls, directory) -> dict:
-        """Recompute every recorded hash; raise HashMismatch on any drift."""
+        """Recompute every recorded hash; raise HashMismatch on any drift or
+        unreadable artifact, and InvalidInput on a malformed chain or an
+        artifact path that leaves the directory."""
         directory = Path(directory)
-        chain = load_certificate(directory / "chain.json")
-        produced: dict[str, str] = {}
-        for stage in chain["stages"]:
-            for name, p in stage["input_files"].items():
+        try:
+            chain = load_certificate(directory / "chain.json")
+            chain["green"]  # every caller reads it
+            links = [
+                (f"stage {s['index']} ({s['kind']}): {side} {p}", p, s[f"{side}s"][name])
+                for s in chain["stages"] for side in ("input", "output")
+                for name, p in s[f"{side}_files"].items()
+            ]
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise InvalidInput(f"malformed chain in {directory}: {exc!r}") from None
+        for label, p, _ in links:
+            if not isinstance(p, str) or Path(p).is_absolute() or ".." in Path(p).parts:
+                raise InvalidInput(f"{label}: artifact path leaves the chain directory")
+        for label, p, recorded in links:
+            try:
                 actual = file_hash(directory / p)
-                if actual != stage["inputs"][name]:
-                    raise HashMismatch(
-                        f"stage {stage['index']} ({stage['kind']}): input {p} hash mismatch"
-                    )
-                if p in produced and produced[p] != actual:
-                    raise HashMismatch(f"artifact {p} changed between stages")
-            for name, p in stage["output_files"].items():
-                actual = file_hash(directory / p)
-                if actual != stage["outputs"][name]:
-                    raise HashMismatch(
-                        f"stage {stage['index']} ({stage['kind']}): output {p} hash mismatch"
-                    )
-                produced[p] = actual
+            except (OSError, ValueError) as exc:
+                raise HashMismatch(f"{label} unreadable: {exc}") from None
+            if actual != recorded:
+                raise HashMismatch(f"{label} hash mismatch")
         return chain
 
 

@@ -46,11 +46,24 @@ def _exit_code_table() -> str:
     return "\n".join(rows)
 
 
-def _fail_from_report(report):
+def _raise_if_rejected(report):
     """Map a rejected report to the matching error class."""
-    by_name = {cls.__name__: cls for cls in ALL_ERRORS}
-    cls = by_name.get(report.code, VerificationFailed)
-    raise cls(report.message)
+    if not report.accepted:
+        by_name = {cls.__name__: cls for cls in ALL_ERRORS}
+        raise by_name.get(report.code, VerificationFailed)(report.message)
+
+
+def _print_report(report):
+    """Print a verifier's report, then raise if it rejected."""
+    print(json.dumps(report.to_json(), indent=1, sort_keys=True))
+    _raise_if_rejected(report)
+
+
+def _emit(out, output):
+    """Write ``out`` to ``output`` when one is given, and print it."""
+    if output:
+        write_certificate(output, out)
+    print(json.dumps(certify._normalize(out), indent=1, sort_keys=True))
 
 
 def _rational(text, default=None):
@@ -88,10 +101,7 @@ def cmd_construct(args):
 def cmd_verify(args):
     system = system_from_json(_load(args.system))
     witness = witness_from_json(system, _load(args.witness))
-    report = verify_dad_witness(system, witness, args.blowup_bound)
-    print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-    if not report.accepted:
-        _fail_from_report(report)
+    _print_report(verify_dad_witness(system, witness, args.blowup_bound))
     return 0
 
 
@@ -120,10 +130,7 @@ def cmd_asdim_construct(args):
 def cmd_asdim_verify(args):
     X = space_from_json(_load(args.space))
     witness = asdim_witness_from_json(_load(args.witness))
-    report = verify_asdim_witness(X, witness)
-    print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-    if not report.accepted:
-        _fail_from_report(report)
+    _print_report(verify_asdim_witness(X, witness))
     return 0
 
 
@@ -137,16 +144,13 @@ def cmd_bridge(args):
         for fam in witness.families
     ]
     roundtrip = recovered == original
-    cert = {
+    _emit({
         "ambient_tube_radius": G.radius,
         "K_radius": witness.scale_R,
         "generated_sizes": [len(g) for g in gw.generated],
         "verification": report.to_json(),
         "roundtrip_exact": roundtrip,
-    }
-    if args.output:
-        write_certificate(args.output, cert)
-    print(json.dumps(certify._normalize(cert), indent=1, sort_keys=True))
+    }, args.output)
     if not roundtrip:
         raise VerificationFailed("family recovery from the bridged witness failed")
     return 0
@@ -165,9 +169,7 @@ def cmd_nerve(args):
     else:
         C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
     cert = grid_certificate(C, args.denominator)
-    if args.output:
-        write_certificate(args.output, cert)
-    print(json.dumps(certify._normalize(cert), indent=1, sort_keys=True))
+    _emit(cert, args.output)
     if not cert["separation_ok"]:
         raise VerificationFailed("cross-piece separation violated on the grid")
     return 0
@@ -204,9 +206,7 @@ def cmd_blr_check(args):
             "moving_set": sorted(res.moving_set),
             "verification": res.report.to_json(),
         }
-    if args.output:
-        write_certificate(args.output, out)
-    print(json.dumps(certify._normalize(out), indent=1, sort_keys=True))
+    _emit(out, args.output)
     if not eq.accepted:
         raise errors.EquivarianceTooWeak(eq.message)
     return 0
@@ -233,8 +233,7 @@ def cmd_pou_build(args):
     print(f"partition of unity written to {args.output} "
           f"(max oscillation {report.details['max_oscillation_float']:.6g} "
           f"< bound {report.details['bound_float']:.6g})")
-    if not report.accepted:
-        _fail_from_report(report)
+    _raise_if_rejected(report)
     return 0
 
 
@@ -253,10 +252,7 @@ def _pou_from_cert(cert) -> tuple:
 def cmd_pou_verify(args):
     cert = _load(args.pou)
     G, K, pou = _pou_from_cert(cert)
-    report = verify_pou(G, K, pou, _rational(args.epsilon))
-    print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-    if not report.accepted:
-        _fail_from_report(report)
+    _print_report(verify_pou(G, K, pou, _rational(args.epsilon)))
     return 0
 
 
@@ -280,11 +276,7 @@ def _element_from_json(G, data) -> ConvElement:
 def cmd_norm(args):
     G = groupoid_from_json(_load(args.groupoid))
     f = _element_from_json(G, _load(args.element))
-    value = reduced_norm(f)
-    out = {"reduced_norm": value, "support": len(f.coeffs)}
-    if args.output:
-        write_certificate(args.output, out)
-    print(json.dumps(certify._normalize(out), indent=1, sort_keys=True))
+    _emit({"reduced_norm": reduced_norm(f), "support": len(f.coeffs)}, args.output)
     return 0
 
 
@@ -296,10 +288,7 @@ def cmd_decompose(args):
     else:
         f = ConvElement(G, {a: 1 for a in K})
     rep = decompose_via_pou(f, pou)
-    out = dict(rep)
-    if args.output:
-        write_certificate(args.output, out)
-    print(json.dumps(certify._normalize(out), indent=1, sort_keys=True))
+    _emit(rep, args.output)
     if not rep["accepted"]:
         raise VerificationFailed("decomposition inequalities failed")
     return 0

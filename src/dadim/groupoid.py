@@ -35,6 +35,7 @@ explicit size bound.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -597,17 +598,17 @@ def generate_subgroupoid(G, seed):
 
     In a free groupoid an arrow is fixed by its source and range, so the
     result is the pair groupoid over the connected components of the seed
-    graph, returned as ``BlockArrows``.  A tube seed (the radius-r tube
-    arrows inside a color, from ``_seed_in_color``) has for components
-    the color's r-components: on a lattice space they come from the label
-    array, elsewhere from the union-find over its pairs.  Groupoids with
+    graph, returned as ``BlockArrows``.  The seed is arrows, or a
+    ``_UnitSeed`` that gives the graph itself (the tube arrows inside a
+    color, or K^3's inside a color).  A tube seed on a lattice space has
+    for components the color's r-components read off the label array;
+    every other seed takes the union-find over its pairs.  Groupoids with
     isotropy take the worklist closure and return a frozenset of arrows.
     """
     if not G.is_free():
         return _closure(G, seed)
-    if isinstance(seed, _TubeSeed):
-        lattice = seed.space.lattice
-        comps = None if lattice is None else lattice.components(seed.units, seed.radius)
+    if isinstance(seed, _UnitSeed):
+        comps = None if seed.lattice is None else seed.lattice.components(seed.units, seed.radius)
         if comps is None:
             comps = _connected_components(seed)
     else:
@@ -648,21 +649,6 @@ def _closure(G, seed) -> frozenset:
     return frozenset(result)
 
 
-def arrow_set_power(G, K, p: int):
-    """K^p as a set of arrows (K assumed symmetrized so powers nest)."""
-    by_range: dict = {}
-    for b in K:
-        by_range.setdefault(G.range(b), []).append(b)
-    out = cur = frozenset(K)
-    for _ in range(p - 1):
-        cur = frozenset(
-            c for a in cur for b in by_range.get(G.source(a), ())
-            if (c := G.compose(a, b)) is not None
-        )
-        out |= cur
-    return out
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -688,25 +674,31 @@ def _endpoint_units(G, K):
 
 
 @dataclass(frozen=True)
-class _TubeSeed:
-    """The arrows of the radius-r tube with both endpoints in ``units``,
-    kept implicit.  Iterating gives one arrow (x, y), y >= x, per unordered
-    pair, which is enough to generate; (x, x) keeps isolated units."""
+class _UnitSeed:
+    """The arrows of a free groupoid with both endpoints in ``units``, kept
+    as a unit graph: ``near(x)`` gives the units one arrow away from x.
+    Iterating gives one pair per edge, which is enough to generate; x in
+    ``near(x)`` keeps isolated units.  A tube seed carries its space's
+    lattice (None off the grids) and radius for the label-array path."""
 
-    space: object
-    radius: int
     units: frozenset
+    near: Callable
+    lattice: object = None
+    radius: int = 0
 
     def __iter__(self):
         for x in self.units:
-            for y in self.space.iter_ball(x, self.radius):
-                if y >= x and y in self.units:
+            for y in self.near(x):
+                if y in self.units:
                     yield (x, y)
 
 
 def _seed_in_color(G, K, color):
     if isinstance(K, TubeArrows):
-        return _TubeSeed(G.space, K.radius, frozenset(color))
+        space, r = G.space, K.radius
+        # one pair (x, y), y >= x, per unordered pair of the tube
+        near = lambda x: (y for y in space.iter_ball(x, r) if y >= x)  # noqa: E731
+        return _UnitSeed(frozenset(color), near, space.lattice, r)
     return [a for a in K if G.source(a) in color and G.range(a) in color]
 
 

@@ -3,8 +3,8 @@
 The pipeline chains: symbolic witness construction -> finite-quotient
 transformation-groupoid witness -> cover enlargement -> nested towers ->
 almost-invariant partition of unity -> cut-down decomposition report.
-Each stage writes a certificate; the chain records hashes so tampering is
-detected on re-verification.
+Each stage writes one certificate, and takes the one before as its input;
+the chain records their hashes so tampering is detected on re-verification.
 """
 
 from __future__ import annotations
@@ -64,22 +64,18 @@ def run_pipeline(
     # stage 0: system
     sysdata = load_certificate(system_file)
     system = system_from_json(sysdata)
-    write_certificate(outdir / "01_system.json", {
+    chain.add_stage("system", "system", "01_system.json", {
         "system": system.to_json(),
         "minimal": system.minimal,
         "infinite": system.infinite,
-    })
-    chain.add_stage("system", {}, {"system": "01_system.json"}, "verified")
+    }, "verified")
 
     # stage 1: symbolic witness
     witness = construct_minimal_z_witness(system, N)
     wrep = verify_dad_witness(system, witness)
-    write_certificate(outdir / "02_witness.json", {
-        "witness": witness.to_json(),
-        "verification": wrep.to_json(),
-    })
     chain.add_stage(
-        "witness", {"system": "01_system.json"}, {"witness": "02_witness.json"},
+        "witness", "witness", "02_witness.json",
+        {"witness": witness.to_json(), "verification": wrep.to_json()},
         "verified" if wrep.accepted else "failed",
         {"M": witness.meta["M"], "sizes": wrep.details.get("sizes")},
     )
@@ -104,19 +100,14 @@ def run_pipeline(
         G.group_parts(generated[i]) == {n % q for n in witness.finite_sets[i]}
         for i in range(len(colors_q))
     )
-    write_certificate(outdir / "03_groupoid_witness.json", {
+    chain.add_stage("groupoid", "groupoid_witness", "03_groupoid_witness.json", {
         "quotient": q,
         "colors": [sorted(c) for c in colors_q],
         "generated_sizes": [len(g) for g in generated],
         "size_bound": size_bound,
         "group_parts_match_symbolic": parts_match,
         "verification": grep.to_json(),
-    })
-    chain.add_stage(
-        "groupoid", {"witness": "02_witness.json"},
-        {"groupoid_witness": "03_groupoid_witness.json"},
-        "verified" if grep.accepted and parts_match else "failed",
-    )
+    }, "verified" if grep.accepted and parts_match else "failed")
     if not grep.accepted or not parts_match:
         raise VerificationFailed("groupoid stage failed", grep)
 
@@ -125,37 +116,26 @@ def run_pipeline(
     f3 = color_element_sets(system, witness.colors, E3)
     bound_k3 = max(len(F) for F in f3) * q
     enlarged, erep = enlarge_cover(G, K, colors_q, bound_k3)
-    write_certificate(outdir / "04_enlarged.json", {
+    chain.add_stage("enlarge", "enlarged", "04_enlarged.json", {
         "colors": [sorted(c) for c in enlarged],
         "k3_element_counts": [len(F) for F in f3],
         "size_bound": bound_k3,
         "report": erep.to_json(),
-    })
-    chain.add_stage(
-        "enlarge", {"groupoid_witness": "03_groupoid_witness.json"},
-        {"enlarged": "04_enlarged.json"}, "verified",
-    )
+    }, "verified")
 
     # stage 4: towers
     towers = build_tower(G, K, enlarged, pou_depth, size_bound=None)
-    write_certificate(outdir / "05_towers.json", {
+    chain.add_stage("tower", "towers", "05_towers.json", {
         "N": pou_depth,
         "levels": [[sorted(lvl) for lvl in t.levels] for t in towers],
-    })
-    chain.add_stage(
-        "tower", {"enlarged": "04_enlarged.json"}, {"towers": "05_towers.json"},
-        "verified",
-    )
+    }, "verified")
 
     # stage 5: partition of unity
     pou = build_pou(G, K, towers)
     prep = verify_pou(G, K, pou)
-    write_certificate(outdir / "06_pou.json", {
-        "pou": pou.to_json(),
-        "verification": prep.to_json(),
-    })
     chain.add_stage(
-        "pou", {"towers": "05_towers.json"}, {"pou": "06_pou.json"},
+        "pou", "pou", "06_pou.json",
+        {"pou": pou.to_json(), "verification": prep.to_json()},
         "verified" if prep.accepted else "failed",
     )
     if not prep.accepted:
@@ -166,17 +146,12 @@ def run_pipeline(
     drep = decompose_via_pou(f, pou)
     osc_bound = osc_bound_float(pou.d, pou.N)
     osc_ok = prep.details["max_oscillation_float"] < osc_bound
-    write_certificate(outdir / "07_decomposition.json", {
+    chain.add_stage("decompose", "decomposition", "07_decomposition.json", {
         "decomposition": drep,
         "pou_oscillation": prep.details["max_oscillation_float"],
         "pou_oscillation_bound": osc_bound,
         "oscillation_below_bound": osc_ok,
-    })
-    chain.add_stage(
-        "decompose", {"pou": "06_pou.json"},
-        {"decomposition": "07_decomposition.json"},
-        "verified" if drep["accepted"] and osc_ok else "failed",
-    )
+    }, "verified" if drep["accepted"] and osc_ok else "failed")
     chain.write()
     if not drep["accepted"]:
         raise VerificationFailed("decomposition stage failed")

@@ -29,7 +29,7 @@ from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqr
 from .groupoid import (
     _endpoint_units,
     _seed_in_color,
-    arrow_set_power,
+    _UnitSeed,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
 )
@@ -87,15 +87,17 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     The enlarged color is U_i = s(K cap r^-1(V_i)) cap (r(K) u s(K)); the
     generated subgroupoid for (K, U_i) is checked to stay inside
     K . G_i . K, with G_i generated from (K^3, V_i).  G must be free
-    (NotFree otherwise).
+    (NotFree otherwise), so K^3 is fixed by its unit graph, units at most
+    three K-steps apart, which is read off the neighbour map.
 
     Returns (new_colors, report).
     """
     if not G.is_free():
         raise NotFree("cover enlargement needs a free groupoid")
-    K3 = arrow_set_power(G, K, 3)
     nbrs = _neighbours(G, K)
     base = frozenset(nbrs)
+    # K^3's unit graph: two more propagation steps from the K-neighbours
+    near3 = {x: _propagate(nbrs, _propagate(nbrs, frozenset(ys))) for x, ys in nbrs.items()}
 
     covered = frozenset().union(*colors) if colors else frozenset()
     if not base <= covered:
@@ -105,7 +107,7 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
 
     G_is = []
     for i, color in enumerate(colors):
-        gen = generate_subgroupoid(G, _seed_in_color(G, K3, color))
+        gen = generate_subgroupoid(G, _UnitSeed(frozenset(color) & base, near3.__getitem__))
         if size_bound is not None and len(gen) > size_bound:
             raise WitnessInsufficient(
                 f"color {i} generates {len(gen)} arrows for K^3 > bound {size_bound}"

@@ -19,11 +19,10 @@ from dadim.groupoid import (
     FiniteGroupoid,
     _endpoint_units,
     _seed_in_color,
-    arrow_set_power,
     generate_subgroupoid,
 )
 from dadim.reporting import VerificationReport
-from dadim.certify import rational_str
+from dadim.certify import file_hash, rational_str
 from dadim.nerve import SimplicialPoint, inner_radius, l1_distance, nice_cover_assign, outer_radius
 from dadim.pou import NestedColorTower, PartitionOfUnity
 from dadim.symbolic import ClopenSet, SymbolicSystem
@@ -380,6 +379,22 @@ def in_envelope_oracle(G, K, G_i, gen) -> bool:
     )
 
 
+def arrow_set_power(G, K, p: int):
+    """K^p as a set of arrows, one ``compose`` per composable pair (K
+    assumed symmetrized so powers nest)."""
+    by_range: dict = {}
+    for b in K:
+        by_range.setdefault(G.range(b), []).append(b)
+    out = cur = frozenset(K)
+    for _ in range(p - 1):
+        cur = frozenset(
+            c for a in cur for b in by_range.get(G.source(a), ())
+            if (c := G.compose(a, b)) is not None
+        )
+        out |= cur
+    return out
+
+
 def enlarge_cover_oracle(G, K, colors, size_bound):
     """``pou.enlarge_cover`` symmetrizing K itself and rescanning it for
     the endpoints of K and of K^3, the partial orbits and each reach."""
@@ -544,3 +559,41 @@ def verify_pou_oracle(G, K, pou, eps=None) -> VerificationReport:
             "N": N,
         },
     )
+
+
+# the stages of ``run_pipeline`` with their hand-written links, as the
+# two-step chain recorded them: (kind, inputs, outputs)
+PIPELINE_LINKS = [
+    ("system", {}, {"system": "01_system.json"}),
+    ("witness", {"system": "01_system.json"}, {"witness": "02_witness.json"}),
+    ("groupoid", {"witness": "02_witness.json"},
+     {"groupoid_witness": "03_groupoid_witness.json"}),
+    ("enlarge", {"groupoid_witness": "03_groupoid_witness.json"},
+     {"enlarged": "04_enlarged.json"}),
+    ("tower", {"enlarged": "04_enlarged.json"}, {"towers": "05_towers.json"}),
+    ("pou", {"towers": "05_towers.json"}, {"pou": "06_pou.json"}),
+    ("decompose", {"pou": "06_pou.json"}, {"decomposition": "07_decomposition.json"}),
+]
+
+
+class TwoStepChain:
+    """``certify.CertificateChain`` as a caller first wrote each artifact
+    and ``add_stage`` then hashed every input and output again from disk."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.stages: list[dict] = []
+
+    def add_stage(self, kind: str, inputs: dict, outputs: dict, status: str, details=None):
+        self.stages.append(
+            {
+                "index": len(self.stages),
+                "kind": kind,
+                "inputs": {name: file_hash(self.directory / p) for name, p in inputs.items()},
+                "input_files": {name: str(p) for name, p in inputs.items()},
+                "outputs": {name: file_hash(self.directory / p) for name, p in outputs.items()},
+                "output_files": {name: str(p) for name, p in outputs.items()},
+                "status": status,
+                "details": details or {},
+            }
+        )

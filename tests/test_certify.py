@@ -1,11 +1,16 @@
 """Canonical serialization, hashing, determinism, and corpus plumbing."""
 
+import hashlib
 import json
+import math
 import shutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dadim import certify
 from dadim.certify import (
     canonical_json,
     compare_artifacts,
@@ -98,3 +103,55 @@ def test_write_certificate_stamps_and_roundtrips(tmp_path):
     assert path.read_text() != json.dumps(data, sort_keys=True, indent=1) + "\n"
     write_certificate(path, obj, stamp=False)
     assert path.read_text() == json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def _rounding_edge(digits, exponent, step):
+    """A float at, or one ulp beside, a tie of the 12-digit rounding."""
+    x = float(f"{digits}5e{exponent}")
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(_rounding_edge, st.integers(10**11, 10**12 - 1),
+              st.integers(-330, 300), st.sampled_from([-1, 0, 1])),
+)
+HASHABLE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4), FLOATS,
+    st.fractions(),
+)
+# volatile keys at any depth, and keys that only look like one in the text
+KEYS = st.one_of(
+    st.text(max_size=3), st.integers(-5, 5),
+    st.sampled_from(["created", "timestamp", "elapsed_seconds", 'x"created', "created:"]),
+)
+PAYLOADS = st.recursive(
+    HASHABLE,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(HASHABLE, max_size=4),
+        st.sets(st.frozensets(st.integers(-3, 3), max_size=3), max_size=3),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _stripped_hash(obj):
+    """The content hash with every volatile key stripped, unconditionally."""
+    text = certify._dumps(certify._strip_volatile(certify._normalize(obj)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.one_of(PAYLOADS, st.dictionaries(KEYS, PAYLOADS, max_size=4)),
+       stamp=st.booleans())
+def test_write_certificate_returns_the_hash_read_back(tmp_path_factory, payload, stamp):
+    """The hash write_certificate returns is file_hash of what it wrote:
+    normalizing the read-back JSON changes nothing the hash sees, and the
+    stamp and every other volatile key are left out of both."""
+    path = tmp_path_factory.getbasetemp() / "hash_read_back.json"
+    digest = write_certificate(path, payload, stamp)
+    assert digest == file_hash(path) == _stripped_hash(payload)

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, exit codes, chain integrity."""
 
 import json
+import shutil
 import time
 
 import pytest
@@ -314,6 +315,93 @@ def test_pipeline_and_tamper(workdir):
     data["pou"]["N"] = 999
     target.write_text(json.dumps(data))
     assert run(["pipeline", "--check", out]) == HashMismatch.exit_code
+
+
+@pytest.fixture(scope="module")
+def stored_chain(tmp_path_factory):
+    """A green dyadic chain at quotient depth 4, copied by each test."""
+    root = tmp_path_factory.mktemp("stored")
+    system = root / "system.json"
+    system.write_text(json.dumps({"kind": "odometer", "base": [2], "depth_limit": 12}))
+    assert run(["pipeline", "--system", system, "--quotient-depth", 4, "-o", root / "chain"]) == 0
+    return root / "chain"
+
+
+def _edit_chain(chain, edit):
+    data = json.loads((chain / "chain.json").read_text())
+    edit(data)
+    (chain / "chain.json").write_text(json.dumps(data))
+
+
+def _link_outside(chain, where):
+    """Point stage 1's input at an identical copy of 01_system.json outside
+    the chain directory, so its recorded hash still matches."""
+    outside = chain.parent / "outside.json"
+    outside.write_bytes((chain / "01_system.json").read_bytes())
+    path = str(outside) if where == "absolute" else "../outside.json"
+    _edit_chain(chain, lambda d: d["stages"][1]["input_files"].update(system=path))
+
+
+BROKEN_CHAINS = {
+    "missing_chain": (lambda c: (c / "chain.json").unlink(), InvalidInput),
+    "chain_not_json": (lambda c: (c / "chain.json").write_text("{stages"), InvalidInput),
+    "stage_without_input_files": (
+        lambda c: _edit_chain(c, lambda d: d["stages"][2].pop("input_files")), InvalidInput,
+    ),
+    "deleted_artifact": (lambda c: (c / "05_towers.json").unlink(), HashMismatch),
+    "artifact_not_json": (lambda c: (c / "04_enlarged.json").write_text("[1,"), HashMismatch),
+    "absolute_artifact_path": (lambda c: _link_outside(c, "absolute"), InvalidInput),
+    "artifact_path_leaves_directory": (lambda c: _link_outside(c, "relative"), InvalidInput),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CHAINS))
+def test_pipeline_check_on_a_broken_chain(stored_chain, tmp_path, capsys, case):
+    """pipeline --check rejects a broken chain with its error class; a path
+    outside the directory is refused even when the file there matches."""
+    chain = tmp_path / "case" / "chain"
+    shutil.copytree(stored_chain, chain)
+    assert run(["pipeline", "--check", chain]) == 0
+    capsys.readouterr()
+    breaks, error = BROKEN_CHAINS[case]
+    breaks(chain)
+    assert run(["pipeline", "--check", chain]) == error.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+EMITTERS = {
+    "bridge": lambda w: ["bridge", "--space", w / "space1d.json", "--witness", w / "aw.json"],
+    "nerve": lambda w: ["nerve", "--denominator", 12],
+    "blr-check": lambda w: [
+        "blr-check", "--action", w / "action.json", "--map", w / "map.json",
+        "--complex", w / "complex.json", "--E", 1, "--witness",
+    ],
+    "norm": lambda w: ["norm", "--groupoid", w / "g.json", "--element", w / "e.json"],
+    "decompose": lambda w: ["decompose", "--pou", w / "pou.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMITTERS))
+def test_printed_and_written_certificates_agree(workdir, capsys, command):
+    """A command's -o file is its stdout plus the creation stamp, and its
+    stdout is the same with or without -o."""
+    blr_files(workdir)
+    (workdir / "g.json").write_text(json.dumps({"action": {"cyclic": 4}}))
+    (workdir / "e.json").write_text(json.dumps({"coeffs": [[[1, x], "1", "0"] for x in range(4)]}))
+    assert run(["asdim-construct", "--space", workdir / "space1d.json", "--R", 10,
+                "-o", workdir / "aw.json"]) == 0
+    assert run(["pou-build", "--order", 12, "--E", -1, 0, 1, "--colors", workdir / "colors.json",
+                "--N", 8, "-o", workdir / "pou.json"]) == 0
+    args = EMITTERS[command](workdir)
+    capsys.readouterr()
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    out = workdir / "out.json"
+    assert run(args + ["-o", out]) == 0
+    assert capsys.readouterr().out == printed
+    text = out.read_text()
+    stamp = f' "created": {json.dumps(json.loads(text)["created"])},\n'
+    assert stamp in text and text.replace(stamp, "") == printed
 
 
 def test_corpus_command():

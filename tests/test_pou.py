@@ -24,7 +24,7 @@ from dadim.exactmath import (
 )
 from dadim.groupoid import (
     _seed_in_color,
-    arrow_set_power,
+    block_union_pair_groupoid,
     cyclic_group,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
@@ -41,6 +41,7 @@ from dadim.pou import (
     verify_pou,
 )
 from helpers import (
+    arrow_set_power,
     build_pou_oracle,
     build_tower_oracle,
     enlarge_cover_oracle,
@@ -285,6 +286,35 @@ def test_stages_match_symmetrizing_oracles(q, data):
     assert pou[1].psi == want[1].psi and pou[1].norm_sq == want[1].norm_sq
     eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
     assert verify_pou(G, K, pou[1], eps).to_json() == verify_pou_oracle(G, K, pou[1], eps).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3), data=st.data())
+def test_enlarge_cover_k3_off_neighbours_matches_composed_k3(sizes, data):
+    """On pair groupoids over disjoint blocks, with any symmetric K that
+    holds its units: K^3 read off the neighbour map gives the enlarged
+    colors and report (or the error) of the oracle that composes K^3."""
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    G = block_union_pair_groupoid(
+        [range(o, o + n) for o, n in zip(offsets, sizes)]
+    )
+    # steps along each block make units three K-steps apart common
+    steps = [(u + 1, u) for u in G.units if (u + 1, u) in G.arrows]
+    drawn = data.draw(st.sets(st.sampled_from(steps), max_size=8)) if steps else set()
+    drawn |= data.draw(st.sets(st.sampled_from(G.arrows), max_size=3))
+    K = symmetrize_arrows(G, drawn)
+    units = st.frozensets(st.sampled_from(G.units))
+    colors = data.draw(st.lists(units, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        colors.append(frozenset(G.units).difference(*colors))
+    bound = data.draw(st.one_of(st.none(), st.integers(0, 2 * len(G.arrows))))
+    got = _outcome(enlarge_cover, G, K, colors, bound)
+    want = _outcome(enlarge_cover_oracle, G, K, colors, bound)
+    if got[0] == "ok":
+        assert want[0] == "ok" and got[1][0] == want[1][0]
+        assert got[1][1].to_json() == want[1][1].to_json()
+    else:
+        assert got == want
 
 
 @settings(max_examples=150, deadline=None)
