@@ -5,8 +5,9 @@ floats rounded to 12 significant digits.  A certificate chain is linear:
 each pipeline stage writes one certificate, recorded with the content hash
 it was written with, and takes as its input the certificate of the stage
 before, under that stage's recorded hash.  A chain is green iff every stage
-verified; re-verification recomputes every recorded hash from disk, so any
-tampering with an intermediate file is detected.  Timestamps are carried
+verified.  Re-verification checks every link and the green flag against the
+statuses, then recomputes every recorded hash from disk, so any tampering
+with an intermediate file is detected.  Timestamps are carried
 for provenance but excluded from hashes and comparisons.
 """
 
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 VOLATILE_KEYS = {"created", "timestamp", "elapsed_seconds"}
+STAGE_KEYS = {"index", "kind", "inputs", "input_files", "outputs", "output_files", "status"}
 
 
 def rational_str(q: Fraction) -> str:
@@ -75,14 +77,7 @@ def _strip_volatile(obj):
 
 def _digest(data) -> str:
     """Content hash of an already normalized payload."""
-    # the stamp sits at the top; a volatile key deeper down shows in the
-    # text as the key followed by ':', and only then is a stripped copy built
-    if isinstance(data, dict):
-        data = {k: v for k, v in data.items() if k not in VOLATILE_KEYS}
-    text = _dumps(data)
-    if any(f'"{k}":' in text for k in VOLATILE_KEYS):
-        text = _dumps(_strip_volatile(data))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_dumps(_strip_volatile(data)).encode()).hexdigest()
 
 
 def content_hash(obj) -> str:
@@ -94,19 +89,18 @@ def file_hash(path) -> str:
         return content_hash(json.load(fh))
 
 
-def write_certificate(path, obj, stamp: bool = True) -> str:
+def write_certificate(path, obj, stamp: bool = True):
     """Write ``obj`` normalized, keys sorted, one space per indent level,
     with a creation stamp on a dict unless ``stamp`` is off.  Returns the
-    content hash of what was written, the one ``file_hash`` reads back."""
+    normalized data as written."""
     data = _normalize(obj)
-    digest = _digest(data)
     if stamp and isinstance(data, dict):
         data["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    return digest
+    return data
 
 
 def load_certificate(path) -> dict:
@@ -125,7 +119,7 @@ class CertificateChain:
         """Write ``payload`` to ``path`` in the chain directory as the stage's
         one output, under the hash it was written with; the stage's input is
         the previous stage's output (none for the first stage)."""
-        digest = write_certificate(self.directory / path, payload)
+        digest = _digest(write_certificate(self.directory / path, payload))
         prev = self.stages[-1] if self.stages else {"outputs": {}, "output_files": {}}
         self.stages.append(
             {
@@ -152,30 +146,45 @@ class CertificateChain:
 
     @classmethod
     def verify_directory(cls, directory) -> dict:
-        """Recompute every recorded hash; raise HashMismatch on any drift or
-        unreadable artifact, and InvalidInput on a malformed chain or an
-        artifact path that leaves the directory."""
+        """Check that each stage's input is the previous stage's output and
+        that ``green`` is what the statuses give, then recompute every output
+        hash.  Raise InvalidInput on a malformed chain, a broken link or an
+        artifact path that leaves the directory, and HashMismatch on drift
+        or an unreadable artifact."""
         directory = Path(directory)
         try:
             chain = load_certificate(directory / "chain.json")
-            chain["green"]  # every caller reads it
-            links = [
-                (f"stage {s['index']} ({s['kind']}): {side} {p}", p, s[f"{side}s"][name])
-                for s in chain["stages"] for side in ("input", "output")
-                for name, p in s[f"{side}_files"].items()
-            ]
-        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-            raise InvalidInput(f"malformed chain in {directory}: {exc!r}") from None
-        for label, p, _ in links:
-            if not isinstance(p, str) or Path(p).is_absolute() or ".." in Path(p).parts:
-                raise InvalidInput(f"{label}: artifact path leaves the chain directory")
-        for label, p, recorded in links:
-            try:
-                actual = file_hash(directory / p)
-            except (OSError, ValueError) as exc:
-                raise HashMismatch(f"{label} unreadable: {exc}") from None
-            if actual != recorded:
-                raise HashMismatch(f"{label} hash mismatch")
+        except (OSError, ValueError) as exc:
+            raise InvalidInput(f"unreadable chain in {directory}: {exc}") from None
+        stages = chain.get("stages") if isinstance(chain, dict) else None
+        if not isinstance(stages, list) or not all(
+            isinstance(s, dict) and STAGE_KEYS <= s.keys() for s in stages
+        ):
+            raise InvalidInput(f"malformed chain in {directory}")
+        prev = {"outputs": {}, "output_files": {}}
+        for s in stages:
+            label = f"stage {s['index']} ({s['kind']})"
+            if s["inputs"] != prev["outputs"] or s["input_files"] != prev["output_files"]:
+                raise InvalidInput(f"{label}: input is not the previous stage's output")
+            files = s["output_files"]
+            if not (isinstance(files, dict) and isinstance(s["outputs"], dict)
+                    and files.keys() == s["outputs"].keys()):
+                raise InvalidInput(f"{label}: malformed outputs")
+            for p in files.values():
+                if not isinstance(p, str) or Path(p).is_absolute() or ".." in Path(p).parts:
+                    raise InvalidInput(f"{label}: artifact path leaves the chain directory")
+            prev = s
+        if chain.get("green") != all(s["status"] == "verified" for s in stages):
+            raise InvalidInput(f"chain in {directory}: green does not match the stage statuses")
+        for s in stages:
+            for name, p in s["output_files"].items():
+                label = f"stage {s['index']} ({s['kind']}): output {p}"
+                try:
+                    actual = file_hash(directory / p)
+                except (OSError, ValueError) as exc:
+                    raise HashMismatch(f"{label} unreadable: {exc}") from None
+                if actual != s["outputs"][name]:
+                    raise HashMismatch(f"{label} hash mismatch")
         return chain
 
 

@@ -334,12 +334,27 @@ def _edit_chain(chain, edit):
 
 
 def _link_outside(chain, where):
-    """Point stage 1's input at an identical copy of 01_system.json outside
-    the chain directory, so its recorded hash still matches."""
+    """Point stage 0's output, and so stage 1's input, at an identical copy
+    of 01_system.json outside the chain directory: every link and recorded
+    hash still matches."""
     outside = chain.parent / "outside.json"
     outside.write_bytes((chain / "01_system.json").read_bytes())
     path = str(outside) if where == "absolute" else "../outside.json"
-    _edit_chain(chain, lambda d: d["stages"][1]["input_files"].update(system=path))
+
+    def edit(data):
+        data["stages"][0]["output_files"].update(system=path)
+        data["stages"][1]["input_files"].update(system=path)
+    _edit_chain(chain, edit)
+
+
+def _rewire(data):
+    """Feed stage 3 the first stage's output, under that output's true hash."""
+    first = data["stages"][0]
+    data["stages"][3].update(inputs=first["outputs"], input_files=first["output_files"])
+
+
+def _last_failed(data):
+    data["stages"][-1]["status"] = "failed"
 
 
 BROKEN_CHAINS = {
@@ -352,6 +367,9 @@ BROKEN_CHAINS = {
     "artifact_not_json": (lambda c: (c / "04_enlarged.json").write_text("[1,"), HashMismatch),
     "absolute_artifact_path": (lambda c: _link_outside(c, "absolute"), InvalidInput),
     "artifact_path_leaves_directory": (lambda c: _link_outside(c, "relative"), InvalidInput),
+    "input_rewired": (lambda c: _edit_chain(c, _rewire), InvalidInput),
+    "green_despite_a_failed_stage": (lambda c: _edit_chain(c, _last_failed), InvalidInput),
+    "green_flag_cleared": (lambda c: _edit_chain(c, lambda d: d.update(green=False)), InvalidInput),
 }
 
 
