@@ -4,11 +4,13 @@ Elements are finitely supported coefficient maps on arrows; the product is
 
     (f1 f2)(g) = sum over g1 g2 = g of f1(g1) f2(g2),
 
-the adjoint is f*(g) = conj(f(g^-1)), and the reduced norm is the maximum
-over one unit per orbit of the spectral norm of the regular-representation
-matrix on the source fiber.  Coefficients stay exact (Fraction pairs) under
-the algebra operations; norms are computed in floats as the largest
-singular value of the representation matrix (LAPACK SVD).
+the adjoint is f*(g) = conj(f(g^-1)), and the reduced norm is the sup over
+units x of ||pi_x(f)||.  On a free groupoid pi_x(f) is block diagonal, one
+block per component of the support graph of f, so the norm is the largest
+block norm of ``block_decompose``; under isotropy it is the largest over one
+unit per orbit of the regular-representation matrix on the source fiber.
+Coefficients stay exact (Fraction pairs) under the algebra operations;
+norms are computed in floats as largest singular values (LAPACK SVD).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GroupoidMismatch, InvalidInput, NotFree, SupportLeak
-from .groupoid import BlockArrows
+from .groupoid import BlockArrows, generate_subgroupoid
 
 __all__ = [
     "ConvElement",
@@ -191,16 +193,16 @@ def spectral_norm(A: np.ndarray) -> float:
 
 
 def reduced_norm(f: ConvElement) -> float:
-    """sup over units of ||pi_x(f)||; one representative per orbit suffices
-    because the regular representations along an orbit are unitarily
-    conjugate, and orbits missing the support contribute zero."""
+    """sup over units of ||pi_x(f)||.  On a free groupoid pi_x(f) permutes
+    to one block per component of the support graph of f (zero elsewhere),
+    so the norm is the largest block norm over the subgroupoid f generates.
+    Under isotropy one representative per orbit suffices, because the
+    regular representations along an orbit are unitarily conjugate, and
+    orbits missing the support contribute zero."""
     G = f.G
-    touched = set()
-    for g in f.coeffs:
-        touched.add(G.source(g))
-        touched.add(G.range(g))
-    if not touched:
-        return 0.0
+    if G.is_free():
+        return block_decompose(G, generate_subgroupoid(G, f.coeffs)).max_block_norm(f)
+    touched = {u for g in f.coeffs for u in (G.source(g), G.range(g))}
     best = 0.0
     for orbit in G.orbits:
         if touched.isdisjoint(orbit):
@@ -288,17 +290,6 @@ class BlockDecomposition:
     def where(self) -> dict:
         """unit -> (class index, position in its class)."""
         return {u: (k, i) for k, (_, units) in enumerate(self.classes) for i, u in enumerate(units)}
-
-    @cached_property
-    def arrow_pos(self) -> dict:
-        """arrow -> (class index, row, col), each block's arrows read off
-        ``G.block_arrows``; built on first use, |b|^2 entries per block."""
-        return {
-            g: (k, i, j)
-            for k, (_, units) in enumerate(self.classes)
-            for i, row in enumerate(self.G.block_arrows(units))
-            for j, g in enumerate(row)
-        }
 
     def block_matrices(self, f: ConvElement) -> list[np.ndarray]:
         mats = [np.zeros((m, m), dtype=complex) for m in self.sizes()]

@@ -8,14 +8,13 @@ composition.  Three concrete flavors cover everything the artifact needs:
   composable triple);
 * ``TransformationGroupoid`` -- a ``FiniteGroup`` (the one group type)
   acting on a finite space, arrows (g, x) composed by multiplying group
-  parts; it keeps the |G| x |X| table of point indices of the action and
-  the |G| x |G| table of the group law, and answers from them: structure
-  maps, isotropy, orbits (the table's columns), fibers, ``between`` (the
-  g taking x to y) and the blocks and group parts read through it, and
-  the regular representation's entries.  Its arrow tuple is built only
-  when asked for; ``moves(E)`` builds the symmetric arrow set K of a
-  generating set.  The Z/n rotation's tables are (j + g) mod n; any
-  other action is verified exhaustively and its checked tables kept;
+  parts; it keeps the |G| x |X| table of point indices of the action
+  and answers from it: structure maps, isotropy, orbits (the table's
+  columns), fibers, and ``between`` (the g taking x to y) and the group
+  parts of blocks read through it.  Its arrow tuple is built only when
+  asked for; ``moves(E)`` builds the symmetric arrow set K of a
+  generating set.  The Z/n rotation's table is (j + g) mod n; any other
+  action is verified exhaustively and its checked table kept;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
@@ -25,7 +24,7 @@ subgroupoid of a free groupoid has one form, ``BlockArrows``: an arrow is
 fixed by its source and range, so a subgroupoid is the pair groupoid
 over a partition of some units (one matrix algebra per block).
 Generation reads the blocks off the components of the seed graph, and
-consumers read sizes, arrows and group parts from them.  The worklist
+consumers read sizes, membership and group parts from them.  The worklist
 closure (a frozenset of arrows) runs only on groupoids with isotropy.
 
 Finiteness stands in for relative compactness throughout: a witness is
@@ -144,16 +143,6 @@ class FiniteGroupoid:
         """The arrows with source x, in arrow order."""
         return tuple(a for a in self.arrows if self.source(a) == x)
 
-    @cached_property
-    def _arrow_between(self) -> dict:
-        return {(self.source(a), self.range(a)): a for a in self.arrows}
-
-    def block_arrows(self, members) -> list[list]:
-        """[i][j]: the arrow from members[j] to members[i], or None.  It
-        is the only one where G has no isotropy at members."""
-        between = self._arrow_between
-        return [[between.get((s, r)) for s in members] for r in members]
-
     def regular_positions(self, basis, arrows) -> np.ndarray:
         """k x k array for a fiber basis of k arrows: [i, j] is the position
         in ``arrows`` of basis[i] basis[j]^-1, -1 where that arrow is not
@@ -262,21 +251,18 @@ class TransformationGroupoid(FiniteGroupoid):
     """Groupoid of a finite group action: arrows (g, x) run from x to g.x
     and compose by multiplying group parts.
 
-    The groupoid keeps the group, the points and two index tables:
-    ``table``, the |G| x |X| table of point indices of the action, and
-    ``mult``, the |G| x |G| table of element indices of the group law.
-    Structure maps, isotropy, orbits, fibers and blocks read them; the
-    arrow tuple is built only when asked for.  The action is taken as
-    given: build through ``transformation_groupoid``, which verifies
-    caller-supplied actions.
+    The groupoid keeps the group, the points and ``table``, the |G| x |X|
+    table of point indices of the action.  Structure maps, isotropy,
+    orbits, fibers and group parts read it; the arrow tuple is built only
+    when asked for.  The action is taken as given: build through
+    ``transformation_groupoid``, which verifies caller-supplied actions.
     """
 
-    def __init__(self, group: FiniteGroup, space, table: np.ndarray, mult: np.ndarray):
+    def __init__(self, group: FiniteGroup, space, table: np.ndarray):
         self.group = group
         self.space = self.units = tuple(space)
         self.unit_set = frozenset(self.units)
         self.table = table
-        self.mult = mult
         self._element_index = {g: a for a, g in enumerate(group.elements)}
         self._point_index = {x: j for j, x in enumerate(self.space)}
         # g -> the points g.x in the order of the space: the table's rows
@@ -352,19 +338,8 @@ class TransformationGroupoid(FiniteGroupoid):
         out[np.broadcast_to(np.arange(n_x), (n_g, n_x)), self.table] = np.arange(n_g)[:, None]
         return out
 
-    def _between_on(self, members) -> np.ndarray:
-        idx = [self._point_index[u] for u in members]
-        return self.between[np.ix_(idx, idx)]
-
     def fiber(self, x) -> tuple:
         return tuple((g, x) for g in self.group.elements)
-
-    def block_arrows(self, members) -> list[list]:
-        elems = self.group.elements
-        return [
-            [None if e < 0 else (elems[e], s) for s, e in zip(members, col)]
-            for col in self._between_on(members).T.tolist()
-        ]
 
     def group_parts(self, gen) -> set:
         """The group parts of the arrows of a subgroupoid: read through
@@ -374,35 +349,15 @@ class TransformationGroupoid(FiniteGroupoid):
             return {a[0] for a in gen}
         found = np.zeros(len(self.group.elements), dtype=bool)
         for b in gen.blocks:
-            e = self._between_on(b)
+            idx = [self._point_index[u] for u in b]
+            e = self.between[np.ix_(idx, idx)]
             found[e[e >= 0]] = True
         return {self.group.elements[a] for a in np.flatnonzero(found).tolist()}
 
-    @cached_property
-    def _inverse_index(self) -> np.ndarray:
-        return np.array(
-            [self._element_index[self.group.inv(g)] for g in self.group.elements], dtype=np.intp
-        )
 
-    def regular_positions(self, basis, arrows) -> np.ndarray:
-        """Gathered from the tables: basis[i] basis[j]^-1 is
-        (e_i e_j^-1, e_j.x) for the basis (e_k, x) of the fiber of x."""
-        n_x = len(self.space)
-        e = np.fromiter((self._element_index[g] for g, _ in basis), dtype=np.intp, count=len(basis))
-        x = self._point_index[basis[0][1]] if basis else 0
-        flat = self.mult[e[:, None], self._inverse_index[e]] * n_x + self.table[e, x]
-        lookup = np.full(self.table.size, -1, dtype=np.intp)
-        lookup[np.fromiter(
-            (self._element_index[g] * n_x + self._point_index[y] for g, y in arrows),
-            dtype=np.intp, count=len(arrows),
-        )] = np.arange(len(arrows))
-        return lookup[flat]
-
-
-def _verify_action(group: FiniteGroup, space, act) -> tuple[np.ndarray, np.ndarray]:
+def _verify_action(group: FiniteGroup, space, act) -> np.ndarray:
     """Exhaustive check that ``act`` is an action of ``group`` on ``space``;
-    returns its |G| x |X| table of point indices and the |G| x |G| table of
-    element indices of the group law.
+    returns its |G| x |X| table of point indices.
 
     ``act`` is called once per (g, x); its values go into the table, and
     g.(h.x) = (gh).x is checked on every triple as the gather
@@ -425,10 +380,8 @@ def _verify_action(group: FiniteGroup, space, act) -> tuple[np.ndarray, np.ndarr
     for x in pts:
         if act(group.unit, x) != x:
             raise NotAnAction("identity does not act trivially")
-    mult = np.empty((len(elems), len(elems)), dtype=np.intp)
     for a, g in enumerate(elems):
-        mult[a] = [eidx.get(group.mult(g, h), -1) for h in elems]
-        prod = mult[a]
+        prod = np.array([eidx.get(group.mult(g, h), -1) for h in elems], dtype=np.intp)
         bad = (table[a][table] != table[prod]).any(axis=1) | (prod < 0)
         if bad.any():
             b = int(np.argmax(bad))
@@ -436,7 +389,7 @@ def _verify_action(group: FiniteGroup, space, act) -> tuple[np.ndarray, np.ndarr
                 raise NotAnAction("group multiplication escapes the element set")
             j = int(np.argmax(table[a][table[b]] != table[prod[b]]))
             raise NotAnAction(f"not an action at ({g!r}, {elems[b]!r}, {pts[j]!r})")
-    return table, mult
+    return table
 
 
 def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
@@ -459,14 +412,13 @@ def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
                 f"{len(set(space))} distinct"
             )
         j = np.arange(n)
-        table = (j + j[:, None]) % n  # also the law of Z/n
-        return TransformationGroupoid(cyclic_group(n), space, table, table)
+        return TransformationGroupoid(cyclic_group(n), space, (j + j[:, None]) % n)
     if act is None:
         raise InvalidInput("a FiniteGroup needs its action act(g, x)")
     if len(set(space)) != len(space):
         raise NotAnAction(f"an action needs distinct points; got {len(space)} points, "
                           f"{len(set(space))} distinct")
-    return TransformationGroupoid(group, space, *_verify_action(group, space, act))
+    return TransformationGroupoid(group, space, _verify_action(group, space, act))
 
 
 def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:

@@ -58,16 +58,30 @@ def z2_pair_groupoid_json(n: int, corrupt: bool = False) -> dict:
     }
 
 
+def arrow_positions(bd) -> dict:
+    """arrow -> (block, row, column) of a block decomposition, read off
+    ``bd.where``: every arrow of G with both endpoints in one block, at
+    the row of its range and the column of its source."""
+    G = bd.G
+    out = {}
+    for g in G.arrows:
+        s, r = bd.where.get(G.source(g)), bd.where.get(G.range(g))
+        if s is not None and r is not None and s[0] == r[0]:
+            out[g] = (s[0], r[1], s[1])
+    return out
+
+
 def matrix_unit_defects(bd) -> list:
     """Pairs (a, b) of arrows of a block decomposition whose matrix units
     do not multiply like the arrows compose, over all pairs: e_a e_b must
     be the matrix unit of ab when ab is defined, and 0 when it is not."""
+    pos = arrow_positions(bd)
     out = []
-    for a, (ka, ia, ja) in bd.arrow_pos.items():
-        for b, (kb, ib, jb) in bd.arrow_pos.items():
+    for a, (ka, ia, ja) in pos.items():
+        for b, (kb, ib, jb) in pos.items():
             ab = bd.G.compose(a, b)
             want = (ka, ia, jb) if ka == kb and ja == ib else None
-            got = None if ab is None else bd.arrow_pos.get(ab, ())
+            got = None if ab is None else pos.get(ab, ())
             if got != want:
                 out.append((a, b))
     return out

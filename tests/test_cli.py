@@ -2,7 +2,6 @@
 
 import json
 import shutil
-import time
 
 import pytest
 
@@ -25,7 +24,7 @@ from dadim.errors import (
     VerificationFailed,
 )
 from dadim.groupoid import MAX_COMPOSABLE_TRIPLES
-from dadim.symbolic import clopen_from_json, system_from_json
+from dadim.symbolic import _Subshift, clopen_from_json, system_from_json
 from dadim.witness import construct_minimal_z_witness
 from helpers import z2_pair_groupoid_json
 
@@ -70,7 +69,7 @@ def test_construct_verify_subshift_roundtrip(workdir):
     assert run(["verify", "--system", sysfile, "--witness", wit]) == 0
 
 
-def test_verify_subshift_color_with_infinite_component(workdir, capsys):
+def test_verify_subshift_color_with_infinite_component(workdir, capsys, monkeypatch):
     """A silver (a -> aab, b -> a) witness whose color 1 also takes in every
     point with an a at 0, and whose E widens to [-2, 2] so that steps jump
     the isolated b's: the a's of a point then form one infinite component.
@@ -88,11 +87,17 @@ def test_verify_subshift_color_with_infinite_component(workdir, capsys):
     data["E"] = [-2, -1, 0, 1, 2]
     (workdir / "silver.json").write_text(json.dumps(sysdata))
     (workdir / "tampered.json").write_text(json.dumps(data))
-    start = time.perf_counter()
+    groupings = _Subshift._groupings
+    calls = []
+    monkeypatch.setattr(
+        _Subshift, "_groupings", lambda self, length: calls.append(length) or groupings(self, length)
+    )
     code = run([
         "verify", "--system", workdir / "silver.json", "--witness", workdir / "tampered.json",
     ])
-    assert time.perf_counter() - start < 0.5
+    # one call per expanded state: the walk expands 5 926 states, up to
+    # word length 113, before a target leaves the depth limit of 64
+    assert len(calls) <= 7500
     assert code == DepthExceeded.exit_code
     assert "DepthExceeded" in capsys.readouterr().err
 
@@ -224,14 +229,24 @@ def test_pou_build_from_epsilon(workdir):
     assert run(["pou-verify", "--pou", pou, "--epsilon", "1/2"]) == 0
 
 
-def test_norm_command(workdir):
+@pytest.mark.parametrize("groupoid, coeffs, norm", [
+    # 1 + u for the rotation u of Z/4: eigenvalues 1 + i^k, the largest 2
+    ({"action": {"cyclic": 4}}, [[[g, x], "1", "0"] for g in (0, 1) for x in range(4)], 2.0),
+    # Z/2 x the pair groupoid on 2 units, with isotropy: every arrow at 1
+    # makes each pi_x(f) the all-ones 4 x 4 matrix
+    (z2_pair_groupoid_json(2), [[a, "1", "0"] for a in range(8)], 4.0),
+], ids=["free_z4", "isotropic_z2_pair"])
+def test_norm_command(workdir, capsys, groupoid, coeffs, norm):
+    """``dadim norm`` prints the reduced norm: by support blocks on the
+    free Z/4, by one unit per orbit on the groupoid with isotropy."""
     g = workdir / "g.json"
     e = workdir / "e.json"
-    g.write_text(json.dumps({"action": {"cyclic": 4}}))
-    e.write_text(json.dumps({
-        "coeffs": [[[1, x], "1", "0"] for x in range(4)]
-    }))
+    g.write_text(json.dumps(groupoid))
+    e.write_text(json.dumps({"coeffs": coeffs}))
     assert run(["norm", "--groupoid", g, "--element", e]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["support"] == len(coeffs)
+    assert out["reduced_norm"] == pytest.approx(norm, rel=1e-12)
 
 
 @pytest.mark.parametrize("groupoid, key", [

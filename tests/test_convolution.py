@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dadim import convolution
 from dadim.convolution import (
+    NORM_TOL,
     ConvElement,
     adjoint,
     block_decompose,
@@ -36,6 +38,7 @@ from dadim.groupoid import (
 from dadim.pou import pou_from_group_action
 from helpers import (
     action_groupoid_oracle,
+    arrow_positions,
     block_decompose_oracle,
     matrix_unit_defects,
     regular_representation_oracle,
@@ -182,12 +185,12 @@ def actions(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=actions(), data=st.data())
 def test_action_groupoid_matches_explicit_oracle(case, data):
-    """The transformation groupoid read off its action and group tables
-    against the explicit groupoid with per-arrow tables, and the gathered
-    regular representation against the one-compose-per-entry loop:
+    """The transformation groupoid read off its action table against the
+    explicit groupoid with per-arrow tables, and the placed regular
+    representation against the one-compose-per-entry loop:
     structure maps, freeness and isotropy witnesses, orbits, fibers,
-    ``between`` and the blocks and group parts read through it, pi_x(f)
-    exactly and the reduced norm."""
+    ``between`` and the group parts read through it, pi_x(f) exactly and
+    the reduced norm."""
     args, (group, space, act) = case
     G = transformation_groupoid(*args)
     O = action_groupoid_oracle(group, space, act)
@@ -213,9 +216,6 @@ def test_action_groupoid_matches_explicit_oracle(case, data):
             e = int(G.between[j, k])
             assert e in movers if movers else e == -1
             assert len(movers) <= 1 or not free_at
-    members = data.draw(st.lists(st.sampled_from(space), unique=True)) if space else []
-    if not G.isotropy_witness(frozenset(members)):
-        assert G.block_arrows(members) == O.block_arrows(members)
     if G.is_free():
         gen = generate_subgroupoid(G, data.draw(st.sets(st.sampled_from(O.arrows), max_size=4)))
         assert G.group_parts(gen) == {a[0] for a in O.arrows if gen.holds(O, a)}
@@ -400,8 +400,8 @@ def test_block_decompose_examples():
 
 def test_matrix_unit_oracle_sees_a_broken_decomposition():
     bd = block_decompose(block_union_pair_groupoid([[0, 1, 2]]))
-    a, b = (1, 0), (2, 0)
-    bd.arrow_pos[a], bd.arrow_pos[b] = bd.arrow_pos[b], bd.arrow_pos[a]
+    assert matrix_unit_defects(bd) == []
+    bd.where[2] = bd.where[1]
     assert matrix_unit_defects(bd)
 
 
@@ -429,7 +429,7 @@ def test_block_decompose_rejects_non_subgroupoids():
     Z6 = cyclic_rotation_groupoid(6)
     bd = block_decompose(Z6, blocks([0, 1]))
     assert bd.sizes() == [2] and matrix_unit_defects(bd) == []
-    assert set(bd.arrow_pos) == {(1, 0), (5, 1), (0, 0), (0, 1)}
+    assert set(arrow_positions(bd)) == {(1, 0), (5, 1), (0, 0), (0, 1)}
     bd = block_decompose(Z4x2, blocks([(0, 0), (1, 0)], [(2, 1)]))
     assert bd.sizes() == [2, 1] and matrix_unit_defects(bd) == []
 
@@ -473,46 +473,85 @@ def _decomposition_outcome(decompose, G, sub):
 @settings(max_examples=150, deadline=None)
 @given(case=decomposable(), data=st.data())
 def test_block_decompose_matches_arrow_scan(case, data):
-    """Blocks checked through isotropy at their units and orbits, with
-    arrows placed through ``block_arrows``, against the scan of every
-    arrow: the same classes and coordinates, or the same NotFree; and
-    the block matrices put each coefficient at its arrow's coordinates."""
+    """Blocks checked through isotropy at their units and orbits, against
+    the scan of every arrow: the same classes, or the same NotFree; and the
+    block matrices put each coefficient at the coordinates the scan gives
+    its arrow, and refuse an arrow the scan places in no block."""
     G, sub = case
-
-    def new(G, sub):
-        bd = block_decompose(G, sub)
-        return bd.classes, bd.arrow_pos
-
-    got = _decomposition_outcome(new, G, sub)
-    assert got == _decomposition_outcome(block_decompose_oracle, G, sub)
-    if isinstance(got, str):
+    got = _decomposition_outcome(lambda G, sub: block_decompose(G, sub).classes, G, sub)
+    want = _decomposition_outcome(block_decompose_oracle, G, sub)
+    if isinstance(want, str):
+        assert got == want
         return
+    classes, pos = want
+    assert got == classes
     bd = block_decompose(G, sub)
-    support = data.draw(st.lists(st.sampled_from(sorted(bd.arrow_pos, key=repr)), unique=True))
+    support = data.draw(st.lists(st.sampled_from(sorted(pos, key=repr)), unique=True))
     f = ConvElement(G, {a: (n + 1, -n) for n, a in enumerate(support)})
     mats = bd.block_matrices(f)
     assert sum(int(np.count_nonzero(m)) for m in mats) == len(support)
     for n, a in enumerate(support):
-        k, i, j = bd.arrow_pos[a]
+        k, i, j = pos[a]
         assert mats[k][i, j] == complex(n + 1, -n)
+    outside = [a for a in G.arrows if a not in pos]
+    if outside:
+        with pytest.raises(SupportLeak):
+            bd.block_matrices(ConvElement(G, {data.draw(st.sampled_from(outside)): 1}))
 
 
-def test_block_norm_matches_reduced_norm():
-    rng = np.random.default_rng(23)
-    B = block_union_pair_groupoid([[0, 1], [2, 3, 4], [5]])
-    bd = block_decompose(B)
-    for _ in range(10):
-        coeffs = {
-            a: complex(rng.standard_normal(), rng.standard_normal())
-            for a in B.arrows
-            if rng.random() < 0.5
-        }
-        if not coeffs:
-            continue
-        f = ConvElement(B, coeffs)
-        assert abs(bd.max_block_norm(f) - reduced_norm(f)) <= 1e-9 * max(
-            1.0, reduced_norm(f)
-        )
+def _largest_singular_value(rows) -> float:
+    A = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex)
+    return float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decomposable(), data=st.data())
+def test_reduced_norm_matches_regular_representation_oracle(case, data):
+    """The reduced norm, by the blocks of the support on a free groupoid
+    and by one unit per orbit under isotropy, against the largest singular
+    value of pi_x(f) built by its definition at every unit."""
+    G, _ = case
+    fraction = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    support = data.draw(st.lists(st.sampled_from(G.arrows), max_size=12, unique=True))
+    f = ConvElement(G, {a: (data.draw(fraction), data.draw(fraction)) for a in support})
+    want = max(
+        (_largest_singular_value(regular_representation_oracle(f, x)[1]) for x in G.units),
+        default=0.0,
+    )
+    assert abs(reduced_norm(f) - want) <= NORM_TOL * max(1.0, want)
+
+
+def test_reduced_norm_takes_no_svd_beyond_a_support_component(monkeypatch):
+    """On Z/256, an element supported where a ramp phi changes, as a
+    commutator [f, phi] is, has support components of at most 5 units;
+    its reduced norm takes SVDs of blocks no larger than that, and no
+    regular representation, where one orbit's is 256 x 256."""
+    n = 256
+    G = cyclic_rotation_groupoid(n)
+
+    def ramp(u):
+        return min(max(F(u - 10, 4), F(0)), F(1))
+
+    phi = {u: ramp(u) if u < n // 2 else 1 - ramp(u - 130) for u in G.units}
+    f = ConvElement(G, {a: 1 for a in G.moves([1])})
+    comm = f.pointwise(lambda g: phi[G.source(g)] - phi[G.range(g)])
+    assert max(len(b) for b in generate_subgroupoid(G, comm.coeffs).blocks) == 5
+
+    shapes, reps = [], []
+    svd, rep = convolution.spectral_norm, convolution.regular_representation
+    monkeypatch.setattr(convolution, "spectral_norm", lambda A: shapes.append(A.shape) or svd(A))
+    monkeypatch.setattr(
+        convolution, "regular_representation", lambda f, x: reps.append(x) or rep(f, x)
+    )
+    got = reduced_norm(comm)
+    assert shapes and max(max(shape) for shape in shapes) <= 5
+    assert reps == []
+
+    A = np.zeros((n, n))
+    for g, (re, _) in comm.coeffs.items():
+        A[G.range(g), G.source(g)] = float(re)
+    want = float(np.linalg.svd(A, compute_uv=False)[0])
+    assert abs(got - want) <= NORM_TOL * max(1.0, want)
 
 
 def z12_pou(N):
@@ -540,7 +579,7 @@ def test_decompose_z12(N):
     for i, pc in enumerate(rep["per_color"]):
         assert pc["commutator_norm"] <= pc["commutator_bound"] + 1e-9
         assert pc["cutdown_norm"] <= reduced_norm(f) + 1e-9
-        # the largest block norm is the reduced norm over the orbits
+        # the largest block norm over the color's blocks is the reduced norm
         phi = {u: pou.phi_float(i, u) for u in G.units}
         assert abs(pc["cutdown_norm"] - reduced_norm(cutdown(f, phi))) <= 1e-9
         assert pc["cutdown_block_norm"] == pc["cutdown_norm"]
