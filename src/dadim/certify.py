@@ -18,6 +18,8 @@ import hashlib
 import json
 import os
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import HashMismatch, InvalidInput
@@ -42,17 +44,22 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# leaves that normalize to themselves, checked by exact type in the
+# comprehensions below instead of a call each
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
 def _normalize(obj):
+    if isinstance(obj, dict):
+        return {str(k): v if type(v) in _PLAIN else _normalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _PLAIN else _normalize(v) for v in obj]
     if obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
         return rational_str(obj)
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted((_normalize(v) for v in obj), key=json.dumps)
     raise InvalidInput(f"cannot serialize {type(obj).__name__}")
@@ -89,16 +96,90 @@ def file_hash(path) -> str:
         return content_hash(json.load(fh))
 
 
+_INF = float("inf")
+_INTS = frozenset({int})
+
+
+def _leaf(v):
+    """The text ``json.dumps`` gives a scalar, or None for a container."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    return None
+
+
+# the most items the emitter joins into one piece
+_BATCH = 256
+
+
+def _indented(data, depth: int = 0):
+    """The text of ``json.dumps(data, sort_keys=True, indent=1)`` for a
+    normalized payload, in pieces.  A row of ints (bools excluded) is
+    joined in one step instead of one piece per int, and a container's
+    items are joined in batches, so that no piece holds the whole text."""
+    leaf = _leaf(data)
+    if leaf is not None:
+        yield leaf
+        return
+    if not data:
+        yield "{}" if isinstance(data, dict) else "[]"
+        return
+    if isinstance(data, dict):
+        opening, close = "{", "}"
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(data.items()))
+    else:
+        opening, close = "[", "]"
+        items = zip(repeat(""), data)
+    inner = "\n" + " " * (depth + 1)
+    row_open, row_sep, row_close = "[" + inner + " ", "," + inner + " ", inner + "]"
+    sep, buf = opening + inner, []
+    for prefix, v in items:
+        if type(v) is list and set(map(type, v)) == _INTS:
+            buf.append(sep + prefix + row_open + row_sep.join(map(int.__repr__, v)) + row_close)
+        else:
+            text = _leaf(v)
+            if text is None:
+                buf.append(sep + prefix)
+                yield "".join(buf)
+                buf.clear()
+                yield from _indented(v, depth + 1)
+            else:
+                buf.append(sep + prefix + text)
+        if len(buf) >= _BATCH:
+            yield "".join(buf)
+            buf.clear()
+        sep = "," + inner
+    buf.append("\n" + " " * depth + close)
+    yield "".join(buf)
+
+
 def write_certificate(path, obj, stamp: bool = True):
-    """Write ``obj`` normalized, keys sorted, one space per indent level,
-    with a creation stamp on a dict unless ``stamp`` is off.  Returns the
+    """Write ``obj`` normalized, with a creation stamp on a dict unless
+    ``stamp`` is off.  The bytes are those of ``json.dump(data,
+    sort_keys=True, indent=1)`` plus a newline, which the tests keep as the
+    oracle; they come from a faster emitter of the same text.  Returns the
     normalized data as written."""
     data = _normalize(obj)
     if stamp and isinstance(data, dict):
         data["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
+        fh.writelines(_indented(data))
         fh.write("\n")
     return data
 

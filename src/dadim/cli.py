@@ -8,6 +8,7 @@ Every verification failure maps to a distinct nonzero exit code (table in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -18,7 +19,6 @@ from .coarse import (
     asdim_witness_from_json,
     bridge_to_groupoid,
     construct_grid_witness,
-    recover_families_from_bridge,
     space_from_json,
     verify_asdim_witness,
 )
@@ -59,11 +59,17 @@ def _print_report(report):
     _raise_if_rejected(report)
 
 
-def _emit(out, output):
-    """Write ``out`` to ``output`` when one is given, and print it."""
+def _emit(out: dict, output):
+    """Write ``out`` to ``output`` when one is given, and print it.  Both
+    come from one normalized payload; the print leaves out the creation
+    stamp that the file gets."""
     if output:
-        write_certificate(output, out)
-    print(json.dumps(certify._normalize(out), indent=1, sort_keys=True))
+        data = write_certificate(output, out)
+        del data["created"]
+    else:
+        data = certify._normalize(out)
+    sys.stdout.writelines(certify._indented(data))
+    print()
 
 
 def _rational(text, default=None):
@@ -138,12 +144,8 @@ def cmd_bridge(args):
     X = space_from_json(_load(args.space))
     witness = asdim_witness_from_json(_load(args.witness))
     G, gw, report = bridge_to_groupoid(X, witness)
-    recovered = recover_families_from_bridge(gw)
-    original = [
-        sorted((frozenset(c) for c in fam), key=lambda b: sorted(map(repr, b)))
-        for fam in witness.families
-    ]
-    roundtrip = recovered == original
+    # each family must come back as the blocks of its color's subgroupoid
+    roundtrip = [gen.blocks for gen in gw.generated] == list(map(frozenset, witness.families))
     _emit({
         "ambient_tube_radius": G.radius,
         "K_radius": witness.scale_R,
@@ -342,36 +344,30 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--system", required=True)
     s.add_argument("--N", type=int, required=True)
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(func=cmd_construct)
 
     s = sub.add_parser("verify", help="re-verify a witness by broken-orbit search")
     s.add_argument("--system", required=True)
     s.add_argument("--witness", required=True)
     s.add_argument("--blowup-bound", type=int, default=None)
-    s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("asdim-construct", help="interval/brick witness for a grid")
     s.add_argument("--space", required=True)
     s.add_argument("--R", type=int, required=True)
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(func=cmd_asdim_construct)
 
     s = sub.add_parser("asdim-verify", help="verify a coarse cover witness")
     s.add_argument("--space", required=True)
     s.add_argument("--witness", required=True)
-    s.set_defaults(func=cmd_asdim_verify)
 
     s = sub.add_parser("bridge", help="translate a coarse witness to a groupoid witness")
     s.add_argument("--space", required=True)
     s.add_argument("--witness", required=True)
     s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_bridge)
 
     s = sub.add_parser("nerve", help="skeleton-cover certificate on a barycentric grid")
     s.add_argument("--complex")
     s.add_argument("--denominator", type=int, default=60)
     s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_nerve)
 
     s = sub.add_parser("blr-check", help="equivariance check and witness from a map")
     s.add_argument("--action", required=True)
@@ -381,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon")
     s.add_argument("--witness", action="store_true")
     s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_blr_check)
 
     s = sub.add_parser("pou-build", help="almost-invariant partition of unity")
     s.add_argument("--order", type=int, required=True)
@@ -391,24 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", help="rational p/q; derives the least depth instead of --N")
     s.add_argument("--size-bound", type=int, default=None)
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(func=cmd_pou_build)
 
     s = sub.add_parser("pou-verify", help="re-verify a partition-of-unity certificate")
     s.add_argument("--pou", required=True)
     s.add_argument("--epsilon", help="rational p/q; default is the exact depth bound")
-    s.set_defaults(func=cmd_pou_verify)
 
     s = sub.add_parser("norm", help="reduced norm of a convolution element")
     s.add_argument("--groupoid", required=True)
     s.add_argument("--element", required=True)
     s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_norm)
 
     s = sub.add_parser("decompose", help="cut-down decomposition along a partition of unity")
     s.add_argument("--pou", required=True)
     s.add_argument("--element")
     s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_decompose)
 
     s = sub.add_parser("pipeline", help="system -> witness -> ... -> decomposition chain")
     s.add_argument("--system")
@@ -417,19 +408,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pou-depth", type=int, default=4)
     s.add_argument("-o", "--output", default="pipeline-out")
     s.add_argument("--check", help="re-verify an existing chain directory")
-    s.set_defaults(func=cmd_pipeline)
 
     s = sub.add_parser("corpus", help="run the bundled regression corpus")
     s.add_argument("--write-golden", action="store_true")
-    s.set_defaults(func=cmd_corpus)
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound ``cmd_*`` takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args) or 0
+        return command(args) or 0
     except DadimError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code

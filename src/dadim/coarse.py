@@ -136,6 +136,7 @@ class Lattice:
         self.point_at = np.full(int(np.prod(self.shape)), -1, dtype=np.intp)
         self.point_at[self.cells] = np.arange(len(points))
         self._offsets: dict = {}
+        self._shift_pairs: dict = {}
 
     def cells_of(self, pts) -> np.ndarray:
         """The cell of each of ``pts`` in iteration order, -1 where unknown."""
@@ -162,14 +163,16 @@ class Lattice:
     def _shifts(self, r: int) -> list:
         """One (a, b) pair of box slices per offset v > 0 in half the ball:
         cell j of ``grid[b]`` is cell j of ``grid[a]`` moved by v."""
-        out = []
-        for v in self.offsets(r):
-            if (v > 0)[np.argmax(v != 0)] and (abs(v) < self.shape).all():
-                out.append((
+        if r not in self._shift_pairs:
+            self._shift_pairs[r] = [
+                (
                     tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(v, self.shape)),
                     tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(v, self.shape)),
-                ))
-        return out
+                )
+                for v in self.offsets(r)
+                if (v > 0)[np.argmax(v != 0)] and (abs(v) < self.shape).all()
+            ]
+        return self._shift_pairs[r]
 
     def conflicts(self, labels, r: int):
         """Cells within distance r of a cell of another class, as a flat
@@ -315,7 +318,7 @@ class Grid2dSpace(FiniteMetricSpace):
         if w < 1 or h < 1:
             raise InvalidInput("empty grid")
         self.w, self.h = int(w), int(h)
-        self.points = tuple((x, y) for x in range(w) for y in range(h))
+        self.points = tuple(product(range(w), range(h)))
 
     def dist(self, p, q) -> int:
         return abs(p[0] - q[0]) + abs(p[1] - q[1])
@@ -451,17 +454,13 @@ def _point_key(p):
     return list(p) if isinstance(p, tuple) else p
 
 
-def _point_from_json(p):
-    return tuple(p) if isinstance(p, list) else p
-
-
 def asdim_witness_from_json(data: dict) -> AsdimWitness:
     try:
         return AsdimWitness(
             scale_R=int(data["scale_R"]),
             bound_S=int(data["bound_S"]),
             families=[
-                [frozenset(_point_from_json(p) for p in cls) for cls in fam]
+                [frozenset([tuple(p) if isinstance(p, list) else p for p in cls]) for cls in fam]
                 for fam in data["families"]
             ],
         )

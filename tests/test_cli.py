@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+import dadim.cli
 from dadim.cli import main
 from dadim.coarse import MAX_TABLE_POINTS
 from dadim.errors import (
@@ -435,6 +436,29 @@ def test_printed_and_written_certificates_agree(workdir, capsys, command):
     text = out.read_text()
     stamp = f' "created": {json.dumps(json.loads(text)["created"])},\n'
     assert stamp in text and text.replace(stamp, "") == printed
+
+
+def test_main_reuses_its_parser_without_carrying_state(workdir, monkeypatch):
+    """main builds its parser once per process: no option or default of
+    one call reaches the next, and a command is looked up when it runs."""
+    space, aw, out = workdir / "space1d.json", workdir / "aw.json", workdir / "bridge.json"
+    assert run(["asdim-construct", "--space", space, "--R", 10, "-o", aw]) == 0
+    assert run(["bridge", "--space", space, "--witness", aw, "-o", out]) == 0
+    out.unlink()
+    before = sorted(workdir.iterdir())
+    assert run(["bridge", "--space", space, "--witness", aw]) == 0
+    assert sorted(workdir.iterdir()) == before
+
+    calls = []
+    monkeypatch.setattr(dadim.cli, "cmd_pipeline", lambda args: calls.append(vars(args)))
+    monkeypatch.setattr(dadim.cli, "cmd_nerve", lambda args: calls.append(vars(args)))
+    assert run(["pipeline", "--system", "s.json", "--N", 3, "--quotient-depth", 5,
+                "--pou-depth", 2, "-o", "elsewhere", "--check", "chain"]) == 0
+    assert run(["pipeline"]) == 0
+    assert run(["nerve", "--denominator", 6]) == 0
+    assert calls[1] == {"command": "pipeline", "system": None, "N": 1, "quotient_depth": 6,
+                        "pou_depth": 4, "output": "pipeline-out", "check": None}
+    assert calls[2] == {"command": "nerve", "complex": None, "denominator": 6, "output": None}
 
 
 def test_corpus_command():
