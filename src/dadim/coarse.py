@@ -755,14 +755,6 @@ def bridge_to_groupoid(
     return G, witness, report
 
 
-def recover_families_from_bridge(witness: GroupoidDadWitness) -> list[list[frozenset]]:
-    """Orbit classes of each color's generated subgroupoid, i.e. its blocks."""
-    out = []
-    for gen in witness.generated:
-        out.append(sorted((frozenset(b) for b in gen.blocks), key=lambda b: sorted(map(repr, b))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

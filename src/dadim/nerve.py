@@ -23,9 +23,19 @@ matrix entries before allocating it, and more than
 difference.  ``nice_cover_assign`` and ``l1_distance`` decide the same
 predicates one point at a time.
 
+A complex finds faces through a vertex index: a face test looks the
+subset up among the maximal faces, and otherwise reads only the maximal
+faces at its vertex of least degree.  The skeleton mass of a point of
+the complex reads no face at all: its support is a face, so the largest
+mass on a face of dimension <= i is that of its i + 1 heaviest vertices.
+
 The module also carries the two conversions between almost-equivariant
 maps into complexes and equivariant covers of X x Gamma (finite model),
 and the translation of an almost-equivariant map into a groupoid witness.
+``dad_witness_from_blr`` (``dadim blr-check --witness``) costs
+O(|G| F deg) face checks, F the maximal faces and deg the most of them at
+one vertex, plus the exhaustive action check of the transformation
+groupoid: O(|G|^2 + |G| |X|) Python calls.
 """
 
 from __future__ import annotations
@@ -178,9 +188,6 @@ class SimplicialPoint:
     def _mass_num(self, vertices) -> int:
         return sum(k for v, k in self.num.items() if v in vertices)
 
-    def mass_on(self, vertices) -> Rat:
-        return Fraction(self._mass_num(vertices), self.den)
-
     def push(self, vertex_map) -> "SimplicialPoint":
         out: dict = {}
         for v, k in self.num.items():
@@ -222,8 +229,21 @@ def l1_distance(mu: SimplicialPoint, nu: SimplicialPoint) -> Rat:
     return Fraction(2 * (D - overlap), D)
 
 
+def _vertex_index(faces) -> dict:
+    """vertex -> the faces that contain it, in the order of ``faces``."""
+    at: dict = {}
+    for f in faces:
+        for v in f:
+            at.setdefault(v, []).append(f)
+    return at
+
+
 class SimplicialComplex:
-    """Vertex set plus maximal faces; faces are all their subsets."""
+    """Vertex set plus maximal faces; faces are all their subsets.
+
+    ``_maximal`` holds the maximal faces as a set, and ``_at`` maps each
+    vertex to the maximal faces at it, in ``maximal_faces`` order.
+    """
 
     def __init__(self, vertices, maximal_faces):
         self.vertices = frozenset(vertices)
@@ -231,20 +251,37 @@ class SimplicialComplex:
         for f in faces:
             if not f <= self.vertices:
                 raise InvalidInput("face uses unknown vertices")
-        # keep only inclusion-maximal faces; lone vertices count as 0-faces
+        # keep only inclusion-maximal faces; lone vertices count as 0-faces.
+        # A face inside g shares all its vertices with g, so it is compared
+        # only with the faces at its vertex of least degree.
         covered = set().union(*faces) if faces else set()
         for v in self.vertices - covered:
             faces.append(frozenset({v}))
+        at = _vertex_index(faces)
         self.maximal_faces = tuple(
-            f for f in faces if not any(f < g for g in faces)
+            f for f in faces
+            if not any(f < g for g in (min((at[v] for v in f), key=len) if f else faces))
         )
         if not self.maximal_faces:
             raise InvalidInput("complex needs at least one vertex")
         self.dimension = max(len(f) for f in self.maximal_faces) - 1
+        self._maximal = frozenset(self.maximal_faces)
+        self._at = _vertex_index(self.maximal_faces)
 
     def is_face(self, subset) -> bool:
+        """A maximal face, or a nonempty subset of one at its vertex of
+        least degree."""
         s = frozenset(subset)
-        return bool(s) and any(s <= f for f in self.maximal_faces)
+        if s in self._maximal:
+            return bool(s)  # the one maximal face of a complex without vertices is empty
+        faces = None
+        for v in s:
+            at_v = self._at.get(v)
+            if at_v is None:
+                return False
+            if faces is None or len(at_v) < len(faces):
+                faces = at_v
+        return faces is not None and any(s <= f for f in faces)
 
     @cached_property
     def faces(self) -> tuple[frozenset, ...]:
@@ -257,9 +294,6 @@ class SimplicialComplex:
                 for sub in itertools.combinations(sorted(f, key=repr), k):
                     out.setdefault(frozenset(sub))
         return tuple(out)
-
-    def faces_of_dim_at_most(self, i: int) -> list[frozenset]:
-        return [f for f in self.faces if len(f) <= i + 1]
 
     def simplices_of_dim(self, i: int) -> list[frozenset]:
         return [f for f in self.faces if len(f) == i + 1]
@@ -274,21 +308,15 @@ class SimplicialComplex:
         }
 
 
-def _skeleton_mass(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> int:
-    """Numerator of the largest mass mu puts on one face of dimension <= i;
-    mu lies in C."""
-    if len(mu.num) <= i + 1:
-        return mu.den  # the support is a face of dimension <= i
-    best = 0
-    for f in C.maximal_faces:
-        if len(f) <= i + 1:
-            mass = mu._mass_num(f)
-        else:
-            num = mu.num
-            mass = sum(sorted((num.get(v, 0) for v in f), reverse=True)[: i + 1])
-        if mass > best:
-            best = mass
-    return best
+def _skeleton_mass(mu: SimplicialPoint, i: int) -> int:
+    """Numerator of the largest mass mu puts on one face of dimension <= i,
+    for mu in the complex.
+
+    A face D carries the mass of D cap supp mu, which is itself a face of
+    dimension <= i because supp mu is a face.  So the largest mass is that
+    of the i + 1 heaviest vertices of mu, and no face needs to be read.
+    """
+    return sum(sorted(mu.num.values(), reverse=True)[: i + 1])
 
 
 def distance_to_skeleton(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> Rat:
@@ -302,7 +330,7 @@ def distance_to_skeleton(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> R
         raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
     if i < 0:
         raise EmptySkeleton("the (-1)-skeleton is empty")
-    return Fraction(2 * (mu.den - _skeleton_mass(mu, C, i)), mu.den)
+    return Fraction(2 * (mu.den - _skeleton_mass(mu, i)), mu.den)
 
 
 def distance_to_simplex(mu: SimplicialPoint, delta) -> Rat:
@@ -342,35 +370,42 @@ def nice_cover_membership(
     inner, outer = _radius_thresholds(mu.den, i)
     if mu.den - mu._mass_num(delta) >= inner:
         return False
-    return i == 0 or mu.den - _skeleton_mass(mu, C, i - 1) > outer
+    return i == 0 or mu.den - _skeleton_mass(mu, i - 1) > outer
 
 
-def _level_membership(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> bool:
-    """mu in V_i; the caller has checked that mu lies in C."""
+def _level_membership(mu: SimplicialPoint, i: int) -> bool:
+    """mu in V_i; the caller has checked that mu lies in the complex."""
     inner, outer = _radius_thresholds(mu.den, i)
-    if mu.den - _skeleton_mass(mu, C, i) >= inner:
+    if mu.den - _skeleton_mass(mu, i) >= inner:
         return False
-    return i == 0 or mu.den - _skeleton_mass(mu, C, i - 1) > outer
+    return i == 0 or mu.den - _skeleton_mass(mu, i - 1) > outer
 
 
 def nice_cover_assign(mu: SimplicialPoint, C: SimplicialComplex):
-    """Least level i with mu in V_i, and the unique i-simplex piece."""
+    """Least level i with mu in V_i, and the unique i-simplex piece.
+
+    A piece carries positive mass, so it meets supp mu and lies in a
+    maximal face at one of its vertices: only those faces' i-simplices
+    are tried.
+    """
     if not C.contains(mu):
         raise NotInComplex("point is outside the complex")
     for i in range(C.dimension + 1):
-        if _level_membership(mu, C, i):
+        if _level_membership(mu, i):
             inner, _ = _radius_thresholds(mu.den, i)
-            pieces = [
+            pieces = {
                 delta
-                for delta in C.simplices_of_dim(i)
+                for v in mu.num
+                for g in C._at[v]
+                for delta in map(frozenset, itertools.combinations(g, i + 1))
                 if mu.den - mu._mass_num(delta) < inner
-            ]
+            }
             if len(pieces) != 1:
                 raise InvalidInput(
                     f"level {i} piece is not unique ({len(pieces)} candidates); "
                     "separation violated"
                 )
-            return i, pieces[0]
+            return i, next(iter(pieces))
     raise InvalidInput("point escaped the cover; levels are inconsistent")
 
 
@@ -927,7 +962,7 @@ def dad_witness_from_blr(
             raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
     colors = []
     for i in range(d + 1):
-        colors.append(frozenset(x for x in space if _level_membership(f[x], C, i)))
+        colors.append(frozenset(x for x in space if _level_membership(f[x], i)))
     uncovered = set(space) - set().union(*colors)
     if uncovered:
         raise InvalidInput("levels failed to cover the samples; complex inconsistent")

@@ -169,9 +169,18 @@ def _run_corpus_case(case: dict):
         construct_grid_witness,
         verify_asdim_witness,
     )
-    from .groupoid import block_union_pair_groupoid, pair_groupoid
+    from fractions import Fraction
+
+    from .groupoid import block_union_pair_groupoid, cyclic_group, pair_groupoid
     from .convolution import block_decompose
-    from .nerve import SimplicialComplex, grid_certificate
+    from .nerve import (
+        SimplicialComplex,
+        SimplicialPoint,
+        check_equivariance,
+        dad_witness_from_blr,
+        grid_certificate,
+        inner_radius,
+    )
     from .pou import pou_from_group_action
 
     kind = case["kind"]
@@ -213,6 +222,22 @@ def _run_corpus_case(case: dict):
         C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
         cert = grid_certificate(C, params["denominator"])
         return {key: cert[key] for key in ("denominator", "level_counts")}
+    if kind == "blr_ring":
+        # Z/n rotating the n-cycle; x -> (1 - t) x + t (x + 1) is exactly
+        # equivariant, so ``blr-check --witness`` accepts it
+        n, t, E = params["order"], Fraction(params["t"]), params["E"]
+        group = cyclic_group(n)
+        act = lambda g, x: (x + g) % n  # noqa: E731
+        C = SimplicialComplex(range(n), [{i, (i + 1) % n} for i in range(n)])
+        f = {x: SimplicialPoint({x: 1 - t, (x + 1) % n: t}) for x in range(n)}
+        eq = check_equivariance(f, act, act, group.symmetrized(E), inner_radius(C.dimension))
+        res = dad_witness_from_blr(f, E, C, group, act, act)
+        return {
+            "equivariance": eq.to_json(),
+            "colors": [sorted(c) for c in res.colors],
+            "moving_set": sorted(res.moving_set),
+            "verification": res.report.to_json(),
+        }
     if kind == "pipeline":
         import tempfile
 

@@ -181,6 +181,44 @@ class FractionPoint:
         return {repr(v): str(t) for v, t in sorted(self.weights.items(), key=lambda kv: repr(kv[0]))}
 
 
+def mass_on(mu: SimplicialPoint, vertices) -> Fraction:
+    """The mass a ``SimplicialPoint`` puts on a vertex set, as a ``Fraction``."""
+    return Fraction(mu._mass_num(vertices), mu.den)
+
+
+def maximal_faces_oracle(vertices, faces) -> tuple:
+    """``SimplicialComplex.maximal_faces`` from one all-pairs scan: the
+    distinct faces, then the lone vertices, keeping each face that lies
+    inside no other one."""
+    faces = list({frozenset(f) for f in faces})
+    covered = set().union(*faces) if faces else set()
+    for v in frozenset(vertices) - covered:
+        faces.append(frozenset({v}))
+    return tuple(f for f in faces if not any(f < g for g in faces))
+
+
+def is_face_oracle(C, subset) -> bool:
+    """A nonempty subset of some maximal face, by a scan of them all."""
+    s = frozenset(subset)
+    return bool(s) and any(s <= f for f in C.maximal_faces)
+
+
+def faces_of_dim_at_most(C, i: int) -> list:
+    return [f for f in C.faces if len(f) <= i + 1]
+
+
+def check_simplicial_action_oracle(C, group, act_V) -> None:
+    """``nerve.check_simplicial_action`` with each image tested by
+    ``is_face_oracle``."""
+    for g in group.elements:
+        for f in C.maximal_faces:
+            image = frozenset(act_V(g, v) for v in f)
+            if not is_face_oracle(C, image):
+                raise InvalidInput(
+                    f"action of {g!r} sends face {sorted(map(repr, f))} outside the complex"
+                )
+
+
 def l1_distance_oracle(mu: FractionPoint, nu: FractionPoint) -> Fraction:
     total = Fraction(0)
     for v in mu.support() | nu.support():
@@ -188,11 +226,9 @@ def l1_distance_oracle(mu: FractionPoint, nu: FractionPoint) -> Fraction:
     return total
 
 
-def distance_to_skeleton_oracle(mu: FractionPoint, C, i: int) -> Fraction:
-    if not C.contains(mu):
-        raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
-    if i < 0:
-        raise EmptySkeleton("the (-1)-skeleton is empty")
+def skeleton_mass_oracle(mu: FractionPoint, C, i: int) -> Fraction:
+    """The largest mass of mu on one face of dimension <= i, over every
+    maximal face: the top i + 1 weights on each."""
     best = Fraction(0)
     for f in C.maximal_faces:
         if len(f) <= i + 1:
@@ -202,13 +238,21 @@ def distance_to_skeleton_oracle(mu: FractionPoint, C, i: int) -> Fraction:
             mass = sum(top[: i + 1], Fraction(0))
         if mass > best:
             best = mass
-    return 2 * (1 - best)
+    return best
+
+
+def distance_to_skeleton_oracle(mu: FractionPoint, C, i: int) -> Fraction:
+    if not is_face_oracle(C, mu.support()):
+        raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
+    if i < 0:
+        raise EmptySkeleton("the (-1)-skeleton is empty")
+    return 2 * (1 - skeleton_mass_oracle(mu, C, i))
 
 
 def nice_cover_assign_oracle(mu: FractionPoint, C):
     """Least level i with mu in V_i, and its unique i-simplex piece, by
     comparing ``Fraction`` distances with the radii."""
-    if not C.contains(mu):
+    if not is_face_oracle(C, mu.support()):
         raise NotInComplex("point is outside the complex")
     for i in range(C.dimension + 1):
         if distance_to_skeleton_oracle(mu, C, i) >= inner_radius(i):

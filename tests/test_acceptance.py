@@ -19,7 +19,6 @@ from dadim.coarse import (
     construct_grid_witness,
     exhaustive_min_colors,
     exhaustive_min_colors_with_witness,
-    recover_families_from_bridge,
     verify_asdim_witness,
 )
 from dadim.convolution import (
@@ -187,24 +186,14 @@ def test_criterion_5_bridge():
     assert verify_asdim_witness(X1, w1).accepted
     G1, gw1, rep1 = bridge_to_groupoid(X1, w1)
     assert rep1.accepted
-    rec1 = recover_families_from_bridge(gw1)
-    orig1 = [
-        sorted((frozenset(c) for c in fam), key=lambda b: sorted(map(repr, b)))
-        for fam in w1.families
-    ]
-    assert rec1 == orig1
+    assert [gen.blocks for gen in gw1.generated] == list(map(frozenset, w1.families))
 
     X2 = Grid2dSpace(200, 200)
     w2 = construct_grid_witness(2, ((0, 199), (0, 199)), 5)
     assert verify_asdim_witness(X2, w2).accepted
     G2, gw2, rep2 = bridge_to_groupoid(X2, w2)
     assert rep2.accepted
-    rec2 = recover_families_from_bridge(gw2)
-    orig2 = [
-        sorted((frozenset(c) for c in fam), key=lambda b: sorted(map(repr, b)))
-        for fam in w2.families
-    ]
-    assert rec2 == orig2
+    assert [gen.blocks for gen in gw2.generated] == list(map(frozenset, w2.families))
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.2f}s"

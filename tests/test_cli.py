@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 import dadim.cli
+from dadim.certify import corpus_dir
 from dadim.cli import main
 from dadim.coarse import MAX_TABLE_POINTS
 from dadim.errors import (
@@ -319,6 +320,24 @@ def test_blr_command(workdir):
         "blr-check", "--action", act, "--map", mp, "--complex", cx,
         "--E", 1, "--witness",
     ]) == 0
+
+
+def test_blr_witness_matches_corpus_golden(workdir):
+    """``blr-check --witness`` on the Z/96 ring writes the corpus case
+    ``blr_ring_z96``: the same equivariance report, colors, moving set
+    and verification."""
+    paths = blr_files(workdir, 96)
+    out = workdir / "blr.json"
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", 1, "--witness", "-o", out,
+    ]) == 0
+    got = json.loads(out.read_text())
+    golden = json.loads((corpus_dir() / "blr_ring_z96.json").read_text())
+    assert got["equivariance"] == golden["equivariance"]
+    assert got["witness"] == {
+        key: golden[key] for key in ("colors", "moving_set", "verification")
+    }
 
 
 def test_pipeline_and_tamper(workdir):

@@ -44,11 +44,17 @@ from dadim.nerve import (
 )
 from helpers import (
     FractionPoint,
+    check_simplicial_action_oracle,
     compositions,
     distance_to_skeleton_oracle,
+    faces_of_dim_at_most,
+    is_face_oracle,
     l1_distance_oracle,
+    mass_on,
+    maximal_faces_oracle,
     nerve_certificate_pair_loop,
     nice_cover_assign_oracle,
+    skeleton_mass_oracle,
 )
 
 F = Fraction
@@ -107,8 +113,7 @@ def test_distance_to_skeleton_examples(triangle):
 def test_distance_to_skeleton_vs_bruteforce(mu, i):
     C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
     closed = distance_to_skeleton(mu, C, i)
-    faces = [f for f in C.faces_of_dim_at_most(i)]
-    brute = min(distance_to_simplex(mu, f) for f in faces)
+    brute = min(distance_to_simplex(mu, f) for f in faces_of_dim_at_most(C, i))
     assert closed == brute
 
 
@@ -119,7 +124,7 @@ def test_bruteforce_on_bigger_complex():
     mu = SimplicialPoint({0: F(1, 2), 1: F(1, 4), 2: F(1, 4)})
     for i in range(3):
         brute = min(
-            distance_to_simplex(mu, f) for f in C.faces_of_dim_at_most(i)
+            distance_to_simplex(mu, f) for f in faces_of_dim_at_most(C, i)
         )
         assert distance_to_skeleton(mu, C, i) == brute
 
@@ -471,14 +476,14 @@ def test_integer_points_match_fraction_oracle(data):
             distance_to_skeleton_oracle, om, C, i
         )
     assert _outcome(nice_cover_assign, mu, C) == _outcome(nice_cover_assign_oracle, om, C)
-    if C.contains(mu):
+    if is_face_oracle(C, om.support()):
         for i in range(C.dimension + 1):
             for delta in C.simplices_of_dim(i):
                 want = 2 * (1 - om.mass_on(delta)) < inner_radius(i) and (
                     i == 0 or distance_to_skeleton_oracle(om, C, i - 1) > outer_radius(i)
                 )
                 assert nice_cover_membership(mu, C, i, delta) == want
-                assert mu.mass_on(delta) == om.mass_on(delta)
+                assert mass_on(mu, delta) == om.mass_on(delta)
                 assert distance_to_simplex(mu, delta) == 2 * (1 - om.mass_on(delta))
     # pushing forward merges the weights of identified vertices
     pushed = mu.push(lambda v: repr(v)[0])
@@ -486,6 +491,103 @@ def test_integer_points_match_fraction_oracle(data):
     for v, t in om.weights.items():
         merged[repr(v)[0]] = merged.get(repr(v)[0], F(0)) + t
     assert pushed == SimplicialPoint(merged) and pushed.to_json() == FractionPoint(merged).to_json()
+
+
+# ---------------------------------------------------------------------------
+# the vertex index against the all-faces scans
+
+EIGHT_VERTICES = VERTEX_POOL[:8]
+
+
+@st.composite
+def indexed_complexes(draw):
+    """(vertices, faces) on at most 8 vertices: some vertices in no face,
+    some faces empty, inside another face or drawn twice."""
+    pool = draw(st.lists(st.sampled_from(EIGHT_VERTICES), min_size=1, max_size=8, unique=True))
+    faces = draw(st.lists(st.sets(st.sampled_from(pool), max_size=5), max_size=6))
+    for f in list(faces):
+        if draw(st.booleans()):
+            faces.append(draw(st.sets(st.sampled_from(sorted(f, key=repr)))) if f else set())
+        if draw(st.booleans()):
+            faces.append(set(f))
+    return pool, faces
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_vertex_index_matches_face_scans(data):
+    vertices, faces = data.draw(indexed_complexes())
+    C = SimplicialComplex(vertices, faces)
+    assert C.maximal_faces == maximal_faces_oracle(vertices, faces)
+    # subsets of the vertices, the empty set, and sets with a non-vertex
+    pool = sorted(C.vertices, key=repr) + ["z", 99]
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(pool), max_size=5), max_size=8))
+    for s in subsets + [set()]:
+        assert C.is_face(s) == is_face_oracle(C, s)
+
+    w = data.draw(weight_dicts(C))
+    mu, om = SimplicialPoint(w), FractionPoint(w)
+    assert C.contains(mu) == is_face_oracle(C, om.support())
+    if is_face_oracle(C, om.support()):
+        for i in range(-1, C.dimension + 2):
+            assert F(nerve._skeleton_mass(mu, i), mu.den) == skeleton_mass_oracle(om, C, i)
+    assert _outcome(nice_cover_assign, mu, C) == _outcome(nice_cover_assign_oracle, om, C)
+
+    # a vertex action of Z/k: a rotation of the sorted vertices with some
+    # images moved to another vertex or off the complex
+    k = data.draw(st.integers(1, 3))
+    verts = sorted(C.vertices, key=repr)
+    table = {(g, v): verts[(j + g) % len(verts)] for g in range(k) for j, v in enumerate(verts)}
+    for key in data.draw(st.lists(st.sampled_from(sorted(table, key=repr)), max_size=3)):
+        table[key] = data.draw(st.sampled_from(pool))
+    act = lambda g, v: table[g, v]  # noqa: E731
+    grp = cyclic_group(k)
+    assert _outcome(nerve.check_simplicial_action, C, grp, act) == _outcome(
+        check_simplicial_action_oracle, C, grp, act
+    )
+
+
+def test_complex_without_vertices():
+    """Its one maximal face is empty, and the empty set is no face."""
+    C = SimplicialComplex([], [[]])
+    assert C.maximal_faces == maximal_faces_oracle([], [[]]) == (frozenset(),)
+    assert not C.is_face(set()) and not is_face_oracle(C, set())
+    assert not C.is_face({"a"})
+
+
+def test_blr_witness_face_work_is_linear(monkeypatch):
+    """On the Z/96 ring the witness examines O(|G| |F|) maximal faces, F
+    the maximal faces: each face test looks the subset up among them once,
+    and reads the faces at one vertex only when that misses.  A scan of
+    every maximal face per test examines about |G| |F|^2 / 2."""
+    n = 96
+    grp, act, C = cyclic_setup(n)
+    f = edge_map(n, F(2, 5))
+    examined = []
+
+    class CountingIndex(dict):
+        def get(self, v, default=None):
+            faces = dict.get(self, v, default)
+            examined.append(len(faces or ()))
+            return faces
+
+        def __getitem__(self, v):
+            faces = dict.__getitem__(self, v)
+            examined.append(len(faces))
+            return faces
+
+    class CountingFaces(frozenset):
+        def __contains__(self, s):
+            examined.append(1)
+            return frozenset.__contains__(self, s)
+
+    monkeypatch.setattr(C, "_at", CountingIndex(C._at))
+    monkeypatch.setattr(C, "_maximal", CountingFaces(C._maximal))
+    res = dad_witness_from_blr(f, [1], C, grp, act, act)
+    assert res.report.accepted
+    G, F_max = len(grp.elements), len(C.maximal_faces)
+    # at least one look per (g, face) of the action check
+    assert G * F_max <= sum(examined) <= 2 * G * F_max
 
 
 @settings(max_examples=200, deadline=None)
