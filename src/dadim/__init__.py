@@ -1,10 +1,16 @@
 """Finite-scale witnesses for dynamic asymptotic dimension.
 
 Exact symbolic models of minimal Z-systems, finite etale groupoids,
-single-scale coarse covers, simplicial-nerve machinery, almost-invariant
-partitions of unity, and the cut-down decomposition of finite groupoid
-convolution algebras -- with every certificate verifiable in exact
-arithmetic where the mathematics allows it.
+single-scale coarse covers, the skeleton cover of a simplicial complex and
+the groupoid witness of an almost-equivariant map into one,
+almost-invariant partitions of unity, and the cut-down decomposition of
+finite groupoid convolution algebras -- with every certificate verifiable
+in exact arithmetic where the mathematics allows it.
+
+The package exports what the command line, the pipeline and the corpus
+call.  Brute-force oracles and the conversions between almost-equivariant
+maps and equivariant covers of X x Gamma live with the tests
+(``tests/helpers.py``), which check the library against them.
 """
 
 from .coarse import (
@@ -16,13 +22,11 @@ from .coarse import (
     TableMetricSpace,
     bridge_to_groupoid,
     construct_grid_witness,
-    exhaustive_min_colors,
     verify_asdim_witness,
 )
 from .convolution import (
     BlockDecomposition,
     ConvElement,
-    adjoint,
     block_decompose,
     commutator_report,
     convolve,
@@ -45,14 +49,9 @@ from .nerve import (
     SimplicialComplex,
     SimplicialPoint,
     check_equivariance,
-    cover_from_map,
     dad_witness_from_blr,
-    distance_to_skeleton,
     l1_distance,
-    map_from_cover,
     nice_cover_assign,
-    nice_cover_membership,
-    perturb_to_finite_support,
 )
 from .pipeline import corpus_check, run_pipeline
 from .pou import (

@@ -202,7 +202,7 @@ def cmd_blr_check(args):
     eq = check_equivariance(f, act, act, group.symmetrized(E), eps)
     out = {"equivariance": eq.to_json()}
     if args.witness:
-        res = dad_witness_from_blr(f, E, C, group, act, act)
+        res = dad_witness_from_blr(f, E, C, cyclic_rotation_groupoid(n), act, eq)
         out["witness"] = {
             "colors": [sorted(c) for c in res.colors],
             "moving_set": sorted(res.moving_set),

@@ -33,7 +33,6 @@ from .groupoid import (
     GroupoidDadWitness,
     TubeArrows,
     TubePairGroupoid,
-    _connected_components,
     verify_groupoid_dad,
 )
 from .reporting import VerificationReport
@@ -47,7 +46,6 @@ __all__ = [
     "AsdimWitness",
     "verify_asdim_witness",
     "construct_grid_witness",
-    "exhaustive_min_colors",
     "bridge_to_groupoid",
     "space_from_json",
     "asdim_witness_from_json",
@@ -644,79 +642,6 @@ def construct_grid_witness(n: int, box, R: int) -> AsdimWitness:
         raise VerificationFailed(f"grid witness failed self-verification: {report.message}", report)
     w.meta["verified"] = True
     return w
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-
-
-def exhaustive_min_colors(
-    X: FiniteMetricSpace, R: int, S: int, max_points: int = 16
-) -> int:
-    """Least number of families over all partitions satisfying the (R, S)
-    conditions; ground truth for small instances.
-
-    Classes may be taken to be the R-connected components of each family
-    (separation forces components to stay together, and merging components
-    only grows diameters), so the search is over family assignments with
-    component diameters tracked incrementally.
-    """
-    k, _ = exhaustive_min_colors_with_witness(X, R, S, max_points)
-    return k
-
-
-def exhaustive_min_colors_with_witness(
-    X: FiniteMetricSpace, R: int, S: int, max_points: int = 16
-):
-    n = len(X.points)
-    if n > max_points:
-        raise TooLarge(f"exhaustive search capped at {max_points} points")
-    if n == 0:
-        return 0, AsdimWitness(R, S, [])
-    pts = list(X.points)
-    dist = [[X.dist(a, b) for b in pts] for a in pts]
-
-    for k in range(1, n + 1):
-        assignment = [-1] * n
-
-        def feasible(i: int, fam: int) -> bool:
-            # merged component of i within fam must have diameter <= S
-            comp = {i}
-            frontier = [i]
-            while frontier:
-                u = frontier.pop()
-                for j in range(i):
-                    if assignment[j] == fam and j not in comp and dist[u][j] <= R:
-                        comp.add(j)
-                        frontier.append(j)
-            for a in comp:
-                for b in comp:
-                    if dist[a][b] > S:
-                        return False
-            return True
-
-        def dfs(i: int, used: int) -> bool:
-            if i == n:
-                return True
-            for fam in range(min(used + 1, k)):
-                if feasible(i, fam):
-                    assignment[i] = fam
-                    if dfs(i + 1, max(used, fam + 1)):
-                        return True
-                    assignment[i] = -1
-            return False
-
-        if dfs(0, 0):
-            fams: list[list[frozenset]] = [[] for _ in range(k)]
-            for fam in range(k):
-                members = [pts[i] for i in range(n) if assignment[i] == fam]
-                comps = _connected_components(
-                    ((p, q) for p in members for q in members if X.dist(p, q) <= R), members
-                )
-                fams[fam] = [frozenset(c) for c in comps]
-            w = AsdimWitness(R, S, fams, meta={"oracle": True})
-            return k, w
-    raise InvalidInput("unreachable: n singleton families always work")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

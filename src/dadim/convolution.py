@@ -4,11 +4,11 @@ Elements are finitely supported coefficient maps on arrows; the product is
 
     (f1 f2)(g) = sum over g1 g2 = g of f1(g1) f2(g2),
 
-the adjoint is f*(g) = conj(f(g^-1)), and the reduced norm is the sup over
-units x of ||pi_x(f)||.  On a free groupoid pi_x(f) is block diagonal, one
-block per component of the support graph of f, so the norm is the largest
-block norm of ``block_decompose``; under isotropy it is the largest over one
-unit per orbit of the regular-representation matrix on the source fiber.
+and the reduced norm is the sup over units x of ||pi_x(f)||.  On a free
+groupoid pi_x(f) is block diagonal, one block per component of the support
+graph of f, so the norm is the largest block norm of ``block_decompose``;
+under isotropy it is the largest over one unit per orbit of the
+regular-representation matrix on the source fiber.
 Coefficients stay exact (Fraction pairs) under the algebra operations;
 norms are computed in floats as largest singular values (LAPACK SVD).
 """
@@ -29,7 +29,6 @@ __all__ = [
     "RegularRep",
     "BlockDecomposition",
     "convolve",
-    "adjoint",
     "reduced_norm",
     "regular_representation",
     "cutdown",
@@ -57,10 +56,6 @@ def _cmul(a, b):
 
 def _cadd(a, b):
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _cconj(a):
-    return (a[0], -a[1])
 
 
 def _is_zero(a) -> bool:
@@ -146,12 +141,6 @@ def convolve(f1: ConvElement, f2: ConvElement) -> ConvElement:
     return ConvElement(G, out)
 
 
-def adjoint(f: ConvElement) -> ConvElement:
-    return ConvElement(
-        f.G, {f.G.inverse(g): _cconj(c) for g, c in f.coeffs.items()}
-    )
-
-
 # ---------------------------------------------------------------------------
 # regular representations and the reduced norm
 
@@ -166,11 +155,6 @@ class RegularRep:
     basis: tuple
     values: tuple
     index: np.ndarray
-
-    @property
-    def matrix(self) -> list:
-        """Rows of (re, im) pairs; exact when f is."""
-        return [[self.values[k] if k >= 0 else (0, 0) for k in row] for row in self.index.tolist()]
 
     def to_numpy(self) -> np.ndarray:
         """Each coefficient converted to a complex once, then gathered."""

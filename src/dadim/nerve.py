@@ -29,13 +29,15 @@ faces at its vertex of least degree.  The skeleton mass of a point of
 the complex reads no face at all: its support is a face, so the largest
 mass on a face of dimension <= i is that of its i + 1 heaviest vertices.
 
-The module also carries the two conversions between almost-equivariant
-maps into complexes and equivariant covers of X x Gamma (finite model),
-and the translation of an almost-equivariant map into a groupoid witness.
-``dad_witness_from_blr`` (``dadim blr-check --witness``) costs
+``dad_witness_from_blr`` (``dadim blr-check --witness``) turns an
+almost-equivariant map into a groupoid witness on a transformation
+groupoid G that the caller built: it reads the action from G's table and
+the equivariance from the caller's one ``check_equivariance`` report, so
+it checks no action and measures no discrepancy itself.  It costs
 O(|G| F deg) face checks, F the maximal faces and deg the most of them at
-one vertex, plus the exhaustive action check of the transformation
-groupoid: O(|G|^2 + |G| |X|) Python calls.
+one vertex.  Building G is the caller's cost: none for the rotation table
+of ``cyclic_rotation_groupoid``, and O(|G|^2 + |G| |X|) Python calls for
+the exhaustive check of any other action.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -52,22 +54,19 @@ import numpy as np
 from .certify import rational_str
 from .coarse import _DIFF_CHUNK
 from .errors import (
-    ConditionViolated,
-    DepthInsufficient,
-    EmptySkeleton,
     EquivarianceTooWeak,
     InvalidInput,
     MissingSample,
-    NoFiniteS,
+    NotAnAction,
     NotInComplex,
     TooLarge,
 )
 from .groupoid import (
     FiniteGroup,
     GroupoidDadWitness,
+    TransformationGroupoid,
     _seed_in_color,
     generate_subgroupoid,
-    transformation_groupoid,
     verify_groupoid_dad,
 )
 from .reporting import VerificationReport
@@ -76,19 +75,12 @@ __all__ = [
     "SimplicialPoint",
     "SimplicialComplex",
     "l1_distance",
-    "distance_to_skeleton",
-    "nice_cover_membership",
     "nice_cover_assign",
     "grid_certificate",
     "check_equivariance",
     "check_simplicial_action",
-    "perturb_to_finite_support",
-    "EquivariantCover",
-    "cover_from_map",
-    "map_from_cover",
     "dad_witness_from_blr",
     "inner_radius",
-    "outer_radius",
 ]
 
 Rat = Fraction
@@ -102,16 +94,6 @@ MAX_SEPARATION_PAIRS = 10**8
 def inner_radius(i: int) -> Rat:
     """(1/3) 10^-i, the open-neighborhood radius of level i."""
     return Fraction(1, 3 * 10**i)
-
-
-def outer_radius(i: int) -> Rat:
-    """(5/2) 10^-i, the removed closed-neighborhood radius of level i."""
-    return Fraction(5, 2 * 10**i)
-
-
-def pullback_radius(d: int) -> Rat:
-    """(1/6) 10^-d, the inflation used when pulling pieces back."""
-    return Fraction(1, 6 * 10**d)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +155,6 @@ class SimplicialPoint:
         mu.num = num if g == 1 else {v: k // g for v, k in num.items()}
         mu.den = den // g
         return mu
-
-    @classmethod
-    def vertex(cls, v) -> "SimplicialPoint":
-        return cls._reduced({v: 1}, 1)
 
     @property
     def weights(self) -> dict:
@@ -319,25 +297,6 @@ def _skeleton_mass(mu: SimplicialPoint, i: int) -> int:
     return sum(sorted(mu.num.values(), reverse=True)[: i + 1])
 
 
-def distance_to_skeleton(mu: SimplicialPoint, C: SimplicialComplex, i: int) -> Rat:
-    """Exact l1 distance from mu to the i-skeleton: 2*(1 - max face mass).
-
-    The distance from mu to the full simplex on a face D is 2*(1 - mass(D))
-    because the deficit 1 - mass(D) must leave the off-D support and arrive
-    inside D.  Minimizing over faces of dimension <= i maximizes the mass.
-    """
-    if not C.contains(mu):
-        raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
-    if i < 0:
-        raise EmptySkeleton("the (-1)-skeleton is empty")
-    return Fraction(2 * (mu.den - _skeleton_mass(mu, i)), mu.den)
-
-
-def distance_to_simplex(mu: SimplicialPoint, delta) -> Rat:
-    """Exact l1 distance from mu to the closed simplex on vertex set delta."""
-    return Fraction(2 * (mu.den - mu._mass_num(frozenset(delta))), mu.den)
-
-
 # ---------------------------------------------------------------------------
 # skeleton-neighborhood ("nice") cover
 #
@@ -352,25 +311,6 @@ def distance_to_simplex(mu: SimplicialPoint, delta) -> Rat:
 def _radius_thresholds(den: int, i: int) -> tuple[int, int]:
     """The inner and outer gap bounds of level i over denominator den."""
     return -(-den // (6 * 10**i)), 5 * den // (4 * 10**i)
-
-
-def nice_cover_membership(
-    mu: SimplicialPoint, C: SimplicialComplex, i: int, delta
-) -> bool:
-    """mu in V_{i,delta}: close to the simplex, far from the lower skeleton.
-
-    Closed neighborhoods are removed with a strict > test, so membership is
-    an exact rational predicate.
-    """
-    delta = frozenset(delta)
-    if not C.contains(mu):
-        raise NotInComplex("point is outside the complex")
-    if len(delta) != i + 1 or not C.is_face(delta):
-        raise InvalidInput(f"delta must be an {i}-simplex of the complex")
-    inner, outer = _radius_thresholds(mu.den, i)
-    if mu.den - mu._mass_num(delta) >= inner:
-        return False
-    return i == 0 or mu.den - _skeleton_mass(mu, i - 1) > outer
 
 
 def _level_membership(mu: SimplicialPoint, i: int) -> bool:
@@ -608,317 +548,6 @@ def check_equivariance(
     )
 
 
-def perturb_to_finite_support(
-    f: dict, act_X, act_V, E, eps: Rat, S=None
-):
-    """Push the map into the probability simplex over a finite vertex set S.
-
-    The perturbation budget is delta = min(1, half the worst equivariance
-    margin); any S whose tail mass stays below delta/2 works, and the
-    renormalized map moves each value by exactly 2*(1 - T(x)) < delta, so
-    (E, eps)-equivariance survives.  Returns (f', report).
-    """
-    eps = Fraction(eps)
-    margins = []
-    for g in E:
-        worst = Fraction(0)
-        for x, mu in f.items():
-            gx = act_X(g, x)
-            if gx not in f:
-                raise MissingSample(f"sample {gx!r} missing from the table")
-            worst = max(worst, l1_distance(f[gx], _act_point(act_V, g, mu)))
-        margins.append(eps - worst)
-    delta = min([Fraction(1)] + [Fraction(1, 2) * m for m in margins])
-    if delta <= 0:
-        raise NoFiniteS(f"map is not (E, eps)-equivariant; worst margin {min(margins)}")
-
-    def tail(x, vertex_set) -> Rat:
-        mu = f[x]
-        return Fraction(mu.den - mu._mass_num(vertex_set), mu.den)
-
-    if S is None:
-        # smallest prefix of vertices (by max weight, then repr) with all
-        # tails under delta/2; deterministic
-        usage: dict = {}
-        for mu in f.values():
-            for v, t in mu.weights.items():
-                usage[v] = max(usage.get(v, Fraction(0)), t)
-        order = sorted(usage, key=lambda v: (-usage[v], repr(v)))
-        chosen: set = set()
-        for v in order:
-            if all(tail(x, chosen) < delta / 2 for x in f):
-                break
-            chosen.add(v)
-        S = frozenset(chosen)
-    else:
-        S = frozenset(S)
-    bad = [x for x in f if tail(x, S) >= delta / 2]
-    if bad:
-        raise NoFiniteS(
-            f"tail mass >= delta/2 = {delta / 2} at {len(bad)} samples (first {bad[0]!r})"
-        )
-
-    out: dict = {}
-    worst_move = Fraction(0)
-    for x, mu in f.items():
-        kept = {v: k for v, k in mu.num.items() if v in S}
-        T = sum(kept.values())
-        out[x] = SimplicialPoint._reduced(kept, T)
-        move = l1_distance(mu, out[x])
-        if move != Fraction(2 * (mu.den - T), mu.den):
-            raise NoFiniteS(f"renormalizing sample {x!r} moved it by {move}, not 2*(1 - T)")
-        worst_move = max(worst_move, move)
-    report = VerificationReport(
-        True, "ok", "finite-support perturbation applied",
-        {
-            "delta": str(delta),
-            "max_perturbation": str(worst_move),
-            "support_size": len(S),
-        },
-    )
-    if worst_move >= delta:
-        raise NoFiniteS(f"perturbation {worst_move} is not below delta = {delta}")
-    return out, report
-
-
-# ---------------------------------------------------------------------------
-# covers of X x Gamma
-
-
-@dataclass
-class EquivariantCover:
-    """Open cover of X x Gamma (finite model) with the diagonal action
-    g.(x, h) = (g.x, g h)."""
-
-    group: FiniteGroup
-    space: tuple
-    act_X: "callable"
-    sets: list[frozenset]
-    labels: list = field(default_factory=list)
-
-    def act_pair(self, g, pair):
-        x, h = pair
-        return (self.act_X(g, x), self.group.mult(g, h))
-
-    def act_set(self, g, U: frozenset) -> frozenset:
-        return frozenset(self.act_pair(g, p) for p in U)
-
-    def all_pairs(self):
-        return [(x, g) for x in self.space for g in self.group.elements]
-
-    def multiplicity(self) -> int:
-        return max(
-            sum(1 for U in self.sets if p in U) for p in self.all_pairs()
-        )
-
-    def orbit_count(self) -> int:
-        seen = set()
-        orbits = 0
-        for U in self.sets:
-            if U in seen:
-                continue
-            orbits += 1
-            for g in self.group.elements:
-                seen.add(self.act_set(g, U))
-        return orbits
-
-    def check_conditions(self, E) -> VerificationReport:
-        """Exact verification of the five cover conditions."""
-        pairs = self.all_pairs()
-        covered = set().union(*self.sets) if self.sets else set()
-        if not set(pairs) <= covered:
-            raise ConditionViolated("E", "cover misses points of X x Gamma")
-        set_index = set(self.sets)
-        for U in self.sets:
-            for g in self.group.elements:
-                gU = self.act_set(g, U)
-                if gU not in set_index:
-                    raise ConditionViolated("A", "group image of a cover set is not in the cover")
-                if gU != U and gU & U:
-                    raise ConditionViolated("A", "gU neither equals nor misses U")
-        for U in self.sets:
-            stab = [g for g in self.group.elements if self.act_set(g, U) == U]
-            # finite-subgroup family: closure under mult and inverse
-            for a in stab:
-                if self.group.inv(a) not in stab:
-                    raise ConditionViolated("B", "stabilizer not closed under inverse")
-                for b in stab:
-                    if self.group.mult(a, b) not in stab:
-                        raise ConditionViolated("B", "stabilizer not closed under product")
-        mult = self.multiplicity()
-        d = mult - 1
-        sym_E = self.group.symmetrized(E)
-        for g in self.group.elements:
-            for x in self.space:
-                target = {(x, self.group.mult(g, e)) for e in sym_E}
-                if not any(target <= U for U in self.sets):
-                    raise ConditionViolated(
-                        "E", f"no cover set contains {{x}} x gE at x={x!r}, g={g!r}"
-                    )
-        return VerificationReport(
-            True, "ok", "cover conditions (A)-(E) verified",
-            {
-                "multiplicity": mult,
-                "dimension": d,
-                "orbit_count": self.orbit_count(),
-                "sets": len(self.sets),
-            },
-        )
-
-
-def cover_from_map(
-    f: dict,
-    E,
-    group: FiniteGroup,
-    act_X,
-    act_V,
-    C: SimplicialComplex,
-) -> tuple[EquivariantCover, VerificationReport]:
-    """Pull the skeleton-cover pieces back through phi(x, g) = g.f(g^-1 x).
-
-    Pieces are inflated by the pullback radius so membership stays an exact
-    rational predicate; the inflation preserves disjointness within a level
-    (the separation margin dominates twice the radius) and can only help
-    the covering condition (E).  Requires f to be (E, r)-equivariant for
-    r = (1/6)10^-dim.
-    """
-    d = C.dimension
-    r = pullback_radius(d)
-    check_simplicial_action(C, group, act_V)
-    eq = check_equivariance(f, act_X, act_V, group.symmetrized(E), r)
-    if not eq:
-        raise EquivarianceTooWeak(
-            f"need (E, {r})-equivariance, measured {eq.details['max_discrepancy']}"
-        )
-    space = tuple(f.keys())
-
-    def phi(x, g):
-        ginv = group.inv(g)
-        return _act_point(act_V, g, f[act_X(ginv, x)])
-
-    phi_table = {
-        (x, g): phi(x, g) for x in space for g in group.elements
-    }
-
-    def in_inflated_piece(mu, i, delta) -> bool:
-        if distance_to_simplex(mu, delta) >= inner_radius(i) + r:
-            return False
-        if i == 0:
-            return True
-        return distance_to_skeleton(mu, C, i - 1) > outer_radius(i) - r
-
-    sets = []
-    labels = []
-    seen_sets = set()
-    for i in range(d + 1):
-        for delta in C.simplices_of_dim(i):
-            U = frozenset(
-                p for p, mu in phi_table.items() if in_inflated_piece(mu, i, delta)
-            )
-            if U and U not in seen_sets:
-                seen_sets.add(U)
-                sets.append(U)
-                labels.append((i, delta))
-    cover = EquivariantCover(group, space, act_X, sets, labels)
-    report = cover.check_conditions(E)
-    if report.details["multiplicity"] > d + 1:
-        raise ConditionViolated("C", f"multiplicity {report.details['multiplicity']} > d+1")
-    return cover, report
-
-
-def map_from_cover(
-    cover: EquivariantCover, E, n: int
-) -> tuple[dict, SimplicialComplex, VerificationReport]:
-    """Nerve map from telescoped indicator sums over cover interiors.
-
-    U^(m) is the set of pairs whose whole {x} x gE^m block stays in U; the
-    step functions are indicators of U^(m) (exact in the zero-dimensional
-    model), psi_U counts memberships for m = 1..n, and f(x) is the nerve
-    point with weights psi_U(x, e)/sum.  The equivariance defect is at most
-    (2d+2)(4d+6)/n with d+1 the cover multiplicity.
-    """
-    if n < 1:
-        raise InvalidInput("telescoping depth n must be positive")
-    group = cover.group
-    sym_E = group.symmetrized(E)
-    pairs = cover.all_pairs()
-
-    # E^m balls in the group
-    balls = [frozenset({group.unit})]
-    for _ in range(n):
-        balls.append(
-            frozenset(group.mult(a, e) for a in balls[-1] for e in sym_E)
-        )
-
-    interiors = []
-    for U in cover.sets:
-        lvl = [U]
-        for m in range(1, n + 1):
-            Um = frozenset(
-                (x, g)
-                for (x, g) in U
-                if all((x, group.mult(g, h)) in U for h in balls[m])
-            )
-            lvl.append(Um)
-        interiors.append(lvl)
-
-    for m in range(n + 1):
-        if not set(pairs) <= set().union(*(lvl[m] for lvl in interiors)):
-            raise DepthInsufficient(
-                f"E^{m}-interiors do not cover X x Gamma; enlarge the cover or lower n"
-            )
-
-    psi = []
-    for lvl in interiors:
-        psi.append({p: sum(1 for m in range(1, n + 1) if p in lvl[m]) for p in pairs})
-    totals = {p: sum(ps[p] for ps in psi) for p in pairs}
-    # every E^m-interior level covers, so each pair has n memberships or more
-    if any(t < n for t in totals.values()):
-        raise DepthInsufficient("a pair lies in fewer than n interiors")
-
-    # nerve of the cover
-    point_faces = {}
-    for p in pairs:
-        face = frozenset(
-            cover.sets[j] for j in range(len(cover.sets)) if p in cover.sets[j]
-        )
-        point_faces[p] = face
-    nerve = SimplicialComplex(frozenset(cover.sets), set(point_faces.values()))
-
-    f = {}
-    for x in cover.space:
-        p = (x, group.unit)
-        f[x] = SimplicialPoint.from_numerators(
-            {cover.sets[j]: psi[j][p] for j in range(len(cover.sets))}, totals[p]
-        )
-        if not nerve.contains(f[x]):
-            raise ConditionViolated("C", "nerve point escaped the nerve")
-
-    # defect: d(f(gx), g f(x)) = sum_U |phi_U(gx, e) - phi_U(gx, g)| with
-    # phi_U(p) = psi_U(p)/totals[p], summed over the denominator t1*t2
-    dim = cover.multiplicity() - 1
-    bound = Fraction((2 * dim + 2) * (4 * dim + 6), n)
-    worst = Fraction(0)
-    for g in sym_E:
-        for x in cover.space:
-            gx = cover.act_X(g, x)
-            p1, p2 = (gx, group.unit), (gx, g)
-            t1, t2 = totals[p1], totals[p2]
-            total = sum(abs(ps[p1] * t2 - ps[p2] * t1) for ps in psi)
-            worst = max(worst, Fraction(total, t1 * t2))
-    report = VerificationReport(
-        worst <= bound, "ok" if worst <= bound else "DefectExceeded",
-        f"equivariance defect {worst} vs bound {bound}",
-        {
-            "defect": str(worst),
-            "bound": str(bound),
-            "dimension": dim,
-            "telescoping_depth": n,
-        },
-    )
-    return f, nerve, report
-
-
 # ---------------------------------------------------------------------------
 # witness from an almost-equivariant map
 
@@ -932,19 +561,22 @@ class BlrWitnessResult:
 
 
 def dad_witness_from_blr(
-    f: dict, E, C: SimplicialComplex, group: FiniteGroup, act_X, act_V
+    f: dict, E, C: SimplicialComplex, G: TransformationGroupoid, act_V, eq: VerificationReport
 ) -> BlrWitnessResult:
     """Witness colors U_i = f^{-1}(V_i) for an (E, (1/3)10^-d)-equivariant map.
 
-    The element sets are confined to F = {g : gS cap S != empty} with S the
-    union of the supports of f; verified on the transformation groupoid.
+    ``G`` is the transformation groupoid of the action on the samples, and
+    ``eq`` is ``check_equivariance``'s report on f over
+    ``G.group.symmetrized(E)``; its max discrepancy does not depend on the
+    eps it was measured against.  The element sets are confined to
+    F = {g : gS cap S != empty} with S the union of the supports of f;
+    verified on G.  Samples that are not the points of G raise
+    ``NotAnAction``.
     """
     d = C.dimension
-    eps_needed = inner_radius(d)
-    sym_E = group.symmetrized(E)
+    group = G.group
     check_simplicial_action(C, group, act_V)
-    eq = check_equivariance(f, act_X, act_V, sym_E, eps_needed)
-    if not eq:
+    if Fraction(eq.details["max_discrepancy"]) >= inner_radius(d):
         raise EquivarianceTooWeak(
             f"measured equivariance {eq.details['max_discrepancy']} >= (1/3)10^-{d}"
         )
@@ -967,7 +599,10 @@ def dad_witness_from_blr(
     if uncovered:
         raise InvalidInput("levels failed to cover the samples; complex inconsistent")
 
-    G = transformation_groupoid(group, space, act_X)
+    if G.unit_set != set(space):
+        raise NotAnAction(
+            f"the {len(space)} samples are not the {len(G.space)} points the group acts on"
+        )
     K = G.moves(E)
     generated = []
     for color in colors:

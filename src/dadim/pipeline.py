@@ -171,7 +171,7 @@ def _run_corpus_case(case: dict):
     )
     from fractions import Fraction
 
-    from .groupoid import block_union_pair_groupoid, cyclic_group, pair_groupoid
+    from .groupoid import block_union_pair_groupoid, pair_groupoid
     from .convolution import block_decompose
     from .nerve import (
         SimplicialComplex,
@@ -226,12 +226,11 @@ def _run_corpus_case(case: dict):
         # Z/n rotating the n-cycle; x -> (1 - t) x + t (x + 1) is exactly
         # equivariant, so ``blr-check --witness`` accepts it
         n, t, E = params["order"], Fraction(params["t"]), params["E"]
-        group = cyclic_group(n)
-        act = lambda g, x: (x + g) % n  # noqa: E731
+        G = cyclic_rotation_groupoid(n)
         C = SimplicialComplex(range(n), [{i, (i + 1) % n} for i in range(n)])
         f = {x: SimplicialPoint({x: 1 - t, (x + 1) % n: t}) for x in range(n)}
-        eq = check_equivariance(f, act, act, group.symmetrized(E), inner_radius(C.dimension))
-        res = dad_witness_from_blr(f, E, C, group, act, act)
+        eq = check_equivariance(f, G.act, G.act, G.group.symmetrized(E), inner_radius(C.dimension))
+        res = dad_witness_from_blr(f, E, C, G, G.act, eq)
         return {
             "equivariance": eq.to_json(),
             "colors": [sorted(c) for c in res.colors],

@@ -1,15 +1,23 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
+from dadim.coarse import AsdimWitness
+from dadim.convolution import ConvElement
 from dadim.errors import (
+    ConditionViolated,
+    DepthInsufficient,
     EmptySkeleton,
+    EquivarianceTooWeak,
     InvalidInput,
+    NoFiniteS,
     NotAnAction,
     NotFree,
     NotInComplex,
     PropagationEscapesColor,
+    TooLarge,
     TowerInvalid,
     WitnessInsufficient,
 )
@@ -17,13 +25,23 @@ from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float
 from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
+    _connected_components,
     _endpoint_units,
     _seed_in_color,
     generate_subgroupoid,
 )
 from dadim.reporting import VerificationReport
 from dadim.certify import file_hash, rational_str
-from dadim.nerve import SimplicialPoint, inner_radius, l1_distance, nice_cover_assign, outer_radius
+from dadim.nerve import (
+    SimplicialComplex,
+    SimplicialPoint,
+    _act_point,
+    check_equivariance,
+    check_simplicial_action,
+    inner_radius,
+    l1_distance,
+    nice_cover_assign,
+)
 from dadim.pou import NestedColorTower, PartitionOfUnity
 from dadim.symbolic import ClopenSet, SymbolicSystem
 
@@ -226,22 +244,25 @@ def l1_distance_oracle(mu: FractionPoint, nu: FractionPoint) -> Fraction:
     return total
 
 
-def skeleton_mass_oracle(mu: FractionPoint, C, i: int) -> Fraction:
-    """The largest mass of mu on one face of dimension <= i, over every
-    maximal face: the top i + 1 weights on each."""
+def outer_radius(i: int) -> Fraction:
+    """(5/2) 10^-i, the removed closed-neighborhood radius of level i."""
+    return Fraction(5, 2 * 10**i)
+
+
+def skeleton_mass_oracle(mu, C, i: int) -> Fraction:
+    """The largest mass of mu (a ``FractionPoint`` or a ``SimplicialPoint``)
+    on one face of dimension <= i, over every maximal face: the top i + 1
+    weights on each."""
+    w = mu.weights
     best = Fraction(0)
     for f in C.maximal_faces:
-        if len(f) <= i + 1:
-            mass = mu.mass_on(f)
-        else:
-            top = sorted((mu.weights.get(v, Fraction(0)) for v in f), reverse=True)
-            mass = sum(top[: i + 1], Fraction(0))
-        if mass > best:
-            best = mass
+        top = sorted((w.get(v, Fraction(0)) for v in f), reverse=True)
+        best = max(best, sum(top[: i + 1], Fraction(0)))
     return best
 
 
-def distance_to_skeleton_oracle(mu: FractionPoint, C, i: int) -> Fraction:
+def distance_to_skeleton_oracle(mu, C, i: int) -> Fraction:
+    """The l1 distance 2 (1 - skeleton mass) from mu to the i-skeleton."""
     if not is_face_oracle(C, mu.support()):
         raise NotInComplex(f"support {sorted(map(repr, mu.support()))} is not a face")
     if i < 0:
@@ -316,6 +337,302 @@ def nerve_certificate_pair_loop(C, den: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# BLR: almost-equivariant maps and equivariant covers of X x Gamma
+
+
+def perturb_to_finite_support(f: dict, act_X, act_V, E, eps, S=None):
+    """Push the map into the probability simplex over a finite vertex set S.
+
+    The perturbation budget is delta = min(1, half the worst equivariance
+    margin, ``check_equivariance`` once per g in E); any S whose tail mass
+    stays below delta/2 works, and the renormalized map moves each value by
+    exactly 2*(1 - T(x)) < delta, so (E, eps)-equivariance survives.
+    Returns (f', report).
+    """
+    eps = Fraction(eps)
+    margins = [
+        eps - Fraction(check_equivariance(f, act_X, act_V, [g], eps).details["max_discrepancy"])
+        for g in E
+    ]
+    delta = min([Fraction(1)] + [m / 2 for m in margins])
+    if delta <= 0:
+        raise NoFiniteS(f"map is not (E, eps)-equivariant; worst margin {min(margins)}")
+
+    def tail(x, vertex_set) -> Fraction:
+        return 1 - mass_on(f[x], vertex_set)
+
+    if S is None:
+        # smallest prefix of vertices (by max weight, then repr) with all
+        # tails under delta/2; deterministic
+        usage: dict = {}
+        for mu in f.values():
+            for v, t in mu.weights.items():
+                usage[v] = max(usage.get(v, Fraction(0)), t)
+        chosen: set = set()
+        for v in sorted(usage, key=lambda v: (-usage[v], repr(v))):
+            if all(tail(x, chosen) < delta / 2 for x in f):
+                break
+            chosen.add(v)
+        S = frozenset(chosen)
+    else:
+        S = frozenset(S)
+    bad = [x for x in f if tail(x, S) >= delta / 2]
+    if bad:
+        raise NoFiniteS(
+            f"tail mass >= delta/2 = {delta / 2} at {len(bad)} samples (first {bad[0]!r})"
+        )
+
+    out: dict = {}
+    worst_move = Fraction(0)
+    for x, mu in f.items():
+        kept = {v: k for v, k in mu.num.items() if v in S}
+        T = sum(kept.values())
+        out[x] = SimplicialPoint.from_numerators(kept, T)
+        move = l1_distance(mu, out[x])
+        if move != Fraction(2 * (mu.den - T), mu.den):
+            raise NoFiniteS(f"renormalizing sample {x!r} moved it by {move}, not 2*(1 - T)")
+        worst_move = max(worst_move, move)
+    if worst_move >= delta:
+        raise NoFiniteS(f"perturbation {worst_move} is not below delta = {delta}")
+    report = VerificationReport(
+        True, "ok", "finite-support perturbation applied",
+        {"delta": str(delta), "max_perturbation": str(worst_move), "support_size": len(S)},
+    )
+    return out, report
+
+
+@dataclass
+class EquivariantCover:
+    """Open cover of X x Gamma (finite model) with the diagonal action
+    g.(x, h) = (g.x, g h)."""
+
+    group: object
+    space: tuple
+    act_X: object
+    sets: list
+
+    def act_set(self, g, U: frozenset) -> frozenset:
+        return frozenset((self.act_X(g, x), self.group.mult(g, h)) for x, h in U)
+
+    def all_pairs(self):
+        return [(x, g) for x in self.space for g in self.group.elements]
+
+    def multiplicity(self) -> int:
+        return max(sum(1 for U in self.sets if p in U) for p in self.all_pairs())
+
+    def check_conditions(self, E) -> VerificationReport:
+        """Exact verification of the five cover conditions."""
+        pairs = self.all_pairs()
+        covered = set().union(*self.sets) if self.sets else set()
+        if not set(pairs) <= covered:
+            raise ConditionViolated("E", "cover misses points of X x Gamma")
+        set_index = set(self.sets)
+        for U in self.sets:
+            for g in self.group.elements:
+                gU = self.act_set(g, U)
+                if gU not in set_index:
+                    raise ConditionViolated("A", "group image of a cover set is not in the cover")
+                if gU != U and gU & U:
+                    raise ConditionViolated("A", "gU neither equals nor misses U")
+        for U in self.sets:
+            stab = [g for g in self.group.elements if self.act_set(g, U) == U]
+            # finite-subgroup family: closure under mult and inverse
+            for a in stab:
+                if self.group.inv(a) not in stab:
+                    raise ConditionViolated("B", "stabilizer not closed under inverse")
+                for b in stab:
+                    if self.group.mult(a, b) not in stab:
+                        raise ConditionViolated("B", "stabilizer not closed under product")
+        mult = self.multiplicity()
+        sym_E = self.group.symmetrized(E)
+        for g in self.group.elements:
+            for x in self.space:
+                target = {(x, self.group.mult(g, e)) for e in sym_E}
+                if not any(target <= U for U in self.sets):
+                    raise ConditionViolated(
+                        "E", f"no cover set contains {{x}} x gE at x={x!r}, g={g!r}"
+                    )
+        return VerificationReport(
+            True, "ok", "cover conditions (A)-(E) verified",
+            {
+                "multiplicity": mult,
+                "dimension": mult - 1,
+                "sets": len(self.sets),
+            },
+        )
+
+
+def cover_from_map(f: dict, E, group, act_X, act_V, C):
+    """Pull the skeleton-cover pieces back through phi(x, g) = g.f(g^-1 x).
+
+    Pieces are inflated by the pullback radius r = (1/6)10^-dim so
+    membership stays an exact rational predicate; the inflation preserves
+    disjointness within a level (the separation margin dominates 2r) and
+    can only help the covering condition (E).  Requires f to be
+    (E, r)-equivariant.  Returns (cover, report).
+    """
+    d = C.dimension
+    r = Fraction(1, 6 * 10**d)
+    check_simplicial_action(C, group, act_V)
+    eq = check_equivariance(f, act_X, act_V, group.symmetrized(E), r)
+    if not eq:
+        raise EquivarianceTooWeak(
+            f"need (E, {r})-equivariance, measured {eq.details['max_discrepancy']}"
+        )
+    space = tuple(f.keys())
+    phi_table = {
+        (x, g): _act_point(act_V, g, f[act_X(group.inv(g), x)])
+        for x in space for g in group.elements
+    }
+
+    def in_inflated_piece(mu, i, delta) -> bool:
+        if 2 * (1 - mass_on(mu, delta)) >= inner_radius(i) + r:
+            return False
+        return i == 0 or distance_to_skeleton_oracle(mu, C, i - 1) > outer_radius(i) - r
+
+    sets = []
+    for i in range(d + 1):
+        for delta in C.simplices_of_dim(i):
+            U = frozenset(p for p, mu in phi_table.items() if in_inflated_piece(mu, i, delta))
+            if U and U not in sets:
+                sets.append(U)
+    cover = EquivariantCover(group, space, act_X, sets)
+    report = cover.check_conditions(E)
+    if report.details["multiplicity"] > d + 1:
+        raise ConditionViolated("C", f"multiplicity {report.details['multiplicity']} > d+1")
+    return cover, report
+
+
+def map_from_cover(cover: EquivariantCover, E, n: int):
+    """Nerve map from telescoped indicator sums over cover interiors.
+
+    U^(m) is the set of pairs whose whole {x} x gE^m block stays in U; the
+    step functions are indicators of U^(m) (exact in the zero-dimensional
+    model), psi_U counts memberships for m = 1..n, and f(x) is the nerve
+    point with weights psi_U(x, e)/sum.  The equivariance defect is at most
+    (2d+2)(4d+6)/n with d+1 the cover multiplicity.  Returns (f, nerve,
+    report).
+    """
+    if n < 1:
+        raise InvalidInput("telescoping depth n must be positive")
+    group = cover.group
+    sym_E = group.symmetrized(E)
+    pairs = cover.all_pairs()
+
+    # E^m balls in the group
+    balls = [frozenset({group.unit})]
+    for _ in range(n):
+        balls.append(frozenset(group.mult(a, e) for a in balls[-1] for e in sym_E))
+
+    interiors = []
+    for U in cover.sets:
+        interiors.append([U] + [
+            frozenset(
+                (x, g) for (x, g) in U if all((x, group.mult(g, h)) in U for h in balls[m])
+            )
+            for m in range(1, n + 1)
+        ])
+    for m in range(n + 1):
+        if not set(pairs) <= set().union(*(lvl[m] for lvl in interiors)):
+            raise DepthInsufficient(
+                f"E^{m}-interiors do not cover X x Gamma; enlarge the cover or lower n"
+            )
+
+    # every E^m-interior level covers, so each pair has n memberships or more
+    psi = [{p: sum(1 for m in range(1, n + 1) if p in lvl[m]) for p in pairs} for lvl in interiors]
+    totals = {p: sum(ps[p] for ps in psi) for p in pairs}
+
+    # the nerve of the cover: a face per pair, the sets that hold it
+    nerve = SimplicialComplex(cover.sets, {frozenset(U for U in cover.sets if p in U) for p in pairs})
+
+    # supp f(x) lies in the face of the pair (x, e), so f(x) is in the nerve
+    f = {
+        x: SimplicialPoint.from_numerators(
+            {U: ps[(x, group.unit)] for U, ps in zip(cover.sets, psi)}, totals[(x, group.unit)]
+        )
+        for x in cover.space
+    }
+
+    # defect: d(f(gx), g f(x)) = sum_U |phi_U(gx, e) - phi_U(gx, g)| with
+    # phi_U(p) = psi_U(p)/totals[p], summed over the denominator t1*t2
+    dim = cover.multiplicity() - 1
+    bound = Fraction((2 * dim + 2) * (4 * dim + 6), n)
+    worst = Fraction(0)
+    for g in sym_E:
+        for x in cover.space:
+            gx = cover.act_X(g, x)
+            p1, p2 = (gx, group.unit), (gx, g)
+            t1, t2 = totals[p1], totals[p2]
+            total = sum(abs(ps[p1] * t2 - ps[p2] * t1) for ps in psi)
+            worst = max(worst, Fraction(total, t1 * t2))
+    report = VerificationReport(
+        worst <= bound, "ok" if worst <= bound else "DefectExceeded",
+        f"equivariance defect {worst} vs bound {bound}",
+        {"defect": str(worst), "bound": str(bound), "dimension": dim, "telescoping_depth": n},
+    )
+    return f, nerve, report
+
+
+# ---------------------------------------------------------------------------
+# coarse: the least number of families, by exhaustive search
+
+
+def exhaustive_min_colors_with_witness(X, R: int, S: int, max_points: int = 16):
+    """(k, witness): the least number of families over all partitions
+    satisfying the (R, S) conditions, and an ``AsdimWitness`` with k.
+
+    Classes may be taken to be the R-connected components of each family
+    (separation forces components to stay together, and merging components
+    only grows diameters), so the search is over family assignments with
+    component diameters checked as each point is placed.
+    """
+    n = len(X.points)
+    if n > max_points:
+        raise TooLarge(f"exhaustive search capped at {max_points} points")
+    if n == 0:
+        return 0, AsdimWitness(R, S, [])
+    pts = list(X.points)
+    dist = [[X.dist(a, b) for b in pts] for a in pts]
+
+    for k in range(1, n + 1):
+        assignment = [-1] * n
+
+        def feasible(i: int, fam: int) -> bool:
+            # merged component of i within fam must have diameter <= S
+            comp = {i}
+            frontier = [i]
+            while frontier:
+                u = frontier.pop()
+                for j in range(i):
+                    if assignment[j] == fam and j not in comp and dist[u][j] <= R:
+                        comp.add(j)
+                        frontier.append(j)
+            return all(dist[a][b] <= S for a in comp for b in comp)
+
+        def dfs(i: int, used: int) -> bool:
+            if i == n:
+                return True
+            for fam in range(min(used + 1, k)):
+                if feasible(i, fam):
+                    assignment[i] = fam
+                    if dfs(i + 1, max(used, fam + 1)):
+                        return True
+                    assignment[i] = -1
+            return False
+
+        if dfs(0, 0):
+            fams = []
+            for fam in range(k):
+                members = [pts[i] for i in range(n) if assignment[i] == fam]
+                comps = _connected_components(
+                    ((p, q) for p in members for q in members if X.dist(p, q) <= R), members
+                )
+                fams.append([frozenset(c) for c in comps])
+            return k, AsdimWitness(R, S, fams, meta={"oracle": True})
+    raise AssertionError("unreachable: n singleton families always work")
+
+
+# ---------------------------------------------------------------------------
 # group actions
 
 
@@ -378,6 +695,16 @@ def regular_representation_oracle(f, x) -> tuple:
             row.append(f.coeffs.get(arrow, (0, 0)) if arrow is not None else (0, 0))
         matrix.append(row)
     return basis, matrix
+
+
+def adjoint(f: ConvElement) -> ConvElement:
+    """f*(g) = conj(f(g^-1)), the involution of the convolution algebra."""
+    return ConvElement(f.G, {f.G.inverse(g): (c[0], -c[1]) for g, c in f.coeffs.items()})
+
+
+def rep_matrix(rep) -> list:
+    """A ``RegularRep`` as rows of (re, im) pairs; exact when f is."""
+    return [[rep.values[k] if k >= 0 else (0, 0) for k in row] for row in rep.index.tolist()]
 
 
 # ---------------------------------------------------------------------------

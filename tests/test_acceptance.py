@@ -17,13 +17,10 @@ from dadim.coarse import (
     TableMetricSpace,
     bridge_to_groupoid,
     construct_grid_witness,
-    exhaustive_min_colors,
-    exhaustive_min_colors_with_witness,
     verify_asdim_witness,
 )
 from dadim.convolution import (
     ConvElement,
-    adjoint,
     block_decompose,
     convolve,
     reduced_norm,
@@ -35,7 +32,7 @@ from dadim.pipeline import run_pipeline
 from dadim.pou import pou_from_group_action, verify_pou
 from dadim.symbolic import Odometer, return_time_report
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
-from helpers import matrix_unit_defects
+from helpers import adjoint, exhaustive_min_colors_with_witness, matrix_unit_defects
 
 F = Fraction
 
@@ -208,7 +205,7 @@ def test_criterion_6_exhaustive_oracle():
     witness across the full (R, S) sweep."""
     t0 = time.monotonic()
     P12 = TableMetricSpace.from_edges(range(12), [(i, i + 1) for i in range(11)])
-    assert exhaustive_min_colors(P12, 2, 4) == 2
+    assert exhaustive_min_colors_with_witness(P12, 2, 4)[0] == 2
 
     rng = random.Random(2024)
     spaces = [P12, TableMetricSpace.from_edges(

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 import dadim.cli
+import dadim.nerve
 from dadim.certify import corpus_dir
 from dadim.cli import main
 from dadim.coarse import MAX_TABLE_POINTS
@@ -13,10 +14,13 @@ from dadim.errors import (
     ALL_ERRORS,
     BlowupExceeded,
     DepthExceeded,
+    EquivarianceTooWeak,
     FiniteSetMismatch,
     HashMismatch,
     InvalidInput,
+    MissingSample,
     NormalizationDefect,
+    NotAnAction,
     OscillationExceeded,
     SeparationViolation,
     StepBoundViolation,
@@ -338,6 +342,46 @@ def test_blr_witness_matches_corpus_golden(workdir):
     assert got["witness"] == {
         key: golden[key] for key in ("colors", "moving_set", "verification")
     }
+
+
+def test_blr_witness_measures_equivariance_once(workdir, monkeypatch):
+    """``blr-check --witness`` takes the map's discrepancy once and builds
+    both verdicts, the printed one and the witness's, from it."""
+    calls = []
+    measure = dadim.nerve.check_equivariance
+
+    def counting(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(dadim.cli, "check_equivariance", counting)
+    monkeypatch.setattr(dadim.nerve, "check_equivariance", counting)
+    paths = blr_files(workdir, 12)
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", 1, "--witness",
+    ]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("samples, E, error", [
+    ("even", 2, NotAnAction),  # closed under E, but not the points of Z/12
+    ("even", 1, MissingSample),  # the sample x + 1 is missing
+    ("extra", 1, EquivarianceTooWeak),  # "100" maps to the vertex 0
+])
+def test_blr_witness_rejects_bad_sample_sets(workdir, capsys, samples, E, error):
+    paths = blr_files(workdir, 12)
+    data = json.loads(paths["map"].read_text())
+    if samples == "even":
+        data["samples"] = {x: w for x, w in data["samples"].items() if int(x) % 2 == 0}
+    else:
+        data["samples"]["100"] = {"0": "1"}
+    paths["map"].write_text(json.dumps(data))
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", E, "--witness",
+    ]) == error.exit_code
+    assert capsys.readouterr().out == ""
 
 
 def test_pipeline_and_tamper(workdir):

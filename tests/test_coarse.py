@@ -18,8 +18,6 @@ from dadim.coarse import (
     asdim_witness_from_json,
     bridge_to_groupoid,
     construct_grid_witness,
-    exhaustive_min_colors,
-    exhaustive_min_colors_with_witness,
     space_from_json,
     verify_asdim_witness,
 )
@@ -32,6 +30,7 @@ from dadim.groupoid import (
     _seed_in_color,
     generate_subgroupoid,
 )
+from helpers import exhaustive_min_colors_with_witness
 
 
 def path_graph(n):
@@ -99,12 +98,12 @@ def test_construct_2d_sweep(R, side):
 
 def test_exhaustive_examples():
     P12 = path_graph(12)
-    assert exhaustive_min_colors(P12, 2, 4) == 2
-    assert exhaustive_min_colors(P12, 3, 11) == 1  # diameter <= S
+    assert exhaustive_min_colors_with_witness(P12, 2, 4)[0] == 2
+    assert exhaustive_min_colors_with_witness(P12, 3, 11)[0] == 1  # diameter <= S
     two = TableMetricSpace.from_edges([0, 1], [(0, 1)])
-    assert exhaustive_min_colors(two, 3, 0) == 2
+    assert exhaustive_min_colors_with_witness(two, 3, 0)[0] == 2
     with pytest.raises(TooLarge):
-        exhaustive_min_colors(Grid1dSpace(0, 99), 1, 1)
+        exhaustive_min_colors_with_witness(Grid1dSpace(0, 99), 1, 1)
 
 
 def test_oracle_consistency_small_spaces():

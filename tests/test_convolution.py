@@ -13,7 +13,6 @@ from dadim import convolution
 from dadim.convolution import (
     NORM_TOL,
     ConvElement,
-    adjoint,
     block_decompose,
     commutator_report,
     convolve,
@@ -38,10 +37,12 @@ from dadim.groupoid import (
 from dadim.pou import pou_from_group_action
 from helpers import (
     action_groupoid_oracle,
+    adjoint,
     arrow_positions,
     block_decompose_oracle,
     matrix_unit_defects,
     regular_representation_oracle,
+    rep_matrix,
     z2_pair_groupoid_json,
 )
 
@@ -135,16 +136,16 @@ def test_regular_representation_multiplicative_exact():
     ]
     for f1, f2 in cases:
         x = 0
-        lhs = regular_representation(convolve(f1, f2), x).matrix
-        A = regular_representation(f1, x).matrix
-        B = regular_representation(f2, x).matrix
+        lhs = rep_matrix(regular_representation(convolve(f1, f2), x))
+        A = rep_matrix(regular_representation(f1, x))
+        B = rep_matrix(regular_representation(f2, x))
         lhs_norm = [[(F(a), F(b)) for a, b in row] for row in lhs]
         assert lhs_norm == exact_matmul(
             [[(F(a), F(b)) for a, b in row] for row in A],
             [[(F(a), F(b)) for a, b in row] for row in B],
         )
         # *-compatibility: the matrix of f* is the conjugate transpose
-        Astar = regular_representation(adjoint(f1), x).matrix
+        Astar = rep_matrix(regular_representation(adjoint(f1), x))
         n = len(A)
         for i in range(n):
             for j in range(n):
@@ -229,7 +230,7 @@ def test_action_groupoid_matches_explicit_oracle(case, data):
     for x in space:
         rep = regular_representation(fG, x)
         basis, matrix = regular_representation_oracle(fO, x)
-        assert rep.basis == basis and rep.matrix == matrix
+        assert rep.basis == basis and rep_matrix(rep) == matrix
         norms.append(spectral_norm(np.array(
             [[complex(float(re), float(im)) for re, im in row] for row in matrix], dtype=complex,
         ).reshape(len(basis), len(basis))))

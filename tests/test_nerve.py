@@ -15,7 +15,6 @@ from dadim import nerve
 from dadim.errors import (
     DadimError,
     DepthInsufficient,
-    EmptySkeleton,
     EquivarianceTooWeak,
     InvalidInput,
     MissingSample,
@@ -25,35 +24,31 @@ from dadim.errors import (
 )
 from dadim.groupoid import cyclic_group, transformation_groupoid
 from dadim.nerve import (
-    EquivariantCover,
     SimplicialComplex,
     SimplicialPoint,
     check_equivariance,
-    cover_from_map,
     dad_witness_from_blr,
-    distance_to_simplex,
-    distance_to_skeleton,
     grid_certificate,
     inner_radius,
     l1_distance,
-    map_from_cover,
     nice_cover_assign,
-    nice_cover_membership,
-    outer_radius,
-    perturb_to_finite_support,
 )
 from helpers import (
+    EquivariantCover,
     FractionPoint,
     check_simplicial_action_oracle,
     compositions,
-    distance_to_skeleton_oracle,
+    cover_from_map,
     faces_of_dim_at_most,
     is_face_oracle,
     l1_distance_oracle,
+    map_from_cover,
     mass_on,
     maximal_faces_oracle,
     nerve_certificate_pair_loop,
     nice_cover_assign_oracle,
+    outer_radius,
+    perturb_to_finite_support,
     skeleton_mass_oracle,
 )
 
@@ -80,9 +75,9 @@ def rational_points(max_den=20, n_vertices=3):
 def test_l1_examples(triangle):
     bary = SimplicialPoint({"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)})
     assert l1_distance(bary, bary) == 0
-    assert l1_distance(SimplicialPoint.vertex("a"), SimplicialPoint.vertex("b")) == 2
+    assert l1_distance(SimplicialPoint({"a": 1}), SimplicialPoint({"b": 1})) == 2
     half = SimplicialPoint({"a": F(1, 2), "b": F(1, 2)})
-    assert l1_distance(half, SimplicialPoint.vertex("a")) == 1
+    assert l1_distance(half, SimplicialPoint({"a": 1})) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -93,28 +88,33 @@ def test_l1_metric_axioms(mu, nu, rho):
     assert l1_distance(mu, rho) <= l1_distance(mu, nu) + l1_distance(nu, rho)
 
 
+def skeleton_distance(mu, i):
+    """The l1 distance 2 (1 - mass) from mu to the i-skeleton, from the
+    library's skeleton mass."""
+    return 2 * (1 - F(nerve._skeleton_mass(mu, i), mu.den))
+
+
 def test_distance_to_skeleton_examples(triangle):
     bary = SimplicialPoint({"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)})
-    assert distance_to_skeleton(bary, triangle, 1) == F(2, 3)
-    assert distance_to_skeleton(SimplicialPoint.vertex("a"), triangle, 0) == 0
+    assert skeleton_distance(bary, 1) == F(2, 3)
+    assert skeleton_distance(SimplicialPoint({"a": 1}), 0) == 0
     half = SimplicialPoint({"a": F(1, 2), "b": F(1, 2)})
-    assert distance_to_skeleton(half, triangle, 0) == 1
-    with pytest.raises(EmptySkeleton):
-        distance_to_skeleton(bary, triangle, -1)
+    assert skeleton_distance(half, 0) == 1
     with pytest.raises(NotInComplex):
-        distance_to_skeleton(
-            SimplicialPoint({"a": F(1, 2), "d": F(1, 2)}),
-            triangle, 1,
-        )
+        nice_cover_assign(SimplicialPoint({"a": F(1, 2), "d": F(1, 2)}), triangle)
+
+
+def _distance_to_faces(mu, C, i):
+    """The least l1 distance 2 (1 - mass on D) from mu to a face D of
+    dimension <= i, over every such face."""
+    return min(2 * (1 - mass_on(mu, D)) for D in faces_of_dim_at_most(C, i))
 
 
 @settings(max_examples=60, deadline=None)
 @given(mu=rational_points(), i=st.integers(0, 2))
 def test_distance_to_skeleton_vs_bruteforce(mu, i):
     C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
-    closed = distance_to_skeleton(mu, C, i)
-    brute = min(distance_to_simplex(mu, f) for f in faces_of_dim_at_most(C, i))
-    assert closed == brute
+    assert skeleton_distance(mu, i) == _distance_to_faces(mu, C, i)
 
 
 def test_bruteforce_on_bigger_complex():
@@ -123,20 +123,16 @@ def test_bruteforce_on_bigger_complex():
     )
     mu = SimplicialPoint({0: F(1, 2), 1: F(1, 4), 2: F(1, 4)})
     for i in range(3):
-        brute = min(
-            distance_to_simplex(mu, f) for f in faces_of_dim_at_most(C, i)
-        )
-        assert distance_to_skeleton(mu, C, i) == brute
+        assert skeleton_distance(mu, i) == _distance_to_faces(mu, C, i)
 
 
 def test_nice_cover_examples(triangle):
     bary = SimplicialPoint({"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)})
     assert nice_cover_assign(bary, triangle) == (2, frozenset({"a", "b", "c"}))
-    assert nice_cover_assign(SimplicialPoint.vertex("b"), triangle) == (0, frozenset({"b"}))
+    assert nice_cover_assign(SimplicialPoint({"b": 1}), triangle) == (0, frozenset({"b"}))
     near = SimplicialPoint({"a": 1 - F(1, 1000), "b": F(1, 1000)})
     assert nice_cover_assign(near, triangle) == (0, frozenset({"a"}))
-    assert nice_cover_membership(bary, triangle, 2, {"a", "b", "c"})
-    assert not nice_cover_membership(bary, triangle, 1, {"a", "b"})
+    assert nerve._level_membership(bary, 2) and not nerve._level_membership(bary, 1)
 
 
 def test_nice_cover_grid_cover_and_separation(triangle):
@@ -177,17 +173,26 @@ def edge_map(n, t):
     }
 
 
+def blr_witness(f, E, C, grp, act):
+    """``dad_witness_from_blr`` on the transformation groupoid of ``act``
+    on the samples (checked exhaustively), with the map's equivariance
+    measured once."""
+    G = transformation_groupoid(grp, f, act)
+    eq = check_equivariance(f, act, act, grp.symmetrized(E), inner_radius(C.dimension))
+    return dad_witness_from_blr(f, E, C, G, act, eq)
+
+
 def test_check_equivariance(triangle):
     grp, act, C = cyclic_setup(12)
     f = edge_map(12, F(2, 5))
     rep = check_equivariance(f, act, act, [1, 0, 11], F(1, 100))
     assert rep.accepted and rep.details["max_discrepancy"] == "0"
 
-    const = {x: SimplicialPoint.vertex(0) for x in range(12)}
+    const = {x: SimplicialPoint({0: 1}) for x in range(12)}
     rep2 = check_equivariance(const, act, act, [1], F(2))
     assert not rep2.accepted and rep2.details["max_discrepancy"] == "2"
 
-    partial = {0: SimplicialPoint.vertex(0)}
+    partial = {0: SimplicialPoint({0: 1})}
     with pytest.raises(MissingSample):
         check_equivariance(partial, act, act, [1], F(1))
 
@@ -205,7 +210,7 @@ def test_perturb_examples():
         g, ident, ident, [0], F(1, 100), S={0}
     )
     assert rep2.details["max_perturbation"] == str(F(2, 1000))
-    assert out2[0] == SimplicialPoint.vertex(0)
+    assert out2[0] == SimplicialPoint({0: 1})
 
     # tail mass at least budget/2 for the declared S
     h = {0: SimplicialPoint({0: F(1, 2), 5: F(1, 2)})}
@@ -214,7 +219,7 @@ def test_perturb_examples():
 
     # non-equivariant map has no budget at all
     grp12 = cyclic_group(12)
-    const = {x: SimplicialPoint.vertex(0) for x in range(12)}
+    const = {x: SimplicialPoint({0: 1}) for x in range(12)}
     with pytest.raises(NoFiniteS):
         perturb_to_finite_support(const, act, act, [1], F(1, 100))
 
@@ -256,7 +261,7 @@ def test_cover_from_map_conditions():
 
 def test_cover_from_map_needs_equivariance():
     grp, act, C = cyclic_setup(12)
-    const = {x: SimplicialPoint.vertex(0) for x in range(12)}
+    const = {x: SimplicialPoint({0: 1}) for x in range(12)}
     with pytest.raises(EquivarianceTooWeak):
         cover_from_map(const, [1], grp, act, act, C)
 
@@ -294,7 +299,7 @@ def test_map_from_cover_single_class_fixed_point():
 def test_dad_witness_from_blr():
     grp, act, C = cyclic_setup(12)
     f = edge_map(12, F(2, 5))
-    res = dad_witness_from_blr(f, [1], C, grp, act, act)
+    res = blr_witness(f, [1], C, grp, act)
     assert res.report.accepted
     # element sets stay inside the moving set
     G = transformation_groupoid(grp, f.keys(), act)
@@ -302,9 +307,9 @@ def test_dad_witness_from_blr():
         assert {a[0] for a in G.arrows if gen.holds(G, a)} <= res.moving_set
     assert set().union(*res.colors) == set(range(12))
 
-    const = {x: SimplicialPoint.vertex(0) for x in range(12)}
+    const = {x: SimplicialPoint({0: 1}) for x in range(12)}
     with pytest.raises(EquivarianceTooWeak):
-        dad_witness_from_blr(const, [1], C, grp, act, act)
+        blr_witness(const, [1], C, grp, act)
 
 
 def test_dad_witness_from_blr_zero_complex_free_action():
@@ -312,8 +317,8 @@ def test_dad_witness_from_blr_zero_complex_free_action():
     grp = cyclic_group(n)
     act = lambda g, x: (x + g) % n  # noqa: E731
     C0 = SimplicialComplex(range(n), [{i} for i in range(n)])
-    f = {x: SimplicialPoint.vertex(x) for x in range(n)}
-    res = dad_witness_from_blr(f, [1], C0, grp, act, act)
+    f = {x: SimplicialPoint({x: 1}) for x in range(n)}
+    res = blr_witness(f, [1], C0, grp, act)
     assert res.report.accepted
     # vertex-piece structure forces each color's elements inside F
     assert res.moving_set == frozenset(range(n))
@@ -325,11 +330,13 @@ def test_blr_generators_must_be_group_elements():
     grp = cyclic_group(6)
     act = lambda g, x: (x + g) % 6  # noqa: E731
     C0 = SimplicialComplex(range(6), [{i} for i in range(6)])
-    f = {x: SimplicialPoint.vertex(x) for x in range(6)}
+    f = {x: SimplicialPoint({x: 1}) for x in range(6)}
     with pytest.raises(InvalidInput, match=r"^-1 is not an element of the group$"):
         grp.symmetrized([-1])
+    G = transformation_groupoid(grp, f, act)
+    eq = check_equivariance(f, act, act, grp.symmetrized([1]), 1)
     with pytest.raises(InvalidInput, match="not an element"):
-        dad_witness_from_blr(f, [-1], C0, grp, act, act)
+        dad_witness_from_blr(f, [-1], C0, G, act, eq)
 
 
 def test_pullback_of_exact_map_through_one_complex():
@@ -386,10 +393,9 @@ def test_non_simplicial_action_rejected():
     C = SimplicialComplex(range(3), [{0, 1}, {1, 2}])
     with pytest.raises(InvalidInput):
         check_simplicial_action(C, grp, lambda g, v: (v + g) % 3)
-    f = {x: SimplicialPoint.vertex(x) for x in range(3)}
+    f = {x: SimplicialPoint({x: 1}) for x in range(3)}
     with pytest.raises(InvalidInput):
-        dad_witness_from_blr(f, [1], C, grp, lambda g, x: (x + g) % 3,
-                             lambda g, v: (v + g) % 3)
+        blr_witness(f, [1], C, grp, lambda g, x: (x + g) % 3)
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +477,9 @@ def test_integer_points_match_fraction_oracle(data):
     for scale in (1, 6):
         again = SimplicialPoint.from_numerators({v: k * scale for v, k in num.items()}, den * scale)
         assert again == mu and hash(again) == hash(mu) and again.to_json() == mu.to_json()
-    for i in range(-1, C.dimension + 2):
-        assert _outcome(distance_to_skeleton, mu, C, i) == _outcome(
-            distance_to_skeleton_oracle, om, C, i
-        )
     assert _outcome(nice_cover_assign, mu, C) == _outcome(nice_cover_assign_oracle, om, C)
-    if is_face_oracle(C, om.support()):
-        for i in range(C.dimension + 1):
-            for delta in C.simplices_of_dim(i):
-                want = 2 * (1 - om.mass_on(delta)) < inner_radius(i) and (
-                    i == 0 or distance_to_skeleton_oracle(om, C, i - 1) > outer_radius(i)
-                )
-                assert nice_cover_membership(mu, C, i, delta) == want
-                assert mass_on(mu, delta) == om.mass_on(delta)
-                assert distance_to_simplex(mu, delta) == 2 * (1 - om.mass_on(delta))
+    for delta in C.faces:
+        assert mass_on(mu, delta) == om.mass_on(delta)
     # pushing forward merges the weights of identified vertices
     pushed = mu.push(lambda v: repr(v)[0])
     merged: dict = {}
@@ -583,7 +578,7 @@ def test_blr_witness_face_work_is_linear(monkeypatch):
 
     monkeypatch.setattr(C, "_at", CountingIndex(C._at))
     monkeypatch.setattr(C, "_maximal", CountingFaces(C._maximal))
-    res = dad_witness_from_blr(f, [1], C, grp, act, act)
+    res = blr_witness(f, [1], C, grp, act)
     assert res.report.accepted
     G, F_max = len(grp.elements), len(C.maximal_faces)
     # at least one look per (g, face) of the action check
