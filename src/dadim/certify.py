@@ -7,8 +7,11 @@ it was written with, and takes as its input the certificate of the stage
 before, under that stage's recorded hash.  A chain is green iff every stage
 verified.  Re-verification checks every link and the green flag against the
 statuses, then recomputes every recorded hash from disk, so any tampering
-with an intermediate file is detected.  Timestamps are carried
-for provenance but excluded from hashes and comparisons.
+with an intermediate file is detected.  Timestamps are carried for
+provenance but excluded from hashes and comparisons.  ``load_certificate``
+is the one reader of input files: a file it cannot read as UTF-8 JSON is
+InvalidInput (exit 2).  ``file_hash`` reads chain artifacts itself, so
+that one it cannot read is a HashMismatch.
 """
 
 from __future__ import annotations
@@ -184,9 +187,16 @@ def write_certificate(path, obj, stamp: bool = True):
     return data
 
 
-def load_certificate(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def load_certificate(path):
+    """The JSON value in the file at ``path``: the one reader of input files.
+    A file that cannot be opened, or is not UTF-8 JSON, raises InvalidInput."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidInput(f"bad JSON in {path}: {exc}") from None
 
 
 class CertificateChain:
@@ -233,10 +243,7 @@ class CertificateChain:
         artifact path that leaves the directory, and HashMismatch on drift
         or an unreadable artifact."""
         directory = Path(directory)
-        try:
-            chain = load_certificate(directory / "chain.json")
-        except (OSError, ValueError) as exc:
-            raise InvalidInput(f"unreadable chain in {directory}: {exc}") from None
+        chain = load_certificate(directory / "chain.json")
         stages = chain.get("stages") if isinstance(chain, dict) else None
         if not isinstance(stages, list) or not all(
             isinstance(s, dict) and STAGE_KEYS <= s.keys() for s in stages

@@ -24,6 +24,7 @@ from .coarse import (
 )
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
+from .errors import malformed, positive_int
 from .groupoid import cyclic_group, cyclic_rotation_groupoid, groupoid_from_json
 from .nerve import (
     SimplicialComplex,
@@ -82,21 +83,12 @@ def _rational(text, default=None):
         raise InvalidInput(f"expected a rational p/q, got {text!r}") from None
 
 
-def _load(path):
-    try:
-        return load_certificate(path)
-    except FileNotFoundError as exc:
-        raise InvalidInput(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"bad JSON in {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 
 def cmd_construct(args):
-    system = system_from_json(_load(args.system))
+    system = system_from_json(load_certificate(args.system))
     witness = construct_minimal_z_witness(system, args.N)
     write_certificate(args.output, witness.to_json())
     print(f"witness written to {args.output} (M={witness.meta['M']}, "
@@ -105,28 +97,18 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    system = system_from_json(_load(args.system))
-    witness = witness_from_json(system, _load(args.witness))
+    system = system_from_json(load_certificate(args.system))
+    witness = witness_from_json(system, load_certificate(args.witness))
     _print_report(verify_dad_witness(system, witness, args.blowup_bound))
     return 0
 
 
 def cmd_asdim_construct(args):
-    spacedata = _load(args.space)
-    if "grid" not in spacedata:
+    data = load_certificate(args.space)
+    # checked first, so that no other space is built
+    if not isinstance(data, dict) or "grid" not in data:
         raise InvalidInput("asdim-construct needs a grid space file")
-    try:
-        dims = [int(d) for d in spacedata["grid"]["dims"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed grid space: {exc!r}") from None
-    if len(dims) == 1:
-        witness = construct_grid_witness(1, (0, dims[0] - 1), args.R)
-    elif len(dims) == 2:
-        witness = construct_grid_witness(
-            2, ((0, dims[0] - 1), (0, dims[1] - 1)), args.R
-        )
-    else:
-        raise InvalidInput("grids supported in dimensions 1 and 2")
+    witness = construct_grid_witness(space_from_json(data), args.R)
     write_certificate(args.output, witness.to_json())
     print(f"witness written to {args.output} "
           f"(families={len(witness.families)}, S={witness.bound_S})")
@@ -134,15 +116,15 @@ def cmd_asdim_construct(args):
 
 
 def cmd_asdim_verify(args):
-    X = space_from_json(_load(args.space))
-    witness = asdim_witness_from_json(_load(args.witness))
+    X = space_from_json(load_certificate(args.space))
+    witness = asdim_witness_from_json(load_certificate(args.witness))
     _print_report(verify_asdim_witness(X, witness))
     return 0
 
 
 def cmd_bridge(args):
-    X = space_from_json(_load(args.space))
-    witness = asdim_witness_from_json(_load(args.witness))
+    X = space_from_json(load_certificate(args.space))
+    witness = asdim_witness_from_json(load_certificate(args.witness))
     G, gw, report = bridge_to_groupoid(X, witness)
     # each family must come back as the blocks of its color's subgroupoid
     roundtrip = [gen.blocks for gen in gw.generated] == list(map(frozenset, witness.families))
@@ -159,15 +141,13 @@ def cmd_bridge(args):
 
 
 def _complex_from_json(data) -> SimplicialComplex:
-    try:
+    with malformed("simplicial complex"):
         return SimplicialComplex(data["vertices"], [set(f) for f in data["maximal_faces"]])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed simplicial complex: {exc!r}") from None
 
 
 def cmd_nerve(args):
     if args.complex:
-        C = _complex_from_json(_load(args.complex))
+        C = _complex_from_json(load_certificate(args.complex))
     else:
         C = SimplicialComplex(["a", "b", "c"], [{"a", "b", "c"}])
     cert = grid_certificate(C, args.denominator)
@@ -178,25 +158,20 @@ def cmd_nerve(args):
 
 
 def cmd_blr_check(args):
-    action = _load(args.action)
-    if "cyclic" not in action:
-        raise InvalidInput("blr-check supports cyclic action files")
-    try:
-        n = int(action["cyclic"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed action file: {exc!r}") from None
-    if n < 1:
-        raise InvalidInput("the cyclic action needs a positive order")
+    action = load_certificate(args.action)
+    with malformed("action file"):
+        n = positive_int(action["cyclic"], "order")
     group = cyclic_group(n)
     act = lambda g, x: (x + g) % n  # noqa: E731
-    C = _complex_from_json(_load(args.complex))
-    try:
+    C = _complex_from_json(load_certificate(args.complex))
+    with malformed("map file"):
         f = {
             int(x): SimplicialPoint({int(v): Fraction(t) for v, t in wt.items()})
-            for x, wt in _load(args.map)["samples"].items()
+            for x, wt in load_certificate(args.map)["samples"].items()
         }
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise InvalidInput(f"malformed map file: {exc!r}") from None
+    outside = sorted(x for x in f if not 0 <= x < n)
+    if outside:
+        raise errors.NotAnAction(f"samples {outside[:3]} are not points of Z/{n}")
     E = [e % n for e in args.E]
     eps = _rational(args.epsilon, Fraction(1, 3 * 10**C.dimension))
     eq = check_equivariance(f, act, act, group.symmetrized(E), eps)
@@ -215,10 +190,8 @@ def cmd_blr_check(args):
 
 
 def cmd_pou_build(args):
-    try:
-        colors = [frozenset(c) for c in _load(args.colors)]
-    except TypeError as exc:
-        raise InvalidInput(f"malformed colors file: {exc!r}") from None
+    with malformed("colors file"):
+        colors = [frozenset(c) for c in load_certificate(args.colors)]
     if args.N is None and args.epsilon is None:
         raise InvalidInput("pass --N or --epsilon")
     G, K, towers, pou = pou_from_group_action(
@@ -240,32 +213,27 @@ def cmd_pou_build(args):
 
 
 def _pou_from_cert(cert) -> tuple:
-    try:
-        order, E, data = cert["order"], [int(e) for e in cert["E"]], cert["pou"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed partition-of-unity certificate: {exc!r}") from None
-    if not isinstance(order, int) or order < 1:
-        raise InvalidInput(f"certificate order must be a positive integer, not {order!r}")
+    with malformed("partition-of-unity certificate"):
+        order = positive_int(cert["order"], "order")
+        E, data = [int(e) for e in cert["E"]], cert["pou"]
     G = cyclic_rotation_groupoid(order)
     K = G.moves(e % order for e in E)
     return G, K, PartitionOfUnity.from_json(G, K, data)
 
 
 def cmd_pou_verify(args):
-    cert = _load(args.pou)
+    cert = load_certificate(args.pou)
     G, K, pou = _pou_from_cert(cert)
     _print_report(verify_pou(G, K, pou, _rational(args.epsilon)))
     return 0
 
 
 def _element_from_json(G, data) -> ConvElement:
-    try:
+    with malformed("element"):
         coeffs = {
             tuple(key) if isinstance(key, list) else key: (Fraction(re), Fraction(im))
             for key, re, im in data["coeffs"]
         }
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidInput(f"malformed element: {exc!r}") from None
     for key in coeffs:
         # an arrow is what the structure maps accept
         try:
@@ -276,17 +244,17 @@ def _element_from_json(G, data) -> ConvElement:
 
 
 def cmd_norm(args):
-    G = groupoid_from_json(_load(args.groupoid))
-    f = _element_from_json(G, _load(args.element))
+    G = groupoid_from_json(load_certificate(args.groupoid))
+    f = _element_from_json(G, load_certificate(args.element))
     _emit({"reduced_norm": reduced_norm(f), "support": len(f.coeffs)}, args.output)
     return 0
 
 
 def cmd_decompose(args):
-    cert = _load(args.pou)
+    cert = load_certificate(args.pou)
     G, K, pou = _pou_from_cert(cert)
     if args.element:
-        f = _element_from_json(G, _load(args.element))
+        f = _element_from_json(G, load_certificate(args.element))
     else:
         f = ConvElement(G, {a: 1 for a in K})
     rep = decompose_via_pou(f, pou)
@@ -304,6 +272,8 @@ def cmd_pipeline(args):
         if not green:
             raise VerificationFailed("chain is not green")
         return 0
+    if args.system is None:
+        raise InvalidInput("pass --system or --check")
     chain = run_pipeline(
         args.system, args.N, args.quotient_depth, args.pou_depth, args.output
     )

@@ -27,7 +27,7 @@ from itertools import islice, product, repeat
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge, VerificationFailed
+from .errors import InvalidInput, TooLarge, VerificationFailed, malformed
 from .groupoid import (
     BlockArrows,
     GroupoidDadWitness,
@@ -453,7 +453,7 @@ def _point_key(p):
 
 
 def asdim_witness_from_json(data: dict) -> AsdimWitness:
-    try:
+    with malformed("coarse witness"):
         return AsdimWitness(
             scale_R=int(data["scale_R"]),
             bound_S=int(data["bound_S"]),
@@ -462,8 +462,6 @@ def asdim_witness_from_json(data: dict) -> AsdimWitness:
                 for fam in data["families"]
             ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed coarse witness: {exc!r}") from None
 
 
 def verify_asdim_witness(X: FiniteMetricSpace, w: AsdimWitness) -> VerificationReport:
@@ -598,15 +596,13 @@ def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness):
     return None
 
 
-def construct_grid_witness(n: int, box, R: int) -> AsdimWitness:
-    """Interval witness on Z (two families, intervals of length 5R) or
-    brick-wall witness on Z^2 (three families, bricks of side 10R with
-    alternate rows offset by half a brick).  Verified before returning."""
+def construct_grid_witness(X: Grid1dSpace | Grid2dSpace, R: int) -> AsdimWitness:
+    """Interval witness on a Grid1dSpace (two families, intervals of length
+    5R) or brick-wall witness on a Grid2dSpace (three families, bricks of
+    side 10R, alternate rows offset by half a brick).  Verified on X."""
     if R < 1:
         raise InvalidInput("R must be positive")
-    if n == 1:
-        lo, hi = box
-        X = Grid1dSpace(lo, hi)
+    if isinstance(X, Grid1dSpace):
         L = 5 * R
         classes: dict[int, set] = {}
         for x in X.points:
@@ -616,11 +612,7 @@ def construct_grid_witness(n: int, box, R: int) -> AsdimWitness:
         for t, cls in sorted(classes.items()):
             fams[t % 2].append(frozenset(cls))
         w = AsdimWitness(R, L - 1, fams, meta={"pattern": "intervals", "L": L})
-    elif n == 2:
-        (x0, x1), (y0, y1) = box
-        if (x0, y0) != (0, 0):
-            raise InvalidInput("2d boxes are anchored at the origin")
-        X = Grid2dSpace(x1 + 1, y1 + 1)
+    elif isinstance(X, Grid2dSpace):
         L = 10 * R  # even, so the half-brick offset is integral
         half = L // 2
         bricks: dict[tuple[int, int], set] = {}
@@ -636,7 +628,7 @@ def construct_grid_witness(n: int, box, R: int) -> AsdimWitness:
             fams[color].append(frozenset(cls))
         w = AsdimWitness(R, 2 * (L - 1), fams, meta={"pattern": "bricks", "L": L})
     else:
-        raise InvalidInput("only n = 1 and n = 2 constructors are provided")
+        raise InvalidInput("grid witnesses are constructed on 1d and 2d grids only")
     report = verify_asdim_witness(X, w)
     if not report:
         raise VerificationFailed(f"grid witness failed self-verification: {report.message}", report)
@@ -685,7 +677,7 @@ def bridge_to_groupoid(
 
 
 def space_from_json(data: dict) -> FiniteMetricSpace:
-    try:
+    with malformed("space"):
         if "grid" in data:
             dims = data["grid"]["dims"]
             if len(dims) == 1:
@@ -698,6 +690,4 @@ def space_from_json(data: dict) -> FiniteMetricSpace:
             return GroupBallSpace(gb["generators"], gb["radius"])
         if "edges" in data:
             return TableMetricSpace.from_edges(data["points"], [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidInput(f"malformed space: {exc!r}") from None
     raise InvalidInput("space file needs 'grid', 'group_ball', or 'edges'")

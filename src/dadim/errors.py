@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all dadim modules.
+"""Exception hierarchy shared by all dadim modules, and the two input rules.
 
 Constructive operations raise; verification operations return reports and
 only raise on malformed input.  Every error class carries a distinct CLI
-exit code (``dadim --help`` prints the table).
+exit code (``dadim --help`` prints the table).  Input files are parsed under
+``malformed``; cyclic orders and averaging depths are read by ``positive_int``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class DadimError(Exception):
@@ -168,6 +171,27 @@ class DefectExceeded(DadimError):
 
 class StepValueOutOfRange(DadimError):
     exit_code = 37
+
+
+# a missing key, a wrong type, a bad number or rational, a short list
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError)
+
+
+@contextmanager
+def malformed(what: str):
+    """Raise ``InvalidInput("malformed <what>: ...")`` for a parse error in
+    the block; a ``DadimError`` raised there passes unchanged."""
+    try:
+        yield
+    except _PARSE_ERRORS as exc:
+        raise InvalidInput(f"malformed {what}: {exc!r}") from None
+
+
+def positive_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer >= 1 (a bool is not one)."""
+    if type(value) is not int or value < 1:
+        raise InvalidInput(f"expected a positive {what} (a JSON integer), got {value!r}")
+    return value
 
 
 ALL_ERRORS = [

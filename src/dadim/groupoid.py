@@ -41,7 +41,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InvalidInput, NotAnAction, TooLarge
+from .errors import InvalidInput, NotAnAction, TooLarge, malformed, positive_int
 from .reporting import VerificationReport
 
 __all__ = [
@@ -711,9 +711,9 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
-    try:
+    with malformed("groupoid"):
         if "action" in data:
-            return cyclic_rotation_groupoid(int(data["action"]["cyclic"]))
+            return cyclic_rotation_groupoid(positive_int(data["action"]["cyclic"], "order"))
         units = [tuple(u) if isinstance(u, list) else u for u in data["units"]]
         source = {}
         range_ = {}
@@ -724,6 +724,8 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         if "inverse" not in data:
             raise InvalidInput("explicit groupoid files must carry an 'inverse' map")
         inverse = {int(k): v for k, v in data["inverse"].items()}
+        if not all(g in inverse and inverse[g] in source for g in source):
+            raise InvalidInput("the inverse map must send every arrow id to an arrow id")
         # identity candidates: the idempotent loops, grouped by unit (a
         # TypeError here is a unit that is not hashable)
         loops: dict = {}
@@ -731,8 +733,6 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
             if s == range_[g] and compose.get((g, g)) == g:
                 loops.setdefault(s, []).append(g)
         loops_at = {u: loops.get(u, []) for u in units}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidInput(f"malformed groupoid: {exc!r}") from None
     for u, cands in loops_at.items():
         if len(cands) != 1:
             raise InvalidInput(f"unit {u!r} needs exactly one idempotent identity arrow")

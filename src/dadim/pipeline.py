@@ -191,14 +191,9 @@ def _run_corpus_case(case: dict):
         rep = verify_dad_witness(system, w)
         return {"witness": w.to_json(), "accepted": rep.accepted}
     if kind == "grid_witness":
-        n = params["n"]
-        if n == 1:
-            box = tuple(params["box"])
-            X = Grid1dSpace(*box)
-        else:
-            box = tuple(tuple(b) for b in params["box"])
-            X = Grid2dSpace(box[0][1] + 1, box[1][1] + 1)
-        w = construct_grid_witness(n, box, params["R"])
+        box = params["box"]
+        X = Grid1dSpace(*box) if params["n"] == 1 else Grid2dSpace(*(hi + 1 for _, hi in box))
+        w = construct_grid_witness(X, params["R"])
         rep = verify_asdim_witness(X, w)
         return {"witness": w.to_json(), "accepted": rep.accepted}
     if kind == "z12_pou":

@@ -24,6 +24,8 @@ from .errors import (
     PropagationEscapesColor,
     TowerInvalid,
     WitnessInsufficient,
+    malformed,
+    positive_int,
 )
 from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
 from .groupoid import (
@@ -246,15 +248,15 @@ class PartitionOfUnity:
                 raise InvalidInput(f"partition of unity names unknown unit {key!r}")
             return units[key]
 
-        try:
+        with malformed("partition of unity"):
             towers = [
                 NestedColorTower(i, [frozenset(map(unit, lvl)) for lvl in levels])
                 for i, levels in enumerate(data["tower_levels"])
             ]
             psi = [{unit(u): Fraction(v) for u, v in p.items()} for p in data["psi"]]
-            N = int(data["N"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise InvalidInput(f"malformed partition of unity: {exc!r}") from None
+            N = positive_int(data["N"], "averaging depth N")
+        if not 1 <= len(psi) == len(towers) or not all(t.levels for t in towers):
+            raise InvalidInput("a partition of unity needs one psi and a nonempty tower per color")
         return cls(G, K, towers, N, psi, _norm_sq(psi))
 
     def to_json(self) -> dict:

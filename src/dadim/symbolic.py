@@ -24,6 +24,7 @@ from .errors import (
     DepthExceeded,
     EmptySet,
     InvalidInput,
+    malformed,
 )
 
 __all__ = [
@@ -726,7 +727,7 @@ def return_time_report(s: ClopenSet, search_bound: int = 4096) -> ReturnTimeRepo
 
 
 def system_from_json(data: dict) -> SymbolicSystem:
-    try:
+    with malformed("system"):
         kind = data.get("kind")
         depth_limit = int(data.get("depth_limit", 64))
         if kind == "odometer":
@@ -737,13 +738,11 @@ def system_from_json(data: dict) -> SymbolicSystem:
             if "forbidden" in data:
                 return ForbiddenWordSubshift(data["alphabet"], data["forbidden"], depth_limit)
             raise InvalidInput("subshift needs 'substitution' or 'forbidden'")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidInput(f"malformed system: {exc!r}") from None
     raise InvalidInput(f"unknown system kind {kind!r}")
 
 
 def clopen_from_json(system: SymbolicSystem, data: dict) -> ClopenSet:
-    try:
+    with malformed("clopen set"):
         if isinstance(system, Odometer):
             out = system.empty()
             for w in data["cylinders"]:
@@ -751,5 +750,3 @@ def clopen_from_json(system: SymbolicSystem, data: dict) -> ClopenSet:
                 out = out.union(system.cylinder(digits))
             return out
         return system.clopen(int(data.get("left", 0)), data["words"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidInput(f"malformed clopen set: {exc!r}") from None

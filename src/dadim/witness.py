@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DepthExceeded, InvalidInput, NotMinimal
+from .errors import DepthExceeded, InvalidInput, NotMinimal, malformed
 from .reporting import VerificationReport
 from .symbolic import (
     ClopenSet,
@@ -68,15 +68,13 @@ class DadWitness:
 
 
 def witness_from_json(system: SymbolicSystem, data: dict) -> DadWitness:
-    try:
+    with malformed("witness"):
         witness = DadWitness(
             colors=[clopen_from_json(system, c) for c in data["colors"]],
             generator_set=tuple(int(e) for e in data["E"]),
             finite_sets=[frozenset(int(n) for n in F) for F in data["finite_sets"]],
             meta=dict(data.get("meta", {})),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidInput(f"malformed witness: {exc!r}") from None
     if not isinstance(witness.meta.get("blowup_bound", 0), int):
         raise InvalidInput("witness meta blowup_bound must be an integer")
     return witness

@@ -179,14 +179,14 @@ def test_criterion_5_bridge():
     t0 = time.monotonic()
 
     X1 = Grid1dSpace(0, 1999)
-    w1 = construct_grid_witness(1, (0, 1999), 10)
+    w1 = construct_grid_witness(X1, 10)
     assert verify_asdim_witness(X1, w1).accepted
     G1, gw1, rep1 = bridge_to_groupoid(X1, w1)
     assert rep1.accepted
     assert [gen.blocks for gen in gw1.generated] == list(map(frozenset, w1.families))
 
     X2 = Grid2dSpace(200, 200)
-    w2 = construct_grid_witness(2, ((0, 199), (0, 199)), 5)
+    w2 = construct_grid_witness(X2, 5)
     assert verify_asdim_witness(X2, w2).accepted
     G2, gw2, rep2 = bridge_to_groupoid(X2, w2)
     assert rep2.accepted

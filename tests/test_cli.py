@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand, exit codes, chain integrity."""
 
+import copy
 import json
 import shutil
 
@@ -367,7 +368,7 @@ def test_blr_witness_measures_equivariance_once(workdir, monkeypatch):
 @pytest.mark.parametrize("samples, E, error", [
     ("even", 2, NotAnAction),  # closed under E, but not the points of Z/12
     ("even", 1, MissingSample),  # the sample x + 1 is missing
-    ("extra", 1, EquivarianceTooWeak),  # "100" maps to the vertex 0
+    ("extra", 1, NotAnAction),  # "100" is not a point of Z/12
 ])
 def test_blr_witness_rejects_bad_sample_sets(workdir, capsys, samples, E, error):
     paths = blr_files(workdir, 12)
@@ -381,6 +382,20 @@ def test_blr_witness_rejects_bad_sample_sets(workdir, capsys, samples, E, error)
         "blr-check", "--action", paths["action"], "--map", paths["map"],
         "--complex", paths["complex"], "--E", E, "--witness",
     ]) == error.exit_code
+    assert capsys.readouterr().out == ""
+
+
+def test_blr_check_refuses_samples_outside_the_group(workdir, capsys):
+    """Without --witness too, a sample outside Z/n is refused before the
+    equivariance check, which would pass it over."""
+    paths = blr_files(workdir, 12)
+    data = json.loads(paths["map"].read_text())
+    data["samples"]["100"] = dict(data["samples"]["4"])
+    paths["map"].write_text(json.dumps(data))
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", 1,
+    ]) == NotAnAction.exit_code
     assert capsys.readouterr().out == ""
 
 
@@ -730,3 +745,143 @@ def test_pou_verify_rejection_exit_codes(workdir, tamper, error):
 def test_exit_codes_are_distinct():
     codes = [cls.exit_code for cls in ALL_ERRORS]
     assert len(set(codes)) == len(codes) and not {0, 1} & set(codes)
+
+
+# ---------------------------------------------------------------------------
+# no input file ends in a traceback
+
+FIELD_VALUES = [None, 0, -1, 1.5, True, "x", "1/0", [], {}, [[]]]
+
+
+def _fields(data, path=()):
+    """Paths to every field of ``data``: each value of a dict, and the first
+    element of each list."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data[:1])
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _replaced(data, path, value):
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _reader_commands(w):
+    """One valid file per reader, and the commands that read it: each
+    command names its files as "@<reader>", and its other files are valid."""
+    blr = blr_files(w, 6)
+    files = {
+        "system": {"kind": "odometer", "base": [2], "depth_limit": 12},
+        "space": {"grid": {"dims": [12]}},
+        "ball": {"group_ball": {"generators": [[1, 0], [0, 1]], "radius": 2}},
+        "edges": {"points": [0, 1, 2], "edges": [[0, 1], [1, 2]]},
+        "colors": [[0, 1, 2, 3], [3, 4, 5, 0]],
+        "action": json.loads(blr["action"].read_text()),
+        "map": json.loads(blr["map"].read_text()),
+        "complex": json.loads(blr["complex"].read_text()),
+        "groupoid": z2_pair_groupoid_json(1),
+        "element": {"coeffs": [[1, "1", "0"]]},
+        "cyclic": {"action": {"cyclic": 4}},
+        "arrow": {"coeffs": [[[1, 0], "1/2", "0"]]},
+    }
+    for name, data in files.items():
+        (w / f"{name}.json").write_text(json.dumps(data))
+    for built in (
+        ["construct", "--system", w / "system.json", "--N", 1, "-o", w / "witness.json"],
+        ["asdim-construct", "--space", w / "space.json", "--R", 1, "-o", w / "aw.json"],
+        ["pou-build", "--order", 6, "--E", -1, 0, 1, "--colors", w / "colors.json",
+         "--N", 3, "-o", w / "pou.json"],
+    ):
+        assert run(built) == 0
+    for name in ("witness", "aw", "pou"):
+        files[name] = json.loads((w / f"{name}.json").read_text())
+    blr_check = ["blr-check", "--action", "@action", "--map", "@map",
+                 "--complex", "@complex", "--E", 1]
+    commands = [
+        ["construct", "--system", "@system", "--N", 1, "-o", w / "out.json"],
+        ["verify", "--system", "@system", "--witness", "@witness"],
+        ["asdim-construct", "--space", "@space", "--R", 1, "-o", w / "out.json"],
+        ["asdim-verify", "--space", "@space", "--witness", "@aw"],
+        ["asdim-verify", "--space", "@ball", "--witness", "@aw"],
+        ["asdim-verify", "--space", "@edges", "--witness", "@aw"],
+        ["bridge", "--space", "@space", "--witness", "@aw"],
+        ["nerve", "--complex", "@complex", "--denominator", 3],
+        ["pou-build", "--order", 6, "--E", 1, "--colors", "@colors", "--N", 3,
+         "-o", w / "out.json"],
+        ["pou-verify", "--pou", "@pou"],
+        ["decompose", "--pou", "@pou"],
+        blr_check,
+        blr_check + ["--witness"],
+        ["norm", "--groupoid", "@groupoid", "--element", "@element"],
+        ["norm", "--groupoid", "@cyclic", "--element", "@arrow"],
+    ]
+    return files, commands
+
+
+def _escape(argv):
+    """What escapes ``main``: an exception, or a code no error class has."""
+    try:
+        code = run(argv)
+    except Exception as exc:  # noqa: BLE001 - the escape is the finding
+        return repr(exc)
+    if code not in {0} | {cls.exit_code for cls in ALL_ERRORS}:
+        return f"exit {code}"
+    return None
+
+
+BROKEN_FILES = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not UTF-8": lambda path: path.write_bytes(b'{"kind": "\xff"}'),
+    "not JSON": lambda path: path.write_text("{kind"),
+    "null": lambda path: path.write_text("null"),
+    "list": lambda path: path.write_text("[1]"),
+    "number": lambda path: path.write_text("7"),
+}
+
+
+def test_malformed_files_never_escape(workdir, capsys, monkeypatch):
+    """Every reader, given one field replaced by a value of the wrong kind,
+    or a file that is missing, a directory, not UTF-8, not JSON or not an
+    object, exits 0 or with an error class's code: nothing escapes as a
+    traceback.  So does ``pipeline`` with neither --system nor --check."""
+    monkeypatch.chdir(workdir)
+    files, commands = _reader_commands(workdir)
+    bad = workdir / "bad.json"
+
+    escapes = []
+
+    def check(command, slot, case):
+        """Run ``command`` with the bad file at ``slot``; record an escape."""
+        argv = [bad if a == slot else workdir / f"{a[1:]}.json" if str(a).startswith("@") else a
+                for a in command]
+        found = _escape(argv)
+        if found is not None:
+            escapes.append((command[0], slot, case, found))
+
+    for command in commands:
+        for slot in (a for a in command if str(a).startswith("@")):
+            data = files[slot[1:]]
+            for path in _fields(data):
+                for value in FIELD_VALUES:
+                    bad.write_text(json.dumps(_replaced(data, path, value)))
+                    check(command, slot, (path, value))
+            for kind, make in BROKEN_FILES.items():
+                shutil.rmtree(bad, ignore_errors=True)
+                bad.unlink(missing_ok=True)
+                make(bad)
+                check(command, slot, kind)
+            shutil.rmtree(bad, ignore_errors=True)
+    found = _escape(["pipeline"])
+    capsys.readouterr()
+    assert (escapes, found) == ([], None)

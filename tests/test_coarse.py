@@ -72,28 +72,31 @@ def test_verify_cover_gap():
 
 @pytest.mark.parametrize("R", [1, 3, 10, 25])
 def test_construct_1d_sweep(R):
-    w = construct_grid_witness(1, (0, 999), R)
+    X = Grid1dSpace(0, 999)
+    w = construct_grid_witness(X, R)
     assert len(w.families) == 2 and w.bound_S == 5 * R - 1
-    assert verify_asdim_witness(Grid1dSpace(0, 999), w).accepted
+    assert verify_asdim_witness(X, w).accepted
 
 
 def test_construct_1d_large_scale_sample():
     # upper end of the sampled sweep: R = 50 on a long interval
-    w = construct_grid_witness(1, (0, 49999), 50)
-    assert verify_asdim_witness(Grid1dSpace(0, 49999), w).accepted
+    X = Grid1dSpace(0, 49999)
+    w = construct_grid_witness(X, 50)
+    assert verify_asdim_witness(X, w).accepted
 
 
 def test_construct_1d_degenerate():
-    w = construct_grid_witness(1, (5, 5), 5)
+    w = construct_grid_witness(Grid1dSpace(5, 5), 5)
     assert len(w.families) == 2
     assert sum(len(f) for f in w.families) == 1
 
 
 @pytest.mark.parametrize("R,side", [(1, 30), (2, 60), (5, 200)])
 def test_construct_2d_sweep(R, side):
-    w = construct_grid_witness(2, ((0, side - 1), (0, side - 1)), R)
+    X = Grid2dSpace(side, side)
+    w = construct_grid_witness(X, R)
     assert len(w.families) == 3
-    assert verify_asdim_witness(Grid2dSpace(side, side), w).accepted
+    assert verify_asdim_witness(X, w).accepted
 
 
 def test_exhaustive_examples():
@@ -148,7 +151,7 @@ def test_oracle_consistency_small_spaces():
 
 def test_bridge_roundtrip_1d():
     X = Grid1dSpace(0, 199)
-    w = construct_grid_witness(1, (0, 199), 10)
+    w = construct_grid_witness(X, 10)
     G, gw, report = bridge_to_groupoid(X, w)
     assert report.accepted
     assert isinstance(gw.generated[0], BlockArrows)
@@ -169,7 +172,7 @@ def test_bridge_bounded_space_single_color():
 
 def test_bridge_rejects_corruption():
     X = Grid1dSpace(0, 199)
-    w = construct_grid_witness(1, (0, 199), 10)
+    w = construct_grid_witness(X, 10)
     fams = [list(f) for f in w.families]
     fams[0].append(fams[1].pop(0))  # adjacent classes now share a family
     bad = AsdimWitness(w.scale_R, w.bound_S, fams)
@@ -281,7 +284,7 @@ def test_space_and_witness_serialization():
     sp4 = space_from_json({"points": [0, 1, 2], "edges": [[0, 1], [1, 2]]})
     assert sp4.dist(0, 2) == 2
 
-    w = construct_grid_witness(1, (0, 99), 5)
+    w = construct_grid_witness(Grid1dSpace(0, 99), 5)
     back = asdim_witness_from_json(w.to_json())
     assert back.scale_R == w.scale_R and back.bound_S == w.bound_S
     assert [sorted(map(repr, f)) for f in back.families[0]] == [
