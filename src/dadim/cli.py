@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .coarse import (
 )
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
-from .errors import malformed, positive_int
+from .errors import integer, malformed, positive_int
 from .groupoid import cyclic_group, cyclic_rotation_groupoid, groupoid_from_json
 from .nerve import (
     SimplicialComplex,
@@ -126,17 +127,15 @@ def cmd_bridge(args):
     X = space_from_json(load_certificate(args.space))
     witness = asdim_witness_from_json(load_certificate(args.witness))
     G, gw, report = bridge_to_groupoid(X, witness)
-    # each family must come back as the blocks of its color's subgroupoid
-    roundtrip = [gen.blocks for gen in gw.generated] == list(map(frozenset, witness.families))
     _emit({
         "ambient_tube_radius": G.radius,
         "K_radius": witness.scale_R,
         "generated_sizes": [len(g) for g in gw.generated],
         "verification": report.to_json(),
-        "roundtrip_exact": roundtrip,
+        # each family came back as the blocks of its color's generated
+        # subgroupoid: the report's declared-versus-generated check
+        "roundtrip_exact": report.accepted,
     }, args.output)
-    if not roundtrip:
-        raise VerificationFailed("family recovery from the bridged witness failed")
     return 0
 
 
@@ -215,7 +214,7 @@ def cmd_pou_build(args):
 def _pou_from_cert(cert) -> tuple:
     with malformed("partition-of-unity certificate"):
         order = positive_int(cert["order"], "order")
-        E, data = [int(e) for e in cert["E"]], cert["pou"]
+        E, data = [integer(e, "E entry") for e in cert["E"]], cert["pou"]
     G = cyclic_rotation_groupoid(order)
     K = G.moves(e % order for e in E)
     return G, K, PartitionOfUnity.from_json(G, K, data)
@@ -396,10 +395,18 @@ def main(argv=None) -> int:
     # looked up at call time, so a rebound ``cmd_*`` takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args) or 0
-    except DadimError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        try:
+            code = command(args) or 0
+        except DadimError as exc:
+            print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+            code = exc.exit_code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left to flush goes to devnull,
+        # so that the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from itertools import islice, product, repeat
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge, VerificationFailed, malformed
+from .errors import InvalidInput, TooLarge, VerificationFailed, integer, malformed
 from .groupoid import (
     BlockArrows,
     GroupoidDadWitness,
@@ -455,8 +455,8 @@ def _point_key(p):
 def asdim_witness_from_json(data: dict) -> AsdimWitness:
     with malformed("coarse witness"):
         return AsdimWitness(
-            scale_R=int(data["scale_R"]),
-            bound_S=int(data["bound_S"]),
+            scale_R=integer(data["scale_R"], "scale_R"),
+            bound_S=integer(data["bound_S"], "bound_S"),
             families=[
                 [frozenset([tuple(p) if isinstance(p, list) else p for p in cls]) for cls in fam]
                 for fam in data["families"]
@@ -640,10 +640,8 @@ def construct_grid_witness(X: Grid1dSpace | Grid2dSpace, R: int) -> AsdimWitness
 # bridge to groupoids
 
 
-def bridge_to_groupoid(
-    X: FiniteMetricSpace, w: AsdimWitness, verify: bool = True
-):
-    """Translate a coarse witness into a groupoid witness.
+def bridge_to_groupoid(X: FiniteMetricSpace, w: AsdimWitness):
+    """Verify a coarse witness and translate it into a groupoid witness.
 
     The ambient groupoid is the pair groupoid of the tube of radius S; K is
     the tube of radius R; the colors are the unions of each family's
@@ -652,10 +650,9 @@ def bridge_to_groupoid(
     K-reachability blocks; a class that is not R-connected is rejected
     with NotClosed.  Returns (groupoid, witness, report).
     """
-    if verify:
-        rep = verify_asdim_witness(X, w)
-        if not rep:
-            raise VerificationFailed(f"asdim witness rejected: {rep.message}", rep)
+    rep = verify_asdim_witness(X, w)
+    if not rep:
+        raise VerificationFailed(f"asdim witness rejected: {rep.message}", rep)
 
     G = TubePairGroupoid(X, w.bound_S)
     K = TubeArrows(w.scale_R)

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by all dadim modules, and the two input rules.
+"""Exception hierarchy shared by all dadim modules, and the input rules.
 
 Constructive operations raise; verification operations return reports and
 only raise on malformed input.  Every error class carries a distinct CLI
 exit code (``dadim --help`` prints the table).  Input files are parsed under
-``malformed``; cyclic orders and averaging depths are read by ``positive_int``.
+``malformed``.  Their integer fields are read by one of two rules: cyclic
+orders, averaging depths and depth limits by ``positive_int``, every other
+integer by ``integer``; a float or a numeric string is refused, never
+truncated or parsed.
 """
 
 from __future__ import annotations
@@ -191,6 +194,13 @@ def positive_int(value, what: str) -> int:
     """``value`` if it is a JSON integer >= 1 (a bool is not one)."""
     if type(value) is not int or value < 1:
         raise InvalidInput(f"expected a positive {what} (a JSON integer), got {value!r}")
+    return value
+
+
+def integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer of any sign (a bool is not one)."""
+    if type(value) is not int:
+        raise InvalidInput(f"expected {what} as a JSON integer, got {value!r}")
     return value
 
 

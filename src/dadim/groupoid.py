@@ -6,26 +6,23 @@ composition.  Three concrete flavors cover everything the artifact needs:
 * ``FiniteGroupoid`` -- explicit arrow list with a composition table,
   axiom-checked exhaustively on construction (associativity over every
   composable triple);
-* ``TransformationGroupoid`` -- a ``FiniteGroup`` (the one group type)
-  acting on a finite space, arrows (g, x) composed by multiplying group
-  parts; it keeps the |G| x |X| table of point indices of the action
-  and answers from it: structure maps, isotropy, orbits (the table's
-  columns), fibers, and ``between`` (the g taking x to y) and the group
-  parts of blocks read through it.  Its arrow tuple is built only when
-  asked for; ``moves(E)`` builds the symmetric arrow set K of a
-  generating set.  The Z/n rotation's table is (j + g) mod n; any other
-  action is verified exhaustively and its checked table kept;
+* ``TransformationGroupoid`` -- Z/n rotating n distinct points, the
+  finite quotients of a minimal Z-action: every structure map is
+  arithmetic on point indices mod n, and nothing of size n^2 is kept.
+  The rotation is free with one orbit, and the group parts of a block are
+  its index differences.  The arrow tuple is built only when asked for;
+  ``moves(E)`` builds the symmetric arrow set K of a generating set;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
-Orbits are computed once per groupoid: by union-find over the arrows of
-an explicit groupoid, off the table of a transformation groupoid.  A
-subgroupoid of a free groupoid has one form, ``BlockArrows``: an arrow is
-fixed by its source and range, so a subgroupoid is the pair groupoid
-over a partition of some units (one matrix algebra per block).
-Generation reads the blocks off the components of the seed graph, and
-consumers read sizes, membership and group parts from them.  The worklist
-closure (a frozenset of arrows) runs only on groupoids with isotropy.
+An explicit groupoid computes its orbits once, by union-find over its
+arrows.  A subgroupoid of a free groupoid has one form,
+``BlockArrows``: an arrow is fixed by its source and range, so a
+subgroupoid is the pair groupoid over a partition of some units (one
+matrix algebra per block).  Generation reads the blocks off the
+components of the seed graph, and consumers read sizes, membership and
+group parts from them.  The worklist closure (a frozenset of arrows) runs
+only on groupoids with isotropy.
 
 Finiteness stands in for relative compactness throughout: a witness is
 accepted when each color's generated subgroupoid is small against an
@@ -65,6 +62,8 @@ __all__ = [
 # are counted first, and a groupoid with more is refused (about 1 s of
 # checking at the limit on a 2-vCPU Xeon)
 MAX_COMPOSABLE_TRIPLES = 1_000_000
+# index differences formed at once by ``TransformationGroupoid.group_parts``
+_DIFF_ROWS = 1 << 16
 
 
 class FiniteGroupoid:
@@ -248,36 +247,31 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 class TransformationGroupoid(FiniteGroupoid):
-    """Groupoid of a finite group action: arrows (g, x) run from x to g.x
-    and compose by multiplying group parts.
+    """Z/n rotating the n distinct points of ``space`` in their order: the
+    arrow (g, x) runs from x to the point g places after it, and arrows
+    compose by adding group parts mod n.
 
-    The groupoid keeps the group, the points and ``table``, the |G| x |X|
-    table of point indices of the action.  Structure maps, isotropy,
-    orbits, fibers and group parts read it; the arrow tuple is built only
-    when asked for.  The action is taken as given: build through
-    ``transformation_groupoid``, which verifies caller-supplied actions.
+    Every structure map is index arithmetic mod n.  A group part is looked
+    up among 0..n-1, so an arrow with a part outside Z/n raises
+    ``KeyError``, as a point outside the space does.  Build through
+    ``transformation_groupoid``, which checks n and the points.
     """
 
-    def __init__(self, group: FiniteGroup, space, table: np.ndarray):
-        self.group = group
+    def __init__(self, n: int, space):
+        self.n = n
+        self.group = cyclic_group(n)
         self.space = self.units = tuple(space)
         self.unit_set = frozenset(self.units)
-        self.table = table
-        self._element_index = {g: a for a, g in enumerate(group.elements)}
         self._point_index = {x: j for j, x in enumerate(self.space)}
-        # g -> the points g.x in the order of the space: the table's rows
-        self._image = {
-            g: tuple(map(self.space.__getitem__, row.tolist()))
-            for g, row in zip(group.elements, table)
-        }
+        self._step = {g: g for g in range(n)}
         self._free = None
 
     @cached_property
     def arrows(self) -> tuple:
-        return tuple((g, x) for g in self.group.elements for x in self.space)
+        return tuple((g, x) for g in range(self.n) for x in self.space)
 
     def act(self, g, x):
-        return self._image[g][self._point_index[x]]
+        return self.range((g, x))
 
     def moves(self, E) -> frozenset:
         """K for the generating set E: the arrows (g, x) for g in
@@ -289,136 +283,60 @@ class TransformationGroupoid(FiniteGroupoid):
 
     def range(self, a):
         g, x = a
-        return self._image[g][self._point_index[x]]
+        return self.space[(self._point_index[x] + self._step[g]) % self.n]
 
     def inverse(self, a):
-        return (self.group.inv(a[0]), self.range(a))
+        return ((-a[0]) % self.n, self.range(a))
 
     def unit_arrow(self, u):
-        return (self.group.unit, u)
+        return (0, u)
 
     def compose(self, g, h):
         """gh for arrows g, h of this groupoid if s(g) = r(h), else None."""
         if g[1] != self.range(h):
             return None
-        return (self.group.mult(g[0], h[0]), h[1])
+        return ((g[0] + h[0]) % self.n, h[1])
 
     def isotropy_witness(self, at=None):
-        """The first non-unit arrow (g, x) with g.x = x in arrow order,
-        with x in ``at`` when given: one comparison of the table with the
-        point indices."""
-        fixed = self.table == np.arange(len(self.space))
-        fixed[self._element_index[self.group.unit]] = False
-        if at is not None:
-            fixed[:, [j for x, j in self._point_index.items() if x not in at]] = False
-        hits = np.flatnonzero(fixed)
-        if not hits.size:
-            return None
-        a, j = divmod(int(hits[0]), len(self.space))
-        return (self.group.elements[a], self.space[j])
+        """None: a rotation of distinct points fixes none of them."""
+        return None
 
     @cached_property
     def orbits(self) -> tuple[frozenset, ...]:
-        """Column x of the table is the orbit of x, labelled here by its
-        least point index; in order of first appearance, as for any
-        groupoid."""
-        members: dict = {}
-        for x, low in zip(self.space, self.table.min(axis=0, initial=len(self.space)).tolist()):
-            members.setdefault(low, []).append(x)
-        return tuple(frozenset(m) for m in members.values())
-
-    @cached_property
-    def between(self) -> np.ndarray:
-        """|X| x |X| array: [x, y] is the index of the g with g.x = y, -1
-        where there is none; one scatter of the table.  The g is unique,
-        so the entry exact, at every x with trivial stabilizer: everywhere
-        for a free action."""
-        n_g, n_x = self.table.shape
-        out = np.full((n_x, n_x), -1, dtype=np.intp)
-        out[np.broadcast_to(np.arange(n_x), (n_g, n_x)), self.table] = np.arange(n_g)[:, None]
-        return out
+        """The one orbit: every point."""
+        return (frozenset(self.space),)
 
     def fiber(self, x) -> tuple:
-        return tuple((g, x) for g in self.group.elements)
+        return tuple((g, x) for g in range(self.n))
 
     def group_parts(self, gen) -> set:
-        """The group parts of the arrows of a subgroupoid: read through
-        ``between`` on each block of a ``BlockArrows`` (a free action), or
-        off the arrows of a closure."""
+        """The group parts of the arrows of a subgroupoid: on each block of
+        a ``BlockArrows``, the differences of its point indices mod n, a
+        bounded number of rows at a time; off the arrows of a closure."""
         if not isinstance(gen, BlockArrows):
             return {a[0] for a in gen}
-        found = np.zeros(len(self.group.elements), dtype=bool)
+        found = np.zeros(self.n, dtype=bool)
         for b in gen.blocks:
-            idx = [self._point_index[u] for u in b]
-            e = self.between[np.ix_(idx, idx)]
-            found[e[e >= 0]] = True
-        return {self.group.elements[a] for a in np.flatnonzero(found).tolist()}
+            idx = np.fromiter(map(self._point_index.__getitem__, b), np.intp, len(b))
+            rows = max(1, _DIFF_ROWS // len(idx))
+            for lo in range(0, len(idx), rows):
+                found[(idx - idx[lo:lo + rows, None]) % self.n] = True
+        return set(np.flatnonzero(found).tolist())
 
 
-def _verify_action(group: FiniteGroup, space, act) -> np.ndarray:
-    """Exhaustive check that ``act`` is an action of ``group`` on ``space``;
-    returns its |G| x |X| table of point indices.
-
-    ``act`` is called once per (g, x); its values go into the table, and
-    g.(h.x) = (gh).x is checked on every triple as the gather
-    ``table[g][table[h]] == table[gh]``.  The first violation reported is
-    the first in (g, h, x) order.
-    """
-    elems = group.elements
-    eidx = {g: a for a, g in enumerate(elems)}
-    pts = tuple(space)
-    pidx = {x: j for j, x in enumerate(pts)}
-    table = np.empty((len(elems), len(pts)), dtype=np.intp)
-    for a, g in enumerate(elems):
-        if group.inv(g) not in eidx:
-            raise NotAnAction(f"group inverse of {g!r} missing")
-        for j, x in enumerate(pts):
-            y = pidx.get(act(g, x))
-            if y is None:
-                raise NotAnAction(f"action leaves the space at ({g!r}, {x!r})")
-            table[a, j] = y
-    for x in pts:
-        if act(group.unit, x) != x:
-            raise NotAnAction("identity does not act trivially")
-    for a, g in enumerate(elems):
-        prod = np.array([eidx.get(group.mult(g, h), -1) for h in elems], dtype=np.intp)
-        bad = (table[a][table] != table[prod]).any(axis=1) | (prod < 0)
-        if bad.any():
-            b = int(np.argmax(bad))
-            if prod[b] < 0:
-                raise NotAnAction("group multiplication escapes the element set")
-            j = int(np.argmax(table[a][table[b]] != table[prod[b]]))
-            raise NotAnAction(f"not an action at ({g!r}, {elems[b]!r}, {pts[j]!r})")
-    return table
-
-
-def transformation_groupoid(group, space, act=None) -> TransformationGroupoid:
-    """Build a transformation groupoid.
-
-    ``group`` is either a positive integer n, for Z/n rotating the n
-    distinct points of ``space`` in their given order (g.x_j = x_{j+g mod
-    n}, free by construction, so only the points are checked), or a
-    ``FiniteGroup`` with its action ``act(g, x)``, which is verified
-    exhaustively.
-    """
+def transformation_groupoid(n: int, space) -> TransformationGroupoid:
+    """Z/n rotating the n distinct points of ``space`` in their given
+    order (g.x_j = x_{j+g mod n}), free by construction, so only n and the
+    points are checked."""
+    if n < 1:
+        raise InvalidInput(f"Z/n needs a positive order n, not {n}")
     space = tuple(space)
-    if isinstance(group, int):
-        n = group
-        if n < 1:
-            raise InvalidInput(f"Z/n needs a positive order n, not {n}")
-        if len(space) != n or len(set(space)) != n:
-            raise NotAnAction(
-                f"Z/{n} rotates {n} distinct points; got {len(space)} points, "
-                f"{len(set(space))} distinct"
-            )
-        j = np.arange(n)
-        return TransformationGroupoid(cyclic_group(n), space, (j + j[:, None]) % n)
-    if act is None:
-        raise InvalidInput("a FiniteGroup needs its action act(g, x)")
-    if len(set(space)) != len(space):
-        raise NotAnAction(f"an action needs distinct points; got {len(space)} points, "
-                          f"{len(set(space))} distinct")
-    return TransformationGroupoid(group, space, _verify_action(group, space, act))
+    if len(space) != n or len(set(space)) != n:
+        raise NotAnAction(
+            f"Z/{n} rotates {n} distinct points; got {len(space)} points, "
+            f"{len(set(space))} distinct"
+        )
+    return TransformationGroupoid(n, space)
 
 
 def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:

@@ -30,14 +30,12 @@ the complex reads no face at all: its support is a face, so the largest
 mass on a face of dimension <= i is that of its i + 1 heaviest vertices.
 
 ``dad_witness_from_blr`` (``dadim blr-check --witness``) turns an
-almost-equivariant map into a groupoid witness on a transformation
-groupoid G that the caller built: it reads the action from G's table and
-the equivariance from the caller's one ``check_equivariance`` report, so
-it checks no action and measures no discrepancy itself.  It costs
-O(|G| F deg) face checks, F the maximal faces and deg the most of them at
-one vertex.  Building G is the caller's cost: none for the rotation table
-of ``cyclic_rotation_groupoid``, and O(|G|^2 + |G| |X|) Python calls for
-the exhaustive check of any other action.
+almost-equivariant map into a groupoid witness on the Z/n rotation G that
+the caller built: it reads the action from G's index arithmetic and the
+equivariance from the caller's one ``check_equivariance`` report, so it
+checks no action and measures no discrepancy itself.  It costs O(|G| F
+deg) face checks, F the maximal faces and deg the most of them at one
+vertex; building G costs O(n).
 """
 
 from __future__ import annotations
@@ -565,13 +563,12 @@ def dad_witness_from_blr(
 ) -> BlrWitnessResult:
     """Witness colors U_i = f^{-1}(V_i) for an (E, (1/3)10^-d)-equivariant map.
 
-    ``G`` is the transformation groupoid of the action on the samples, and
-    ``eq`` is ``check_equivariance``'s report on f over
-    ``G.group.symmetrized(E)``; its max discrepancy does not depend on the
-    eps it was measured against.  The element sets are confined to
-    F = {g : gS cap S != empty} with S the union of the supports of f;
-    verified on G.  Samples that are not the points of G raise
-    ``NotAnAction``.
+    ``G`` is the Z/n rotation of the samples, and ``eq`` is
+    ``check_equivariance``'s report on f over ``G.group.symmetrized(E)``;
+    its max discrepancy does not depend on the eps it was measured
+    against.  The element sets are confined to F = {g : gS cap S !=
+    empty} with S the union of the supports of f; verified on G.  Samples
+    that are not the points of G raise ``NotAnAction``.
     """
     d = C.dimension
     group = G.group

@@ -24,7 +24,9 @@ from .errors import (
     DepthExceeded,
     EmptySet,
     InvalidInput,
+    integer,
     malformed,
+    positive_int,
 )
 
 __all__ = [
@@ -729,9 +731,9 @@ def return_time_report(s: ClopenSet, search_bound: int = 4096) -> ReturnTimeRepo
 def system_from_json(data: dict) -> SymbolicSystem:
     with malformed("system"):
         kind = data.get("kind")
-        depth_limit = int(data.get("depth_limit", 64))
+        depth_limit = positive_int(data.get("depth_limit", 64), "depth_limit")
         if kind == "odometer":
-            return Odometer(data["base"], depth_limit)
+            return Odometer([integer(b, "odometer base entry") for b in data["base"]], depth_limit)
         if kind == "subshift":
             if "substitution" in data:
                 return SubstitutionSubshift(data["alphabet"], data["substitution"], depth_limit)
@@ -749,4 +751,4 @@ def clopen_from_json(system: SymbolicSystem, data: dict) -> ClopenSet:
                 digits = [int(c) for c in (w.split(".") if "." in w else w)] if w else []
                 out = out.union(system.cylinder(digits))
             return out
-        return system.clopen(int(data.get("left", 0)), data["words"])
+        return system.clopen(integer(data.get("left", 0), "clopen left"), data["words"])

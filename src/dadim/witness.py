@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DepthExceeded, InvalidInput, NotMinimal, malformed
+from .errors import DepthExceeded, InvalidInput, NotMinimal, integer, malformed
 from .reporting import VerificationReport
 from .symbolic import (
     ClopenSet,
@@ -71,8 +71,9 @@ def witness_from_json(system: SymbolicSystem, data: dict) -> DadWitness:
     with malformed("witness"):
         witness = DadWitness(
             colors=[clopen_from_json(system, c) for c in data["colors"]],
-            generator_set=tuple(int(e) for e in data["E"]),
-            finite_sets=[frozenset(int(n) for n in F) for F in data["finite_sets"]],
+            generator_set=tuple(integer(e, "E entry") for e in data["E"]),
+            finite_sets=[frozenset(integer(n, "finite set entry") for n in F)
+                         for F in data["finite_sets"]],
             meta=dict(data.get("meta", {})),
         )
     if not isinstance(witness.meta.get("blowup_bound", 0), int):

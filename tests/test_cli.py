@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -747,6 +751,27 @@ def test_exit_codes_are_distinct():
     assert len(set(codes)) == len(codes) and not {0, 1} & set(codes)
 
 
+def test_closed_stdout_ends_quietly(workdir):
+    """A reader that has closed the pipe before the report is written, as
+    ``| head -1`` may, ends the command with exit 1 and no traceback."""
+    wit = workdir / "wit.json"
+    assert run(["construct", "--system", workdir / "system.json", "--N", 1, "-o", wit]) == 0
+    src = str(Path(dadim.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dadim.cli", "verify",
+             "--system", workdir / "system.json", "--witness", wit],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 # ---------------------------------------------------------------------------
 # no input file ends in a traceback
 
@@ -850,22 +875,30 @@ BROKEN_FILES = {
 }
 
 
+FIBONACCI = {"kind": "subshift", "alphabet": ["a", "b"],
+             "substitution": {"a": "ab", "b": "a"}, "depth_limit": 64}
+
+
 def test_malformed_files_never_escape(workdir, capsys, monkeypatch):
     """Every reader, given one field replaced by a value of the wrong kind,
     or a file that is missing, a directory, not UTF-8, not JSON or not an
     object, exits 0 or with an error class's code: nothing escapes as a
-    traceback.  So does ``pipeline`` with neither --system nor --check."""
+    traceback.  So does ``pipeline`` with neither --system nor --check.
+    An integer field given a float or a numeric string exits 2."""
     monkeypatch.chdir(workdir)
     files, commands = _reader_commands(workdir)
     bad = workdir / "bad.json"
 
     escapes = []
 
+    def argv(command, slot):
+        """``command`` with the bad file at ``slot`` and valid files elsewhere."""
+        return [bad if a == slot else workdir / f"{a[1:]}.json" if str(a).startswith("@") else a
+                for a in command]
+
     def check(command, slot, case):
         """Run ``command`` with the bad file at ``slot``; record an escape."""
-        argv = [bad if a == slot else workdir / f"{a[1:]}.json" if str(a).startswith("@") else a
-                for a in command]
-        found = _escape(argv)
+        found = _escape(argv(command, slot))
         if found is not None:
             escapes.append((command[0], slot, case, found))
 
@@ -883,5 +916,29 @@ def test_malformed_files_never_escape(workdir, capsys, monkeypatch):
                 check(command, slot, kind)
             shutil.rmtree(bad, ignore_errors=True)
     found = _escape(["pipeline"])
+
+    files["subshift"] = FIBONACCI
+    files["subwitness"] = construct_minimal_z_witness(system_from_json(FIBONACCI), 1).to_json()
+    for name in ("subshift", "subwitness"):
+        (workdir / f"{name}.json").write_text(json.dumps(files[name]))
+    verify = ["verify", "--system", "@system", "--witness", "@witness"]
+    integer_fields = [
+        (verify, "@system", ("depth_limit",)),
+        (verify, "@system", ("base", 0)),
+        (verify, "@witness", ("E", 0)),
+        (verify, "@witness", ("finite_sets", 0, 0)),
+        (["verify", "--system", "@subshift", "--witness", "@subwitness"], "@subwitness",
+         ("colors", 0, "left")),
+        (["asdim-verify", "--space", "@space", "--witness", "@aw"], "@aw", ("scale_R",)),
+        (["asdim-verify", "--space", "@space", "--witness", "@aw"], "@aw", ("bound_S",)),
+        (["pou-verify", "--pou", "@pou"], "@pou", ("E", 0)),
+    ]
+    not_refused = []
+    for command, slot, path in integer_fields:
+        for value in (1.5, "1", 2.5, "2"):
+            bad.write_text(json.dumps(_replaced(files[slot[1:]], path, value)))
+            code = run(argv(command, slot))
+            if code != InvalidInput.exit_code:
+                not_refused.append((command[0], path, value, code))
     capsys.readouterr()
-    assert (escapes, found) == ([], None)
+    assert (escapes, found, not_refused) == ([], None, [])

@@ -24,11 +24,13 @@ from dadim.coarse import (
 from dadim.errors import InvalidInput, TooLarge, VerificationFailed
 from dadim.groupoid import (
     BlockArrows,
+    GroupoidDadWitness,
     TubeArrows,
     TubePairGroupoid,
     _connected_components,
     _seed_in_color,
     generate_subgroupoid,
+    verify_groupoid_dad,
 )
 from helpers import exhaustive_min_colors_with_witness
 
@@ -176,12 +178,16 @@ def test_bridge_rejects_corruption():
     fams = [list(f) for f in w.families]
     fams[0].append(fams[1].pop(0))  # adjacent classes now share a family
     bad = AsdimWitness(w.scale_R, w.bound_S, fams)
-    with pytest.raises(VerificationFailed) as exc1:
+    with pytest.raises(VerificationFailed) as exc:
         bridge_to_groupoid(X, bad)
-    assert exc1.value.report.code == "SeparationViolation"
-    with pytest.raises(VerificationFailed) as exc2:
-        bridge_to_groupoid(X, bad, verify=False)
-    assert exc2.value.report.code in {"SizeExceeded", "NotClosed"}
+    assert exc.value.report.code == "SeparationViolation"
+    # the tube witness of the same families, past the coarse check
+    blocks = [BlockArrows(frozenset(map(frozenset, fam))) for fam in fams]
+    tube = GroupoidDadWitness(
+        TubeArrows(bad.scale_R), [frozenset().union(*fam) for fam in fams], blocks
+    )
+    report = verify_groupoid_dad(TubePairGroupoid(X, bad.bound_S), tube, max(map(len, blocks)))
+    assert not report.accepted and report.code in {"SizeExceeded", "NotClosed"}
 
 
 def test_bridge_rejects_class_that_is_not_r_connected():

@@ -26,6 +26,7 @@ from dadim.errors import GroupoidMismatch, NotFree, SupportLeak
 from dadim.groupoid import (
     BlockArrows,
     FiniteGroup,
+    TransformationGroupoid,
     block_union_pair_groupoid,
     cyclic_group,
     cyclic_rotation_groupoid,
@@ -154,15 +155,17 @@ def test_regular_representation_multiplicative_exact():
 
 @st.composite
 def actions(draw):
-    """Arguments for ``transformation_groupoid`` and the action they
-    define, as (group, space, act): the Z/n rotation from its formula, Z/n
-    on the residues mod a divisor of n (isotropy below n), Z/4 through Z/2,
-    or a dihedral group on the vertices of a polygon."""
+    """A groupoid of a group action and the action, as (group, space,
+    act): the Z/n rotation built by ``transformation_groupoid``, or, as an
+    explicit groupoid, Z/n on the residues mod a divisor of n (isotropy
+    below n), Z/4 through Z/2, or a dihedral group on the vertices of a
+    polygon."""
     kind = draw(st.sampled_from(["rotation", "cyclic", "z4_via_z2", "dihedral"]))
     if kind == "rotation":
         n = draw(st.integers(1, 8))
         pts = tuple(f"p{n - 1 - i}" for i in range(n))
-        return (n, pts), (cyclic_group(n), pts, lambda g, x: pts[(pts.index(x) + g) % n])
+        rotate = lambda g, x: pts[(pts.index(x) + g) % n]  # noqa: E731
+        return transformation_groupoid(n, pts), (cyclic_group(n), pts, rotate)
     if kind == "cyclic":
         n = draw(st.integers(1, 8))
         d = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
@@ -180,24 +183,21 @@ def actions(draw):
             lambda a: (a[0] if a[1] else -a[0] % n, a[1]), (0, 0),
         )
         action = (group, tuple(range(n)), lambda g, x: (g[0] + (-1) ** g[1] * x) % n)
-    return action, action
+    return action_groupoid_oracle(*action), action
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=actions(), data=st.data())
 def test_action_groupoid_matches_explicit_oracle(case, data):
-    """The transformation groupoid read off its action table against the
-    explicit groupoid with per-arrow tables, and the placed regular
-    representation against the one-compose-per-entry loop:
-    structure maps, freeness and isotropy witnesses, orbits, fibers,
-    ``between`` and the group parts read through it, pi_x(f) exactly and
-    the reduced norm."""
-    args, (group, space, act) = case
-    G = transformation_groupoid(*args)
+    """The groupoid of an action against the explicit groupoid with
+    per-arrow tables, and the placed regular representation against the
+    one-compose-per-entry loop: structure maps, freeness and isotropy
+    witnesses, orbits, fibers, the rotation's group parts of blocks,
+    pi_x(f) exactly and the reduced norm."""
+    G, (group, space, act) = case
     O = action_groupoid_oracle(group, space, act)
     assert G.units == O.units
     for a in O.arrows:
-        assert G.act(*a) == O.range(a)
         assert (G.source(a), G.range(a), G.inverse(a)) == (O.source(a), O.range(a), O.inverse(a))
         assert all(G.compose(a, b) == O.compose(a, b) for b in O.arrows)
     assert all(G.unit_arrow(u) == O.unit_arrow(u) for u in O.units)
@@ -207,17 +207,8 @@ def test_action_groupoid_matches_explicit_oracle(case, data):
     assert set(G.orbits) == {frozenset(act(g, x) for g in group.elements) for x in space}
     assert G.orbits == O.orbits
     assert all(G.fiber(x) == O.fiber(x) for x in space)
-    # between[x, y]: the g with g.x = y, -1 if none; unique where the
-    # stabilizer of x is trivial
-    elems = group.elements
-    for j, x in enumerate(space):
-        free_at = [g for g in elems if act(g, x) == x] == [group.unit]
-        for k, y in enumerate(space):
-            movers = [a for a, g in enumerate(elems) if act(g, x) == y]
-            e = int(G.between[j, k])
-            assert e in movers if movers else e == -1
-            assert len(movers) <= 1 or not free_at
-    if G.is_free():
+    if isinstance(G, TransformationGroupoid):
+        assert all(G.act(*a) == act(*a) for a in O.arrows)
         gen = generate_subgroupoid(G, data.draw(st.sets(st.sampled_from(O.arrows), max_size=4)))
         assert G.group_parts(gen) == {a[0] for a in O.arrows if gen.holds(O, a)}
     assert G.arrows == O.arrows
@@ -394,7 +385,7 @@ def test_block_decompose_examples():
     U = block_union_pair_groupoid([[u] for u in range(4)])
     assert sorted(block_decompose(U).sizes()) == [1, 1, 1, 1]
 
-    iso = transformation_groupoid(cyclic_group(2), ["p"], lambda g, x: x)
+    iso = action_groupoid_oracle(cyclic_group(2), ["p"], lambda g, x: x)
     with pytest.raises(NotFree):
         block_decompose(iso)
 
@@ -416,14 +407,14 @@ def test_block_decompose_rejects_non_subgroupoids():
     with pytest.raises(NotFree):
         block_decompose(B, blocks([0], [1, 2, 3]))
     # Z/4 rotating the first coordinate of Z/4 x {0, 1}: two orbits
-    Z4x2 = transformation_groupoid(
+    Z4x2 = action_groupoid_oracle(
         cyclic_group(4), [(i, j) for i in range(4) for j in (0, 1)],
         lambda g, x: ((x[0] + g) % 4, x[1]),
     )
     with pytest.raises(NotFree):
         block_decompose(Z4x2, blocks([(0, 0), (0, 1)]))
     # Z/4 acting on {0, 1} through Z/2: (2, 0) is isotropy at the block
-    Z4 = transformation_groupoid(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
+    Z4 = action_groupoid_oracle(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
     with pytest.raises(NotFree):
         block_decompose(Z4, blocks([0, 1]))
     # a block inside one orbit is accepted, and so is a part of one
@@ -442,8 +433,7 @@ def decomposable(draw):
     another or holds a label that is no unit."""
     kind = draw(st.sampled_from(["action", "pair_blocks", "involution"]))
     if kind == "action":
-        args, _ = draw(actions())
-        G = transformation_groupoid(*args)
+        G, _ = draw(actions())
     elif kind == "pair_blocks":
         sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
         starts = [sum(sizes[:i]) for i in range(len(sizes))]

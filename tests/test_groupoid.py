@@ -1,5 +1,7 @@
 """Finite groupoids, subgroupoid generation, and the groupoid verifier."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from dadim.groupoid import (
     GroupoidDadWitness,
     TubePairGroupoid,
     _closure,
-    _verify_action,
     block_union_pair_groupoid,
     cyclic_group,
     cyclic_rotation_groupoid,
@@ -26,7 +27,12 @@ from dadim.groupoid import (
 from dadim.pipeline import project_witness_to_quotient
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
-from helpers import symmetrize_arrows, verify_action_oracle, z2_pair_groupoid_json
+from helpers import (
+    action_groupoid_oracle,
+    symmetrize_arrows,
+    verify_action_oracle,
+    z2_pair_groupoid_json,
+)
 
 
 def held(G, gen):
@@ -35,10 +41,11 @@ def held(G, gen):
 
 
 def test_transformation_groupoid_examples():
-    G2 = transformation_groupoid(cyclic_group(2), [0, 1], lambda g, x: (x + g) % 2)
+    G2 = transformation_groupoid(2, [0, 1])
     assert len(G2.arrows) == 4 and G2.is_free()
 
-    trivial = transformation_groupoid(
+    # the trivial group on five points, as an explicit groupoid
+    trivial = action_groupoid_oracle(
         FiniteGroup((0,), lambda a, b: 0, lambda a: 0, 0), range(5), lambda g, x: x
     )
     assert len(trivial.arrows) == 5
@@ -49,86 +56,23 @@ def test_transformation_groupoid_examples():
     # transitive: one orbit
     seeds = [(1, x) for x in range(12)]
     assert len(generate_subgroupoid(G12, seeds)) == 144
-
-
-def test_not_an_action():
-    with pytest.raises(NotAnAction):
-        transformation_groupoid(cyclic_group(2), [0, 1], lambda g, x: 0 if g else x)
-    # a multiplication that leaves the element set
-    escaping = FiniteGroup((0, 1), lambda a, b: a + b, lambda a: a, 0)
-    with pytest.raises(NotAnAction):
-        transformation_groupoid(escaping, [0, 1], lambda g, x: (x + g) % 2)
-    # the rotation shorthand needs n distinct points
+    # a group part outside Z/12 is no arrow
+    with pytest.raises(KeyError):
+        G12.range((12, 0))
+    # the rotation needs n distinct points
     for n, points in [(2, [0, 0]), (3, [5, 5, 5]), (3, [0, 1]), (2, [0, 1, 2])]:
         with pytest.raises(NotAnAction):
             transformation_groupoid(n, points)
 
 
-@st.composite
-def action_tables(draw):
-    """A cyclic group on the residues mod a divisor of its order, or a
-    dihedral group on the vertices of a polygon, as lookup tables, with at
-    most one entry of the action or the multiplication changed."""
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 8))
-        d = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
-        elems = tuple(range(n))
-        mult = {(a, b): (a + b) % n for a in elems for b in elems}
-        inv = {a: (-a) % n for a in elems}
-        space = tuple(f"r{x}" for x in range(d))
-        act = {(g, x): f"r{(int(x[1:]) + g) % d}" for g in elems for x in space}
-        unit = 0
-    else:
-        n = draw(st.integers(2, 6))
-        elems = tuple((r, s) for s in (0, 1) for r in range(n))
-
-        def mul(a, b):
-            return ((a[0] + (-1) ** a[1] * b[0]) % n, a[1] ^ b[1])
-
-        mult = {(a, b): mul(a, b) for a in elems for b in elems}
-        inv = {a: next(b for b in elems if mul(a, b) == (0, 0)) for a in elems}
-        space = tuple(range(n))
-        act = {(g, x): (g[0] + (-1) ** g[1] * x) % n for g in elems for x in space}
-        unit = (0, 0)
-    target = draw(st.sampled_from(["none", "action", "mult"]))
-    if target == "action" and space:
-        key = draw(st.sampled_from(sorted(act, key=repr)))
-        act[key] = draw(st.sampled_from(space + ("outside",)))
-    elif target == "mult":
-        key = draw(st.sampled_from(sorted(mult, key=repr)))
-        mult[key] = draw(st.sampled_from(elems + ("outside",)))
-    group = FiniteGroup(elems, lambda a, b: mult[(a, b)], inv.__getitem__, unit)
-    return group, space, lambda g, x: act[(g, x)]
-
-
-def _action_outcome(check, group, space, act):
-    try:
-        check(group, space, act)
-    except NotAnAction as exc:
-        return str(exc)
-    return "ok"
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=action_tables())
-def test_tabulated_action_check_matches_triple_loop(case):
-    """The table-and-gather action check accepts, rejects and names the
-    first violation exactly as the triple loop over (g, h, x) does."""
-    assert _action_outcome(_verify_action, *case) == _action_outcome(verify_action_oracle, *case)
-
-
 @settings(max_examples=100, deadline=None)
-@given(case=action_tables(), data=st.data())
-def test_moves_are_the_symmetrized_arrows(case, data):
+@given(n=st.integers(1, 8), data=st.data())
+def test_moves_are_the_symmetrized_arrows(n, data):
     """moves(E) is the symmetrization of the E-arrows with every unit arrow
     added (they are already there unless E is empty), and is closed under
     inverse."""
-    group, space, act = case
-    try:
-        G = transformation_groupoid(group, space, act)
-    except NotAnAction:
-        return
-    E = data.draw(st.lists(st.sampled_from(group.elements), max_size=3))
+    G = transformation_groupoid(n, [f"p{n - 1 - i}" for i in range(n)])
+    E = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
     K = G.moves(E)
     raw = frozenset((e, x) for e in E for x in G.space)
     assert K == symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.space}
@@ -137,12 +81,12 @@ def test_moves_are_the_symmetrized_arrows(case, data):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_rotation_formula_is_a_free_action(n):
-    """The rotation built from its formula passes the exhaustive action
-    check, on integer points and on labels in reverse order."""
+    """The rotation's index arithmetic passes the exhaustive action check,
+    on integer points and on labels in reverse order."""
     labels = [f"p{n - 1 - i}" for i in range(n)]
     for points in (range(n), labels):
         G = transformation_groupoid(n, points)
-        _verify_action(G.group, G.space, G.act)
+        verify_action_oracle(G.group, G.space, G.act)
         assert G.is_free() and len(G.arrows) == n * n
         assert all(G.range((g, x)) == G.space[(i + g) % n]
                    for g in range(n) for i, x in enumerate(G.space))
@@ -205,7 +149,7 @@ def z2_involution_data():
 
 
 def z4_action(space, act):
-    return transformation_groupoid(cyclic_group(4), space, act)
+    return action_groupoid_oracle(cyclic_group(4), space, act)
 
 
 @st.composite
@@ -344,7 +288,7 @@ def test_action_groupoid_verifier_consistency():
 
 
 def test_freeness_matches_bruteforce_isotropy():
-    G = transformation_groupoid(cyclic_group(2), ["p", "q"], lambda g, x: x)
+    G = action_groupoid_oracle(cyclic_group(2), ["p", "q"], lambda g, x: x)
     assert not G.is_free()
     assert G.isotropy_witness() is not None
     # brute force over arrows
@@ -470,3 +414,21 @@ def test_freeness_decided_once(monkeypatch):
     for k in range(1, 4):
         assert len(generate_subgroupoid(G, [(k, 0)])) > 0
     assert G.is_free() and len(calls) == 1
+
+
+def test_rotation_keeps_no_quadratic_state():
+    """Z/4096, its moves, the subgroupoid of a 10-unit arc and its group
+    parts stay far below the 128 MB that one 4096 x 4096 index table takes."""
+    tracemalloc.start()
+    try:
+        G = cyclic_rotation_groupoid(4096)
+        K = G.moves([1])
+        arc = frozenset(range(10))
+        gen = generate_subgroupoid(G, [a for a in K if G.source(a) in arc and G.range(a) in arc])
+        parts = G.group_parts(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gen.blocks == {arc}
+    assert parts == set(range(10)) | set(range(4087, 4096))
+    assert peak < 16 * 2**20

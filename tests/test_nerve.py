@@ -174,10 +174,10 @@ def edge_map(n, t):
 
 
 def blr_witness(f, E, C, grp, act):
-    """``dad_witness_from_blr`` on the transformation groupoid of ``act``
-    on the samples (checked exhaustively), with the map's equivariance
-    measured once."""
-    G = transformation_groupoid(grp, f, act)
+    """``dad_witness_from_blr`` on the Z/n rotation of the samples, n the
+    order of the cyclic group ``grp`` and ``act`` that rotation, with the
+    map's equivariance measured once."""
+    G = transformation_groupoid(len(grp.elements), f)
     eq = check_equivariance(f, act, act, grp.symmetrized(E), inner_radius(C.dimension))
     return dad_witness_from_blr(f, E, C, G, act, eq)
 
@@ -302,7 +302,7 @@ def test_dad_witness_from_blr():
     res = blr_witness(f, [1], C, grp, act)
     assert res.report.accepted
     # element sets stay inside the moving set
-    G = transformation_groupoid(grp, f.keys(), act)
+    G = transformation_groupoid(12, f)
     for gen in res.groupoid_witness.generated:
         assert {a[0] for a in G.arrows if gen.holds(G, a)} <= res.moving_set
     assert set().union(*res.colors) == set(range(12))
@@ -333,7 +333,7 @@ def test_blr_generators_must_be_group_elements():
     f = {x: SimplicialPoint({x: 1}) for x in range(6)}
     with pytest.raises(InvalidInput, match=r"^-1 is not an element of the group$"):
         grp.symmetrized([-1])
-    G = transformation_groupoid(grp, f, act)
+    G = transformation_groupoid(6, f)
     eq = check_equivariance(f, act, act, grp.symmetrized([1]), 1)
     with pytest.raises(InvalidInput, match="not an element"):
         dad_witness_from_blr(f, [-1], C0, G, act, eq)

@@ -28,7 +28,6 @@ from dadim.groupoid import (
     cyclic_group,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
-    transformation_groupoid,
 )
 from dadim.pou import (
     PartitionOfUnity,
@@ -41,6 +40,7 @@ from dadim.pou import (
     verify_pou,
 )
 from helpers import (
+    action_groupoid_oracle,
     arrow_set_power,
     build_pou_oracle,
     build_tower_oracle,
@@ -383,7 +383,7 @@ def test_block_envelope_matches_composed_envelope(q, data):
 
 
 def test_enlarge_cover_needs_a_free_groupoid():
-    G = transformation_groupoid(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
+    G = action_groupoid_oracle(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
     K = frozenset((1, x) for x in (0, 1))
     with pytest.raises(NotFree):
         enlarge_cover(G, K, [frozenset({0, 1})], None)
