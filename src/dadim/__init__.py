@@ -30,7 +30,6 @@ from .convolution import (
     block_decompose,
     commutator_report,
     convolve,
-    cutdown,
     decompose_via_pou,
     reduced_norm,
     regular_representation,

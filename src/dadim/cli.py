@@ -156,6 +156,19 @@ def cmd_nerve(args):
     return 0
 
 
+def _int_keys(obj: dict, what: str) -> dict:
+    """``obj`` with its keys read as canonical decimal integers: "7" and
+    "-2", never "07", " 7" or "+7", so that no two keys name one integer;
+    any other key is refused with InvalidInput."""
+    out = {}
+    for key, value in obj.items():
+        x = int(key)
+        if str(x) != key:
+            raise InvalidInput(f"{what} key {key!r} is not a canonical decimal integer")
+        out[x] = value
+    return out
+
+
 def cmd_blr_check(args):
     action = load_certificate(args.action)
     with malformed("action file"):
@@ -165,8 +178,8 @@ def cmd_blr_check(args):
     C = _complex_from_json(load_certificate(args.complex))
     with malformed("map file"):
         f = {
-            int(x): SimplicialPoint({int(v): Fraction(t) for v, t in wt.items()})
-            for x, wt in load_certificate(args.map)["samples"].items()
+            x: SimplicialPoint({v: Fraction(t) for v, t in _int_keys(wt, "vertex").items()})
+            for x, wt in _int_keys(load_certificate(args.map)["samples"], "sample").items()
         }
     outside = sorted(x for x in f if not 0 <= x < n)
     if outside:
@@ -228,11 +241,15 @@ def cmd_pou_verify(args):
 
 
 def _element_from_json(G, data) -> ConvElement:
+    """The element of an element file; an arrow named twice (also as equal
+    keys such as [1, 0] and [1.0, 0]) is refused, not overwritten."""
+    coeffs: dict = {}
     with malformed("element"):
-        coeffs = {
-            tuple(key) if isinstance(key, list) else key: (Fraction(re), Fraction(im))
-            for key, re, im in data["coeffs"]
-        }
+        for key, re, im in data["coeffs"]:
+            key = tuple(key) if isinstance(key, list) else key
+            if key in coeffs:
+                raise InvalidInput(f"element names arrow {key!r} twice")
+            coeffs[key] = (Fraction(re), Fraction(im))
     for key in coeffs:
         # an arrow is what the structure maps accept
         try:

@@ -409,7 +409,9 @@ class GroupBallSpace(FiniteMetricSpace):
         distinct: set = set()
         step = max(1, _DIFF_CHUNK // len(codes))
         for i in range(0, len(codes), step):
-            distinct.update(np.unique(codes[i:i + step, None] - codes[None, :]).tolist())
+            # sorted, then one of each run: np.unique would import numpy.ma
+            diffs = np.sort(codes[i:i + step, None] - codes[None, :], axis=None)
+            distinct.update(diffs[np.diff(diffs, prepend=diffs[0] - 1) != 0].tolist())
         best = 0
         for code in distinct:
             v = []

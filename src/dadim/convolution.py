@@ -9,14 +9,22 @@ groupoid pi_x(f) is block diagonal, one block per component of the support
 graph of f, so the norm is the largest block norm of ``block_decompose``;
 under isotropy it is the largest over one unit per orbit of the
 regular-representation matrix on the source fiber.
-Coefficients stay exact (Fraction pairs) under the algebra operations;
-norms are computed in floats as largest singular values (LAPACK SVD).
+Coefficients stay exact (Fraction pairs) under the algebra operations.
+Norms are computed in floats: the blocks are scattered into one stack
+per block size, and each stack goes to LAPACK's ``eigvalsh`` once, as
+itself when it is Hermitian and as A^H A otherwise.
+
+The cut-down decomposition works on arrays over supp f (``SupportVector``):
+phi is one (d+1) x n array over the units, and each cut-down, the defect
+and each commutator is a coefficient vector on f's arrows.  The defect is
+kept only on arrows whose ends carry different exact pou data, or data
+whose squares do not sum to S; everywhere else it is exactly 0.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,12 +34,12 @@ from .groupoid import BlockArrows, generate_subgroupoid
 
 __all__ = [
     "ConvElement",
+    "SupportVector",
     "RegularRep",
     "BlockDecomposition",
     "convolve",
     "reduced_norm",
     "regular_representation",
-    "cutdown",
     "commutator_report",
     "decompose_via_pou",
     "block_decompose",
@@ -111,12 +119,6 @@ class ConvElement:
             return convolve(self, other)
         return self.scale(other)
 
-    def pointwise(self, weight) -> "ConvElement":
-        """Pointwise product with a scalar function on arrows."""
-        return ConvElement(
-            self.G, {g: _cmul(_cnum(weight(g)), c) for g, c in self.coeffs.items()}
-        )
-
     def to_json(self, arrow_key=repr) -> list:
         return sorted(
             [arrow_key(g), str(c[0]), str(c[1])] for g, c in self.coeffs.items()
@@ -139,6 +141,56 @@ def convolve(f1: ConvElement, f2: ConvElement) -> ConvElement:
                 continue
             out[gh] = _cadd(out.get(gh, (0, 0)), _cmul(cg, ch))
     return ConvElement(G, out)
+
+
+@dataclass(frozen=True, eq=False)
+class SupportVector:
+    """Coefficients on a fixed list of arrows of a finite groupoid, as arrays.
+
+    ``src`` and ``rng`` hold each arrow's source and range as positions in
+    ``G.units``, and ``values`` its complex coefficient; an arrow whose
+    value is 0 is off the support.  The cut-down decomposition keeps f's
+    arrows and varies only the values (``with_values``).
+    """
+
+    G: object
+    arrows: tuple
+    src: np.ndarray
+    rng: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, f: ConvElement) -> "SupportVector":
+        """f on its own support, each coefficient converted to a complex once."""
+        G = f.G
+        index = {u: j for j, u in enumerate(G.units)}
+        arrows = tuple(f.coeffs)
+        m = len(arrows)
+        return cls(
+            G, arrows,
+            np.fromiter((index[G.source(a)] for a in arrows), np.intp, m),
+            np.fromiter((index[G.range(a)] for a in arrows), np.intp, m),
+            np.fromiter(map(_to_complex, f.coeffs.values()), complex, m),
+        )
+
+    def with_values(self, values: np.ndarray) -> "SupportVector":
+        return replace(self, values=values)
+
+    def support(self) -> list:
+        """The arrows with a nonzero value, in arrow order."""
+        return [self.arrows[k] for k in np.flatnonzero(self.values)]
+
+    def element(self) -> ConvElement:
+        return ConvElement(self.G, dict(zip(self.arrows, self.values.tolist())))
+
+    @cached_property
+    def bisection(self) -> tuple[int, bool]:
+        """``_min_bisection_cover`` of the support, taken once per vector."""
+        return _min_bisection_cover(self.G, self.support())
+
+
+def _as_vector(f) -> SupportVector:
+    return f if isinstance(f, SupportVector) else SupportVector.of(f)
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +222,38 @@ def regular_representation(f: ConvElement, x) -> RegularRep:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value of A (LAPACK SVD); 0.0 for an empty matrix."""
+    """Largest singular value of a matrix, or of any matrix of a stack
+    (b, k, k); 0.0 when there is no entry.
+
+    A stack equal entry for entry to its conjugate transpose is Hermitian,
+    and its singular values are the |eigenvalues| (``eigvalsh``); any other
+    stack gives sqrt(lambda_max(A^H A)), with lambda_max clamped at 0.
+    Either runs on a real array when the imaginary part is zero.
+    """
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    if np.iscomplexobj(A) and not A.imag.any():
+        A = A.real
+    AH = A.conj().swapaxes(-1, -2)
+    if np.array_equal(A, AH):
+        return float(np.abs(np.linalg.eigvalsh(A)).max())
+    return float(np.sqrt(max(np.linalg.eigvalsh(AH @ A).max(), 0.0)))
 
 
-def reduced_norm(f: ConvElement) -> float:
-    """sup over units of ||pi_x(f)||.  On a free groupoid pi_x(f) permutes
-    to one block per component of the support graph of f (zero elsewhere),
-    so the norm is the largest block norm over the subgroupoid f generates.
-    Under isotropy one representative per orbit suffices, because the
-    regular representations along an orbit are unitarily conjugate, and
-    orbits missing the support contribute zero."""
+def reduced_norm(f) -> float:
+    """sup over units of ||pi_x(f)|| for a ``ConvElement`` or a
+    ``SupportVector``.  On a free groupoid pi_x(f) permutes to one block
+    per component of the support graph of f (zero elsewhere), so the norm
+    is the largest block norm over the subgroupoid f generates.  Under
+    isotropy one representative per orbit suffices, because the regular
+    representations along an orbit are unitarily conjugate, and orbits
+    missing the support contribute zero."""
     G = f.G
     if G.is_free():
-        return block_decompose(G, generate_subgroupoid(G, f.coeffs)).max_block_norm(f)
+        v = _as_vector(f)
+        return block_decompose(G, generate_subgroupoid(G, v.support())).max_block_norm(v)
+    if isinstance(f, SupportVector):
+        f = f.element()
     touched = {u for g in f.coeffs for u in (G.source(g), G.range(g))}
     best = 0.0
     for orbit in G.orbits:
@@ -197,14 +265,7 @@ def reduced_norm(f: ConvElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cut-downs and commutators
-
-
-def cutdown(f: ConvElement, phi: dict) -> ConvElement:
-    """phi f phi for a real function phi on units, given as a dict (0 where
-    absent): coefficients phi(r(g)) f(g) phi(s(g))."""
-    G = f.G
-    return f.pointwise(lambda g: phi.get(G.range(g), 0) * phi.get(G.source(g), 0))
+# commutators
 
 
 def _min_bisection_cover(G, arrows):
@@ -235,23 +296,21 @@ def _min_bisection_cover(G, arrows):
     return count, False
 
 
-def commutator_report(f: ConvElement, phi: dict) -> dict:
-    """[f, phi](g) = f(g) (phi(s(g)) - phi(r(g))), its norm, the oscillation
-    of phi over supp f, and the bisection-cover constant of supp f; phi as
-    for ``cutdown``."""
-    G = f.G
-    comm = f.pointwise(lambda g: phi.get(G.source(g), 0) - phi.get(G.range(g), 0))
-    osc = 0.0
-    for g in f.coeffs:
-        osc = max(osc, abs(float(phi.get(G.source(g), 0)) - float(phi.get(G.range(g), 0))))
-    M, exact = _min_bisection_cover(G, f.support())
+def commutator_report(f, phi: np.ndarray) -> dict:
+    """For a real phi given as an array over ``G.units``: the norm of
+    [f, phi](g) = f(g) (phi(s(g)) - phi(r(g))), the oscillation of phi over
+    supp f, the bisection-cover constant of supp f and sup |phi|.  f is a
+    ``ConvElement`` or a ``SupportVector``; a vector keeps its bisection
+    cover, so reports on one vector for several phi take it once."""
+    v = _as_vector(f)
+    step = phi[v.src] - phi[v.rng]
+    M, exact = v.bisection
     return {
-        "commutator": comm,
-        "commutator_norm": reduced_norm(comm),
-        "oscillation": osc,
+        "commutator_norm": reduced_norm(v.with_values(step * v.values)),
+        "oscillation": float(np.abs(step[v.values != 0]).max(initial=0.0)),
         "bisection_count": M,
         "bisection_exact": exact,
-        "phi_sup": max((abs(float(phi.get(u, 0))) for u in G.units), default=0.0),
+        "phi_sup": float(np.abs(phi).max(initial=0.0)),
     }
 
 
@@ -275,18 +334,51 @@ class BlockDecomposition:
         """unit -> (class index, position in its class)."""
         return {u: (k, i) for k, (_, units) in enumerate(self.classes) for i, u in enumerate(units)}
 
-    def block_matrices(self, f: ConvElement) -> list[np.ndarray]:
-        mats = [np.zeros((m, m), dtype=complex) for m in self.sizes()]
-        for g, c in f.coeffs.items():
-            s = self.where.get(self.G.source(g))
-            r = self.where.get(self.G.range(g))
-            if s is None or r is None or s[0] != r[0]:
-                raise SupportLeak(f"element supported outside the decomposed groupoid at {g!r}")
-            mats[s[0]][r[1], s[1]] += _to_complex(c)
-        return mats
+    @cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``where`` as two arrays over ``G.units``: each unit's class
+        index (-1 outside every block) and its position in the class."""
+        at = [self.where.get(u, (-1, 0)) for u in self.G.units]
+        return np.array([k for k, _ in at], np.intp), np.array([i for _, i in at], np.intp)
 
-    def max_block_norm(self, f: ConvElement) -> float:
-        return max((spectral_norm(m) for m in self.block_matrices(f)), default=0.0)
+    def leaks(self, v: SupportVector) -> np.ndarray:
+        """The indices into ``v.arrows`` of the nonzero values on arrows
+        that no block holds, in arrow order."""
+        block = self.labels[0]
+        on = np.flatnonzero(v.values)
+        ks = block[v.src[on]]
+        return on[(ks < 0) | (ks != block[v.rng[on]])]
+
+    def stacks(self, f) -> list[tuple[np.ndarray, np.ndarray]]:
+        """f in matrix-unit coordinates, one stack per block size k: the
+        indices in ``classes`` of the b blocks of that size, and a (b, k, k)
+        array whose [j, r, s] is the value on the arrow from the s-th to the
+        r-th unit of the j-th of them.  f is a ``ConvElement`` or a
+        ``SupportVector``; SupportLeak for a value off the blocks."""
+        v = _as_vector(f)
+        leak = self.leaks(v)
+        if len(leak):
+            raise SupportLeak(
+                f"element supported outside the decomposed groupoid at {v.arrows[leak[0]]!r}"
+            )
+        block, pos = self.labels
+        on = np.flatnonzero(v.values)
+        s, r = v.src[on], v.rng[on]
+        ks = block[s]
+        sizes = np.array(self.sizes(), np.intp)
+        slot = np.zeros(len(sizes), np.intp)  # a block's index in its size's stack
+        out = []
+        for k in sorted(set(self.sizes())):
+            ids = np.flatnonzero(sizes == k)
+            slot[ids] = np.arange(len(ids))
+            here = sizes[ks] == k
+            stack = np.zeros((len(ids), k, k), v.values.dtype)
+            stack[slot[ks[here]], pos[r[here]], pos[s[here]]] = v.values[on[here]]
+            out.append((ids, stack))
+        return out
+
+    def max_block_norm(self, f) -> float:
+        return max((spectral_norm(stack) for _, stack in self.stacks(f)), default=0.0)
 
 
 def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
@@ -322,6 +414,25 @@ def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
 # the cut-down decomposition
 
 
+def _pou_arrays(pou) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The partition of unity over ``G.units``, read once per distinct
+    exact tuple (psi_0, ..., psi_d, S): each unit's tuple id, phi as a
+    (d+1) x n float array, and per tuple whether sum_i psi_i^2 != S."""
+    ids: dict = {}  # tuple -> its id, in order of first appearance
+    first = []  # id -> the first unit that carries the tuple
+    tid = np.zeros(len(pou.G.units), np.intp)
+    for j, u in enumerate(pou.G.units):
+        key = tuple(p.get(u, 0) for p in pou.psi) + (pou.norm_sq.get(u, 1),)
+        tid[j] = t = ids.setdefault(key, len(ids))
+        if t == len(first):
+            first.append(u)
+    phi = np.array(
+        [[pou.phi_float(i, u) for u in first] for i in range(pou.d + 1)], float,
+    ).reshape(pou.d + 1, len(first))
+    off = np.array([sum(p * p for p in key[:-1]) != key[-1] for key in ids], bool)
+    return tid, phi[:, tid], off
+
+
 def decompose_via_pou(f: ConvElement, pou) -> dict:
     """Cut f down along the partition of unity and measure the defect.
 
@@ -332,38 +443,49 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     expressed in matrix blocks.  The blocks lie in orbits (``block_decompose``
     checks it), so the cut-down's reduced norm is its largest block norm,
     reported as both ``cutdown_norm`` and ``cutdown_block_norm``.
+
+    Everything is computed on arrays over supp f.  The defect's coefficient
+    f(g) (sum_i phi_i(r) phi_i(s) - 1) is exactly 0 on an arrow whose two
+    ends carry one exact tuple (psi_0, ..., psi_d, S) with sum_i psi_i^2 = S,
+    so it is kept only on the other arrows, and float residues do not join
+    its blocks.  The groupoid must be free (NotFree otherwise).
     """
     G = pou.G
     if f.G is not G:
         raise GroupoidMismatch("element and partition live on different groupoids")
     if not f.support() <= frozenset(pou.K):
         raise InvalidInput("element must be supported in K")
+    if not G.is_free():
+        raise NotFree("the cut-down decomposition needs a free groupoid")
 
-    subgroupoids = pou.small_subgroupoids()
-    norm_f = reduced_norm(f)
-    phis = [
-        {u: pou.phi_float(i, u) for u in G.units} for i in range(pou.d + 1)
-    ]
+    v = SupportVector.of(f)
+    tid, phi, off = _pou_arrays(pou)
+    norm_f = reduced_norm(v)
 
+    blocks = []
+    total = np.zeros(len(v.arrows), complex)
     cutdowns = []
-    total = ConvElement(G, {})
-    for i, phi in enumerate(phis):
-        c = cutdown(f, phi)
-        leak = [g for g in c.coeffs if not subgroupoids[i].holds(G, g)]
-        if leak:
+    for i, sub in enumerate(pou.small_subgroupoids()):
+        bd = block_decompose(G, sub)
+        cut = v.with_values(phi[i, v.rng] * phi[i, v.src] * v.values)
+        leak = bd.leaks(cut)
+        if len(leak):
             raise SupportLeak(
-                f"cut-down {i} escapes its small subgroupoid at {sorted(map(repr, leak))[:3]}"
+                f"cut-down {i} escapes its small subgroupoid at "
+                f"{sorted(repr(v.arrows[k]) for k in leak)[:3]}"
             )
-        cutdowns.append(c)
-        total = total + c
+        blocks.append(bd)
+        cutdowns.append(cut)
+        total = total + cut.values
 
-    defect = reduced_norm(total - f)
+    # one tuple at both ends with sum psi_i^2 = S: sum_i phi_i(r) phi_i(s) = 1
+    keep = (tid[v.src] != tid[v.rng]) | off[tid[v.src]] | off[tid[v.rng]]
+    defect = reduced_norm(v.with_values(np.where(keep, total - v.values, 0)))
     per_color = []
     bound = 0.0
-    for i, phi in enumerate(phis):
-        rep = commutator_report(f, phi)
-        blocks = block_decompose(G, subgroupoids[i])
-        cut_norm = blocks.max_block_norm(cutdowns[i])
+    for i, bd in enumerate(blocks):
+        rep = commutator_report(v, phi[i])
+        cut_norm = bd.max_block_norm(cutdowns[i])
         per_color.append(
             {
                 "phi_sup": rep["phi_sup"],
@@ -372,7 +494,7 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
                 "bisection_count": rep["bisection_count"],
                 "bisection_exact": rep["bisection_exact"],
                 "commutator_bound": rep["bisection_count"] * rep["oscillation"] * norm_f,
-                "block_sizes": blocks.sizes(),
+                "block_sizes": bd.sizes(),
                 "cutdown_norm": cut_norm,
                 "cutdown_block_norm": cut_norm,
             }

@@ -5,18 +5,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dadim.coarse import AsdimWitness
-from dadim.convolution import ConvElement
+from dadim.convolution import (
+    ConvElement,
+    _cmul,
+    _cnum,
+    _min_bisection_cover,
+    block_decompose,
+    reduced_norm,
+)
 from dadim.errors import (
     ConditionViolated,
     DepthInsufficient,
     EmptySkeleton,
     EquivarianceTooWeak,
+    GroupoidMismatch,
     InvalidInput,
     NoFiniteS,
     NotAnAction,
     NotFree,
     NotInComplex,
     PropagationEscapesColor,
+    SupportLeak,
     TooLarge,
     TowerInvalid,
     WitnessInsufficient,
@@ -705,6 +714,107 @@ def adjoint(f: ConvElement) -> ConvElement:
 def rep_matrix(rep) -> list:
     """A ``RegularRep`` as rows of (re, im) pairs; exact when f is."""
     return [[rep.values[k] if k >= 0 else (0, 0) for k in row] for row in rep.index.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the cut-down decomposition on ConvElement dicts, one arrow at a time
+
+
+def pointwise(f: ConvElement, weight) -> ConvElement:
+    """Pointwise product of f with a scalar function on arrows."""
+    return ConvElement(f.G, {g: _cmul(_cnum(weight(g)), c) for g, c in f.coeffs.items()})
+
+
+def cutdown(f: ConvElement, phi: dict) -> ConvElement:
+    """phi f phi for a real function phi on units, given as a dict (0 where
+    absent): coefficients phi(r(g)) f(g) phi(s(g))."""
+    G = f.G
+    return pointwise(f, lambda g: phi.get(G.range(g), 0) * phi.get(G.source(g), 0))
+
+
+def commutator_report_oracle(f: ConvElement, phi: dict) -> dict:
+    """[f, phi](g) = f(g) (phi(s(g)) - phi(r(g))), its norm, the oscillation
+    of phi over supp f, and the bisection-cover constant of supp f; phi as
+    for ``cutdown``."""
+    G = f.G
+    comm = pointwise(f, lambda g: phi.get(G.source(g), 0) - phi.get(G.range(g), 0))
+    osc = 0.0
+    for g in f.coeffs:
+        osc = max(osc, abs(float(phi.get(G.source(g), 0)) - float(phi.get(G.range(g), 0))))
+    M, exact = _min_bisection_cover(G, f.support())
+    return {
+        "commutator": comm,
+        "commutator_norm": reduced_norm(comm),
+        "oscillation": osc,
+        "bisection_count": M,
+        "bisection_exact": exact,
+        "phi_sup": max((abs(float(phi.get(u, 0))) for u in G.units), default=0.0),
+    }
+
+
+def decompose_oracle(f: ConvElement, pou) -> dict:
+    """``convolution.decompose_via_pou`` on ConvElement dicts: phi_i as a
+    dict over the units, each cut-down, their sum and the defect as
+    elements built arrow by arrow, so the defect keeps the float residues
+    of sum_i phi_i^2 - 1 wherever they are nonzero."""
+    G = pou.G
+    if f.G is not G:
+        raise GroupoidMismatch("element and partition live on different groupoids")
+    if not f.support() <= frozenset(pou.K):
+        raise InvalidInput("element must be supported in K")
+
+    subgroupoids = pou.small_subgroupoids()
+    norm_f = reduced_norm(f)
+    phis = [
+        {u: pou.phi_float(i, u) for u in G.units} for i in range(pou.d + 1)
+    ]
+
+    cutdowns = []
+    total = ConvElement(G, {})
+    for i, phi in enumerate(phis):
+        c = cutdown(f, phi)
+        leak = [g for g in c.coeffs if not subgroupoids[i].holds(G, g)]
+        if leak:
+            raise SupportLeak(
+                f"cut-down {i} escapes its small subgroupoid at {sorted(map(repr, leak))[:3]}"
+            )
+        cutdowns.append(c)
+        total = total + c
+
+    defect = reduced_norm(total - f)
+    per_color = []
+    bound = 0.0
+    for i, phi in enumerate(phis):
+        rep = commutator_report_oracle(f, phi)
+        blocks = block_decompose(G, subgroupoids[i])
+        cut_norm = blocks.max_block_norm(cutdowns[i])
+        per_color.append(
+            {
+                "phi_sup": rep["phi_sup"],
+                "commutator_norm": rep["commutator_norm"],
+                "oscillation": rep["oscillation"],
+                "bisection_count": rep["bisection_count"],
+                "bisection_exact": rep["bisection_exact"],
+                "commutator_bound": rep["bisection_count"] * rep["oscillation"] * norm_f,
+                "block_sizes": blocks.sizes(),
+                "cutdown_norm": cut_norm,
+                "cutdown_block_norm": cut_norm,
+            }
+        )
+        bound += rep["phi_sup"] * rep["commutator_norm"]
+
+    slack = 1e-7 * max(1.0, norm_f)
+    ok = defect <= bound + slack and all(
+        pc["commutator_norm"] <= pc["commutator_bound"] + slack for pc in per_color
+    )
+    return {
+        "accepted": bool(ok),
+        "norm_f": norm_f,
+        "defect": defect,
+        "triangle_bound": bound,
+        "per_color": per_color,
+        "summands": pou.d + 1,
+    }
 
 
 # ---------------------------------------------------------------------------

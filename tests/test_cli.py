@@ -280,6 +280,31 @@ def test_norm_rejects_unknown_arrows(workdir, groupoid, key):
     assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code
 
 
+@pytest.mark.parametrize("second", [[1, 0], [True, 0], [1.0, 0]])
+def test_norm_refuses_an_arrow_named_twice(workdir, capsys, second):
+    """An element file that names one arrow twice is refused, where the
+    last coefficient used to replace the first."""
+    g = workdir / "g.json"
+    e = workdir / "e.json"
+    g.write_text(json.dumps({"action": {"cyclic": 12}}))
+    e.write_text(json.dumps({"coeffs": [[[1, 0], "1", "0"], [second, "2", "0"]]}))
+    assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code
+    assert capsys.readouterr().out == ""
+
+
+def test_decompose_refuses_an_arrow_named_twice(workdir, capsys):
+    pou = workdir / "pou.json"
+    assert run([
+        "pou-build", "--order", 12, "--E", -1, 0, 1,
+        "--colors", workdir / "colors.json", "--N", 8, "-o", pou,
+    ]) == 0
+    capsys.readouterr()
+    elt = workdir / "elt.json"
+    elt.write_text(json.dumps({"coeffs": [[[1, 0], "1", "0"], [[1, 0], "2", "0"]]}))
+    assert run(["decompose", "--pou", pou, "--element", elt]) == InvalidInput.exit_code
+    assert capsys.readouterr().out == ""
+
+
 def test_norm_rejects_non_associative_groupoid(workdir):
     g = workdir / "g.json"
     e = workdir / "e.json"
@@ -386,6 +411,44 @@ def test_blr_witness_rejects_bad_sample_sets(workdir, capsys, samples, E, error)
         "blr-check", "--action", paths["action"], "--map", paths["map"],
         "--complex", paths["complex"], "--E", E, "--witness",
     ]) == error.exit_code
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where, key", [
+    ("sample", "01"), ("sample", " 2"), ("sample", "+1"), ("sample", "1.0"),
+    ("vertex", "01"), ("vertex", " 2"), ("vertex", "+1"),
+])
+def test_blr_check_reads_keys_as_canonical_integers(workdir, capsys, where, key):
+    """Sample and vertex keys are canonical decimal integers; "01", " 2"
+    and "+1" are refused with exit 2, where they used to be read as 1, 2
+    and 1 and to replace the weights of those samples."""
+    paths = blr_files(workdir, 6)
+    data = json.loads(paths["map"].read_text())
+    if where == "sample":
+        data["samples"][key] = {"0": "1"}
+    else:
+        data["samples"]["3"] = {"3": "3/5", key: "2/5"}
+    paths["map"].write_text(json.dumps(data))
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", 1,
+    ]) == InvalidInput.exit_code
+    assert capsys.readouterr().out == ""
+
+
+def test_blr_check_refuses_a_sample_named_twice(workdir, capsys):
+    """On the Z/6 ring, extra keys "01" and " 2" name samples 1 and 2 a
+    second time: the file is refused with exit 2 before any check (it used
+    to exit 21, EquivarianceTooWeak, on the replaced weights)."""
+    paths = blr_files(workdir, 6)
+    data = json.loads(paths["map"].read_text())
+    data["samples"]["01"] = {"0": "1"}
+    data["samples"][" 2"] = {"5": "1"}
+    paths["map"].write_text(json.dumps(data))
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", 1,
+    ]) == InvalidInput.exit_code
     assert capsys.readouterr().out == ""
 
 
@@ -770,6 +833,31 @@ def test_closed_stdout_ends_quietly(workdir):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_decompose_and_diameters_leave_numpy_ma_unimported(tmp_path):
+    """``numpy.ma`` is imported lazily by ``np.unique`` and costs 11-15 ms
+    on first use; a group-ball diameter and ``dadim decompose`` on the z12
+    corpus certificate, run in one fresh interpreter, never import it."""
+    golden = json.loads((corpus_dir() / "z12_pou_n16.json").read_text())
+    cert = tmp_path / "pou.json"
+    cert.write_text(json.dumps({"order": 12, "E": [-1, 0, 1], "pou": golden["pou"]}))
+    src = str(Path(dadim.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from dadim.cli import main\n"
+        "from dadim.coarse import GroupBallSpace\n"
+        "X = GroupBallSpace([[1, 0], [0, 1], [1, 1]], 3)\n"
+        "assert X.subset_diameter(X.points) == 6\n"
+        f"assert main(['decompose', '--pou', {str(cert)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
 
 
 # ---------------------------------------------------------------------------

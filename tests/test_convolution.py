@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from dadim.convolution import (
     block_decompose,
     commutator_report,
     convolve,
-    cutdown,
     decompose_via_pou,
     reduced_norm,
     regular_representation,
@@ -35,13 +36,17 @@ from dadim.groupoid import (
     pair_groupoid,
     transformation_groupoid,
 )
-from dadim.pou import pou_from_group_action
+from dadim.pou import NestedColorTower, PartitionOfUnity, _norm_sq, pou_from_group_action
 from helpers import (
     action_groupoid_oracle,
     adjoint,
     arrow_positions,
     block_decompose_oracle,
+    commutator_report_oracle,
+    cutdown,
+    decompose_oracle,
     matrix_unit_defects,
+    pointwise,
     regular_representation_oracle,
     rep_matrix,
     z2_pair_groupoid_json,
@@ -312,17 +317,26 @@ def test_cstar_identity_random():
 def test_cutdown_and_commutator_examples():
     P3 = pair_groupoid(range(3))
     f = ConvElement(P3, {(0, 1): 1, (1, 2): (0, 1)})
-    ones = {u: 1 for u in range(3)}
-    assert cutdown(f, ones).coeffs == f.coeffs
-    rep = commutator_report(f, ones)
+    assert cutdown(f, {u: 1 for u in range(3)}).coeffs == f.coeffs
+    rep = commutator_report(f, np.ones(3))
     assert rep["commutator_norm"] == 0.0
 
     e01 = ConvElement.delta(P3, (0, 1))
-    ind = {0: 1.0, 1: 0.0, 2: 0.0}
-    rep2 = commutator_report(e01, ind)
+    rep2 = commutator_report(e01, np.array([1.0, 0.0, 0.0]))
     assert abs(rep2["commutator_norm"] - 1.0) < 1e-12
     assert rep2["oscillation"] == 1.0
     assert rep2["bisection_count"] == 1
+
+    # under isotropy the commutator's norm takes the orbit path: Z/2 x the
+    # pair groupoid on 2 units (arrow (g, x, y) is 4g + 2x + y)
+    Z2P = groupoid_from_json(z2_pair_groupoid_json(2))
+    f = ConvElement(Z2P, {1: (1, 0), 4: (F(1, 2), 1), 6: (0, -1)})
+    phi = np.array([0.25, 1.0])
+    got = commutator_report(f, phi)
+    want = commutator_report_oracle(f, dict(enumerate(phi.tolist())))
+    assert got["commutator_norm"] > 0
+    assert abs(got["commutator_norm"] - want["commutator_norm"]) <= 1e-12
+    assert all(got[k] == want[k] for k in ("oscillation", "bisection_count", "phi_sup"))
 
 
 def test_bisection_count_vs_bruteforce():
@@ -352,7 +366,7 @@ def test_bisection_count_vs_bruteforce():
     for _ in range(12):
         support = rng.sample(list(P4.arrows), rng.randint(1, 6))
         f = ConvElement(P4, {a: 1 for a in support})
-        rep = commutator_report(f, {u: 0.5 for u in range(4)})
+        rep = commutator_report(f, np.full(4, 0.5))
         assert rep["bisection_exact"]
         assert rep["bisection_count"] == brute_min_cover(P4, support)
 
@@ -370,7 +384,7 @@ def test_commutator_bisection_bound_random():
         if not coeffs:
             continue
         f = ConvElement(G, coeffs)
-        phi = {u: float(rng.random()) for u in range(8)}
+        phi = rng.random(8)
         rep = commutator_report(f, phi)
         bound = rep["bisection_count"] * rep["oscillation"] * reduced_norm(f)
         assert rep["commutator_norm"] <= bound + 1e-9
@@ -467,7 +481,8 @@ def test_block_decompose_matches_arrow_scan(case, data):
     """Blocks checked through isotropy at their units and orbits, against
     the scan of every arrow: the same classes, or the same NotFree; and the
     block matrices put each coefficient at the coordinates the scan gives
-    its arrow, and refuse an arrow the scan places in no block."""
+    its arrow, and refuse an arrow the scan places in no block; the
+    matrices come in one stack per block size."""
     G, sub = case
     got = _decomposition_outcome(lambda G, sub: block_decompose(G, sub).classes, G, sub)
     want = _decomposition_outcome(block_decompose_oracle, G, sub)
@@ -479,15 +494,19 @@ def test_block_decompose_matches_arrow_scan(case, data):
     bd = block_decompose(G, sub)
     support = data.draw(st.lists(st.sampled_from(sorted(pos, key=repr)), unique=True))
     f = ConvElement(G, {a: (n + 1, -n) for n, a in enumerate(support)})
-    mats = bd.block_matrices(f)
-    assert sum(int(np.count_nonzero(m)) for m in mats) == len(support)
+    stacks = bd.stacks(f)
+    mats = {k: stack[j] for ids, stack in stacks for j, k in enumerate(ids.tolist())}
+    assert sorted(mats) == list(range(len(classes)))
+    assert all(stack.shape[1:] == (bd.sizes()[ids[0]],) * 2 for ids, stack in stacks)
+    assert all(len(set(bd.sizes()[k] for k in ids)) == 1 for ids, _ in stacks)
+    assert sum(int(np.count_nonzero(m)) for m in mats.values()) == len(support)
     for n, a in enumerate(support):
         k, i, j = pos[a]
         assert mats[k][i, j] == complex(n + 1, -n)
     outside = [a for a in G.arrows if a not in pos]
     if outside:
         with pytest.raises(SupportLeak):
-            bd.block_matrices(ConvElement(G, {data.draw(st.sampled_from(outside)): 1}))
+            bd.stacks(ConvElement(G, {data.draw(st.sampled_from(outside)): 1}))
 
 
 def _largest_singular_value(rows) -> float:
@@ -515,8 +534,9 @@ def test_reduced_norm_matches_regular_representation_oracle(case, data):
 def test_reduced_norm_takes_no_svd_beyond_a_support_component(monkeypatch):
     """On Z/256, an element supported where a ramp phi changes, as a
     commutator [f, phi] is, has support components of at most 5 units;
-    its reduced norm takes SVDs of blocks no larger than that, and no
-    regular representation, where one orbit's is 256 x 256."""
+    its reduced norm measures blocks no larger than that, and no regular
+    representation, where one orbit's is 256 x 256.  A stack of blocks
+    (b, k, k) counts as blocks of k units."""
     n = 256
     G = cyclic_rotation_groupoid(n)
 
@@ -525,12 +545,14 @@ def test_reduced_norm_takes_no_svd_beyond_a_support_component(monkeypatch):
 
     phi = {u: ramp(u) if u < n // 2 else 1 - ramp(u - 130) for u in G.units}
     f = ConvElement(G, {a: 1 for a in G.moves([1])})
-    comm = f.pointwise(lambda g: phi[G.source(g)] - phi[G.range(g)])
+    comm = pointwise(f, lambda g: phi[G.source(g)] - phi[G.range(g)])
     assert max(len(b) for b in generate_subgroupoid(G, comm.coeffs).blocks) == 5
 
     shapes, reps = [], []
-    svd, rep = convolution.spectral_norm, convolution.regular_representation
-    monkeypatch.setattr(convolution, "spectral_norm", lambda A: shapes.append(A.shape) or svd(A))
+    norm, rep = convolution.spectral_norm, convolution.regular_representation
+    monkeypatch.setattr(
+        convolution, "spectral_norm", lambda A: shapes.append(A.shape[-2:]) or norm(A)
+    )
     monkeypatch.setattr(
         convolution, "regular_representation", lambda f, x: reps.append(x) or rep(f, x)
     )
@@ -600,3 +622,112 @@ def test_decompose_triangle_inequality_random_elements():
         f = ConvElement(G, coeffs)
         rep = decompose_via_pou(f, pou)
         assert rep["defect"] <= rep["triangle_bound"] + 1e-7 * max(1.0, rep["norm_f"])
+
+
+def test_decompose_refuses_isotropy():
+    """Z/4 acting on two points through Z/2 has isotropy at both: the
+    cut-down decomposition refuses it with NotFree."""
+    G = action_groupoid_oracle(cyclic_group(4), (0, 1), lambda g, x: (x + g) % 2)
+    K = frozenset(G.arrows)
+    psi = [{0: F(1), 1: F(1)}]
+    pou = PartitionOfUnity(G, K, [NestedColorTower(0, [frozenset({0, 1})])], 4, psi, _norm_sq(psi))
+    with pytest.raises(NotFree):
+        decompose_via_pou(ConvElement(G, {a: 1 for a in K}), pou)
+
+
+@st.composite
+def z_q_pous(draw):
+    """A partition of unity on Z/q, q <= 24, built from one to three arcs
+    that cover the circle (each overlapping the next by 0 to 3 points),
+    for E = [-e, e] with e in {1, 2} and averaging depth N in 4..16."""
+    q = draw(st.integers(2, 24))
+    starts = sorted(draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=min(3, q))))
+    arcs = []
+    for j, a in enumerate(starts):
+        gap = (starts[(j + 1) % len(starts)] - a) % q or q
+        length = min(q, gap + draw(st.integers(0, 3)))
+        arcs.append(frozenset((a + t) % q for t in range(length)))
+    e = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(4, 16))
+    return pou_from_group_action(q, range(-e, e + 1), arcs, N, None)
+
+
+def assert_reports_agree(got, want, path="$"):
+    """Equal except for floats, which agree within 1e-9 max(1, |x|)."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (path, got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_reports_agree(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for n, (a, b) in enumerate(zip(got, want)):
+            assert_reports_agree(a, b, f"{path}[{n}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=z_q_pous(), data=st.data())
+def test_decompose_matches_the_dict_oracle(case, data):
+    """The decomposition on arrays against the one on ConvElement dicts,
+    for the K-indicator and for random complex elements in K: the same
+    report, floats within 1e-9 (the oracle's defect carries float residues
+    of sum_i phi_i^2 - 1 that the arrays leave out)."""
+    G, K, _, pou = case
+    if data.draw(st.booleans()):
+        f = ConvElement(G, {a: 1 for a in K})
+    else:
+        fraction = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+        support = data.draw(st.lists(st.sampled_from(sorted(K, key=repr)), unique=True))
+        f = ConvElement(G, {
+            a: (data.draw(fraction), data.draw(st.one_of(st.just(F(0)), fraction)))
+            for a in support
+        })
+    assert_reports_agree(decompose_via_pou(f, pou), decompose_oracle(f, pou))
+
+
+@st.composite
+def block_stacks(draw):
+    """A stack (b, k, k) of one kind: real symmetric, complex Hermitian,
+    non-normal real or complex, zero, 1 x 1, or empty (b or k is 0)."""
+    kind = draw(st.sampled_from(
+        ["symmetric", "hermitian", "real", "complex", "zero", "1x1", "empty"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    if kind == "empty":
+        b, k = draw(st.sampled_from([(0, k), (b, 0), (0, 0)]))
+    elif kind == "1x1":
+        k = 1
+    A = rng.standard_normal((b, k, k))
+    if kind in ("hermitian", "complex", "1x1"):
+        A = A + 1j * rng.standard_normal((b, k, k))
+    if kind in ("symmetric", "hermitian"):
+        A = A + A.conj().swapaxes(-1, -2)
+    elif kind == "zero":
+        A = np.zeros((b, k, k), dtype=draw(st.sampled_from([float, complex])))
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=block_stacks())
+def test_stacked_spectral_norm_matches_per_block_svd(A):
+    """A stack's norm is the largest singular value of any of its blocks,
+    each from its own SVD, and each block alone gives its own."""
+    per_block = [float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0 for M in A]
+    want = max(per_block, default=0.0)
+    assert abs(spectral_norm(A) - want) <= NORM_TOL * max(1.0, want)
+    for M, w in zip(A, per_block):
+        assert abs(spectral_norm(M) - w) <= NORM_TOL * max(1.0, w)
+
+
+def test_the_library_takes_no_svd():
+    """Every norm goes through ``eigvalsh``: no SVD and no matrix 2-norm
+    is left in the library's sources."""
+    sources = Path(convolution.__file__).parent.glob("*.py")
+    text = "\n".join(p.read_text() for p in sources)
+    assert re.search(r"\bsvd\b", text) is None
+    assert re.search(r"linalg\.norm\(", text) is None
