@@ -8,9 +8,10 @@ finite groupoid convolution algebras -- with every certificate verifiable
 in exact arithmetic where the mathematics allows it.
 
 The package exports what the command line, the pipeline and the corpus
-call.  Brute-force oracles and the conversions between almost-equivariant
-maps and equivariant covers of X x Gamma live with the tests
-(``tests/helpers.py``), which check the library against them.
+call.  Its one group is Z/n rotating residues.  Brute-force oracles,
+general finite groups and their actions, and the conversions between
+almost-equivariant maps and equivariant covers of X x Gamma live with the
+tests (``tests/helpers.py``), which check the library against them.
 """
 
 from .coarse import (
@@ -29,7 +30,6 @@ from .convolution import (
     ConvElement,
     block_decompose,
     commutator_report,
-    convolve,
     decompose_via_pou,
     reduced_norm,
     regular_representation,

@@ -26,10 +26,11 @@ from .coarse import (
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
 from .errors import integer, malformed, positive_int
-from .groupoid import cyclic_group, cyclic_rotation_groupoid, groupoid_from_json
+from .groupoid import cyclic_rotation_groupoid, groupoid_from_json, symmetrized
 from .nerve import (
     SimplicialComplex,
     SimplicialPoint,
+    _residues,
     check_equivariance,
     dad_witness_from_blr,
     grid_certificate,
@@ -173,23 +174,21 @@ def cmd_blr_check(args):
     action = load_certificate(args.action)
     with malformed("action file"):
         n = positive_int(action["cyclic"], "order")
-    group = cyclic_group(n)
-    act = lambda g, x: (x + g) % n  # noqa: E731
     C = _complex_from_json(load_certificate(args.complex))
+    # Z/n rotates residues: a complex vertex outside 0..n-1 is no point of
+    # the action, with or without --witness
+    _residues(C.vertices, n, "complex vertices")
     with malformed("map file"):
         f = {
             x: SimplicialPoint({v: Fraction(t) for v, t in _int_keys(wt, "vertex").items()})
             for x, wt in _int_keys(load_certificate(args.map)["samples"], "sample").items()
         }
-    outside = sorted(x for x in f if not 0 <= x < n)
-    if outside:
-        raise errors.NotAnAction(f"samples {outside[:3]} are not points of Z/{n}")
     E = [e % n for e in args.E]
     eps = _rational(args.epsilon, Fraction(1, 3 * 10**C.dimension))
-    eq = check_equivariance(f, act, act, group.symmetrized(E), eps)
+    eq = check_equivariance(f, n, symmetrized(n, E), eps)
     out = {"equivariance": eq.to_json()}
     if args.witness:
-        res = dad_witness_from_blr(f, E, C, cyclic_rotation_groupoid(n), act, eq)
+        res = dad_witness_from_blr(f, E, C, cyclic_rotation_groupoid(n), eq)
         out["witness"] = {
             "colors": [sorted(c) for c in res.colors],
             "moving_set": sorted(res.moving_set),
@@ -269,6 +268,9 @@ def cmd_norm(args):
 def cmd_decompose(args):
     cert = load_certificate(args.pou)
     G, K, pou = _pou_from_cert(cert)
+    # the decomposition is only as good as the partition of unity: a
+    # rejected one exits with its own code, as pou-verify does
+    _raise_if_rejected(verify_pou(G, K, pou))
     if args.element:
         f = _element_from_json(G, load_certificate(args.element))
     else:

@@ -27,7 +27,7 @@ from itertools import islice, product, repeat
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge, VerificationFailed, integer, malformed
+from .errors import InvalidInput, TooLarge, VerificationFailed, integer, malformed, positive_int
 from .groupoid import (
     BlockArrows,
     GroupoidDadWitness,
@@ -436,10 +436,6 @@ class AsdimWitness:
     families: list[list[frozenset]]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def d(self) -> int:
-        return len(self.families) - 1
-
     def to_json(self) -> dict:
         return {
             "scale_R": self.scale_R,
@@ -678,7 +674,7 @@ def bridge_to_groupoid(X: FiniteMetricSpace, w: AsdimWitness):
 def space_from_json(data: dict) -> FiniteMetricSpace:
     with malformed("space"):
         if "grid" in data:
-            dims = data["grid"]["dims"]
+            dims = [positive_int(k, "grid dims entry") for k in data["grid"]["dims"]]
             if len(dims) == 1:
                 return Grid1dSpace(0, dims[0] - 1)
             if len(dims) == 2:
@@ -686,7 +682,10 @@ def space_from_json(data: dict) -> FiniteMetricSpace:
             raise InvalidInput("grids supported in dimensions 1 and 2")
         if "group_ball" in data:
             gb = data["group_ball"]
-            return GroupBallSpace(gb["generators"], gb["radius"])
+            return GroupBallSpace(
+                [[integer(c, "generator coordinate") for c in g] for g in gb["generators"]],
+                integer(gb["radius"], "group-ball radius"),
+            )
         if "edges" in data:
             return TableMetricSpace.from_edges(data["points"], [tuple(e) for e in data["edges"]])
     raise InvalidInput("space file needs 'grid', 'group_ball', or 'edges'")

@@ -1,14 +1,16 @@
 """Convolution *-algebra of a finite groupoid and the cut-down estimates.
 
-Elements are finitely supported coefficient maps on arrows; the product is
+Elements are finitely supported coefficient maps on arrows, with the
+product
 
     (f1 f2)(g) = sum over g1 g2 = g of f1(g1) f2(g2),
 
-and the reduced norm is the sup over units x of ||pi_x(f)||.  On a free
-groupoid pi_x(f) is block diagonal, one block per component of the support
-graph of f, so the norm is the largest block norm of ``block_decompose``;
-under isotropy it is the largest over one unit per orbit of the
-regular-representation matrix on the source fiber.
+which nothing here needs to form; the reduced norm is the sup over units
+x of ||pi_x(f)||.  On a free groupoid pi_x(f) is block diagonal, one
+block per component of the support graph of f, so the norm is the
+largest block norm of ``block_decompose``; under isotropy it is the
+largest over one unit per orbit of the regular-representation matrix on
+the source fiber.
 Coefficients stay exact (Fraction pairs) under the algebra operations.
 Norms are computed in floats: the blocks are scattered into one stack
 per block size, and each stack goes to LAPACK's ``eigvalsh`` once, as
@@ -37,7 +39,6 @@ __all__ = [
     "SupportVector",
     "RegularRep",
     "BlockDecomposition",
-    "convolve",
     "reduced_norm",
     "regular_representation",
     "commutator_report",
@@ -113,34 +114,6 @@ class ConvElement:
 
     def __sub__(self, other):
         return self.sub(other)
-
-    def __mul__(self, other):
-        if isinstance(other, ConvElement):
-            return convolve(self, other)
-        return self.scale(other)
-
-    def to_json(self, arrow_key=repr) -> list:
-        return sorted(
-            [arrow_key(g), str(c[0]), str(c[1])] for g, c in self.coeffs.items()
-        )
-
-
-def convolve(f1: ConvElement, f2: ConvElement) -> ConvElement:
-    """Groupoid convolution; exact whenever the coefficients are."""
-    if f1.G is not f2.G:
-        raise GroupoidMismatch("elements live on different groupoids")
-    G = f1.G
-    by_range: dict = {}
-    for h, c in f2.coeffs.items():
-        by_range.setdefault(G.range(h), []).append((h, c))
-    out: dict = {}
-    for g, cg in f1.coeffs.items():
-        for h, ch in by_range.get(G.source(g), ()):
-            gh = G.compose(g, h)
-            if gh is None:
-                continue
-            out[gh] = _cadd(out.get(gh, (0, 0)), _cmul(cg, ch))
-    return ConvElement(G, out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,9 @@ composition.  Three concrete flavors cover everything the artifact needs:
   axiom-checked exhaustively on construction (associativity over every
   composable triple);
 * ``TransformationGroupoid`` -- Z/n rotating n distinct points, the
-  finite quotients of a minimal Z-action: every structure map is
-  arithmetic on point indices mod n, and nothing of size n^2 is kept.
+  finite quotients of a minimal Z-action and the library's one group
+  action: every structure map is arithmetic on point indices mod n, and
+  nothing of size n^2 is kept.
   The rotation is free with one orbit, and the group parts of a block are
   its index differences.  The arrow tuple is built only when asked for;
   ``moves(E)`` builds the symmetric arrow set K of a generating set;
@@ -44,14 +45,13 @@ from .reporting import VerificationReport
 __all__ = [
     "FiniteGroupoid",
     "TransformationGroupoid",
-    "FiniteGroup",
-    "cyclic_group",
     "TubePairGroupoid",
     "BlockArrows",
     "TubeArrows",
     "GroupoidDadWitness",
     "transformation_groupoid",
     "cyclic_rotation_groupoid",
+    "symmetrized",
     "pair_groupoid",
     "generate_subgroupoid",
     "verify_groupoid_dad",
@@ -216,34 +216,15 @@ class FiniteGroupoid:
                         raise InvalidInput(f"associativity fails at {(g, h, k)!r}")
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group: its elements, multiplication, inverse and unit."""
-
-    elements: tuple
-    mult: "callable" = field(compare=False)
-    inv: "callable" = field(compare=False)
-    unit: object = None
-
-    def symmetrized(self, E) -> tuple:
-        """{unit} u E u E^-1, sorted by repr; InvalidInput for an e of E
-        that is not an element."""
-        out = {self.unit}
-        for e in E:
-            if e not in self.elements:
-                raise InvalidInput(f"{e!r} is not an element of the group")
-            out.add(e)
-            out.add(self.inv(e))
-        return tuple(sorted(out, key=repr))
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup(
-        elements=tuple(range(n)),
-        mult=lambda a, b: (a + b) % n,
-        inv=lambda a: (-a) % n,
-        unit=0,
-    )
+def symmetrized(n: int, E) -> tuple:
+    """{0} u E u -E in Z/n, sorted by repr; InvalidInput for an e of E
+    outside 0..n-1."""
+    out = {0}
+    for e in E:
+        if e not in range(n):
+            raise InvalidInput(f"{e!r} is not an element of the group")
+        out.update((e, -e % n))
+    return tuple(sorted(out, key=repr))
 
 
 class TransformationGroupoid(FiniteGroupoid):
@@ -259,7 +240,6 @@ class TransformationGroupoid(FiniteGroupoid):
 
     def __init__(self, n: int, space):
         self.n = n
-        self.group = cyclic_group(n)
         self.space = self.units = tuple(space)
         self.unit_set = frozenset(self.units)
         self._point_index = {x: j for j, x in enumerate(self.space)}
@@ -270,14 +250,11 @@ class TransformationGroupoid(FiniteGroupoid):
     def arrows(self) -> tuple:
         return tuple((g, x) for g in range(self.n) for x in self.space)
 
-    def act(self, g, x):
-        return self.range((g, x))
-
     def moves(self, E) -> frozenset:
         """K for the generating set E: the arrows (g, x) for g in
-        ``group.symmetrized(E)`` and every point x.  It is symmetric, as
-        the symmetrized set is, and holds every unit arrow."""
-        return frozenset((g, x) for g in self.group.symmetrized(E) for x in self.space)
+        ``symmetrized(n, E)`` and every point x.  It is symmetric, as the
+        symmetrized set is, and holds every unit arrow."""
+        return frozenset((g, x) for g in symmetrized(self.n, E) for x in self.space)
 
     source = staticmethod(itemgetter(1))
 
@@ -309,12 +286,10 @@ class TransformationGroupoid(FiniteGroupoid):
     def fiber(self, x) -> tuple:
         return tuple((g, x) for g in range(self.n))
 
-    def group_parts(self, gen) -> set:
-        """The group parts of the arrows of a subgroupoid: on each block of
-        a ``BlockArrows``, the differences of its point indices mod n, a
-        bounded number of rows at a time; off the arrows of a closure."""
-        if not isinstance(gen, BlockArrows):
-            return {a[0] for a in gen}
+    def group_parts(self, gen: BlockArrows) -> set:
+        """The group parts of the arrows of a subgroupoid, which is in block
+        form since the rotation is free: on each block, the differences of
+        its point indices mod n, a bounded number of rows at a time."""
         found = np.zeros(self.n, dtype=bool)
         for b in gen.blocks:
             idx = np.fromiter(map(self._point_index.__getitem__, b), np.intp, len(b))

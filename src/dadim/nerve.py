@@ -29,13 +29,16 @@ faces at its vertex of least degree.  The skeleton mass of a point of
 the complex reads no face at all: its support is a face, so the largest
 mass on a face of dimension <= i is that of its i + 1 heaviest vertices.
 
+The one group is Z/n, rotating residues: ``check_equivariance`` moves
+samples and vertices by g -> x + g mod n and refuses with
+``NotAnAction`` a sample or vertex outside 0..n-1, and
+``check_simplicial_action`` does the same for the complex's vertices.
 ``dad_witness_from_blr`` (``dadim blr-check --witness``) turns an
-almost-equivariant map into a groupoid witness on the Z/n rotation G that
-the caller built: it reads the action from G's index arithmetic and the
-equivariance from the caller's one ``check_equivariance`` report, so it
-checks no action and measures no discrepancy itself.  It costs O(|G| F
-deg) face checks, F the maximal faces and deg the most of them at one
-vertex; building G costs O(n).
+almost-equivariant map into a groupoid witness on the Z/n rotation G of
+the residues that the caller built, with the equivariance read from the
+caller's one ``check_equivariance`` report, so it measures no
+discrepancy itself.  It costs O(|G| F deg) face checks, F the maximal
+faces and deg the most of them at one vertex; building G costs O(n).
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .errors import (
     TooLarge,
 )
 from .groupoid import (
-    FiniteGroup,
     GroupoidDadWitness,
     TransformationGroupoid,
     _seed_in_color,
@@ -276,12 +278,6 @@ class SimplicialComplex:
 
     def contains(self, mu: SimplicialPoint) -> bool:
         return self.is_face(mu.support())
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": sorted(map(repr, self.vertices)),
-            "maximal_faces": sorted(sorted(map(repr, f)) for f in self.maximal_faces),
-        }
 
 
 def _skeleton_mass(mu: SimplicialPoint, i: int) -> int:
@@ -504,37 +500,45 @@ def grid_certificate(C: SimplicialComplex, den: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# group actions and equivariance
+# Z/n rotating residues, and equivariance
 
 
-def _act_point(act_V, g, mu: SimplicialPoint) -> SimplicialPoint:
-    return mu.push(lambda v: act_V(g, v))
+def _residues(labels, n: int, what: str) -> None:
+    """NotAnAction unless every label is an integer in 0..n-1 (a bool is
+    not one): Z/n acts by rotating the residues mod n."""
+    bad = [v for v in labels if type(v) is not int or not 0 <= v < n]
+    if bad:
+        raise NotAnAction(f"{what} {sorted(bad, key=repr)[:3]} are not residues mod {n}")
 
 
-def check_simplicial_action(C: SimplicialComplex, group: FiniteGroup, act_V) -> None:
-    """The vertex action must send faces to faces (hence act isometrically)."""
-    for g in group.elements:
+def check_simplicial_action(C: SimplicialComplex, n: int) -> None:
+    """Z/n rotating the vertices, residues mod n, must send faces to faces
+    (hence act isometrically)."""
+    _residues(C.vertices, n, "complex vertices")
+    for g in range(n):
         for f in C.maximal_faces:
-            image = frozenset(act_V(g, v) for v in f)
+            image = frozenset((v + g) % n for v in f)
             if not C.is_face(image):
                 raise InvalidInput(
                     f"action of {g!r} sends face {sorted(map(repr, f))} outside the complex"
                 )
 
 
-def check_equivariance(
-    f: dict, act_X, act_V, E, eps: Rat
-) -> VerificationReport:
-    """Max l1 discrepancy d(f(g.x), g.f(x)) over samples and g in E."""
+def check_equivariance(f: dict, n: int, E, eps: Rat) -> VerificationReport:
+    """Max l1 discrepancy d(f(g + x), g.f(x)) over samples x and g in E,
+    Z/n rotating both the samples and the vertices; NotAnAction for a
+    sample or a vertex that is not a residue mod n."""
+    _residues(f, n, "samples")
+    _residues({v for mu in f.values() for v in mu.num}, n, "map vertices")
     eps = Fraction(eps)
     worst = Fraction(0)
     worst_at = None
     for g in E:
         for x, mu in f.items():
-            gx = act_X(g, x)
+            gx = (x + g) % n
             if gx not in f:
                 raise MissingSample(f"sample {gx!r} = {g!r}.{x!r} missing from the table")
-            d = l1_distance(f[gx], _act_point(act_V, g, mu))
+            d = l1_distance(f[gx], mu.push(lambda v: (v + g) % n))
             if d > worst:
                 worst = d
                 worst_at = (repr(g), repr(x))
@@ -559,31 +563,28 @@ class BlrWitnessResult:
 
 
 def dad_witness_from_blr(
-    f: dict, E, C: SimplicialComplex, G: TransformationGroupoid, act_V, eq: VerificationReport
+    f: dict, E, C: SimplicialComplex, G: TransformationGroupoid, eq: VerificationReport
 ) -> BlrWitnessResult:
     """Witness colors U_i = f^{-1}(V_i) for an (E, (1/3)10^-d)-equivariant map.
 
-    ``G`` is the Z/n rotation of the samples, and ``eq`` is
-    ``check_equivariance``'s report on f over ``G.group.symmetrized(E)``;
-    its max discrepancy does not depend on the eps it was measured
-    against.  The element sets are confined to F = {g : gS cap S !=
-    empty} with S the union of the supports of f; verified on G.  Samples
-    that are not the points of G raise ``NotAnAction``.
+    ``G`` is the Z/n rotation of the residues 0..n-1, and ``eq`` is
+    ``check_equivariance``'s report on f over ``symmetrized(n, E)``; its
+    max discrepancy does not depend on the eps it was measured against.
+    The element sets are confined to F = {g : gS cap S != empty} with S
+    the union of the supports of f; verified on G.  Samples that are not
+    the points of G, or a G that rotates other points, raise
+    ``NotAnAction``.
     """
     d = C.dimension
-    group = G.group
-    check_simplicial_action(C, group, act_V)
+    n = G.n
+    check_simplicial_action(C, n)
     if Fraction(eq.details["max_discrepancy"]) >= inner_radius(d):
         raise EquivarianceTooWeak(
             f"measured equivariance {eq.details['max_discrepancy']} >= (1/3)10^-{d}"
         )
     # vertex stabilizers must be finite subgroups: automatic here, recorded
     S = frozenset().union(*(mu.support() for mu in f.values()))
-    F = frozenset(
-        g
-        for g in group.elements
-        if any(act_V(g, v) in S for v in S)
-    )
+    F = frozenset(g for g in range(n) if any((v + g) % n in S for v in S))
 
     space = tuple(f.keys())
     for mu in f.values():
@@ -596,6 +597,8 @@ def dad_witness_from_blr(
     if uncovered:
         raise InvalidInput("levels failed to cover the samples; complex inconsistent")
 
+    if G.space != tuple(range(n)):
+        raise NotAnAction(f"the witness needs Z/{n} rotating the residues 0..{n - 1}")
     if G.unit_set != set(space):
         raise NotAnAction(
             f"the {len(space)} samples are not the {len(G.space)} points the group acts on"

@@ -171,7 +171,7 @@ def _run_corpus_case(case: dict):
     )
     from fractions import Fraction
 
-    from .groupoid import block_union_pair_groupoid, pair_groupoid
+    from .groupoid import block_union_pair_groupoid, pair_groupoid, symmetrized
     from .convolution import block_decompose
     from .nerve import (
         SimplicialComplex,
@@ -224,8 +224,8 @@ def _run_corpus_case(case: dict):
         G = cyclic_rotation_groupoid(n)
         C = SimplicialComplex(range(n), [{i, (i + 1) % n} for i in range(n)])
         f = {x: SimplicialPoint({x: 1 - t, (x + 1) % n: t}) for x in range(n)}
-        eq = check_equivariance(f, G.act, G.act, G.group.symmetrized(E), inner_radius(C.dimension))
-        res = dad_witness_from_blr(f, E, C, G, G.act, eq)
+        eq = check_equivariance(f, n, symmetrized(n, E), inner_radius(C.dimension))
+        res = dad_witness_from_blr(f, E, C, G, eq)
         return {
             "equivariance": eq.to_json(),
             "colors": [sorted(c) for c in res.colors],

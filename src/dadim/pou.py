@@ -219,9 +219,6 @@ class PartitionOfUnity:
     def d(self) -> int:
         return len(self.psi) - 1
 
-    def colors(self) -> list[frozenset]:
-        return [t.top for t in self.towers]
-
     def phi_pair(self, i: int, x) -> tuple[Rat, Rat]:
         return self.psi[i].get(x, Fraction(0)), self.norm_sq.get(x, Fraction(1))
 

@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DepthExceeded, InvalidInput, NotMinimal, integer, malformed
+from .errors import DepthExceeded, InvalidInput, NotMinimal, integer, malformed, positive_int
 from .reporting import VerificationReport
 from .symbolic import (
     ClopenSet,
@@ -76,8 +76,8 @@ def witness_from_json(system: SymbolicSystem, data: dict) -> DadWitness:
                          for F in data["finite_sets"]],
             meta=dict(data.get("meta", {})),
         )
-    if not isinstance(witness.meta.get("blowup_bound", 0), int):
-        raise InvalidInput("witness meta blowup_bound must be an integer")
+    if "blowup_bound" in witness.meta:
+        positive_int(witness.meta["blowup_bound"], "witness meta blowup_bound")
     return witness
 
 

@@ -1,12 +1,13 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from dadim.coarse import AsdimWitness
 from dadim.convolution import (
     ConvElement,
+    _cadd,
     _cmul,
     _cnum,
     _min_bisection_cover,
@@ -20,6 +21,7 @@ from dadim.errors import (
     EquivarianceTooWeak,
     GroupoidMismatch,
     InvalidInput,
+    MissingSample,
     NoFiniteS,
     NotAnAction,
     NotFree,
@@ -44,9 +46,6 @@ from dadim.certify import file_hash, rational_str
 from dadim.nerve import (
     SimplicialComplex,
     SimplicialPoint,
-    _act_point,
-    check_equivariance,
-    check_simplicial_action,
     inner_radius,
     l1_distance,
     nice_cover_assign,
@@ -235,8 +234,9 @@ def faces_of_dim_at_most(C, i: int) -> list:
 
 
 def check_simplicial_action_oracle(C, group, act_V) -> None:
-    """``nerve.check_simplicial_action`` with each image tested by
-    ``is_face_oracle``."""
+    """The vertex action of any finite group must send faces to faces,
+    each image tested by ``is_face_oracle``: ``nerve.check_simplicial_action``
+    for Z/n rotating residues."""
     for g in group.elements:
         for f in C.maximal_faces:
             image = frozenset(act_V(g, v) for v in f)
@@ -244,6 +244,34 @@ def check_simplicial_action_oracle(C, group, act_V) -> None:
                 raise InvalidInput(
                     f"action of {g!r} sends face {sorted(map(repr, f))} outside the complex"
                 )
+
+
+def act_point(act_V, g, mu: SimplicialPoint) -> SimplicialPoint:
+    return mu.push(lambda v: act_V(g, v))
+
+
+def check_equivariance_oracle(f: dict, act_X, act_V, E, eps) -> VerificationReport:
+    """Max l1 discrepancy d(f(g.x), g.f(x)) over samples and g in E, for
+    any actions on the samples and the vertices: ``nerve.check_equivariance``
+    for Z/n rotating residues."""
+    eps = Fraction(eps)
+    worst = Fraction(0)
+    worst_at = None
+    for g in E:
+        for x, mu in f.items():
+            gx = act_X(g, x)
+            if gx not in f:
+                raise MissingSample(f"sample {gx!r} = {g!r}.{x!r} missing from the table")
+            d = l1_distance(f[gx], act_point(act_V, g, mu))
+            if d > worst:
+                worst = d
+                worst_at = (repr(g), repr(x))
+    return VerificationReport(
+        worst < eps,
+        "ok" if worst < eps else "EquivarianceTooWeak",
+        f"max discrepancy {worst} vs eps {eps}",
+        {"max_discrepancy": str(worst), "eps": str(eps), "worst_at": worst_at},
+    )
 
 
 def l1_distance_oracle(mu: FractionPoint, nu: FractionPoint) -> Fraction:
@@ -353,14 +381,17 @@ def perturb_to_finite_support(f: dict, act_X, act_V, E, eps, S=None):
     """Push the map into the probability simplex over a finite vertex set S.
 
     The perturbation budget is delta = min(1, half the worst equivariance
-    margin, ``check_equivariance`` once per g in E); any S whose tail mass
-    stays below delta/2 works, and the renormalized map moves each value by
-    exactly 2*(1 - T(x)) < delta, so (E, eps)-equivariance survives.
+    margin, ``check_equivariance_oracle`` once per g in E); any S whose
+    tail mass stays below delta/2 works, and the renormalized map moves
+    each value by exactly 2*(1 - T(x)) < delta, so (E, eps)-equivariance
+    survives.
     Returns (f', report).
     """
     eps = Fraction(eps)
     margins = [
-        eps - Fraction(check_equivariance(f, act_X, act_V, [g], eps).details["max_discrepancy"])
+        eps - Fraction(
+            check_equivariance_oracle(f, act_X, act_V, [g], eps).details["max_discrepancy"]
+        )
         for g in E
     ]
     delta = min([Fraction(1)] + [m / 2 for m in margins])
@@ -482,15 +513,15 @@ def cover_from_map(f: dict, E, group, act_X, act_V, C):
     """
     d = C.dimension
     r = Fraction(1, 6 * 10**d)
-    check_simplicial_action(C, group, act_V)
-    eq = check_equivariance(f, act_X, act_V, group.symmetrized(E), r)
+    check_simplicial_action_oracle(C, group, act_V)
+    eq = check_equivariance_oracle(f, act_X, act_V, group.symmetrized(E), r)
     if not eq:
         raise EquivarianceTooWeak(
             f"need (E, {r})-equivariance, measured {eq.details['max_discrepancy']}"
         )
     space = tuple(f.keys())
     phi_table = {
-        (x, g): _act_point(act_V, g, f[act_X(group.inv(g), x)])
+        (x, g): act_point(act_V, g, f[act_X(group.inv(g), x)])
         for x in space for g in group.elements
     }
 
@@ -645,6 +676,38 @@ def exhaustive_min_colors_with_witness(X, R: int, S: int, max_points: int = 16):
 # group actions
 
 
+@dataclass(frozen=True)
+class FiniteGroup:
+    """A finite group: its elements, multiplication, inverse and unit.  The
+    library's one group is Z/n on its residues; the tests take others to
+    reach isotropy and the equivariant covers of X x Gamma."""
+
+    elements: tuple
+    mult: "callable" = field(compare=False)
+    inv: "callable" = field(compare=False)
+    unit: object = None
+
+    def symmetrized(self, E) -> tuple:
+        """{unit} u E u E^-1, sorted by repr; InvalidInput for an e of E
+        that is not an element."""
+        out = {self.unit}
+        for e in E:
+            if e not in self.elements:
+                raise InvalidInput(f"{e!r} is not an element of the group")
+            out.add(e)
+            out.add(self.inv(e))
+        return tuple(sorted(out, key=repr))
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    return FiniteGroup(
+        elements=tuple(range(n)),
+        mult=lambda a, b: (a + b) % n,
+        inv=lambda a: (-a) % n,
+        unit=0,
+    )
+
+
 def verify_action_oracle(group, space, act):
     """Exhaustive check that ``act`` is an action of ``group`` on ``space``,
     one call of ``act`` per use, over every (g, h, x) in order."""
@@ -704,6 +767,24 @@ def regular_representation_oracle(f, x) -> tuple:
             row.append(f.coeffs.get(arrow, (0, 0)) if arrow is not None else (0, 0))
         matrix.append(row)
     return basis, matrix
+
+
+def convolve(f1: ConvElement, f2: ConvElement) -> ConvElement:
+    """Groupoid convolution; exact whenever the coefficients are."""
+    if f1.G is not f2.G:
+        raise GroupoidMismatch("elements live on different groupoids")
+    G = f1.G
+    by_range: dict = {}
+    for h, c in f2.coeffs.items():
+        by_range.setdefault(G.range(h), []).append((h, c))
+    out: dict = {}
+    for g, cg in f1.coeffs.items():
+        for h, ch in by_range.get(G.source(g), ()):
+            gh = G.compose(g, h)
+            if gh is None:
+                continue
+            out[gh] = _cadd(out.get(gh, (0, 0)), _cmul(cg, ch))
+    return ConvElement(G, out)
 
 
 def adjoint(f: ConvElement) -> ConvElement:

@@ -22,7 +22,6 @@ from dadim.coarse import (
 from dadim.convolution import (
     ConvElement,
     block_decompose,
-    convolve,
     reduced_norm,
 )
 from dadim.exactmath import diff_lt_osc_bound, osc_bound_float
@@ -32,7 +31,7 @@ from dadim.pipeline import run_pipeline
 from dadim.pou import pou_from_group_action, verify_pou
 from dadim.symbolic import Odometer, return_time_report
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
-from helpers import adjoint, exhaustive_min_colors_with_witness, matrix_unit_defects
+from helpers import adjoint, convolve, exhaustive_min_colors_with_witness, matrix_unit_defects
 
 F = Fraction
 

@@ -466,6 +466,32 @@ def test_blr_check_refuses_samples_outside_the_group(workdir, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("where", ["string complex", "complex vertex 7", "map vertex 7"])
+@pytest.mark.parametrize("witness", [False, True])
+def test_blr_check_refuses_vertices_outside_z_n(workdir, capsys, where, witness):
+    """Z/3 rotates the residues 0, 1, 2.  A complex on "a", "b", "c" (which
+    ended in a TypeError traceback under --witness), a complex vertex 7 or a
+    map vertex 7 (which Z/3 folded onto 1) is refused with NotAnAction."""
+    paths = blr_files(workdir, 3)
+    if where == "string complex":
+        paths["complex"].write_text(json.dumps({
+            "vertices": ["a", "b", "c"], "maximal_faces": [["a", "b"], ["b", "c"], ["c", "a"]],
+        }))
+    elif where == "complex vertex 7":
+        data = json.loads(paths["complex"].read_text())
+        data["vertices"].append(7)
+        paths["complex"].write_text(json.dumps(data))
+    else:
+        data = json.loads(paths["map"].read_text())
+        data["samples"]["1"] = {"1": "3/5", "7": "2/5"}
+        paths["map"].write_text(json.dumps(data))
+    assert run([
+        "blr-check", "--action", paths["action"], "--map", paths["map"],
+        "--complex", paths["complex"], "--E", 1,
+    ] + (["--witness"] if witness else [])) == NotAnAction.exit_code
+    assert capsys.readouterr().out == ""
+
+
 def test_pipeline_and_tamper(workdir):
     out = workdir / "chain"
     assert run(["pipeline", "--system", workdir / "system.json", "--N", 1, "-o", out]) == 0
@@ -809,6 +835,29 @@ def test_pou_verify_rejection_exit_codes(workdir, tamper, error):
     assert run(["pou-verify", "--pou", bad] + extra) == error.exit_code
 
 
+def test_decompose_verifies_the_partition_of_unity(workdir, capsys):
+    """ψ_0 = 2 at unit 3 of a Z/12 certificate is out of range: decompose
+    exits with pou-verify's code and prints nothing, where it used to print
+    an accepted decomposition and exit 0."""
+    pou = workdir / "pou.json"
+    assert run([
+        "pou-build", "--order", 12, "--E", -1, 0, 1,
+        "--colors", workdir / "colors.json", "--N", 8, "-o", pou,
+    ]) == 0
+    data = json.loads(pou.read_text())
+    data["pou"]["psi"][0]["3"] = "2"
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(data))
+    elt = workdir / "elt.json"
+    elt.write_text(json.dumps({"coeffs": [[[1, x], "1", "0"] for x in range(12)]}))
+    capsys.readouterr()
+    assert run(["pou-verify", "--pou", bad]) == StepValueOutOfRange.exit_code
+    capsys.readouterr()
+    for extra in ([], ["--element", elt]):
+        assert run(["decompose", "--pou", bad] + extra) == StepValueOutOfRange.exit_code
+        assert capsys.readouterr().out == ""
+
+
 def test_exit_codes_are_distinct():
     codes = [cls.exit_code for cls in ALL_ERRORS]
     assert len(set(codes)) == len(codes) and not {0, 1} & set(codes)
@@ -972,7 +1021,8 @@ def test_malformed_files_never_escape(workdir, capsys, monkeypatch):
     or a file that is missing, a directory, not UTF-8, not JSON or not an
     object, exits 0 or with an error class's code: nothing escapes as a
     traceback.  So does ``pipeline`` with neither --system nor --check.
-    An integer field given a float or a numeric string exits 2."""
+    An integer field given a float or a numeric string exits 2, and a
+    positive one given a bool, zero or a negative number too."""
     monkeypatch.chdir(workdir)
     files, commands = _reader_commands(workdir)
     bad = workdir / "bad.json"
@@ -1020,13 +1070,27 @@ def test_malformed_files_never_escape(workdir, capsys, monkeypatch):
         (["asdim-verify", "--space", "@space", "--witness", "@aw"], "@aw", ("scale_R",)),
         (["asdim-verify", "--space", "@space", "--witness", "@aw"], "@aw", ("bound_S",)),
         (["pou-verify", "--pou", "@pou"], "@pou", ("E", 0)),
+        (["asdim-verify", "--space", "@ball", "--witness", "@aw"], "@ball",
+         ("group_ball", "radius")),
+        (["asdim-verify", "--space", "@ball", "--witness", "@aw"], "@ball",
+         ("group_ball", "generators", 0, 0)),
+    ]
+    # positive integers: also refused as a bool, zero or negative
+    positive_fields = [
+        (["asdim-construct", "--space", "@space", "--R", 1, "-o", workdir / "out.json"],
+         "@space", ("grid", "dims", 0)),
+        (["asdim-verify", "--space", "@space", "--witness", "@aw"], "@space",
+         ("grid", "dims", 0)),
+        (verify, "@witness", ("meta", "blowup_bound")),
     ]
     not_refused = []
-    for command, slot, path in integer_fields:
-        for value in (1.5, "1", 2.5, "2"):
-            bad.write_text(json.dumps(_replaced(files[slot[1:]], path, value)))
-            code = run(argv(command, slot))
-            if code != InvalidInput.exit_code:
-                not_refused.append((command[0], path, value, code))
+    for fields, values in ((integer_fields, (1.5, "1", 2.5, "2")),
+                           (positive_fields, (1.5, "1", 2.5, "2", True, 0, -5))):
+        for command, slot, path in fields:
+            for value in values:
+                bad.write_text(json.dumps(_replaced(files[slot[1:]], path, value)))
+                code = run(argv(command, slot))
+                if code != InvalidInput.exit_code:
+                    not_refused.append((command[0], path, value, code))
     capsys.readouterr()
     assert (escapes, found, not_refused) == ([], None, [])

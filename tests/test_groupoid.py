@@ -1,5 +1,6 @@
 """Finite groupoids, subgroupoid generation, and the groupoid verifier."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -10,17 +11,16 @@ from dadim.coarse import Grid1dSpace
 from dadim.errors import InvalidInput, NotAnAction
 from dadim.groupoid import (
     BlockArrows,
-    FiniteGroup,
     FiniteGroupoid,
     GroupoidDadWitness,
     TubePairGroupoid,
     _closure,
     block_union_pair_groupoid,
-    cyclic_group,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
     groupoid_from_json,
     pair_groupoid,
+    symmetrized,
     transformation_groupoid,
     verify_groupoid_dad,
 )
@@ -28,7 +28,9 @@ from dadim.pipeline import project_witness_to_quotient
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
 from helpers import (
+    FiniteGroup,
     action_groupoid_oracle,
+    cyclic_group,
     symmetrize_arrows,
     verify_action_oracle,
     z2_pair_groupoid_json,
@@ -70,13 +72,23 @@ def test_transformation_groupoid_examples():
 def test_moves_are_the_symmetrized_arrows(n, data):
     """moves(E) is the symmetrization of the E-arrows with every unit arrow
     added (they are already there unless E is empty), and is closed under
-    inverse."""
+    inverse; ``symmetrized`` agrees with the oracle group's."""
     G = transformation_groupoid(n, [f"p{n - 1 - i}" for i in range(n)])
     E = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
     K = G.moves(E)
     raw = frozenset((e, x) for e in E for x in G.space)
     assert K == symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.space}
     assert all(G.inverse(a) in K for a in K)
+    # symmetrized(n, E) is the oracle group's, and so is its error for an
+    # e outside Z/n
+    E_any = data.draw(st.lists(st.integers(-2, n + 1), max_size=3))
+    try:
+        want = cyclic_group(n).symmetrized(E_any)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(exc))}$"):
+            symmetrized(n, E_any)
+    else:
+        assert symmetrized(n, E_any) == want
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -86,7 +98,7 @@ def test_rotation_formula_is_a_free_action(n):
     labels = [f"p{n - 1 - i}" for i in range(n)]
     for points in (range(n), labels):
         G = transformation_groupoid(n, points)
-        verify_action_oracle(G.group, G.space, G.act)
+        verify_action_oracle(cyclic_group(n), G.space, lambda g, x: G.range((g, x)))
         assert G.is_free() and len(G.arrows) == n * n
         assert all(G.range((g, x)) == G.space[(i + g) % n]
                    for g in range(n) for i, x in enumerate(G.space))

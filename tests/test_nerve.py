@@ -19,14 +19,16 @@ from dadim.errors import (
     InvalidInput,
     MissingSample,
     NoFiniteS,
+    NotAnAction,
     NotInComplex,
     TooLarge,
 )
-from dadim.groupoid import cyclic_group, transformation_groupoid
+from dadim.groupoid import symmetrized, transformation_groupoid
 from dadim.nerve import (
     SimplicialComplex,
     SimplicialPoint,
     check_equivariance,
+    check_simplicial_action,
     dad_witness_from_blr,
     grid_certificate,
     inner_radius,
@@ -36,9 +38,11 @@ from dadim.nerve import (
 from helpers import (
     EquivariantCover,
     FractionPoint,
+    check_equivariance_oracle,
     check_simplicial_action_oracle,
     compositions,
     cover_from_map,
+    cyclic_group,
     faces_of_dim_at_most,
     is_face_oracle,
     l1_distance_oracle,
@@ -173,28 +177,26 @@ def edge_map(n, t):
     }
 
 
-def blr_witness(f, E, C, grp, act):
-    """``dad_witness_from_blr`` on the Z/n rotation of the samples, n the
-    order of the cyclic group ``grp`` and ``act`` that rotation, with the
+def blr_witness(f, E, C, n):
+    """``dad_witness_from_blr`` on Z/n rotating the samples 0..n-1, with the
     map's equivariance measured once."""
-    G = transformation_groupoid(len(grp.elements), f)
-    eq = check_equivariance(f, act, act, grp.symmetrized(E), inner_radius(C.dimension))
-    return dad_witness_from_blr(f, E, C, G, act, eq)
+    G = transformation_groupoid(n, f)
+    eq = check_equivariance(f, n, symmetrized(n, E), inner_radius(C.dimension))
+    return dad_witness_from_blr(f, E, C, G, eq)
 
 
 def test_check_equivariance(triangle):
-    grp, act, C = cyclic_setup(12)
     f = edge_map(12, F(2, 5))
-    rep = check_equivariance(f, act, act, [1, 0, 11], F(1, 100))
+    rep = check_equivariance(f, 12, [1, 0, 11], F(1, 100))
     assert rep.accepted and rep.details["max_discrepancy"] == "0"
 
     const = {x: SimplicialPoint({0: 1}) for x in range(12)}
-    rep2 = check_equivariance(const, act, act, [1], F(2))
+    rep2 = check_equivariance(const, 12, [1], F(2))
     assert not rep2.accepted and rep2.details["max_discrepancy"] == "2"
 
     partial = {0: SimplicialPoint({0: 1})}
     with pytest.raises(MissingSample):
-        check_equivariance(partial, act, act, [1], F(1))
+        check_equivariance(partial, 12, [1], F(1))
 
 
 def test_perturb_examples():
@@ -238,10 +240,10 @@ def test_perturbed_map_stays_equivariant():
         for x in range(12)
     }
     sym = grp.symmetrized([1])
-    before = check_equivariance(f, act, act, sym, eps)
+    before = check_equivariance(f, 12, sym, eps)
     assert before.accepted
     out, rep = perturb_to_finite_support(f, act, act, sym, eps)
-    after = check_equivariance(out, act, act, sym, eps)
+    after = check_equivariance(out, 12, sym, eps)
     assert after.accepted
 
 
@@ -297,9 +299,9 @@ def test_map_from_cover_single_class_fixed_point():
 
 
 def test_dad_witness_from_blr():
-    grp, act, C = cyclic_setup(12)
+    C = cyclic_setup(12)[2]
     f = edge_map(12, F(2, 5))
-    res = blr_witness(f, [1], C, grp, act)
+    res = blr_witness(f, [1], C, 12)
     assert res.report.accepted
     # element sets stay inside the moving set
     G = transformation_groupoid(12, f)
@@ -309,16 +311,20 @@ def test_dad_witness_from_blr():
 
     const = {x: SimplicialPoint({0: 1}) for x in range(12)}
     with pytest.raises(EquivarianceTooWeak):
-        blr_witness(const, [1], C, grp, act)
+        blr_witness(const, [1], C, 12)
+
+    # the vertices rotate as residues, so the samples must too: Z/12
+    # rotating 0..11 in reverse order is the other rotation
+    eq = check_equivariance(f, 12, symmetrized(12, [1]), inner_radius(1))
+    with pytest.raises(NotAnAction, match="rotating the residues"):
+        dad_witness_from_blr(f, [1], C, transformation_groupoid(12, range(11, -1, -1)), eq)
 
 
 def test_dad_witness_from_blr_zero_complex_free_action():
     n = 6
-    grp = cyclic_group(n)
-    act = lambda g, x: (x + g) % n  # noqa: E731
     C0 = SimplicialComplex(range(n), [{i} for i in range(n)])
     f = {x: SimplicialPoint({x: 1}) for x in range(n)}
-    res = blr_witness(f, [1], C0, grp, act)
+    res = blr_witness(f, [1], C0, n)
     assert res.report.accepted
     # vertex-piece structure forces each color's elements inside F
     assert res.moving_set == frozenset(range(n))
@@ -327,16 +333,14 @@ def test_dad_witness_from_blr_zero_complex_free_action():
 def test_blr_generators_must_be_group_elements():
     """-1 names no element of Z/6 (its elements are 0..5): InvalidInput,
     not a KeyError from the groupoid's tables."""
-    grp = cyclic_group(6)
-    act = lambda g, x: (x + g) % 6  # noqa: E731
     C0 = SimplicialComplex(range(6), [{i} for i in range(6)])
     f = {x: SimplicialPoint({x: 1}) for x in range(6)}
     with pytest.raises(InvalidInput, match=r"^-1 is not an element of the group$"):
-        grp.symmetrized([-1])
+        symmetrized(6, [-1])
     G = transformation_groupoid(6, f)
-    eq = check_equivariance(f, act, act, grp.symmetrized([1]), 1)
+    eq = check_equivariance(f, 6, symmetrized(6, [1]), 1)
     with pytest.raises(InvalidInput, match="not an element"):
-        dad_witness_from_blr(f, [-1], C0, G, act, eq)
+        dad_witness_from_blr(f, [-1], C0, G, eq)
 
 
 def test_pullback_of_exact_map_through_one_complex():
@@ -364,7 +368,7 @@ def test_two_arc_nerve_map_equivariance():
     assert rep.accepted
     bound = Fraction(rep.details["bound"])
     vertex_act = {U: {g: cover.act_set(g, U) for g in grp.elements} for U in sets}
-    eq = check_equivariance(
+    eq = check_equivariance_oracle(
         f, act, lambda g, U: vertex_act[U][g], grp.symmetrized([1]), bound
     )
     assert Fraction(eq.details["max_discrepancy"]) == Fraction(rep.details["defect"])
@@ -385,17 +389,13 @@ def test_map_cover_map_roundtrip():
 
 
 def test_non_simplicial_action_rejected():
-    from dadim.nerve import check_simplicial_action
-    from dadim.errors import InvalidInput
-
-    grp = cyclic_group(3)
     # path complex 0-1-2 is not invariant under rotation (2-0 is not an edge)
     C = SimplicialComplex(range(3), [{0, 1}, {1, 2}])
     with pytest.raises(InvalidInput):
-        check_simplicial_action(C, grp, lambda g, v: (v + g) % 3)
+        check_simplicial_action(C, 3)
     f = {x: SimplicialPoint({x: 1}) for x in range(3)}
     with pytest.raises(InvalidInput):
-        blr_witness(f, [1], C, grp, lambda g, x: (x + g) % 3)
+        blr_witness(f, [1], C, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +528,75 @@ def test_vertex_index_matches_face_scans(data):
             assert F(nerve._skeleton_mass(mu, i), mu.den) == skeleton_mass_oracle(om, C, i)
     assert _outcome(nice_cover_assign, mu, C) == _outcome(nice_cover_assign_oracle, om, C)
 
-    # a vertex action of Z/k: a rotation of the sorted vertices with some
-    # images moved to another vertex or off the complex
+    # face images under a vertex action of Z/k: a rotation of the sorted
+    # vertices with some images moved to another vertex or off the complex
     k = data.draw(st.integers(1, 3))
     verts = sorted(C.vertices, key=repr)
     table = {(g, v): verts[(j + g) % len(verts)] for g in range(k) for j, v in enumerate(verts)}
     for key in data.draw(st.lists(st.sampled_from(sorted(table, key=repr)), max_size=3)):
         table[key] = data.draw(st.sampled_from(pool))
-    act = lambda g, v: table[g, v]  # noqa: E731
-    grp = cyclic_group(k)
-    assert _outcome(nerve.check_simplicial_action, C, grp, act) == _outcome(
-        check_simplicial_action_oracle, C, grp, act
+    for g in range(k):
+        for f in C.maximal_faces:
+            image = frozenset(table[g, v] for v in f)
+            assert C.is_face(image) == is_face_oracle(C, image)
+
+
+@st.composite
+def residue_maps(draw):
+    """(n, C, f, E): a complex on residues mod n, and a map from some
+    residues to points with residue vertices, so Z/n acts on both."""
+    n = draw(st.integers(1, 6))
+    residues = st.integers(0, n - 1)
+    vertices = draw(st.sets(residues, min_size=1))
+    faces = draw(st.lists(st.sets(st.sampled_from(sorted(vertices)), min_size=1), max_size=4))
+    samples = draw(st.sets(residues, min_size=1))
+    if draw(st.booleans()):
+        samples = set(range(n))
+    f = {}
+    for x in sorted(samples):
+        support = draw(st.lists(residues, min_size=1, max_size=3, unique=True))
+        num = {v: draw(st.integers(1, 4)) for v in support}
+        f[x] = SimplicialPoint.from_numerators(num, sum(num.values()))
+    E = draw(st.lists(residues, max_size=3))
+    return n, SimplicialComplex(vertices, faces), f, E
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=residue_maps(), eps=st.fractions(min_value=0, max_value=2, max_denominator=6))
+def test_residue_checks_match_the_group_oracles(case, eps):
+    """``check_simplicial_action`` and ``check_equivariance`` for Z/n on
+    residues give the outcome, report or error and message, of the checks
+    for any finite group and action, run on Z/n rotating the residues."""
+    n, C, f, E = case
+    grp, rotate = cyclic_group(n), lambda g, x: (x + g) % n
+    assert _outcome(check_simplicial_action, C, n) == _outcome(
+        check_simplicial_action_oracle, C, grp, rotate
     )
+    assert _outcome(check_equivariance, f, n, E, eps) == _outcome(
+        check_equivariance_oracle, f, rotate, rotate, E, eps
+    )
+
+
+@pytest.mark.parametrize("where, label", [
+    (where, label) for where in ("sample", "vertex", "complex") for label in (7, -1, "a")
+] + [("vertex", True)])
+def test_residue_checks_refuse_labels_outside_z_n(where, label):
+    """Z/3 rotates 0, 1, 2: a sample, map vertex or complex vertex 7, -1
+    or "a", or a map vertex True, is refused with NotAnAction, not folded
+    onto a residue."""
+    C = SimplicialComplex(range(3), [{0, 1}, {1, 2}, {2, 0}])
+    f = {x: SimplicialPoint({x: 1}) for x in range(3)}
+    if where == "sample":
+        f[label] = SimplicialPoint({0: 1})
+    elif where == "vertex":
+        f[1] = SimplicialPoint({label: 1})
+    else:
+        C = SimplicialComplex([0, 1, 2, label], C.maximal_faces)
+    with pytest.raises(NotAnAction, match="are not residues mod 3"):
+        if where == "complex":
+            check_simplicial_action(C, 3)
+        else:
+            check_equivariance(f, 3, [0, 1, 2], 1)
 
 
 def test_complex_without_vertices():
@@ -556,7 +613,7 @@ def test_blr_witness_face_work_is_linear(monkeypatch):
     and reads the faces at one vertex only when that misses.  A scan of
     every maximal face per test examines about |G| |F|^2 / 2."""
     n = 96
-    grp, act, C = cyclic_setup(n)
+    C = cyclic_setup(n)[2]
     f = edge_map(n, F(2, 5))
     examined = []
 
@@ -578,9 +635,9 @@ def test_blr_witness_face_work_is_linear(monkeypatch):
 
     monkeypatch.setattr(C, "_at", CountingIndex(C._at))
     monkeypatch.setattr(C, "_maximal", CountingFaces(C._maximal))
-    res = blr_witness(f, [1], C, grp, act)
+    res = blr_witness(f, [1], C, n)
     assert res.report.accepted
-    G, F_max = len(grp.elements), len(C.maximal_faces)
+    G, F_max = n, len(C.maximal_faces)
     # at least one look per (g, face) of the action check
     assert G * F_max <= sum(examined) <= 2 * G * F_max
 

@@ -25,7 +25,6 @@ from dadim.exactmath import (
 from dadim.groupoid import (
     _seed_in_color,
     block_union_pair_groupoid,
-    cyclic_group,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
 )
@@ -44,6 +43,7 @@ from helpers import (
     arrow_set_power,
     build_pou_oracle,
     build_tower_oracle,
+    cyclic_group,
     enlarge_cover_oracle,
     symmetrize_arrows,
     verify_pou_oracle,
