@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -50,12 +50,27 @@ def rational_str(q: Fraction) -> str:
 # leaves that normalize to themselves, checked by exact type in the
 # comprehensions below instead of a call each
 _PLAIN = frozenset({int, str, bool, type(None)})
+_INTS = frozenset({int})
+_ROWS = frozenset({list, tuple})
+
+
+def _int_rows(obj) -> bool:
+    """Whether the list or tuple ``obj`` is non-empty and holds only
+    non-empty lists or tuples of ints (bools excluded), which normalize
+    and print in one step."""
+    return (
+        bool(obj) and type(obj[0]) in _ROWS and set(map(type, obj[0])) == _INTS
+        and set(map(type, obj)) <= _ROWS and all(obj)
+        and set(map(type, chain.from_iterable(obj))) == _INTS
+    )
 
 
 def _normalize(obj):
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if _int_rows(obj):
+            return list(map(list, obj))
         return [v if type(v) in _PLAIN else _normalize(v) for v in obj]
     if obj is None or isinstance(obj, (int, str)):
         return obj
@@ -100,7 +115,6 @@ def file_hash(path) -> str:
 
 
 _INF = float("inf")
-_INTS = frozenset({int})
 
 
 def _leaf(v):
@@ -130,17 +144,38 @@ def _leaf(v):
 _BATCH = 256
 
 
+def _row_lists(rows, depth: int):
+    """``_indented`` of a list of non-empty rows of ints: the C encoder
+    writes up to ``_BATCH`` rows at a time with the separator of the ints
+    inside a row, and one replace re-indents the boundaries between rows,
+    the only places where a bracket follows a separator."""
+    outer, inner = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
+    between = "]," + inner + "["
+    sep = "[" + outer
+    for i in range(0, len(rows), _BATCH):
+        text = json.dumps(rows[i:i + _BATCH], separators=("," + inner, ":"))
+        body = text[2:-2].replace(between, outer + "]," + outer + "[" + inner)
+        yield sep + "[" + inner + body + outer + "]"
+        sep = "," + outer
+    yield "\n" + " " * depth + "]"
+
+
 def _indented(data, depth: int = 0):
     """The text of ``json.dumps(data, sort_keys=True, indent=1)`` for a
     normalized payload, in pieces.  A row of ints (bools excluded) is
-    joined in one step instead of one piece per int, and a container's
-    items are joined in batches, so that no piece holds the whole text."""
+    joined in one step instead of one piece per int, a list of such rows
+    goes through the C encoder ``_BATCH`` rows at a time (``_row_lists``),
+    and a container's other items are joined in batches, so that no piece
+    holds the whole text."""
     leaf = _leaf(data)
     if leaf is not None:
         yield leaf
         return
     if not data:
         yield "{}" if isinstance(data, dict) else "[]"
+        return
+    if type(data) is list and _int_rows(data):
+        yield from _row_lists(data, depth)
         return
     if isinstance(data, dict):
         opening, close = "{", "}"
@@ -175,8 +210,9 @@ def write_certificate(path, obj, stamp: bool = True):
     """Write ``obj`` normalized, with a creation stamp on a dict unless
     ``stamp`` is off.  The bytes are those of ``json.dump(data,
     sort_keys=True, indent=1)`` plus a newline, which the tests keep as the
-    oracle; they come from a faster emitter of the same text.  Returns the
-    normalized data as written."""
+    oracle; they come from ``_indented``, which joins rows of ints in one
+    step and hands lists of such rows, such as a grid witness's points, to
+    the C encoder.  Returns the normalized data as written."""
     data = _normalize(obj)
     if stamp and isinstance(data, dict):
         data["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()

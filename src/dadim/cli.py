@@ -98,10 +98,16 @@ def cmd_construct(args):
     return 0
 
 
+def _positive_flag(value, flag: str):
+    """A given integer flag value, refused unless it is at least 1."""
+    return None if value is None else positive_int(value, f"{flag} value")
+
+
 def cmd_verify(args):
+    bound = _positive_flag(args.blowup_bound, "--blowup-bound")
     system = system_from_json(load_certificate(args.system))
     witness = witness_from_json(system, load_certificate(args.witness))
-    _print_report(verify_dad_witness(system, witness, args.blowup_bound))
+    _print_report(verify_dad_witness(system, witness, bound))
     return 0
 
 
@@ -206,7 +212,7 @@ def cmd_pou_build(args):
     if args.N is None and args.epsilon is None:
         raise InvalidInput("pass --N or --epsilon")
     G, K, towers, pou = pou_from_group_action(
-        args.order, args.E, colors, args.N, args.size_bound,
+        args.order, args.E, colors, args.N, _positive_flag(args.size_bound, "--size-bound"),
         eps=_rational(args.epsilon),
     )
     report = verify_pou(G, K, pou)

@@ -551,12 +551,13 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
     """Check that colors cover s(K) u r(K) and every color generates a
     subgroupoid of at most ``size_bound`` arrows equal to the declared one."""
     needed = _endpoint_units(G, witness.K)
+    colors = list(map(frozenset, witness.colors))
     covered = set()
-    for c in witness.colors:
-        bad = set(c) - G.unit_set
+    for c in colors:
+        bad = c - G.unit_set
         if bad:
             return VerificationReport(False, "CoverGap", f"color uses unknown units {sorted(map(repr, bad))[:3]}")
-        covered |= set(c)
+        covered |= c
     if not needed <= covered:
         missing = sorted(map(repr, needed - covered))[:5]
         return VerificationReport(
@@ -565,7 +566,7 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
         )
 
     sizes = []
-    for i, color in enumerate(witness.colors):
+    for i, color in enumerate(colors):
         gen = generate_subgroupoid(G, _seed_in_color(G, witness.K, color))
         if isinstance(G, TubePairGroupoid):
             # containment in the ambient tube

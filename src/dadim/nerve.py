@@ -513,15 +513,16 @@ def _residues(labels, n: int, what: str) -> None:
 
 def check_simplicial_action(C: SimplicialComplex, n: int) -> None:
     """Z/n rotating the vertices, residues mod n, must send faces to faces
-    (hence act isometrically)."""
+    (hence act isometrically).  Z/n is generated by 1, so it is enough
+    that rotation by 1 sends every maximal face to a face: then it sends
+    every face to a face, and so does each of its powers."""
     _residues(C.vertices, n, "complex vertices")
-    for g in range(n):
-        for f in C.maximal_faces:
-            image = frozenset((v + g) % n for v in f)
-            if not C.is_face(image):
-                raise InvalidInput(
-                    f"action of {g!r} sends face {sorted(map(repr, f))} outside the complex"
-                )
+    for f in C.maximal_faces:
+        image = frozenset((v + 1) % n for v in f)
+        if not C.is_face(image):
+            raise InvalidInput(
+                f"action of 1 sends face {sorted(map(repr, f))} outside the complex"
+            )
 
 
 def check_equivariance(f: dict, n: int, E, eps: Rat) -> VerificationReport:

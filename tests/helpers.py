@@ -4,7 +4,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from dadim.coarse import AsdimWitness
+from dadim.coarse import AsdimWitness, Grid1dSpace
 from dadim.convolution import (
     ConvElement,
     _cadd,
@@ -670,6 +670,34 @@ def exhaustive_min_colors_with_witness(X, R: int, S: int, max_points: int = 16):
                 fams.append([frozenset(c) for c in comps])
             return k, AsdimWitness(R, S, fams, meta={"oracle": True})
     raise AssertionError("unreachable: n singleton families always work")
+
+
+def construct_grid_witness_oracle(X, R: int) -> AsdimWitness:
+    """The interval or brick-wall witness of ``construct_grid_witness``,
+    point by point through a dict of classes, unverified: two families of
+    intervals of length 5R on a 1-D grid, three of bricks of side 10R with
+    alternate rows offset by half a brick on a 2-D grid."""
+    if isinstance(X, Grid1dSpace):
+        L = 5 * R
+        classes: dict[int, set] = {}
+        for x in X.points:
+            classes.setdefault(x // L, set()).add(x)
+        fams: list[list[frozenset]] = [[], []]
+        for t, cls in sorted(classes.items()):
+            fams[t % 2].append(frozenset(cls))
+        return AsdimWitness(R, L - 1, fams, meta={"pattern": "intervals", "L": L})
+    L = 10 * R
+    half = L // 2
+    bricks: dict[tuple[int, int], set] = {}
+    for p in X.points:
+        x, y = p
+        r = y // L
+        delta = half if r % 2 else 0
+        bricks.setdefault((r, (x - delta) // L), set()).add(p)
+    fams = [[], [], []]
+    for (r, c), cls in sorted(bricks.items()):
+        fams[(c + (r + 1) // 2 + r) % 3].append(frozenset(cls))
+    return AsdimWitness(R, 2 * (L - 1), fams, meta={"pattern": "bricks", "L": L})
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,12 @@ def _normalize_oracle(obj):
 
 @settings(max_examples=300, deadline=None)
 @given(payload=PAYLOADS)
+@example(payload=((1, 2), (3, -4), (2**70, 0)))
+@example(payload=[(1, 2), [3]])
+@example(payload=[[1, 2], [True, 3]])
+@example(payload=((1,), (False,)))
+@example(payload=[[1], [], [2]])
+@example(payload=[[1], [2.5]])
 def test_normalize_matches_the_per_leaf_oracle(payload):
     # repr tells lists from tuples and shows nan, which == would not match
     assert repr(certify._normalize(payload)) == repr(_normalize_oracle(payload))
@@ -195,14 +201,40 @@ NORMALIZED = st.recursive(
 )
 
 
+# more int rows than the emitter encodes in one piece
+MANY_ROWS = [[i, -i, 2**64 + i][: 1 + i % 3] for i in range(2 * certify._BATCH + 7)]
+
+
 @settings(max_examples=500, deadline=None)
 @given(data=NORMALIZED)
 @example(data={"é\x00\x1f \U0001f600\ud800": [[], {}, [1, True], [-(2**80), 0]]})
 @example(data=[math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+@example(data=MANY_ROWS)
+@example(data={"rows": MANY_ROWS, "x": [[1]]})
+@example(data=[[{"a": [MANY_ROWS, [[0, 1]]]}]])
+@example(data=[[1, 2], [True, 3], [4]])
+@example(data=[[1, 2], [False], [4]])
+@example(data=[[1, 2], [], [4]])
+@example(data=[[1, 2], [3.0], [4]])
+@example(data=[[1, 2], [3], ["]],\n  ["]])
 def test_indented_text_is_json_dump_indent_1(data):
     """``json.dumps(sort_keys=True, indent=1)`` is the oracle of the
     certificate emitter."""
     assert "".join(certify._indented(data)) == json.dumps(data, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_int_rows_are_emitted_a_batch_at_a_time(depth):
+    """A list of int rows is written in pieces of at most ``_BATCH`` rows:
+    a piece holds one opening bracket per row, and the first also the
+    list's own."""
+    data = MANY_ROWS
+    for _ in range(depth):
+        data = [data]
+    pieces = list(certify._indented(data))
+    assert "".join(pieces) == json.dumps(data, sort_keys=True, indent=1)
+    assert max(p.count("[") for p in pieces) <= certify._BATCH + 1
+    assert len(pieces) > len(MANY_ROWS) // certify._BATCH
 
 
 @pytest.mark.parametrize(

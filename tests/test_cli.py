@@ -12,9 +12,9 @@ import pytest
 
 import dadim.cli
 import dadim.nerve
-from dadim.certify import corpus_dir
+from dadim.certify import corpus_dir, write_certificate
 from dadim.cli import main
-from dadim.coarse import MAX_TABLE_POINTS
+from dadim.coarse import MAX_TABLE_POINTS, Grid2dSpace
 from dadim.errors import (
     ALL_ERRORS,
     BlowupExceeded,
@@ -37,7 +37,7 @@ from dadim.errors import (
 from dadim.groupoid import MAX_COMPOSABLE_TRIPLES
 from dadim.symbolic import _Subshift, clopen_from_json, system_from_json
 from dadim.witness import construct_minimal_z_witness
-from helpers import z2_pair_groupoid_json
+from helpers import construct_grid_witness_oracle, z2_pair_groupoid_json
 
 
 @pytest.fixture()
@@ -129,6 +129,25 @@ def test_verify_blowup_exit_code(workdir):
     assert code == BlowupExceeded.exit_code
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--blowup-bound", 0), ("--blowup-bound", -5), ("--size-bound", 0), ("--size-bound", -3),
+])
+def test_bound_flags_must_be_positive(workdir, capsys, flag, value):
+    """A bound flag below 1 is refused as InvalidInput, like the file
+    fields it stands beside (a witness's meta.blowup_bound)."""
+    if flag == "--blowup-bound":
+        wit = workdir / "wit.json"
+        assert run(["construct", "--system", workdir / "system.json", "--N", 1, "-o", wit]) == 0
+        argv = ["verify", "--system", workdir / "system.json", "--witness", wit]
+    else:
+        argv = ["pou-build", "--order", 12, "--E", -1, 0, 1, "--colors", workdir / "colors.json",
+                "--N", 8, "-o", workdir / "pou.json"]
+    capsys.readouterr()
+    assert run(argv + [flag, value]) == InvalidInput.exit_code
+    assert f"expected a positive {flag} value (a JSON integer), got {value}" in capsys.readouterr().err
+    assert run(argv + [flag, 10**6]) == 0
+
+
 def test_asdim_commands(workdir):
     aw = workdir / "aw.json"
     assert run(["asdim-construct", "--space", workdir / "space1d.json", "--R", 10, "-o", aw]) == 0
@@ -152,6 +171,30 @@ def test_asdim_commands(workdir):
     }))
     assert run(["asdim-verify", "--space", space, "--witness", gap]) == 0
     assert run(["bridge", "--space", space, "--witness", gap]) == VerificationFailed.exit_code
+
+
+def test_grid_chain_bytes_at_80x80(workdir):
+    """On the 80 x 80 grid at R = 5 the witness file is the text of
+    ``json.dump(sort_keys=True, indent=1)``, holds the witness of the
+    per-point dict construction, and bridges to the same report."""
+    space = workdir / "space80.json"
+    space.write_text(json.dumps({"grid": {"dims": [80, 80]}}))
+    aw, oracle_aw = workdir / "aw.json", workdir / "oracle_aw.json"
+    assert run(["asdim-construct", "--space", space, "--R", 5, "-o", aw]) == 0
+    text = aw.read_text()
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, sort_keys=True, indent=1) + "\n"
+    write_certificate(oracle_aw, construct_grid_witness_oracle(Grid2dSpace(80, 80), 5).to_json())
+    bridged = []
+    for witness in (aw, oracle_aw):
+        out = workdir / f"bridge_{witness.stem}.json"
+        assert run(["bridge", "--space", space, "--witness", witness, "-o", out]) == 0
+        bridged.append(json.loads(out.read_text()))
+        del bridged[-1]["created"]
+    oracle = json.loads(oracle_aw.read_text())
+    del parsed["created"], oracle["created"]
+    assert parsed == oracle
+    assert bridged[0] == bridged[1]
 
 
 def test_nerve_command(workdir):

@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dadim.coarse import (
@@ -32,7 +32,7 @@ from dadim.groupoid import (
     generate_subgroupoid,
     verify_groupoid_dad,
 )
-from helpers import exhaustive_min_colors_with_witness
+from helpers import construct_grid_witness_oracle, exhaustive_min_colors_with_witness
 
 
 def path_graph(n):
@@ -99,6 +99,22 @@ def test_construct_2d_sweep(R, side):
     w = construct_grid_witness(X, R)
     assert len(w.families) == 3
     assert verify_asdim_witness(X, w).accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    X=st.one_of(
+        st.builds(lambda lo, n: Grid1dSpace(lo, lo + n - 1), st.integers(-80, 10), st.integers(1, 150)),
+        st.builds(Grid2dSpace, st.integers(1, 70), st.integers(1, 70)),
+    ),
+    R=st.integers(1, 6),
+)
+def test_construction_matches_the_dict_oracle(X, R):
+    """The array construction gives the classes of the per-point dict
+    loop, family by family in the same order, with the same meta."""
+    w, oracle = construct_grid_witness(X, R), construct_grid_witness_oracle(X, R)
+    assert (w.scale_R, w.bound_S, w.families) == (oracle.scale_R, oracle.bound_S, oracle.families)
+    assert w.meta == {**oracle.meta, "verified": True}
 
 
 def test_exhaustive_examples():
@@ -383,6 +399,12 @@ def space_and_witness(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(space_and_witness())
+# the lattice measures a class holding 0.0 as 1 wide; the report gives the
+# space's own diameter, 1.0, as the scan does
+@example(("diameter", Grid1dSpace(0, 3),
+          AsdimWitness(0, 0, [[frozenset({0.0, 1}), frozenset({2}), frozenset({3})]])))
+@example(("diameter", Grid2dSpace(2, 2),
+          AsdimWitness(0, 0, [[frozenset({(0.0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})]])))
 def test_lattice_verification_matches_the_ball_scan(drawn):
     case, X, w = drawn
     assert X.lattice is not None
@@ -390,6 +412,21 @@ def test_lattice_verification_matches_the_ball_scan(drawn):
     assert report == verify_asdim_witness(scanned(X), w)
     if case == "foreign":
         assert report.code == "CoverGap" and "unknown points" in report.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        SPACES,
+        st.builds(lambda lo, n: Grid1dSpace(lo, lo + n - 1), st.integers(-50, 0), st.integers(1, 60)),
+        st.builds(Grid2dSpace, st.integers(1, 25), st.integers(1, 25)),
+    ),
+    st.data(),
+)
+def test_lattice_diameters_match_subset_diameter(X, data):
+    row = data.draw(st.lists(st.sets(st.sampled_from(X.points)), max_size=5))
+    lat = X.lattice
+    assert lat.diameters([lat.cells_of(c) for c in row]) == [X.subset_diameter(c) for c in row]
 
 
 @settings(max_examples=200, deadline=None)
