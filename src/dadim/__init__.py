@@ -71,7 +71,6 @@ from .symbolic import (
     SymbolicSystem,
     disjoint_translates_radius,
     return_time_report,
-    translate,
 )
 from .witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
 

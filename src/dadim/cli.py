@@ -25,7 +25,7 @@ from .coarse import (
 )
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
-from .errors import integer, malformed, positive_int
+from .errors import int_keys, integer, malformed, positive_int
 from .groupoid import cyclic_rotation_groupoid, groupoid_from_json, symmetrized
 from .nerve import (
     SimplicialComplex,
@@ -163,19 +163,6 @@ def cmd_nerve(args):
     return 0
 
 
-def _int_keys(obj: dict, what: str) -> dict:
-    """``obj`` with its keys read as canonical decimal integers: "7" and
-    "-2", never "07", " 7" or "+7", so that no two keys name one integer;
-    any other key is refused with InvalidInput."""
-    out = {}
-    for key, value in obj.items():
-        x = int(key)
-        if str(x) != key:
-            raise InvalidInput(f"{what} key {key!r} is not a canonical decimal integer")
-        out[x] = value
-    return out
-
-
 def cmd_blr_check(args):
     action = load_certificate(args.action)
     with malformed("action file"):
@@ -186,15 +173,14 @@ def cmd_blr_check(args):
     _residues(C.vertices, n, "complex vertices")
     with malformed("map file"):
         f = {
-            x: SimplicialPoint({v: Fraction(t) for v, t in _int_keys(wt, "vertex").items()})
-            for x, wt in _int_keys(load_certificate(args.map)["samples"], "sample").items()
+            x: SimplicialPoint({v: Fraction(t) for v, t in int_keys(wt, "vertex").items()})
+            for x, wt in int_keys(load_certificate(args.map)["samples"], "sample").items()
         }
-    E = [e % n for e in args.E]
     eps = _rational(args.epsilon, Fraction(1, 3 * 10**C.dimension))
-    eq = check_equivariance(f, n, symmetrized(n, E), eps)
+    eq = check_equivariance(f, n, symmetrized(n, args.E), eps)
     out = {"equivariance": eq.to_json()}
     if args.witness:
-        res = dad_witness_from_blr(f, E, C, cyclic_rotation_groupoid(n), eq)
+        res = dad_witness_from_blr(f, args.E, C, cyclic_rotation_groupoid(n), eq)
         out["witness"] = {
             "colors": [sorted(c) for c in res.colors],
             "moving_set": sorted(res.moving_set),
@@ -234,7 +220,7 @@ def _pou_from_cert(cert) -> tuple:
         order = positive_int(cert["order"], "order")
         E, data = [integer(e, "E entry") for e in cert["E"]], cert["pou"]
     G = cyclic_rotation_groupoid(order)
-    K = G.moves(e % order for e in E)
+    K = G.moves(E)
     return G, K, PartitionOfUnity.from_json(G, K, data)
 
 
@@ -246,12 +232,16 @@ def cmd_pou_verify(args):
 
 
 def _element_from_json(G, data) -> ConvElement:
-    """The element of an element file; an arrow named twice (also as equal
-    keys such as [1, 0] and [1.0, 0]) is refused, not overwritten."""
+    """The element of an element file.  An arrow key is a JSON integer or
+    a list of them, so [1.0, 0] or true names no arrow; an arrow named
+    twice is refused, not overwritten."""
     coeffs: dict = {}
     with malformed("element"):
         for key, re, im in data["coeffs"]:
-            key = tuple(key) if isinstance(key, list) else key
+            if isinstance(key, list):
+                key = tuple(integer(k, "arrow key entry") for k in key)
+            else:
+                key = integer(key, "arrow key")
             if key in coeffs:
                 raise InvalidInput(f"element names arrow {key!r} twice")
             coeffs[key] = (Fraction(re), Fraction(im))

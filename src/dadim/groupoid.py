@@ -6,13 +6,14 @@ composition.  Three concrete flavors cover everything the artifact needs:
 * ``FiniteGroupoid`` -- explicit arrow list with a composition table,
   axiom-checked exhaustively on construction (associativity over every
   composable triple);
-* ``TransformationGroupoid`` -- Z/n rotating n distinct points, the
+* ``TransformationGroupoid`` -- Z/n rotating its residues 0..n-1, the
   finite quotients of a minimal Z-action and the library's one group
-  action: every structure map is arithmetic on point indices mod n, and
-  nothing of size n^2 is kept.
+  action: it holds n alone, and every structure map is arithmetic on
+  residues mod n.
   The rotation is free with one orbit, and the group parts of a block are
-  its index differences.  The arrow tuple is built only when asked for;
-  ``moves(E)`` builds the symmetric arrow set K of a generating set;
+  its residue differences.  The arrow tuple is built only when asked for;
+  ``moves(E)`` builds the symmetric arrow set K of a generating set E,
+  read in Z through the quotient map to Z/n;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
@@ -39,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InvalidInput, NotAnAction, TooLarge, malformed, positive_int
+from .errors import InvalidInput, NotAnAction, TooLarge, int_keys, integer, malformed, positive_int
 from .reporting import VerificationReport
 
 __all__ = [
@@ -217,50 +218,47 @@ class FiniteGroupoid:
 
 
 def symmetrized(n: int, E) -> tuple:
-    """{0} u E u -E in Z/n, sorted by repr; InvalidInput for an e of E
-    outside 0..n-1."""
+    """{0} u E u -E in Z/n, sorted by repr: each e of E is an integer,
+    read in Z/n through the quotient map e -> e mod n."""
     out = {0}
     for e in E:
-        if e not in range(n):
-            raise InvalidInput(f"{e!r} is not an element of the group")
-        out.update((e, -e % n))
+        out.update((e % n, -e % n))
     return tuple(sorted(out, key=repr))
 
 
 class TransformationGroupoid(FiniteGroupoid):
-    """Z/n rotating the n distinct points of ``space`` in their order: the
-    arrow (g, x) runs from x to the point g places after it, and arrows
-    compose by adding group parts mod n.
+    """Z/n rotating its own residues 0..n-1: the arrow (g, x) runs from x
+    to x + g mod n, and arrows compose by adding group parts mod n.
 
-    Every structure map is index arithmetic mod n.  A group part is looked
-    up among 0..n-1, so an arrow with a part outside Z/n raises
-    ``KeyError``, as a point outside the space does.  Build through
-    ``transformation_groupoid``, which checks n and the points.
+    The instance holds n and nothing it can derive: every structure map is
+    arithmetic on residues.  An arrow with a group part or a point outside
+    0..n-1 raises ``KeyError`` in ``range``.  Build through
+    ``cyclic_rotation_groupoid``, which checks n.
     """
 
-    def __init__(self, n: int, space):
+    def __init__(self, n: int):
         self.n = n
-        self.space = self.units = tuple(space)
+        self.units = tuple(range(n))
         self.unit_set = frozenset(self.units)
-        self._point_index = {x: j for j, x in enumerate(self.space)}
-        self._step = {g: g for g in range(n)}
         self._free = None
 
     @cached_property
     def arrows(self) -> tuple:
-        return tuple((g, x) for g in range(self.n) for x in self.space)
+        return tuple((g, x) for g in self.units for x in self.units)
 
     def moves(self, E) -> frozenset:
-        """K for the generating set E: the arrows (g, x) for g in
-        ``symmetrized(n, E)`` and every point x.  It is symmetric, as the
-        symmetrized set is, and holds every unit arrow."""
-        return frozenset((g, x) for g in symmetrized(self.n, E) for x in self.space)
+        """K for the generating set E, read in Z/n: the arrows (g, x) for g
+        in ``symmetrized(n, E)`` and every residue x.  It is symmetric, as
+        the symmetrized set is, and holds every unit arrow."""
+        return frozenset((g, x) for g in symmetrized(self.n, E) for x in self.units)
 
     source = staticmethod(itemgetter(1))
 
     def range(self, a):
         g, x = a
-        return self.space[(self._point_index[x] + self._step[g]) % self.n]
+        if g not in self.unit_set or x not in self.unit_set:
+            raise KeyError(a)
+        return (x + g) % self.n
 
     def inverse(self, a):
         return ((-a[0]) % self.n, self.range(a))
@@ -275,48 +273,44 @@ class TransformationGroupoid(FiniteGroupoid):
         return ((g[0] + h[0]) % self.n, h[1])
 
     def isotropy_witness(self, at=None):
-        """None: a rotation of distinct points fixes none of them."""
+        """None: a rotation of the residues fixes none of them."""
         return None
 
     @cached_property
     def orbits(self) -> tuple[frozenset, ...]:
-        """The one orbit: every point."""
-        return (frozenset(self.space),)
+        """The one orbit: every residue."""
+        return (self.unit_set,)
 
     def fiber(self, x) -> tuple:
-        return tuple((g, x) for g in range(self.n))
+        return tuple((g, x) for g in self.units)
 
     def group_parts(self, gen: BlockArrows) -> set:
         """The group parts of the arrows of a subgroupoid, which is in block
         form since the rotation is free: on each block, the differences of
-        its point indices mod n, a bounded number of rows at a time."""
+        its residues mod n, a bounded number of rows at a time."""
         found = np.zeros(self.n, dtype=bool)
         for b in gen.blocks:
-            idx = np.fromiter(map(self._point_index.__getitem__, b), np.intp, len(b))
+            idx = np.fromiter(b, np.intp, len(b))
             rows = max(1, _DIFF_ROWS // len(idx))
             for lo in range(0, len(idx), rows):
                 found[(idx - idx[lo:lo + rows, None]) % self.n] = True
         return set(np.flatnonzero(found).tolist())
 
 
-def transformation_groupoid(n: int, space) -> TransformationGroupoid:
-    """Z/n rotating the n distinct points of ``space`` in their given
-    order (g.x_j = x_{j+g mod n}), free by construction, so only n and the
-    points are checked."""
+def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:
+    """Z/n acting on its residues by rotation, for an order n >= 1."""
     if n < 1:
         raise InvalidInput(f"Z/n needs a positive order n, not {n}")
+    return TransformationGroupoid(n)
+
+
+def transformation_groupoid(n: int, space) -> TransformationGroupoid:
+    """``cyclic_rotation_groupoid(n)`` for the points 0..n-1 in order, the
+    one space Z/n rotates here; any other ``space`` raises NotAnAction."""
     space = tuple(space)
-    if len(space) != n or len(set(space)) != n:
-        raise NotAnAction(
-            f"Z/{n} rotates {n} distinct points; got {len(space)} points, "
-            f"{len(set(space))} distinct"
-        )
-    return TransformationGroupoid(n, space)
-
-
-def cyclic_rotation_groupoid(n: int) -> TransformationGroupoid:
-    """Z/n acting on itself by rotation."""
-    return transformation_groupoid(n, range(n))
+    if space != tuple(range(n)):
+        raise NotAnAction(f"Z/{n} rotates the residues 0..{n - 1} in order; got {space[:5]!r}")
+    return cyclic_rotation_groupoid(n)
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
@@ -605,6 +599,14 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
 
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
+    """The Z/n rotation of an ``{"action": {"cyclic": n}}`` file, or the
+    explicit groupoid of a file of units, arrows, compose table and inverse
+    map; every arrow id is a JSON integer, and an inverse key its
+    canonical decimal text."""
+
+    def arrow_id(value) -> int:
+        return integer(value, "arrow id")
+
     with malformed("groupoid"):
         if "action" in data:
             return cyclic_rotation_groupoid(positive_int(data["action"]["cyclic"], "order"))
@@ -612,12 +614,15 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         source = {}
         range_ = {}
         for a in data["arrows"]:
-            source[a["id"]] = tuple(a["s"]) if isinstance(a["s"], list) else a["s"]
-            range_[a["id"]] = tuple(a["r"]) if isinstance(a["r"], list) else a["r"]
-        compose = {(g, h): gh for g, h, gh in data["compose"]}
+            g = arrow_id(a["id"])
+            source[g] = tuple(a["s"]) if isinstance(a["s"], list) else a["s"]
+            range_[g] = tuple(a["r"]) if isinstance(a["r"], list) else a["r"]
+        compose = {
+            (arrow_id(g), arrow_id(h)): arrow_id(gh) for g, h, gh in data["compose"]
+        }
         if "inverse" not in data:
             raise InvalidInput("explicit groupoid files must carry an 'inverse' map")
-        inverse = {int(k): v for k, v in data["inverse"].items()}
+        inverse = {g: arrow_id(v) for g, v in int_keys(data["inverse"], "inverse").items()}
         if not all(g in inverse and inverse[g] in source for g in source):
             raise InvalidInput("the inverse map must send every arrow id to an arrow id")
         # identity candidates: the idempotent loops, grouped by unit (a

@@ -568,12 +568,12 @@ def dad_witness_from_blr(
 ) -> BlrWitnessResult:
     """Witness colors U_i = f^{-1}(V_i) for an (E, (1/3)10^-d)-equivariant map.
 
-    ``G`` is the Z/n rotation of the residues 0..n-1, and ``eq`` is
-    ``check_equivariance``'s report on f over ``symmetrized(n, E)``; its
-    max discrepancy does not depend on the eps it was measured against.
-    The element sets are confined to F = {g : gS cap S != empty} with S
-    the union of the supports of f; verified on G.  Samples that are not
-    the points of G, or a G that rotates other points, raise
+    ``G`` is the Z/n rotation of the residues 0..n-1, E is read in Z/n
+    (``G.moves``), and ``eq`` is ``check_equivariance``'s report on f over
+    ``symmetrized(n, E)``; its max discrepancy does not depend on the eps
+    it was measured against.  The element sets are confined to
+    F = {g : gS cap S != empty} with S the union of the supports of f;
+    verified on G.  Samples that are not the residues raise
     ``NotAnAction``.
     """
     d = C.dimension
@@ -598,11 +598,9 @@ def dad_witness_from_blr(
     if uncovered:
         raise InvalidInput("levels failed to cover the samples; complex inconsistent")
 
-    if G.space != tuple(range(n)):
-        raise NotAnAction(f"the witness needs Z/{n} rotating the residues 0..{n - 1}")
     if G.unit_set != set(space):
         raise NotAnAction(
-            f"the {len(space)} samples are not the {len(G.space)} points the group acts on"
+            f"the {len(space)} samples are not the {n} residues the group acts on"
         )
     K = G.moves(E)
     generated = []

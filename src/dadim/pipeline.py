@@ -88,8 +88,7 @@ def run_pipeline(
     M = witness.meta["M"]
     q, colors_q = project_witness_to_quotient(system, witness, quotient_depth)
     G = cyclic_rotation_groupoid(q)
-    E = witness.generator_set
-    K = G.moves(e % q for e in E)
+    K = G.moves(witness.generator_set)
     generated = [generate_subgroupoid(G, _seed_in_color(G, K, c)) for c in colors_q]
     size_bound = (2 * (M + N) + 1) * q
     gwitness = GroupoidDadWitness(K, colors_q, generated)

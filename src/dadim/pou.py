@@ -429,7 +429,7 @@ def pou_from_group_action(
     eps: Rat | None = None,
 ):
     """Group-action form: G is Z/order rotating itself, K the moves of E
-    (``TransformationGroupoid.moves``, E read mod order); returns
+    (``TransformationGroupoid.moves``, E read in Z/order); returns
     (G, K, towers, pou).
 
     Either pass the averaging depth N directly, or a rational eps from
@@ -438,7 +438,7 @@ def pou_from_group_action(
     from .exactmath import least_pou_depth
 
     G = cyclic_rotation_groupoid(order)
-    K = G.moves(e % order for e in E)
+    K = G.moves(E)
     if N is None:
         if eps is None:
             raise InvalidInput("pass an averaging depth N or a rational eps")

@@ -38,7 +38,6 @@ __all__ = [
     "OdometerClopen",
     "SubshiftClopen",
     "ReturnTimeReport",
-    "translate",
     "disjoint_translates_radius",
     "return_time_report",
     "system_from_json",
@@ -649,11 +648,6 @@ def _canonical_subshift(system: _Subshift, left: int, words: frozenset[str]):
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def translate(s: ClopenSet, n: int) -> ClopenSet:
-    """Image n.s of a clopen set under the Z-action; exact or DepthExceeded."""
-    return s.translate(n)
 
 
 def disjoint_translates_radius(s: ClopenSet, radius: int) -> bool:

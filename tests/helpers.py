@@ -7,8 +7,6 @@ from fractions import Fraction
 from dadim.coarse import AsdimWitness, Grid1dSpace
 from dadim.convolution import (
     ConvElement,
-    _cadd,
-    _cmul,
     _cnum,
     _min_bisection_cover,
     block_decompose,
@@ -797,6 +795,23 @@ def regular_representation_oracle(f, x) -> tuple:
     return basis, matrix
 
 
+def cmul(a, b):
+    """Product of two (re, im) pairs; exact when they are."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def add(f1: ConvElement, f2: ConvElement) -> ConvElement:
+    """f1 + f2, arrow by arrow."""
+    out = dict(f1.coeffs)
+    for g, c in f2.coeffs.items():
+        out[g] = cadd(out.get(g, (0, 0)), c)
+    return ConvElement(f1.G, out)
+
+
 def convolve(f1: ConvElement, f2: ConvElement) -> ConvElement:
     """Groupoid convolution; exact whenever the coefficients are."""
     if f1.G is not f2.G:
@@ -811,7 +826,7 @@ def convolve(f1: ConvElement, f2: ConvElement) -> ConvElement:
             gh = G.compose(g, h)
             if gh is None:
                 continue
-            out[gh] = _cadd(out.get(gh, (0, 0)), _cmul(cg, ch))
+            out[gh] = cadd(out.get(gh, (0, 0)), cmul(cg, ch))
     return ConvElement(G, out)
 
 
@@ -831,7 +846,7 @@ def rep_matrix(rep) -> list:
 
 def pointwise(f: ConvElement, weight) -> ConvElement:
     """Pointwise product of f with a scalar function on arrows."""
-    return ConvElement(f.G, {g: _cmul(_cnum(weight(g)), c) for g, c in f.coeffs.items()})
+    return ConvElement(f.G, {g: cmul(_cnum(weight(g)), c) for g, c in f.coeffs.items()})
 
 
 def cutdown(f: ConvElement, phi: dict) -> ConvElement:
@@ -888,9 +903,9 @@ def decompose_oracle(f: ConvElement, pou) -> dict:
                 f"cut-down {i} escapes its small subgroupoid at {sorted(map(repr, leak))[:3]}"
             )
         cutdowns.append(c)
-        total = total + c
+        total = add(total, c)
 
-    defect = reduced_norm(total - f)
+    defect = reduced_norm(add(total, pointwise(f, lambda g: -1)))
     per_color = []
     bound = 0.0
     for i, phi in enumerate(phis):

@@ -312,10 +312,18 @@ def test_norm_command(workdir, capsys, groupoid, coeffs, norm):
     ({"action": {"cyclic": 4}}, "ab"),
     (z2_pair_groupoid_json(2), 99),
     (z2_pair_groupoid_json(2), [0, 1]),
+    # a key is a JSON integer or a list of them; all of these but
+    # [1.5, 0] used to name an arrow and exit 0
+    ({"action": {"cyclic": 4}}, [True, 0]),
+    ({"action": {"cyclic": 4}}, [1.0, 0]),
+    ({"action": {"cyclic": 4}}, [1, 0.0]),
+    ({"action": {"cyclic": 4}}, [1.5, 0]),
+    (z2_pair_groupoid_json(2), True),
+    (z2_pair_groupoid_json(2), 1.0),
 ])
 def test_norm_rejects_unknown_arrows(workdir, groupoid, key):
-    """An element key that the groupoid's structure maps refuse is an
-    unknown arrow."""
+    """An element key that is not made of JSON integers, or that the
+    groupoid's structure maps refuse, is an unknown arrow."""
     g = workdir / "g.json"
     e = workdir / "e.json"
     g.write_text(json.dumps(groupoid))

@@ -1,6 +1,5 @@
 """Finite groupoids, subgroupoid generation, and the groupoid verifier."""
 
-import re
 import tracemalloc
 
 import pytest
@@ -58,11 +57,13 @@ def test_transformation_groupoid_examples():
     # transitive: one orbit
     seeds = [(1, x) for x in range(12)]
     assert len(generate_subgroupoid(G12, seeds)) == 144
-    # a group part outside Z/12 is no arrow
-    with pytest.raises(KeyError):
-        G12.range((12, 0))
-    # the rotation needs n distinct points
-    for n, points in [(2, [0, 0]), (3, [5, 5, 5]), (3, [0, 1]), (2, [0, 1, 2])]:
+    # a group part or a point outside 0..11 is no arrow
+    for arrow in [(12, 0), (-1, 0), (0, 12), (0, -1), (1.5, 0), (0, "a")]:
+        with pytest.raises(KeyError):
+            G12.range(arrow)
+    # the rotation acts on the residues 0..n-1 in order, and on no other points
+    for n, points in [(2, [0, 0]), (3, [5, 5, 5]), (3, [0, 1]), (2, [0, 1, 2]),
+                      (3, [2, 1, 0]), (2, ["p1", "p0"])]:
         with pytest.raises(NotAnAction):
             transformation_groupoid(n, points)
 
@@ -72,36 +73,29 @@ def test_transformation_groupoid_examples():
 def test_moves_are_the_symmetrized_arrows(n, data):
     """moves(E) is the symmetrization of the E-arrows with every unit arrow
     added (they are already there unless E is empty), and is closed under
-    inverse; ``symmetrized`` agrees with the oracle group's."""
-    G = transformation_groupoid(n, [f"p{n - 1 - i}" for i in range(n)])
-    E = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    inverse; E is read in Z, and ``symmetrized`` agrees with the oracle
+    group's on E reduced mod n."""
+    G = cyclic_rotation_groupoid(n)
+    E = data.draw(st.lists(st.integers(-2 * n, 2 * n), max_size=3))
+    reduced = [e % n for e in E]
     K = G.moves(E)
-    raw = frozenset((e, x) for e in E for x in G.space)
-    assert K == symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.space}
+    raw = frozenset((e, x) for e in reduced for x in G.units)
+    assert K == symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.units}
     assert all(G.inverse(a) in K for a in K)
-    # symmetrized(n, E) is the oracle group's, and so is its error for an
-    # e outside Z/n
-    E_any = data.draw(st.lists(st.integers(-2, n + 1), max_size=3))
-    try:
-        want = cyclic_group(n).symmetrized(E_any)
-    except InvalidInput as exc:
-        with pytest.raises(InvalidInput, match=f"^{re.escape(str(exc))}$"):
-            symmetrized(n, E_any)
-    else:
-        assert symmetrized(n, E_any) == want
+    assert symmetrized(n, E) == cyclic_group(n).symmetrized(reduced)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_rotation_formula_is_a_free_action(n):
-    """The rotation's index arithmetic passes the exhaustive action check,
-    on integer points and on labels in reverse order."""
-    labels = [f"p{n - 1 - i}" for i in range(n)]
-    for points in (range(n), labels):
-        G = transformation_groupoid(n, points)
-        verify_action_oracle(cyclic_group(n), G.space, lambda g, x: G.range((g, x)))
-        assert G.is_free() and len(G.arrows) == n * n
-        assert all(G.range((g, x)) == G.space[(i + g) % n]
-                   for g in range(n) for i, x in enumerate(G.space))
+    """The rotation's residue arithmetic passes the exhaustive action
+    check, and every arrow (g, x) ends at x + g mod n."""
+    G = cyclic_rotation_groupoid(n)
+    verify_action_oracle(cyclic_group(n), G.units, lambda g, x: G.range((g, x)))
+    assert G.is_free() and len(G.arrows) == n * n
+    assert G.units == tuple(range(n)) and G.orbits == (frozenset(range(n)),)
+    # n and what derives from it: no point labels, no lookup tables
+    assert set(vars(G)) <= {"n", "units", "unit_set", "_free", "arrows", "orbits"}
+    assert all(G.range((g, x)) == (x + g) % n for g in range(n) for x in range(n))
 
 
 def test_generate_subgroupoid_examples():
@@ -406,6 +400,29 @@ def test_groupoid_file_with_unhashable_unit():
     }
     with pytest.raises(InvalidInput, match="malformed groupoid"):
         groupoid_from_json(data)
+
+
+def test_groupoid_file_reads_arrow_ids_as_integers():
+    """An arrow id is a JSON integer wherever it stands, so 1.0 and true
+    name no arrow; an inverse key is an id's canonical decimal text, so
+    "01", " 1" and "+1" cannot name arrow 1 beside "1"."""
+    assert len(groupoid_from_json(z2_involution_data()).arrows) == 2
+    for key in ("01", " 1", "+1"):
+        data = z2_involution_data()
+        data["inverse"] = {"0": 0, key: 1, "1": 1}
+        with pytest.raises(InvalidInput, match="not a canonical decimal integer"):
+            groupoid_from_json(data)
+    for value in (1.0, True):
+        for place in ("id", "inverse", "compose"):
+            data = z2_involution_data()
+            if place == "id":
+                data["arrows"][1]["id"] = value
+            elif place == "inverse":
+                data["inverse"]["1"] = value
+            else:
+                data["compose"][3][0] = value
+            with pytest.raises(InvalidInput, match="arrow id as a JSON integer"):
+                groupoid_from_json(data)
 
 
 @pytest.mark.parametrize("n", [3, 15])

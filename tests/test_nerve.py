@@ -23,7 +23,7 @@ from dadim.errors import (
     NotInComplex,
     TooLarge,
 )
-from dadim.groupoid import symmetrized, transformation_groupoid
+from dadim.groupoid import cyclic_rotation_groupoid, symmetrized
 from dadim.nerve import (
     SimplicialComplex,
     SimplicialPoint,
@@ -180,7 +180,7 @@ def edge_map(n, t):
 def blr_witness(f, E, C, n):
     """``dad_witness_from_blr`` on Z/n rotating the samples 0..n-1, with the
     map's equivariance measured once."""
-    G = transformation_groupoid(n, f)
+    G = cyclic_rotation_groupoid(n)
     eq = check_equivariance(f, n, symmetrized(n, E), inner_radius(C.dimension))
     return dad_witness_from_blr(f, E, C, G, eq)
 
@@ -304,7 +304,7 @@ def test_dad_witness_from_blr():
     res = blr_witness(f, [1], C, 12)
     assert res.report.accepted
     # element sets stay inside the moving set
-    G = transformation_groupoid(12, f)
+    G = cyclic_rotation_groupoid(12)
     for gen in res.groupoid_witness.generated:
         assert {a[0] for a in G.arrows if gen.holds(G, a)} <= res.moving_set
     assert set().union(*res.colors) == set(range(12))
@@ -313,11 +313,12 @@ def test_dad_witness_from_blr():
     with pytest.raises(EquivarianceTooWeak):
         blr_witness(const, [1], C, 12)
 
-    # the vertices rotate as residues, so the samples must too: Z/12
-    # rotating 0..11 in reverse order is the other rotation
-    eq = check_equivariance(f, 12, symmetrized(12, [1]), inner_radius(1))
-    with pytest.raises(NotAnAction, match="rotating the residues"):
-        dad_witness_from_blr(f, [1], C, transformation_groupoid(12, range(11, -1, -1)), eq)
+    # E is read in Z/12: 13 and -11 are the generator 1
+    for E in ([13], [-11], [1, 25]):
+        again = blr_witness(f, E, C, 12)
+        assert (again.colors, again.moving_set) == (res.colors, res.moving_set)
+        assert again.groupoid_witness.K == res.groupoid_witness.K
+        assert again.report.to_json() == res.report.to_json()
 
 
 def test_dad_witness_from_blr_zero_complex_free_action():
@@ -331,16 +332,19 @@ def test_dad_witness_from_blr_zero_complex_free_action():
 
 
 def test_blr_generators_must_be_group_elements():
-    """-1 names no element of Z/6 (its elements are 0..5): InvalidInput,
-    not a KeyError from the groupoid's tables."""
+    """A generator is read in Z/6 through the quotient map: -1 is the
+    element 5 and 7 the element 1, so both give the witness of their
+    residues."""
     C0 = SimplicialComplex(range(6), [{i} for i in range(6)])
     f = {x: SimplicialPoint({x: 1}) for x in range(6)}
-    with pytest.raises(InvalidInput, match=r"^-1 is not an element of the group$"):
-        symmetrized(6, [-1])
-    G = transformation_groupoid(6, f)
+    assert symmetrized(6, [-1]) == symmetrized(6, [5]) == (0, 1, 5)
+    assert symmetrized(6, [7, -8]) == symmetrized(6, [1, 4]) == (0, 1, 2, 4, 5)
+    G = cyclic_rotation_groupoid(6)
     eq = check_equivariance(f, 6, symmetrized(6, [1]), 1)
-    with pytest.raises(InvalidInput, match="not an element"):
-        dad_witness_from_blr(f, [-1], C0, G, eq)
+    for E, residues in (([-1], [5]), ([7], [1]), ([-1, 13], [5, 1])):
+        got, want = (dad_witness_from_blr(f, e, C0, G, eq) for e in (E, residues))
+        assert got.groupoid_witness.K == want.groupoid_witness.K == G.moves([1])
+        assert got.report.accepted and got.report.to_json() == want.report.to_json()
 
 
 def test_pullback_of_exact_map_through_one_complex():

@@ -15,7 +15,6 @@ from dadim.symbolic import (
     disjoint_translates_radius,
     return_time_report,
     system_from_json,
-    translate,
 )
 
 
@@ -31,10 +30,10 @@ def fib():
 
 def test_translate_examples(dyadic):
     s = dyadic.cylinder([0, 0, 0])
-    assert translate(s, 1) == dyadic.clopen(3, [1])
-    assert translate(s, 0) == s
-    assert translate(s, 8) == s
-    assert translate(translate(s, 5), -5) == s
+    assert s.translate(1) == dyadic.clopen(3, [1])
+    assert s.translate(0) == s
+    assert s.translate(8) == s
+    assert s.translate(5).translate(-5) == s
 
 
 def test_disjoint_translates_examples(dyadic):
@@ -82,8 +81,8 @@ def test_mixed_base_odometer():
     s = odo.cylinder([1, 2, 0])
     r = return_time_report(s)
     assert r.min_forward_return == 12 == r.max_gap
-    assert translate(s, 12) == s
-    assert translate(s, 1) != s
+    assert s.translate(12) == s
+    assert s.translate(1) != s
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +95,7 @@ def test_mixed_base_odometer():
 def test_translate_group_law(depth, values, m, n):
     odo = Odometer([2], depth_limit=12)
     s = odo.clopen(depth, {v % odo.level_size(depth) for v in values})
-    assert translate(s, m + n) == translate(translate(s, n), m)
+    assert s.translate(m + n) == s.translate(n).translate(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +197,7 @@ def test_subshift_translate_depth_budget():
     sub = SubstitutionSubshift(["a", "b"], {"a": "ab", "b": "a"}, depth_limit=8)
     c = sub.cylinder("aab")
     with pytest.raises(DepthExceeded):
-        translate(c, 20)
+        c.translate(20)
 
 
 def test_forbidden_word_subshift_golden_mean():
