@@ -9,9 +9,11 @@ verified.  Re-verification checks every link and the green flag against the
 statuses, then recomputes every recorded hash from disk, so any tampering
 with an intermediate file is detected.  Timestamps are carried for
 provenance but excluded from hashes and comparisons.  ``load_certificate``
-is the one reader of input files: a file it cannot read as UTF-8 JSON is
-InvalidInput (exit 2).  ``file_hash`` reads chain artifacts itself, so
-that one it cannot read is a HashMismatch.
+is the one reader of input files: a file it cannot read as strict UTF-8
+JSON (no key twice in one object, no NaN, Infinity or overflowing number)
+is InvalidInput (exit 2).  ``file_hash`` reads chain artifacts itself
+through the same strict parse, which accepts only the NaN and Infinity
+that the writer emits, so that one it cannot read is a HashMismatch.
 """
 
 from __future__ import annotations
@@ -109,9 +111,42 @@ def content_hash(obj) -> str:
     return _digest(_normalize(obj))
 
 
+def _unique_keys(pairs: list) -> dict:
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen: set = set()
+        dup = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {dup!r}")
+    return out
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if value in (_INF, -_INF):
+        raise ValueError(f"{text} overflows a float")
+    return value
+
+
+def _load_strict(fh, parse_constant=_no_constant):
+    """One JSON value, read strictly: an object that names a key twice, a
+    NaN or Infinity constant and a number that overflows a float are
+    ValueError, where ``json.load`` would keep the last key or the value."""
+    return json.load(
+        fh, object_pairs_hook=_unique_keys, parse_constant=parse_constant,
+        parse_float=_finite_float,
+    )
+
+
 def file_hash(path) -> str:
-    with open(path) as fh:
-        return content_hash(json.load(fh))
+    """The content hash of a written artifact, read strictly but for the
+    NaN and Infinity constants, which ``write_certificate`` emits for
+    non-finite floats."""
+    with open(path, encoding="utf-8") as fh:
+        return content_hash(_load_strict(fh, parse_constant=float))
 
 
 _INF = float("inf")
@@ -225,10 +260,12 @@ def write_certificate(path, obj, stamp: bool = True):
 
 def load_certificate(path):
     """The JSON value in the file at ``path``: the one reader of input files.
-    A file that cannot be opened, or is not UTF-8 JSON, raises InvalidInput."""
+    A file that cannot be opened, is not UTF-8 JSON, names a key twice in
+    one object, or holds NaN, Infinity or a number that overflows a float
+    raises InvalidInput."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _load_strict(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:

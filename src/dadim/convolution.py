@@ -359,19 +359,8 @@ def _pou_arrays(pou) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The partition of unity over ``G.units``, read once per distinct
     exact tuple (psi_0, ..., psi_d, S): each unit's tuple id, phi as a
     (d+1) x n float array, and per tuple whether sum_i psi_i^2 != S."""
-    ids: dict = {}  # tuple -> its id, in order of first appearance
-    first = []  # id -> the first unit that carries the tuple
-    tid = np.zeros(len(pou.G.units), np.intp)
-    for j, u in enumerate(pou.G.units):
-        key = tuple(p.get(u, 0) for p in pou.psi) + (pou.norm_sq.get(u, 1),)
-        tid[j] = t = ids.setdefault(key, len(ids))
-        if t == len(first):
-            first.append(u)
-    phi = np.array(
-        [[pou.phi_float(i, u) for u in first] for i in range(pou.d + 1)], float,
-    ).reshape(pou.d + 1, len(first))
-    off = np.array([sum(p * p for p in key[:-1]) != key[-1] for key in ids], bool)
-    return tid, phi[:, tid], off
+    off = np.array([sum(p * p for p in t[:-1]) != t[-1] for t in pou.tuples], bool)
+    return pou.tid, pou.phi[:, pou.tid], off
 
 
 def decompose_via_pou(f: ConvElement, pou) -> dict:

@@ -602,7 +602,8 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
     """The Z/n rotation of an ``{"action": {"cyclic": n}}`` file, or the
     explicit groupoid of a file of units, arrows, compose table and inverse
     map; every arrow id is a JSON integer, and an inverse key its
-    canonical decimal text."""
+    canonical decimal text.  An arrow id or a compose pair named twice is
+    refused, not merged."""
 
     def arrow_id(value) -> int:
         return integer(value, "arrow id")
@@ -615,11 +616,16 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         range_ = {}
         for a in data["arrows"]:
             g = arrow_id(a["id"])
+            if g in source:
+                raise InvalidInput(f"groupoid names arrow id {g} twice")
             source[g] = tuple(a["s"]) if isinstance(a["s"], list) else a["s"]
             range_[g] = tuple(a["r"]) if isinstance(a["r"], list) else a["r"]
-        compose = {
-            (arrow_id(g), arrow_id(h)): arrow_id(gh) for g, h, gh in data["compose"]
-        }
+        compose = {}
+        for g, h, gh in data["compose"]:
+            pair = (arrow_id(g), arrow_id(h))
+            if pair in compose:
+                raise InvalidInput(f"compose table names the pair {pair!r} twice")
+            compose[pair] = arrow_id(gh)
         if "inverse" not in data:
             raise InvalidInput("explicit groupoid files must carry an 'inverse' map")
         inverse = {g: arrow_id(v) for g, v in int_keys(data["inverse"], "inverse").items()}

@@ -130,24 +130,6 @@ class SimplicialPoint:
         self.den = den
 
     @classmethod
-    def from_numerators(cls, num: dict, den: int) -> "SimplicialPoint":
-        """The point with weight num[v]/den at v; zero numerators are dropped."""
-        try:
-            den = operator.index(den)
-            num = {v: operator.index(k) for v, k in num.items()}
-        except TypeError as exc:
-            raise InvalidInput(f"numerators and denominator must be integers: {exc}") from None
-        if den < 1:
-            raise InvalidInput(f"denominator {den} is not positive")
-        for v, k in num.items():
-            if k < 0:
-                raise InvalidInput(f"negative weight at vertex {v!r}")
-        total = sum(num.values())
-        if total != den:
-            raise InvalidInput(f"weights sum to {Fraction(total, den)}, not 1")
-        return cls._reduced({v: k for v, k in num.items() if k}, den)
-
-    @classmethod
     def _reduced(cls, num: dict, den: int) -> "SimplicialPoint":
         """Positive numerators summing to ``den``, brought to lowest terms."""
         g = math.gcd(den, *num.values())

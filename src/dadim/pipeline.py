@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import certify
 from .certify import CertificateChain, corpus_dir, load_certificate, write_certificate
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
@@ -116,7 +118,7 @@ def run_pipeline(
     bound_k3 = max(len(F) for F in f3) * q
     enlarged, erep = enlarge_cover(G, K, colors_q, bound_k3)
     chain.add_stage("enlarge", "enlarged", "04_enlarged.json", {
-        "colors": [sorted(c) for c in enlarged],
+        "colors": [np.flatnonzero(c).tolist() for c in enlarged],
         "k3_element_counts": [len(F) for F in f3],
         "size_bound": bound_k3,
         "report": erep.to_json(),
@@ -126,7 +128,7 @@ def run_pipeline(
     towers = build_tower(G, K, enlarged, pou_depth, size_bound=None)
     chain.add_stage("tower", "towers", "05_towers.json", {
         "N": pou_depth,
-        "levels": [[sorted(lvl) for lvl in t.levels] for t in towers],
+        "levels": [[np.flatnonzero(lvl).tolist() for lvl in t.levels] for t in towers],
     }, "verified")
 
     # stage 5: partition of unity

@@ -1,4 +1,4 @@
-"""Almost-invariant partitions of unity on finite groupoids.
+"""Almost-invariant partitions of unity on Z/q rotating its residues.
 
 Pipeline: a cover witnessing small generated subgroupoids for K^3 is
 enlarged so that each partial orbit s(r^-1(x) cap K) sits inside a single
@@ -11,16 +11,29 @@ rational values, and
 squares to a partition of unity on r(K) u s(K).  Every verification is
 done in exact arithmetic; inequalities involving square roots are decided
 on squares (see exactmath).
+
+The layer runs on arrays over the residues 0..q-1 of
+``cyclic_rotation_groupoid(q)``, with K = ``G.moves(E)`` read as its
+offsets, the group parts of its arrows.  A color or a tower level is a
+boolean array, one K-propagation step is the OR of the rolls of a level by
+the offsets, and the subgroupoid that K (or K^3) generates inside a set of
+residues is a component label per residue.  Each residue carries the id of
+its exact tuple (psi_0, ..., psi_d, S), and every exact decision is taken
+once per distinct tuple, or once per distinct pair of ids at the two ends
+of an arrow; the work per arrow is array indexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     InvalidInput,
-    NotFree,
     PropagationEscapesColor,
     TowerInvalid,
     WitnessInsufficient,
@@ -28,13 +41,7 @@ from .errors import (
     positive_int,
 )
 from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
-from .groupoid import (
-    _endpoint_units,
-    _seed_in_color,
-    _UnitSeed,
-    cyclic_rotation_groupoid,
-    generate_subgroupoid,
-)
+from .groupoid import BlockArrows, TransformationGroupoid, cyclic_rotation_groupoid
 from .reporting import VerificationReport
 
 __all__ = [
@@ -50,33 +57,155 @@ __all__ = [
 Rat = Fraction
 
 
-def _neighbours(G, K) -> dict:
-    """unit -> its K-neighbours s(r^-1(x) cap K), from one pass over K.  For
-    a symmetric K holding its unit arrows, the keys are r(K) u s(K) and
-    each unit is among its own neighbours."""
-    out: dict = {}
-    for a in K:
-        out.setdefault(G.range(a), set()).add(G.source(a))
+# ---------------------------------------------------------------------------
+# K on Z/q as its offsets
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an int array (np.unique would import
+    numpy.ma)."""
+    s = np.sort(a)
+    return s[_run_starts(s)]
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    return np.concatenate(([True], s[1:] != s[:-1]))[:len(s)]
+
+
+class _Moves:
+    """The arrows (g, x), x in Z/q, of a set of offsets g, as gather
+    arrays: ``to[j, x]`` is x + g_j and ``back[j, x]`` is x - g_j mod q.
+    The methods take one residue mask, or a (colors, q) stack of them."""
+
+    def __init__(self, q: int, offsets: np.ndarray):
+        ar = np.arange(q)
+        self.q = q
+        self.offsets = offsets
+        self.to = (ar + offsets[:, None]) % q
+        self.back = (ar - offsets[:, None]) % q
+        for a in (offsets, self.to, self.back):
+            a.flags.writeable = False  # shared by the stages that read one K
+
+    @classmethod
+    def of(cls, G, K) -> "_Moves":
+        """The offsets of K, which must be a union of full classes
+        {(g, x) : x in Z/q} of arrows of G = ``cyclic_rotation_groupoid(q)``,
+        as ``G.moves(E)`` is; any other G or K is InvalidInput.  A frozen K
+        is read once for the stages that share it."""
+        if not isinstance(G, TransformationGroupoid):
+            raise InvalidInput("the partition-of-unity stages run on Z/q rotating its residues")
+        if isinstance(K, frozenset):
+            return _moves_of(G.n, K)
+        return cls.read(G.n, K)
+
+    @classmethod
+    def read(cls, q: int, K) -> "_Moves":
+        try:
+            ok = set(map(len, K)) <= {2} and set(map(type, chain.from_iterable(K))) <= {int}
+            flat = np.fromiter(chain.from_iterable(K), np.int64, 2 * len(K)) if ok else None
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok or ((flat < 0) | (flat >= q)).any():
+            raise InvalidInput(f"K must be a set of arrows (g, x) of Z/{q}: residue pairs")
+        g, x = flat[0::2], flat[1::2]
+        offsets = _distinct(g)
+        seen = np.zeros((len(offsets), q), bool)
+        seen[np.searchsorted(offsets, g), x] = True
+        if not seen.all():
+            raise InvalidInput("K must hold every arrow (g, x) of each of its group parts g")
+        return cls(q, offsets)
+
+    def near(self, masks: np.ndarray) -> np.ndarray:
+        """s(K cap r^-1(mask)): the residues x with x + g in the mask for
+        some offset g."""
+        return masks[..., self.to].any(axis=-2)
+
+    def step(self, masks: np.ndarray) -> np.ndarray:
+        """One K-propagation step: the mask together with its ``near``."""
+        return masks | self.near(masks)
+
+    def components(self, masks: np.ndarray) -> np.ndarray:
+        """The blocks of the subgroupoid that the arrows inside a mask
+        generate: per residue, the least residue of its component in the
+        graph with an edge x -- x + g for every offset g joining two
+        residues of the mask, and -1 for a residue on no edge (isolated
+        residues are on their unit arrow when 0 is an offset).  The masks
+        of a stack are the layers of one graph.  Minimum labels are hooked
+        along the edges and compressed by pointer jumping until every edge
+        joins one label."""
+        q = self.q
+        stack = masks.reshape(-1, q)
+        layer, x = np.nonzero(stack)
+        to = self.to[:, x]
+        hit = stack[layer, to]
+        base = layer * q
+        a = (base + x)[np.nonzero(hit)[1]]
+        b = (base + to)[hit]
+        touched = np.zeros(stack.size, bool)
+        touched[a] = True
+        touched[b] = True
+        nodes = np.flatnonzero(touched)
+        pos = np.zeros(stack.size, np.intp)
+        pos[nodes] = np.arange(len(nodes))
+        a, b = pos[a], pos[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+        label = np.arange(len(nodes))
+        while a.size:
+            la, lb = label[a], label[b]
+            apart = la != lb
+            if not apart.any():
+                break
+            a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            while True:
+                jumped = label[label]
+                if (jumped == label).all():
+                    break
+                label = jumped
+        out = np.full(stack.size, -1, np.intp)
+        out[nodes] = nodes[label] % q
+        return out.reshape(masks.shape)
+
+
+@lru_cache(maxsize=1)
+def _moves_of(q: int, K: frozenset) -> _Moves:
+    return _Moves.read(q, K)
+
+
+def _generated_sizes(labels: np.ndarray) -> list[int]:
+    """Arrows of the subgroupoid with blocks ``labels``, per layer of a
+    (colors, q) stack: sum of |block|^2."""
+    c, q = labels.shape
+    on = labels >= 0
+    counts = np.bincount((labels + np.arange(c)[:, None] * q)[on], minlength=c * q)
+    return (counts.reshape(c, q) ** 2).sum(axis=1).tolist()
+
+
+def _block_arrows(label: np.ndarray) -> BlockArrows:
+    blocks: dict = {}
+    for x, root in enumerate(label.tolist()):
+        if root >= 0:
+            blocks.setdefault(root, []).append(x)
+    return BlockArrows(frozenset(map(frozenset, blocks.values())))
+
+
+def _color_masks(G, colors) -> np.ndarray:
+    """Colors as a (colors, q) boolean array; a color is a boolean array
+    over the residues or a collection of residues, whose other entries
+    name no unit and are ignored."""
+    out = np.zeros((len(colors), G.n), bool)
+    for i, c in enumerate(colors):
+        if isinstance(c, np.ndarray) and c.dtype == bool:
+            out[i] = c
+        else:
+            out[i, np.fromiter((x for x in c if x in G.unit_set), np.intp)] = True
     return out
 
 
-def _propagate(nbrs: dict, units: frozenset) -> frozenset:
-    """units u s(K cap r^-1(units))."""
-    return units.union(*(nbrs.get(x, ()) for x in units))
-
-
-def _in_envelope(nbrs: dict, G_i, gen) -> bool:
-    """gen <= K . G_i . K for a symmetric K, in a free groupoid: an arrow
-    is fixed by its endpoints, so the arrow from x to y lies in K . G_i . K
-    exactly when K-arrows at x and at y end in one block of G_i."""
-    label = G_i.label
-    reach = {  # unit -> blocks of G_i one K-arrow away
-        x: {label[y] for y in ys if y in label} for x, ys in nbrs.items()
-    }
-    return all(
-        not reach.get(x, set()).isdisjoint(reach.get(y, ()))
-        for b in gen.blocks for x in b for y in b
-    )
+# ---------------------------------------------------------------------------
+# the stages
 
 
 def enlarge_cover(G, K, colors, size_bound: int | None):
@@ -88,80 +217,99 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     small generated subgroupoids for K^3 (WitnessInsufficient otherwise).
     The enlarged color is U_i = s(K cap r^-1(V_i)) cap (r(K) u s(K)); the
     generated subgroupoid for (K, U_i) is checked to stay inside
-    K . G_i . K, with G_i generated from (K^3, V_i).  G must be free
-    (NotFree otherwise), so K^3 is fixed by its unit graph, units at most
-    three K-steps apart, which is read off the neighbour map.
+    K . G_i . K, with G_i generated from (K^3, V_i).  K^3 is the offsets
+    that are sums of one, two or three offsets of K.
 
-    Returns (new_colors, report).
+    Returns (new_colors, report), the new colors as a (colors, q) boolean
+    array.
     """
-    if not G.is_free():
-        raise NotFree("cover enlargement needs a free groupoid")
-    nbrs = _neighbours(G, K)
-    base = frozenset(nbrs)
-    # K^3's unit graph: two more propagation steps from the K-neighbours
-    near3 = {x: _propagate(nbrs, _propagate(nbrs, frozenset(ys))) for x, ys in nbrs.items()}
+    moves = _Moves.of(G, K)
+    o = moves.offsets
+    moves3 = _Moves(moves.q, _distinct(np.concatenate([
+        o, (o[:, None] + o).ravel(), (o[:, None, None] + o[:, None] + o).ravel(),
+    ]) % moves.q))
+    base = np.full(moves.q, o.size > 0)  # r(K) u s(K): every residue, or none
+    masks = _color_masks(G, colors)
 
-    covered = frozenset().union(*colors) if colors else frozenset()
-    if not base <= covered:
+    missing = int((base & ~masks.any(axis=0)).sum())
+    if missing:
         raise WitnessInsufficient(
-            f"colors do not cover r(K^3) u s(K^3); {len(base - covered)} units missing"
+            f"colors do not cover r(K^3) u s(K^3); {missing} units missing"
         )
 
-    G_is = []
-    for i, color in enumerate(colors):
-        gen = generate_subgroupoid(G, _UnitSeed(frozenset(color) & base, near3.__getitem__))
-        if size_bound is not None and len(gen) > size_bound:
+    labels3 = moves3.components(masks & base)
+    sizes3 = _generated_sizes(labels3)
+    for i, size in enumerate(sizes3):
+        if size_bound is not None and size > size_bound:
             raise WitnessInsufficient(
-                f"color {i} generates {len(gen)} arrows for K^3 > bound {size_bound}"
+                f"color {i} generates {size} arrows for K^3 > bound {size_bound}"
             )
-        G_is.append(gen)
 
-    # the partial orbit s(r^-1(x) cap K) of a unit is its K-neighbours
-    enlarged = [
-        frozenset().union(*(nbrs.get(x, ()) for x in color)) & base for color in colors
-    ]
+    # the partial orbit s(r^-1(x) cap K) of a unit is {x - g}
+    enlarged = moves.near(masks) & base
 
     # partial-orbit containment
-    orbit_fail = [x for x in base if not any(nbrs[x] <= u for u in enlarged)]
-    if orbit_fail:
+    orbit_fail = np.flatnonzero(base & ~enlarged[:, moves.back].all(axis=1).any(axis=0))
+    if orbit_fail.size:
         raise WitnessInsufficient(
-            f"partial orbits not contained in a single color at {orbit_fail[:3]!r}"
+            f"partial orbits not contained in a single color at {orbit_fail[:3].tolist()!r}"
         )
 
-    gen_sizes = []
-    for i, u in enumerate(enlarged):
-        gen = generate_subgroupoid(G, _seed_in_color(G, K, u))
-        if not _in_envelope(nbrs, G_is[i], gen):
+    labels = moves.components(enlarged)
+    for i, (label_i, label) in enumerate(zip(labels3, labels)):
+        if not _envelope_holds(moves, label_i, label):
             raise WitnessInsufficient(
                 f"color {i}: generated subgroupoid escapes K.G_i.K"
             )
-        gen_sizes.append(len(gen))
 
     report = VerificationReport(
         True, "ok", "cover enlarged; partial orbits contained",
         {
-            "generated_sizes_k3": [len(g) for g in G_is],
-            "generated_sizes": gen_sizes,
-            "enlarged_sizes": [len(u) for u in enlarged],
+            "generated_sizes_k3": sizes3,
+            "generated_sizes": _generated_sizes(labels),
+            "enlarged_sizes": enlarged.sum(axis=1).tolist(),
         },
     )
     return enlarged, report
 
 
+def _envelope_holds(moves: _Moves, label_i: np.ndarray, label: np.ndarray) -> bool:
+    """The subgroupoid with blocks ``label`` lies in K . G_i . K, G_i with
+    blocks ``label_i``: an arrow is fixed by its endpoints, so the arrow
+    from x to y lies there exactly when K-arrows at x and at y end in one
+    block of G_i, that is, when the blocks of G_i one K-step from x and
+    from y meet.  A block passes at once when the blocks one step from its
+    least residue hold one that every member reaches; the others compare
+    their members' reaches pairwise."""
+    reach = label_i[moves.back]  # (offsets, q): blocks of G_i one K-step away
+    members = np.flatnonzero(label >= 0)
+    root = label[members]
+    passed = np.zeros(moves.q, bool)
+    for cand in reach[:, root]:
+        has = (cand >= 0) & (reach[:, members] == cand).any(axis=0)
+        lacking = np.zeros(moves.q, bool)
+        lacking[root[~has]] = True
+        passed |= ~lacking
+    for r in _distinct(root[~passed[root]]).tolist():
+        sets = {
+            frozenset(col[col >= 0].tolist()) for col in reach[:, members[root == r]].T
+        }
+        if any(s.isdisjoint(t) for s in sets for t in sets):
+            return False
+    return True
+
+
 @dataclass
 class NestedColorTower:
     """Nested unit sets U^(0) <= ... <= U^(N+1) for one color, where each
-    level absorbs one K-propagation step of the previous one."""
+    level absorbs one K-propagation step of the previous one: a (levels, q)
+    boolean array over the residues."""
 
     color: int
-    levels: list[frozenset]
+    levels: np.ndarray
 
     @property
-    def depth(self) -> int:
-        return len(self.levels) - 2
-
-    @property
-    def top(self) -> frozenset:
+    def top(self) -> np.ndarray:
         return self.levels[-1]
 
 
@@ -174,145 +322,185 @@ def build_tower(G, K, colors, N: int, size_bound: int | None):
     and, given ``size_bound``, the small top."""
     if N < 1:
         raise InvalidInput("tower depth N must be positive")
-    nbrs = _neighbours(G, K)
-    base = frozenset(nbrs)
-    covered = frozenset().union(*colors) if colors else frozenset()
-    if not base <= covered:
-        raise TowerInvalid(
-            f"colors do not cover r(K) u s(K); {len(base - covered)} units missing"
-        )
-    towers = []
-    for i, color in enumerate(colors):
-        levels = [frozenset(color)]
-        for _ in range(N + 1):
-            levels.append(_propagate(nbrs, levels[-1]))
-        towers.append(NestedColorTower(i, levels))
+    moves = _Moves.of(G, K)
+    masks = _color_masks(G, colors)
+    if moves.offsets.size:
+        missing = int((~masks.any(axis=0)).sum())
+        if missing:
+            raise TowerInvalid(f"colors do not cover r(K) u s(K); {missing} units missing")
+    levels = np.empty((len(masks), N + 2, moves.q), bool)
+    levels[:, 0] = masks
+    for n in range(N + 1):
+        levels[:, n + 1] = moves.step(levels[:, n])
+    towers = [NestedColorTower(i, lv) for i, lv in enumerate(levels)]
 
     if size_bound is not None:
-        for t in towers:
-            gen = generate_subgroupoid(G, _seed_in_color(G, K, t.top))
-            if len(gen) > size_bound:
+        sizes = _generated_sizes(moves.components(levels[:, -1]))
+        for t, size in zip(towers, sizes):
+            if size > size_bound:
                 raise PropagationEscapesColor(
-                    f"color {t.color}: top level generates {len(gen)} arrows "
+                    f"color {t.color}: top level generates {size} arrows "
                     f"> bound {size_bound}; witness inadequate for depth {N}"
                 )
     return towers
 
 
+def _dense_ids(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank among the distinct values of ``key``, and the
+    position of one entry per rank."""
+    order = np.argsort(key, kind="stable")
+    new = _run_starts(key[order])
+    ids = np.empty(len(key), np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
 @dataclass
 class PartitionOfUnity:
-    """phi_i = psi_i / sqrt(S) stored as exact pairs (psi value, S).
+    """phi_i = psi_i / sqrt(S) over the residues of Z/q, stored exactly.
 
-    ``psi`` maps units to rationals with denominator N; ``norm_sq`` maps a
-    unit x to S_x = max(sum_j psi_j(x)^2, 1).  All checks run on squares.
+    A step value psi_i(x) is any exact rational in [0, 1]: built ones are
+    counts over N, and a certificate's may have any denominator.  Each
+    residue x carries ``tid[x]``, the id of its exact tuple
+    ``tuples[id] = (psi_0(x), ..., psi_d(x), S_x)`` with
+    S_x = max(sum_j psi_j(x)^2, 1); ``entries[i]`` holds the residues that
+    carry an explicit psi_i value, in the order given.  All checks run on
+    squares.
     """
 
     G: object
     K: frozenset
     towers: list[NestedColorTower]
     N: int
-    psi: list[dict]
-    norm_sq: dict
-    meta: dict = field(default_factory=dict)
+    tid: np.ndarray
+    tuples: list[tuple]
+    entries: list[np.ndarray]
+
+    @classmethod
+    def _of_values(cls, G, K, towers, N, values: list, vid: np.ndarray, entries):
+        """The partition of unity whose psi_i(x) is ``values[vid[i, x]]``:
+        residues are grouped by their column of value ids, and each
+        distinct tuple's S is taken once."""
+        key = vid[0]
+        for row in vid[1:]:
+            key = _dense_ids(key)[0] * len(values) + row
+        tid, first = _dense_ids(key)
+        tuples = []
+        for col in vid[:, first].T.tolist():
+            psi = tuple(values[v] for v in col)
+            tuples.append(psi + (max(sum((p * p for p in psi), Fraction(0)), Fraction(1)),))
+        return cls(G, K, towers, N, tid, tuples, entries)
 
     @property
     def d(self) -> int:
-        return len(self.psi) - 1
+        return len(self.towers) - 1
 
-    def phi_pair(self, i: int, x) -> tuple[Rat, Rat]:
-        return self.psi[i].get(x, Fraction(0)), self.norm_sq.get(x, Fraction(1))
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """(d+1, tuples) floats: phi_i of each tuple, through
+        ``sqrt_pair_float`` once per tuple."""
+        return np.array(
+            [[sqrt_pair_float(t[i], t[-1]) for t in self.tuples] for i in range(self.d + 1)],
+            float,
+        ).reshape(self.d + 1, len(self.tuples))
 
-    def phi_float(self, i: int, x) -> float:
-        p, S = self.phi_pair(i, x)
-        return sqrt_pair_float(p, S)
-
-    def small_subgroupoids(self) -> list:
+    def small_subgroupoids(self) -> list[BlockArrows]:
         """Per color, the subgroupoid generated by the K-arrows inside the
         tower top, in block form; cutdowns by phi_i land in its convolution
         algebra."""
-        return [
-            generate_subgroupoid(self.G, _seed_in_color(self.G, self.K, t.top))
-            for t in self.towers
-        ]
+        tops = np.array([t.top for t in self.towers])
+        return [_block_arrows(label) for label in _Moves.of(self.G, self.K).components(tops)]
 
     @classmethod
     def from_json(cls, G, K, data: dict) -> "PartitionOfUnity":
-        """Inverse of ``to_json``; unit keys are matched to G's units by repr."""
-        units = {repr(u): u for u in G.units}
+        """Inverse of ``to_json``: a unit key is a residue's decimal text,
+        and each distinct value text is parsed once."""
+        q = G.n
+        index = dict(zip(np.arange(q).astype(str).tolist(), range(q)))
 
-        def unit(key):
-            if key not in units:
-                raise InvalidInput(f"partition of unity names unknown unit {key!r}")
-            return units[key]
+        def residues(keys) -> list:
+            try:
+                return [index[k] for k in keys]
+            except KeyError:
+                bad = next(k for k in keys if k not in index)
+                raise InvalidInput(f"partition of unity names unknown unit {bad!r}") from None
 
         with malformed("partition of unity"):
-            towers = [
-                NestedColorTower(i, [frozenset(map(unit, lvl)) for lvl in levels])
-                for i, levels in enumerate(data["tower_levels"])
-            ]
-            psi = [{unit(u): Fraction(v) for u, v in p.items()} for p in data["psi"]]
+            towers = []
+            for i, levels in enumerate(data["tower_levels"]):
+                masks = np.zeros((len(levels), q), bool)
+                for n, lvl in enumerate(levels):
+                    masks[n, residues(lvl)] = True
+                towers.append(NestedColorTower(i, masks))
+            psi = data["psi"]
+            vid = np.zeros((len(psi), q), np.intp)
+            ids, parsed = {Fraction(0): 0}, {}  # value -> its id; text -> its value's id
+            entries = []
+            for i, p in enumerate(psi):
+                units = np.array(residues(p), np.intp)
+                for v in p.values():
+                    if v not in parsed:
+                        parsed[v] = ids.setdefault(Fraction(v), len(ids))
+                vid[i, units] = [parsed[v] for v in p.values()]
+                entries.append(units)
             N = positive_int(data["N"], "averaging depth N")
-        if not 1 <= len(psi) == len(towers) or not all(t.levels for t in towers):
+        if not 1 <= len(entries) == len(towers) or not all(len(t.levels) for t in towers):
             raise InvalidInput("a partition of unity needs one psi and a nonempty tower per color")
-        return cls(G, K, towers, N, psi, _norm_sq(psi))
+        return cls._of_values(G, K, towers, N, list(ids), vid, entries)
 
     def to_json(self) -> dict:
-        def key(u):
-            return repr(u)
-
+        """Unit keys are decimal texts, sorted as texts."""
+        q = self.G.n
+        texts = np.arange(q).astype(str)
+        order = np.argsort(texts)
+        in_order = texts[order].astype(object)
+        rank = np.empty(q, np.intp)
+        rank[order] = np.arange(q)
+        names = texts.tolist()
+        psi = []
+        for i, units in enumerate(self.entries):
+            value = [str(t[i]) for t in self.tuples]
+            units = units[np.argsort(rank[units])].tolist()
+            tid = self.tid[units].tolist()
+            psi.append({names[u]: value[k] for u, k in zip(units, tid)})
         return {
             "N": self.N,
-            "colors": [sorted(map(key, t.top)) for t in self.towers],
-            "psi": [
-                {key(u): str(v) for u, v in sorted(p.items(), key=lambda kv: key(kv[0]))}
-                for p in self.psi
-            ],
+            "colors": [in_order[t.top[order]].tolist() for t in self.towers],
+            "psi": psi,
             "tower_levels": [
-                [sorted(map(key, lvl)) for lvl in t.levels] for t in self.towers
+                [in_order[lvl[order]].tolist() for lvl in t.levels] for t in self.towers
             ],
         }
-
-
-def _norm_sq(psi: list[dict]) -> dict:
-    """x -> max(sum_j psi_j(x)^2, 1) on the union of the supports."""
-    return {
-        x: max(sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0)), Fraction(1))
-        for x in set().union(*psi)
-    }
 
 
 def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
     """Average the tower indicator steps and normalize in squared form.
 
-    psi_i(x) = #{n in [1, N] : x in U_i^(n-1)} / N; at least one psi_i
-    equals 1 on r(K) u s(K) because the base levels cover it, so the
-    squared normalizer is the honest sum there and sum phi_i^2 = 1 exactly.
-    K is symmetric, as for ``build_tower``, and is kept in the result.
+    psi_i(x) = #{n in [1, N] : x in U_i^(n-1)} / N on the top level; at
+    least one psi_i equals 1 on r(K) u s(K) because the base levels cover
+    it, so the squared normalizer is the honest sum there and
+    sum phi_i^2 = 1 exactly.  K is symmetric, as for ``build_tower``, and
+    is kept in the result.
     """
     if not towers:
         raise TowerInvalid("need at least one tower")
-    N = towers[0].depth
+    N = len(towers[0].levels) - 2
     if N < 3:
         raise TowerInvalid("averaging depth must satisfy N >= 3")
-    if any(t.depth != N for t in towers):
+    if any(len(t.levels) - 2 != N for t in towers):
         raise TowerInvalid("towers have mismatched depths")
-    base = _endpoint_units(G, K)
+    moves = _Moves.of(G, K)
 
-    psi: list[dict] = []
-    for t in towers:
-        vals: dict = {}
-        for x in t.top:
-            count = sum(1 for n in range(1, N + 1) if x in t.levels[n - 1])
-            if count:
-                vals[x] = Fraction(count, N)
-        psi.append(vals)
+    counts = np.array([t.levels[:N].sum(axis=0) * t.top for t in towers], np.intp)
+    values = [Fraction(c, N) for c in range(N + 1)]
+    pou = PartitionOfUnity._of_values(
+        G, K, towers, N, values, counts, [np.flatnonzero(c) for c in counts],
+    )
 
-    norm_sq = _norm_sq(psi)
-    pou = PartitionOfUnity(G, K, towers, N, psi, norm_sq)
-
-    for x in base:
-        if not any(p.get(x) == 1 for p in psi):
-            raise TowerInvalid(f"no step function equals 1 at {x!r}; base cover broken")
+    if moves.offsets.size:
+        broken = np.flatnonzero(~(counts == N).any(axis=0))
+        if broken.size:
+            raise TowerInvalid(f"no step function equals 1 at {int(broken[0])!r}; base cover broken")
     return pou
 
 
@@ -325,94 +513,105 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
     bound is sqrt(2)(1+sqrt(d+1))/sqrt(N).  Either way the comparison is
     decided on squares with zero tolerance.
 
-    K is walked as given, once.  Its symmetrization would not change the
-    verdict: both checks on an arrow are symmetric in its endpoints, and
-    a unit arrow passes them.
+    Each check is decided once per distinct tuple, or per distinct pair of
+    tuple ids at the ends of an arrow of K, and gathered over the residues
+    or the offsets of K.  A rejection names the first violation in the
+    order of the per-unit loops: a psi_i's entries in their order, units
+    in increasing order, and the arrows of K in its own order, walked once
+    to find it.  Symmetrizing K would not change the verdict: both checks
+    on an arrow are symmetric in its endpoints, and a unit arrow passes
+    them.
     """
-    ends = [(a, G.source(a), G.range(a)) for a in K]
-    base = frozenset(x for _, sx, rx in ends for x in (sx, rx))
+    moves = _Moves.of(G, K)
     d, N = pou.d, pou.N
+    tid, tuples = pou.tid, pou.tuples
 
-    for i, p in enumerate(pou.psi):
-        for x, v in p.items():
-            if not 0 <= v <= 1:
-                return VerificationReport(
-                    False, "StepValueOutOfRange",
-                    f"psi_{i} = {v} outside [0, 1] at {x!r}",
-                    {"color": i, "unit": repr(x), "value": str(v)},
-                )
-
-    for i, t in enumerate(pou.towers):
-        for x, v in pou.psi[i].items():
-            if v > 0 and x not in t.top:
-                return VerificationReport(
-                    False, "SupportViolation",
-                    f"phi_{i} positive outside its color at {x!r}",
-                    {"color": i, "unit": repr(x)},
-                )
-
-    for x in base:
-        total = sum(
-            (p.get(x, Fraction(0)) ** 2 for p in pou.psi), Fraction(0)
-        )
-        if total / pou.norm_sq.get(x, Fraction(1)) != 1:
+    for i, units in enumerate(pou.entries):
+        outside = np.array([not 0 <= t[i] <= 1 for t in tuples])
+        hit = np.flatnonzero(outside[tid[units]])
+        if hit.size:
+            x = int(units[hit[0]])
+            v = tuples[tid[x]][i]
             return VerificationReport(
-                False, "NormalizationDefect",
-                f"sum phi_i^2 != 1 at {x!r}",
-                {"unit": repr(x)},
-            )
-        if sum((p.get(x, Fraction(0)) for p in pou.psi), Fraction(0)) < 1:
-            return VerificationReport(
-                False, "NormalizationDefect",
-                f"sum psi_i < 1 at {x!r}", {"unit": repr(x)},
+                False, "StepValueOutOfRange",
+                f"psi_{i} = {v} outside [0, 1] at {x!r}",
+                {"color": i, "unit": repr(x), "value": str(v)},
             )
 
-    # an arrow's checks read only the pairs (psi_i, S) at its endpoints:
-    # each unit gets the id of its pair per color, and each distinct pair
-    # of ids is decided once; K is walked in its order, so the first
-    # violation is the one the per-arrow loop reports
-    step_bound = Fraction(2, N)
+    for i, (units, t) in enumerate(zip(pou.entries, pou.towers)):
+        positive = np.array([t_[i] > 0 for t_ in tuples])
+        hit = np.flatnonzero(positive[tid[units]] & ~t.top[units])
+        if hit.size:
+            x = int(units[hit[0]])
+            return VerificationReport(
+                False, "SupportViolation",
+                f"phi_{i} positive outside its color at {x!r}",
+                {"color": i, "unit": repr(x)},
+            )
+
+    if moves.offsets.size:  # r(K) u s(K) is every residue
+        defect = [
+            "sum phi_i^2 != 1 at" if sum((p * p for p in t[:-1]), Fraction(0)) / t[-1] != 1
+            else "sum psi_i < 1 at" if sum(t[:-1], Fraction(0)) < 1
+            else ""
+            for t in tuples
+        ]
+        hit = np.flatnonzero(np.array([bool(m) for m in defect])[tid])
+        if hit.size:
+            x = int(hit[0])
+            return VerificationReport(
+                False, "NormalizationDefect", f"{defect[tid[x]]} {x!r}", {"unit": repr(x)},
+            )
+
+    # the distinct (source, range) pairs of tuple ids over the arrows of K;
+    # an arrow's checks on color i read the pairs (psi_i, S) at its ends,
+    # which get ids, and are symmetric in the two ends
+    T = len(tuples)
+    pairs = _distinct((tid * T + tid[moves.to]).ravel())
+    src, rng = pairs // T, pairs % T
     pair_ids: dict = {}
-    ids = [
-        {x: pair_ids.setdefault(pou.phi_pair(i, x), len(pair_ids)) for x in base}
-        for i in range(d + 1)
-    ]
-    pairs = list(pair_ids)
+    ids = [[pair_ids.setdefault((t[i], t[-1]), len(pair_ids)) for t in tuples]
+           for i in range(d + 1)]
+    values = list(pair_ids)
+    step_bound = Fraction(2, N)
+    bound = None if eps is None else Fraction(eps)
+    decided: dict = {}
 
     def decide(key):
-        (ps, Ss), (pr, Sr) = pairs[key[0]], pairs[key[1]]
+        (ps, Ss), (pr, Sr) = values[key[0]], values[key[1]]
         if abs(ps - pr) > step_bound:
-            return "StepBoundViolation", None
-        if eps is None:
+            return "StepBoundViolation"
+        if bound is None:
             ok = diff_lt_osc_bound(ps, Ss, pr, Sr, d, N)
         else:
-            ok = diff_lt_rational(ps, Ss, pr, Sr, Fraction(eps))
-        if not ok:
-            return "OscillationExceeded", None
-        return None, abs(sqrt_pair_float(ps, Ss) - sqrt_pair_float(pr, Sr))
+            ok = diff_lt_rational(ps, Ss, pr, Sr, bound)
+        return None if ok else "OscillationExceeded"
 
-    decided: dict = {}
-    max_osc_float = 0.0
-    for a, sx, rx in ends:
-        for i in range(d + 1):
-            key = (ids[i][sx], ids[i][rx])
-            verdict = decided.get(key)
-            if verdict is None:
-                verdict = decided[key] = decide(key)
-            code, osc = verdict
+    failed: dict = {}  # (source id, range id) -> (color, code) of its first violation
+    for s, r in zip(src.tolist(), rng.tolist()):
+        for i, color_ids in enumerate(ids):
+            a, b = color_ids[s], color_ids[r]
+            key = (a, b) if a <= b else (b, a)
+            if key not in decided:
+                decided[key] = decide(key)
+            if decided[key] is not None:
+                failed[s, r] = (i, decided[key])
+                break
+    if failed:
+        q, ids = moves.q, tid.tolist()
+        for a in K:
+            hit = failed.get((ids[a[1]], ids[(a[1] + a[0]) % q]))
+            if hit is None:
+                continue
+            i, code = hit
             if code == "StepBoundViolation":
-                return VerificationReport(
-                    False, code,
-                    f"|psi_{i}(s) - psi_{i}(r)| > 2/N on arrow {a!r}",
-                    {"arrow": repr(a), "color": i},
-                )
-            if code == "OscillationExceeded":
-                return VerificationReport(
-                    False, code,
-                    f"|phi_{i}(s(g)) - phi_{i}(r(g))| too large on arrow {a!r}",
-                    {"arrow": repr(a), "color": i},
-                )
-            max_osc_float = max(max_osc_float, osc)
+                message = f"|psi_{i}(s) - psi_{i}(r)| > 2/N on arrow {a!r}"
+            else:
+                message = f"|phi_{i}(s(g)) - phi_{i}(r(g))| too large on arrow {a!r}"
+            return VerificationReport(False, code, message, {"arrow": repr(a), "color": i})
+
+    phi = pou.phi
+    max_osc_float = float(np.abs(phi[:, src] - phi[:, rng]).max(initial=0.0))
     return VerificationReport(
         True, "ok", "partition of unity verified",
         {

@@ -57,9 +57,6 @@ class SymbolicSystem:
     minimal: bool
     infinite: bool
 
-    def whole(self) -> "ClopenSet":
-        raise NotImplementedError
-
     def empty(self) -> "ClopenSet":
         raise NotImplementedError
 
@@ -98,9 +95,6 @@ class Odometer(SymbolicSystem):
         if depth > self.depth_limit:
             raise DepthExceeded(f"depth {depth} exceeds depth_limit {self.depth_limit}")
         return self._sizes[depth]
-
-    def whole(self) -> "OdometerClopen":
-        return OdometerClopen(self, 0, frozenset({0}))
 
     def empty(self) -> "OdometerClopen":
         return OdometerClopen(self, 0, frozenset())
@@ -193,9 +187,6 @@ class _Subshift(SymbolicSystem):
                 by_suffix.setdefault(w[1:], set()).add(w)
             self._group_cache[length] = (by_prefix, by_suffix)
         return self._group_cache[length]
-
-    def whole(self) -> "SubshiftClopen":
-        return SubshiftClopen(self, 0, frozenset({""}))
 
     def empty(self) -> "SubshiftClopen":
         return SubshiftClopen(self, 0, frozenset())
@@ -430,9 +421,6 @@ class ClopenSet:
     def translate(self, n: int) -> "ClopenSet":
         raise NotImplementedError
 
-    def same_set(self, other: "ClopenSet") -> bool:
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -486,9 +474,6 @@ class OdometerClopen(ClopenSet):
     def translate(self, n: int) -> "OdometerClopen":
         q = self.system.level_size(self.depth)
         return OdometerClopen(self.system, self.depth, frozenset((v + n) % q for v in self.values))
-
-    def same_set(self, other) -> bool:
-        return self == other  # canonical form is unique
 
     def to_json(self) -> dict:
         words = []
@@ -597,15 +582,6 @@ class SubshiftClopen(ClopenSet):
             return self
         self._check_window(self.left - n, self.wlen)
         return SubshiftClopen(self.system, self.left - n, self.words)
-
-    def same_set(self, other: "SubshiftClopen") -> bool:
-        if self == other:
-            return True
-        if self.is_empty() or other.is_empty():
-            return self.is_empty() and other.is_empty()
-        left = min(self.left, other.left)
-        right = max(self.left + self.wlen, other.left + other.wlen)
-        return self._extended(left, right - left) == other._extended(left, right - left)
 
     def to_json(self) -> dict:
         return {"left": self.left, "words": sorted(self.words)}

@@ -1,8 +1,11 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from dadim.coarse import AsdimWitness, Grid1dSpace
 from dadim.convolution import (
@@ -48,8 +51,50 @@ from dadim.nerve import (
     l1_distance,
     nice_cover_assign,
 )
-from dadim.pou import NestedColorTower, PartitionOfUnity
-from dadim.symbolic import ClopenSet, SymbolicSystem
+from dadim.pou import PartitionOfUnity
+from dadim.symbolic import ClopenSet, Odometer, OdometerClopen, SubshiftClopen, SymbolicSystem
+
+
+def whole(system: SymbolicSystem) -> ClopenSet:
+    """The whole space of a system as its one cylinder of depth 0."""
+    if isinstance(system, Odometer):
+        return OdometerClopen(system, 0, frozenset({0}))
+    return SubshiftClopen(system, 0, frozenset({""}))
+
+
+def same_set(A: ClopenSet, B: ClopenSet) -> bool:
+    """Whether two clopen sets of one system are the same set: an odometer
+    clopen's canonical form is unique, and subshift clopens are compared
+    as their cylinders over one common window."""
+    if A == B:
+        return True
+    if isinstance(A, OdometerClopen):
+        return False
+    if A.is_empty() or B.is_empty():
+        return A.is_empty() and B.is_empty()
+    left = min(A.left, B.left)
+    right = max(A.left + A.wlen, B.left + B.wlen)
+    return A._extended(left, right - left) == B._extended(left, right - left)
+
+
+def from_numerators(num: dict, den: int) -> SimplicialPoint:
+    """The point with weight num[v]/den at v; zero numerators are dropped.
+    Integers only, den >= 1, no negative weight, and weights summing to 1,
+    else InvalidInput."""
+    try:
+        den = operator.index(den)
+        num = {v: operator.index(k) for v, k in num.items()}
+    except TypeError as exc:
+        raise InvalidInput(f"numerators and denominator must be integers: {exc}") from None
+    if den < 1:
+        raise InvalidInput(f"denominator {den} is not positive")
+    for v, k in num.items():
+        if k < 0:
+            raise InvalidInput(f"negative weight at vertex {v!r}")
+    total = sum(num.values())
+    if total != den:
+        raise InvalidInput(f"weights sum to {Fraction(total, den)}, not 1")
+    return SimplicialPoint._reduced({v: k for v, k in num.items() if k}, den)
 
 
 def z2_pair_groupoid_json(n: int, corrupt: bool = False) -> dict:
@@ -350,7 +395,7 @@ def nerve_certificate_pair_loop(C, den: int) -> dict:
     for face in C.maximal_faces:
         verts = sorted(face, key=repr)
         for combo in compositions(den, len(verts)):
-            mu = SimplicialPoint.from_numerators(dict(zip(verts, combo)), den)
+            mu = from_numerators(dict(zip(verts, combo)), den)
             i, delta = nice_cover_assign(mu, C)
             counts[str(i)] = counts.get(str(i), 0) + 1
             by_piece.setdefault((i, delta), []).append(mu)
@@ -425,7 +470,7 @@ def perturb_to_finite_support(f: dict, act_X, act_V, E, eps, S=None):
     for x, mu in f.items():
         kept = {v: k for v, k in mu.num.items() if v in S}
         T = sum(kept.values())
-        out[x] = SimplicialPoint.from_numerators(kept, T)
+        out[x] = from_numerators(kept, T)
         move = l1_distance(mu, out[x])
         if move != Fraction(2 * (mu.den - T), mu.den):
             raise NoFiniteS(f"renormalizing sample {x!r} moved it by {move}, not 2*(1 - T)")
@@ -585,7 +630,7 @@ def map_from_cover(cover: EquivariantCover, E, n: int):
 
     # supp f(x) lies in the face of the pair (x, e), so f(x) is in the nerve
     f = {
-        x: SimplicialPoint.from_numerators(
+        x: from_numerators(
             {U: ps[(x, group.unit)] for U, ps in zip(cover.sets, psi)}, totals[(x, group.unit)]
         )
         for x in cover.space
@@ -880,7 +925,8 @@ def decompose_oracle(f: ConvElement, pou) -> dict:
     """``convolution.decompose_via_pou`` on ConvElement dicts: phi_i as a
     dict over the units, each cut-down, their sum and the defect as
     elements built arrow by arrow, so the defect keeps the float residues
-    of sum_i phi_i^2 - 1 wherever they are nonzero."""
+    of sum_i phi_i^2 - 1 wherever they are nonzero.  ``pou`` is a
+    ``SetPou``, whose small subgroupoids come from ``generate_subgroupoid``."""
     G = pou.G
     if f.G is not G:
         raise GroupoidMismatch("element and partition live on different groupoids")
@@ -967,6 +1013,103 @@ def block_decompose_oracle(G, sub=None) -> tuple:
     if len(set(arrow_pos.values())) != len(arrow_pos) or len(arrow_pos) != len(sub):
         raise NotFree("a block is not inside one orbit: its matrix units are not all arrows")
     return [(m[0], m) for m in classes], arrow_pos
+
+
+# ---------------------------------------------------------------------------
+# partitions of unity on unit sets and dicts: the stages' oracles
+
+
+@dataclass
+class SetTower:
+    """``pou.NestedColorTower`` with its levels as frozensets of units."""
+
+    color: int
+    levels: list
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 2
+
+    @property
+    def top(self) -> frozenset:
+        return self.levels[-1]
+
+
+@dataclass
+class SetPou:
+    """``pou.PartitionOfUnity`` as dicts: ``psi[i]`` maps a unit to its
+    explicit psi_i value, and ``norm_sq`` maps each unit of their supports
+    to max(sum_j psi_j^2, 1)."""
+
+    G: object
+    K: frozenset
+    towers: list
+    N: int
+    psi: list
+    norm_sq: dict
+
+    @property
+    def d(self) -> int:
+        return len(self.psi) - 1
+
+    def phi_pair(self, i: int, x) -> tuple:
+        return self.psi[i].get(x, Fraction(0)), self.norm_sq.get(x, Fraction(1))
+
+    def phi_float(self, i: int, x) -> float:
+        return sqrt_pair_float(*self.phi_pair(i, x))
+
+    def small_subgroupoids(self) -> list:
+        """Per color, the subgroupoid generated by the K-arrows inside the
+        tower top."""
+        return [generate_subgroupoid(self.G, _seed_in_color(self.G, self.K, t.top))
+                for t in self.towers]
+
+
+def norm_sq_oracle(psi: list) -> dict:
+    """x -> max(sum_j psi_j(x)^2, 1) on the union of the supports."""
+    return {
+        x: max(sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0)), Fraction(1))
+        for x in set().union(*psi)
+    }
+
+
+def unit_sets(masks) -> list:
+    """Boolean arrays over the residues as frozensets of residues."""
+    return [frozenset(np.flatnonzero(m).tolist()) for m in masks]
+
+
+def set_towers(towers) -> list:
+    """Array towers as ``SetTower``s."""
+    return [SetTower(t.color, unit_sets(t.levels)) for t in towers]
+
+
+def as_set_pou(pou: PartitionOfUnity) -> SetPou:
+    """An array partition of unity as dicts, each psi_i in the order of
+    its entries."""
+    psi = [
+        {x: pou.tuples[pou.tid[x]][i] for x in units.tolist()}
+        for i, units in enumerate(pou.entries)
+    ]
+    return SetPou(pou.G, pou.K, set_towers(pou.towers), pou.N, psi, norm_sq_oracle(psi))
+
+
+def phi_pair(pou: PartitionOfUnity, i: int, x) -> tuple:
+    """(psi_i(x), S_x) of an array partition of unity."""
+    t = pou.tuples[pou.tid[x]]
+    return t[i], t[-1]
+
+
+def phi_float(pou: PartitionOfUnity, i: int, x) -> float:
+    return sqrt_pair_float(*phi_pair(pou, i, x))
+
+
+def block_labels(q: int, gen) -> np.ndarray:
+    """The blocks of a ``BlockArrows`` on Z/q as ``pou``'s component
+    labels: each residue's least block mate, -1 off every block."""
+    out = np.full(q, -1, np.intp)
+    for b in gen.blocks:
+        out[list(b)] = min(b)
+    return out
 
 
 def symmetrize_arrows(G, K):
@@ -1077,7 +1220,7 @@ def build_tower_oracle(G, K, colors, N, size_bound):
         levels = [frozenset(color)]
         for _ in range(N + 1):
             levels.append(_propagate_oracle(G, K, levels[-1]))
-        towers.append(NestedColorTower(i, levels))
+        towers.append(SetTower(i, levels))
     if size_bound is not None:
         for t in towers:
             gen = generate_subgroupoid(G, _seed_in_color(G, K, t.top))
@@ -1090,8 +1233,9 @@ def build_tower_oracle(G, K, colors, N, size_bound):
 
 
 def build_pou_oracle(G, K, towers):
-    """``pou.build_pou`` symmetrizing K itself: psi counts the levels below
-    N holding a unit, norm_sq is max(sum_j psi_j^2, 1) on their supports."""
+    """``pou.build_pou`` on ``SetTower``s, symmetrizing K itself: psi
+    counts the levels below N holding a unit, norm_sq is
+    max(sum_j psi_j^2, 1) on their supports."""
     K = symmetrize_arrows(G, K)
     if not towers:
         raise TowerInvalid("need at least one tower")
@@ -1104,19 +1248,15 @@ def build_pou_oracle(G, K, towers):
     for t in towers:
         counts = {x: sum(1 for n in range(1, N + 1) if x in t.levels[n - 1]) for x in t.top}
         psi.append({x: Fraction(c, N) for x, c in counts.items() if c})
-    norm_sq = {
-        x: max(sum((p.get(x, Fraction(0)) ** 2 for p in psi), Fraction(0)), Fraction(1))
-        for x in set().union(*psi)
-    }
     for x in _endpoint_units(G, K):
         if not any(p.get(x) == 1 for p in psi):
             raise TowerInvalid(f"no step function equals 1 at {x!r}; base cover broken")
-    return PartitionOfUnity(G, K, towers, N, psi, norm_sq)
+    return SetPou(G, K, towers, N, psi, norm_sq_oracle(psi))
 
 
 def verify_pou_oracle(G, K, pou, eps=None) -> VerificationReport:
-    """``pou.verify_pou`` with the step and oscillation checks decided
-    afresh on every (arrow, color), walking K as given."""
+    """``pou.verify_pou`` on a ``SetPou``, with the step and oscillation
+    checks decided afresh on every (arrow, color), walking K as given."""
     base = _endpoint_units(G, K)
     d, N = pou.d, pou.N
     for i, p in enumerate(pou.psi):

@@ -31,7 +31,15 @@ from dadim.pipeline import run_pipeline
 from dadim.pou import pou_from_group_action, verify_pou
 from dadim.symbolic import Odometer, return_time_report
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
-from helpers import adjoint, convolve, exhaustive_min_colors_with_witness, matrix_unit_defects
+from helpers import (
+    adjoint,
+    as_set_pou,
+    convolve,
+    exhaustive_min_colors_with_witness,
+    matrix_unit_defects,
+    phi_pair,
+    whole,
+)
 
 F = Fraction
 
@@ -97,7 +105,7 @@ def test_criterion_2_locally_finite_obstruction():
     """A single whole-space color with E = {-1,0,1} must blow up fast."""
     dyadic = Odometer([2], depth_limit=12)
     bad = DadWitness(
-        colors=[dyadic.whole()],
+        colors=[whole(dyadic)],
         generator_set=(-1, 0, 1),
         finite_sets=[frozenset({0})],
     )
@@ -159,12 +167,13 @@ def test_criterion_4_pou_constants(N):
     # re-run the exact comparison arrow by arrow, zero tolerance
     for a in K:
         for i in range(2):
-            ps, Ss = pou.phi_pair(i, G.source(a))
-            pr, Sr = pou.phi_pair(i, G.range(a))
+            ps, Ss = phi_pair(pou, i, G.source(a))
+            pr, Sr = phi_pair(pou, i, G.range(a))
             assert diff_lt_osc_bound(ps, Ss, pr, Sr, 1, N)
+    tables = as_set_pou(pou)
     for x in range(12):
-        total = sum((p.get(x, F(0)) ** 2 for p in pou.psi), F(0))
-        assert total / pou.norm_sq[x] == 1
+        total = sum((p.get(x, F(0)) ** 2 for p in tables.psi), F(0))
+        assert total / tables.norm_sq[x] == 1
     print(
         f"[criterion 4] PASS N={N}: max osc "
         f"{report.details['max_oscillation_float']:.6f} < "

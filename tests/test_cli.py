@@ -356,6 +356,57 @@ def test_decompose_refuses_an_arrow_named_twice(workdir, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("repeat", ["arrow", "compose"])
+def test_norm_refuses_a_repeated_arrow_id_or_compose_pair(workdir, capsys, repeat):
+    """An explicit Z/2 file that names arrow id 1 twice, or repeats the
+    compose row [1, 1, 0], is refused with exit 2, where the readers used
+    to merge the rows and exit 0."""
+    data = {
+        "units": [0],
+        "arrows": [{"id": 0, "s": 0, "r": 0}, {"id": 1, "s": 0, "r": 0}],
+        "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "inverse": {"0": 0, "1": 1},
+    }
+    g = workdir / "g.json"
+    e = workdir / "e.json"
+    e.write_text(json.dumps({"coeffs": [[1, "1", "0"]]}))
+    g.write_text(json.dumps(data))
+    assert run(["norm", "--groupoid", g, "--element", e]) == 0
+    if repeat == "arrow":
+        data["arrows"].append({"id": 1, "s": 0, "r": 0})
+    else:
+        data["compose"].append([1, 1, 0])
+    g.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code
+    assert "twice" in capsys.readouterr().err
+
+
+def test_a_witness_that_names_a_key_twice_is_refused(workdir, capsys):
+    """``"scale_R": 1000, "scale_R": 10`` in a coarse witness is refused
+    with exit 2, where the last key used to win and the witness passed."""
+    aw = workdir / "aw.json"
+    assert run(["asdim-construct", "--space", workdir / "space1d.json", "--R", 10, "-o", aw]) == 0
+    text = aw.read_text()
+    assert text.count('"scale_R": 10') == 1
+    aw.write_text(text.replace('"scale_R": 10', '"scale_R": 1000, "scale_R": 10'))
+    capsys.readouterr()
+    assert run(["asdim-verify", "--space", workdir / "space1d.json", "--witness", aw]) == 2
+    assert "duplicate key 'scale_R'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400", "-1e400"])
+def test_an_element_coefficient_that_is_not_finite_is_refused(workdir, capsys, number):
+    """A coefficient of Infinity, NaN or a literal that overflows a float
+    is refused with exit 2, where it used to end in a traceback (exit 1)."""
+    g = workdir / "g.json"
+    e = workdir / "e.json"
+    g.write_text(json.dumps({"action": {"cyclic": 4}}))
+    e.write_text('{"coeffs": [[[1, 0], %s, "0"]]}' % number)
+    assert run(["norm", "--groupoid", g, "--element", e]) == InvalidInput.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_norm_rejects_non_associative_groupoid(workdir):
     g = workdir / "g.json"
     e = workdir / "e.json"
@@ -603,6 +654,13 @@ BROKEN_CHAINS = {
     ),
     "deleted_artifact": (lambda c: (c / "05_towers.json").unlink(), HashMismatch),
     "artifact_not_json": (lambda c: (c / "04_enlarged.json").write_text("[1,"), HashMismatch),
+    # the parsed value would keep the last "N" and hash as before
+    "artifact_names_a_key_twice": (
+        lambda c: (c / "06_pou.json").write_text(
+            (c / "06_pou.json").read_text().replace('"N": 4', '"N": 1000, "N": 4')
+        ),
+        HashMismatch,
+    ),
     "absolute_artifact_path": (lambda c: _link_outside(c, "absolute"), InvalidInput),
     "artifact_path_leaves_directory": (lambda c: _link_outside(c, "relative"), InvalidInput),
     "input_rewired": (lambda c: _edit_chain(c, _rewire), InvalidInput),

@@ -32,12 +32,13 @@ from dadim.groupoid import (
     groupoid_from_json,
     pair_groupoid,
 )
-from dadim.pou import NestedColorTower, PartitionOfUnity, _norm_sq, pou_from_group_action
+from dadim.pou import NestedColorTower, PartitionOfUnity, pou_from_group_action
 from helpers import (
     FiniteGroup,
     action_groupoid_oracle,
     adjoint,
     arrow_positions,
+    as_set_pou,
     block_decompose_oracle,
     cmul,
     commutator_report_oracle,
@@ -46,6 +47,7 @@ from helpers import (
     cyclic_group,
     decompose_oracle,
     matrix_unit_defects,
+    phi_float,
     pointwise,
     regular_representation_oracle,
     rep_matrix,
@@ -586,7 +588,7 @@ def test_decompose_z12(N):
         assert pc["commutator_norm"] <= pc["commutator_bound"] + 1e-9
         assert pc["cutdown_norm"] <= reduced_norm(f) + 1e-9
         # the largest block norm over the color's blocks is the reduced norm
-        phi = {u: pou.phi_float(i, u) for u in G.units}
+        phi = {u: phi_float(pou, i, u) for u in G.units}
         assert abs(pc["cutdown_norm"] - reduced_norm(cutdown(f, phi))) <= 1e-9
         assert pc["cutdown_block_norm"] == pc["cutdown_norm"]
 
@@ -594,7 +596,7 @@ def test_decompose_z12(N):
 def test_decompose_support_leak():
     G, K, towers, pou = z12_pou(4)
     # shrink a declared color after the fact: the cut-down escapes it
-    pou.towers[0].levels[-1] = frozenset({0, 1})
+    pou.towers[0].top[2:] = False
     f = ConvElement(G, {a: 1 for a in K})
     with pytest.raises(SupportLeak, match="escapes its small subgroupoid"):
         decompose_via_pou(f, pou)
@@ -622,8 +624,8 @@ def test_decompose_refuses_isotropy():
     cut-down decomposition refuses it with NotFree."""
     G = action_groupoid_oracle(cyclic_group(4), (0, 1), lambda g, x: (x + g) % 2)
     K = frozenset(G.arrows)
-    psi = [{0: F(1), 1: F(1)}]
-    pou = PartitionOfUnity(G, K, [NestedColorTower(0, [frozenset({0, 1})])], 4, psi, _norm_sq(psi))
+    tower = NestedColorTower(0, np.ones((1, 2), bool))
+    pou = PartitionOfUnity(G, K, [tower], 4, np.zeros(2, np.intp), [(F(1), F(1))], [np.arange(2)])
     with pytest.raises(NotFree):
         decompose_via_pou(ConvElement(G, {a: 1 for a in K}), pou)
 
@@ -679,7 +681,7 @@ def test_decompose_matches_the_dict_oracle(case, data):
             a: (data.draw(fraction), data.draw(st.one_of(st.just(F(0)), fraction)))
             for a in support
         })
-    assert_reports_agree(decompose_via_pou(f, pou), decompose_oracle(f, pou))
+    assert_reports_agree(decompose_via_pou(f, pou), decompose_oracle(f, as_set_pou(pou)))
 
 
 @st.composite

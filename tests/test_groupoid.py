@@ -32,6 +32,7 @@ from helpers import (
     cyclic_group,
     symmetrize_arrows,
     verify_action_oracle,
+    whole,
     z2_pair_groupoid_json,
 )
 
@@ -284,11 +285,11 @@ def test_action_groupoid_verifier_consistency():
         assert {a[0] for a in held(G, gen)} == {n % q for n in F}
 
     # converse direction: a rejected symbolic witness is rejected here too
-    whole = DadWitness(
-        colors=[dyadic.whole()], generator_set=(-1, 0, 1),
+    one_color = DadWitness(
+        colors=[whole(dyadic)], generator_set=(-1, 0, 1),
         finite_sets=[frozenset({0})],
     )
-    assert not verify_dad_witness(dyadic, whole, 100).accepted
+    assert not verify_dad_witness(dyadic, one_color, 100).accepted
     single = GroupoidDadWitness(K, [frozenset(range(q))], [None])
     assert not verify_groupoid_dad(G, single, 100).accepted
 

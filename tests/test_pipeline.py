@@ -21,7 +21,7 @@ def _dyadic(tmp_path):
 def test_pipeline_never_builds_the_arrow_tuple(tmp_path, monkeypatch):
     """Dyadic quotient depth 8 (q = 256, 65 536 arrows): every stage reads
     the action table, so the chain is green without the arrow tuple.  K^3
-    comes off the neighbour map and each stage records the hash its
+    comes from the offsets of K and each stage records the hash its
     certificate was written with, so no arrow is composed and no file is
     hashed either."""
 

@@ -1,16 +1,22 @@
 """Cover enlargement, nested towers, and the squared partition of unity."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadim.certify import corpus_dir
+from dadim.cli import main
 from dadim.errors import (
+    ALL_ERRORS,
     InvalidInput,
-    NotFree,
     PropagationEscapesColor,
     TowerInvalid,
     WitnessInsufficient,
@@ -30,8 +36,8 @@ from dadim.groupoid import (
 )
 from dadim.pou import (
     PartitionOfUnity,
-    _in_envelope,
-    _neighbours,
+    _envelope_holds,
+    _Moves,
     build_pou,
     build_tower,
     enlarge_cover,
@@ -41,11 +47,16 @@ from dadim.pou import (
 from helpers import (
     action_groupoid_oracle,
     arrow_set_power,
+    as_set_pou,
+    block_labels,
     build_pou_oracle,
     build_tower_oracle,
     cyclic_group,
     enlarge_cover_oracle,
+    phi_pair,
+    set_towers,
     symmetrize_arrows,
+    unit_sets,
     verify_pou_oracle,
 )
 
@@ -65,7 +76,7 @@ def test_enlarge_units_only_keeps_colors():
     K = frozenset((0, x) for x in range(6))  # unit arrows only
     colors = [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
     enlarged, report = enlarge_cover(G, K, colors, size_bound=100)
-    assert enlarged == colors  # partial orbits are singletons
+    assert unit_sets(enlarged) == colors  # partial orbits are singletons
 
 
 def test_enlarge_z12_contains_partial_orbits(z12):
@@ -74,7 +85,7 @@ def test_enlarge_z12_contains_partial_orbits(z12):
     for x in range(12):
         orbit = {G.source(a) for a in K if G.range(a) == x}
         assert len(orbit) == 3
-        assert any(orbit <= u for u in enlarged)
+        assert any(orbit <= u for u in unit_sets(enlarged))
 
 
 def test_enlarge_insufficient_for_k3(z12):
@@ -88,14 +99,14 @@ def test_tower_units_only_is_constant():
     K = frozenset((0, x) for x in range(6))
     colors = [frozenset(range(6))]
     towers = build_tower(G, K, colors, 4, size_bound=100)
-    assert all(lvl == frozenset(range(6)) for lvl in towers[0].levels)
+    assert towers[0].levels.shape == (6, 6) and towers[0].levels.all()
 
 
 def test_tower_growth_and_propagation(z12):
     G, K, arcs = z12
     enlarged, _ = enlarge_cover(G, K, arcs, size_bound=2000)
     towers = build_tower(G, K, enlarged, 4, size_bound=None)
-    for t in towers:
+    for t in set_towers(towers):
         for n in range(len(t.levels) - 1):
             lvl, nxt = t.levels[n], t.levels[n + 1]
             assert lvl <= nxt
@@ -127,7 +138,7 @@ def test_single_color_constant_pou():
     report = verify_pou(G, K, pou, eps=F(1, 1000))
     assert report.accepted
     assert report.details["max_oscillation_float"] == 0.0
-    assert all(pou.phi_pair(0, x) == (1, 1) for x in range(6))
+    assert all(phi_pair(pou, 0, x) == (1, 1) for x in range(6))
 
 
 @pytest.mark.parametrize("N", [4, 16, 64])
@@ -141,6 +152,7 @@ def test_z12_pou_bounds(z12, N):
     assert report.details["max_oscillation_float"] < osc_bound_float(1, N)
 
     # psi-step bound and normalizer lower bound, exhaustively and exactly
+    pou = as_set_pou(pou)
     for a in K:
         for i in range(2):
             step = abs(
@@ -162,7 +174,7 @@ def test_constant_overlap_normalization():
     pou = build_pou(G, K, towers)
     report = verify_pou(G, K, pou, eps=F(1, 10**6))
     assert report.accepted
-    p, S = pou.phi_pair(0, 0)
+    p, S = phi_pair(pou, 0, 0)
     assert (p, S) == (1, 2)  # 1/sqrt(2)
 
 
@@ -172,7 +184,8 @@ def test_support_violation_detected(z12):
     towers = build_tower(G, K, enlarged, 4, None)
     pou = build_pou(G, K, towers)
     # clip the declared color so a positive value leaks outside it
-    pou.towers[0].levels[-1] = frozenset(list(pou.towers[0].levels[-1])[:3])
+    top = pou.towers[0].top
+    top[np.flatnonzero(top)[3:]] = False
     report = verify_pou(G, K, pou)
     assert not report.accepted and report.code == "SupportViolation"
 
@@ -233,7 +246,8 @@ def test_verify_pou_memo_matches_arrow_loop(built_pous, data):
     cert["N"] = data.draw(st.sampled_from([cert["N"], 3, 4, 16, 64]))
     pou = PartitionOfUnity.from_json(G, K, cert)
     eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
-    assert verify_pou(G, K, pou, eps).to_json() == verify_pou_oracle(G, K, pou, eps).to_json()
+    want = verify_pou_oracle(G, K, as_set_pou(pou), eps)
+    assert verify_pou(G, K, pou, eps).to_json() == want.to_json()
 
 
 def _outcome(fn, *args):
@@ -244,13 +258,42 @@ def _outcome(fn, *args):
         return ("raise", type(exc), str(exc))
 
 
+def _stages_against_oracles(G, K, K_raw, colors, bound, N, eps):
+    """Each array stage on K = moves(E) against the set oracle that
+    symmetrizes the raw E-arrows itself and rescans them: the same
+    enlarged colors and report, tower levels, psi and norm_sq, and
+    verify_pou report, or the same error."""
+    enlarged = _outcome(enlarge_cover, G, K, colors, bound)
+    want = _outcome(enlarge_cover_oracle, G, K_raw, colors, bound)
+    if enlarged[0] == "ok":
+        assert want[0] == "ok" and unit_sets(enlarged[1][0]) == want[1][0]
+        assert enlarged[1][1].to_json() == want[1][1].to_json()
+        colors = want[1][0]
+    else:
+        assert enlarged == want
+
+    towers = _outcome(build_tower, G, K, colors, N, bound)
+    want = _outcome(build_tower_oracle, G, K_raw, colors, N, bound)
+    if towers[0] != "ok":
+        assert towers == want
+        return
+    assert [t.levels for t in set_towers(towers[1])] == [t.levels for t in want[1]]
+
+    pou = _outcome(build_pou, G, K, towers[1])
+    want = _outcome(build_pou_oracle, G, K_raw, want[1])
+    if pou[0] != "ok":
+        assert pou == want
+        return
+    got = as_set_pou(pou[1])
+    assert got.psi == want[1].psi and got.norm_sq == want[1].norm_sq
+    assert verify_pou(G, K, pou[1], eps).to_json() == verify_pou_oracle(G, K, got, eps).to_json()
+
+
 @settings(max_examples=150, deadline=None)
 @given(q=st.integers(1, 16), data=st.data())
 def test_stages_match_symmetrizing_oracles(q, data):
-    """Each stage, reading K = moves(E) through one neighbour map, against
-    the old stage that symmetrizes the raw E-arrows itself and rescans
-    them: the same enlarged colors and report, tower levels, psi and
-    norm_sq, and verify_pou report, or the same error."""
+    """Each stage, reading K = moves(E) as its offsets, against the set
+    oracle that symmetrizes the raw E-arrows itself and rescans them."""
     G = cyclic_rotation_groupoid(q)
     E = data.draw(st.frozensets(st.integers(0, q - 1), min_size=1, max_size=3))
     K = G.moves(E)
@@ -260,58 +303,62 @@ def test_stages_match_symmetrizing_oracles(q, data):
     if data.draw(st.booleans()):
         colors[0] |= frozenset(range(q)) - frozenset().union(*colors)
     bound = data.draw(st.one_of(st.none(), st.integers(0, 3 * q * q)))
-
-    enlarged = _outcome(enlarge_cover, G, K, colors, bound)
-    want = _outcome(enlarge_cover_oracle, G, K_raw, colors, bound)
-    if enlarged[0] == "ok":
-        assert want[0] == "ok" and enlarged[1][0] == want[1][0]
-        assert enlarged[1][1].to_json() == want[1][1].to_json()
-        colors = enlarged[1][0]
-    else:
-        assert enlarged == want
-
     N = data.draw(st.integers(1, 6))
-    towers = _outcome(build_tower, G, K, colors, N, bound)
-    want = _outcome(build_tower_oracle, G, K_raw, colors, N, bound)
-    if towers[0] != "ok":
-        assert towers == want
-        return
-    assert [t.levels for t in towers[1]] == [t.levels for t in want[1]]
-
-    pou = _outcome(build_pou, G, K, towers[1])
-    want = _outcome(build_pou_oracle, G, K_raw, towers[1])
-    if pou[0] != "ok":
-        assert pou == want
-        return
-    assert pou[1].psi == want[1].psi and pou[1].norm_sq == want[1].norm_sq
     eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
-    assert verify_pou(G, K, pou[1], eps).to_json() == verify_pou_oracle(G, K, pou[1], eps).to_json()
+    _stages_against_oracles(G, K, K_raw, colors, bound, N, eps)
+
+
+@st.composite
+def arcs_and_scattered(draw, q):
+    """One to four colors on Z/q: arcs, scattered residues, or a mix."""
+    colors = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            start, length = draw(st.integers(0, q - 1)), draw(st.integers(1, q))
+            colors.append(frozenset((start + t) % q for t in range(length)))
+        else:
+            colors.append(draw(st.frozensets(st.integers(0, q - 1), max_size=q)))
+    return colors
 
 
 @settings(max_examples=150, deadline=None)
-@given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3), data=st.data())
-def test_enlarge_cover_k3_off_neighbours_matches_composed_k3(sizes, data):
-    """On pair groupoids over disjoint blocks, with any symmetric K that
-    holds its units: K^3 read off the neighbour map gives the enlarged
-    colors and report (or the error) of the oracle that composes K^3."""
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    G = block_union_pair_groupoid(
-        [range(o, o + n) for o, n in zip(offsets, sizes)]
-    )
-    # steps along each block make units three K-steps apart common
-    steps = [(u + 1, u) for u in G.units if (u + 1, u) in G.arrows]
-    drawn = data.draw(st.sets(st.sampled_from(steps), max_size=8)) if steps else set()
-    drawn |= data.draw(st.sets(st.sampled_from(G.arrows), max_size=3))
-    K = symmetrize_arrows(G, drawn)
-    units = st.frozensets(st.sampled_from(G.units))
+@given(q=st.integers(1, 64), data=st.data())
+def test_array_stages_match_the_set_oracles_up_to_z64(q, data):
+    """The differential test on Z/q for q <= 64: random colors (arcs or
+    scattered residues, covering or not), random E of any integers, and
+    averaging depth N from 3 to 8."""
+    G = cyclic_rotation_groupoid(q)
+    E = data.draw(st.lists(st.integers(-2 * q, 2 * q), min_size=1, max_size=3))
+    K = G.moves(E)
+    K_raw = frozenset((e % q, x) for e in E for x in range(q))
+    colors = data.draw(arcs_and_scattered(q))
+    if data.draw(st.integers(0, 3)):
+        colors[0] |= frozenset(range(q)) - frozenset().union(*colors)
+    bound = data.draw(st.one_of(st.none(), st.integers(0, 3 * q * q)))
+    N = data.draw(st.integers(3, 8))
+    eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
+    _stages_against_oracles(G, K, K_raw, colors, bound, N, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(1, 24), data=st.data())
+def test_enlarge_cover_k3_from_offset_sums_matches_composed_k3(q, data):
+    """K^3 as the sums of one, two or three offsets of K, wrapping round
+    Z/q, gives the enlarged colors and report (or the error) of the
+    oracle that composes K^3 arrow by arrow, for any symmetric K that
+    holds its units."""
+    G = cyclic_rotation_groupoid(q)
+    E = data.draw(st.frozensets(st.integers(0, q - 1), max_size=4))
+    K = G.moves(E)
+    units = st.frozensets(st.integers(0, q - 1))
     colors = data.draw(st.lists(units, min_size=1, max_size=3))
     if data.draw(st.booleans()):
-        colors.append(frozenset(G.units).difference(*colors))
-    bound = data.draw(st.one_of(st.none(), st.integers(0, 2 * len(G.arrows))))
+        colors.append(frozenset(range(q)).difference(*colors))
+    bound = data.draw(st.one_of(st.none(), st.integers(0, 2 * q * q)))
     got = _outcome(enlarge_cover, G, K, colors, bound)
     want = _outcome(enlarge_cover_oracle, G, K, colors, bound)
     if got[0] == "ok":
-        assert want[0] == "ok" and got[1][0] == want[1][0]
+        assert want[0] == "ok" and unit_sets(got[1][0]) == want[1][0]
         assert got[1][1].to_json() == want[1][1].to_json()
     else:
         assert got == want
@@ -362,9 +409,9 @@ def compose_arrow_sets(G, A, B):
 @settings(max_examples=80, deadline=None)
 @given(q=st.integers(1, 16), data=st.data())
 def test_block_envelope_matches_composed_envelope(q, data):
-    """gen <= K.G_i.K read from the blocks against the composed arrow sets,
-    with G_i generated by K^3 in a color (as in enlarge_cover) or by any
-    arrows."""
+    """gen <= K.G_i.K read from the component labels against the composed
+    arrow sets, with G_i generated by K^3 in a color (as in enlarge_cover)
+    or by any arrows."""
     G = cyclic_rotation_groupoid(q)
     units = st.frozensets(st.integers(0, q - 1))
     E = data.draw(st.frozensets(st.integers(0, q - 1), max_size=3))
@@ -379,22 +426,38 @@ def test_block_envelope_matches_composed_envelope(q, data):
         G, compose_arrow_sets(G, K, [a for a in G.arrows if G_i.holds(G, a)]), K
     )
     held = frozenset(a for a in G.arrows if gen.holds(G, a))
-    assert _in_envelope(_neighbours(G, K), G_i, gen) == (held <= envelope)
+    got = _envelope_holds(_Moves.of(G, K), block_labels(q, G_i), block_labels(q, gen))
+    assert got == (held <= envelope)
 
 
-def test_enlarge_cover_needs_a_free_groupoid():
-    G = action_groupoid_oracle(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
-    K = frozenset((1, x) for x in (0, 1))
-    with pytest.raises(NotFree):
-        enlarge_cover(G, K, [frozenset({0, 1})], None)
+def test_pou_stages_need_the_rotation_groupoid():
+    """The stages run on Z/q rotating its residues, with K a union of full
+    offset classes; any other groupoid (with isotropy, or a free explicit
+    one) and any other K are refused as InvalidInput."""
+    colors = [frozenset({0, 1})]
+    iso = action_groupoid_oracle(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
+    pairs = block_union_pair_groupoid([[0, 1]])
+    for G, K in ((iso, frozenset((1, x) for x in (0, 1))), (pairs, frozenset(pairs.arrows))):
+        for stage in (enlarge_cover, lambda G, K, c, b: build_tower(G, K, c, 3, b)):
+            with pytest.raises(InvalidInput, match="Z/q"):
+                stage(G, K, colors, None)
+    G = cyclic_rotation_groupoid(4)
+    towers = build_tower(G, G.moves([1]), [frozenset(range(4))], 3, None)
+    pou = build_pou(G, G.moves([1]), towers)
+    for K in ({(1, 0), (1, 1)}, {(1, 0, 0)}, {(1, 4)}, {(1.0, x) for x in range(4)}, {3}):
+        with pytest.raises(InvalidInput, match="K must"):
+            verify_pou(G, K, pou)
+        with pytest.raises(InvalidInput, match="K must"):
+            enlarge_cover(G, K, [frozenset(range(4))], None)
 
 
 def test_group_wrapper_matches_direct_path(z12):
     G, K, arcs = z12
     enlarged, _ = enlarge_cover(G, K, arcs, size_bound=None)
     towers = build_tower(G, K, enlarged, 8, None)
-    direct = build_pou(G, K, towers)
+    direct = as_set_pou(build_pou(G, K, towers))
     G2, K2, tw2, wrapped = pou_from_group_action(12, [-1, 0, 1], arcs, 8, None)
+    wrapped = as_set_pou(wrapped)
     assert wrapped.psi == direct.psi
     assert wrapped.norm_sq == direct.norm_sq
 
@@ -459,8 +522,8 @@ def test_z12_corpus_pou_json_roundtrip():
     assert pou.to_json() == data
     assert verify_pou(G, K, pou).accepted
     # the normalizer matches the one build_pou computes
-    built = build_pou(G, K, pou.towers)
-    assert pou.psi == built.psi and pou.norm_sq == built.norm_sq
+    read, built = as_set_pou(pou), as_set_pou(build_pou(G, K, pou.towers))
+    assert read.psi == built.psi and read.norm_sq == built.norm_sq
 
     stray = json.loads(json.dumps(data))
     stray["psi"][0]["99"] = "1"
@@ -472,3 +535,79 @@ def test_z12_corpus_pou_json_roundtrip():
         PartitionOfUnity.from_json(G, K, garbled)
     with pytest.raises(InvalidInput):
         PartitionOfUnity.from_json(G, K, {k: v for k, v in data.items() if k != "N"})
+
+
+ERROR_CLASS = {cls.__name__: cls for cls in ALL_ERRORS}
+
+
+def _pou_verify_exit(order: int, E, pou_json, eps) -> int:
+    """``dadim pou-verify`` on a certificate file of ``pou_json``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pou.json"
+        path.write_text(json.dumps({"order": order, "E": E, "pou": pou_json}))
+        extra = [] if eps is None else ["--epsilon", str(eps)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(["pou-verify", "--pou", str(path)] + extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_psi_tables_match_the_oracle(built_pous, data):
+    """One mutation of a built certificate's psi table or tower top: a
+    value off the 1/N grid, above 1 or below 0, an explicit zero, a
+    positive value outside the tower top, or a unit whose values no longer
+    normalize.  verify_pou gives the oracle's report, and pou-verify exits
+    with the code of the oracle's error class (0 when it accepts)."""
+    G, K, cert = data.draw(st.sampled_from(built_pous))
+    cert = json.loads(json.dumps(cert))
+    q, psi = G.n, cert["psi"]
+    i = data.draw(st.integers(0, len(psi) - 1))
+    x = str(data.draw(st.integers(0, q - 1)))
+    kind = data.draw(st.sampled_from(
+        ["off_grid", "above_one", "below_zero", "zero", "outside_top", "normalization"]
+    ))
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=13)
+    if kind == "off_grid":
+        psi[i][x] = str(data.draw(unit))
+    elif kind == "above_one":
+        psi[i][x] = str(1 + data.draw(unit.filter(bool)))
+    elif kind == "below_zero":
+        psi[i][x] = str(-data.draw(unit.filter(bool)))
+    elif kind == "zero":
+        psi[i][x] = "0"
+    elif kind == "outside_top":
+        top = cert["tower_levels"][i][-1]
+        top.remove(data.draw(st.sampled_from(sorted(psi[i]))))
+    else:
+        for p in psi:
+            if data.draw(st.booleans()):
+                p.pop(x, None)
+            else:
+                p[x] = str(data.draw(unit) / len(psi))
+    pou = PartitionOfUnity.from_json(G, K, cert)
+    eps = data.draw(st.one_of(st.none(), st.fractions(min_value=F(1, 100), max_value=1)))
+    got, want = verify_pou(G, K, pou, eps), verify_pou_oracle(G, K, as_set_pou(pou), eps)
+    assert got.to_json() == want.to_json()
+    code = 0 if want.accepted else ERROR_CLASS[want.code].exit_code
+    assert _pou_verify_exit(q, [-1, 0, 1], cert, eps) == code
+
+
+def test_an_off_grid_certificate_passes():
+    """Z/12 with N = 16, psi_0 = 1 and psi_1 = 1/3 on every unit: 1/3 is
+    off the 1/16 grid, and the tables are a partition of unity (S = 10/9,
+    no oscillation), so pou-verify accepts it and exits 0."""
+    units = [str(x) for x in sorted(range(12), key=str)]
+    cert = {
+        "N": 16,
+        "colors": [units, units],
+        "psi": [{u: "1" for u in units}, {u: "1/3" for u in units}],
+        "tower_levels": [[units], [units]],
+    }
+    G = cyclic_rotation_groupoid(12)
+    K = G.moves([-1, 0, 1])
+    pou = PartitionOfUnity.from_json(G, K, cert)
+    assert pou.tuples == [(F(1), F(1, 3), F(10, 9))]
+    report = verify_pou(G, K, pou)
+    assert report.accepted and report.details["max_oscillation_float"] == 0.0
+    assert report.to_json() == verify_pou_oracle(G, K, as_set_pou(pou)).to_json()
+    assert _pou_verify_exit(12, [-1, 0, 1], cert, None) == 0

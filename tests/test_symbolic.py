@@ -16,6 +16,7 @@ from dadim.symbolic import (
     return_time_report,
     system_from_json,
 )
+from helpers import same_set, whole
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +41,13 @@ def test_disjoint_translates_examples(dyadic):
     s = dyadic.cylinder([0, 0, 0])
     assert disjoint_translates_radius(s, 5)
     assert not disjoint_translates_radius(s, 8)
-    assert not disjoint_translates_radius(dyadic.whole(), 1)
+    assert not disjoint_translates_radius(whole(dyadic), 1)
 
 
 def test_return_time_examples(dyadic):
     r = return_time_report(dyadic.cylinder([0, 0, 0, 0]))
     assert r.min_forward_return == 16 and r.max_gap == 16
-    w = return_time_report(dyadic.whole())
+    w = return_time_report(whole(dyadic))
     assert w.min_forward_return == 1 and w.max_gap == 1
     with pytest.raises(EmptySet):
         return_time_report(dyadic.empty())
@@ -120,8 +121,8 @@ def test_boolean_laws_subshift(fib):
     words = sorted(fib.language(4))
     A = fib.clopen(0, words[:2])
     B = fib.clopen(-1, sorted(fib.language(3))[1:3])
-    assert A.complement().complement().same_set(A)
-    assert A.union(B).complement().same_set(A.complement().intersect(B.complement()))
+    assert same_set(A.complement().complement(), A)
+    assert same_set(A.union(B).complement(), A.complement().intersect(B.complement()))
     assert A.union(A.complement()).is_whole()
     assert A.intersect(A.complement()).is_empty()
 
@@ -136,11 +137,11 @@ def test_boolean_laws_subshift_cylinder_sweep(fib):
     import itertools
 
     for A, B in itertools.islice(itertools.combinations(cyls, 2), 0, None, 7):
-        assert A.union(B).same_set(B.union(A))
-        assert A.intersect(B).same_set(B.intersect(A))
-        assert A.difference(B).union(A.intersect(B)).same_set(A)
-        assert A.union(B).complement().same_set(
-            A.complement().intersect(B.complement())
+        assert same_set(A.union(B), B.union(A))
+        assert same_set(A.intersect(B), B.intersect(A))
+        assert same_set(A.difference(B).union(A.intersect(B)), A)
+        assert same_set(
+            A.union(B).complement(), A.complement().intersect(B.complement())
         )
 
 

@@ -27,7 +27,7 @@ from dadim.witness import (
     verify_dad_witness,
     witness_from_json,
 )
-from helpers import constraint_bfs
+from helpers import constraint_bfs, whole
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def test_bfs_equals_quotient_bruteforce(dyadic, N):
 
 def test_verify_rejects_whole_space_color(dyadic):
     bad = DadWitness(
-        colors=[dyadic.whole()], generator_set=(-1, 0, 1),
+        colors=[whole(dyadic)], generator_set=(-1, 0, 1),
         finite_sets=[frozenset({0})],
     )
     report = verify_dad_witness(dyadic, bad, 1000)
@@ -113,7 +113,7 @@ def test_verify_blowup_on_too_small_bound(dyadic):
 
 def test_verify_trivial_generator(dyadic):
     w = DadWitness(
-        colors=[dyadic.whole()], generator_set=(0,),
+        colors=[whole(dyadic)], generator_set=(0,),
         finite_sets=[frozenset({0})],
     )
     report = verify_dad_witness(dyadic, w)
@@ -288,10 +288,10 @@ def test_verify_reports_match_constraint_bfs(case, bound, declare_exact):
 
 
 def test_rejection_reports_match_constraint_bfs(dyadic):
-    whole = DadWitness(
-        colors=[dyadic.whole()], generator_set=(-1, 0, 1), finite_sets=[frozenset({0})],
+    one_color = DadWitness(
+        colors=[whole(dyadic)], generator_set=(-1, 0, 1), finite_sets=[frozenset({0})],
     )
-    walk, bfs = _reports(dyadic, whole, 1000)
+    walk, bfs = _reports(dyadic, one_color, 1000)
     assert walk == bfs and walk["details"]["elements_found"] is None
     w = construct_minimal_z_witness(dyadic, 1)
     for bound in (0, 1, 3):
@@ -376,7 +376,7 @@ def test_word_walk_whole_color_of_periodic_subshift():
     assert not periodic.infinite
     for bound in (0, 1, 5):
         for search in (_word_walk, constraint_bfs):
-            elements, complete = search(periodic, periodic.whole(), (-2, 0, 2), bound)
+            elements, complete = search(periodic, whole(periodic), (-2, 0, 2), bound)
             assert not complete and len(elements) == max(bound, 1) + 1
 
 
