@@ -68,11 +68,15 @@ def _int_rows(obj) -> bool:
 
 
 def _normalize(obj):
+    """``obj`` as JSON data: str keys, lists, "p/q" rationals and floats
+    rounded to 12 digits.  A list or tuple of int rows becomes a list of
+    the same row objects, tuples or lists, which print alike: the rows are
+    not copied."""
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         if _int_rows(obj):
-            return list(map(list, obj))
+            return obj if type(obj) is list else list(obj)
         return [v if type(v) in _PLAIN else _normalize(v) for v in obj]
     if obj is None or isinstance(obj, (int, str)):
         return obj
@@ -180,17 +184,18 @@ _BATCH = 256
 
 
 def _row_lists(rows, depth: int):
-    """``_indented`` of a list of non-empty rows of ints: the C encoder
-    writes up to ``_BATCH`` rows at a time with the separator of the ints
-    inside a row, and one replace re-indents the boundaries between rows,
-    the only places where a bracket follows a separator."""
+    """``_indented`` of a list of non-empty rows of ints, ``_BATCH`` rows to
+    a piece: each piece is one ``%`` template, a row's form for each of its
+    rows, filled with the rows' ints."""
     outer, inner = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
-    between = "]," + inner + "["
+    forms = {
+        k: "[" + inner + ("," + inner).join(["%d"] * k) + outer + "]" for k in set(map(len, rows))
+    }
     sep = "[" + outer
     for i in range(0, len(rows), _BATCH):
-        text = json.dumps(rows[i:i + _BATCH], separators=("," + inner, ":"))
-        body = text[2:-2].replace(between, outer + "]," + outer + "[" + inner)
-        yield sep + "[" + inner + body + outer + "]"
+        batch = rows[i:i + _BATCH]
+        template = ("," + outer).join(map(forms.__getitem__, map(len, batch)))
+        yield sep + template % tuple(chain.from_iterable(batch))
         sep = "," + outer
     yield "\n" + " " * depth + "]"
 
@@ -199,9 +204,9 @@ def _indented(data, depth: int = 0):
     """The text of ``json.dumps(data, sort_keys=True, indent=1)`` for a
     normalized payload, in pieces.  A row of ints (bools excluded) is
     joined in one step instead of one piece per int, a list of such rows
-    goes through the C encoder ``_BATCH`` rows at a time (``_row_lists``),
-    and a container's other items are joined in batches, so that no piece
-    holds the whole text."""
+    fills one ``%`` template per ``_BATCH`` rows (``_row_lists``), and a
+    container's other items are joined in batches, so that no piece holds
+    the whole text."""
     leaf = _leaf(data)
     if leaf is not None:
         yield leaf
@@ -246,8 +251,9 @@ def write_certificate(path, obj, stamp: bool = True):
     ``stamp`` is off.  The bytes are those of ``json.dump(data,
     sort_keys=True, indent=1)`` plus a newline, which the tests keep as the
     oracle; they come from ``_indented``, which joins rows of ints in one
-    step and hands lists of such rows, such as a grid witness's points, to
-    the C encoder.  Returns the normalized data as written."""
+    step and fills templates with lists of such rows, such as a grid
+    witness's points.  Returns the normalized data as written, which
+    shares its int rows with ``obj``."""
     data = _normalize(obj)
     if stamp and isinstance(data, dict):
         data["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -362,7 +368,8 @@ def compare_artifacts(got, want, rel_tol: float = 1e-9, path: str = "$") -> list
     list of human-readable differences.
 
     Floats may differ by ``rel_tol * max(1, |want|)``: relative above 1,
-    an absolute ``rel_tol`` below it."""
+    an absolute ``rel_tol`` below it.  ``got`` may be normalized data, whose
+    int rows can be tuples: a tuple compares as the list it prints as."""
     diffs: list[str] = []
     if isinstance(want, dict) and isinstance(got, dict):
         keys = (set(got) | set(want)) - VOLATILE_KEYS
@@ -374,7 +381,7 @@ def compare_artifacts(got, want, rel_tol: float = 1e-9, path: str = "$") -> list
             else:
                 diffs += compare_artifacts(got[k], want[k], rel_tol, f"{path}.{k}")
         return diffs
-    if isinstance(want, list) and isinstance(got, list):
+    if isinstance(want, list) and isinstance(got, (list, tuple)):
         if len(want) != len(got):
             return [f"{path}: length {len(got)} != {len(want)}"]
         for i, (a, b) in enumerate(zip(got, want)):

@@ -25,7 +25,7 @@ from .coarse import (
 )
 from .convolution import ConvElement, decompose_via_pou, reduced_norm
 from .errors import ALL_ERRORS, DadimError, InvalidInput, VerificationFailed
-from .errors import int_keys, integer, malformed, positive_int
+from .errors import int_keys, integer, malformed, positive_int, rational
 from .groupoid import cyclic_rotation_groupoid, groupoid_from_json, symmetrized
 from .nerve import (
     SimplicialComplex,
@@ -173,7 +173,9 @@ def cmd_blr_check(args):
     _residues(C.vertices, n, "complex vertices")
     with malformed("map file"):
         f = {
-            x: SimplicialPoint({v: Fraction(t) for v, t in int_keys(wt, "vertex").items()})
+            x: SimplicialPoint(
+                {v: rational(t, "map weight") for v, t in int_keys(wt, "vertex").items()}
+            )
             for x, wt in int_keys(load_certificate(args.map)["samples"], "sample").items()
         }
     eps = _rational(args.epsilon, Fraction(1, 3 * 10**C.dimension))
@@ -194,7 +196,11 @@ def cmd_blr_check(args):
 
 def cmd_pou_build(args):
     with malformed("colors file"):
-        colors = [frozenset(c) for c in load_certificate(args.colors)]
+        colors = [
+            frozenset(integer(v, "color entry") for v in c) for c in load_certificate(args.colors)
+        ]
+    for c in colors:
+        _residues(c, args.order, "color entries", InvalidInput)
     if args.N is None and args.epsilon is None:
         raise InvalidInput("pass --N or --epsilon")
     G, K, towers, pou = pou_from_group_action(
@@ -234,7 +240,8 @@ def cmd_pou_verify(args):
 def _element_from_json(G, data) -> ConvElement:
     """The element of an element file.  An arrow key is a JSON integer or
     a list of them, so [1.0, 0] or true names no arrow; an arrow named
-    twice is refused, not overwritten."""
+    twice is refused, not overwritten.  Each coefficient part is a JSON
+    integer or a rational string."""
     coeffs: dict = {}
     with malformed("element"):
         for key, re, im in data["coeffs"]:
@@ -244,7 +251,7 @@ def _element_from_json(G, data) -> ConvElement:
                 key = integer(key, "arrow key")
             if key in coeffs:
                 raise InvalidInput(f"element names arrow {key!r} twice")
-            coeffs[key] = (Fraction(re), Fraction(im))
+            coeffs[key] = (rational(re, "coefficient part"), rational(im, "coefficient part"))
     for key in coeffs:
         # an arrow is what the structure maps accept
         try:

@@ -11,14 +11,20 @@ Grids are translation-invariant and fill their bounding box: their
 R-ball is one set of l1 offsets.  Each gives a ``Lattice``, on which a
 family is an integer label array over the box.  The verifier checks the
 cover and separation with array writes and shifted comparisons and takes
-each class's diameter from the same cells, and the bridge's tube
-generation reads each color's R-components off the same arrays.  The
-grid witnesses are built on the grid coordinates too: each point's
-interval or brick and its color are array arithmetic, and the classes
-are the runs of one stable argsort.  Explicit tables and word-metric
-balls keep the per-point ball scan and the union-find, which also serve
-the tests as the oracle of the lattice path; the tests keep the
-per-point construction as the oracle of the array one.
+each class's diameter from the same cells, and the bridge's tube check
+labels each color's R-components over the same cells.  A grid builds its
+points only when a caller asks for them (the witness construction, a
+report that names a point, a path off the lattice); the lattice holds
+none, and it reads a class of int points into cells with one array
+conversion.  A point that is not an int point keeps the equality rule of
+a set of the points (0.0 is the point 0), through a point -> cell dict
+that is built only for it.  The grid witnesses are built on the grid
+coordinates too: each point's interval or brick and its color are array
+arithmetic, and the classes are the runs of one stable argsort.
+Explicit tables and word-metric balls keep the per-point ball scan and
+the union-find, which also serve the tests as the oracle of the lattice
+path; the tests keep the per-point construction as the oracle of the
+array one.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ class FiniteMetricSpace:
     """Finite point set with an exact integer metric.
 
     ``lattice`` is None here; the grids give their ``Lattice``, which the
-    cover checks and the tube generation use instead of ball scans.
+    cover checks and the tube check use instead of ball scans.
     """
 
     points: tuple
@@ -88,9 +94,6 @@ class FiniteMetricSpace:
                     best = d
         return best
 
-    def diameter(self) -> int:
-        return self.subset_diameter(self.points)
-
     def check_metric_axioms(self):
         """Zero diagonal, symmetry, positivity off the diagonal and the
         triangle inequality, all checked exhaustively on the distance matrix
@@ -113,48 +116,90 @@ class FiniteMetricSpace:
 
 
 class Lattice:
-    """A grid with the l1 metric as the cells of its integer bounding box.
+    """A grid with the l1 metric as the cells of its integer box: ``shape``
+    cells from the corner ``lo``, whose points are the cells in row-major
+    order (point i of the grid is cell i).
 
     A family of classes becomes one label array over the box (class index
     at each cell, -1 elsewhere) and the R-ball one list of offsets, so
-    separation and R-components are shifted array operations instead of
-    a ball scan per point.  A point finds its cell through a dict keyed by
-    the space's points: an object equal to a point finds that point's
-    cell, and anything else (outside the box, of the wrong arity, not an
-    integer) finds none, exactly as in a set of the points.
+    separation and R-components are shifted array operations instead of a
+    ball scan per point.  The lattice holds no point: ``cells_of`` reads
+    points that are ints (an int in 1-D, a tuple of ints in 2-D) with one
+    array conversion and one box test, and ``point`` makes the point of a
+    cell for a report.  Any other object keeps the rule of a set of the
+    points: one equal to a point (0.0 for 0, (1.0, 0) for (1, 0), True for
+    1) finds that point's cell, and anything else (outside the box, of the
+    wrong arity, not a number, an int past int64) finds none.  That lookup
+    is a dict from the points to their cells, built the first time such an
+    object is looked up.
 
-    The points must fill the box, so that the arrays are no larger than
-    the space.  The lattice keeps no reference to its space, which holds
-    it.
+    The lattice keeps no reference to its space, which holds it.
     """
 
-    def __init__(self, points: tuple, coords):
-        coords = np.asarray(coords, dtype=np.int64)
-        coords = coords - coords.min(axis=0)
-        self.points = points
-        self.shape = tuple(int(n) + 1 for n in coords.max(axis=0))
-        self.cells = np.ravel_multi_index(tuple(coords.T), self.shape)
-        self.index = dict(zip(points, self.cells.tolist()))
-        self.point_at = np.full(int(np.prod(self.shape)), -1, dtype=np.intp)
-        self.point_at[self.cells] = np.arange(len(points))
+    def __init__(self, lo, shape):
+        self.lo = tuple(map(int, lo))
+        self.shape = tuple(map(int, shape))
+        self.size = math.prod(self.shape)
         self._offsets: dict = {}
         self._shift_pairs: dict = {}
 
+    def coords(self) -> np.ndarray:
+        """One row of coordinates per cell, in cell order."""
+        return np.stack(np.unravel_index(np.arange(self.size), self.shape), axis=1) + self.lo
+
+    def point(self, cell: int):
+        """The point at ``cell``: an int in 1-D, a tuple of ints above."""
+        p = [a + int(i) for a, i in zip(self.lo, np.unravel_index(cell, self.shape))]
+        return p[0] if len(p) == 1 else tuple(p)
+
+    @cached_property
+    def _index(self) -> dict:
+        """point -> cell, for the objects that are not int points."""
+        axes = [range(a, a + n) for a, n in zip(self.lo, self.shape)]
+        return dict(zip(axes[0] if len(axes) == 1 else product(*axes), range(self.size)))
+
+    def _int_coords(self, pts):
+        """``pts`` as one row of int64 coordinates each, or None unless
+        each one is an int point of this lattice: above 1-D a tuple, and
+        numpy reads a float, a string, the wrong arity or an int past int64
+        as another dtype or shape, or refuses the ragged list."""
+        k = len(self.shape)
+        if k > 1 and not set(map(type, pts)) <= _TUPLE:
+            return None
+        try:
+            coords = np.array(list(pts))
+        except (ValueError, TypeError, OverflowError):
+            return None
+        if coords.dtype != np.int64 or coords.shape[1:] != ((k,) if k > 1 else ()):
+            return None
+        return coords.reshape(-1, k)
+
     def cells_of(self, pts) -> np.ndarray:
-        """The cell of each of ``pts`` in iteration order, -1 where unknown."""
-        return np.fromiter(
-            map(self.index.get, pts, repeat(-1)), dtype=np.intp, count=len(pts)
-        )
+        """The cell of each of ``pts`` in iteration order, -1 where none:
+        one array conversion and one box test for int points, the dict for
+        any other object."""
+        if not len(pts):
+            return np.empty(0, dtype=np.intp)
+        coords = self._int_coords(pts)
+        if coords is None:
+            return np.fromiter(
+                map(self._index.get, pts, repeat(-1)), dtype=np.intp, count=len(pts)
+            )
+        inside, cells = True, 0
+        for col, a, n in zip(coords.T, self.lo, self.shape):
+            inside = inside & (col >= a) & (col < a + n)
+            cells = cells * n + (col - a)
+        return np.where(inside, cells, -1)
 
     def empty_labels(self, top: int) -> np.ndarray:
         """-1 at every cell, in the narrowest signed type that holds labels
         up to ``top``: narrow arrays compare and take minima faster."""
         dtype = np.result_type(np.int8, np.min_scalar_type(top))
-        return np.full(self.point_at.shape, -1, dtype=dtype)
+        return np.full(self.size, -1, dtype=dtype)
 
     def offsets(self, r: int) -> np.ndarray:
         """The radius-r ball's offsets in lexicographic order, which is the
-        order of the points they lead to."""
+        order of the cells they lead to."""
         if r not in self._offsets:
             k = len(self.shape)
             reach = min(r, sum(self.shape) - k)
@@ -195,13 +240,13 @@ class Lattice:
             hit[b] |= meet
         return None if hit is None else hit.ravel()
 
-    def ball_points(self, cell: int, r: int, keep) -> list:
-        """Points within r of ``cell`` whose cells pass the mask ``keep``,
-        in point order."""
+    def ball_cells(self, cell: int, r: int, keep) -> np.ndarray:
+        """Cells within r of ``cell`` that pass the mask ``keep``, in cell
+        order."""
         near = np.array(np.unravel_index(cell, self.shape)) + self.offsets(r)
         near = near[((near >= 0) & (near < self.shape)).all(axis=1)]
         cells = np.ravel_multi_index(tuple(near.T), self.shape)
-        return [self.points[i] for i in self.point_at[cells[keep[cells]]]]
+        return cells[keep[cells]]
 
     def diameters(self, row) -> list:
         """The l1 diameter of each class of ``row``, a list of the classes'
@@ -219,28 +264,24 @@ class Lattice:
                 diam[full] = np.maximum(diam[full], spread)
         return diam.tolist()
 
-    def components(self, units, r: int):
-        """Components of ``units`` under distance <= r (none at all when
-        r < 0), or None when a unit is not a point.
+    def components(self, group, r: int) -> np.ndarray:
+        """The r-components of each group of cells, for r >= 0: ``group``
+        holds a group index per cell (-1 for none), two cells of one group
+        within distance r join, and each cell gets its component's least
+        cell (-1 outside every group).
 
-        Min-label propagation: each unit starts labelled with its own cell;
-        every pass takes the minimum across each offset of half the ball,
-        then jumps each label to its label's label until that is stable.
-        A label is always a cell of the same component, so once every
-        offset joins equal labels they are constant on components, and
-        they name distinct ones.
+        Min-label propagation: each cell starts labelled with itself; every
+        pass takes the minimum across each offset of half the ball, then
+        jumps each label to its label's label until that is stable.  A
+        label is always a cell of the same component, so once every offset
+        joins equal labels they are constant on components, and they name
+        distinct ones; the least cell of a component reaches all of it.
         """
-        units = list(units)
-        cells = self.cells_of(units)
-        if (cells < 0).any():
-            return None
-        if r < 0:
-            return []  # no pair is within r, not even (x, x)
-        labels = self.empty_labels(self.point_at.size)
+        cells = np.flatnonzero(group >= 0)
+        labels = self.empty_labels(self.size)
         labels[cells] = cells
-        grid = labels.reshape(self.shape)
-        member = grid >= 0
-        steps = [(a, b, member[a] & member[b]) for a, b in self._shifts(r)]
+        grid, within = labels.reshape(self.shape), group.reshape(self.shape)
+        steps = [(a, b, (within[a] == within[b]) & (within[a] >= 0)) for a, b in self._shifts(r)]
         steps = [s for s in steps if s[2].any()]
         while True:
             for a, b, both in steps:
@@ -256,7 +297,10 @@ class Lattice:
                 jumped = nxt
             if not any(((grid[a] != grid[b]) & both).any() for a, b, both in steps):
                 break
-        return _runs(units, jumped)[0]
+        return labels.astype(np.intp)
+
+
+_TUPLE = frozenset({tuple})
 
 
 def _runs(items, key: np.ndarray) -> tuple[list, np.ndarray]:
@@ -318,24 +362,24 @@ class TableMetricSpace(FiniteMetricSpace):
 
 
 class Grid1dSpace(FiniteMetricSpace):
-    """Integer interval [lo, hi] with |x - y|."""
+    """Integer interval [lo, hi] with |x - y|.  The points are built only
+    when a caller asks for them; the lattice holds none."""
 
     def __init__(self, lo: int, hi: int):
         if hi < lo:
             raise InvalidInput("empty interval")
         self.lo, self.hi = int(lo), int(hi)
-        self.points = tuple(range(self.lo, self.hi + 1))
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(range(self.lo, self.hi + 1))
 
     def dist(self, x, y) -> int:
         return abs(x - y)
 
-    def coords(self) -> np.ndarray:
-        """One row of coordinates per point, in point order."""
-        return np.arange(self.lo, self.hi + 1)[:, None]
-
     @cached_property
     def lattice(self) -> Lattice:
-        return Lattice(self.points, self.coords())
+        return Lattice((self.lo,), (self.hi - self.lo + 1,))
 
     def subset_diameter(self, subset) -> int:
         if not subset:
@@ -345,24 +389,25 @@ class Grid1dSpace(FiniteMetricSpace):
 
 class Grid2dSpace(FiniteMetricSpace):
     """Box [0,w) x [0,h) of the integer lattice with the l1 metric
-    (= shortest-path metric of the grid graph)."""
+    (= shortest-path metric of the grid graph).  The points, (x, y) in
+    lexicographic order, are built only when a caller asks for them; the
+    lattice holds none."""
 
     def __init__(self, w: int, h: int):
         if w < 1 or h < 1:
             raise InvalidInput("empty grid")
         self.w, self.h = int(w), int(h)
-        self.points = tuple(product(range(w), range(h)))
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(product(range(self.w), range(self.h)))
 
     def dist(self, p, q) -> int:
         return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
-    def coords(self) -> np.ndarray:
-        """One row of coordinates per point, in point order."""
-        return np.stack(np.divmod(np.arange(self.w * self.h), self.h), axis=1)
-
     @cached_property
     def lattice(self) -> Lattice:
-        return Lattice(self.points, self.coords())
+        return Lattice((0, 0), (self.w, self.h))
 
     def subset_diameter(self, subset) -> int:
         # l1 in the plane is l-infinity after the 45-degree rotation
@@ -475,17 +520,24 @@ class AsdimWitness:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """Each class as its sorted points: rows of ints on a 2-D grid,
+        which the certificate writer passes through and prints as they are."""
         return {
             "scale_R": self.scale_R,
             "bound_S": self.bound_S,
-            "families": [
-                [list(map(_point_key, sorted(cls))) for cls in fam] for fam in self.families
-            ],
+            "families": [list(map(sorted, fam)) for fam in self.families],
         }
 
 
-def _point_key(p):
-    return list(p) if isinstance(p, tuple) else p
+def _point_class(cls) -> frozenset:
+    """A class as read from JSON: each list entry a tuple, in one call for
+    a list of lists."""
+    if type(cls) is list and set(map(type, cls)) <= _LIST:
+        return frozenset(map(tuple, cls))
+    return frozenset([tuple(p) if isinstance(p, list) else p for p in cls])
+
+
+_LIST = frozenset({list})
 
 
 def asdim_witness_from_json(data: dict) -> AsdimWitness:
@@ -493,10 +545,7 @@ def asdim_witness_from_json(data: dict) -> AsdimWitness:
         return AsdimWitness(
             scale_R=integer(data["scale_R"], "scale_R"),
             bound_S=integer(data["bound_S"], "bound_S"),
-            families=[
-                [frozenset([tuple(p) if isinstance(p, list) else p for p in cls]) for cls in fam]
-                for fam in data["families"]
-            ],
+            families=[list(map(_point_class, fam)) for fam in data["families"]],
         )
 
 
@@ -550,10 +599,9 @@ def _unknown_points(cls, point_set) -> VerificationReport:
 
 
 def _uncovered(missing) -> VerificationReport:
+    missing = sorted(map(repr, missing))
     return VerificationReport(
-        False, "CoverGap",
-        f"{len(missing)} points uncovered",
-        {"missing": sorted(map(repr, missing))[:5]},
+        False, "CoverGap", f"{len(missing)} points uncovered", {"missing": missing[:5]}
     )
 
 
@@ -609,7 +657,7 @@ def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness):
     classes: (fault, None) or (None, cells).  Each step is checked by array
     operations, and only a failing step looks at single points."""
     cells = []
-    covered = np.zeros(lat.point_at.shape, dtype=bool)
+    covered = np.zeros(lat.size, dtype=bool)
     for fam in w.families:
         row = [lat.cells_of(cls) for cls in fam]
         for cls, c in zip(fam, row):
@@ -617,9 +665,9 @@ def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness):
                 return _unknown_points(cls, set(X.points)), None
             covered[c] = True
         cells.append(row)
-    missing = np.flatnonzero(~covered[lat.cells])
+    missing = np.flatnonzero(~covered)
     if len(missing):
-        return _uncovered([X.points[i] for i in missing]), None
+        return _uncovered(map(lat.point, missing)), None
     for fi, (fam, row) in enumerate(zip(w.families, cells)):
         labels = lat.empty_labels(len(row))
         for ci, c in enumerate(row):
@@ -634,10 +682,11 @@ def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness):
         # first such point in its ball
         for ci, (cls, c) in enumerate(zip(fam, row)):
             if hit[c].any():
-                p = next(islice(cls, int(np.argmax(hit[c])), None))
+                j = int(np.argmax(hit[c]))
+                p = next(islice(cls, j, None))
                 keep = (labels >= 0) & (labels != ci)
-                q = lat.ball_points(lat.index[p], w.scale_R, keep)[0]
-                return _meet(X, fi, w.scale_R, p, ci, q, int(labels[lat.index[q]])), None
+                q = int(lat.ball_cells(c[j], w.scale_R, keep)[0])
+                return _meet(X, fi, w.scale_R, p, ci, lat.point(q), int(labels[q])), None
     return None, cells
 
 
@@ -653,12 +702,12 @@ def construct_grid_witness(X: Grid1dSpace | Grid2dSpace, R: int) -> AsdimWitness
         raise InvalidInput("R must be positive")
     if isinstance(X, Grid1dSpace):
         L = 5 * R
-        key = X.coords()[:, 0] // L
+        key = X.lattice.coords()[:, 0] // L
         color = key % 2
         w = AsdimWitness(R, L - 1, [[], []], meta={"pattern": "intervals", "L": L})
     elif isinstance(X, Grid2dSpace):
         L = 10 * R  # even, so the half-brick offset is integral
-        x, y = X.coords().T
+        x, y = X.lattice.coords().T
         r = y // L
         c = (x - L // 2 * (r % 2)) // L
         key = r * (X.w + 2) + c + 1  # (r, c) in lexicographic order: -1 <= c < w
@@ -687,8 +736,9 @@ def bridge_to_groupoid(X: FiniteMetricSpace, w: AsdimWitness):
     the tube of radius R; the colors are the unions of each family's
     classes, and each family's classes are declared as the blocks of its
     generated subgroupoid, which the verifier checks against the
-    K-reachability blocks; a class that is not R-connected is rejected
-    with NotClosed.  Returns (groupoid, witness, report).
+    K-reachability blocks (on a grid, as labels over its cells); a class
+    that is not R-connected is rejected with NotClosed.  Returns
+    (groupoid, witness, report).
     """
     rep = verify_asdim_witness(X, w)
     if not rep:

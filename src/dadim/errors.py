@@ -6,13 +6,16 @@ exit code (``dadim --help`` prints the table).  Input files are parsed under
 ``malformed``.  Their integer fields are read by one of two rules: cyclic
 orders, averaging depths and depth limits by ``positive_int``, every other
 integer by ``integer``; a float or a numeric string is refused, never
-truncated or parsed.  An object keyed by integers is read by ``int_keys``,
+truncated or parsed.  Exact rational fields (coefficients, map weights,
+step values) are read by ``rational``: a JSON integer or a "p/q" string,
+never a float.  An object keyed by integers is read by ``int_keys``,
 which takes canonical decimal keys only.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from fractions import Fraction
 
 
 class DadimError(Exception):
@@ -203,6 +206,20 @@ def integer(value, what: str) -> int:
     if type(value) is not int:
         raise InvalidInput(f"expected {what} as a JSON integer, got {value!r}")
     return value
+
+
+def rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction if it is a JSON integer or a string that
+    ``Fraction`` reads ("2/7", "-3", "0.25").  A JSON float, a bool or null
+    is refused: its binary value would stand in for an exact one."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInput(f"expected {what} as a JSON integer or a rational string, got {value!r}")
 
 
 def int_keys(obj: dict, what: str) -> dict:

@@ -380,8 +380,15 @@ class TubePairGroupoid:
     def __init__(self, space, radius: int):
         self.space = space
         self.radius = int(radius)
-        self.units = tuple(space.points)
-        self.unit_set = frozenset(self.units)
+
+    # built only off the lattice: a grid's tube is checked on cells
+    @cached_property
+    def units(self) -> tuple:
+        return tuple(self.space.points)
+
+    @cached_property
+    def unit_set(self) -> frozenset:
+        return frozenset(self.units)
 
     # (x, y) is the arrow from y to x
     source = staticmethod(itemgetter(1))
@@ -439,20 +446,15 @@ def generate_subgroupoid(G, seed):
     result is the pair groupoid over the connected components of the seed
     graph, returned as ``BlockArrows``.  The seed is arrows, or a
     ``_UnitSeed`` that gives the graph itself (the tube arrows inside a
-    color, or K^3's inside a color).  A tube seed on a lattice space has
-    for components the color's r-components read off the label array;
-    every other seed takes the union-find over its pairs.  Groupoids with
-    isotropy take the worklist closure and return a frozenset of arrows.
+    color), and its components come from the union-find over its pairs.
+    Groupoids with isotropy take the worklist closure and return a
+    frozenset of arrows.
     """
     if not G.is_free():
         return _closure(G, seed)
-    if isinstance(seed, _UnitSeed):
-        comps = None if seed.lattice is None else seed.lattice.components(seed.units, seed.radius)
-        if comps is None:
-            comps = _connected_components(seed)
-    else:
-        comps = _connected_components((G.source(a), G.range(a)) for a in seed)
-    return BlockArrows(frozenset(frozenset(c) for c in comps))
+    if not isinstance(seed, _UnitSeed):
+        seed = ((G.source(a), G.range(a)) for a in seed)
+    return BlockArrows(frozenset(frozenset(c) for c in _connected_components(seed)))
 
 
 def _closure(G, seed) -> frozenset:
@@ -504,7 +506,7 @@ class GroupoidDadWitness:
 
 def _endpoint_units(G, K):
     if isinstance(K, TubeArrows):
-        return frozenset(G.units)
+        return G.unit_set
     out = set()
     for a in K:
         out.add(G.source(a))
@@ -517,13 +519,10 @@ class _UnitSeed:
     """The arrows of a free groupoid with both endpoints in ``units``, kept
     as a unit graph: ``near(x)`` gives the units one arrow away from x.
     Iterating gives one pair per edge, which is enough to generate; x in
-    ``near(x)`` keeps isolated units.  A tube seed carries its space's
-    lattice (None off the grids) and radius for the label-array path."""
+    ``near(x)`` keeps isolated units."""
 
     units: frozenset
     near: Callable
-    lattice: object = None
-    radius: int = 0
 
     def __iter__(self):
         for x in self.units:
@@ -537,42 +536,173 @@ def _seed_in_color(G, K, color):
         space, r = G.space, K.radius
         # one pair (x, y), y >= x, per unordered pair of the tube
         near = lambda x: (y for y in space.iter_ball(x, r) if y >= x)  # noqa: E731
-        return _UnitSeed(frozenset(color), near, space.lattice, r)
+        return _UnitSeed(frozenset(color), near)
     return [a for a in K if G.source(a) in color and G.range(a) in color]
+
+
+class _CellBlocks:
+    """The blocks that the tube arrows generate inside one color of a
+    lattice space, as labels over the color's cells: each cell carries the
+    least cell of its block, its r-component in the color (see
+    ``_component_labels``; for r < 0 no cell is in a block, and the labels
+    are empty).  It stands in for the ``BlockArrows`` of
+    ``generate_subgroupoid`` without a set per block; blocks go in order
+    of their least cells."""
+
+    def __init__(self, lat, color: frozenset, cells: np.ndarray, labels: np.ndarray):
+        self.lat, self.color, self.cells, self.labels = lat, color, cells, labels
+        self.order = np.argsort(labels, kind="stable")
+        self.starts = np.flatnonzero(np.diff(labels[self.order], prepend=-1))
+        self.sizes = np.diff(self.starts, append=len(labels))
+
+    def __len__(self) -> int:
+        return int(self.sizes @ self.sizes)
+
+    def wider_than(self, radius: int):
+        """The first block of diameter over ``radius``, as a frozenset of the
+        color's points, or None."""
+        row = np.split(self.cells[self.order], self.starts[1:]) if len(self.starts) else []
+        k = next((k for k, d in enumerate(self.lat.diameters(row)) if d > radius), None)
+        if k is None:
+            return None
+        least = self.labels[self.order[self.starts[k]]]
+        return frozenset(p for p, t in zip(self.color, self.labels == least) if t)
+
+    def matches(self, declared) -> bool:
+        """Whether ``declared`` equals the ``BlockArrows`` of these blocks.
+
+        Its blocks, read as cells, must be as many as the components and
+        hold as many cells as the color, all of them: then they partition
+        the color's cells, and they are the components when each cell's
+        block and component have the same least cell."""
+        if type(declared) is not BlockArrows or not isinstance(declared.blocks, (set, frozenset)):
+            return False
+        blocks = list(declared.blocks)
+        if len(blocks) != len(self.sizes):
+            return False
+        if not blocks:
+            return True
+        if not all(isinstance(b, frozenset) and b for b in blocks) or (
+            sum(map(len, blocks)) != len(self.cells)
+        ):
+            return False
+        owner = np.full(self.lat.size, -1, dtype=np.intp)
+        least = np.empty(len(blocks), dtype=np.intp)
+        for j, b in enumerate(blocks):
+            c = self.lat.cells_of(b)
+            if (c < 0).any():
+                return False
+            owner[c] = j
+            least[j] = c.min()
+        mine = owner[self.cells]
+        return bool((mine >= 0).all() and (least[mine] == self.labels).all())
+
+
+def _component_labels(lat, cells: list, r: int) -> list:
+    """For each color, given by its cells, the least cell of each cell's
+    r-component within the color, and no cell at all for r < 0 (no pair is
+    within r, not even (x, x)).  The cover check has put every cell in a
+    color, so colors with as many cells as the box are disjoint and take
+    one propagation together; otherwise each color takes its own."""
+    if r < 0:
+        return [c[:0] for c in cells]
+    group = np.full(lat.size, -1, dtype=np.intp)
+    if sum(map(len, cells)) == lat.size:
+        for i, c in enumerate(cells):
+            group[c] = i
+        every = lat.components(group, r)
+        return [every[c] for c in cells]
+    out = []
+    for c in cells:
+        group[:] = -1
+        group[c] = 0
+        out.append(lat.components(group, r)[c])
+    return out
+
+
+def _unknown_units(bad) -> VerificationReport:
+    return VerificationReport(False, "CoverGap", f"color uses unknown units {sorted(map(repr, bad))[:3]}")
+
+
+def _uncovered_units(missing) -> VerificationReport:
+    missing = sorted(map(repr, missing))
+    return VerificationReport(
+        False, "CoverGap", f"colors do not cover s(K) u r(K); missing {missing[:5]}",
+        {"missing_count": len(missing)},
+    )
+
+
+def _cover_fault(G, K, colors: list):
+    """The first cover fault of the colors, or None."""
+    needed = _endpoint_units(G, K)
+    covered: set = set()
+    for c in colors:
+        bad = c - G.unit_set
+        if bad:
+            return _unknown_units(bad)
+        covered |= c
+    if not needed <= covered:
+        return _uncovered_units(needed - covered)
+    return None
+
+
+def _cell_cover_fault(lat, colors: list):
+    """``_cover_fault`` for the tube of a lattice space, whose every unit
+    needs a color, on the colors' cells: (fault, None) or (None, cells)."""
+    cells = [lat.cells_of(c) for c in colors]
+    covered = np.zeros(lat.size, dtype=bool)
+    for c, cc in zip(colors, cells):
+        if (cc < 0).any():
+            return _unknown_units([p for p, x in zip(c, cc < 0) if x]), None
+        covered[cc] = True
+    missing = np.flatnonzero(~covered)
+    if len(missing):
+        return _uncovered_units(map(lat.point, missing)), None
+    return None, cells
 
 
 def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) -> VerificationReport:
     """Check that colors cover s(K) u r(K) and every color generates a
-    subgroupoid of at most ``size_bound`` arrows equal to the declared one."""
-    needed = _endpoint_units(G, witness.K)
-    colors = list(map(frozenset, witness.colors))
-    covered = set()
-    for c in colors:
-        bad = c - G.unit_set
-        if bad:
-            return VerificationReport(False, "CoverGap", f"color uses unknown units {sorted(map(repr, bad))[:3]}")
-        covered |= c
-    if not needed <= covered:
-        missing = sorted(map(repr, needed - covered))[:5]
-        return VerificationReport(
-            False, "CoverGap", f"colors do not cover s(K) u r(K); missing {missing}",
-            {"missing_count": len(needed - covered)},
-        )
+    subgroupoid of at most ``size_bound`` arrows equal to the declared one.
 
+    On the tube of a lattice space (a ``TubePairGroupoid`` over a grid, K a
+    ``TubeArrows``) every step reads cells: the cover is a mask, each
+    color's blocks are its r-components labelled over its cells
+    (``_CellBlocks``), and the declared blocks are a second labeling of
+    the same cells.  Everywhere else each color generates its subgroupoid
+    with ``generate_subgroupoid``.  Both give the same report, except that
+    when several blocks leave the ambient tube they may name different
+    ones.
+    """
+    colors = list(map(frozenset, witness.colors))
+    tube = isinstance(G, TubePairGroupoid) and isinstance(witness.K, TubeArrows)
+    lat = G.space.lattice if tube else None
+    if lat is None:
+        fault, cells = _cover_fault(G, witness.K, colors), None
+    else:
+        fault, cells = _cell_cover_fault(lat, colors)
+    if fault is not None:
+        return fault
+
+    labels = None if lat is None else _component_labels(lat, cells, witness.K.radius)
     sizes = []
     for i, color in enumerate(colors):
-        gen = generate_subgroupoid(G, _seed_in_color(G, witness.K, color))
-        if isinstance(G, TubePairGroupoid):
+        if lat is None:
+            gen = generate_subgroupoid(G, _seed_in_color(G, witness.K, color))
+            blocks = gen.blocks if isinstance(G, TubePairGroupoid) else ()
+            wide = next((b for b in blocks if G.space.subset_diameter(b) > G.radius), None)
+        else:
+            gen = _CellBlocks(lat, color, cells[i], labels[i])
+            wide = gen.wider_than(G.radius)
+        if wide is not None:
             # containment in the ambient tube
-            for b in gen.blocks:
-                diam = G.space.subset_diameter(b)
-                if diam > G.radius:
-                    return VerificationReport(
-                        False, "NotClosed",
-                        f"color {i}: generated blocks leave the ambient tube "
-                        f"(block diameter {diam} > {G.radius})",
-                        {"color": i, "diameter": diam},
-                    )
+            diam = G.space.subset_diameter(wide)
+            return VerificationReport(
+                False, "NotClosed",
+                f"color {i}: generated blocks leave the ambient tube "
+                f"(block diameter {diam} > {G.radius})",
+                {"color": i, "diameter": diam},
+            )
         size = len(gen)
         sizes.append(size)
         if size_bound is not None and size > size_bound:
@@ -582,7 +712,7 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
                 {"color": i, "size": size, "size_bound": size_bound},
             )
         declared = witness.generated[i]
-        if declared is not None and declared != gen:
+        if declared is not None and not (declared == gen if lat is None else gen.matches(declared)):
             return VerificationReport(
                 False, "NotClosed",
                 f"color {i}: declared subgroupoid differs from the generated one",

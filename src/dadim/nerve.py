@@ -485,12 +485,13 @@ def grid_certificate(C: SimplicialComplex, den: int) -> dict:
 # Z/n rotating residues, and equivariance
 
 
-def _residues(labels, n: int, what: str) -> None:
-    """NotAnAction unless every label is an integer in 0..n-1 (a bool is
-    not one): Z/n acts by rotating the residues mod n."""
+def _residues(labels, n: int, what: str, error=NotAnAction) -> None:
+    """``error`` unless every label is an integer in 0..n-1 (a bool is not
+    one): Z/n acts by rotating the residues mod n.  A point outside the
+    action is NotAnAction; ``cli`` reads a colors file with InvalidInput."""
     bad = [v for v in labels if type(v) is not int or not 0 <= v < n]
     if bad:
-        raise NotAnAction(f"{what} {sorted(bad, key=repr)[:3]} are not residues mod {n}")
+        raise error(f"{what} {sorted(bad, key=repr)[:3]} are not residues mod {n}")
 
 
 def check_simplicial_action(C: SimplicialComplex, n: int) -> None:

@@ -39,6 +39,7 @@ from .errors import (
     WitnessInsufficient,
     malformed,
     positive_int,
+    rational,
 )
 from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
 from .groupoid import BlockArrows, TransformationGroupoid, cyclic_rotation_groupoid
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 Rat = Fraction
+# the JSON types of an exact value; a float or bool equal to one is no key
+_EXACT_JSON = frozenset({int, str})
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,9 @@ class PartitionOfUnity:
     @classmethod
     def from_json(cls, G, K, data: dict) -> "PartitionOfUnity":
         """Inverse of ``to_json``: a unit key is a residue's decimal text,
-        and each distinct value text is parsed once."""
+        and a value a JSON integer or a rational string (``rational``),
+        each distinct one parsed once.  A float or bool is refused even
+        where it equals a value parsed before."""
         q = G.n
         index = dict(zip(np.arange(q).astype(str).tolist(), range(q)))
 
@@ -439,8 +444,8 @@ class PartitionOfUnity:
             for i, p in enumerate(psi):
                 units = np.array(residues(p), np.intp)
                 for v in p.values():
-                    if v not in parsed:
-                        parsed[v] = ids.setdefault(Fraction(v), len(ids))
+                    if v not in parsed or type(v) not in _EXACT_JSON:
+                        parsed[v] = ids.setdefault(rational(v, "psi value"), len(ids))
                 vid[i, units] = [parsed[v] for v in p.values()]
                 entries.append(units)
             N = positive_int(data["N"], "averaging depth N")

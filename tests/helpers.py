@@ -660,6 +660,11 @@ def map_from_cover(cover: EquivariantCover, E, n: int):
 # coarse: the least number of families, by exhaustive search
 
 
+def space_diameter(X) -> int:
+    """The diameter of a finite metric space: its largest pairwise distance."""
+    return X.subset_diameter(X.points)
+
+
 def exhaustive_min_colors_with_witness(X, R: int, S: int, max_points: int = 16):
     """(k, witness): the least number of families over all partitions
     satisfying the (R, S) conditions, and an ``AsdimWitness`` with k.

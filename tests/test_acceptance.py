@@ -38,6 +38,7 @@ from helpers import (
     exhaustive_min_colors_with_witness,
     matrix_unit_defects,
     phi_pair,
+    space_diameter,
     whole,
 )
 
@@ -223,7 +224,7 @@ def test_criterion_6_exhaustive_oracle():
     )]
     checked = 0
     for X in spaces:
-        diam = X.diameter()
+        diam = space_diameter(X)
         n = len(X.points)
         for R in range(1, diam + 1):
             for S in range(1, diam + 1):

@@ -51,6 +51,7 @@ def test_compare_artifacts_float_tolerance():
     assert compare_artifacts({"n": 1.0}, {"n": 1.0 + 1e-12}) == []
     assert compare_artifacts({"n": 1.0}, {"n": 1.0 + 1e-6}) != []
     assert compare_artifacts({"a": [1, 2]}, {"a": [1, 2, 3]}) != []
+    assert compare_artifacts({"a": [(1, 2)]}, {"a": [[1, 2]]}) == []
     assert compare_artifacts({"created": "x"}, {"created": "y"}) == []
 
 
@@ -178,15 +179,42 @@ def _normalize_oracle(obj):
 @example(payload=[[1], [2.5]])
 def test_normalize_matches_the_per_leaf_oracle(payload):
     # repr tells lists from tuples and shows nan, which == would not match
-    assert repr(certify._normalize(payload)) == repr(_normalize_oracle(payload))
+    assert repr(_as_lists(certify._normalize(payload))) == repr(_normalize_oracle(payload))
+
+
+def _as_lists(data, in_rows=False):
+    """Normalized data with each tuple made a list.  The one tuple the
+    normalizer may leave is a row of ints in a list of such rows."""
+    if isinstance(data, dict):
+        return {k: _as_lists(v) for k, v in data.items()}
+    if isinstance(data, list):
+        rows = bool(data) and all(
+            type(r) in (list, tuple) and r and {type(x) for x in r} == {int} for r in data
+        )
+        return [_as_lists(v, rows) for v in data]
+    if isinstance(data, tuple):
+        assert in_rows, data
+        return list(data)
+    return data
+
+
+def test_int_rows_pass_through_uncopied():
+    """A list of int rows is normalized to itself, and a tuple of them to a
+    list of the same row objects."""
+    rows = [(1, 2), [3, -4], (2**70, 0)]
+    assert certify._normalize({"rows": rows})["rows"] is rows
+    out = certify._normalize(tuple(rows))
+    assert type(out) is list and all(a is b for a, b in zip(out, rows))
 
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**200),
     FLOATS, st.text(max_size=6),
 )
-# normalized trees: str keys, lists only, and rows of ints that the emitter
-# joins in one step next to rows it must not (bools are ints to isinstance)
+# normalized trees: str keys, lists, and rows of ints that the emitter
+# joins in one step next to rows it must not (bools are ints to isinstance);
+# the examples add lists of more rows than one piece holds, and rows that
+# are tuples, as the normalizer passes them through
 NORMALIZED = st.recursive(
     st.one_of(
         SCALARS,
@@ -217,6 +245,8 @@ MANY_ROWS = [[i, -i, 2**64 + i][: 1 + i % 3] for i in range(2 * certify._BATCH +
 @example(data=[[1, 2], [], [4]])
 @example(data=[[1, 2], [3.0], [4]])
 @example(data=[[1, 2], [3], ["]],\n  ["]])
+@example(data=[(i, -i, 2**64) for i in range(2 * certify._BATCH + 7)])
+@example(data={"rows": [(1, 2**70)] * certify._BATCH, "x": [[(0,), (-1,)]]})
 def test_indented_text_is_json_dump_indent_1(data):
     """``json.dumps(sort_keys=True, indent=1)`` is the oracle of the
     certificate emitter."""

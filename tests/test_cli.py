@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -850,7 +851,20 @@ def malformed_command(workdir, case):
         if case in ("pou_epsilon_text", "pou_epsilon_zero"):
             eps = "abc" if case == "pou_epsilon_text" else "0"
             return build + ["--colors", colors, "--epsilon", eps]
+        if case.startswith("pou_color_entry_"):
+            bad = {
+                "mixed": [[0, 1, 2, 3, 4, 5, 6, 99, "a", -1], [6, 7, 8, 9, 10, 11, 0]],
+                "true": [[0, True, 2, 3, 4, 5, 6], [6, 7, 8, 9, 10, 11, 0]],
+                "order": [[0, 1, 2, 3, 4, 5, 6, 12], [6, 7, 8, 9, 10, 11, 0]],
+            }[case.rsplit("_", 1)[1]]
+            return build + ["--colors", write("bad.json", bad), "--N", 8]
         assert run(build + ["--colors", colors, "--N", 8]) == 0
+        if case.startswith("pou_psi_"):
+            cert = json.loads((workdir / "pou.json").read_text())
+            psi = cert["pou"]["psi"][0]
+            key = sorted(psi)[0]
+            psi[key] = {"float": float(Fraction(psi[key])), "bool": True}[case.rsplit("_", 1)[1]]
+            return ["pou-verify", "--pou", write("bad.json", cert)]
         return ["pou-verify", "--pou", workdir / "pou.json", "--epsilon", "abc"]
     group = write("g.json", {"action": {"cyclic": 4}})
     element = write("e.json", {"coeffs": [[[1, 0], "1", "0"]]})
@@ -858,6 +872,10 @@ def malformed_command(workdir, case):
         return ["norm", "--groupoid", group, "--element", write("bad.json", {})]
     if case == "element_coefficient":
         bad = write("bad.json", {"coeffs": [[[1, 0], "x", "0"]]})
+        return ["norm", "--groupoid", group, "--element", bad]
+    if case.startswith("element_part_"):
+        part = {"float": 0.1, "bool": True, "null": None}[case.rsplit("_", 1)[1]]
+        bad = write("bad.json", {"coeffs": [[[1, 0], part, "0"]]})
         return ["norm", "--groupoid", group, "--element", bad]
     if case == "groupoid_units":
         bad = write("bad.json", {"arrows": [], "compose": [], "inverse": {}})
@@ -872,6 +890,10 @@ def malformed_command(workdir, case):
         blr["action"] = write("bad.json", {"cyclic": "x" if case == "blr_action" else 0})
     elif case in ("blr_complex", "blr_map"):
         blr[case[4:]] = write("bad.json", {})
+    elif case == "blr_float_weight":
+        samples = json.loads(blr["map"].read_text())["samples"]
+        samples["0"] = {"0": 0.5, "1": "1/2"}  # 0.5 is binary-exact, so the sum is 1
+        blr["map"] = write("bad.json", {"samples": samples})
     if case.startswith("blr_"):
         return [
             "blr-check", "--action", blr["action"], "--map", blr["map"],
@@ -897,6 +919,9 @@ def malformed_command(workdir, case):
     "blr_complex", "blr_map", "blr_action", "blr_order", "grid_dims", "space_dims",
     "space_group_ball", "witness_asdim-verify", "witness_bridge", "blr_epsilon",
     "pou_colors", "pou_order", "pou_epsilon_text", "pou_epsilon_zero", "pou_verify_epsilon",
+    "element_part_float", "element_part_bool", "element_part_null", "blr_float_weight",
+    "pou_color_entry_mixed", "pou_color_entry_true", "pou_color_entry_order",
+    "pou_psi_float", "pou_psi_bool",
 ])
 def test_malformed_input_exit_code(workdir, capsys, case):
     code = run(malformed_command(workdir, case))

@@ -1,6 +1,8 @@
 """Single-scale coarse covers, the exhaustive oracle, and the bridge."""
 
 import copy
+import gc
+import json
 import random
 from itertools import product
 
@@ -21,18 +23,23 @@ from dadim.coarse import (
     space_from_json,
     verify_asdim_witness,
 )
-from dadim.errors import InvalidInput, TooLarge, VerificationFailed
+from dadim import certify
+from dadim.errors import InvalidInput, TooLarge, VerificationFailed, malformed
 from dadim.groupoid import (
     BlockArrows,
     GroupoidDadWitness,
     TubeArrows,
     TubePairGroupoid,
-    _connected_components,
+    _component_labels,
     _seed_in_color,
     generate_subgroupoid,
     verify_groupoid_dad,
 )
-from helpers import construct_grid_witness_oracle, exhaustive_min_colors_with_witness
+from helpers import (
+    construct_grid_witness_oracle,
+    exhaustive_min_colors_with_witness,
+    space_diameter,
+)
 
 
 def path_graph(n):
@@ -132,7 +139,7 @@ def test_oracle_consistency_small_spaces():
     and the oracle's witness achieves the minimum."""
     rng = random.Random(11)
     P8 = path_graph(8)
-    diam = P8.diameter()
+    diam = space_diameter(P8)
     for R in range(1, diam + 1, 2):
         for S in range(1, diam + 1, 2):
             k, w = exhaustive_min_colors_with_witness(P8, R, S)
@@ -314,6 +321,55 @@ def test_space_and_witness_serialization():
     ]
 
 
+def test_reading_verifying_and_bridging_take_few_collector_passes():
+    """Reading, verifying and bridging the 80 x 80 brick witness build one
+    tuple per point, the classes' points, and no other object per point:
+    the grid's points are never built, cells come from arrays, and the
+    tube blocks are labels.  Objects are what start the cyclic collector,
+    so its passes count them: at most 10, where building the points, a
+    point -> cell dict and a set per tube block took 14 young passes and 1
+    middle one."""
+    text = json.dumps(certify._normalize(construct_grid_witness(Grid2dSpace(80, 80), 5).to_json()))
+    data = json.loads(text)
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        X = space_from_json({"grid": {"dims": [80, 80]}})
+        w = asdim_witness_from_json(data)
+        assert verify_asdim_witness(X, w).accepted
+        bridge_to_groupoid(X, w)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(passes) <= 10, passes
+
+
+@pytest.mark.parametrize("cls", [
+    [[0, 1], [2, 3]], [], [3, 4], [[0, 1], 5], [[0, 1], "a"], [[1.5, True]], [[0, [1]]],
+    [{"a": 1}], "ab", 7, None,
+])
+def test_reader_reads_a_class_as_the_per_entry_conversion(cls):
+    """A class of lists becomes one frozenset of tuples in one call; any
+    other class keeps the per-entry conversion, and its errors."""
+    def outcome(read):
+        try:
+            return read()
+        except InvalidInput as exc:
+            return str(exc)
+
+    def per_entry():
+        with malformed("coarse witness"):
+            return frozenset([tuple(p) if isinstance(p, list) else p for p in cls])
+
+    data = {"scale_R": 1, "bound_S": 1, "families": [[cls]]}
+    assert outcome(lambda: asdim_witness_from_json(data).families[0][0]) == outcome(per_entry)
+
+
 def test_metric_axioms_checked_on_every_triple():
     """600 points on a path, with d(0, 2) = 5 > d(0, 1) + d(1, 2): the
     triangle check runs over every triple at this size."""
@@ -345,13 +401,13 @@ CASES = ("cover", "foreign", "two_classes", "gap", "meet_at_R", "diameter")
 
 def _foreign_points(X):
     """Points no class may use: outside the box, of the wrong arity, not
-    integers."""
+    integers, or a sequence of ints that is not a tuple."""
     p = X.points[-1]
     if isinstance(p, int):
-        return [X.points[0] - 1, p + 1, (p,), 0.5, "a", None]
+        return [X.points[0] - 1, p + 1, (p,), 0.5, "a", None, range(1)]
     return [
         tuple(c + 1 for c in p), tuple(c - 100 for c in p), p[:-1] or (0, 0), p + (0,),
-        (0.5,) * len(p), 0, None,
+        (0.5,) * len(p), 0, None, range(2),
     ]
 
 
@@ -405,6 +461,9 @@ def space_and_witness(draw):
           AsdimWitness(0, 0, [[frozenset({0.0, 1}), frozenset({2}), frozenset({3})]])))
 @example(("diameter", Grid2dSpace(2, 2),
           AsdimWitness(0, 0, [[frozenset({(0.0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})]])))
+# range(2) is a sequence of the ints 0, 1 but no point: (0, 1) is uncovered
+@example(("foreign", Grid2dSpace(2, 2),
+          AsdimWitness(1, 2, [[frozenset({(0, 0), (1, 0), (1, 1), range(2)})]])))
 def test_lattice_verification_matches_the_ball_scan(drawn):
     case, X, w = drawn
     assert X.lattice is not None
@@ -432,10 +491,216 @@ def test_lattice_diameters_match_subset_diameter(X, data):
 @settings(max_examples=200, deadline=None)
 @given(SPACES, st.integers(-1, 4), st.data())
 def test_lattice_tube_blocks_match_union_find(X, R, data):
-    color = data.draw(st.sets(st.sampled_from(X.points)))
+    """Each color's r-components labelled over its cells are the blocks
+    that the union-find generates from the color's tube seed: with one
+    propagation for disjoint colors holding every point, and one per color
+    when the colors overlap."""
+    if data.draw(st.booleans()):
+        n = len(X.points)
+        owner = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        colors = [frozenset(p for p, o in zip(X.points, owner) if o == i) for i in range(3)]
+    else:
+        colors = data.draw(st.lists(st.frozensets(st.sampled_from(X.points)), max_size=2))
+        colors.append(frozenset(X.points))  # the cover check has put every point in a color
     G = TubePairGroupoid(X, 2 * max(R, 0))
-    seed = _seed_in_color(G, TubeArrows(R), color)
-    oracle = BlockArrows(frozenset(frozenset(c) for c in _connected_components(iter(seed))))
-    assert generate_subgroupoid(G, seed) == oracle
-    plain = TubePairGroupoid(scanned(X), G.radius)
-    assert generate_subgroupoid(plain, _seed_in_color(plain, TubeArrows(R), color)) == oracle
+    lat = X.lattice
+    cells = [lat.cells_of(c) for c in colors]
+    for color, labels in zip(colors, _component_labels(lat, cells, R)):
+        blocks: dict = {}
+        for p, least in zip(color, labels.tolist()):
+            blocks.setdefault(least, set()).add(p)
+        oracle = generate_subgroupoid(G, _seed_in_color(G, TubeArrows(R), color))
+        assert BlockArrows(frozenset(map(frozenset, blocks.values()))) == oracle
+
+
+# -- the array path at larger sizes against the per-point oracles ----------
+
+
+def _ball_walk(X, p, r):
+    """The points within r of ``p`` in point order, walking the l1 ball
+    alone; p equals a point of X (its coordinates may be 0.0 or True)."""
+    if isinstance(X, Grid1dSpace):
+        c = int(p)
+        yield from range(max(X.lo, c - r), min(X.hi, c + r) + 1)
+        return
+    x, y = map(int, p)
+    for a in range(max(0, x - r), min(X.w - 1, x + r) + 1):
+        s = r - abs(a - x)
+        yield from ((a, b) for b in range(max(0, y - s), min(X.h - 1, y + s) + 1))
+
+
+def walked(X):
+    """``scanned(X)`` whose ball scan walks the ball instead of testing
+    every point, which gives the same points in the same order: the
+    per-point paths at sizes where a scan over all points is too slow."""
+    Y = scanned(X)
+    Y.__dict__["iter_ball"] = lambda p, r: _ball_walk(X, p, r)
+    return Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(SPACES, st.integers(-1, 4), st.data())
+def test_ball_walk_matches_the_scan(X, r, data):
+    p = data.draw(st.sampled_from(X.points))
+    assert list(walked(X).iter_ball(p, r)) == list(scanned(X).iter_ball(p, r))
+
+
+GRIDS = st.one_of(
+    st.builds(lambda lo, n: Grid1dSpace(lo, lo + n - 1), st.integers(-5, 5), st.integers(1, 40)),
+    st.builds(Grid2dSpace, st.integers(1, 40), st.integers(1, 40)),
+)
+MUTATIONS = ("none", "drop", "two_classes", "float", "bool", "outside")
+
+
+def _equal_non_int(p, kind):
+    """An object equal to the point p that is no int point: 0.0 or True
+    for 0 or 1 (a bool only where p is 0 or 1), or one such coordinate."""
+    if kind == "bool":
+        if isinstance(p, int):
+            return bool(p) if p in (0, 1) else p
+        return (bool(p[0]),) + p[1:] if p[0] in (0, 1) else p
+    return float(p) if isinstance(p, int) else (float(p[0]),) + p[1:]
+
+
+@st.composite
+def grid_witnesses(draw):
+    """A grid, R and an asdim witness: the constructed one or a random
+    assignment of points to classes, then one mutation."""
+    X = draw(GRIDS)
+    R = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        w = construct_grid_witness(X, R)
+        fams = [[set(c) for c in fam] for fam in w.families]
+        S = draw(st.sampled_from([w.bound_S, max(w.bound_S - 2, 0)]))
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        nfam = draw(st.integers(1, 3))
+        fams = [[set() for _ in range(draw(st.integers(1, 4)))] for _ in range(nfam)]
+        for p in X.points:
+            rng.choice(rng.choice(fams)).add(p)
+        S = draw(st.integers(0, 40))
+    classes = [c for fam in fams for c in fam]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    p = draw(st.sampled_from(X.points))
+    home = next(c for c in classes if p in c)
+    if mutation == "drop":
+        home.discard(p)
+    elif mutation == "two_classes":
+        fam = next(f for f in fams if home in f)
+        draw(st.sampled_from(fam)).add(p)
+    elif mutation in ("float", "bool"):
+        home.discard(p)
+        home.add(_equal_non_int(p, mutation))
+    elif mutation == "outside":
+        home.add(draw(st.sampled_from(_foreign_points(X))))
+    return X, AsdimWitness(R, S, [[frozenset(c) for c in fam] for fam in fams])
+
+
+def _bridged(X, w):
+    """The bridge's report and generated sizes, or the report it raised."""
+    try:
+        G, gw, report = bridge_to_groupoid(X, w)
+    except VerificationFailed as exc:
+        return exc.report
+    return report, [len(g) for g in gw.generated]
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_witnesses())
+def test_array_paths_match_the_per_point_oracles(drawn):
+    """Verification and bridge on label arrays give the reports of the
+    ball scan and of ``generate_subgroupoid`` over the tube seeds."""
+    X, w = drawn
+    Y = walked(X)
+    assert verify_asdim_witness(X, w) == verify_asdim_witness(Y, w)
+    assert _bridged(X, w) == _bridged(Y, w)
+
+
+@st.composite
+def tube_witnesses(draw):
+    """A grid, a tube witness over it (colors that overlap or not, and the
+    declared blocks of each, generated and then perhaps changed), the
+    ambient radius and a size bound."""
+    X = draw(GRIDS)
+    r = draw(st.integers(-1, 3))
+    Y = walked(X)
+    G = TubePairGroupoid(Y, 0)
+    n = len(X.points)
+    rng = draw(st.randoms(use_true_random=False))
+    owner = [rng.randrange(3) for _ in range(n)]
+    colors = [{p for p, o in zip(X.points, owner) if o == i} for i in range(3)]
+    if draw(st.booleans()):
+        colors[0] |= draw(st.sets(st.sampled_from(X.points), max_size=5))
+    declared = [
+        generate_subgroupoid(G, _seed_in_color(G, TubeArrows(r), frozenset(c))) for c in colors
+    ]
+    i = draw(st.integers(0, 2))
+    p = draw(st.sampled_from(X.points))
+    # largest first, so that a change that needs a block of two points finds one
+    blocks = sorted(map(set, declared[i].blocks), key=len, reverse=True)
+    change = draw(st.sampled_from(
+        ["none", "merge", "merge_and_empty", "split", "move", "copy", "extra", "float",
+         "empty", "foreign", "unknown_color", "uncovered", "undeclared", "arrows", "clear",
+         "whole"]
+    ))
+    if change == "clear":
+        blocks = []
+    elif change == "whole" and colors[i]:
+        blocks = [set(colors[i])]
+    elif change.startswith("merge") and len(blocks) > 1:
+        blocks[0] |= blocks.pop()
+        if change == "merge_and_empty":
+            blocks.append(set())
+    elif change == "split" and blocks and len(blocks[0]) > 1:
+        blocks.append({blocks[0].pop()})
+    elif change in ("move", "copy") and len(blocks) > 1 and len(blocks[0]) > 1:
+        q = next(iter(blocks[0]))
+        blocks[1].add(q)
+        if change == "move":
+            blocks[0].discard(q)
+    elif change == "extra" and blocks and len(colors[i]) < n:
+        blocks[0].add(draw(st.sampled_from(sorted(set(X.points) - colors[i]))))
+    elif change == "float" and blocks:
+        q = next(iter(blocks[0]))
+        blocks[0] = (blocks[0] - {q}) | {_equal_non_int(q, "float")}
+    elif change == "empty":
+        blocks.append(set())
+    elif change == "foreign" and blocks:
+        blocks[0].add(draw(st.sampled_from(_foreign_points(X))))
+    elif change == "unknown_color":
+        colors[i].add(draw(st.sampled_from(_foreign_points(X))))
+    elif change == "uncovered":
+        for c in colors:
+            c.discard(p)
+    declared[i] = BlockArrows(frozenset(map(frozenset, blocks)))
+    if change == "undeclared":
+        declared[i] = None
+    elif change == "arrows":
+        declared[i] = frozenset()
+    witness = GroupoidDadWitness(TubeArrows(r), [frozenset(c) for c in colors], declared)
+    if draw(st.booleans()):
+        return X, witness, 80, None  # no block leaves this tube, and no bound
+    return X, witness, draw(st.integers(-1, 8)), draw(st.one_of(st.none(), st.integers(0, 2 * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tube_witnesses())
+# a point moved between the two blocks of a color: as many blocks, holding
+# every cell once, but not the components
+@example((Grid1dSpace(0, 4), GroupoidDadWitness(
+    TubeArrows(1), [frozenset({0, 1, 3, 4}), frozenset({2})],
+    [BlockArrows(frozenset({frozenset({0}), frozenset({1, 3, 4})})), None]), 80, None))
+def test_tube_verification_on_cells_matches_generation(drawn):
+    """``verify_groupoid_dad`` on a grid's tube reports as it does with the
+    grid's lattice off, where each color generates its subgroupoid by the
+    union-find.  When several blocks leave the ambient tube the two may
+    name different ones: then both name the same color and a diameter over
+    the radius."""
+    X, witness, radius, bound = drawn
+    got = verify_groupoid_dad(TubePairGroupoid(X, radius), witness, bound)
+    want = verify_groupoid_dad(TubePairGroupoid(walked(X), radius), witness, bound)
+    if "ambient tube" in want.message:
+        assert (got.code, got.details["color"]) == (want.code, want.details["color"])
+        assert got.details["diameter"] > radius
+    else:
+        assert got == want

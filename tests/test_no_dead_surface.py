@@ -37,9 +37,8 @@ def _uses(tree, skip=None) -> set:
     return out
 
 
-# test-only methods kept where they are: coarse.py stays as it is until the
-# next change to the coarse layer, which moves this one to tests/helpers.py
-KEPT = {"coarse.FiniteMetricSpace.diameter"}
+# test-only methods kept where they are
+KEPT: set = set()
 
 
 def _public_defs(tree):
