@@ -22,9 +22,9 @@ that is built only for it.  The grid witnesses are built on the grid
 coordinates too: each point's interval or brick and its color are array
 arithmetic, and the classes are the runs of one stable argsort.
 Explicit tables and word-metric balls keep the per-point ball scan and
-the union-find, which also serve the tests as the oracle of the lattice
-path; the tests keep the per-point construction as the oracle of the
-array one.
+generation through the groupoid layer's edge-list component kernel,
+which also serve the tests as the oracle of the lattice path; the tests
+keep the per-point construction as the oracle of the array one.
 """
 
 from __future__ import annotations

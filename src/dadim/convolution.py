@@ -9,9 +9,10 @@ which nothing here needs to form, nor sums and scalar multiples (the
 tests' oracle forms them); the reduced norm is the sup over units x of
 ||pi_x(f)||.  On a free groupoid pi_x(f) is block diagonal, one
 block per component of the support graph of f, so the norm is the
-largest block norm of ``block_decompose``; under isotropy it is the
-largest over one unit per orbit of the regular-representation matrix on
-the source fiber.
+largest block norm of the ``BlockDecomposition`` whose labels the
+component kernel reads off f's arrays; under isotropy it is the largest
+over one unit per orbit of the regular-representation matrix on the
+source fiber.
 Coefficients are kept as given, exact (Fraction pairs) when they are.
 Norms are computed in floats: the blocks are scattered into one stack
 per block size, and each stack goes to LAPACK's ``eigvalsh`` once, as
@@ -19,7 +20,9 @@ itself when it is Hermitian and as A^H A otherwise.
 
 The cut-down decomposition works on arrays over supp f (``SupportVector``):
 phi is one (d+1) x n array over the units, and each cut-down, the defect
-and each commutator is a coefficient vector on f's arrows.  The defect is
+and each commutator is a coefficient vector on f's arrows.  The blocks of
+each color's small subgroupoid are the label arrays of the partition of
+unity, and nothing on this path generates a subgroupoid.  The defect is
 kept only on arrows whose ends carry different exact pou data, or data
 whose squares do not sum to S; everywhere else it is exactly 0.
 """
@@ -33,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GroupoidMismatch, InvalidInput, NotFree, SupportLeak
-from .groupoid import BlockArrows, generate_subgroupoid
+from .groupoid import BlockArrows, _edge_components, _positions
 
 __all__ = [
     "ConvElement",
@@ -89,9 +92,10 @@ class SupportVector:
     """Coefficients on a fixed list of arrows of a finite groupoid, as arrays.
 
     ``src`` and ``rng`` hold each arrow's source and range as positions in
-    ``G.units``, and ``values`` its complex coefficient; an arrow whose
-    value is 0 is off the support.  The cut-down decomposition keeps f's
-    arrows and varies only the values (``with_values``).
+    ``G.units`` (read through ``G.index``), and ``values`` its complex
+    coefficient; an arrow whose value is 0 is off the support.  The cut-down
+    decomposition keeps f's arrows and varies only the values
+    (``with_values``).
     """
 
     G: object
@@ -103,15 +107,10 @@ class SupportVector:
     @classmethod
     def of(cls, f: ConvElement) -> "SupportVector":
         """f on its own support, each coefficient converted to a complex once."""
-        G = f.G
-        index = {u: j for j, u in enumerate(G.units)}
         arrows = tuple(f.coeffs)
-        m = len(arrows)
         return cls(
-            G, arrows,
-            np.fromiter((index[G.source(a)] for a in arrows), np.intp, m),
-            np.fromiter((index[G.range(a)] for a in arrows), np.intp, m),
-            np.fromiter(map(_to_complex, f.coeffs.values()), complex, m),
+            f.G, arrows, *_positions(f.G, arrows),
+            np.fromiter(map(_to_complex, f.coeffs.values()), complex, len(arrows)),
         )
 
     def with_values(self, values: np.ndarray) -> "SupportVector":
@@ -185,14 +184,17 @@ def reduced_norm(f) -> float:
     """sup over units of ||pi_x(f)|| for a ``ConvElement`` or a
     ``SupportVector``.  On a free groupoid pi_x(f) permutes to one block
     per component of the support graph of f (zero elsewhere), so the norm
-    is the largest block norm over the subgroupoid f generates.  Under
-    isotropy one representative per orbit suffices, because the regular
-    representations along an orbit are unitarily conjugate, and orbits
-    missing the support contribute zero."""
+    is the largest block norm over the subgroupoid f generates, whose
+    labels come from the ends of the nonzero values.  Under isotropy one
+    representative per orbit suffices, because the regular representations
+    along an orbit are unitarily conjugate, and orbits missing the support
+    contribute zero."""
     G = f.G
     if G.is_free():
         v = _as_vector(f)
-        return block_decompose(G, generate_subgroupoid(G, v.support())).max_block_norm(v)
+        on = np.flatnonzero(v.values)
+        label = _edge_components(len(G.units), v.src[on], v.rng[on])
+        return BlockDecomposition(G, label).max_block_norm(v)
     if isinstance(f, SupportVector):
         f = f.element()
     touched = {u for g in f.coeffs for u in (G.source(g), G.range(g))}
@@ -259,36 +261,46 @@ def commutator_report(f, phi: np.ndarray) -> dict:
 # block decomposition of free finite groupoids
 
 
-@dataclass
 class BlockDecomposition:
     """Blocks of a subgroupoid of a free groupoid with matrix-unit
-    coordinates: the arrow from s to r is e_{r, s} in the block of both."""
+    coordinates: the arrow from s to r is e_{r, s} in the block of both.
 
-    G: object
-    classes: list  # list of (base unit, tuple of units)
+    Built from a label per unit of ``G.units``: units with one label share
+    a block, and -1 is in no block.  Blocks go in repr order of their
+    repr-least units, and the units of a block in repr order.  ``block``
+    and ``pos`` hold, over ``G.units``, each unit's block index (-1 outside
+    every block) and its position in its block.
+    """
+
+    def __init__(self, G, label: np.ndarray):
+        on = np.flatnonzero(label >= 0)
+        keys = [repr(G.units[x]) for x in on.tolist()]
+        on = on[np.array(sorted(range(len(on)), key=keys.__getitem__), np.intp)]
+        # a block's rank is that of its repr-least unit, its head
+        first = np.full(len(label), len(on), np.intp)
+        np.minimum.at(first, label[on], np.arange(len(on)))
+        heads = on[np.sort(first[first < len(on)])]
+        rank = np.empty(len(label), np.intp)
+        rank[label[heads]] = np.arange(len(heads))
+        k = rank[label[on]]
+        order = np.argsort(k, kind="stable")
+        on, k = on[order], k[order]
+        self._sizes = np.bincount(k).astype(np.intp)
+        self.G = G
+        self.block = np.full(len(label), -1, np.intp)
+        self.block[on] = k
+        self.pos = np.zeros(len(label), np.intp)
+        self.pos[on] = np.arange(len(on)) - (np.cumsum(self._sizes) - self._sizes)[k]
 
     def sizes(self) -> list[int]:
-        return [len(units) for _, units in self.classes]
-
-    @cached_property
-    def where(self) -> dict:
-        """unit -> (class index, position in its class)."""
-        return {u: (k, i) for k, (_, units) in enumerate(self.classes) for i, u in enumerate(units)}
-
-    @cached_property
-    def labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """``where`` as two arrays over ``G.units``: each unit's class
-        index (-1 outside every block) and its position in the class."""
-        at = [self.where.get(u, (-1, 0)) for u in self.G.units]
-        return np.array([k for k, _ in at], np.intp), np.array([i for _, i in at], np.intp)
+        return self._sizes.tolist()
 
     def leaks(self, v: SupportVector) -> np.ndarray:
         """The indices into ``v.arrows`` of the nonzero values on arrows
         that no block holds, in arrow order."""
-        block = self.labels[0]
         on = np.flatnonzero(v.values)
-        ks = block[v.src[on]]
-        return on[(ks < 0) | (ks != block[v.rng[on]])]
+        ks = self.block[v.src[on]]
+        return on[(ks < 0) | (ks != self.block[v.rng[on]])]
 
     def stacks(self, f) -> list[tuple[np.ndarray, np.ndarray]]:
         """f in matrix-unit coordinates, one stack per block size k: the
@@ -302,11 +314,10 @@ class BlockDecomposition:
             raise SupportLeak(
                 f"element supported outside the decomposed groupoid at {v.arrows[leak[0]]!r}"
             )
-        block, pos = self.labels
+        pos, sizes = self.pos, self._sizes
         on = np.flatnonzero(v.values)
         s, r = v.src[on], v.rng[on]
-        ks = block[s]
-        sizes = np.array(self.sizes(), np.intp)
+        ks = self.block[s]
         slot = np.zeros(len(sizes), np.intp)  # a block's index in its size's stack
         out = []
         for k in sorted(set(self.sizes())):
@@ -326,14 +337,15 @@ def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
     """Split a subgroupoid of a free finite groupoid into full matrix
     blocks, one per block of ``sub`` (default: the orbits of G).
 
-    Raises NotFree on isotropy of G at the units of ``sub``, and when a
-    block is not a full matrix algebra of arrows of G: it leaves an orbit
-    of G, or shares a unit with another block.
+    Raises InvalidInput for an empty block; NotFree on isotropy of G at the
+    units of ``sub``, and when a block is not a full matrix algebra of
+    arrows of G: it leaves an orbit of G, or shares a unit with another
+    block.
     """
-    if sub is None:
-        sub = BlockArrows(frozenset(G.orbits))
-    classes = sorted((tuple(sorted(b, key=repr)) for b in sub.blocks), key=lambda m: repr(m[0]))
-    units = [u for members in classes for u in members]
+    blocks = list(G.orbits if sub is None else sub.blocks)
+    if not all(blocks):
+        raise InvalidInput("a block of a subgroupoid holds at least one unit")
+    units = [u for b in blocks for u in b]
     iso = G.isotropy_witness(frozenset(units))
     if iso is not None:
         raise NotFree(f"isotropy arrow {iso!r} at unit {G.source(iso)!r}")
@@ -342,13 +354,13 @@ def block_decompose(G, sub: BlockArrows | None = None) -> BlockDecomposition:
     # every matrix unit exactly once when it lies in one orbit and no
     # other block holds its units
     orbit_of = {u: k for k, orbit in enumerate(G.orbits) for u in orbit}
-    inside = all(
-        members[0] in orbit_of and len({orbit_of.get(u) for u in members}) == 1
-        for members in classes
+    inside = all(u in orbit_of for u in units) and all(
+        len({orbit_of[u] for u in b}) == 1 for b in blocks
     )
     if len(set(units)) != len(units) or not inside:
         raise NotFree("a block is not inside one orbit: its matrix units are not all arrows")
-    return BlockDecomposition(G, [(m[0], m) for m in classes])
+    block_of = {u: k for k, b in enumerate(blocks) for u in b}
+    return BlockDecomposition(G, np.array([block_of.get(u, -1) for u in G.units], np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +382,9 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     defect norm is bounded by sum_i ||phi_i||_inf ||[f, phi_i]||, each
     commutator by M_i * osc_i * ||f||.  Every cut-down must stay inside its
     color's small subgroupoid (SupportLeak otherwise), where it is
-    expressed in matrix blocks.  The blocks lie in orbits (``block_decompose``
-    checks it), so the cut-down's reduced norm is its largest block norm,
-    reported as both ``cutdown_norm`` and ``cutdown_block_norm``.
+    expressed in matrix blocks.  The blocks are components of K-arrows, so
+    they lie in orbits, and the cut-down's reduced norm is its largest
+    block norm, reported as both ``cutdown_norm`` and ``cutdown_block_norm``.
 
     Everything is computed on arrays over supp f.  The defect's coefficient
     f(g) (sum_i phi_i(r) phi_i(s) - 1) is exactly 0 on an arrow whose two
@@ -395,8 +407,8 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     blocks = []
     total = np.zeros(len(v.arrows), complex)
     cutdowns = []
-    for i, sub in enumerate(pou.small_subgroupoids()):
-        bd = block_decompose(G, sub)
+    for i, label in enumerate(pou.small_subgroupoids()):
+        bd = BlockDecomposition(G, label)
         cut = v.with_values(phi[i, v.rng] * phi[i, v.src] * v.values)
         leak = bd.leaks(cut)
         if len(leak):

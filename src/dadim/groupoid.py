@@ -17,14 +17,17 @@ composition.  Three concrete flavors cover everything the artifact needs:
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
-An explicit groupoid computes its orbits once, by union-find over its
-arrows.  A subgroupoid of a free groupoid has one form,
-``BlockArrows``: an arrow is fixed by its source and range, so a
-subgroupoid is the pair groupoid over a partition of some units (one
+Components of a graph on units come from one kernel,
+``_edge_components``: edge endpoints as unit positions in, each node's
+least position in its component out.  An explicit groupoid computes its
+orbits with it once, over its arrows.  A subgroupoid of a free groupoid
+has one form, ``BlockArrows``: an arrow is fixed by its source and range,
+so a subgroupoid is the pair groupoid over a partition of some units (one
 matrix algebra per block).  Generation reads the blocks off the
-components of the seed graph, and consumers read sizes, membership and
-group parts from them.  The worklist closure (a frozenset of arrows) runs
-only on groupoids with isotropy.
+components of the seed graph, and consumers read sizes and group parts
+from them; the norms and the partition-of-unity layer read the kernel's
+labels directly.  The worklist closure (a frozenset of arrows) runs only
+on groupoids with isotropy.
 
 Finiteness stands in for relative compactness throughout: a witness is
 accepted when each color's generated subgroupoid is small against an
@@ -33,7 +36,6 @@ explicit size bound.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -133,11 +135,19 @@ class FiniteGroupoid:
         return self._free
 
     @cached_property
+    def index(self) -> dict:
+        """unit -> its position in ``units``."""
+        return {u: i for i, u in enumerate(self.units)}
+
+    @cached_property
     def orbits(self) -> tuple[frozenset, ...]:
         """The orbits of the units: the components of the graph with an
-        edge s(g) -- r(g) per arrow, in order of first appearance."""
-        edges = ((self.source(a), self.range(a)) for a in self.arrows)
-        return tuple(frozenset(c) for c in _connected_components(edges, self.units))
+        edge s(g) -- r(g) per arrow and a loop at every unit, in order of
+        their first units."""
+        n, loops = len(self.units), np.arange(len(self.units))
+        src, rng = _positions(self, self.arrows)
+        label = _edge_components(n, np.concatenate([src, loops]), np.concatenate([rng, loops]))
+        return tuple(_blocks(self.units, label))
 
     def fiber(self, x) -> tuple:
         """The arrows with source x, in arrow order."""
@@ -276,6 +286,11 @@ class TransformationGroupoid(FiniteGroupoid):
         """None: a rotation of the residues fixes none of them."""
         return None
 
+    @property
+    def index(self) -> range:
+        """Each residue is its own position in ``units``."""
+        return range(self.n)
+
     @cached_property
     def orbits(self) -> tuple[frozenset, ...]:
         """The one orbit: every residue."""
@@ -358,16 +373,6 @@ class BlockArrows:
     def __len__(self) -> int:
         return sum(len(b) ** 2 for b in self.blocks)
 
-    @cached_property
-    def label(self) -> dict:
-        """unit -> index of its block."""
-        return {u: i for i, b in enumerate(self.blocks) for u in b}
-
-    def holds(self, G, a) -> bool:
-        """Whether arrow ``a`` of G has both endpoints in one block."""
-        s = self.label.get(G.source(a))
-        return s is not None and s == self.label.get(G.range(a))
-
 
 class TubePairGroupoid:
     """Pair groupoid of a finite metric space restricted to a tube.
@@ -389,6 +394,8 @@ class TubePairGroupoid:
     @cached_property
     def unit_set(self) -> frozenset:
         return frozenset(self.units)
+
+    index = FiniteGroupoid.index  # unit -> position, built on first use
 
     # (x, y) is the arrow from y to x
     source = staticmethod(itemgetter(1))
@@ -412,49 +419,66 @@ class TubePairGroupoid:
 # subgroupoid generation
 
 
-def _connected_components(pairs, units=()) -> list[list]:
-    """Connected components of the graph on ``units`` plus the endpoints
-    of ``pairs``, with an edge per pair; in order of first appearance."""
-    parent: dict = {}
+def _edge_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the graph on the nodes 0..n-1 with an edge a[k] -- b[k]
+    for each k: per node, the least node of its component, and -1 for a
+    node on no edge (a loop puts its node on one).  Minimum labels are
+    hooked along the edges and compressed by pointer jumping until every
+    edge joins one label (the Shiloach-Vishkin scheme): the least node of a
+    component only ever points at itself, so it ends as the one root."""
+    touched = np.zeros(n, bool)
+    touched[a] = True
+    touched[b] = True
+    apart = a != b
+    a, b = a[apart], b[apart]
+    label = np.arange(n)
+    while a.size:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+    return np.where(touched, label, -1)
 
-    def root(u):
-        r = u
-        while parent[r] != r:
-            r = parent[r]
-        while parent[u] != r:
-            parent[u], u = r, parent[u]
-        return r
 
-    for u in units:
-        parent.setdefault(u, u)
-    for x, y in pairs:
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = root(x), root(y)
-        if rx != ry:
-            parent[rx] = ry
-    comps: dict = {}
-    for u in parent:
-        comps.setdefault(root(u), []).append(u)
-    return list(comps.values())
+def _positions(G, arrows) -> tuple[np.ndarray, np.ndarray]:
+    """The sources and ranges of a list of arrows, as positions in ``G.units``."""
+    index, m = G.index, len(arrows)
+    return (
+        np.fromiter((index[G.source(a)] for a in arrows), np.intp, m),
+        np.fromiter((index[G.range(a)] for a in arrows), np.intp, m),
+    )
+
+
+def _blocks(units, label: np.ndarray) -> list[frozenset]:
+    """The units that share each label, in order of their first units;
+    -1 labels no block."""
+    blocks: dict = {}
+    for u, k in zip(units, label.tolist()):
+        if k >= 0:
+            blocks.setdefault(k, []).append(u)
+    return [frozenset(b) for b in blocks.values()]
 
 
 def generate_subgroupoid(G, seed):
-    """Least subgroupoid of G containing ``seed``.
+    """Least subgroupoid of G containing the arrows of ``seed``.
 
     In a free groupoid an arrow is fixed by its source and range, so the
     result is the pair groupoid over the connected components of the seed
-    graph, returned as ``BlockArrows``.  The seed is arrows, or a
-    ``_UnitSeed`` that gives the graph itself (the tube arrows inside a
-    color), and its components come from the union-find over its pairs.
-    Groupoids with isotropy take the worklist closure and return a
-    frozenset of arrows.
+    graph (``_edge_components`` on the positions of the seed's ends),
+    returned as ``BlockArrows``.  Groupoids with isotropy take the worklist
+    closure and return a frozenset of arrows.
     """
     if not G.is_free():
         return _closure(G, seed)
-    if not isinstance(seed, _UnitSeed):
-        seed = ((G.source(a), G.range(a)) for a in seed)
-    return BlockArrows(frozenset(frozenset(c) for c in _connected_components(seed)))
+    label = _edge_components(len(G.units), *_positions(G, list(seed)))
+    return BlockArrows(frozenset(_blocks(G.units, label)))
 
 
 def _closure(G, seed) -> frozenset:
@@ -514,29 +538,13 @@ def _endpoint_units(G, K):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class _UnitSeed:
-    """The arrows of a free groupoid with both endpoints in ``units``, kept
-    as a unit graph: ``near(x)`` gives the units one arrow away from x.
-    Iterating gives one pair per edge, which is enough to generate; x in
-    ``near(x)`` keeps isolated units."""
-
-    units: frozenset
-    near: Callable
-
-    def __iter__(self):
-        for x in self.units:
-            for y in self.near(x):
-                if y in self.units:
-                    yield (x, y)
-
-
-def _seed_in_color(G, K, color):
+def _seed_in_color(G, K, color) -> list:
+    """The arrows of K with both ends in ``color``; for the tube, one
+    arrow (x, y) with y >= x per pair within the tube radius, (x, x)
+    included."""
     if isinstance(K, TubeArrows):
         space, r = G.space, K.radius
-        # one pair (x, y), y >= x, per unordered pair of the tube
-        near = lambda x: (y for y in space.iter_ball(x, r) if y >= x)  # noqa: E731
-        return _UnitSeed(frozenset(color), near)
+        return [(x, y) for x in color for y in space.iter_ball(x, r) if y >= x and y in color]
     return [a for a in K if G.source(a) in color and G.range(a) in color]
 
 

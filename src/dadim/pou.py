@@ -17,10 +17,12 @@ The layer runs on arrays over the residues 0..q-1 of
 offsets, the group parts of its arrows.  A color or a tower level is a
 boolean array, one K-propagation step is the OR of the rolls of a level by
 the offsets, and the subgroupoid that K (or K^3) generates inside a set of
-residues is a component label per residue.  Each residue carries the id of
-its exact tuple (psi_0, ..., psi_d, S), and every exact decision is taken
-once per distinct tuple, or once per distinct pair of ids at the two ends
-of an arrow; the work per arrow is array indexing.
+residues is a component label per residue, from the groupoid layer's one
+edge-list kernel; the cut-down decomposition reads these labels as its
+blocks (``PartitionOfUnity.small_subgroupoids``).  Each residue carries
+the id of its exact tuple (psi_0, ..., psi_d, S), and every exact decision
+is taken once per distinct tuple, or once per distinct pair of ids at the
+two ends of an arrow; the work per arrow is array indexing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     rational,
 )
 from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
-from .groupoid import BlockArrows, TransformationGroupoid, cyclic_rotation_groupoid
+from .groupoid import TransformationGroupoid, _edge_components, cyclic_rotation_groupoid
 from .reporting import VerificationReport
 
 __all__ = [
@@ -134,42 +136,16 @@ class _Moves:
         graph with an edge x -- x + g for every offset g joining two
         residues of the mask, and -1 for a residue on no edge (isolated
         residues are on their unit arrow when 0 is an offset).  The masks
-        of a stack are the layers of one graph.  Minimum labels are hooked
-        along the edges and compressed by pointer jumping until every edge
-        joins one label."""
+        of a stack are the layers of one graph, its nodes the positions
+        layer * q + x, and ``_edge_components`` takes its edges."""
         q = self.q
         stack = masks.reshape(-1, q)
         layer, x = np.nonzero(stack)
         to = self.to[:, x]
         hit = stack[layer, to]
         base = layer * q
-        a = (base + x)[np.nonzero(hit)[1]]
-        b = (base + to)[hit]
-        touched = np.zeros(stack.size, bool)
-        touched[a] = True
-        touched[b] = True
-        nodes = np.flatnonzero(touched)
-        pos = np.zeros(stack.size, np.intp)
-        pos[nodes] = np.arange(len(nodes))
-        a, b = pos[a], pos[b]
-        apart = a != b
-        a, b = a[apart], b[apart]
-        label = np.arange(len(nodes))
-        while a.size:
-            la, lb = label[a], label[b]
-            apart = la != lb
-            if not apart.any():
-                break
-            a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
-            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-            while True:
-                jumped = label[label]
-                if (jumped == label).all():
-                    break
-                label = jumped
-        out = np.full(stack.size, -1, np.intp)
-        out[nodes] = nodes[label] % q
-        return out.reshape(masks.shape)
+        label = _edge_components(stack.size, (base + x)[np.nonzero(hit)[1]], (base + to)[hit])
+        return np.where(label >= 0, label % q, -1).reshape(masks.shape)
 
 
 @lru_cache(maxsize=1)
@@ -184,14 +160,6 @@ def _generated_sizes(labels: np.ndarray) -> list[int]:
     on = labels >= 0
     counts = np.bincount((labels + np.arange(c)[:, None] * q)[on], minlength=c * q)
     return (counts.reshape(c, q) ** 2).sum(axis=1).tolist()
-
-
-def _block_arrows(label: np.ndarray) -> BlockArrows:
-    blocks: dict = {}
-    for x, root in enumerate(label.tolist()):
-        if root >= 0:
-            blocks.setdefault(root, []).append(x)
-    return BlockArrows(frozenset(map(frozenset, blocks.values())))
 
 
 def _color_masks(G, colors) -> np.ndarray:
@@ -407,12 +375,13 @@ class PartitionOfUnity:
             float,
         ).reshape(self.d + 1, len(self.tuples))
 
-    def small_subgroupoids(self) -> list[BlockArrows]:
-        """Per color, the subgroupoid generated by the K-arrows inside the
-        tower top, in block form; cutdowns by phi_i land in its convolution
-        algebra."""
+    def small_subgroupoids(self) -> np.ndarray:
+        """Per color, the blocks of the subgroupoid generated by the
+        K-arrows inside the tower top, as a (colors, q) label array: each
+        residue's least residue in its block, -1 in no block.  Cutdowns by
+        phi_i land in its convolution algebra."""
         tops = np.array([t.top for t in self.towers])
-        return [_block_arrows(label) for label in _Moves.of(self.G, self.K).components(tops)]
+        return _Moves.of(self.G, self.K).components(tops)
 
     @classmethod
     def from_json(cls, G, K, data: dict) -> "PartitionOfUnity":

@@ -1,9 +1,11 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float
 from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
-    _connected_components,
     _endpoint_units,
     _seed_in_color,
     generate_subgroupoid,
@@ -129,15 +130,81 @@ def z2_pair_groupoid_json(n: int, corrupt: bool = False) -> dict:
 
 def arrow_positions(bd) -> dict:
     """arrow -> (block, row, column) of a block decomposition, read off
-    ``bd.where``: every arrow of G with both endpoints in one block, at
-    the row of its range and the column of its source."""
+    ``bd.block`` and ``bd.pos``: every arrow of G with both endpoints in
+    one block, at the row of its range and the column of its source."""
     G = bd.G
+    block, pos = bd.block.tolist(), bd.pos.tolist()
     out = {}
     for g in G.arrows:
-        s, r = bd.where.get(G.source(g)), bd.where.get(G.range(g))
-        if s is not None and r is not None and s[0] == r[0]:
-            out[g] = (s[0], r[1], s[1])
+        s, r = G.index[G.source(g)], G.index[G.range(g)]
+        if block[s] >= 0 and block[s] == block[r]:
+            out[g] = (block[s], pos[r], pos[s])
     return out
+
+
+def block_classes(bd) -> list:
+    """(first unit, units) per block of a block decomposition, in block
+    order, the units of a block in the order of their positions."""
+    members: dict = {}
+    for u, k, i in zip(bd.G.units, bd.block.tolist(), bd.pos.tolist()):
+        if k >= 0:
+            members.setdefault(k, {})[i] = u
+    classes = [tuple(m[i] for i in sorted(m)) for _, m in sorted(members.items())]
+    return [(m[0], m) for m in classes]
+
+
+def _connected_components(pairs, units=()) -> list[list]:
+    """Connected components of the graph on ``units`` plus the endpoints
+    of ``pairs``, with an edge per pair, by a dict union-find; in order of
+    first appearance.  The oracle of ``groupoid._edge_components``."""
+    parent: dict = {}
+
+    def root(u):
+        r = u
+        while parent[r] != r:
+            r = parent[r]
+        while parent[u] != r:
+            parent[u], u = r, parent[u]
+        return r
+
+    for u in units:
+        parent.setdefault(u, u)
+    for x, y in pairs:
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        rx, ry = root(x), root(y)
+        if rx != ry:
+            parent[rx] = ry
+    comps: dict = {}
+    for u in parent:
+        comps.setdefault(root(u), []).append(u)
+    return list(comps.values())
+
+
+def refuse_generation(monkeypatch) -> None:
+    """Make every call of ``generate_subgroupoid``, through any dadim module
+    that holds it, and every construction of a ``BlockArrows`` fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgroupoid was generated")
+
+    monkeypatch.setattr(BlockArrows, "__init__", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dadim" and hasattr(module, "generate_subgroupoid"):
+            monkeypatch.setattr(module, "generate_subgroupoid", refuse)
+
+
+@lru_cache(maxsize=64)
+def block_label(gen: BlockArrows) -> dict:
+    """unit -> index of its block in a ``BlockArrows``."""
+    return {u: i for i, b in enumerate(gen.blocks) for u in b}
+
+
+def holds(gen: BlockArrows, G, a) -> bool:
+    """Whether arrow ``a`` of G has both endpoints in one block of ``gen``."""
+    label = block_label(gen)
+    s = label.get(G.source(a))
+    return s is not None and s == label.get(G.range(a))
 
 
 def matrix_unit_defects(bd) -> list:
@@ -948,7 +1015,7 @@ def decompose_oracle(f: ConvElement, pou) -> dict:
     total = ConvElement(G, {})
     for i, phi in enumerate(phis):
         c = cutdown(f, phi)
-        leak = [g for g in c.coeffs if not subgroupoids[i].holds(G, g)]
+        leak = [g for g in c.coeffs if not holds(subgroupoids[i], G, g)]
         if leak:
             raise SupportLeak(
                 f"cut-down {i} escapes its small subgroupoid at {sorted(map(repr, leak))[:3]}"
@@ -1137,7 +1204,7 @@ def in_envelope_oracle(G, K, G_i, gen) -> bool:
     scanned off a symmetrized K."""
     reach: dict = {}
     for a in K:
-        k = G_i.label.get(G.range(a))
+        k = block_label(G_i).get(G.range(a))
         if k is not None:
             reach.setdefault(G.source(a), set()).add(k)
     return all(

@@ -22,7 +22,7 @@ from dadim.convolution import (
     regular_representation,
     spectral_norm,
 )
-from dadim.errors import GroupoidMismatch, NotFree, SupportLeak
+from dadim.errors import GroupoidMismatch, InvalidInput, NotFree, SupportLeak
 from dadim.groupoid import (
     BlockArrows,
     TransformationGroupoid,
@@ -39,6 +39,7 @@ from helpers import (
     adjoint,
     arrow_positions,
     as_set_pou,
+    block_classes,
     block_decompose_oracle,
     cmul,
     commutator_report_oracle,
@@ -46,9 +47,11 @@ from helpers import (
     cutdown,
     cyclic_group,
     decompose_oracle,
+    holds,
     matrix_unit_defects,
     phi_float,
     pointwise,
+    refuse_generation,
     regular_representation_oracle,
     rep_matrix,
     z2_pair_groupoid_json,
@@ -210,7 +213,7 @@ def test_action_groupoid_matches_explicit_oracle(case, data):
     assert all(G.fiber(x) == O.fiber(x) for x in space)
     if isinstance(G, TransformationGroupoid):
         gen = generate_subgroupoid(G, data.draw(st.sets(st.sampled_from(O.arrows), max_size=4)))
-        assert G.group_parts(gen) == {a[0] for a in O.arrows if gen.holds(O, a)}
+        assert G.group_parts(gen) == {a[0] for a in O.arrows if holds(gen, O, a)}
     assert G.arrows == O.arrows
 
     fraction = st.fractions(min_value=-2, max_value=2, max_denominator=6)
@@ -402,7 +405,7 @@ def test_block_decompose_examples():
 def test_matrix_unit_oracle_sees_a_broken_decomposition():
     bd = block_decompose(block_union_pair_groupoid([[0, 1, 2]]))
     assert matrix_unit_defects(bd) == []
-    bd.where[2] = bd.where[1]
+    bd.pos[2] = bd.pos[1]
     assert matrix_unit_defects(bd)
 
 
@@ -426,8 +429,11 @@ def test_block_decompose_rejects_non_subgroupoids():
     Z4 = action_groupoid_oracle(cyclic_group(4), [0, 1], lambda g, x: (x + g) % 2)
     with pytest.raises(NotFree):
         block_decompose(Z4, blocks([0, 1]))
-    # a block inside one orbit is accepted, and so is a part of one
+    # an empty block is malformed input, not a traceback
     Z6 = cyclic_rotation_groupoid(6)
+    with pytest.raises(InvalidInput, match="at least one unit"):
+        block_decompose(Z6, BlockArrows(frozenset({frozenset()})))
+    # a block inside one orbit is accepted, and so is a part of one
     bd = block_decompose(Z6, blocks([0, 1]))
     assert bd.sizes() == [2] and matrix_unit_defects(bd) == []
     assert set(arrow_positions(bd)) == {(1, 0), (5, 1), (0, 0), (0, 1)}
@@ -479,7 +485,7 @@ def test_block_decompose_matches_arrow_scan(case, data):
     its arrow, and refuse an arrow the scan places in no block; the
     matrices come in one stack per block size."""
     G, sub = case
-    got = _decomposition_outcome(lambda G, sub: block_decompose(G, sub).classes, G, sub)
+    got = _decomposition_outcome(lambda G, sub: block_classes(block_decompose(G, sub)), G, sub)
     want = _decomposition_outcome(block_decompose_oracle, G, sub)
     if isinstance(want, str):
         assert got == want
@@ -531,7 +537,9 @@ def test_reduced_norm_takes_no_svd_beyond_a_support_component(monkeypatch):
     commutator [f, phi] is, has support components of at most 5 units;
     its reduced norm measures blocks no larger than that, and no regular
     representation, where one orbit's is 256 x 256.  A stack of blocks
-    (b, k, k) counts as blocks of k units."""
+    (b, k, k) counts as blocks of k units.  The blocks come from the
+    element's arrays: no subgroupoid is generated, and no ``BlockArrows``
+    is built."""
     n = 256
     G = cyclic_rotation_groupoid(n)
 
@@ -551,6 +559,7 @@ def test_reduced_norm_takes_no_svd_beyond_a_support_component(monkeypatch):
     monkeypatch.setattr(
         convolution, "regular_representation", lambda f, x: reps.append(x) or rep(f, x)
     )
+    refuse_generation(monkeypatch)
     got = reduced_norm(comm)
     assert shapes and max(max(shape) for shape in shapes) <= 5
     assert reps == []

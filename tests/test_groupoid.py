@@ -2,18 +2,22 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dadim.coarse import Grid1dSpace
+from dadim.coarse import Grid1dSpace, TableMetricSpace
 from dadim.errors import InvalidInput, NotAnAction
 from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
     GroupoidDadWitness,
+    TubeArrows,
     TubePairGroupoid,
     _closure,
+    _edge_components,
+    _seed_in_color,
     block_union_pair_groupoid,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
@@ -24,12 +28,15 @@ from dadim.groupoid import (
     verify_groupoid_dad,
 )
 from dadim.pipeline import project_witness_to_quotient
+from dadim.pou import _Moves
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
 from helpers import (
     FiniteGroup,
+    _connected_components,
     action_groupoid_oracle,
     cyclic_group,
+    holds,
     symmetrize_arrows,
     verify_action_oracle,
     whole,
@@ -37,9 +44,30 @@ from helpers import (
 )
 
 
+def least_labels(n: int, comps) -> np.ndarray:
+    """Components as the kernel's labels: each node's least component mate,
+    -1 for a node in none."""
+    out = np.full(n, -1, np.intp)
+    for c in comps:
+        out[list(c)] = min(c)
+    return out
+
+
+def oracle_blocks(G, arrows) -> frozenset:
+    """The components of the graph with an edge s(a) -- r(a) per arrow, by
+    the dict union-find."""
+    edges = ((G.source(a), G.range(a)) for a in arrows)
+    return frozenset(map(frozenset, _connected_components(edges)))
+
+
+def oracle_orbits(G) -> tuple:
+    edges = ((G.source(a), G.range(a)) for a in G.arrows)
+    return tuple(map(frozenset, _connected_components(edges, G.units)))
+
+
 def held(G, gen):
     """The arrows of G that a block-form subgroupoid holds."""
-    return frozenset(a for a in G.arrows if gen.holds(G, a))
+    return frozenset(a for a in G.arrows if holds(gen, G, a))
 
 
 def test_transformation_groupoid_examples():
@@ -132,17 +160,74 @@ def test_generation_is_a_closure_operator(seed1, seed2):
 @given(
     radius=st.integers(0, 7),
     pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=8),
+    chords=st.none() | st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+    color=st.frozensets(st.integers(0, 7)),
 )
-def test_tube_blocks_match_worklist_closure(radius, pairs):
-    """Block form on the tube pair groupoid against the worklist closure
-    on the explicit pair groupoid of the same points."""
-    X = Grid1dSpace(0, 7)
+def test_tube_blocks_match_worklist_closure(radius, pairs, chords, color):
+    """Block form on the tube pair groupoid, of a grid or of an edge-list
+    space off the lattice (a path with chords), against the worklist
+    closure on the explicit pair groupoid of the same points and against
+    the union-find; a color's tube seed generates the union-find
+    components of its pairs within the radius."""
+    if chords is None:
+        X = Grid1dSpace(0, 7)
+    else:
+        X = TableMetricSpace.from_edges(range(8), [(i, i + 1) for i in range(7)] + chords)
+    G = TubePairGroupoid(X, radius)
     seed = [(x, y) for x, y in pairs if X.dist(x, y) <= radius]
-    blocks = generate_subgroupoid(TubePairGroupoid(X, radius), seed)
+    blocks = generate_subgroupoid(G, seed)
     P = pair_groupoid(X.points)
     closure = _closure(P, seed)
     assert held(P, blocks) == closure
     assert len(blocks) == len(closure)
+    assert blocks.blocks == oracle_blocks(G, seed)
+    within = [(x, y) for x in color for y in color if X.dist(x, y) <= radius]
+    want = frozenset(map(frozenset, _connected_components(within, color)))
+    assert generate_subgroupoid(G, _seed_in_color(G, TubeArrows(radius), color)).blocks == want
+
+
+@st.composite
+def edge_lists(draw):
+    """n <= 40 nodes and an edge list on them: none at all, loops, repeated
+    edges and nodes on no edge all come up."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges += [(x, x) for x in draw(st.lists(node, max_size=4))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_lists())
+@example(case=(5, []))
+@example(case=(3, [(1, 1), (2, 2), (1, 1)]))
+def test_edge_components_match_the_union_find_oracle(case):
+    """The hook-and-jump kernel against the dict union-find: each node's
+    least component mate, -1 for a node on no edge."""
+    n, edges = case
+    a = np.array([x for x, _ in edges], np.intp)
+    b = np.array([y for _, y in edges], np.intp)
+    got = _edge_components(n, a, b)
+    assert got.tolist() == least_labels(n, _connected_components(edges)).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1, 16), data=st.data())
+def test_stacked_layer_components_match_the_union_find_oracle(q, data):
+    """``_Moves.components`` on a (layers, q) stack of masks, each layer its
+    own graph x -- x + g over the offsets g joining two residues of its mask,
+    against the union-find of each layer alone."""
+    offsets = np.array(sorted(data.draw(st.sets(st.integers(0, q - 1), max_size=4))), np.int64)
+    layers = data.draw(st.integers(1, 4))
+    row = st.lists(st.booleans(), min_size=q, max_size=q)
+    masks = np.array(data.draw(st.lists(row, min_size=layers, max_size=layers)), bool)
+    got = _Moves(q, offsets).components(masks)
+    for mask, row in zip(masks, got):
+        edges = [(x, (x + g) % q) for g in offsets.tolist() for x in range(q)
+                 if mask[x] and mask[(x + g) % q]]
+        assert row.tolist() == least_labels(q, _connected_components(edges)).tolist()
 
 
 def z2_involution_data():
@@ -180,12 +265,16 @@ def free_groupoids(draw):
 @settings(max_examples=80, deadline=None)
 @given(G=free_groupoids(), data=st.data())
 def test_free_generation_matches_worklist_closure(G, data):
-    """The components path against the worklist closure on free groupoids."""
+    """The components path against the worklist closure and the union-find
+    on free groupoids (Z/q, and explicit ones), and the orbits, in order,
+    against the union-find over every arrow."""
     assert G.is_free()
     seed = data.draw(st.sets(st.sampled_from(G.arrows), max_size=8))
     gen, closure = generate_subgroupoid(G, seed), _closure(G, seed)
     assert isinstance(gen, BlockArrows)
     assert held(G, gen) == closure and len(gen) == len(closure)
+    assert gen.blocks == oracle_blocks(G, seed)
+    assert G.orbits == oracle_orbits(G)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,6 +289,7 @@ def test_isotropy_generation_keeps_the_worklist(which, data):
         G = groupoid_from_json(z2_involution_data())
         seeded, iso = [1], 1
     assert not G.is_free()
+    assert G.orbits == oracle_orbits(G)
     seed = data.draw(st.sets(st.sampled_from(G.arrows), max_size=4))
     assert generate_subgroupoid(G, seed) == _closure(G, seed)
     gen = generate_subgroupoid(G, seeded)

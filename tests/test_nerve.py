@@ -45,6 +45,7 @@ from helpers import (
     cyclic_group,
     faces_of_dim_at_most,
     from_numerators,
+    holds,
     is_face_oracle,
     l1_distance_oracle,
     map_from_cover,
@@ -307,7 +308,7 @@ def test_dad_witness_from_blr():
     # element sets stay inside the moving set
     G = cyclic_rotation_groupoid(12)
     for gen in res.groupoid_witness.generated:
-        assert {a[0] for a in G.arrows if gen.holds(G, a)} <= res.moving_set
+        assert {a[0] for a in G.arrows if holds(gen, G, a)} <= res.moving_set
     assert set().union(*res.colors) == set(range(12))
 
     const = {x: SimplicialPoint({0: 1}) for x in range(12)}

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from dadim import certify
+from dadim import certify, pipeline
 from dadim.certify import CertificateChain, canonical_json
 from dadim.groupoid import TransformationGroupoid
 from dadim.pipeline import run_pipeline
-from helpers import PIPELINE_LINKS, TwoStepChain
+from helpers import PIPELINE_LINKS, TwoStepChain, refuse_generation
 
 
 def _dyadic(tmp_path):
@@ -23,14 +23,23 @@ def test_pipeline_never_builds_the_arrow_tuple(tmp_path, monkeypatch):
     the action table, so the chain is green without the arrow tuple.  K^3
     comes from the offsets of K and each stage records the hash its
     certificate was written with, so no arrow is composed and no file is
-    hashed either."""
+    hashed either.  The decomposition stage and its norms read blocks as
+    label arrays: they generate no subgroupoid and build no ``BlockArrows``."""
 
     def refuse(*args):
         raise AssertionError("called while building the chain")
 
+    decompose = pipeline.decompose_via_pou
+
+    def decompose_generating_nothing(f, pou):
+        with monkeypatch.context() as m:
+            refuse_generation(m)
+            return decompose(f, pou)
+
     monkeypatch.setattr(TransformationGroupoid, "arrows", property(refuse))
     monkeypatch.setattr(TransformationGroupoid, "compose", refuse)
     monkeypatch.setattr(certify, "file_hash", refuse)
+    monkeypatch.setattr(pipeline, "decompose_via_pou", decompose_generating_nothing)
     chain = run_pipeline(_dyadic(tmp_path), 1, 8, 4, tmp_path / "out")
     assert chain.green
     decomposition = json.loads((tmp_path / "out" / "07_decomposition.json").read_text())

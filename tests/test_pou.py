@@ -53,6 +53,7 @@ from helpers import (
     build_tower_oracle,
     cyclic_group,
     enlarge_cover_oracle,
+    holds,
     phi_pair,
     set_towers,
     symmetrize_arrows,
@@ -423,9 +424,9 @@ def test_block_envelope_matches_composed_envelope(q, data):
     G_i = generate_subgroupoid(G, seed_i)
     gen = generate_subgroupoid(G, _seed_in_color(G, K, data.draw(units)))
     envelope = compose_arrow_sets(
-        G, compose_arrow_sets(G, K, [a for a in G.arrows if G_i.holds(G, a)]), K
+        G, compose_arrow_sets(G, K, [a for a in G.arrows if holds(G_i, G, a)]), K
     )
-    held = frozenset(a for a in G.arrows if gen.holds(G, a))
+    held = frozenset(a for a in G.arrows if holds(gen, G, a))
     got = _envelope_holds(_Moves.of(G, K), block_labels(q, G_i), block_labels(q, gen))
     assert got == (held <= envelope)
 
