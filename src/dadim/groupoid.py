@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -448,7 +449,12 @@ def _edge_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _positions(G, arrows) -> tuple[np.ndarray, np.ndarray]:
-    """The sources and ranges of a list of arrows, as positions in ``G.units``."""
+    """The sources and ranges of a list of arrows, as positions in
+    ``G.units``; on the rotation, of an int array with a row (g, x) per
+    arrow, x and x + g mod n."""
+    if isinstance(arrows, np.ndarray):
+        g, x = arrows.T
+        return x, (x + g) % G.n
     index, m = G.index, len(arrows)
     return (
         np.fromiter((index[G.source(a)] for a in arrows), np.intp, m),
@@ -477,7 +483,9 @@ def generate_subgroupoid(G, seed):
     """
     if not G.is_free():
         return _closure(G, seed)
-    label = _edge_components(len(G.units), *_positions(G, list(seed)))
+    if not isinstance(seed, np.ndarray):
+        seed = list(seed)
+    label = _edge_components(len(G.units), *_positions(G, seed))
     return BlockArrows(frozenset(_blocks(G.units, label)))
 
 
@@ -538,19 +546,54 @@ def _endpoint_units(G, K):
     return frozenset(out)
 
 
-def _seed_in_color(G, K, color) -> list:
-    """The arrows of K with both ends in ``color``; for the tube, one
-    arrow (x, y) with y >= x per pair within the tube radius, (x, x)
-    included."""
+def _seeds(G, K, colors):
+    """The seed of each color in turn: the arrows of K with both ends in
+    it.  For the tube, one arrow (x, y) with y >= x per pair within the
+    tube radius, (x, x) included.  On the rotation a K of residue pairs is
+    read once into an int array (``_read_arrows``), and a color's seed is
+    its rows (g, x) with x and x + g mod n in the color.  Any other K is
+    scanned per color, where an arrow outside Z/n raises ``KeyError`` in
+    ``range`` once the scan meets it with its source in the color."""
     if isinstance(K, TubeArrows):
         space, r = G.space, K.radius
-        return [(x, y) for x in color for y in space.iter_ball(x, r) if y >= x and y in color]
-    return [a for a in K if G.source(a) in color and G.range(a) in color]
+        for color in colors:
+            yield [(x, y) for x in color for y in space.iter_ball(x, r) if y >= x and y in color]
+        return
+    read = _read_arrows(G.n, K) if isinstance(G, TransformationGroupoid) else None
+    if read is None:
+        for color in colors:
+            yield [a for a in K if G.source(a) in color and G.range(a) in color]
+        return
+    rows, src, rng = read
+    for color in colors:
+        inside = np.fromiter(map(color.__contains__, G.units), bool, G.n)
+        yield rows[inside[src] & inside[rng]]
+
+
+def _read_arrows(n: int, K):
+    """The arrows of K as one int row (g, x) each, with their sources x
+    and ranges x + g mod n, or None unless each is a pair of ints in
+    0..n-1."""
+    pairs = list(K)
+    try:
+        if not set(map(len, pairs)) <= {2}:
+            return None
+        ints = list(chain.from_iterable(pairs))
+        if not set(map(type, ints)) <= {int}:
+            return None
+        rows = np.fromiter(ints, np.int64, len(ints)).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        return None
+    if ((rows < 0) | (rows >= n)).any():
+        return None
+    g, x = rows.T
+    return rows, x, (x + g) % n
 
 
 class _CellBlocks:
     """The blocks that the tube arrows generate inside one color of a
-    lattice space, as labels over the color's cells: each cell carries the
+    lattice space, as labels over the color's cells (in any order, such as
+    the order of the color's classes in the bridge): each cell carries the
     least cell of its block, its r-component in the color (see
     ``_component_labels``; for r < 0 no cell is in a block, and the labels
     are empty).  It stands in for the ``BlockArrows`` of
@@ -568,21 +611,25 @@ class _CellBlocks:
 
     def wider_than(self, radius: int):
         """The first block of diameter over ``radius``, as a frozenset of the
-        color's points, or None."""
+        color's points, or None.  The color's points are read into cells
+        again to name that block's, as the cells may be in another order."""
         row = np.split(self.cells[self.order], self.starts[1:]) if len(self.starts) else []
         k = next((k for k, d in enumerate(self.lat.diameters(row)) if d > radius), None)
         if k is None:
             return None
-        least = self.labels[self.order[self.starts[k]]]
-        return frozenset(p for p, t in zip(self.color, self.labels == least) if t)
+        inside = np.zeros(self.lat.size, dtype=bool)
+        inside[row[k]] = True
+        return frozenset(p for p, t in zip(self.color, inside[self.lat.cells_of(self.color)]) if t)
 
-    def matches(self, declared) -> bool:
+    def matches(self, declared, cells=None) -> bool:
         """Whether ``declared`` equals the ``BlockArrows`` of these blocks.
 
         Its blocks, read as cells, must be as many as the components and
         hold as many cells as the color, all of them: then they partition
         the color's cells, and they are the components when each cell's
-        block and component have the same least cell."""
+        block and component have the same least cell.  ``cells`` gives the
+        blocks' cells, one array per block in any order of the blocks, when
+        the caller holds them; otherwise each block is read into cells."""
         if type(declared) is not BlockArrows or not isinstance(declared.blocks, (set, frozenset)):
             return False
         blocks = list(declared.blocks)
@@ -596,8 +643,7 @@ class _CellBlocks:
             return False
         owner = np.full(self.lat.size, -1, dtype=np.intp)
         least = np.empty(len(blocks), dtype=np.intp)
-        for j, b in enumerate(blocks):
-            c = self.lat.cells_of(b)
+        for j, c in enumerate(map(self.lat.cells_of, blocks) if cells is None else cells):
             if (c < 0).any():
                 return False
             owner[c] = j
@@ -654,14 +700,16 @@ def _cover_fault(G, K, colors: list):
     return None
 
 
-def _cell_cover_fault(lat, colors: list):
+def _cell_cover_fault(lat, colors: list, cells=None):
     """``_cover_fault`` for the tube of a lattice space, whose every unit
-    needs a color, on the colors' cells: (fault, None) or (None, cells)."""
-    cells = [lat.cells_of(c) for c in colors]
+    needs a color, on the colors' cells, read from their points unless
+    given (each color's in any order): (fault, None) or (None, cells)."""
+    if cells is None:
+        cells = [lat.cells_of(c) for c in colors]
     covered = np.zeros(lat.size, dtype=bool)
     for c, cc in zip(colors, cells):
         if (cc < 0).any():
-            return _unknown_units([p for p, x in zip(c, cc < 0) if x]), None
+            return _unknown_units([p for p, x in zip(c, lat.cells_of(c) < 0) if x]), None
         covered[cc] = True
     missing = np.flatnonzero(~covered)
     if len(missing):
@@ -674,33 +722,43 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
     subgroupoid of at most ``size_bound`` arrows equal to the declared one.
 
     On the tube of a lattice space (a ``TubePairGroupoid`` over a grid, K a
-    ``TubeArrows``) every step reads cells: the cover is a mask, each
-    color's blocks are its r-components labelled over its cells
-    (``_CellBlocks``), and the declared blocks are a second labeling of
-    the same cells.  Everywhere else each color generates its subgroupoid
-    with ``generate_subgroupoid``.  Both give the same report, except that
-    when several blocks leave the ambient tube they may name different
-    ones.
+    ``TubeArrows``) every step reads cells: each color is read into cells
+    once and the cover is a mask, each color's blocks are its r-components
+    labelled over its cells (``_CellBlocks``), and each declared block is
+    read into cells once, a second labeling of the same cells.  Everywhere
+    else each color generates its subgroupoid with
+    ``generate_subgroupoid``.  Both give the same report, except that when
+    several blocks leave the ambient tube they may name different ones.
     """
+    return _verify_dad(G, witness, size_bound)
+
+
+def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None, held=None):
+    """``verify_groupoid_dad``, where on the tube of a lattice space
+    ``held`` may give what the caller has already read into cells: two
+    lists with an entry per color, its cells (in any order) and the cells
+    of its declared blocks (see ``_CellBlocks.matches``)."""
     colors = list(map(frozenset, witness.colors))
     tube = isinstance(G, TubePairGroupoid) and isinstance(witness.K, TubeArrows)
     lat = G.space.lattice if tube else None
     if lat is None:
         fault, cells = _cover_fault(G, witness.K, colors), None
     else:
-        fault, cells = _cell_cover_fault(lat, colors)
+        cells, block_cells = held or (None, [None] * len(colors))
+        fault, cells = _cell_cover_fault(lat, colors, cells)
     if fault is not None:
         return fault
 
     labels = None if lat is None else _component_labels(lat, cells, witness.K.radius)
+    seeds = _seeds(G, witness.K, colors) if lat is None else None
     sizes = []
-    for i, color in enumerate(colors):
+    for i in range(len(colors)):
         if lat is None:
-            gen = generate_subgroupoid(G, _seed_in_color(G, witness.K, color))
+            gen = generate_subgroupoid(G, next(seeds))
             blocks = gen.blocks if isinstance(G, TubePairGroupoid) else ()
             wide = next((b for b in blocks if G.space.subset_diameter(b) > G.radius), None)
         else:
-            gen = _CellBlocks(lat, color, cells[i], labels[i])
+            gen = _CellBlocks(lat, colors[i], cells[i], labels[i])
             wide = gen.wider_than(G.radius)
         if wide is not None:
             # containment in the ambient tube
@@ -720,7 +778,9 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
                 {"color": i, "size": size, "size_bound": size_bound},
             )
         declared = witness.generated[i]
-        if declared is not None and not (declared == gen if lat is None else gen.matches(declared)):
+        if declared is not None and not (
+            declared == gen if lat is None else gen.matches(declared, block_cells[i])
+        ):
             return VerificationReport(
                 False, "NotClosed",
                 f"color {i}: declared subgroupoid differs from the generated one",

@@ -65,7 +65,7 @@ from .errors import (
 from .groupoid import (
     GroupoidDadWitness,
     TransformationGroupoid,
-    _seed_in_color,
+    _seeds,
     generate_subgroupoid,
     verify_groupoid_dad,
 )
@@ -587,8 +587,8 @@ def dad_witness_from_blr(
         )
     K = G.moves(E)
     generated = []
-    for color in colors:
-        gen = generate_subgroupoid(G, _seed_in_color(G, K, color))
+    for seed in _seeds(G, K, colors):
+        gen = generate_subgroupoid(G, seed)
         parts = G.group_parts(gen)
         if not parts <= F:
             raise InvalidInput(

@@ -21,7 +21,7 @@ from .errors import DepthExceeded, InvalidInput, VerificationFailed
 from .exactmath import osc_bound_float
 from .groupoid import (
     GroupoidDadWitness,
-    _seed_in_color,
+    _seeds,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
     verify_groupoid_dad,
@@ -91,7 +91,7 @@ def run_pipeline(
     q, colors_q = project_witness_to_quotient(system, witness, quotient_depth)
     G = cyclic_rotation_groupoid(q)
     K = G.moves(witness.generator_set)
-    generated = [generate_subgroupoid(G, _seed_in_color(G, K, c)) for c in colors_q]
+    generated = [generate_subgroupoid(G, seed) for seed in _seeds(G, K, colors_q)]
     size_bound = (2 * (M + N) + 1) * q
     gwitness = GroupoidDadWitness(K, colors_q, generated)
     grep = verify_groupoid_dad(G, gwitness, size_bound)

@@ -40,7 +40,7 @@ from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
     _endpoint_units,
-    _seed_in_color,
+    _seeds,
     generate_subgroupoid,
 )
 from dadim.reporting import VerificationReport
@@ -54,7 +54,6 @@ from dadim.nerve import (
 )
 from dadim.pou import PartitionOfUnity
 from dadim.symbolic import ClopenSet, Odometer, OdometerClopen, SubshiftClopen, SymbolicSystem
-
 
 def whole(system: SymbolicSystem) -> ClopenSet:
     """The whole space of a system as its one cylinder of depth 0."""
@@ -198,6 +197,11 @@ def refuse_generation(monkeypatch) -> None:
 def block_label(gen: BlockArrows) -> dict:
     """unit -> index of its block in a ``BlockArrows``."""
     return {u: i for i, b in enumerate(gen.blocks) for u in b}
+
+
+def seed_in_color(G, K, color):
+    """The seed of one color, as ``groupoid._seeds`` gives it."""
+    return next(_seeds(G, K, [color]))
 
 
 def holds(gen: BlockArrows, G, a) -> bool:
@@ -1133,7 +1137,7 @@ class SetPou:
     def small_subgroupoids(self) -> list:
         """Per color, the subgroupoid generated by the K-arrows inside the
         tower top."""
-        return [generate_subgroupoid(self.G, _seed_in_color(self.G, self.K, t.top))
+        return [generate_subgroupoid(self.G, seed_in_color(self.G, self.K, t.top))
                 for t in self.towers]
 
 
@@ -1245,7 +1249,7 @@ def enlarge_cover_oracle(G, K, colors, size_bound):
         )
     G_is = []
     for i, color in enumerate(colors):
-        gen = generate_subgroupoid(G, _seed_in_color(G, K3, color))
+        gen = generate_subgroupoid(G, seed_in_color(G, K3, color))
         if size_bound is not None and len(gen) > size_bound:
             raise WitnessInsufficient(
                 f"color {i} generates {len(gen)} arrows for K^3 > bound {size_bound}"
@@ -1262,7 +1266,7 @@ def enlarge_cover_oracle(G, K, colors, size_bound):
         )
     gen_sizes = []
     for i, u in enumerate(enlarged):
-        gen = generate_subgroupoid(G, _seed_in_color(G, K, u))
+        gen = generate_subgroupoid(G, seed_in_color(G, K, u))
         if not in_envelope_oracle(G, K, G_is[i], gen):
             raise WitnessInsufficient(f"color {i}: generated subgroupoid escapes K.G_i.K")
         gen_sizes.append(len(gen))
@@ -1295,7 +1299,7 @@ def build_tower_oracle(G, K, colors, N, size_bound):
         towers.append(SetTower(i, levels))
     if size_bound is not None:
         for t in towers:
-            gen = generate_subgroupoid(G, _seed_in_color(G, K, t.top))
+            gen = generate_subgroupoid(G, seed_in_color(G, K, t.top))
             if len(gen) > size_bound:
                 raise PropagationEscapesColor(
                     f"color {t.color}: top level generates {len(gen)} arrows "

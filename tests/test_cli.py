@@ -174,6 +174,22 @@ def test_asdim_commands(workdir):
     assert run(["bridge", "--space", space, "--witness", gap]) == VerificationFailed.exit_code
 
 
+def test_asdim_commands_refuse_a_negative_scale(workdir):
+    """At R = -1 two touching classes in one family used to pass
+    ``asdim-verify`` (exit 0) and fail ``bridge`` (28); both now refuse the
+    file (2).  At R = 0 the classes are apart, and only the bridge fails:
+    a class of several points is no 0-component."""
+    space = workdir / "space10.json"
+    space.write_text(json.dumps({"grid": {"dims": [10]}}))
+    aw = workdir / "aw.json"
+    for R, codes in ((-1, [InvalidInput.exit_code] * 2), (0, [0, VerificationFailed.exit_code])):
+        aw.write_text(json.dumps({
+            "scale_R": R, "bound_S": 4, "families": [[[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]],
+        }))
+        assert [run([cmd, "--space", space, "--witness", aw])
+                for cmd in ("asdim-verify", "bridge")] == codes
+
+
 def test_grid_chain_bytes_at_80x80(workdir):
     """On the 80 x 80 grid at R = 5 the witness file is the text of
     ``json.dump(sort_keys=True, indent=1)``, holds the witness of the

@@ -16,6 +16,7 @@ from dadim.coarse import (
     Grid1dSpace,
     Grid2dSpace,
     GroupBallSpace,
+    Lattice,
     TableMetricSpace,
     asdim_witness_from_json,
     bridge_to_groupoid,
@@ -23,7 +24,7 @@ from dadim.coarse import (
     space_from_json,
     verify_asdim_witness,
 )
-from dadim import certify
+from dadim import certify, coarse, groupoid
 from dadim.errors import InvalidInput, TooLarge, VerificationFailed, malformed
 from dadim.groupoid import (
     BlockArrows,
@@ -31,13 +32,13 @@ from dadim.groupoid import (
     TubeArrows,
     TubePairGroupoid,
     _component_labels,
-    _seed_in_color,
     generate_subgroupoid,
     verify_groupoid_dad,
 )
 from helpers import (
     construct_grid_witness_oracle,
     exhaustive_min_colors_with_witness,
+    seed_in_color,
     space_diameter,
 )
 
@@ -117,7 +118,7 @@ def test_construct_2d_sweep(R, side):
     R=st.integers(1, 6),
 )
 def test_construction_matches_the_dict_oracle(X, R):
-    """The array construction gives the classes of the per-point dict
+    """The box construction gives the classes of the per-point dict
     loop, family by family in the same order, with the same meta."""
     w, oracle = construct_grid_witness(X, R), construct_grid_witness_oracle(X, R)
     assert (w.scale_R, w.bound_S, w.families) == (oracle.scale_R, oracle.bound_S, oracle.families)
@@ -349,6 +350,67 @@ def test_reading_verifying_and_bridging_take_few_collector_passes():
     assert len(passes) <= 10, passes
 
 
+def test_grid_witness_points_become_cells_once(monkeypatch):
+    """The 80 x 80 brick witness at R = 5 has 5 classes.  The constructor
+    hands its boxes' cells to its self-check, which are the classes'
+    cells, and reads no point into a cell; nor does it build the grid's
+    points.  Read from JSON, verifying and bridging each read every class
+    into cells once: 5 calls over 6 400 points each, where the bridge made
+    13 calls over 19 200 points when it read the colors and the declared
+    blocks again."""
+    calls = []
+    cells_of = Lattice.cells_of
+    monkeypatch.setattr(Lattice, "cells_of", lambda lat, pts: calls.append(len(pts)) or cells_of(lat, pts))
+    handed = []
+    verify = coarse._verify_asdim
+    monkeypatch.setattr(coarse, "_verify_asdim", lambda X, w, cells=None: handed.append(cells) or verify(X, w, cells))
+
+    X = Grid2dSpace(80, 80)
+    w = construct_grid_witness(X, 5)
+    assert calls == [] and "points" not in vars(X)
+    lat = X.lattice
+    assert [[sorted(c.tolist()) for c in row] for row in handed[0]] == [
+        [sorted(cells_of(lat, cls).tolist()) for cls in fam] for fam in w.families
+    ]
+    data = json.loads(json.dumps(certify._normalize(w.to_json())))
+    for check in (verify_asdim_witness, bridge_to_groupoid):
+        calls.clear()
+        check(space_from_json({"grid": {"dims": [80, 80]}}), asdim_witness_from_json(data))
+        assert (len(calls), sum(calls)) == (5, 6400)
+
+
+@pytest.mark.parametrize("space, families", [
+    ({"grid": {"dims": [10]}}, [[[0, 1, 2, 3, 4], []], [[5, 6, 7, 8, 9]]]),
+    ({"grid": {"dims": [4, 3]}},
+     [[[], [[x, y] for x in (0, 1) for y in range(3)]], [[[x, y] for x in (2, 3) for y in range(3)]]]),
+    ({"points": list(range(10)), "edges": [[i, i + 1] for i in range(9)]},
+     [[[0, 1, 2, 3, 4], []], [[5, 6, 7, 8, 9]], []]),
+])
+def test_bridge_declares_only_the_non_empty_classes(space, families):
+    """An empty class covers nothing and generates no block: a witness with
+    one is accepted by the verifier and bridged, its color's declared
+    blocks being the non-empty classes (an empty declared block never
+    equals a generated one)."""
+    X = space_from_json(space)
+    w = asdim_witness_from_json({"scale_R": 1, "bound_S": 9, "families": families})
+    assert verify_asdim_witness(X, w).accepted
+    G, gw, report = bridge_to_groupoid(X, w)
+    assert report.accepted
+    assert [gen.blocks for gen in gw.generated] == [
+        frozenset(c for c in fam if c) for fam in w.families
+    ]
+
+
+@pytest.mark.parametrize("R", [-1, -5])
+def test_reader_refuses_a_negative_scale(R):
+    """No two points, nor a point and itself, lie within a negative R, so
+    a witness at such a scale is refused, not half-checked; R = 0 stays."""
+    fams = [[[0, 1]], [[2, 3]]]
+    assert asdim_witness_from_json({"scale_R": 0, "bound_S": 1, "families": fams}).scale_R == 0
+    with pytest.raises(InvalidInput, match="scale_R"):
+        asdim_witness_from_json({"scale_R": R, "bound_S": 1, "families": fams})
+
+
 @pytest.mark.parametrize("cls", [
     [[0, 1], [2, 3]], [], [3, 4], [[0, 1], 5], [[0, 1], "a"], [[1.5, True]], [[0, [1]]],
     [{"a": 1}], "ab", 7, None,
@@ -509,7 +571,7 @@ def test_lattice_tube_blocks_match_union_find(X, R, data):
         blocks: dict = {}
         for p, least in zip(color, labels.tolist()):
             blocks.setdefault(least, set()).add(p)
-        oracle = generate_subgroupoid(G, _seed_in_color(G, TubeArrows(R), color))
+        oracle = generate_subgroupoid(G, seed_in_color(G, TubeArrows(R), color))
         assert BlockArrows(frozenset(map(frozenset, blocks.values()))) == oracle
 
 
@@ -616,6 +678,21 @@ def test_array_paths_match_the_per_point_oracles(drawn):
     assert _bridged(X, w) == _bridged(Y, w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(grid_witnesses(), st.randoms(use_true_random=False))
+def test_verifier_given_cells_in_any_order_reports_alike(drawn, rng):
+    """The constructor hands its self-check the classes' cells in cell
+    order, not in the classes' iteration order: given so, the check
+    reports as it does when it reads the classes, naming the same points."""
+    X, w = drawn
+    lat = X.lattice
+    cells = [[lat.cells_of(c) for c in fam] for fam in w.families]
+    for row in cells:
+        for c in row:
+            rng.shuffle(c)
+    assert coarse._verify_asdim(X, w, cells)[0] == verify_asdim_witness(X, w)
+
+
 @st.composite
 def tube_witnesses(draw):
     """A grid, a tube witness over it (colors that overlap or not, and the
@@ -632,7 +709,7 @@ def tube_witnesses(draw):
     if draw(st.booleans()):
         colors[0] |= draw(st.sets(st.sampled_from(X.points), max_size=5))
     declared = [
-        generate_subgroupoid(G, _seed_in_color(G, TubeArrows(r), frozenset(c))) for c in colors
+        generate_subgroupoid(G, seed_in_color(G, TubeArrows(r), frozenset(c))) for c in colors
     ]
     i = draw(st.integers(0, 2))
     p = draw(st.sampled_from(X.points))
@@ -704,3 +781,92 @@ def test_tube_verification_on_cells_matches_generation(drawn):
         assert got.details["diameter"] > radius
     else:
         assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(tube_witnesses(), st.randoms(use_true_random=False))
+@example((Grid1dSpace(0, 9), GroupoidDadWitness(
+    TubeArrows(1), [frozenset({0, 1, 2, 3, 4, 99}), frozenset(range(5, 10))], [None, None]),
+    5, None), random.Random(1))
+def test_tube_check_given_cells_in_any_order_reports_alike(drawn, rng):
+    """The bridge hands the tube check each color's cells and its declared
+    blocks' cells in class order, not in the colors' iteration order:
+    given so, the check reports as it does when it reads them, naming the
+    same points."""
+    X, witness, radius, bound = drawn
+    lat = X.lattice
+
+    def shuffled(points):
+        cells = lat.cells_of(points)
+        rng.shuffle(cells)
+        return cells
+
+    held = (
+        [shuffled(c) for c in witness.colors],
+        [[shuffled(b) for b in d.blocks] if isinstance(d, BlockArrows) else None
+         for d in witness.generated],
+    )
+    G = TubePairGroupoid(X, radius)
+    assert groupoid._verify_dad(G, witness, bound, held) == verify_groupoid_dad(G, witness, bound)
+
+
+@st.composite
+def bridge_witnesses(draw):
+    """A grid and an asdim witness for the bridge: the constructed one at
+    its scale or a smaller one, with S as built or large, then one change.
+    A merged class, a smaller scale and a split class can pass the coarse
+    checks and fail the tube check; an empty class passes both."""
+    X = draw(GRIDS)
+    R = draw(st.integers(1, 4))
+    w = construct_grid_witness(X, R)
+    fams = [[set(c) for c in fam] for fam in w.families]
+    scale = draw(st.sampled_from([R, R - 1, 0]))
+    S = draw(st.sampled_from([w.bound_S, 200]))
+    fam = draw(st.sampled_from([f for f in fams if f]))
+    change = draw(st.sampled_from(["none", "merge", "split", "empty", "float", "move", "drop"]))
+    if change == "merge" and len(fam) > 1:
+        fam[0] |= fam.pop()
+    elif change == "split" and len(fam[0]) > 1:
+        fam.append({max(fam[0])})
+        fam[0].discard(max(fam[0]))
+    elif change == "empty":
+        fam.insert(draw(st.integers(0, len(fam))), set())
+    elif change == "float":
+        p = draw(st.sampled_from(sorted(fam[0])))
+        fam[0] = (fam[0] - {p}) | {_equal_non_int(p, "float")}
+    elif change == "move" and sum(map(bool, fams)) > 1:
+        p = draw(st.sampled_from(sorted(fam[0])))
+        fam[0].discard(p)
+        draw(st.sampled_from([f for f in fams if f and f is not fam]))[0].add(p)
+    elif change == "drop":
+        fam[0].discard(draw(st.sampled_from(sorted(fam[0]))))
+    return X, AsdimWitness(scale, S, [[frozenset(c) for c in f] for f in fams])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bridge_witnesses())
+def test_bridge_reports_as_the_standalone_verifier(drawn):
+    """The bridge hands its asdim check's cells to its tube check; that
+    changes no verdict and no message.  Its report, or the one it raises,
+    is the asdim report on a rejected witness, and otherwise that of
+    ``verify_groupoid_dad``, reading every point itself, on the witness
+    it builds: K the R-tube, the colors the families' unions, and their
+    non-empty classes as declared blocks, bounded by the largest."""
+    X, w = drawn
+    try:
+        G, gw, got = bridge_to_groupoid(X, w)
+    except VerificationFailed as exc:
+        got, gw = exc.report, None
+    asdim = verify_asdim_witness(X, w)
+    if not asdim:
+        assert got == asdim
+        return
+    built = GroupoidDadWitness(
+        TubeArrows(w.scale_R),
+        [frozenset().union(*fam) for fam in w.families],
+        [BlockArrows(frozenset(c for c in fam if c)) for fam in w.families],
+    )
+    if gw is not None:
+        assert (gw.K, gw.colors, gw.generated) == (built.K, built.colors, built.generated)
+    bound = max(map(len, built.generated), default=0)
+    assert got == verify_groupoid_dad(TubePairGroupoid(X, w.bound_S), built, bound)

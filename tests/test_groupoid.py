@@ -17,7 +17,7 @@ from dadim.groupoid import (
     TubePairGroupoid,
     _closure,
     _edge_components,
-    _seed_in_color,
+    _seeds,
     block_union_pair_groupoid,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
@@ -37,6 +37,7 @@ from helpers import (
     action_groupoid_oracle,
     cyclic_group,
     holds,
+    seed_in_color,
     symmetrize_arrows,
     verify_action_oracle,
     whole,
@@ -183,7 +184,7 @@ def test_tube_blocks_match_worklist_closure(radius, pairs, chords, color):
     assert blocks.blocks == oracle_blocks(G, seed)
     within = [(x, y) for x in color for y in color if X.dist(x, y) <= radius]
     want = frozenset(map(frozenset, _connected_components(within, color)))
-    assert generate_subgroupoid(G, _seed_in_color(G, TubeArrows(radius), color)).blocks == want
+    assert generate_subgroupoid(G, seed_in_color(G, TubeArrows(radius), color)).blocks == want
 
 
 @st.composite
@@ -228,6 +229,46 @@ def test_stacked_layer_components_match_the_union_find_oracle(q, data):
         edges = [(x, (x + g) % q) for g in offsets.tolist() for x in range(q)
                  if mask[x] and mask[(x + g) % q]]
         assert row.tolist() == least_labels(q, _connected_components(edges)).tolist()
+
+
+FOREIGN_ARROWS = st.one_of(
+    st.tuples(st.sampled_from([-1, 64, 2**70]), st.integers(0, 63)),
+    st.tuples(st.integers(0, 63), st.sampled_from([-1, 64, 2**70])),
+    st.tuples(st.sampled_from([1.5, "a", None]), st.integers(0, 63)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 64), data=st.data())
+def test_rotation_seeds_match_the_per_arrow_scan(q, data):
+    """The Z/q seeds of a few colors, read off K as one int array, against
+    the scan of K with one ``source`` and one ``range`` call per arrow and
+    color: the same arrows in the same order, the same blocks generated
+    from them, and the same ``KeyError`` at the same color for an arrow
+    outside Z/q whose source lies in the color (others are skipped, as the
+    scan skips them).  K is a random set of arrows, as a frozenset or a
+    list, with perhaps one foreign arrow: an int past q or past int64, or
+    no int at all."""
+    G = cyclic_rotation_groupoid(q)
+    arrow = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    K = data.draw(st.lists(arrow, max_size=3 * q, unique=True))
+    if data.draw(st.booleans()):
+        K.insert(data.draw(st.integers(0, len(K))), data.draw(FOREIGN_ARROWS))
+    K = data.draw(st.sampled_from([K, frozenset(K)]))
+    colors = data.draw(st.lists(st.frozensets(st.integers(-1, q)), min_size=1, max_size=3))
+
+    def outcomes(seeds):
+        out = []
+        try:
+            for seed in seeds:
+                rows = [tuple(a) for a in seed.tolist()] if isinstance(seed, np.ndarray) else seed
+                out.append((rows, generate_subgroupoid(G, seed)))
+        except KeyError as exc:
+            out.append(exc.args)
+        return out
+
+    per_arrow = ([a for a in K if G.source(a) in c and G.range(a) in c] for c in colors)
+    assert outcomes(_seeds(G, K, colors)) == outcomes(per_arrow)
 
 
 def z2_involution_data():

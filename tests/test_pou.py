@@ -29,7 +29,6 @@ from dadim.exactmath import (
     sqrt_pair_float,
 )
 from dadim.groupoid import (
-    _seed_in_color,
     block_union_pair_groupoid,
     cyclic_rotation_groupoid,
     generate_subgroupoid,
@@ -55,6 +54,7 @@ from helpers import (
     enlarge_cover_oracle,
     holds,
     phi_pair,
+    seed_in_color,
     set_towers,
     symmetrize_arrows,
     unit_sets,
@@ -418,11 +418,11 @@ def test_block_envelope_matches_composed_envelope(q, data):
     E = data.draw(st.frozensets(st.integers(0, q - 1), max_size=3))
     K = G.moves(E)
     if data.draw(st.booleans()):
-        seed_i = _seed_in_color(G, arrow_set_power(G, K, 3), data.draw(units))
+        seed_i = seed_in_color(G, arrow_set_power(G, K, 3), data.draw(units))
     else:
         seed_i = data.draw(st.sets(st.sampled_from(G.arrows), max_size=6))
     G_i = generate_subgroupoid(G, seed_i)
-    gen = generate_subgroupoid(G, _seed_in_color(G, K, data.draw(units)))
+    gen = generate_subgroupoid(G, seed_in_color(G, K, data.draw(units)))
     envelope = compose_arrow_sets(
         G, compose_arrow_sets(G, K, [a for a in G.arrows if holds(G_i, G, a)]), K
     )
