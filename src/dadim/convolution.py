@@ -395,7 +395,7 @@ def decompose_via_pou(f: ConvElement, pou) -> dict:
     G = pou.G
     if f.G is not G:
         raise GroupoidMismatch("element and partition live on different groupoids")
-    if not f.support() <= frozenset(pou.K):
+    if not f.support() <= pou.K:
         raise InvalidInput("element must be supported in K")
     if not G.is_free():
         raise NotFree("the cut-down decomposition needs a free groupoid")

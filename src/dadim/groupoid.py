@@ -12,8 +12,9 @@ composition.  Three concrete flavors cover everything the artifact needs:
   residues mod n.
   The rotation is free with one orbit, and the group parts of a block are
   its residue differences.  The arrow tuple is built only when asked for;
-  ``moves(E)`` builds the symmetric arrow set K of a generating set E,
-  read in Z through the quotient map to Z/n;
+  ``moves(E)`` gives the symmetric arrow set K of a generating set E, read
+  in Z through the quotient map to Z/n, as a ``Moves``: n and the offsets
+  of its full classes, which every layer reads as arrays;
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
@@ -36,6 +37,7 @@ explicit size bound.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -51,6 +53,7 @@ __all__ = [
     "TransformationGroupoid",
     "TubePairGroupoid",
     "BlockArrows",
+    "Moves",
     "TubeArrows",
     "GroupoidDadWitness",
     "transformation_groupoid",
@@ -237,6 +240,101 @@ def symmetrized(n: int, E) -> tuple:
     return tuple(sorted(out, key=repr))
 
 
+def _shared(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every layer that reads one K
+    return a
+
+
+class Moves(Set):
+    """A union of full classes {(g, x) : x in Z/n} of arrows of Z/n rotating
+    its residues, held as n and the sorted distinct offsets g: a set of the
+    arrows (g, x), offset by offset and then by residue, with O(1) ``in``.
+    The layers read it as the gather arrays ``to[j, x]`` = x + g_j and
+    ``back[j, x]`` = x - g_j mod n, built on first use; the array methods
+    take one residue mask, or a (layers, n) stack of them."""
+
+    def __init__(self, n: int, offsets: np.ndarray):
+        self.n = n
+        self.offsets = _shared(offsets)
+        self._parts = frozenset(offsets.tolist())
+
+    @classmethod
+    def read(cls, n: int, K) -> Moves | None:
+        """K as ``Moves`` of Z/n, or None unless K is a union of full classes
+        of arrows (g, x), pairs of ints in 0..n-1."""
+        if isinstance(K, Moves) and K.n == n:
+            return K
+        try:
+            pairs = list(K)
+            ints = list(chain.from_iterable(pairs))
+            ok = set(map(len, pairs)) <= {2} and set(map(type, ints)) <= {int}
+            flat = np.fromiter(ints, np.int64, len(ints)) if ok else None
+        except (TypeError, OverflowError):
+            return None
+        if not ok or ((flat < 0) | (flat >= n)).any():
+            return None
+        g, x = flat[0::2], flat[1::2]
+        has = np.zeros(n, bool)
+        has[g] = True
+        offsets = np.flatnonzero(has)
+        seen = np.zeros((len(offsets), n), bool)
+        seen[np.searchsorted(offsets, g), x] = True
+        return cls(n, offsets) if seen.all() else None
+
+    def __len__(self) -> int:
+        return len(self.offsets) * self.n
+
+    def __iter__(self):
+        return ((g, x) for g in self.offsets.tolist() for x in range(self.n))
+
+    def __contains__(self, a) -> bool:
+        """Whether ``a`` equals an arrow, as for a frozenset; never raises."""
+        if not isinstance(a, tuple) or len(a) != 2:
+            return False
+        try:
+            return a[0] in self._parts and int(a[1]) == a[1] and 0 <= a[1] < self.n
+        except (TypeError, ValueError, OverflowError):
+            return False
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    @cached_property
+    def to(self) -> np.ndarray:
+        return _shared((np.arange(self.n) + self.offsets[:, None]) % self.n)
+
+    @cached_property
+    def back(self) -> np.ndarray:
+        return _shared((np.arange(self.n) - self.offsets[:, None]) % self.n)
+
+    def near(self, masks: np.ndarray) -> np.ndarray:
+        """s(K cap r^-1(mask)): the residues x with x + g in the mask for
+        some offset g."""
+        return masks[..., self.to].any(axis=-2)
+
+    def step(self, masks: np.ndarray) -> np.ndarray:
+        """One K-propagation step: the mask together with its ``near``."""
+        return masks | self.near(masks)
+
+    def components(self, masks: np.ndarray) -> np.ndarray:
+        """The blocks of the subgroupoid that the arrows inside a mask
+        generate: per residue, the least residue of its component in the
+        graph with an edge x -- x + g for every offset g joining two
+        residues of the mask, and -1 for a residue on no edge (isolated
+        residues are on their unit arrow when 0 is an offset).  The masks
+        of a stack are the layers of one graph, its nodes the positions
+        layer * n + x, and ``_edge_components`` takes its edges."""
+        n = self.n
+        stack = masks.reshape(-1, n)
+        layer, x = np.nonzero(stack)
+        to = self.to[:, x]
+        hit = stack[layer, to]
+        base = layer * n
+        label = _edge_components(stack.size, (base + x)[np.nonzero(hit)[1]], (base + to)[hit])
+        return np.where(label >= 0, label % n, -1).reshape(masks.shape)
+
+
 class TransformationGroupoid(FiniteGroupoid):
     """Z/n rotating its own residues 0..n-1: the arrow (g, x) runs from x
     to x + g mod n, and arrows compose by adding group parts mod n.
@@ -257,11 +355,11 @@ class TransformationGroupoid(FiniteGroupoid):
     def arrows(self) -> tuple:
         return tuple((g, x) for g in self.units for x in self.units)
 
-    def moves(self, E) -> frozenset:
+    def moves(self, E) -> Moves:
         """K for the generating set E, read in Z/n: the arrows (g, x) for g
         in ``symmetrized(n, E)`` and every residue x.  It is symmetric, as
         the symmetrized set is, and holds every unit arrow."""
-        return frozenset((g, x) for g in symmetrized(self.n, E) for x in self.units)
+        return Moves(self.n, np.sort(np.array(symmetrized(self.n, E), np.intp)))
 
     source = staticmethod(itemgetter(1))
 
@@ -530,14 +628,21 @@ def _closure(G, seed) -> frozenset:
 class GroupoidDadWitness:
     """K plus colors on units plus the declared generated subgroupoids."""
 
-    K: object  # frozenset of arrows, or TubeArrows
+    K: object  # Moves on Z/n, TubeArrows on a tube, or any set of arrows
     colors: list[frozenset]
     generated: list  # per color: BlockArrows (a frozenset under isotropy) or None
     meta: dict = field(default_factory=dict)
 
 
+def _of_rotation(G, K) -> bool:
+    """Whether K is the ``Moves`` of an arrow set of G, a rotation."""
+    return isinstance(K, Moves) and isinstance(G, TransformationGroupoid) and K.n == G.n
+
+
 def _endpoint_units(G, K):
-    if isinstance(K, TubeArrows):
+    """s(K) u r(K): every unit for the tube, and for the moves of the
+    rotation unless they have no offset; any other K is scanned."""
+    if isinstance(K, TubeArrows) or _of_rotation(G, K) and len(K.offsets):
         return G.unit_set
     out = set()
     for a in K:
@@ -549,9 +654,9 @@ def _endpoint_units(G, K):
 def _seeds(G, K, colors):
     """The seed of each color in turn: the arrows of K with both ends in
     it.  For the tube, one arrow (x, y) with y >= x per pair within the
-    tube radius, (x, x) included.  On the rotation a K of residue pairs is
-    read once into an int array (``_read_arrows``), and a color's seed is
-    its rows (g, x) with x and x + g mod n in the color.  Any other K is
+    tube radius, (x, x) included.  For the ``Moves`` of the rotation a
+    color's seed is an int row (g, x) per entry of ``to`` whose residue x
+    and image x + g mod n lie in the color, in K's order.  Any other K is
     scanned per color, where an arrow outside Z/n raises ``KeyError`` in
     ``range`` once the scan meets it with its source in the color."""
     if isinstance(K, TubeArrows):
@@ -559,35 +664,14 @@ def _seeds(G, K, colors):
         for color in colors:
             yield [(x, y) for x in color for y in space.iter_ball(x, r) if y >= x and y in color]
         return
-    read = _read_arrows(G.n, K) if isinstance(G, TransformationGroupoid) else None
-    if read is None:
+    if not _of_rotation(G, K):
         for color in colors:
             yield [a for a in K if G.source(a) in color and G.range(a) in color]
         return
-    rows, src, rng = read
     for color in colors:
         inside = np.fromiter(map(color.__contains__, G.units), bool, G.n)
-        yield rows[inside[src] & inside[rng]]
-
-
-def _read_arrows(n: int, K):
-    """The arrows of K as one int row (g, x) each, with their sources x
-    and ranges x + g mod n, or None unless each is a pair of ints in
-    0..n-1."""
-    pairs = list(K)
-    try:
-        if not set(map(len, pairs)) <= {2}:
-            return None
-        ints = list(chain.from_iterable(pairs))
-        if not set(map(type, ints)) <= {int}:
-            return None
-        rows = np.fromiter(ints, np.int64, len(ints)).reshape(-1, 2)
-    except (TypeError, OverflowError):
-        return None
-    if ((rows < 0) | (rows >= n)).any():
-        return None
-    g, x = rows.T
-    return rows, x, (x + g) % n
+        j, x = np.nonzero(inside[K.to] & inside)
+        yield np.stack([K.offsets[j], x], axis=1)
 
 
 class _CellBlocks:
@@ -729,6 +813,8 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
     else each color generates its subgroupoid with
     ``generate_subgroupoid``.  Both give the same report, except that when
     several blocks leave the ambient tube they may name different ones.
+    On the rotation K is read once through ``Moves.read``; a K that is no
+    union of full classes is scanned per arrow, as on explicit groupoids.
     """
     return _verify_dad(G, witness, size_bound)
 
@@ -739,18 +825,22 @@ def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None, held=Non
     lists with an entry per color, its cells (in any order) and the cells
     of its declared blocks (see ``_CellBlocks.matches``)."""
     colors = list(map(frozenset, witness.colors))
-    tube = isinstance(G, TubePairGroupoid) and isinstance(witness.K, TubeArrows)
+    K = witness.K
+    if isinstance(G, TransformationGroupoid):
+        moves = Moves.read(G.n, K)
+        K = K if moves is None else moves
+    tube = isinstance(G, TubePairGroupoid) and isinstance(K, TubeArrows)
     lat = G.space.lattice if tube else None
     if lat is None:
-        fault, cells = _cover_fault(G, witness.K, colors), None
+        fault, cells = _cover_fault(G, K, colors), None
     else:
         cells, block_cells = held or (None, [None] * len(colors))
         fault, cells = _cell_cover_fault(lat, colors, cells)
     if fault is not None:
         return fault
 
-    labels = None if lat is None else _component_labels(lat, cells, witness.K.radius)
-    seeds = _seeds(G, witness.K, colors) if lat is None else None
+    labels = None if lat is None else _component_labels(lat, cells, K.radius)
+    seeds = _seeds(G, K, colors) if lat is None else None
     sizes = []
     for i in range(len(colors)):
         if lat is None:

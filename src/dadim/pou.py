@@ -13,24 +13,24 @@ done in exact arithmetic; inequalities involving square roots are decided
 on squares (see exactmath).
 
 The layer runs on arrays over the residues 0..q-1 of
-``cyclic_rotation_groupoid(q)``, with K = ``G.moves(E)`` read as its
-offsets, the group parts of its arrows.  A color or a tower level is a
-boolean array, one K-propagation step is the OR of the rolls of a level by
-the offsets, and the subgroupoid that K (or K^3) generates inside a set of
-residues is a component label per residue, from the groupoid layer's one
-edge-list kernel; the cut-down decomposition reads these labels as its
-blocks (``PartitionOfUnity.small_subgroupoids``).  Each residue carries
-the id of its exact tuple (psi_0, ..., psi_d, S), and every exact decision
-is taken once per distinct tuple, or once per distinct pair of ids at the
-two ends of an arrow; the work per arrow is array indexing.
+``cyclic_rotation_groupoid(q)``, with K = ``G.moves(E)``: a ``Moves``,
+the offsets that are the group parts of its arrows (a K handed in as arrow
+tuples is read into one).  A color or a tower level is a boolean array,
+one K-propagation step is the OR of the rolls of a level by the offsets,
+and the subgroupoid that K (or K^3) generates inside a set of residues is
+a component label per residue, from the groupoid layer's one edge-list
+kernel; the cut-down decomposition reads these labels as its blocks
+(``PartitionOfUnity.small_subgroupoids``).  Each residue carries the id of
+its exact tuple (psi_0, ..., psi_d, S), and every exact decision is taken
+once per distinct tuple, or once per distinct pair of ids at the two ends
+of an arrow; the work per arrow is array indexing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     rational,
 )
 from .exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
-from .groupoid import TransformationGroupoid, _edge_components, cyclic_rotation_groupoid
+from .groupoid import Moves, TransformationGroupoid, cyclic_rotation_groupoid
 from .reporting import VerificationReport
 
 __all__ = [
@@ -78,79 +78,17 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
     return np.concatenate(([True], s[1:] != s[:-1]))[:len(s)]
 
 
-class _Moves:
-    """The arrows (g, x), x in Z/q, of a set of offsets g, as gather
-    arrays: ``to[j, x]`` is x + g_j and ``back[j, x]`` is x - g_j mod q.
-    The methods take one residue mask, or a (colors, q) stack of them."""
-
-    def __init__(self, q: int, offsets: np.ndarray):
-        ar = np.arange(q)
-        self.q = q
-        self.offsets = offsets
-        self.to = (ar + offsets[:, None]) % q
-        self.back = (ar - offsets[:, None]) % q
-        for a in (offsets, self.to, self.back):
-            a.flags.writeable = False  # shared by the stages that read one K
-
-    @classmethod
-    def of(cls, G, K) -> "_Moves":
-        """The offsets of K, which must be a union of full classes
-        {(g, x) : x in Z/q} of arrows of G = ``cyclic_rotation_groupoid(q)``,
-        as ``G.moves(E)`` is; any other G or K is InvalidInput.  A frozen K
-        is read once for the stages that share it."""
-        if not isinstance(G, TransformationGroupoid):
-            raise InvalidInput("the partition-of-unity stages run on Z/q rotating its residues")
-        if isinstance(K, frozenset):
-            return _moves_of(G.n, K)
-        return cls.read(G.n, K)
-
-    @classmethod
-    def read(cls, q: int, K) -> "_Moves":
-        try:
-            ok = set(map(len, K)) <= {2} and set(map(type, chain.from_iterable(K))) <= {int}
-            flat = np.fromiter(chain.from_iterable(K), np.int64, 2 * len(K)) if ok else None
-        except (TypeError, OverflowError):
-            ok = False
-        if not ok or ((flat < 0) | (flat >= q)).any():
-            raise InvalidInput(f"K must be a set of arrows (g, x) of Z/{q}: residue pairs")
-        g, x = flat[0::2], flat[1::2]
-        offsets = _distinct(g)
-        seen = np.zeros((len(offsets), q), bool)
-        seen[np.searchsorted(offsets, g), x] = True
-        if not seen.all():
-            raise InvalidInput("K must hold every arrow (g, x) of each of its group parts g")
-        return cls(q, offsets)
-
-    def near(self, masks: np.ndarray) -> np.ndarray:
-        """s(K cap r^-1(mask)): the residues x with x + g in the mask for
-        some offset g."""
-        return masks[..., self.to].any(axis=-2)
-
-    def step(self, masks: np.ndarray) -> np.ndarray:
-        """One K-propagation step: the mask together with its ``near``."""
-        return masks | self.near(masks)
-
-    def components(self, masks: np.ndarray) -> np.ndarray:
-        """The blocks of the subgroupoid that the arrows inside a mask
-        generate: per residue, the least residue of its component in the
-        graph with an edge x -- x + g for every offset g joining two
-        residues of the mask, and -1 for a residue on no edge (isolated
-        residues are on their unit arrow when 0 is an offset).  The masks
-        of a stack are the layers of one graph, its nodes the positions
-        layer * q + x, and ``_edge_components`` takes its edges."""
-        q = self.q
-        stack = masks.reshape(-1, q)
-        layer, x = np.nonzero(stack)
-        to = self.to[:, x]
-        hit = stack[layer, to]
-        base = layer * q
-        label = _edge_components(stack.size, (base + x)[np.nonzero(hit)[1]], (base + to)[hit])
-        return np.where(label >= 0, label % q, -1).reshape(masks.shape)
-
-
-@lru_cache(maxsize=1)
-def _moves_of(q: int, K: frozenset) -> _Moves:
-    return _Moves.read(q, K)
+def _moves(G, K) -> Moves:
+    """K as the ``Moves`` that the stages read: G must be Z/q rotating its
+    residues and K a union of full classes of its arrows, as ``G.moves(E)``
+    is; any other G or K is InvalidInput."""
+    if not isinstance(G, TransformationGroupoid):
+        raise InvalidInput("the partition-of-unity stages run on Z/q rotating its residues")
+    moves = Moves.read(G.n, K)
+    if moves is None:
+        raise InvalidInput(f"K must be a set of arrows (g, x) of Z/{G.n} holding every "
+                           "arrow (g, x) of each of its group parts g")
+    return moves
 
 
 def _generated_sizes(labels: np.ndarray) -> list[int]:
@@ -194,12 +132,12 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     Returns (new_colors, report), the new colors as a (colors, q) boolean
     array.
     """
-    moves = _Moves.of(G, K)
+    moves = _moves(G, K)
     o = moves.offsets
-    moves3 = _Moves(moves.q, _distinct(np.concatenate([
+    moves3 = Moves(moves.n, _distinct(np.concatenate([
         o, (o[:, None] + o).ravel(), (o[:, None, None] + o[:, None] + o).ravel(),
-    ]) % moves.q))
-    base = np.full(moves.q, o.size > 0)  # r(K) u s(K): every residue, or none
+    ]) % moves.n))
+    base = np.full(moves.n, o.size > 0)  # r(K) u s(K): every residue, or none
     masks = _color_masks(G, colors)
 
     missing = int((base & ~masks.any(axis=0)).sum())
@@ -244,7 +182,7 @@ def enlarge_cover(G, K, colors, size_bound: int | None):
     return enlarged, report
 
 
-def _envelope_holds(moves: _Moves, label_i: np.ndarray, label: np.ndarray) -> bool:
+def _envelope_holds(moves: Moves, label_i: np.ndarray, label: np.ndarray) -> bool:
     """The subgroupoid with blocks ``label`` lies in K . G_i . K, G_i with
     blocks ``label_i``: an arrow is fixed by its endpoints, so the arrow
     from x to y lies there exactly when K-arrows at x and at y end in one
@@ -255,10 +193,10 @@ def _envelope_holds(moves: _Moves, label_i: np.ndarray, label: np.ndarray) -> bo
     reach = label_i[moves.back]  # (offsets, q): blocks of G_i one K-step away
     members = np.flatnonzero(label >= 0)
     root = label[members]
-    passed = np.zeros(moves.q, bool)
+    passed = np.zeros(moves.n, bool)
     for cand in reach[:, root]:
         has = (cand >= 0) & (reach[:, members] == cand).any(axis=0)
-        lacking = np.zeros(moves.q, bool)
+        lacking = np.zeros(moves.n, bool)
         lacking[root[~has]] = True
         passed |= ~lacking
     for r in _distinct(root[~passed[root]]).tolist():
@@ -293,13 +231,13 @@ def build_tower(G, K, colors, N: int, size_bound: int | None):
     and, given ``size_bound``, the small top."""
     if N < 1:
         raise InvalidInput("tower depth N must be positive")
-    moves = _Moves.of(G, K)
+    moves = _moves(G, K)
     masks = _color_masks(G, colors)
     if moves.offsets.size:
         missing = int((~masks.any(axis=0)).sum())
         if missing:
             raise TowerInvalid(f"colors do not cover r(K) u s(K); {missing} units missing")
-    levels = np.empty((len(masks), N + 2, moves.q), bool)
+    levels = np.empty((len(masks), N + 2, moves.n), bool)
     levels[:, 0] = masks
     for n in range(N + 1):
         levels[:, n + 1] = moves.step(levels[:, n])
@@ -340,7 +278,7 @@ class PartitionOfUnity:
     """
 
     G: object
-    K: frozenset
+    K: Moves
     towers: list[NestedColorTower]
     N: int
     tid: np.ndarray
@@ -381,7 +319,7 @@ class PartitionOfUnity:
         residue's least residue in its block, -1 in no block.  Cutdowns by
         phi_i land in its convolution algebra."""
         tops = np.array([t.top for t in self.towers])
-        return _Moves.of(self.G, self.K).components(tops)
+        return self.K.components(tops)
 
     @classmethod
     def from_json(cls, G, K, data: dict) -> "PartitionOfUnity":
@@ -420,7 +358,7 @@ class PartitionOfUnity:
             N = positive_int(data["N"], "averaging depth N")
         if not 1 <= len(entries) == len(towers) or not all(len(t.levels) for t in towers):
             raise InvalidInput("a partition of unity needs one psi and a nonempty tower per color")
-        return cls._of_values(G, K, towers, N, list(ids), vid, entries)
+        return cls._of_values(G, _moves(G, K), towers, N, list(ids), vid, entries)
 
     def to_json(self) -> dict:
         """Unit keys are decimal texts, sorted as texts."""
@@ -454,7 +392,7 @@ def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
     least one psi_i equals 1 on r(K) u s(K) because the base levels cover
     it, so the squared normalizer is the honest sum there and
     sum phi_i^2 = 1 exactly.  K is symmetric, as for ``build_tower``, and
-    is kept in the result.
+    its ``Moves`` are kept in the result.
     """
     if not towers:
         raise TowerInvalid("need at least one tower")
@@ -463,12 +401,12 @@ def build_pou(G, K, towers: list[NestedColorTower]) -> PartitionOfUnity:
         raise TowerInvalid("averaging depth must satisfy N >= 3")
     if any(len(t.levels) - 2 != N for t in towers):
         raise TowerInvalid("towers have mismatched depths")
-    moves = _Moves.of(G, K)
+    moves = _moves(G, K)
 
     counts = np.array([t.levels[:N].sum(axis=0) * t.top for t in towers], np.intp)
     values = [Fraction(c, N) for c in range(N + 1)]
     pou = PartitionOfUnity._of_values(
-        G, K, towers, N, values, counts, [np.flatnonzero(c) for c in counts],
+        G, moves, towers, N, values, counts, [np.flatnonzero(c) for c in counts],
     )
 
     if moves.offsets.size:
@@ -491,12 +429,13 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
     tuple ids at the ends of an arrow of K, and gathered over the residues
     or the offsets of K.  A rejection names the first violation in the
     order of the per-unit loops: a psi_i's entries in their order, units
-    in increasing order, and the arrows of K in its own order, walked once
-    to find it.  Symmetrizing K would not change the verdict: both checks
+    in increasing order, and the arrows of K offset by offset, then by
+    residue (the order of ``Moves``), found on the grid of their pairs of
+    tuple ids.  Symmetrizing K would not change the verdict: both checks
     on an arrow are symmetric in its endpoints, and a unit arrow passes
     them.
     """
-    moves = _Moves.of(G, K)
+    moves = _moves(G, K)
     d, N = pou.d, pou.N
     tid, tuples = pou.tid, pou.tuples
 
@@ -541,7 +480,8 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
     # an arrow's checks on color i read the pairs (psi_i, S) at its ends,
     # which get ids, and are symmetric in the two ends
     T = len(tuples)
-    pairs = _distinct((tid * T + tid[moves.to]).ravel())
+    at = tid * T + tid[moves.to]  # (offsets, q): the pair at each arrow's ends
+    pairs = _distinct(at.ravel())
     src, rng = pairs // T, pairs % T
     pair_ids: dict = {}
     ids = [[pair_ids.setdefault((t[i], t[-1]), len(pair_ids)) for t in tuples]
@@ -561,28 +501,29 @@ def verify_pou(G, K, pou: PartitionOfUnity, eps: Rat | None = None) -> Verificat
             ok = diff_lt_rational(ps, Ss, pr, Sr, bound)
         return None if ok else "OscillationExceeded"
 
-    failed: dict = {}  # (source id, range id) -> (color, code) of its first violation
-    for s, r in zip(src.tolist(), rng.tolist()):
+    failed: dict = {}  # position in pairs -> (color, code) of its first violation
+    for p, (s, r) in enumerate(zip(src.tolist(), rng.tolist())):
         for i, color_ids in enumerate(ids):
             a, b = color_ids[s], color_ids[r]
             key = (a, b) if a <= b else (b, a)
             if key not in decided:
                 decided[key] = decide(key)
             if decided[key] is not None:
-                failed[s, r] = (i, decided[key])
+                failed[p] = (i, decided[key])
                 break
     if failed:
-        q, ids = moves.q, tid.tolist()
-        for a in K:
-            hit = failed.get((ids[a[1]], ids[(a[1] + a[0]) % q]))
-            if hit is None:
-                continue
-            i, code = hit
-            if code == "StepBoundViolation":
-                message = f"|psi_{i}(s) - psi_{i}(r)| > 2/N on arrow {a!r}"
-            else:
-                message = f"|phi_{i}(s(g)) - phi_{i}(r(g))| too large on arrow {a!r}"
-            return VerificationReport(False, code, message, {"arrow": repr(a), "color": i})
+        bad = np.zeros(len(pairs), bool)
+        bad[list(failed)] = True
+        pos = np.searchsorted(pairs, at).ravel()
+        k = int(np.flatnonzero(bad[pos])[0])
+        j, x = divmod(k, moves.n)
+        a = (int(moves.offsets[j]), x)
+        i, code = failed[int(pos[k])]
+        if code == "StepBoundViolation":
+            message = f"|psi_{i}(s) - psi_{i}(r)| > 2/N on arrow {a!r}"
+        else:
+            message = f"|phi_{i}(s(g)) - phi_{i}(r(g))| too large on arrow {a!r}"
+        return VerificationReport(False, code, message, {"arrow": repr(a), "color": i})
 
     phi = pou.phi
     max_osc_float = float(np.abs(phi[:, src] - phi[:, rng]).max(initial=0.0))

@@ -39,7 +39,6 @@ from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float
 from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
-    _endpoint_units,
     _seeds,
     generate_subgroupoid,
 )
@@ -1198,6 +1197,11 @@ def symmetrize_arrows(G, K):
     return frozenset(out)
 
 
+def endpoint_units(G, K) -> frozenset:
+    """s(K) u r(K), one scan of K."""
+    return frozenset(u for a in K for u in (G.source(a), G.range(a)))
+
+
 def _propagate_oracle(G, K, units):
     """units u s(K cap r^-1(units)), one scan of K."""
     return frozenset(units) | {G.source(a) for a in K if G.range(a) in units}
@@ -1240,8 +1244,8 @@ def enlarge_cover_oracle(G, K, colors, size_bound):
         raise NotFree("cover enlargement needs a free groupoid")
     K = symmetrize_arrows(G, K)
     K3 = arrow_set_power(G, K, 3)
-    base = _endpoint_units(G, K)
-    base3 = _endpoint_units(G, K3)
+    base = endpoint_units(G, K)
+    base3 = endpoint_units(G, K3)
     covered = frozenset().union(*colors) if colors else frozenset()
     if not base3 <= covered:
         raise WitnessInsufficient(
@@ -1287,7 +1291,7 @@ def build_tower_oracle(G, K, colors, N, size_bound):
     if N < 1:
         raise InvalidInput("tower depth N must be positive")
     K = symmetrize_arrows(G, K)
-    base = _endpoint_units(G, K)
+    base = endpoint_units(G, K)
     covered = frozenset().union(*colors) if colors else frozenset()
     if not base <= covered:
         raise TowerInvalid(f"colors do not cover r(K) u s(K); {len(base - covered)} units missing")
@@ -1324,7 +1328,7 @@ def build_pou_oracle(G, K, towers):
     for t in towers:
         counts = {x: sum(1 for n in range(1, N + 1) if x in t.levels[n - 1]) for x in t.top}
         psi.append({x: Fraction(c, N) for x, c in counts.items() if c})
-    for x in _endpoint_units(G, K):
+    for x in endpoint_units(G, K):
         if not any(p.get(x) == 1 for p in psi):
             raise TowerInvalid(f"no step function equals 1 at {x!r}; base cover broken")
     return SetPou(G, K, towers, N, psi, norm_sq_oracle(psi))
@@ -1333,7 +1337,7 @@ def build_pou_oracle(G, K, towers):
 def verify_pou_oracle(G, K, pou, eps=None) -> VerificationReport:
     """``pou.verify_pou`` on a ``SetPou``, with the step and oscillation
     checks decided afresh on every (arrow, color), walking K as given."""
-    base = _endpoint_units(G, K)
+    base = endpoint_units(G, K)
     d, N = pou.d, pou.N
     for i, p in enumerate(pou.psi):
         for x, v in p.items():

@@ -3,13 +3,15 @@ name, and a metric whose target is gone reads 0 without failing the run.
 These tests resolve every target the tracer names, so a rename fails here.
 The benchmark's jobs (perfbench/jobs.py) call the library by name too:
 every name they read must resolve, and the groupoid stage they rebuild
-by hand must still pass.  Both files are parsed, not imported: nothing
-under perfbench/ is written."""
+by hand must still pass.  The tracer's counting hooks read what the
+library returns, and must count alike whatever form it takes.  Both
+files are parsed, not imported: nothing under perfbench/ is written."""
 
 import ast
 import importlib
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -139,3 +141,22 @@ def test_jobs_groupoid_stage_runs_on_the_library(tmp_path):
         out = namespace["run_groupoid_stage"]({"chain": "chain", "rotation": rotation}, ctx)
         assert out["report"]["accepted"]
         assert namespace["check_groupoid_stage"]({}, out, ctx) == ([], None)
+
+
+def test_tracer_counts_the_arrows_of_moves_as_of_their_frozenset():
+    """The ``pou.arrows_checked`` hook, compiled from tracer.py's own
+    source, adds len(K) per accepted ``verify_pou``: the moves of E that
+    the library hands it count as many arrows as the frozenset of them."""
+    defs = [n for n in ast.parse(TRACER.read_text()).body
+            if isinstance(n, ast.FunctionDef) and n.name == "_pou_arrows"]
+    assert len(defs) == 1
+    namespace: dict = {}
+    exec(compile(ast.Module(defs, []), "perfbench/tracer.py", "exec"), namespace)
+    arcs = [frozenset(range(7)), frozenset({6, 7, 8, 9, 10, 11, 0})]
+    G, K, _, pou = dadim.pou_from_group_action(12, [-1, 0, 1], arcs, 16, None)
+    counts = []
+    for form in (K, frozenset(K)):
+        counters: Counter = Counter()
+        namespace["_pou_arrows"](counters, (G, form, pou), dadim.verify_pou(G, form, pou))
+        counts.append(counters["pou.arrows_checked"])
+    assert counts == [36, 36]

@@ -1,6 +1,7 @@
 """Finite groupoids, subgroupoid generation, and the groupoid verifier."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
     GroupoidDadWitness,
+    Moves,
+    TransformationGroupoid,
     TubeArrows,
     TubePairGroupoid,
     _closure,
@@ -28,7 +31,6 @@ from dadim.groupoid import (
     verify_groupoid_dad,
 )
 from dadim.pipeline import project_witness_to_quotient
-from dadim.pou import _Moves
 from dadim.symbolic import Odometer
 from dadim.witness import DadWitness, construct_minimal_z_witness, verify_dad_witness
 from helpers import (
@@ -98,20 +100,39 @@ def test_transformation_groupoid_examples():
             transformation_groupoid(n, points)
 
 
+FOREIGN_ARROWS = st.one_of(
+    st.tuples(st.sampled_from([-1, 64, 2**70]), st.integers(0, 63)),
+    st.tuples(st.integers(0, 63), st.sampled_from([-1, 64, 2**70])),
+    st.tuples(st.sampled_from([1.5, "a", None]), st.integers(0, 63)),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_moves_are_the_symmetrized_arrows(n, data):
     """moves(E) is the symmetrization of the E-arrows with every unit arrow
     added (they are already there unless E is empty), and is closed under
     inverse; E is read in Z, and ``symmetrized`` agrees with the oracle
-    group's on E reduced mod n."""
+    group's on E reduced mod n.  As a set it behaves as the frozenset of
+    those arrows: the same ``len``, the same members, ``==`` both ways,
+    set operators that give frozensets, and iteration offset by offset,
+    then by residue; ``in`` holds for its
+    arrows alone among G's, and is False, raising nothing, for an arrow
+    outside Z/n, a pair of no ints, or no pair at all."""
     G = cyclic_rotation_groupoid(n)
     E = data.draw(st.lists(st.integers(-2 * n, 2 * n), max_size=3))
     reduced = [e % n for e in E]
     K = G.moves(E)
     raw = frozenset((e, x) for e in reduced for x in G.units)
-    assert K == symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.units}
+    oracle = symmetrize_arrows(G, raw) | {G.unit_arrow(x) for x in G.units}
+    assert K == oracle and oracle == K and not K != oracle
+    assert len(K) == len(oracle) and set(K) == oracle
+    assert list(K) == sorted(oracle)
+    assert K & oracle == oracle and K - oracle == frozenset() and K | {(0, 0)} == oracle | {(0, 0)}
     assert all(G.inverse(a) in K for a in K)
+    assert [a in K for a in G.arrows] == [a in oracle for a in G.arrows]
+    for a in [data.draw(FOREIGN_ARROWS), (0,), (0, 0, 0), [0, 0], ([0], 0), 3, None]:
+        assert a not in K
     assert symmetrized(n, E) == cyclic_group(n).symmetrized(reduced)
 
 
@@ -217,45 +238,67 @@ def test_edge_components_match_the_union_find_oracle(case):
 @settings(max_examples=100, deadline=None)
 @given(q=st.integers(1, 16), data=st.data())
 def test_stacked_layer_components_match_the_union_find_oracle(q, data):
-    """``_Moves.components`` on a (layers, q) stack of masks, each layer its
+    """``Moves.components`` on a (layers, q) stack of masks, each layer its
     own graph x -- x + g over the offsets g joining two residues of its mask,
     against the union-find of each layer alone."""
     offsets = np.array(sorted(data.draw(st.sets(st.integers(0, q - 1), max_size=4))), np.int64)
     layers = data.draw(st.integers(1, 4))
     row = st.lists(st.booleans(), min_size=q, max_size=q)
     masks = np.array(data.draw(st.lists(row, min_size=layers, max_size=layers)), bool)
-    got = _Moves(q, offsets).components(masks)
+    got = Moves(q, offsets).components(masks)
     for mask, row in zip(masks, got):
         edges = [(x, (x + g) % q) for g in offsets.tolist() for x in range(q)
                  if mask[x] and mask[(x + g) % q]]
         assert row.tolist() == least_labels(q, _connected_components(edges)).tolist()
 
 
-FOREIGN_ARROWS = st.one_of(
-    st.tuples(st.sampled_from([-1, 64, 2**70]), st.integers(0, 63)),
-    st.tuples(st.integers(0, 63), st.sampled_from([-1, 64, 2**70])),
-    st.tuples(st.sampled_from([1.5, "a", None]), st.integers(0, 63)),
-)
+def draw_k(G, data):
+    """A form of K on Z/q, with its name: ``moves(E)``, its arrows as a
+    frozenset or as a shuffled list, or a partial K, a random set of
+    arrows as a list or a frozenset with perhaps one foreign arrow (an int
+    past q or past int64, or no int at all)."""
+    q = G.n
+    form = data.draw(st.sampled_from(["moves", "frozenset", "list", "partial"]))
+    K = G.moves(data.draw(st.lists(st.integers(-2 * q, 2 * q), max_size=3)))
+    if form == "frozenset":
+        K = frozenset(K)
+    elif form == "list":
+        K = data.draw(st.permutations(list(K)))
+    elif form == "partial":
+        arrow = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+        K = data.draw(st.lists(arrow, max_size=3 * q, unique=True))
+        if data.draw(st.booleans()):
+            K.insert(data.draw(st.integers(0, len(K))), data.draw(FOREIGN_ARROWS))
+        K = data.draw(st.sampled_from([K, frozenset(K)]))
+    return form, K
+
+
+def read_as_the_verifier(G, K):
+    """K as ``verify_groupoid_dad`` reads it on the rotation."""
+    moves = Moves.read(G.n, K)
+    return K if moves is None else moves
 
 
 @settings(max_examples=200, deadline=None)
 @given(q=st.integers(1, 64), data=st.data())
 def test_rotation_seeds_match_the_per_arrow_scan(q, data):
-    """The Z/q seeds of a few colors, read off K as one int array, against
-    the scan of K with one ``source`` and one ``range`` call per arrow and
-    color: the same arrows in the same order, the same blocks generated
-    from them, and the same ``KeyError`` at the same color for an arrow
-    outside Z/q whose source lies in the color (others are skipped, as the
-    scan skips them).  K is a random set of arrows, as a frozenset or a
-    list, with perhaps one foreign arrow: an int past q or past int64, or
-    no int at all."""
+    """The Z/q seeds of a few colors from K as the verifier reads it,
+    against the scan of K as drawn (``draw_k``) with one ``source`` and one
+    ``range`` call per arrow and color: the same arrows, the same blocks
+    generated from them, and the same ``KeyError`` at the same color for
+    an arrow outside Z/q whose source lies in the color (others are
+    skipped, as the scan skips them).  The three forms of ``moves(E)`` are
+    read as the same ``Moves`` and seeded from its ``to`` rows, in the
+    order of the scan of ``moves(E)``; a partial K is read only when it
+    happens to be a union of full classes."""
     G = cyclic_rotation_groupoid(q)
-    arrow = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
-    K = data.draw(st.lists(arrow, max_size=3 * q, unique=True))
-    if data.draw(st.booleans()):
-        K.insert(data.draw(st.integers(0, len(K))), data.draw(FOREIGN_ARROWS))
-    K = data.draw(st.sampled_from([K, frozenset(K)]))
+    form, K = draw_k(G, data)
     colors = data.draw(st.lists(st.frozensets(st.integers(-1, q)), min_size=1, max_size=3))
+    read = read_as_the_verifier(G, K)
+    if form != "partial":
+        assert isinstance(read, Moves) and read == frozenset(K) and (form != "moves" or read is K)
+    elif isinstance(read, Moves):
+        assert set(read) == set(K)
 
     def outcomes(seeds):
         out = []
@@ -267,8 +310,62 @@ def test_rotation_seeds_match_the_per_arrow_scan(q, data):
             out.append(exc.args)
         return out
 
-    per_arrow = ([a for a in K if G.source(a) in c and G.range(a) in c] for c in colors)
-    assert outcomes(_seeds(G, K, colors)) == outcomes(per_arrow)
+    got = outcomes(_seeds(G, read, colors))
+    want = outcomes([a for a in K if G.source(a) in c and G.range(a) in c] for c in colors)
+    if form == "moves":
+        assert got == want
+    in_any_order = [(sorted(o[0], key=repr), o[1]) if len(o) == 2 else o for o in want]
+    assert [(sorted(o[0], key=repr), o[1]) if len(o) == 2 else o for o in got] == in_any_order
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(1, 40), data=st.data())
+def test_verifier_reports_alike_for_every_form_of_k(q, data):
+    """``verify_groupoid_dad`` on Z/q, K drawn in each form of ``draw_k``,
+    gives the report (or raises the ``KeyError``) of the per-arrow path:
+    the same arrows as a list, with ``Moves.read`` patched to refuse every
+    K, so that the cover check scans K for s(K) u r(K) and each color
+    scans it for its seed.  The three forms of ``moves(E)`` are read once
+    and never scanned: ``range`` is not called.  The colors are arcs that
+    cover Z/q, perhaps with a residue dropped from the first or a unit
+    outside Z/q added to the last; each declared subgroupoid is none, the
+    one that ``moves([1])`` generates in the color, or the empty one; the
+    size bound is none or drawn."""
+    G = cyclic_rotation_groupoid(q)
+    form, K = draw_k(G, data)
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, q - 1)), max_size=3)) - {q})
+    colors = [frozenset(range(a, b)) for a, b in zip([0, *cuts], [*cuts, q])]
+    fault = data.draw(st.sampled_from(["none", "gap", "stray"]))
+    if fault == "gap":
+        colors[0] -= {data.draw(st.integers(0, q - 1))}
+    elif fault == "stray":
+        colors[-1] |= {data.draw(st.sampled_from([-1, q]))}
+    declared = []
+    for c in colors:
+        kind = data.draw(st.sampled_from(["none", "generated", "empty"]))
+        if kind == "none":
+            declared.append(None)
+        elif kind == "generated":
+            arrows = [a for a in G.moves([1]) if G.source(a) in c and G.range(a) in c]
+            declared.append(generate_subgroupoid(G, arrows))
+        else:
+            declared.append(BlockArrows(frozenset()))
+    bound = data.draw(st.one_of(st.none(), st.integers(0, 2 * q * q)))
+
+    def report(K):
+        try:
+            return verify_groupoid_dad(G, GroupoidDadWitness(K, colors, declared), bound)
+        except KeyError as exc:
+            return exc.args
+
+    scanned = []
+    per_arrow = TransformationGroupoid.range
+    with mock.patch.object(TransformationGroupoid, "range",
+                           lambda self, a: scanned.append(a) or per_arrow(self, a)):
+        got = report(K)
+    assert form == "partial" or not scanned
+    with mock.patch.object(Moves, "read", lambda n, K: None):
+        assert got == report(list(K))
 
 
 def z2_involution_data():
@@ -593,3 +690,15 @@ def test_rotation_keeps_no_quadratic_state():
     assert gen.blocks == {arc}
     assert parts == set(range(10)) | set(range(4087, 4096))
     assert peak < 16 * 2**20
+
+    # K holds its offsets, not a tuple per arrow: the 196 608 arrows of
+    # Z/65536's moves of [-1, 0, 1] in well under the 20 MB of a frozenset
+    G = cyclic_rotation_groupoid(65536)
+    tracemalloc.start()
+    try:
+        K = G.moves([-1, 0, 1])
+        assert len(K) == 3 * 65536 and (65535, 7) in K and (2, 7) not in K
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -36,7 +36,7 @@ from dadim.groupoid import (
 from dadim.pou import (
     PartitionOfUnity,
     _envelope_holds,
-    _Moves,
+    _moves,
     build_pou,
     build_tower,
     enlarge_cover,
@@ -427,7 +427,7 @@ def test_block_envelope_matches_composed_envelope(q, data):
         G, compose_arrow_sets(G, K, [a for a in G.arrows if holds(G_i, G, a)]), K
     )
     held = frozenset(a for a in G.arrows if holds(gen, G, a))
-    got = _envelope_holds(_Moves.of(G, K), block_labels(q, G_i), block_labels(q, gen))
+    got = _envelope_holds(_moves(G, K), block_labels(q, G_i), block_labels(q, gen))
     assert got == (held <= envelope)
 
 
