@@ -107,12 +107,9 @@ def _strip_volatile(obj):
 
 
 def _digest(data) -> str:
-    """Content hash of an already normalized payload."""
+    """Content hash of JSON data: a normalized payload, or an artifact as
+    read back."""
     return hashlib.sha256(_dumps(_strip_volatile(data)).encode()).hexdigest()
-
-
-def content_hash(obj) -> str:
-    return _digest(_normalize(obj))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -146,11 +143,13 @@ def _load_strict(fh, parse_constant=_no_constant):
 
 
 def file_hash(path) -> str:
-    """The content hash of a written artifact, read strictly but for the
+    """The content hash of a written artifact: the digest of its data as
+    read, not normalized again, so that a float edited below the 12th
+    significant digit changes it.  The file is read strictly but for the
     NaN and Infinity constants, which ``write_certificate`` emits for
     non-finite floats."""
     with open(path, encoding="utf-8") as fh:
-        return content_hash(_load_strict(fh, parse_constant=float))
+        return _digest(_load_strict(fh, parse_constant=float))
 
 
 _INF = float("inf")

@@ -627,15 +627,61 @@ def _canonical_subshift(system: _Subshift, left: int, words: frozenset[str]):
 
 
 def disjoint_translates_radius(s: ClopenSet, radius: int) -> bool:
-    """True iff n.s and s are disjoint for all 0 < |n| <= radius."""
+    """True iff n.s and s are disjoint for all 0 < |n| <= radius: on a
+    subshift, iff s's first return is later than ``radius``."""
     if radius < 1:
         raise InvalidInput("radius must be positive")
     if s.is_empty():
         return True
+    if isinstance(s, SubshiftClopen):
+        return _first_return(s, radius) is None
     for n in range(1, radius + 1):
         if not s.translate(n).intersect(s).is_empty():
             return False
     return True
+
+
+def _first_return(s: "SubshiftClopen", bound: int) -> int | None:
+    """The least n in 1..bound with n.s meeting s, or None: the least n for
+    which some word of length n+L of the language starts and ends with a
+    word of s.  The words that start with one are grown a letter at a time.
+    Each n checks the windows that ``s.translate(n).intersect(s)`` would
+    check, in its order, so DepthExceeded is raised where that would raise.
+    The whole space, whose window is empty, returns at 1, where no depth
+    limit fails those checks."""
+    l, W, L = s.left, s.words, s.wlen
+    starts = list(W)  # the words of length n+L that start with a word of W
+    for n in range(1, bound + 1):
+        s._check_window(l - n, L)
+        s._check_window(l - n, n + L)
+        by_prefix = s.system._groupings(n + L)[0]
+        starts = [v for w in starts for v in by_prefix.get(w, ())]
+        if any(v[n:] in W for v in starts):
+            return n
+    return None
+
+
+def _syndeticity_bound(s: "SubshiftClopen", bound: int) -> int | None:
+    """The least n in 1..bound for which every point visits s at some time
+    in (0, n] and in [-n, 0), or None: the least n for which no word of
+    length n+L-1 of the language avoids the words of s.  The words that
+    avoid them are grown a letter at a time.  Each n checks the windows of
+    ``s.translate(-n)`` and ``s.translate(n)``, in that order, so
+    DepthExceeded is raised where the union of those translates would
+    raise.  The whole space, whose window is empty, gives 1."""
+    l, W, L = s.left, s.words, s.wlen
+    free = None  # the words of length n+L-1 with no factor in W
+    for n in range(1, bound + 1):
+        s._check_window(l + n, L)
+        s._check_window(l - n, L)
+        if free is None:
+            free = [w for w in s.system.language(L) if w not in W]
+        else:
+            by_prefix = s.system._groupings(n + L - 1)[0]
+            free = [v for w in free for v in by_prefix.get(w, ()) if v[n - 1 :] not in W]
+        if not free:
+            return n
+    return None
 
 
 @dataclass(frozen=True)
@@ -654,6 +700,19 @@ class ReturnTimeReport:
 
 
 def return_time_report(s: ClopenSet, search_bound: int = 4096) -> ReturnTimeReport:
+    """The first return and the syndeticity bound of a nonempty clopen set.
+
+    On an odometer both are read off the gaps between the set's residues.
+    On a subshift, with W the words of s on its window of length L, they
+    are read off the language: the first return is the least n for which a
+    word of length n+L starts and ends with a word of W, and ``max_gap``
+    the least n for which every word of length n+L-1 has a factor in W (the
+    whole space, L = 0, gives 1 and 1).  Both searches stop at
+    ``search_bound``: no first return there raises BoundExceeded, no gap
+    bound gives ``max_gap=None``.  Each n checks the windows its translates
+    of s would take, so DepthExceeded is raised where translating s would
+    raise.
+    """
     if s.is_empty():
         raise EmptySet("return time of the empty set is undefined")
     if isinstance(s, OdometerClopen):
@@ -671,27 +730,12 @@ def return_time_report(s: ClopenSet, search_bound: int = 4096) -> ReturnTimeRepo
             max_gap = q
         return ReturnTimeReport(s, min_ret, max_gap, search_bound)
 
-    # subshift: search by explicit translation
-    min_ret = None
-    for n in range(1, search_bound + 1):
-        if not s.translate(n).intersect(s).is_empty():
-            min_ret = n
-            break
+    min_ret = _first_return(s, search_bound)
     if min_ret is None:
         raise BoundExceeded(
             f"no forward return within search_bound={search_bound}"
         )
-    fwd = s.system.empty()
-    bwd = s.system.empty()
-    max_gap = None
-    for n in range(1, search_bound + 1):
-        # x hits s at time +n iff x lies in (-n).s
-        fwd = fwd.union(s.translate(-n))
-        bwd = bwd.union(s.translate(n))
-        if fwd.is_whole() and bwd.is_whole():
-            max_gap = n
-            break
-    return ReturnTimeReport(s, min_ret, max_gap, search_bound)
+    return ReturnTimeReport(s, min_ret, _syndeticity_bound(s, search_bound), search_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,13 @@ residues mod q_m on which Z acts by rotation, so F_i is read off a walk over
 those residues that records each one's displacement.  On a subshift a color
 is a set of words on one window, and F_i is read off a walk over the words
 of the language: each word is extended letter by letter until every step
-from the component of 0 it has found is decided inside it.
+from the component of 0 it has found is decided inside it, and a longer
+word decides only the targets its prefix or suffix left open, so each
+target is read from a word once.  The constructor's cylinder U with
+disjoint translates, its refinement V and V's syndeticity bound M come from
+``symbolic.return_time_report`` and ``disjoint_translates_radius``, which on
+a subshift read return times off the language without building a clopen
+set per translate.
 """
 
 from __future__ import annotations
@@ -187,17 +193,26 @@ def _word_walk(
 
     A color is a set W of words on the window [l, l+L), so F is the union
     over x in the color of the E-connected component of 0 in
-    {n : x[n+l, n+l+L) in W}.  A state (a, u, C) knows x on [a, a+|u|) and
-    holds the part C of 0's component found so far, closed under every step
-    whose target window lies inside the known one; a target m joins C iff
-    its slice of u is in W.  A state with no undecided step is a leaf: C is
-    then the component of every point that carries u there.  Otherwise u
-    grows by one letter on the side of the first undecided step, over the
+    {n : x[n+l, n+l+L) in W}.  A state (a, u) knows x on [a, a+|u|); the
+    part C of 0's component it has found is closed under every step whose
+    target window lies inside the known one, and a target m joins C iff its
+    slice of u is in W.  Each state carries the targets its line of words
+    has seen: those it decided (the members of C, and the targets whose
+    slice is not in W, which no longer word can change) and, in scan order,
+    the pending ones, whose window u did not cover.  A child, one letter
+    longer, decides the pending targets first and then scans the steps of
+    only the members it adds, so each target is read from a word once per
+    line: every element is found, every bound cut-off and DepthExceeded
+    met, in the order in which a rescan of all of C at every state would
+    meet them.  A state with no undecided target is a leaf: C is then the
+    component of every point that carries u there.  Otherwise u grows by
+    one letter on the side of the first undecided target, over the
     language's extensions, and states are processed by word length.  A step
     whose target window leaves [-depth_limit, depth_limit] raises
     DepthExceeded, exactly where the constraint BFS's translate would.  The
     walk stops as soon as its states have found more than ``blowup_bound``
-    elements between them; a bound below 1 acts as 1, as in the residue walk.
+    elements between them; a bound below 1 acts as 1, as in the residue
+    walk.  The rescanning walk is the tests' oracle.
     """
     if color.is_empty():
         return frozenset(), True
@@ -213,37 +228,49 @@ def _word_walk(
     left, W, L = color.left, color.words, color.wlen
     limit = system.depth_limit
     F = {0}  # every element any state has found; all of F at the end
-    queue = deque((left, w, [0]) for w in sorted(W))
-    while queue:
-        a, u, C = queue.popleft()
-        members = set(C)
-        undecided = []
-        for n in C:  # C grows while it is scanned
+
+    def targets(members, seen):
+        """The targets of the members' steps that the line has not seen, in
+        scan order; ``members`` may grow while they are read."""
+        for n in members:
             for e in steps:
                 m = n + e
-                if m in members:
-                    continue
-                lo = m + left
-                if max(abs(lo), abs(lo + L)) > limit:
-                    raise DepthExceeded(
-                        f"window [{lo},{lo + L}) exceeds depth_limit {limit}"
-                    )
-                if lo < a or lo + L > a + len(u):
-                    undecided.append((m, lo < a))
-                elif u[lo - a : lo - a + L] in W:
-                    C.append(m)
-                    members.add(m)
-                    F.add(m)
-                    if len(F) > bound:
-                        return frozenset(itertools.islice(F, bound + 1)), False
-        to_left = next((side for m, side in undecided if m not in members), None)
-        if to_left is None:
+                if m not in seen:
+                    seen.add(m)
+                    lo = m + left
+                    if max(abs(lo), abs(lo + L)) > limit:
+                        raise DepthExceeded(
+                            f"window [{lo},{lo + L}) exceeds depth_limit {limit}"
+                        )
+                    yield m
+
+    # a state: its word u on [a, a+|u|), the targets its line has seen
+    # (decided or pending), and the pending ones in scan order; each root
+    # has 0, whose window is its word, pending
+    queue = deque((left, w, {0}, [0]) for w in sorted(W))
+    while queue:
+        a, u, seen, pending = queue.popleft()
+        seen = set(seen)  # shared with the state's siblings
+        right = a + len(u)
+        added = []  # the members this state adds, in the order found
+        undecided = []
+        # the pending targets first, then those of the members added
+        for m in itertools.chain(pending, targets(added, seen)):
+            lo = m + left
+            if lo < a or lo + L > right:
+                undecided.append(m)
+            elif u[lo - a : lo - a + L] in W:
+                added.append(m)
+                F.add(m)
+                if len(F) > bound:
+                    return frozenset(itertools.islice(F, bound + 1)), False
+        if not undecided:
             continue  # a leaf
         by_prefix, by_suffix = system._groupings(len(u) + 1)
-        if to_left:
-            queue.extend((a - 1, v, list(C)) for v in sorted(by_suffix.get(u, ())))
+        if undecided[0] + left < a:
+            queue.extend((a - 1, v, seen, undecided) for v in sorted(by_suffix.get(u, ())))
         else:
-            queue.extend((a, v, list(C)) for v in sorted(by_prefix.get(u, ())))
+            queue.extend((a, v, seen, undecided) for v in sorted(by_prefix.get(u, ())))
     return frozenset(F), True
 
 

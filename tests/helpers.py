@@ -1,5 +1,7 @@
 """Test inputs and all-pairs oracles shared by several test modules."""
 
+import itertools
+import math
 import operator
 import sys
 from collections import deque
@@ -18,7 +20,9 @@ from dadim.convolution import (
     reduced_norm,
 )
 from dadim.errors import (
+    BoundExceeded,
     ConditionViolated,
+    DepthExceeded,
     DepthInsufficient,
     EmptySkeleton,
     EquivarianceTooWeak,
@@ -43,7 +47,7 @@ from dadim.groupoid import (
     generate_subgroupoid,
 )
 from dadim.reporting import VerificationReport
-from dadim.certify import file_hash, rational_str
+from dadim.certify import _digest, _normalize, file_hash, rational_str
 from dadim.nerve import (
     SimplicialComplex,
     SimplicialPoint,
@@ -52,13 +56,28 @@ from dadim.nerve import (
     nice_cover_assign,
 )
 from dadim.pou import PartitionOfUnity
-from dadim.symbolic import ClopenSet, Odometer, OdometerClopen, SubshiftClopen, SymbolicSystem
+from dadim.symbolic import (
+    ClopenSet,
+    ForbiddenWordSubshift,
+    Odometer,
+    OdometerClopen,
+    ReturnTimeReport,
+    SubshiftClopen,
+    SubstitutionSubshift,
+    SymbolicSystem,
+)
 
 def whole(system: SymbolicSystem) -> ClopenSet:
     """The whole space of a system as its one cylinder of depth 0."""
     if isinstance(system, Odometer):
         return OdometerClopen(system, 0, frozenset({0}))
     return SubshiftClopen(system, 0, frozenset({""}))
+
+
+def content_hash(obj) -> str:
+    """The hash ``certify`` records for ``obj`` once written: the digest of
+    its normalized data."""
+    return _digest(_normalize(obj))
 
 
 def same_set(A: ClopenSet, B: ClopenSet) -> bool:
@@ -278,6 +297,135 @@ def constraint_bfs(
                 return frozenset(elements), False
             queue.append(state)
     return frozenset(elements), True
+
+
+# the subshifts the differential tests of the word walk and the return
+# times draw from, with the largest depth limit each is drawn at; the golden
+# mean has positive entropy, so its languages, which the translate oracles
+# materialize whole, stay short only at small depth limits
+SUBSHIFT_RULES = {
+    "fibonacci": {"a": "ab", "b": "a"},
+    "silver": {"a": "aab", "b": "a"},
+    "thue_morse": {"a": "ab", "b": "ba"},
+}
+SUBSHIFT_DEPTHS = {"fibonacci": 64, "silver": 64, "thue_morse": 64, "golden_mean": 12}
+
+
+@lru_cache(maxsize=None)
+def subshift_of(name: str, depth_limit: int):
+    """One shared system per name and depth limit, so that its language
+    cache carries over from one drawn example to the next."""
+    if name == "golden_mean":
+        return ForbiddenWordSubshift(["0", "1"], ["11"], depth_limit)
+    return SubstitutionSubshift(["a", "b"], SUBSHIFT_RULES[name], depth_limit)
+
+
+def word_walk_oracle(
+    system: SymbolicSystem,
+    color: ClopenSet,
+    E: tuple[int, ...],
+    blowup_bound: int,
+):
+    """Exact element set of a subshift color by a walk on the language's
+    words that rescans all of C at every state: the oracle of
+    ``witness._word_walk``, which decides each target once per line of words.
+
+    A color is a set W of words on the window [l, l+L), so F is the union
+    over x in the color of the E-connected component of 0 in
+    {n : x[n+l, n+l+L) in W}.  A state (a, u, C) knows x on [a, a+|u|) and
+    holds the part C of 0's component found so far, closed under every step
+    whose target window lies inside the known one; a target m joins C iff
+    its slice of u is in W.  A state with no undecided step is a leaf: C is
+    then the component of every point that carries u there.  Otherwise u
+    grows by one letter on the side of the first undecided step, over the
+    language's extensions, and states are processed by word length.  A step
+    whose target window leaves [-depth_limit, depth_limit] raises
+    DepthExceeded, exactly where the constraint BFS's translate would.  The
+    walk stops as soon as its states have found more than ``blowup_bound``
+    elements between them; a bound below 1 acts as 1, as in the residue walk.
+    """
+    if color.is_empty():
+        return frozenset(), True
+    steps = [e for e in E if e != 0]
+    bound = max(blowup_bound, 1)
+    if color.is_whole() and steps:
+        # every point reaches all of the subgroup generated by E; the BFS
+        # reported no elements for it on an infinite system
+        if system.infinite:
+            return None, False
+        g = math.gcd(*steps)
+        return frozenset(j * g for j in range(bound + 1)), False
+    left, W, L = color.left, color.words, color.wlen
+    limit = system.depth_limit
+    F = {0}  # every element any state has found; all of F at the end
+    queue = deque((left, w, [0]) for w in sorted(W))
+    while queue:
+        a, u, C = queue.popleft()
+        members = set(C)
+        undecided = []
+        for n in C:  # C grows while it is scanned
+            for e in steps:
+                m = n + e
+                if m in members:
+                    continue
+                lo = m + left
+                if max(abs(lo), abs(lo + L)) > limit:
+                    raise DepthExceeded(
+                        f"window [{lo},{lo + L}) exceeds depth_limit {limit}"
+                    )
+                if lo < a or lo + L > a + len(u):
+                    undecided.append((m, lo < a))
+                elif u[lo - a : lo - a + L] in W:
+                    C.append(m)
+                    members.add(m)
+                    F.add(m)
+                    if len(F) > bound:
+                        return frozenset(itertools.islice(F, bound + 1)), False
+        to_left = next((side for m, side in undecided if m not in members), None)
+        if to_left is None:
+            continue  # a leaf
+        by_prefix, by_suffix = system._groupings(len(u) + 1)
+        if to_left:
+            queue.extend((a - 1, v, list(C)) for v in sorted(by_suffix.get(u, ())))
+        else:
+            queue.extend((a, v, list(C)) for v in sorted(by_prefix.get(u, ())))
+    return frozenset(F), True
+
+
+def return_time_oracle(s: SubshiftClopen, search_bound: int = 4096) -> ReturnTimeReport:
+    """The return times of a nonempty subshift clopen set by explicit
+    translation: the first return intersects each translate with s, and the
+    gap bound unions the translates until both unions are the whole space.
+    The oracle of ``symbolic.return_time_report``'s subshift branch."""
+    min_ret = None
+    for n in range(1, search_bound + 1):
+        if not s.translate(n).intersect(s).is_empty():
+            min_ret = n
+            break
+    if min_ret is None:
+        raise BoundExceeded(
+            f"no forward return within search_bound={search_bound}"
+        )
+    fwd = s.system.empty()
+    bwd = s.system.empty()
+    max_gap = None
+    for n in range(1, search_bound + 1):
+        # x hits s at time +n iff x lies in (-n).s
+        fwd = fwd.union(s.translate(-n))
+        bwd = bwd.union(s.translate(n))
+        if fwd.is_whole() and bwd.is_whole():
+            max_gap = n
+            break
+    return ReturnTimeReport(s, min_ret, max_gap, search_bound)
+
+
+def disjoint_translates_oracle(s: ClopenSet, radius: int) -> bool:
+    """Whether n.s and s are disjoint for 0 < n <= radius, by translating
+    and intersecting: the oracle of ``symbolic.disjoint_translates_radius``."""
+    for n in range(1, radius + 1):
+        if not s.translate(n).intersect(s).is_empty():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

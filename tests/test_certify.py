@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 
 from dadim import certify
 from dadim.certify import (
+    CertificateChain,
     canonical_json,
     compare_artifacts,
-    content_hash,
     corpus_dir,
     file_hash,
     rational_str,
     write_certificate,
 )
-from dadim.errors import InvalidInput
+from dadim.errors import HashMismatch, InvalidInput
 from dadim.pipeline import corpus_check
 from dadim.pou import pou_from_group_action
 from dadim.symbolic import Odometer
 from dadim.witness import construct_minimal_z_witness
+from helpers import content_hash
 
 
 def test_canonical_json_normalization():
@@ -144,11 +145,29 @@ PAYLOADS = st.recursive(
        stamp=st.booleans())
 def test_written_data_hashes_as_read_back(tmp_path_factory, payload, stamp):
     """The data write_certificate returns hashes as file_hash of what it
-    wrote: normalizing the read-back JSON changes nothing the hash sees, and
-    the stamp and every other volatile key are left out of both."""
+    wrote: the read-back JSON, not normalized again, hashes as the written
+    data does, and the stamp and every other volatile key are left out of
+    both."""
     path = tmp_path_factory.getbasetemp() / "hash_read_back.json"
     written = write_certificate(path, payload, stamp)
     assert certify._digest(written) == file_hash(path) == content_hash(payload)
+
+
+def test_a_float_edited_below_the_12th_digit_breaks_the_hash(tmp_path):
+    """file_hash reads an artifact's data as written, without rounding its
+    floats to 12 digits again, so an edit below the 12th significant digit
+    is a HashMismatch."""
+    chain = CertificateChain(tmp_path)
+    chain.add_stage("decomposition", "decomposition", "07_decomposition.json",
+                    {"decomposition": {"defect": 0.0249273399711}}, "verified")
+    chain.write()
+    assert CertificateChain.verify_directory(tmp_path)["green"]
+    path = tmp_path / "07_decomposition.json"
+    text = path.read_text()
+    assert '"defect": 0.0249273399711' in text
+    path.write_text(text.replace("0.0249273399711", "0.02492733997114"))
+    with pytest.raises(HashMismatch):
+        CertificateChain.verify_directory(tmp_path)
 
 
 def _normalize_oracle(obj):

@@ -2,7 +2,7 @@
 
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dadim.errors import BoundExceeded, DepthExceeded, EmptySet, InvalidInput
@@ -16,7 +16,14 @@ from dadim.symbolic import (
     return_time_report,
     system_from_json,
 )
-from helpers import same_set, whole
+from helpers import (
+    SUBSHIFT_DEPTHS,
+    disjoint_translates_oracle,
+    return_time_oracle,
+    same_set,
+    subshift_of,
+    whole,
+)
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +317,66 @@ def test_lifts_outside_their_window_raise(dyadic, fib):
     for left, length in ((c.left + 1, c.wlen + 2), (c.left, c.wlen - 1)):
         with pytest.raises(InvalidInput):
             c._extended(left, length)
+
+
+# ---------------------------------------------------------------------------
+# subshift return times against translating and intersecting
+
+
+@st.composite
+def subshift_clopens(draw):
+    """A random nonempty clopen set of the Fibonacci, silver, Thue-Morse or
+    golden-mean subshift at a depth limit from 9 up (to 64, and to 12 for
+    the golden mean, whose language the oracles materialize whole): a set
+    of 1-6-letter words on a window starting in [-8, 8], or now and then
+    the whole space."""
+    name = draw(st.sampled_from(sorted(SUBSHIFT_DEPTHS)))
+    system = subshift_of(name, draw(st.integers(9, SUBSHIFT_DEPTHS[name])))
+    if draw(st.integers(0, 19)) == 0:
+        return whole(system)
+    lang = sorted(system.language(draw(st.integers(1, 6))))
+    words = draw(st.sets(st.sampled_from(lang), min_size=1))
+    return system.clopen(draw(st.integers(-8, 8)), words)
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=subshift_clopens(),
+       bound=st.one_of(st.integers(3, 64), st.integers(3, 4096)),
+       radius=st.integers(1, 40))
+@example(s=subshift_of("golden_mean", 12).clopen(-1, ["00"]), bound=4096, radius=1)
+def test_subshift_return_times_match_translation(s, bound, radius):
+    """Return times read off the language equal those of translating,
+    intersecting and uniting clopen sets, in every field, and a search
+    that cannot finish raises what the translates raise, message and all;
+    so does the disjointness radius, which is the first return's.
+
+    In the explicit example the point (01)^infinity never visits the set,
+    and its window [-1, 1) is centred, so the gap search's translates by -n
+    and +n leave the depth limit at the same n: the window raised is that
+    of -n.s, which is translated first."""
+    assert _outcome(return_time_report, s, bound) == _outcome(return_time_oracle, s, bound)
+    assert _outcome(disjoint_translates_radius, s, radius) == _outcome(
+        disjoint_translates_oracle, s, radius
+    )
+
+
+def test_subshift_return_times_make_no_clopen_operation(fib, monkeypatch):
+    """The subshift searches build no translate, intersection or union."""
+    from dadim import symbolic
+
+    def refuse(*args):
+        raise AssertionError("clopen operation")
+
+    for op in ("translate", "intersect", "union"):
+        monkeypatch.setattr(symbolic.SubshiftClopen, op, refuse)
+    c = fib.cylinder("aabaa")
+    assert return_time_report(c, search_bound=100).max_gap is not None
+    assert disjoint_translates_radius(c, 2)

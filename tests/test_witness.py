@@ -2,6 +2,7 @@
 odometers and the word walk on subshifts, each against the constraint BFS
 (``helpers.constraint_bfs``) as its oracle."""
 
+import copy
 import time
 
 import pytest
@@ -27,7 +28,7 @@ from dadim.witness import (
     verify_dad_witness,
     witness_from_json,
 )
-from helpers import constraint_bfs, whole
+from helpers import SUBSHIFT_DEPTHS, constraint_bfs, subshift_of, whole, word_walk_oracle
 
 
 @pytest.fixture(scope="module")
@@ -404,6 +405,103 @@ def test_subshift_goldens_match_constraint_bfs(case):
     E = tuple(sorted(set(w.generator_set) | {-e for e in w.generator_set}))
     for color, F in zip(w.colors, w.finite_sets):
         assert constraint_bfs(system, color, E, w.meta["blowup_bound"]) == (F, True)
+
+
+@pytest.mark.parametrize("case", [
+    "fibonacci_n1", "fibonacci_n2", "fibonacci_n6", "thue_morse_n1", "thue_morse_n4",
+])
+def test_subshift_goldens_match_the_rescanning_walk(case):
+    """Every subshift golden holds the sets of the walk the word walk
+    replaced, at depth limit 256 as well as at 64."""
+    root = corpus_dir()
+    spec, = (c for c in load_certificate(root / "cases.json")["cases"] if c["name"] == case)
+    system = system_from_json(spec["params"]["system"])
+    w = witness_from_json(system, load_certificate(root / spec["golden"])["witness"])
+    E = tuple(sorted(set(w.generator_set) | {-e for e in w.generator_set}))
+    for color, F in zip(w.colors, w.finite_sets):
+        assert word_walk_oracle(system, color, E, w.meta["blowup_bound"]) == (F, True)
+
+
+# ---------------------------------------------------------------------------
+# the word walk against the rescanning walk it replaced
+
+
+@st.composite
+def deep_subshift_colors(draw):
+    """A random color of the Fibonacci, silver, Thue-Morse or golden-mean
+    subshift at a depth limit from 9 up (to 64, and to 12 for the golden
+    mean): a set of 1-6-letter words on a window starting in [-8, 8], short
+    of all of them, with a random symmetric generator set inside
+    {0, +-1, ..., +-4}."""
+    name = draw(st.sampled_from(sorted(SUBSHIFT_DEPTHS)))
+    system = subshift_of(name, draw(st.integers(9, SUBSHIFT_DEPTHS[name])))
+    lang = sorted(system.language(draw(st.integers(1, 6))))
+    # no color is the whole space, which takes neither walk
+    words = draw(st.sets(st.sampled_from(lang), min_size=1, max_size=len(lang) - 1))
+    steps = draw(st.sets(st.integers(1, 4), min_size=1))
+    E = tuple(sorted({0} | steps | {-e for e in steps}))
+    return system, system.clopen(draw(st.integers(-8, 8)), words), E
+
+
+SEARCH_BOUNDS = st.one_of(st.integers(3, 64), st.integers(3, 4096))
+
+
+def _exactly(search, *args):
+    """What a search returns, with the iteration order of an element set,
+    or the class and message of what it raises."""
+    try:
+        elements, complete = search(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return elements, None if elements is None else list(elements), complete
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=deep_subshift_colors(), bound=SEARCH_BOUNDS)
+def test_word_walk_matches_the_rescanning_walk(case, bound):
+    """The walk finds the elements the rescanning walk finds, in the same
+    order: the same set, the same cut-off set in the same iteration order,
+    or the same exception with the same message."""
+    system, color, E = case
+    assert _exactly(_word_walk, system, color, E, bound) == _exactly(
+        word_walk_oracle, system, color, E, bound
+    )
+
+
+class CountingWords(frozenset):
+    """A set of words that counts its membership checks."""
+
+    checks = 0
+
+    def __contains__(self, word):
+        self.checks += 1
+        return frozenset.__contains__(self, word)
+
+
+def _counted(color):
+    """A copy of a subshift color whose words count their checks."""
+    out = copy.copy(color)
+    object.__setattr__(out, "words", CountingWords(color.words))
+    return out
+
+
+def test_word_walk_reads_each_target_once_per_line():
+    """On the colors of the Fibonacci witness at N = 4 the walk checks
+    fewer slices against W than the rescanning walk, and finds the same
+    sets.  A walk that rescans its members at every state checks as many."""
+    fib = subshift_of("fibonacci", 256)
+    w = construct_minimal_z_witness(fib, 4)
+    E = tuple(sorted(set(w.generator_set) | {-e for e in w.generator_set}))
+    checks = []
+    for color, F in zip(w.colors, w.finite_sets):
+        counts = []
+        for search in (_word_walk, word_walk_oracle):
+            counted = _counted(color)
+            assert search(fib, counted, E, w.meta["blowup_bound"]) == (F, True)
+            counts.append(counted.words.checks)
+        checks.append(counts)
+    assert all(walk < rescan for walk, rescan in checks), checks
+    assert sum(walk for walk, _ in checks) < sum(rescan for _, rescan in checks) / 4, checks
 
 
 # ---------------------------------------------------------------------------
