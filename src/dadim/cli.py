@@ -318,7 +318,74 @@ def cmd_corpus(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_INT_REQUIRED = {"type": int, "required": True}
+_OUTPUT = ("-o", "--output")
+
+# each subcommand's help line and its arguments, in the order of --help
+_COMMANDS = {
+    "construct": ("two-color witness for a minimal Z-system", [
+        (("--system",), _REQUIRED), (("--N",), _INT_REQUIRED), (_OUTPUT, _REQUIRED),
+    ]),
+    "verify": ("re-verify a witness by broken-orbit search", [
+        (("--system",), _REQUIRED), (("--witness",), _REQUIRED),
+        (("--blowup-bound",), {"type": int, "default": None}),
+    ]),
+    "asdim-construct": ("interval/brick witness for a grid", [
+        (("--space",), _REQUIRED), (("--R",), _INT_REQUIRED), (_OUTPUT, _REQUIRED),
+    ]),
+    "asdim-verify": ("verify a coarse cover witness", [
+        (("--space",), _REQUIRED), (("--witness",), _REQUIRED),
+    ]),
+    "bridge": ("translate a coarse witness to a groupoid witness", [
+        (("--space",), _REQUIRED), (("--witness",), _REQUIRED), (_OUTPUT, {}),
+    ]),
+    "nerve": ("skeleton-cover certificate on a barycentric grid", [
+        (("--complex",), {}), (("--denominator",), {"type": int, "default": 60}), (_OUTPUT, {}),
+    ]),
+    "blr-check": ("equivariance check and witness from a map", [
+        (("--action",), _REQUIRED), (("--map",), _REQUIRED), (("--complex",), _REQUIRED),
+        (("--E",), {"type": int, "nargs": "+", "required": True}), (("--epsilon",), {}),
+        (("--witness",), {"action": "store_true"}), (_OUTPUT, {}),
+    ]),
+    "pou-build": ("almost-invariant partition of unity", [
+        (("--order",), _INT_REQUIRED),
+        (("--E",), {"type": int, "nargs": "+", "required": True}),
+        (("--colors",), _REQUIRED),
+        (("--N",), {"type": int, "default": None, "help": "averaging depth (>= 3)"}),
+        (("--epsilon",), {"help": "rational p/q; derives the least depth instead of --N"}),
+        (("--size-bound",), {"type": int, "default": None}),
+        (_OUTPUT, _REQUIRED),
+    ]),
+    "pou-verify": ("re-verify a partition-of-unity certificate", [
+        (("--pou",), _REQUIRED),
+        (("--epsilon",), {"help": "rational p/q; default is the exact depth bound"}),
+    ]),
+    "norm": ("reduced norm of a convolution element", [
+        (("--groupoid",), _REQUIRED), (("--element",), _REQUIRED), (_OUTPUT, {}),
+    ]),
+    "decompose": ("cut-down decomposition along a partition of unity", [
+        (("--pou",), _REQUIRED), (("--element",), {}), (_OUTPUT, {}),
+    ]),
+    "pipeline": ("system -> witness -> ... -> decomposition chain", [
+        (("--system",), {}), (("--N",), {"type": int, "default": 1}),
+        (("--quotient-depth",), {"type": int, "default": 6}),
+        (("--pou-depth",), {"type": int, "default": 4}),
+        (_OUTPUT, {"default": "pipeline-out"}),
+        (("--check",), {"help": "re-verify an existing chain directory"}),
+    ]),
+    "corpus": ("run the bundled regression corpus", [
+        (("--write-golden",), {"action": "store_true"}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, with the
+    others named only in the usage line.  What a one-command parser prints
+    for its command (its help, its errors, and the top-level usage line
+    of an unrecognized argument) is what the full parser prints; the full
+    one serves every other command line."""
     p = argparse.ArgumentParser(
         prog="dadim",
         description=(
@@ -329,91 +396,28 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_exit_code_table(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("construct", help="two-color witness for a minimal Z-system")
-    s.add_argument("--system", required=True)
-    s.add_argument("--N", type=int, required=True)
-    s.add_argument("-o", "--output", required=True)
-
-    s = sub.add_parser("verify", help="re-verify a witness by broken-orbit search")
-    s.add_argument("--system", required=True)
-    s.add_argument("--witness", required=True)
-    s.add_argument("--blowup-bound", type=int, default=None)
-
-    s = sub.add_parser("asdim-construct", help="interval/brick witness for a grid")
-    s.add_argument("--space", required=True)
-    s.add_argument("--R", type=int, required=True)
-    s.add_argument("-o", "--output", required=True)
-
-    s = sub.add_parser("asdim-verify", help="verify a coarse cover witness")
-    s.add_argument("--space", required=True)
-    s.add_argument("--witness", required=True)
-
-    s = sub.add_parser("bridge", help="translate a coarse witness to a groupoid witness")
-    s.add_argument("--space", required=True)
-    s.add_argument("--witness", required=True)
-    s.add_argument("-o", "--output")
-
-    s = sub.add_parser("nerve", help="skeleton-cover certificate on a barycentric grid")
-    s.add_argument("--complex")
-    s.add_argument("--denominator", type=int, default=60)
-    s.add_argument("-o", "--output")
-
-    s = sub.add_parser("blr-check", help="equivariance check and witness from a map")
-    s.add_argument("--action", required=True)
-    s.add_argument("--map", required=True)
-    s.add_argument("--complex", required=True)
-    s.add_argument("--E", type=int, nargs="+", required=True)
-    s.add_argument("--epsilon")
-    s.add_argument("--witness", action="store_true")
-    s.add_argument("-o", "--output")
-
-    s = sub.add_parser("pou-build", help="almost-invariant partition of unity")
-    s.add_argument("--order", type=int, required=True)
-    s.add_argument("--E", type=int, nargs="+", required=True)
-    s.add_argument("--colors", required=True)
-    s.add_argument("--N", type=int, default=None, help="averaging depth (>= 3)")
-    s.add_argument("--epsilon", help="rational p/q; derives the least depth instead of --N")
-    s.add_argument("--size-bound", type=int, default=None)
-    s.add_argument("-o", "--output", required=True)
-
-    s = sub.add_parser("pou-verify", help="re-verify a partition-of-unity certificate")
-    s.add_argument("--pou", required=True)
-    s.add_argument("--epsilon", help="rational p/q; default is the exact depth bound")
-
-    s = sub.add_parser("norm", help="reduced norm of a convolution element")
-    s.add_argument("--groupoid", required=True)
-    s.add_argument("--element", required=True)
-    s.add_argument("-o", "--output")
-
-    s = sub.add_parser("decompose", help="cut-down decomposition along a partition of unity")
-    s.add_argument("--pou", required=True)
-    s.add_argument("--element")
-    s.add_argument("-o", "--output")
-
-    s = sub.add_parser("pipeline", help="system -> witness -> ... -> decomposition chain")
-    s.add_argument("--system")
-    s.add_argument("--N", type=int, default=1)
-    s.add_argument("--quotient-depth", type=int, default=6)
-    s.add_argument("--pou-depth", type=int, default=4)
-    s.add_argument("-o", "--output", default="pipeline-out")
-    s.add_argument("--check", help="re-verify an existing chain directory")
-
-    s = sub.add_parser("corpus", help="run the bundled regression corpus")
-    s.add_argument("--write-golden", action="store_true")
-
+    # the full parser derives this metavar from its choices
+    names = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = p.add_subparsers(dest="command", required=True, **names)
+    for name, (text, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            s = sub.add_parser(name, help=text)
+            for flags, kwargs in arguments:
+                s.add_argument(*flags, **kwargs)
     return p
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves no state on it."""
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process: parsing leaves no
+    state on it."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    first = next(iter(argv), None)
+    args = _parser(first if first in _COMMANDS else None).parse_args(argv)
     # looked up at call time, so a rebound ``cmd_*`` takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

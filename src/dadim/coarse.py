@@ -7,36 +7,40 @@ claims the asymptotic limit.  ``bridge_to_groupoid`` translates a verified
 witness into a groupoid witness over the pair groupoid of the tube of
 radius S, realizing the coarse-groupoid correspondence at finite scale.
 
+A class of int points is a ``PointRows``: one int64 row per distinct
+point, in point order, read as a set of the points.  The reader builds it
+from a JSON class of ints or of int lists with one array conversion, the
+grid constructor from each box's coordinate ranges, and ``to_json``
+writes its rows as they are; a class holding any other point (a bool, a
+float, a string) stays a frozenset of its points, with the equality rule
+of a set (0.0 is the point 0).
+
 Grids are translation-invariant and fill their bounding box: their
 R-ball is one set of l1 offsets.  Each gives a ``Lattice``, on which a
 family is an integer label array over the box.  The verifier checks the
 cover and separation with array writes and shifted comparisons and takes
 each class's diameter from the same cells, and the bridge's tube check
 labels each color's R-components over the same cells.  A grid builds its
-points only when a caller asks for them (the witness construction, a
-report that names a point, a path off the lattice); the lattice holds
-none, and it reads a class of int points into cells with one array
-conversion.  A point that is not an int point keeps the equality rule of
-a set of the points (0.0 is the point 0), through a point -> cell dict
-that is built only for it.  The grid witnesses are built box by box:
-each interval or brick is a product of coordinate ranges, whose points
-and cells follow from the ranges.  Points become cells once per command:
-the constructor's self-check takes the boxes' cells as the classes'
-cells, and the bridge hands the cells of its asdim check to its tube
-check.
+points only when a caller asks for them (a report that names a point, a
+path off the lattice); the lattice holds none, and it reads a class's
+rows into cells in one vectorized step, so each check reads its own
+cells.  The bridge declares the classes themselves as its colors'
+blocks, each color being its family's classes read as one set.
 Explicit tables and word-metric balls keep the per-point ball scan and
 generation through the groupoid layer's edge-list component kernel,
 which also serve the tests as the oracle of the lattice path; the tests
-keep the per-point construction as the oracle of the array one.
+keep the per-point construction and reader as the oracles of the array
+ones.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 
 import numpy as np
 
@@ -56,6 +60,7 @@ __all__ = [
     "Grid1dSpace",
     "Grid2dSpace",
     "GroupBallSpace",
+    "PointRows",
     "AsdimWitness",
     "verify_asdim_witness",
     "construct_grid_witness",
@@ -127,14 +132,13 @@ class Lattice:
     at each cell, -1 elsewhere) and the R-ball one list of offsets, so
     separation and R-components are shifted array operations instead of a
     ball scan per point.  The lattice holds no point: ``cells_of`` reads
-    points that are ints (an int in 1-D, a tuple of ints in 2-D) with one
-    array conversion and one box test, and ``point`` makes the point of a
-    cell for a report.  Any other object keeps the rule of a set of the
-    points: one equal to a point (0.0 for 0, (1.0, 0) for (1, 0), True for
-    1) finds that point's cell, and anything else (outside the box, of the
-    wrong arity, not a number, an int past int64) finds none.  That lookup
-    is a dict from the points to their cells, built the first time such an
-    object is looked up.
+    the rows of a ``PointRows`` in one vectorized step, and ``point``
+    makes the point of a cell for a report.  The points of any other set
+    keep the rule of a set of the points: one equal to a point (0.0 for 0,
+    (1.0, 0) for (1, 0), True for 1) finds that point's cell, and anything
+    else (outside the box, of the wrong arity, not a number) finds none.
+    That lookup is a dict from the points to their cells, built the first
+    time such a set is read.
 
     The lattice keeps no reference to its space, which holds it.
     """
@@ -146,12 +150,6 @@ class Lattice:
         self._offsets: dict = {}
         self._shift_pairs: dict = {}
 
-    def box_cells(self, axes) -> np.ndarray:
-        """The cells of the box with one range of coordinates per axis, in
-        cell order."""
-        ix = np.ix_(*(np.arange(r.start - a, r.stop - a) for r, a in zip(axes, self.lo)))
-        return np.ravel_multi_index(ix, self.shape).ravel()
-
     def point(self, cell: int):
         """The point at ``cell``: an int in 1-D, a tuple of ints above."""
         p = [a + int(i) for a, i in zip(self.lo, np.unravel_index(cell, self.shape))]
@@ -159,39 +157,24 @@ class Lattice:
 
     @cached_property
     def _index(self) -> dict:
-        """point -> cell, for the objects that are not int points."""
+        """point -> cell, for the sets that are not ``PointRows``."""
         axes = [range(a, a + n) for a, n in zip(self.lo, self.shape)]
         return dict(zip(axes[0] if len(axes) == 1 else product(*axes), range(self.size)))
 
-    def _int_coords(self, pts):
-        """``pts`` as one row of int64 coordinates each, or None unless
-        each one is an int point of this lattice: above 1-D a tuple, and
-        numpy reads a float, a string, the wrong arity or an int past int64
-        as another dtype or shape, or refuses the ragged list."""
-        k = len(self.shape)
-        if k > 1 and not set(map(type, pts)) <= _TUPLE:
-            return None
-        try:
-            coords = np.array(list(pts))
-        except (ValueError, TypeError, OverflowError):
-            return None
-        if coords.dtype != np.int64 or coords.shape[1:] != ((k,) if k > 1 else ()):
-            return None
-        return coords.reshape(-1, k)
-
     def cells_of(self, pts) -> np.ndarray:
         """The cell of each of ``pts`` in iteration order, -1 where none:
-        one array conversion and one box test for int points, the dict for
-        any other object."""
-        if not len(pts):
-            return np.empty(0, dtype=np.intp)
-        coords = self._int_coords(pts)
-        if coords is None:
+        the rows of a ``PointRows`` in one vectorized step (all -1 at the
+        wrong arity), the dict for any other set of points."""
+        if isinstance(pts, _Color):
+            return np.concatenate([np.empty(0, np.intp), *map(self.cells_of, pts.parts)])
+        if not isinstance(pts, PointRows) or not len(pts):
             return np.fromiter(
                 map(self._index.get, pts, repeat(-1)), dtype=np.intp, count=len(pts)
             )
+        if pts.scalar != (len(self.shape) == 1) or pts.rows.shape[1] != len(self.shape):
+            return np.full(len(pts), -1, dtype=np.intp)
         inside, cells = True, 0
-        for col, a, n in zip(coords.T, self.lo, self.shape):
+        for col, a, n in zip(pts.rows.T, self.lo, self.shape):
             inside = inside & (col >= a) & (col < a + n)
             cells = cells * n + (col - a)
         return np.where(inside, cells, -1)
@@ -303,9 +286,6 @@ class Lattice:
             if not any(((grid[a] != grid[b]) & both).any() for a, b, both in steps):
                 break
         return labels.astype(np.intp)
-
-
-_TUPLE = frozenset({tuple})
 
 
 # from_edges builds all n^2 distances and checks n^3 triangles; on a
@@ -503,34 +483,172 @@ class GroupBallSpace(FiniteMetricSpace):
 # witnesses
 
 
+class _Frozen(Set):
+    """A read-only set whose set operators (``|``, ``&``, ``-``) return
+    frozensets."""
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+
+class PointRows(_Frozen):
+    """A class of int points held as ``rows``: an (n, k) int64 array of its
+    distinct points in point order (ints by value, tuples
+    lexicographically), read as a set of the points: an int each when
+    ``scalar`` (k = 1), otherwise a tuple of k ints.  It equals, and hashes
+    as, the frozenset of its points; ``in`` is a binary search that keeps a
+    frozenset's rule (0.0 finds 0, True finds 1, an unhashable object
+    raises TypeError).  The rows are read-only."""
+
+    def __init__(self, rows: np.ndarray, scalar: bool):
+        rows.flags.writeable = False
+        self.rows, self.scalar = rows, scalar
+
+    @classmethod
+    def read(cls, pts) -> PointRows | None:
+        """The class of a JSON list of ints, or of int lists of one length,
+        a point listed twice being one point; None for any other list
+        (empty, or holding a bool, a float, a string, an int past int64,
+        lists of several lengths or of none)."""
+        if type(pts) is not list or not pts:
+            return None
+        kinds = set(map(type, pts))
+        if kinds == _INT:
+            flat, k = pts, 1
+        elif kinds == _LIST and len(lengths := set(map(len, pts))) == 1:
+            flat, k = list(chain.from_iterable(pts)), lengths.pop()
+            if set(map(type, flat)) != _INT:
+                return None
+        else:
+            return None
+        try:
+            rows = np.fromiter(flat, np.int64, len(flat)).reshape(-1, k)
+        except OverflowError:
+            return None
+        return cls(_point_order(rows), kinds == _INT)
+
+    @classmethod
+    def box(cls, axes) -> PointRows:
+        """The points of the product of one range of coordinates per axis."""
+        grids = np.meshgrid(*(np.arange(r.start, r.stop) for r in axes), indexing="ij")
+        return cls(np.stack([g.ravel() for g in grids], axis=1), len(axes) == 1)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        if self.scalar:
+            return iter(self.rows[:, 0].tolist())
+        return map(tuple, self.rows.tolist())
+
+    def __contains__(self, p) -> bool:
+        hash(p)
+        coords = (p,) if self.scalar else p
+        if not isinstance(coords, tuple) or len(coords) != self.rows.shape[1]:
+            return False
+        lo, hi = 0, len(self.rows)
+        for j, v in enumerate(coords):
+            try:
+                c = int(v)
+            except (TypeError, ValueError, OverflowError):
+                return False
+            if c != v or not -(2**63) <= c < 2**63:
+                return False
+            col = self.rows[lo:hi, j]
+            lo, hi = lo + int(np.searchsorted(col, c)), lo + int(np.searchsorted(col, c, "right"))
+        return lo < hi
+
+    __hash__ = Set._hash
+
+    def to_json(self) -> list:
+        """The points as JSON: ints, or lists of ints, in point order."""
+        return self.rows[:, 0].tolist() if self.scalar else self.rows.tolist()
+
+
+_INT = frozenset({int})
+_LIST = frozenset({list})
+
+
+def _point_order(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order: as given when they
+    already are (as a written class is), else sorted with one of each run
+    of equal rows kept (np.unique would import numpy.ma)."""
+    a, b = rows[:-1], rows[1:]
+    ahead = a[:, -1] < b[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        ahead = (a[:, j] < b[:, j]) | (a[:, j] == b[:, j]) & ahead
+    if ahead.all():
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+
+
+class _Color(_Frozen):
+    """The union of one family's classes, read through them, which the
+    verified witness has shown disjoint: a color of the bridge."""
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __iter__(self):
+        return chain.from_iterable(self.parts)
+
+    def __contains__(self, p) -> bool:
+        return any(p in c for c in self.parts)
+
+
+class _Blocks(_Frozen):
+    """Disjoint non-empty classes, which are so distinct, as a set of sets
+    held without hashing them: a color's declared blocks in the bridge."""
+
+    def __init__(self, classes):
+        self.classes = tuple(classes)
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __iter__(self):
+        return iter(self.classes)
+
+    def __contains__(self, b) -> bool:
+        return any(b == c for c in self.classes)
+
+
 @dataclass
 class AsdimWitness:
-    """(d+1) families of point classes at separation scale R, bound S."""
+    """(d+1) families of point classes at separation scale R, bound S: each
+    class a ``PointRows``, or a frozenset of points that are not all int
+    points."""
 
     scale_R: int
     bound_S: int
-    families: list[list[frozenset]]
+    families: list[list[Set]]
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """Each class as its sorted points: rows of ints on a 2-D grid,
-        which the certificate writer passes through and prints as they are."""
+        """Each class as its points in point order: the rows of a
+        ``PointRows`` as they are, and a frozenset's points sorted."""
         return {
             "scale_R": self.scale_R,
             "bound_S": self.bound_S,
-            "families": [list(map(sorted, fam)) for fam in self.families],
+            "families": [
+                [c.to_json() if isinstance(c, PointRows) else sorted(c) for c in fam]
+                for fam in self.families
+            ],
         }
 
 
-def _point_class(cls) -> frozenset:
-    """A class as read from JSON: each list entry a tuple, in one call for
-    a list of lists."""
-    if type(cls) is list and set(map(type, cls)) <= _LIST:
-        return frozenset(map(tuple, cls))
+def _point_class(cls) -> Set:
+    """A class as read from JSON: its ``PointRows`` when it has one, and
+    otherwise the frozenset of its entries, each list entry a tuple."""
+    rows = PointRows.read(cls)
+    if rows is not None:
+        return rows
     return frozenset([tuple(p) if isinstance(p, list) else p for p in cls])
-
-
-_LIST = frozenset({list})
 
 
 def asdim_witness_from_json(data: dict) -> AsdimWitness:
@@ -550,32 +668,31 @@ def asdim_witness_from_json(data: dict) -> AsdimWitness:
 def verify_asdim_witness(X: FiniteMetricSpace, w: AsdimWitness) -> VerificationReport:
     """Exact check of cover, within-family separation > R, and diameters <= S.
 
-    On a lattice space each class is read into cells once, with one array
-    conversion, and each family is one label array: the cover and "a point
-    lies in two classes" are array writes, and separation is one shifted
-    comparison per offset in half the R-ball.  Any other space scans each
-    point's R-ball.  Both report the same first fault: the lattice path
-    finds the faulty step by arrays and then names the same points the
-    scan would.  Off the lattice the diameters are the space's own; on it
-    they come from the same cells (``Lattice.diameters``), and a class over
-    S reports the space's own value, so that both paths report alike.
+    On a lattice space each class is read into cells once, in one
+    vectorized step from its rows, and each family is one label array: the
+    cover and "a point lies in two classes" are array writes, and
+    separation is one shifted comparison per offset in half the R-ball.
+    Any other space scans each point's R-ball.  Both report the same first
+    fault: the lattice path finds the faulty step by arrays and then names
+    the same points the scan would.  Off the lattice the diameters are the
+    space's own; on it they come from the same cells
+    (``Lattice.diameters``), and a class over S reports the space's own
+    value, so that both paths report alike.
     """
-    return _verify_asdim(X, w)[0]
+    return _verify_asdim(X, w)
 
 
-def _verify_asdim(X: FiniteMetricSpace, w: AsdimWitness, cells=None):
-    """``verify_asdim_witness`` and, on a lattice space that accepts the
-    witness, the cells of each family's classes (None off the lattice or
-    on a fault): read here, each class's in its iteration order, unless
-    the caller holds them and gives them as ``cells``, each class's in any
-    order.  A given class is read again only where it meets another."""
+def _verify_asdim(X: FiniteMetricSpace, w: AsdimWitness) -> VerificationReport:
+    """The body of ``verify_asdim_witness``, which the constructor and the
+    bridge call, so that timing the public verifier by name leaves their
+    checks out."""
     lat = X.lattice
     if lat is None:
         fault, cells = _scan_faults(X, w), None
     else:
-        fault, cells = _lattice_faults(X, lat, w, cells)
+        fault, cells = _lattice_faults(X, lat, w)
     if fault is not None:
-        return fault, None
+        return fault
     for fi, fam in enumerate(w.families):
         diams = map(X.subset_diameter, fam) if lat is None else lat.diameters(cells[fi])
         for ci, (cls, diam) in enumerate(zip(fam, diams)):
@@ -586,7 +703,7 @@ def _verify_asdim(X: FiniteMetricSpace, w: AsdimWitness, cells=None):
                     False, "DiameterViolation",
                     f"family {fi} class {ci} has diameter {diam} > S={w.bound_S}",
                     {"family": fi, "class": ci, "diameter": diam},
-                ), None
+                )
     return VerificationReport(
         True, "ok", "asymptotic-dimension witness verified",
         {
@@ -595,7 +712,7 @@ def _verify_asdim(X: FiniteMetricSpace, w: AsdimWitness, cells=None):
             "scale_R": w.scale_R,
             "bound_S": w.bound_S,
         },
-    ), cells
+    )
 
 
 def _unknown_points(cls, point_set) -> VerificationReport:
@@ -659,13 +776,12 @@ def _scan_faults(X: FiniteMetricSpace, w: AsdimWitness):
     return None
 
 
-def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness, cells=None):
+def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness):
     """``_scan_faults`` on label arrays over the cells of each family's
-    classes, read from the points unless given: (fault, None) or (None,
+    classes, each class's in its iteration order: (fault, None) or (None,
     cells).  Each step is checked by array operations, and only a failing
     step looks at single points."""
-    if cells is None:
-        cells = [[lat.cells_of(cls) for cls in fam] for fam in w.families]
+    cells = [[lat.cells_of(cls) for cls in fam] for fam in w.families]
     covered = np.zeros(lat.size, dtype=bool)
     for fam, row in zip(w.families, cells):
         for cls, c in zip(fam, row):
@@ -689,7 +805,6 @@ def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness, cells=N
         # first such point in its ball
         for ci, (cls, c) in enumerate(zip(fam, row)):
             if hit[c].any():
-                c = lat.cells_of(cls)  # in the iteration order of the class
                 j = int(np.argmax(hit[c]))
                 p = next(islice(cls, j, None))
                 keep = (labels >= 0) & (labels != ci)
@@ -704,9 +819,8 @@ def construct_grid_witness(X: Grid1dSpace | Grid2dSpace, R: int) -> AsdimWitness
     side 10R, alternate rows offset by half a brick).  Verified on X.
 
     Each class is a box of the grid, an interval or a brick cut to the
-    grid, taken in increasing order of its index: its points are the
-    product of its coordinate ranges, and the verifier takes the box's
-    cells (``Lattice.box_cells``) as the class's cells."""
+    grid, taken in increasing order of its index: its ``PointRows`` are
+    the product of its coordinate ranges, in point order as built."""
     if R < 1:
         raise InvalidInput("R must be positive")
     if isinstance(X, Grid1dSpace):
@@ -728,12 +842,9 @@ def construct_grid_witness(X: Grid1dSpace | Grid2dSpace, R: int) -> AsdimWitness
                 boxes.append(((c + (r + 1) // 2 + r) % 3, [xs, range(r * L, min(X.h, (r + 1) * L))]))
     else:
         raise InvalidInput("grid witnesses are constructed on 1d and 2d grids only")
-    lat = X.lattice
-    cells = [[] for _ in w.families]
     for k, axes in boxes:
-        w.families[k].append(frozenset(axes[0] if len(axes) == 1 else product(*axes)))
-        cells[k].append(lat.box_cells(axes))
-    report = _verify_asdim(X, w, cells)[0]
+        w.families[k].append(PointRows.box(axes))
+    report = _verify_asdim(X, w)
     if not report:
         raise VerificationFailed(f"grid witness failed self-verification: {report.message}", report)
     w.meta["verified"] = True
@@ -752,33 +863,25 @@ def bridge_to_groupoid(X: FiniteMetricSpace, w: AsdimWitness):
     classes, and each family's non-empty classes are declared as the
     blocks of its generated subgroupoid, which the verifier checks against
     the K-reachability blocks; a class that is not R-connected is rejected
-    with NotClosed.  On a grid the points become cells once, in the asdim
-    check: a color's cells are its classes' cells one after another, the
-    declared blocks' cells are the classes' own, and the tube check labels
-    blocks over them.  Returns (groupoid, witness, report).
+    with NotClosed.  The classes themselves are handed over: a color is
+    its family's classes read as one set (disjoint, as the witness is
+    verified first), and its declared blocks are those classes, so on a
+    grid the tube check reads cells from their rows and builds no set of
+    points.  Returns (groupoid, witness, report).
     """
-    rep, cells = _verify_asdim(X, w)
+    rep = _verify_asdim(X, w)
     if not rep:
         raise VerificationFailed(f"asdim witness rejected: {rep.message}", rep)
 
     G = TubePairGroupoid(X, w.bound_S)
     K = TubeArrows(w.scale_R)
-    colors = [frozenset().union(*fam) for fam in w.families]
-
-    generated = [BlockArrows(frozenset(frozenset(cls) for cls in fam if cls)) for fam in w.families]
+    colors = [_Color(fam) for fam in w.families]
+    generated = [BlockArrows(_Blocks(cls for cls in fam if cls)) for fam in w.families]
     size_bound = max(map(len, generated), default=0)
     witness = GroupoidDadWitness(
         K, colors, generated, meta={"scale_R": w.scale_R, "bound_S": w.bound_S}
     )
-    held = None
-    if cells is not None:
-        # each color's cells in one array, and its non-empty classes' as
-        # views of it, so that the class arrays can go
-        joined = [np.concatenate([np.empty(0, np.intp), *row]) for row in cells]
-        runs = [np.cumsum(list(map(len, row[:-1]))) for row in cells]
-        del cells
-        held = joined, [[c for c in np.split(j, r) if len(c)] for j, r in zip(joined, runs)]
-    report = _verify_dad(G, witness, size_bound, held)
+    report = _verify_dad(G, witness, size_bound)
     if not report:
         raise VerificationFailed(f"bridged witness rejected: {report.message}", report)
     return G, witness, report

@@ -465,9 +465,11 @@ class TubeArrows:
 class BlockArrows:
     """A subgroupoid of a free groupoid as a partition of units: the arrows
     joining two units of one block.  A free groupoid has at most one arrow
-    between two units, so ``len`` counts the arrows exactly."""
+    between two units, so ``len`` counts the arrows exactly.  The blocks
+    are a frozenset of frozensets, or any set of sets of units (the coarse
+    bridge declares its classes)."""
 
-    blocks: frozenset[frozenset]
+    blocks: Set
 
     def __len__(self) -> int:
         return sum(len(b) ** 2 for b in self.blocks)
@@ -629,7 +631,7 @@ class GroupoidDadWitness:
     """K plus colors on units plus the declared generated subgroupoids."""
 
     K: object  # Moves on Z/n, TubeArrows on a tube, or any set of arrows
-    colors: list[frozenset]
+    colors: list[Set]  # sets of units (frozensets, or the coarse bridge's views)
     generated: list  # per color: BlockArrows (a frozenset under isotropy) or None
     meta: dict = field(default_factory=dict)
 
@@ -676,15 +678,15 @@ def _seeds(G, K, colors):
 
 class _CellBlocks:
     """The blocks that the tube arrows generate inside one color of a
-    lattice space, as labels over the color's cells (in any order, such as
-    the order of the color's classes in the bridge): each cell carries the
-    least cell of its block, its r-component in the color (see
-    ``_component_labels``; for r < 0 no cell is in a block, and the labels
-    are empty).  It stands in for the ``BlockArrows`` of
+    lattice space, as labels over the color's cells (in its iteration
+    order, such as the order of the color's classes in the bridge): each
+    cell carries the least cell of its block, its r-component in the
+    color (see ``_component_labels``; for r < 0 no cell is in a block, and
+    the labels are empty).  It stands in for the ``BlockArrows`` of
     ``generate_subgroupoid`` without a set per block; blocks go in order
     of their least cells."""
 
-    def __init__(self, lat, color: frozenset, cells: np.ndarray, labels: np.ndarray):
+    def __init__(self, lat, color: Set, cells: np.ndarray, labels: np.ndarray):
         self.lat, self.color, self.cells, self.labels = lat, color, cells, labels
         self.order = np.argsort(labels, kind="stable")
         self.starts = np.flatnonzero(np.diff(labels[self.order], prepend=-1))
@@ -695,39 +697,38 @@ class _CellBlocks:
 
     def wider_than(self, radius: int):
         """The first block of diameter over ``radius``, as a frozenset of the
-        color's points, or None.  The color's points are read into cells
-        again to name that block's, as the cells may be in another order."""
+        color's points, or None: the points whose cells are that block's,
+        in the color's iteration order."""
         row = np.split(self.cells[self.order], self.starts[1:]) if len(self.starts) else []
         k = next((k for k, d in enumerate(self.lat.diameters(row)) if d > radius), None)
         if k is None:
             return None
         inside = np.zeros(self.lat.size, dtype=bool)
         inside[row[k]] = True
-        return frozenset(p for p, t in zip(self.color, inside[self.lat.cells_of(self.color)]) if t)
+        return frozenset(p for p, t in zip(self.color, inside[self.cells]) if t)
 
-    def matches(self, declared, cells=None) -> bool:
+    def matches(self, declared) -> bool:
         """Whether ``declared`` equals the ``BlockArrows`` of these blocks.
 
-        Its blocks, read as cells, must be as many as the components and
-        hold as many cells as the color, all of them: then they partition
-        the color's cells, and they are the components when each cell's
-        block and component have the same least cell.  ``cells`` gives the
-        blocks' cells, one array per block in any order of the blocks, when
-        the caller holds them; otherwise each block is read into cells."""
-        if type(declared) is not BlockArrows or not isinstance(declared.blocks, (set, frozenset)):
+        Its blocks, each a set of units read into cells, must be as many
+        as the components and hold as many cells as the color, all of
+        them: then they partition the color's cells, and they are the
+        components when each cell's block and component have the same
+        least cell."""
+        if type(declared) is not BlockArrows or not isinstance(declared.blocks, Set):
             return False
         blocks = list(declared.blocks)
         if len(blocks) != len(self.sizes):
             return False
         if not blocks:
             return True
-        if not all(isinstance(b, frozenset) and b for b in blocks) or (
+        if not all(isinstance(b, Set) and b for b in blocks) or (
             sum(map(len, blocks)) != len(self.cells)
         ):
             return False
         owner = np.full(self.lat.size, -1, dtype=np.intp)
         least = np.empty(len(blocks), dtype=np.intp)
-        for j, c in enumerate(map(self.lat.cells_of, blocks) if cells is None else cells):
+        for j, c in enumerate(map(self.lat.cells_of, blocks)):
             if (c < 0).any():
                 return False
             owner[c] = j
@@ -784,16 +785,15 @@ def _cover_fault(G, K, colors: list):
     return None
 
 
-def _cell_cover_fault(lat, colors: list, cells=None):
+def _cell_cover_fault(lat, colors: list):
     """``_cover_fault`` for the tube of a lattice space, whose every unit
-    needs a color, on the colors' cells, read from their points unless
-    given (each color's in any order): (fault, None) or (None, cells)."""
-    if cells is None:
-        cells = [lat.cells_of(c) for c in colors]
+    needs a color, on the colors' cells, each color's in its iteration
+    order: (fault, None) or (None, cells)."""
+    cells = [lat.cells_of(c) for c in colors]
     covered = np.zeros(lat.size, dtype=bool)
     for c, cc in zip(colors, cells):
         if (cc < 0).any():
-            return _unknown_units([p for p, x in zip(c, lat.cells_of(c) < 0) if x]), None
+            return _unknown_units([p for p, x in zip(c, cc < 0) if x]), None
         covered[cc] = True
     missing = np.flatnonzero(~covered)
     if len(missing):
@@ -809,7 +809,10 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
     ``TubeArrows``) every step reads cells: each color is read into cells
     once and the cover is a mask, each color's blocks are its r-components
     labelled over its cells (``_CellBlocks``), and each declared block is
-    read into cells once, a second labeling of the same cells.  Everywhere
+    read into cells once, a second labeling of the same cells.  There a
+    color that is a ``collections.abc.Set`` (a frozenset, or a color of the
+    coarse bridge) is read as it is, any other becomes a frozenset, and a
+    declared block may be any set of units.  Everywhere
     else each color generates its subgroupoid with
     ``generate_subgroupoid``.  Both give the same report, except that when
     several blocks leave the ambient tube they may name different ones.
@@ -819,12 +822,9 @@ def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) 
     return _verify_dad(G, witness, size_bound)
 
 
-def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None, held=None):
-    """``verify_groupoid_dad``, where on the tube of a lattice space
-    ``held`` may give what the caller has already read into cells: two
-    lists with an entry per color, its cells (in any order) and the cells
-    of its declared blocks (see ``_CellBlocks.matches``)."""
-    colors = list(map(frozenset, witness.colors))
+def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None):
+    """The body of ``verify_groupoid_dad``, which the coarse bridge calls,
+    so that timing the public verifier by name leaves the bridge out."""
     K = witness.K
     if isinstance(G, TransformationGroupoid):
         moves = Moves.read(G.n, K)
@@ -832,10 +832,11 @@ def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None, held=Non
     tube = isinstance(G, TubePairGroupoid) and isinstance(K, TubeArrows)
     lat = G.space.lattice if tube else None
     if lat is None:
+        colors = list(map(frozenset, witness.colors))
         fault, cells = _cover_fault(G, K, colors), None
     else:
-        cells, block_cells = held or (None, [None] * len(colors))
-        fault, cells = _cell_cover_fault(lat, colors, cells)
+        colors = [c if isinstance(c, Set) else frozenset(c) for c in witness.colors]
+        fault, cells = _cell_cover_fault(lat, colors)
     if fault is not None:
         return fault
 
@@ -869,7 +870,7 @@ def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None, held=Non
             )
         declared = witness.generated[i]
         if declared is not None and not (
-            declared == gen if lat is None else gen.matches(declared, block_cells[i])
+            declared == gen if lat is None else gen.matches(declared)
         ):
             return VerificationReport(
                 False, "NotClosed",

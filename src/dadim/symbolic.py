@@ -234,6 +234,7 @@ class SubstitutionSubshift(_Subshift):
             )
         self.minimal = True
         self._seed, self._power = self._fixed_point_seed()
+        self._prefixes = [self._seed]
         self.infinite = self._check_infinite()
 
     def _incidence_reachable(self) -> bool:
@@ -279,13 +280,19 @@ class SubstitutionSubshift(_Subshift):
             out = "".join(self.rules[c] for c in out)
         return out
 
+    def _prefix(self, i: int) -> str:
+        """The i-th power of the substitution's power applied to the seed,
+        i >= 1; the powers built for one word length serve the next."""
+        while len(self._prefixes) <= i:
+            self._prefixes.append(self._apply_power(self._prefixes[-1]))
+        return self._prefixes[i]
+
     def _materialize(self, length: int) -> frozenset[str]:
         if length == 0:
             return frozenset({""})
-        prefix = self._seed
         prev: frozenset[str] | None = None
-        for _ in range(512):  # ample; stabilization is typically fast
-            prefix = self._apply_power(prefix)
+        for step in range(1, 513):  # ample; stabilization is typically fast
+            prefix = self._prefix(step)
             if len(prefix) < length + 1:
                 continue
             cur = frozenset(prefix[i : i + length] for i in range(len(prefix) - length + 1))

@@ -38,6 +38,8 @@ from dadim.errors import (
     TooLarge,
     TowerInvalid,
     WitnessInsufficient,
+    integer,
+    malformed,
 )
 from dadim.exactmath import diff_lt_osc_bound, diff_lt_rational, osc_bound_float, sqrt_pair_float
 from dadim.groupoid import (
@@ -318,6 +320,27 @@ def subshift_of(name: str, depth_limit: int):
     if name == "golden_mean":
         return ForbiddenWordSubshift(["0", "1"], ["11"], depth_limit)
     return SubstitutionSubshift(["a", "b"], SUBSHIFT_RULES[name], depth_limit)
+
+
+def substitution_language_oracle(sub: SubstitutionSubshift, length: int) -> frozenset:
+    """The language of ``sub`` at one length as ``_materialize`` read it
+    before it kept the substitution powers: every power rebuilt from the
+    seed, factors taken until two successive prefixes give the same set."""
+    if length == 0:
+        return frozenset({""})
+    prefix = sub._seed
+    prev = None
+    for _ in range(512):
+        prefix = sub._apply_power(prefix)
+        if len(prefix) < length + 1:
+            continue
+        cur = frozenset(prefix[i : i + length] for i in range(len(prefix) - length + 1))
+        if prev is not None and cur == prev:
+            return cur
+        prev = cur
+        if len(prefix) > 4_000_000:
+            break
+    raise InvalidInput("substitution language failed to stabilize")
 
 
 def word_walk_oracle(
@@ -936,6 +959,27 @@ def exhaustive_min_colors_with_witness(X, R: int, S: int, max_points: int = 16):
                 fams.append([frozenset(c) for c in comps])
             return k, AsdimWitness(R, S, fams, meta={"oracle": True})
     raise AssertionError("unreachable: n singleton families always work")
+
+
+def asdim_witness_from_json_oracle(data: dict) -> AsdimWitness:
+    """A coarse witness file read point by point: each class the frozenset
+    of its entries, a list entry as a tuple, as ``asdim_witness_from_json``
+    read it before classes of int points became ``PointRows``."""
+
+    def point_class(cls) -> frozenset:
+        if type(cls) is list and set(map(type, cls)) <= {list}:
+            return frozenset(map(tuple, cls))
+        return frozenset([tuple(p) if isinstance(p, list) else p for p in cls])
+
+    with malformed("coarse witness"):
+        R = integer(data["scale_R"], "scale_R")
+        if R < 0:
+            raise InvalidInput(f"expected scale_R >= 0, got {R}")
+        return AsdimWitness(
+            scale_R=R,
+            bound_S=integer(data["bound_S"], "bound_S"),
+            families=[list(map(point_class, fam)) for fam in data["families"]],
+        )
 
 
 def construct_grid_witness_oracle(X, R: int) -> AsdimWitness:

@@ -769,6 +769,36 @@ def test_main_reuses_its_parser_without_carrying_state(workdir, monkeypatch):
     assert calls[2] == {"command": "nerve", "complex": None, "denominator": 6, "output": None}
 
 
+def _printed(parse, argv, capsys):
+    """What parsing ``argv`` prints and the code it exits with."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", list(dadim.cli._COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys):
+    """main builds only the parser of the command it runs; its help, its
+    unknown-option error (with the top-level usage line that lists every
+    command) and its missing-value error are the full parser's, byte for
+    byte, and exit with the same codes (0 and 2)."""
+    full = dadim.cli.build_parser().parse_args
+    one = dadim.cli.build_parser(command).parse_args
+    assert len(dadim.cli.build_parser(command)._subparsers._group_actions[0].choices) == 1
+    given = [
+        a for flags, kw in dadim.cli._COMMANDS[command][1] if kw.get("required")
+        for a in (flags[-1], "1")
+    ]
+    for tail in (["--help"], ["--no-such-option"], ["-o"], [*given, "--no-such-option"]):
+        want = _printed(full, [command, *tail], capsys)
+        assert _printed(one, [command, *tail], capsys) == want
+        assert _printed(main, [command, *tail], capsys) == want
+    code, _, err = want
+    assert code == 2 and err.startswith("usage: dadim [-h]")
+    assert "{" + ",".join(dadim.cli._COMMANDS) + "}" in err
+
+
 def test_corpus_command():
     assert run(["corpus"]) == 0
 
@@ -1068,6 +1098,62 @@ def test_decompose_and_diameters_leave_numpy_ma_unimported(tmp_path):
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert (proc.returncode, proc.stderr) == (0, "False\n")
+
+
+def test_commands_import_nothing_that_the_cli_import_did_not(workdir):
+    """A module that a command imports on first use is a cold cost that
+    every CLI process pays.  In one fresh interpreter, after ``import
+    dadim.cli``, each command below runs on small inputs (a 2-D witness
+    with its classes' rows shuffled among them, so that the reader sorts)
+    and exits 0, and none imports a module that was not loaded already,
+    except ``locale`` and ``_locale``, which argparse's gettext reads."""
+    w = workdir
+    blr_files(w)
+    assert run(["pou-build", "--order", 12, "--E", -1, 0, 1, "--colors", w / "colors.json",
+                "--N", 8, "-o", w / "pou.json"]) == 0
+    (w / "space2d.json").write_text(json.dumps({"grid": {"dims": [12, 9]}}))
+    assert run(["asdim-construct", "--space", w / "space2d.json", "--R", 1, "-o", w / "aw2.json"]) == 0
+    data = json.loads((w / "aw2.json").read_text())
+    for fam in data["families"]:
+        for cls in fam:
+            cls.reverse()
+    (w / "aw2.json").write_text(json.dumps(data))
+    commands = [
+        ["construct", "--system", w / "system.json", "--N", 1, "-o", w / "wit.json"],
+        ["verify", "--system", w / "system.json", "--witness", w / "wit.json"],
+        ["asdim-construct", "--space", w / "space1d.json", "--R", 10, "-o", w / "aw.json"],
+        ["asdim-verify", "--space", w / "space1d.json", "--witness", w / "aw.json"],
+        ["asdim-verify", "--space", w / "space2d.json", "--witness", w / "aw2.json"],
+        ["bridge", "--space", w / "space1d.json", "--witness", w / "aw.json"],
+        ["bridge", "--space", w / "space2d.json", "--witness", w / "aw2.json"],
+        ["nerve", "--denominator", 12],
+        ["blr-check", "--action", w / "action.json", "--map", w / "map.json",
+         "--complex", w / "complex.json", "--E", 1, "--witness"],
+        ["pou-verify", "--pou", w / "pou.json"],
+        ["decompose", "--pou", w / "pou.json"],
+        ["pipeline", "--system", w / "system.json", "--quotient-depth", 4, "-o", w / "chain"],
+        ["pipeline", "--check", w / "chain"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import dadim.cli\n"
+        "loaded = set(sys.modules) | {'locale', '_locale'}\n"
+        "late = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        exit_code = dadim.cli.main(argv)\n"
+        "    late.append([argv[0], exit_code, sorted(set(sys.modules) - loaded)])\n"
+        "print(json.dumps(late))\n"
+    )
+    src = str(Path(dadim.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = json.dumps([[str(a) for a in c] for c in commands])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=w,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [[c[0], 0, []] for c in commands]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ from dadim.symbolic import (
 )
 from helpers import (
     SUBSHIFT_DEPTHS,
+    SUBSHIFT_RULES,
     disjoint_translates_oracle,
     return_time_oracle,
     same_set,
     subshift_of,
+    substitution_language_oracle,
     whole,
 )
 
@@ -182,6 +184,23 @@ def test_substitution_language_vs_naive_prefix_oracle():
         for n in range(1, sub.depth_limit + 1):
             naive = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
             assert sub.language(n) == naive, (rules, n)
+
+
+@pytest.mark.parametrize("name", ["silver", "fibonacci", "thue_morse"])
+def test_substitution_language_keeps_its_powers_and_its_words(name):
+    """The language at every length up to the window, asked for upward
+    and downward, is the one that rebuilding the powers from the seed
+    for each length gives."""
+    up, down = (
+        SubstitutionSubshift(["a", "b"], SUBSHIFT_RULES[name], SUBSHIFT_DEPTHS[name])
+        for _ in range(2)
+    )
+    window = up.max_window()
+    for n in range(window + 1):
+        assert up.language(n) == substitution_language_oracle(up, n), n
+    for n in range(window, -1, -1):
+        assert down.language(n) == up.language(n), n
+    assert up._prefixes[0] == up._seed and len(up._prefixes) > 2
 
 
 def test_fibonacci_word_return_times(fib):
