@@ -15,22 +15,19 @@ writes its rows as they are; a class holding any other point (a bool, a
 float, a string) stays a frozenset of its points, with the equality rule
 of a set (0.0 is the point 0).
 
-Grids are translation-invariant and fill their bounding box: their
-R-ball is one set of l1 offsets.  Each gives a ``Lattice``, on which a
-family is an integer label array over the box.  The verifier checks the
-cover and separation with array writes and shifted comparisons and takes
-each class's diameter from the same cells, and the bridge's tube check
-labels each color's R-components over the same cells.  A grid builds its
-points only when a caller asks for them (a report that names a point, a
-path off the lattice); the lattice holds none, and it reads a class's
-rows into cells in one vectorized step, so each check reads its own
-cells.  The bridge declares the classes themselves as its colors'
-blocks, each color being its family's classes read as one set.
-Explicit tables and word-metric balls keep the per-point ball scan and
-generation through the groupoid layer's edge-list component kernel,
-which also serve the tests as the oracle of the lattice path; the tests
-keep the per-point construction and reader as the oracles of the array
-ones.
+Grids are translation-invariant and fill their bounding box: each gives
+a ``Lattice``, on which a family is an integer label array over the box
+and the R-ball one ``groupoid.Offsets`` (``Lattice.ball``).  The verifier
+checks cover and separation with array writes and comparisons over the
+ball's slice pairs and takes diameters from the same cells; the bridge's
+tube check labels each color's R-components with the groupoid layer's
+shift kernel.  The lattice holds no point and reads a class's rows into
+cells in one vectorized step, so each check reads its own cells; a grid
+builds its points only for a report that names one or a path off the
+lattice.  Explicit tables and word-metric balls keep the per-point ball
+scan and generation by the edge-list kernel, which are also the tests'
+oracles of the lattice path, as the per-point construction and reader in
+the tests are of the array ones.
 """
 
 from __future__ import annotations
@@ -48,8 +45,10 @@ from .errors import InvalidInput, TooLarge, VerificationFailed, integer, malform
 from .groupoid import (
     BlockArrows,
     GroupoidDadWitness,
+    Offsets,
     TubeArrows,
     TubePairGroupoid,
+    _narrow,
     _verify_dad,
 )
 from .reporting import VerificationReport
@@ -129,16 +128,14 @@ class Lattice:
     order (point i of the grid is cell i).
 
     A family of classes becomes one label array over the box (class index
-    at each cell, -1 elsewhere) and the R-ball one list of offsets, so
-    separation and R-components are shifted array operations instead of a
-    ball scan per point.  The lattice holds no point: ``cells_of`` reads
-    the rows of a ``PointRows`` in one vectorized step, and ``point``
-    makes the point of a cell for a report.  The points of any other set
-    keep the rule of a set of the points: one equal to a point (0.0 for 0,
-    (1.0, 0) for (1, 0), True for 1) finds that point's cell, and anything
-    else (outside the box, of the wrong arity, not a number) finds none.
-    That lookup is a dict from the points to their cells, built the first
-    time such a set is read.
+    at each cell, -1 elsewhere) and the R-ball an ``Offsets`` on the box
+    (``ball``), so separation and R-components are shifted array
+    operations, not a ball scan per point.  ``cells_of`` reads the rows of
+    a ``PointRows`` in one vectorized step, and any other set through a
+    point -> cell dict built on first use, with the rule of a set: one
+    equal to a point (0.0 for 0, (1.0, 0) for (1, 0), True for 1) finds
+    its cell, anything else none.  ``point`` makes a cell's point for a
+    report.
 
     The lattice keeps no reference to its space, which holds it.
     """
@@ -147,8 +144,7 @@ class Lattice:
         self.lo = tuple(map(int, lo))
         self.shape = tuple(map(int, shape))
         self.size = math.prod(self.shape)
-        self._offsets: dict = {}
-        self._shift_pairs: dict = {}
+        self._balls: dict = {}
 
     def point(self, cell: int):
         """The point at ``cell``: an int in 1-D, a tuple of ints above."""
@@ -179,45 +175,23 @@ class Lattice:
             cells = cells * n + (col - a)
         return np.where(inside, cells, -1)
 
-    def empty_labels(self, top: int) -> np.ndarray:
-        """-1 at every cell, in the narrowest signed type that holds labels
-        up to ``top``: narrow arrays compare and take minima faster."""
-        dtype = np.result_type(np.int8, np.min_scalar_type(top))
-        return np.full(self.size, -1, dtype=dtype)
-
-    def offsets(self, r: int) -> np.ndarray:
-        """The radius-r ball's offsets in lexicographic order, which is the
-        order of the cells they lead to."""
-        if r not in self._offsets:
+    def ball(self, r: int) -> Offsets:
+        """The tube of radius r as offsets on the box: the r-ball's offsets
+        in lexicographic order (that of the cells they lead to), none for r < 0."""
+        if r not in self._balls:
             k = len(self.shape)
-            reach = min(r, sum(self.shape) - k)
-            ball = [
-                v for v in product(range(-reach, reach + 1), repeat=k)
-                if sum(map(abs, v)) <= reach
-            ]
-            self._offsets[r] = np.array(ball, dtype=np.int64).reshape(-1, k)
-        return self._offsets[r]
-
-    def _shifts(self, r: int) -> list:
-        """One (a, b) pair of box slices per offset v > 0 in half the ball:
-        cell j of ``grid[b]`` is cell j of ``grid[a]`` moved by v."""
-        if r not in self._shift_pairs:
-            self._shift_pairs[r] = [
-                (
-                    tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(v, self.shape)),
-                    tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(v, self.shape)),
-                )
-                for v in self.offsets(r)
-                if (v > 0)[np.argmax(v != 0)] and (abs(v) < self.shape).all()
-            ]
-        return self._shift_pairs[r]
+            reach = min(r, sum(self.shape) - k)  # no cell is farther from another
+            axis = np.arange(-reach, reach + 1)
+            v = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+            self._balls[r] = Offsets(self.shape, (False,) * k, v[np.abs(v).sum(axis=1) <= reach])
+        return self._balls[r]
 
     def conflicts(self, labels, r: int):
         """Cells within distance r of a cell of another class, as a flat
         mask, or None when no two classes meet."""
         grid = labels.reshape(self.shape)
         hit = None
-        for a, b in self._shifts(r):
+        for a, b in self.ball(r).pairs:
             A, B = grid[a], grid[b]
             meet = (A != B) & (np.minimum(A, B) >= 0)
             if hit is None:
@@ -231,7 +205,7 @@ class Lattice:
     def ball_cells(self, cell: int, r: int, keep) -> np.ndarray:
         """Cells within r of ``cell`` that pass the mask ``keep``, in cell
         order."""
-        near = np.array(np.unravel_index(cell, self.shape)) + self.offsets(r)
+        near = np.array(np.unravel_index(cell, self.shape)) + self.ball(r).rows
         near = near[((near >= 0) & (near < self.shape)).all(axis=1)]
         cells = np.ravel_multi_index(tuple(near.T), self.shape)
         return cells[keep[cells]]
@@ -251,41 +225,6 @@ class Lattice:
                 spread = np.maximum.reduceat(t, starts) - np.minimum.reduceat(t, starts)
                 diam[full] = np.maximum(diam[full], spread)
         return diam.tolist()
-
-    def components(self, group, r: int) -> np.ndarray:
-        """The r-components of each group of cells, for r >= 0: ``group``
-        holds a group index per cell (-1 for none), two cells of one group
-        within distance r join, and each cell gets its component's least
-        cell (-1 outside every group).
-
-        Min-label propagation: each cell starts labelled with itself; every
-        pass takes the minimum across each offset of half the ball, then
-        jumps each label to its label's label until that is stable.  A
-        label is always a cell of the same component, so once every offset
-        joins equal labels they are constant on components, and they name
-        distinct ones; the least cell of a component reaches all of it.
-        """
-        cells = np.flatnonzero(group >= 0)
-        labels = self.empty_labels(self.size)
-        labels[cells] = cells
-        grid, within = labels.reshape(self.shape), group.reshape(self.shape)
-        steps = [(a, b, (within[a] == within[b]) & (within[a] >= 0)) for a, b in self._shifts(r)]
-        steps = [s for s in steps if s[2].any()]
-        while True:
-            for a, b, both in steps:
-                A, B = grid[a], grid[b]
-                np.minimum(A, B, out=A, where=both)
-                np.minimum(A, B, out=B, where=both)
-            jumped = labels[cells]
-            while True:
-                labels[cells] = jumped
-                nxt = labels[jumped]
-                if (nxt == jumped).all():
-                    break
-                jumped = nxt
-            if not any(((grid[a] != grid[b]) & both).any() for a, b, both in steps):
-                break
-        return labels.astype(np.intp)
 
 
 # from_edges builds all n^2 distances and checks n^3 triangles; on a
@@ -792,7 +731,7 @@ def _lattice_faults(X: FiniteMetricSpace, lat: Lattice, w: AsdimWitness):
     if len(missing):
         return _uncovered(map(lat.point, missing)), None
     for fi, (fam, row) in enumerate(zip(w.families, cells)):
-        labels = lat.empty_labels(len(row))
+        labels = np.full(lat.size, -1, _narrow(len(row)))  # narrow: faster compares
         for ci, c in enumerate(row):
             labels[c] = ci
         if np.count_nonzero(labels >= 0) != sum(map(len, row)):

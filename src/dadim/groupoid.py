@@ -18,17 +18,19 @@ composition.  Three concrete flavors cover everything the artifact needs:
 * ``TubePairGroupoid`` -- the pair groupoid of a finite metric space
   restricted to a tube radius, with arrows kept implicit.
 
-Components of a graph on units come from one kernel,
-``_edge_components``: edge endpoints as unit positions in, each node's
-least position in its component out.  An explicit groupoid computes its
-orbits with it once, over its arrows.  A subgroupoid of a free groupoid
-has one form, ``BlockArrows``: an arrow is fixed by its source and range,
-so a subgroupoid is the pair groupoid over a partition of some units (one
-matrix algebra per block).  Generation reads the blocks off the
-components of the seed graph, and consumers read sizes and group parts
-from them; the norms and the partition-of-unity layer read the kernel's
-labels directly.  The worklist closure (a frozenset of arrows) runs only
-on groupoids with isotropy.
+Components come from two kernels, one per form of K:
+``_edge_components`` for an explicit graph (edge endpoints as unit
+positions in, each node's least position in its component out), which
+gives an explicit groupoid's orbits, generation and the norms, and
+``Offsets.components`` for K as offsets on a box of cells (Z/n rotating
+its residues as ``Moves``, a grid's tube as ``coarse.Lattice.ball``),
+min-label propagation over pairs of box slices, which labels the blocks
+of the partition-of-unity layer and of the verifier: so the verifier
+checks the blocks that generation builds on Z/n with the other kernel.
+A subgroupoid of a free groupoid has one form, ``BlockArrows``: an arrow
+is fixed by its source and range, so a subgroupoid is the pair groupoid
+over a partition of some units (one matrix algebra per block); the
+worklist closure (a frozenset of arrows) runs only under isotropy.
 
 Finiteness stands in for relative compactness throughout: a witness is
 accepted when each color's generated subgroupoid is small against an
@@ -37,10 +39,11 @@ explicit size bound.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -245,15 +248,127 @@ def _shared(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class Moves(Set):
+def _narrow(top: int):
+    """The narrowest signed int type for 0..top: narrow labels compare faster."""
+    return (np.int8, np.int16, np.int32, np.int64)[(top >= 2**7) + (top >= 2**15) + (top >= 2**31)]
+
+
+class Offsets:
+    """K on a box of cells as its offsets: the arrows from each cell x to
+    x + v for each row v of ``rows`` (sorted, a column per axis), on the
+    box of ``shape`` cells in row-major order.  An axis with ``wrap`` set
+    is cyclic (its coordinates given mod n); on any other, a move that
+    leaves the box is no arrow.  Z/n rotating its residues is one wrapped
+    axis (``Moves``), a grid's tube the unwrapped r-ball (``Lattice.ball``).
+    The array methods take masks or group labels of shape (..., size),
+    each leading index a layer, its own graph."""
+
+    def __init__(self, shape, wrap, rows: np.ndarray):
+        self.shape, self.wrap = tuple(shape), tuple(wrap)
+        self.size = math.prod(self.shape)
+        self.rows = _shared(rows)
+        self.loops = not rows.any(axis=1).all()  # offset 0: every cell on its unit
+
+    def _moved(self, v) -> list:
+        """(a, b) pairs of box indices, one per piece of the box that the
+        move by v keeps together: cell j of ``box[b]`` is cell j of
+        ``box[a]`` moved by v."""
+        out = [((...,), (...,))]
+        for d, n, wrap in zip(v, self.shape, self.wrap):
+            cuts = [(0, n - d, d, n), (n - d, n, 0, d)] if wrap else [
+                (max(0, -d), n - max(0, d), max(0, d), n - max(0, -d))]
+            out = [(a + (slice(a0, a1),), b + (slice(b0, b1),))
+                   for a, b in out for a0, a1, b0, b1 in cuts if a0 < a1]
+        return out
+
+    @cached_property
+    def _pieces(self) -> list:
+        return [ab for v in self.rows.tolist() for ab in self._moved(v)]
+
+    @cached_property
+    def pairs(self) -> list:
+        """The (a, b) pairs of the edges x -- x + v, v a nonzero offset: of v
+        and -v, which move along the same edges, the greater, and each piece
+        once (on Z/n with 2g = n, one piece of g is the other reversed)."""
+        half = set()
+        for v in self.rows.tolist():
+            flip = [-d % n if wrap else -d for d, n, wrap in zip(v, self.shape, self.wrap)]
+            half.add(tuple(max(v, flip)))
+        out = []
+        for v in sorted(half - {(0,) * len(self.shape)}):
+            pieces = self._moved(v)
+            out += [(a, b) for i, (a, b) in enumerate(pieces) if (b, a) not in pieces[:i]]
+        return out
+
+    def step(self, masks: np.ndarray) -> np.ndarray:
+        """One K-propagation step: the mask together with its ``near``."""
+        return masks | self.near(masks)
+
+    def near(self, masks: np.ndarray) -> np.ndarray:
+        """s(K cap r^-1(mask)): the cells x with x + v in the mask for some
+        offset v."""
+        grid = masks.reshape(masks.shape[:-1] + self.shape)
+        out = np.zeros(grid.shape, bool)
+        for a, b in self._pieces:
+            out[a] |= grid[b]
+        return out.reshape(masks.shape)
+
+    def components(self, group: np.ndarray) -> np.ndarray:
+        """The blocks that the arrows inside each group generate: per cell,
+        the least cell of its component in its layer's graph with an edge
+        x -- x + v for each offset v joining two cells of one group, -1 for
+        a cell on no edge.  ``group`` is a boolean mask (one group per
+        layer) or a group index per cell, -1 for none.  Min-label
+        propagation: a pass takes minima across each slice pair, then jumps
+        each label to its label's label until stable.  A label is always a
+        cell of the same component, so once every pair joins equal labels
+        they are constant on components, each its least cell."""
+        within = group.reshape((-1,) + self.shape)
+        held = within if within.dtype == bool else within >= 0
+        cells = np.flatnonzero(held)
+        labels = np.full(within.size, -1, _narrow(within.size))
+        labels[cells] = cells
+        grid = labels.reshape(within.shape)
+        on = None if self.loops else np.zeros(within.shape, bool)
+        steps = []
+        for a, b in self.pairs:
+            both = held[a] & held[b] if within.dtype == bool else held[a] & (within[a] == within[b])
+            if both.any():
+                steps.append((a, b, both))
+                if on is not None:
+                    on[a] |= both
+                    on[b] |= both
+        while steps:
+            for a, b, both in steps:
+                A, B = grid[a], grid[b]
+                np.minimum(A, B, out=A, where=both)
+                np.minimum(A, B, out=B, where=both)
+            jumped = labels[cells]
+            while True:
+                labels[cells] = jumped
+                nxt = labels[jumped]
+                if (nxt == jumped).all():
+                    break
+                jumped = nxt
+            if not any(((grid[a] != grid[b]) & both).any() for a, b, both in steps):
+                break
+        out = labels.astype(np.intp)
+        if len(within) > 1:
+            np.remainder(out, self.size, out=out, where=out >= 0)
+        if on is not None:
+            out[~on.ravel()] = -1
+        return out.reshape(group.shape)
+
+
+class Moves(Offsets, Set):
     """A union of full classes {(g, x) : x in Z/n} of arrows of Z/n rotating
-    its residues, held as n and the sorted distinct offsets g: a set of the
-    arrows (g, x), offset by offset and then by residue, with O(1) ``in``.
-    The layers read it as the gather arrays ``to[j, x]`` = x + g_j and
-    ``back[j, x]`` = x - g_j mod n, built on first use; the array methods
-    take one residue mask, or a (layers, n) stack of them."""
+    its residues, held as n and the sorted distinct offsets g: the box of n
+    cells with its one axis wrapped, and a set of the arrows (g, x), offset
+    by offset and then by residue, with O(1) ``in``; also the gather arrays
+    ``to[j, x]`` = x + g_j and ``back[j, x]`` = x - g_j mod n."""
 
     def __init__(self, n: int, offsets: np.ndarray):
+        super().__init__((n,), (True,), offsets[:, None])
         self.n = n
         self.offsets = _shared(offsets)
         self._parts = frozenset(offsets.tolist())
@@ -307,32 +422,6 @@ class Moves(Set):
     @cached_property
     def back(self) -> np.ndarray:
         return _shared((np.arange(self.n) - self.offsets[:, None]) % self.n)
-
-    def near(self, masks: np.ndarray) -> np.ndarray:
-        """s(K cap r^-1(mask)): the residues x with x + g in the mask for
-        some offset g."""
-        return masks[..., self.to].any(axis=-2)
-
-    def step(self, masks: np.ndarray) -> np.ndarray:
-        """One K-propagation step: the mask together with its ``near``."""
-        return masks | self.near(masks)
-
-    def components(self, masks: np.ndarray) -> np.ndarray:
-        """The blocks of the subgroupoid that the arrows inside a mask
-        generate: per residue, the least residue of its component in the
-        graph with an edge x -- x + g for every offset g joining two
-        residues of the mask, and -1 for a residue on no edge (isolated
-        residues are on their unit arrow when 0 is an offset).  The masks
-        of a stack are the layers of one graph, its nodes the positions
-        layer * n + x, and ``_edge_components`` takes its edges."""
-        n = self.n
-        stack = masks.reshape(-1, n)
-        layer, x = np.nonzero(stack)
-        to = self.to[:, x]
-        hit = stack[layer, to]
-        base = layer * n
-        label = _edge_components(stack.size, (base + x)[np.nonzero(hit)[1]], (base + to)[hit])
-        return np.where(label >= 0, label % n, -1).reshape(masks.shape)
 
 
 class TransformationGroupoid(FiniteGroupoid):
@@ -473,6 +562,10 @@ class BlockArrows:
 
     def __len__(self) -> int:
         return sum(len(b) ** 2 for b in self.blocks)
+
+    def wider_than(self, space, radius: int):
+        """The first block of diameter over ``radius`` in ``space``, or None."""
+        return next((b for b in self.blocks if space.subset_diameter(b) > radius), None)
 
 
 class TubePairGroupoid:
@@ -641,30 +734,20 @@ def _of_rotation(G, K) -> bool:
     return isinstance(K, Moves) and isinstance(G, TransformationGroupoid) and K.n == G.n
 
 
-def _endpoint_units(G, K):
-    """s(K) u r(K): every unit for the tube, and for the moves of the
-    rotation unless they have no offset; any other K is scanned."""
-    if isinstance(K, TubeArrows) or _of_rotation(G, K) and len(K.offsets):
-        return G.unit_set
-    out = set()
-    for a in K:
-        out.add(G.source(a))
-        out.add(G.range(a))
-    return frozenset(out)
-
-
 def _seeds(G, K, colors):
     """The seed of each color in turn: the arrows of K with both ends in
-    it.  For the tube, one arrow (x, y) with y >= x per pair within the
-    tube radius, (x, x) included.  For the ``Moves`` of the rotation a
-    color's seed is an int row (g, x) per entry of ``to`` whose residue x
-    and image x + g mod n lie in the color, in K's order.  Any other K is
-    scanned per color, where an arrow outside Z/n raises ``KeyError`` in
+    it.  For the tube, an arrow (x, y) per pair within the radius, y not
+    before x in ``G.units``; for the rotation's ``Moves``, an int row
+    (g, x) per entry of ``to`` in the color, in K's order.  Any other K is
+    scanned per color: an arrow outside Z/n raises ``KeyError`` in
     ``range`` once the scan meets it with its source in the color."""
     if isinstance(K, TubeArrows):
-        space, r = G.space, K.radius
+        space, r, index = G.space, K.radius, G.index
         for color in colors:
-            yield [(x, y) for x in color for y in space.iter_ball(x, r) if y >= x and y in color]
+            yield [
+                (x, y) for x in color for y in space.iter_ball(x, r)
+                if y in color and index[y] >= index[x]
+            ]
         return
     if not _of_rotation(G, K):
         for color in colors:
@@ -676,148 +759,123 @@ def _seeds(G, K, colors):
         yield np.stack([K.offsets[j], x], axis=1)
 
 
-class _CellBlocks:
-    """The blocks that the tube arrows generate inside one color of a
-    lattice space, as labels over the color's cells (in its iteration
-    order, such as the order of the color's classes in the bridge): each
-    cell carries the least cell of its block, its r-component in the
-    color (see ``_component_labels``; for r < 0 no cell is in a block, and
-    the labels are empty).  It stands in for the ``BlockArrows`` of
-    ``generate_subgroupoid`` without a set per block; blocks go in order
-    of their least cells."""
+def _cells_of(G, sets) -> np.ndarray:
+    """The position in ``G.units`` (a grid's cell) of each unit of each of
+    ``sets`` in turn, -1 for no unit; one equal to a unit (0.0 to 0) is it."""
+    if isinstance(G, TubePairGroupoid) and G.space.lattice is not None:
+        return np.concatenate([np.empty(0, np.intp), *map(G.space.lattice.cells_of, sets)])
+    units = list(chain.from_iterable(sets))
+    if isinstance(G, TransformationGroupoid):
+        found = (x if x in G.unit_set else -1 for x in units)
+    else:
+        found = map(G.index.get, units, repeat(-1))
+    return np.fromiter(found, np.intp, len(units))
 
-    def __init__(self, lat, color: Set, cells: np.ndarray, labels: np.ndarray):
-        self.lat, self.color, self.cells, self.labels = lat, color, cells, labels
-        self.order = np.argsort(labels, kind="stable")
-        self.starts = np.flatnonzero(np.diff(labels[self.order], prepend=-1))
-        self.sizes = np.diff(self.starts, append=len(labels))
+
+class _CellBlocks:
+    """The blocks that K on a box generates inside one color, as labels over
+    the color's cells (in its iteration order): each cell's block's least
+    cell, -1 for a cell in none.  It stands in for the ``BlockArrows`` of
+    ``generate_subgroupoid``, blocks in order of their least cells."""
+
+    def __init__(self, G, size: int, color: Set, cells: np.ndarray, labels: np.ndarray):
+        self.G, self.size, self.color, self.cells, self.labels = G, size, color, cells, labels
+        self.sizes = np.bincount(labels[labels >= 0], minlength=1)  # by least cell
 
     def __len__(self) -> int:
         return int(self.sizes @ self.sizes)
 
-    def wider_than(self, radius: int):
-        """The first block of diameter over ``radius``, as a frozenset of the
-        color's points, or None: the points whose cells are that block's,
-        in the color's iteration order."""
-        row = np.split(self.cells[self.order], self.starts[1:]) if len(self.starts) else []
-        k = next((k for k, d in enumerate(self.lat.diameters(row)) if d > radius), None)
-        if k is None:
+    def wider_than(self, space, radius: int):
+        """The color's points of the first block of diameter over
+        ``radius`` in a grid, as a frozenset, or None."""
+        on = self.labels >= 0
+        ends = np.cumsum(self.sizes[self.sizes > 0])
+        row = np.split(self.cells[on][np.argsort(self.labels[on], kind="stable")], ends[:-1])
+        k = next((k for k, d in enumerate(space.lattice.diameters(row)) if d > radius), None)
+        if k is None or not len(ends):
             return None
-        inside = np.zeros(self.lat.size, dtype=bool)
+        inside = np.zeros(self.size, dtype=bool)
         inside[row[k]] = True
         return frozenset(p for p, t in zip(self.color, inside[self.cells]) if t)
 
     def matches(self, declared) -> bool:
-        """Whether ``declared`` equals the ``BlockArrows`` of these blocks.
-
-        Its blocks, each a set of units read into cells, must be as many
-        as the components and hold as many cells as the color, all of
-        them: then they partition the color's cells, and they are the
-        components when each cell's block and component have the same
-        least cell."""
+        """Whether ``declared`` is the ``BlockArrows`` of these blocks: its
+        blocks, sets of units, are as many as the components, none empty,
+        and hold as many cells as the components, so when every cell of
+        the color carries its block's least cell (-1 in none) as its label,
+        they partition the labelled cells, and they are the components."""
         if type(declared) is not BlockArrows or not isinstance(declared.blocks, Set):
             return False
         blocks = list(declared.blocks)
-        if len(blocks) != len(self.sizes):
+        if len(blocks) != np.count_nonzero(self.sizes):
             return False
         if not blocks:
             return True
-        if not all(isinstance(b, Set) and b for b in blocks) or (
-            sum(map(len, blocks)) != len(self.cells)
-        ):
+        if not all(issubclass(kind, Set) for kind in set(map(type, blocks))):
             return False
-        owner = np.full(self.lat.size, -1, dtype=np.intp)
-        least = np.empty(len(blocks), dtype=np.intp)
-        for j, c in enumerate(map(self.lat.cells_of, blocks)):
-            if (c < 0).any():
-                return False
-            owner[c] = j
-            least[j] = c.min()
-        mine = owner[self.cells]
-        return bool((mine >= 0).all() and (least[mine] == self.labels).all())
+        sizes = list(map(len, blocks))
+        if min(sizes) == 0 or sum(sizes) != self.sizes.sum():
+            return False
+        cells = _cells_of(self.G, blocks)
+        if (cells < 0).any():
+            return False
+        least = np.full(self.size, -1, dtype=np.intp)
+        least[cells] = np.repeat(np.minimum.reduceat(cells, np.cumsum([0, *sizes[:-1]])), sizes)
+        return bool((least[self.cells] == self.labels).all())
 
 
-def _component_labels(lat, cells: list, r: int) -> list:
-    """For each color, given by its cells, the least cell of each cell's
-    r-component within the color, and no cell at all for r < 0 (no pair is
-    within r, not even (x, x)).  The cover check has put every cell in a
-    color, so colors with as many cells as the box are disjoint and take
-    one propagation together; otherwise each color takes its own."""
-    if r < 0:
-        return [c[:0] for c in cells]
-    group = np.full(lat.size, -1, dtype=np.intp)
-    if sum(map(len, cells)) == lat.size:
-        for i, c in enumerate(cells):
-            group[c] = i
-        every = lat.components(group, r)
-        return [every[c] for c in cells]
-    out = []
-    for c in cells:
-        group[:] = -1
-        group[c] = 0
-        out.append(lat.components(group, r)[c])
-    return out
+def _box_labels(box: Offsets, cells: list) -> list:
+    """Each color's blocks as labels over its cells, from one
+    ``Offsets.components`` call: disjoint colors are the groups of one
+    layer, and overlapping ones take a layer each."""
+    every = np.concatenate([np.empty(0, np.intp), *cells])
+    layers = 1 if np.bincount(every, minlength=1).max() <= 1 else len(cells)
+    group = np.full((layers, box.size), -1, _narrow(len(cells)))
+    for i, c in enumerate(cells):
+        group[i % layers, c] = i
+    labels = box.components(group)
+    return [labels[i % layers, c] for i, c in enumerate(cells)]
 
 
-def _unknown_units(bad) -> VerificationReport:
-    return VerificationReport(False, "CoverGap", f"color uses unknown units {sorted(map(repr, bad))[:3]}")
-
-
-def _uncovered_units(missing) -> VerificationReport:
-    missing = sorted(map(repr, missing))
-    return VerificationReport(
-        False, "CoverGap", f"colors do not cover s(K) u r(K); missing {missing[:5]}",
-        {"missing_count": len(missing)},
-    )
-
-
-def _cover_fault(G, K, colors: list):
-    """The first cover fault of the colors, or None."""
-    needed = _endpoint_units(G, K)
-    covered: set = set()
-    for c in colors:
-        bad = c - G.unit_set
-        if bad:
-            return _unknown_units(bad)
-        covered |= c
-    if not needed <= covered:
-        return _uncovered_units(needed - covered)
-    return None
-
-
-def _cell_cover_fault(lat, colors: list):
-    """``_cover_fault`` for the tube of a lattice space, whose every unit
-    needs a color, on the colors' cells, each color's in its iteration
-    order: (fault, None) or (None, cells)."""
-    cells = [lat.cells_of(c) for c in colors]
-    covered = np.zeros(lat.size, dtype=bool)
+def _cover_fault(G, K, colors: list, cells: list, size: int, point):
+    """The first cover fault of the colors, read into ``cells``, or None: a
+    unit that is none of G's, then a unit of s(K) u r(K) in no color (every
+    unit for the tube and for moves with an offset; other K are scanned)."""
+    covered = np.zeros(size, dtype=bool)
     for c, cc in zip(colors, cells):
         if (cc < 0).any():
-            return _unknown_units([p for p, x in zip(c, cc < 0) if x]), None
+            bad = sorted(repr(p) for p, x in zip(c, cc < 0) if x)
+            return VerificationReport(False, "CoverGap", f"color uses unknown units {bad[:3]}")
         covered[cc] = True
-    missing = np.flatnonzero(~covered)
-    if len(missing):
-        return _uncovered_units(map(lat.point, missing)), None
-    return None, cells
+    if isinstance(K, TubeArrows) or _of_rotation(G, K):
+        needed = isinstance(K, TubeArrows) or len(K.offsets) > 0
+    else:
+        needed = np.zeros(size, dtype=bool)
+        needed[_cells_of(G, [{u for a in K for u in (G.source(a), G.range(a))}])] = True
+    missing = sorted(repr(point(x)) for x in np.flatnonzero(needed & ~covered))
+    if missing:
+        return VerificationReport(
+            False, "CoverGap", f"colors do not cover s(K) u r(K); missing {missing[:5]}",
+            {"missing_count": len(missing)},
+        )
+    return None
 
 
 def verify_groupoid_dad(G, witness: GroupoidDadWitness, size_bound: int | None) -> VerificationReport:
     """Check that colors cover s(K) u r(K) and every color generates a
     subgroupoid of at most ``size_bound`` arrows equal to the declared one.
 
-    On the tube of a lattice space (a ``TubePairGroupoid`` over a grid, K a
-    ``TubeArrows``) every step reads cells: each color is read into cells
-    once and the cover is a mask, each color's blocks are its r-components
-    labelled over its cells (``_CellBlocks``), and each declared block is
-    read into cells once, a second labeling of the same cells.  There a
-    color that is a ``collections.abc.Set`` (a frozenset, or a color of the
-    coarse bridge) is read as it is, any other becomes a frozenset, and a
-    declared block may be any set of units.  Everywhere
-    else each color generates its subgroupoid with
-    ``generate_subgroupoid``.  Both give the same report, except that when
-    several blocks leave the ambient tube they may name different ones.
-    On the rotation K is read once through ``Moves.read``; a K that is no
-    union of full classes is scanned per arrow, as on explicit groupoids.
+    K on a box of cells, the rotation's ``Moves`` (K is read once through
+    ``Moves.read``) or a grid's tube (``Lattice.ball``), is checked on
+    cells: each color read into cells once, the cover a mask, one
+    ``Offsets.components`` call for every color's blocks, and the declared
+    blocks read into cells as a second labeling; so blocks that generation
+    built are checked with the other kernel.  Any other K (explicit
+    groupoids, tubes off the lattice, a K that is no union of full classes)
+    is scanned per arrow, and each color generates its subgroupoid.  On a
+    tube the blocks must stay in the ambient tube; when several leave it
+    the two paths may name different ones, and otherwise report alike.  A
+    color that is no ``collections.abc.Set`` becomes a frozenset.
     """
     return _verify_dad(G, witness, size_bound)
 
@@ -829,28 +887,25 @@ def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None):
     if isinstance(G, TransformationGroupoid):
         moves = Moves.read(G.n, K)
         K = K if moves is None else moves
-    tube = isinstance(G, TubePairGroupoid) and isinstance(K, TubeArrows)
+    tube = isinstance(G, TubePairGroupoid)
     lat = G.space.lattice if tube else None
-    if lat is None:
-        colors = list(map(frozenset, witness.colors))
-        fault, cells = _cover_fault(G, K, colors), None
-    else:
-        colors = [c if isinstance(c, Set) else frozenset(c) for c in witness.colors]
-        fault, cells = _cell_cover_fault(lat, colors)
+    box = K if _of_rotation(G, K) else None
+    if lat is not None and isinstance(K, TubeArrows):
+        box = lat.ball(K.radius)
+    size, point = (len(G.units), G.units.__getitem__) if lat is None else (lat.size, lat.point)
+    colors = [c if isinstance(c, Set) else frozenset(c) for c in witness.colors]
+    cells = [_cells_of(G, [c]) for c in colors]
+    fault = _cover_fault(G, K, colors, cells, size, point)
     if fault is not None:
         return fault
 
-    labels = None if lat is None else _component_labels(lat, cells, K.radius)
-    seeds = _seeds(G, K, colors) if lat is None else None
+    if box is None:
+        gens = map(partial(generate_subgroupoid, G), _seeds(G, K, colors))
+    else:
+        gens = map(partial(_CellBlocks, G, size), colors, cells, _box_labels(box, cells))
     sizes = []
-    for i in range(len(colors)):
-        if lat is None:
-            gen = generate_subgroupoid(G, next(seeds))
-            blocks = gen.blocks if isinstance(G, TubePairGroupoid) else ()
-            wide = next((b for b in blocks if G.space.subset_diameter(b) > G.radius), None)
-        else:
-            gen = _CellBlocks(lat, colors[i], cells[i], labels[i])
-            wide = gen.wider_than(G.radius)
+    for i, gen in enumerate(gens):
+        wide = gen.wider_than(G.space, G.radius) if tube else None
         if wide is not None:
             # containment in the ambient tube
             diam = G.space.subset_diameter(wide)
@@ -860,17 +915,17 @@ def _verify_dad(G, witness: GroupoidDadWitness, size_bound: int | None):
                 f"(block diameter {diam} > {G.radius})",
                 {"color": i, "diameter": diam},
             )
-        size = len(gen)
-        sizes.append(size)
-        if size_bound is not None and size > size_bound:
+        arrows = len(gen)
+        sizes.append(arrows)
+        if size_bound is not None and arrows > size_bound:
             return VerificationReport(
                 False, "SizeExceeded",
-                f"color {i}: generated subgroupoid has {size} arrows > bound {size_bound}",
-                {"color": i, "size": size, "size_bound": size_bound},
+                f"color {i}: generated subgroupoid has {arrows} arrows > bound {size_bound}",
+                {"color": i, "size": arrows, "size_bound": size_bound},
             )
         declared = witness.generated[i]
         if declared is not None and not (
-            declared == gen if lat is None else gen.matches(declared)
+            declared == gen if box is None else gen.matches(declared)
         ):
             return VerificationReport(
                 False, "NotClosed",

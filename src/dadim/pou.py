@@ -18,8 +18,9 @@ the offsets that are the group parts of its arrows (a K handed in as arrow
 tuples is read into one).  A color or a tower level is a boolean array,
 one K-propagation step is the OR of the rolls of a level by the offsets,
 and the subgroupoid that K (or K^3) generates inside a set of residues is
-a component label per residue, from the groupoid layer's one edge-list
-kernel; the cut-down decomposition reads these labels as its blocks
+a component label per residue, from the groupoid layer's shift kernel
+(``Offsets.components``); the cut-down decomposition reads these labels as
+its blocks
 (``PartitionOfUnity.small_subgroupoids``).  Each residue carries the id of
 its exact tuple (psi_0, ..., psi_d, S), and every exact decision is taken
 once per distinct tuple, or once per distinct pair of ids at the two ends

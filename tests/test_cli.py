@@ -244,6 +244,21 @@ def test_asdim_2d_cli(workdir):
     assert run(["bridge", "--space", sp, "--witness", aw]) == 0
 
 
+@pytest.mark.parametrize("points", [["a", 1, "b"], ["a", "c", "b"]])
+def test_bridge_on_an_edge_space_of_mixed_points(workdir, points):
+    """An edge-list path whose points mix strings and ints bridges as one
+    of strings does: the tube seeds order a pair by the points' places in
+    the space, never by comparing two points."""
+    sp = workdir / "path.json"
+    sp.write_text(json.dumps({"points": points, "edges": [points[:2], points[1:]]}))
+    aw = workdir / "aw.json"
+    aw.write_text(json.dumps({"scale_R": 1, "bound_S": 2, "families": [[points]]}))
+    out = workdir / "bridged.json"
+    assert run(["asdim-verify", "--space", sp, "--witness", aw]) == 0
+    assert run(["bridge", "--space", sp, "--witness", aw, "-o", out]) == 0
+    assert json.loads(out.read_text())["generated_sizes"] == [9]
+
+
 @pytest.mark.parametrize("generators", [[[10**9]], [[10**9, 0], [0, 10**9]]])
 def test_group_ball_with_long_generators(workdir, generators):
     """A radius-1 ball is 1 + 2k points however long its generators are;

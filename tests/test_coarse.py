@@ -37,11 +37,12 @@ from dadim.groupoid import (
     GroupoidDadWitness,
     TubeArrows,
     TubePairGroupoid,
-    _component_labels,
+    _box_labels,
     generate_subgroupoid,
     verify_groupoid_dad,
 )
 from helpers import (
+    _connected_components,
     asdim_witness_from_json_oracle,
     construct_grid_witness_oracle,
     exhaustive_min_colors_with_witness,
@@ -667,12 +668,15 @@ def test_lattice_diameters_match_subset_diameter(X, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(SPACES, st.integers(-1, 4), st.data())
+@given(SPACES, st.integers(-1, 13), st.data())
 def test_lattice_tube_blocks_match_union_find(X, R, data):
-    """Each color's r-components labelled over its cells are the blocks
-    that the union-find generates from the color's tube seed: with one
-    propagation for disjoint colors holding every point, and one per color
-    when the colors overlap."""
+    """Each color's R-components, labelled over its cells by the one shift
+    kernel (``Offsets.components`` on the lattice's R-ball, through the
+    verifier's ``_box_labels``), against the union-find of the color's
+    pairs within R: disjoint colors holding every point share one layer,
+    overlapping ones take a layer each, and each cell carries its block's
+    least cell.  R runs past the box's reach, and for R < 0 no cell is on
+    a block."""
     if data.draw(st.booleans()):
         n = len(X.points)
         owner = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
@@ -680,15 +684,15 @@ def test_lattice_tube_blocks_match_union_find(X, R, data):
     else:
         colors = data.draw(st.lists(st.frozensets(st.sampled_from(X.points)), max_size=2))
         colors.append(frozenset(X.points))  # the cover check has put every point in a color
-    G = TubePairGroupoid(X, 2 * max(R, 0))
     lat = X.lattice
     cells = [lat.cells_of(c) for c in colors]
-    for color, labels in zip(colors, _component_labels(lat, cells, R)):
-        blocks: dict = {}
+    for color, labels in zip(colors, _box_labels(lat.ball(R), cells)):
+        got: dict = {}
         for p, least in zip(color, labels.tolist()):
-            blocks.setdefault(least, set()).add(p)
-        oracle = generate_subgroupoid(G, seed_in_color(G, TubeArrows(R), color))
-        assert BlockArrows(frozenset(map(frozenset, blocks.values()))) == oracle
+            if least >= 0:
+                got.setdefault(lat.point(least), set()).add(p)
+        pairs = [(p, q) for p in color for q in color if X.dist(p, q) <= R]
+        assert got == {min(c): set(c) for c in _connected_components(pairs)}
 
 
 # -- the array path at larger sizes against the per-point oracles ----------

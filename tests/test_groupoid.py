@@ -1,6 +1,7 @@
 """Finite groupoids, subgroupoid generation, and the groupoid verifier."""
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dadim.coarse import Grid1dSpace, TableMetricSpace
+from dadim import groupoid
+from dadim.coarse import Grid1dSpace, TableMetricSpace, _Blocks
 from dadim.errors import InvalidInput, NotAnAction
 from dadim.groupoid import (
     BlockArrows,
     FiniteGroupoid,
     GroupoidDadWitness,
     Moves,
+    Offsets,
     TransformationGroupoid,
     TubeArrows,
     TubePairGroupoid,
@@ -29,6 +32,13 @@ from dadim.groupoid import (
     symmetrized,
     transformation_groupoid,
     verify_groupoid_dad,
+)
+from dadim.nerve import (
+    SimplicialComplex,
+    SimplicialPoint,
+    check_equivariance,
+    dad_witness_from_blr,
+    inner_radius,
 )
 from dadim.pipeline import project_witness_to_quotient
 from dadim.symbolic import Odometer
@@ -235,17 +245,31 @@ def test_edge_components_match_the_union_find_oracle(case):
     assert got.tolist() == least_labels(n, _connected_components(edges)).tolist()
 
 
-@settings(max_examples=100, deadline=None)
-@given(q=st.integers(1, 16), data=st.data())
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 64), data=st.data())
+@example(q=1, data=None)
+@example(q=2, data=None)
 def test_stacked_layer_components_match_the_union_find_oracle(q, data):
-    """``Moves.components`` on a (layers, q) stack of masks, each layer its
-    own graph x -- x + g over the offsets g joining two residues of its mask,
-    against the union-find of each layer alone."""
-    offsets = np.array(sorted(data.draw(st.sets(st.integers(0, q - 1), max_size=4))), np.int64)
-    layers = data.draw(st.integers(1, 4))
-    row = st.lists(st.booleans(), min_size=q, max_size=q)
-    masks = np.array(data.draw(st.lists(row, min_size=layers, max_size=layers)), bool)
+    """The shift kernel, ``Moves.components``, on a (layers, q) stack of
+    masks, each layer its own graph x -- x + g over the offsets g joining
+    two residues of its mask, against the union-find of each layer alone.
+    The offsets may omit 0 (a residue on no edge is in no block), hold
+    both g and q - g, or hold g with 2g = q; q = 1 and q = 2 come up."""
+    if data is None:  # every offset on every mask of Z/1 or Z/2
+        offsets = np.arange(q)
+        masks = np.array([[(m >> x) & 1 for x in range(q)] for m in range(2**q)], bool)
+    else:
+        offsets = data.draw(st.sets(st.integers(0, q - 1), max_size=4))
+        if data.draw(st.booleans()):
+            offsets |= {-g % q for g in offsets}
+        if q % 2 == 0 and data.draw(st.booleans()):
+            offsets.add(q // 2)
+        offsets = np.array(sorted(offsets), np.int64)
+        layers = data.draw(st.integers(1, 4))
+        row = st.lists(st.booleans(), min_size=q, max_size=q)
+        masks = np.array(data.draw(st.lists(row, min_size=layers, max_size=layers)), bool)
     got = Moves(q, offsets).components(masks)
+    assert got.shape == masks.shape
     for mask, row in zip(masks, got):
         edges = [(x, (x + g) % q) for g in offsets.tolist() for x in range(q)
                  if mask[x] and mask[(x + g) % q]]
@@ -366,6 +390,73 @@ def test_verifier_reports_alike_for_every_form_of_k(q, data):
     assert form == "partial" or not scanned
     with mock.patch.object(Moves, "read", lambda n, K: None):
         assert got == report(list(K))
+
+
+def box_and_scan(space):
+    """The box path and the per-arrow path of one question on 0..7: Z/8
+    with K = ``moves([1])``, read as its ``Moves`` and as a list that
+    ``Moves.read`` refuses; or the tube of radius 1 on the grid 0..7 and
+    on the same path as an edge-list space, off the lattice."""
+    if space == "rotation":
+        G = cyclic_rotation_groupoid(8)
+
+        def scan(w, bound):
+            with mock.patch.object(Moves, "read", lambda n, K: None):
+                return verify_groupoid_dad(G, GroupoidDadWitness(list(w.K), w.colors, w.generated), bound)
+
+        return G, G.moves([1]), scan
+    path = TableMetricSpace.from_edges(range(8), [(i, i + 1) for i in range(7)])
+    return (TubePairGroupoid(Grid1dSpace(0, 7), 10), TubeArrows(1),
+            lambda w, bound: verify_groupoid_dad(TubePairGroupoid(path, 10), w, bound))
+
+
+DECLARED = {  # color 0 = {0, 1, 3, 4}, whose blocks are {0, 1} and {3, 4}
+    "honest": [{0, 1}, {3, 4}],
+    "a unit of the other color added": [{0, 1, 2}, {3, 4}],
+    "two blocks merged": [{0, 1, 3, 4}],
+    "a unit moved to the other block": [{0, 1, 3}, {4}],
+    "a unit swapped for one outside": [{0, 2}, {3, 4}],
+    "an empty block last": [{0, 1, 3, 4}, set()],
+    "an empty block first": [set(), {0, 1, 3, 4}],
+    "a unit that is none": [{0, 1}, {3, 99}],
+}
+
+
+@pytest.mark.parametrize("space", ["rotation", "grid"])
+@pytest.mark.parametrize("fault", sorted(DECLARED))
+def test_box_paths_refuse_declared_blocks_that_are_not_the_components(space, fault):
+    """The declared blocks of a color are matched on cells against the
+    shift kernel's components: each way of getting them wrong is refused
+    with NotClosed, as the per-arrow path refuses it, and the honest ones
+    pass on both.  The blocks are held in the order given (as the coarse
+    bridge holds its classes)."""
+    G, K, scan = box_and_scan(space)
+    colors = [frozenset({0, 1, 3, 4}), frozenset({2, 5, 6, 7})]
+    declared = BlockArrows(_Blocks(map(frozenset, DECLARED[fault])))
+    w = GroupoidDadWitness(K, colors, [declared, None])
+    report = verify_groupoid_dad(G, w, 64)
+    assert report == scan(w, 64)
+    assert report.accepted == (fault == "honest")
+    assert report.accepted or (report.code, report.details) == ("NotClosed", {"color": 0})
+
+
+@pytest.mark.parametrize("offsets", [[], [1]])
+def test_rotation_k_without_offset_zero(offsets):
+    """K on Z/5 without the offset 0: a residue on no arrow of K inside its
+    color is in no block, and without any offset s(K) u r(K) is empty, so
+    the colors need cover nothing; both paths report alike."""
+    G = cyclic_rotation_groupoid(5)
+    K = [(g, x) for g in offsets for x in range(5)]
+    colors = [frozenset({0, 2}), frozenset({1, 3, 4})] if offsets else [frozenset({1})]
+    declared = [BlockArrows(frozenset()), BlockArrows(frozenset({frozenset({3, 4})}))][:len(colors)]
+    w = GroupoidDadWitness(K, colors, declared)
+    report = verify_groupoid_dad(G, w, None)
+    with mock.patch.object(Moves, "read", lambda n, K: None):
+        assert report == verify_groupoid_dad(G, w, None)
+    assert report.accepted, report
+    assert report.details["sizes"] == ([0, 4] if offsets else [0])
+    gap = GroupoidDadWitness(K, colors[1:], declared[1:])
+    assert verify_groupoid_dad(G, gap, None).accepted == (not offsets)
 
 
 def z2_involution_data():
@@ -520,6 +611,124 @@ def test_action_groupoid_verifier_consistency():
     assert not verify_dad_witness(dyadic, one_color, 100).accepted
     single = GroupoidDadWitness(K, [frozenset(range(q))], [None])
     assert not verify_groupoid_dad(G, single, 100).accepted
+
+
+# -- the rotation verifier checks declared blocks with its own kernel -------
+
+
+def dyadic_stage2():
+    """Stage 2 of ``dadim pipeline`` on the dyadic odometer at quotient
+    depth 6, as the pipeline builds it: K = ``G.moves(E)``, each color's
+    declared blocks by ``generate_subgroupoid``; (G, witness, size bound)."""
+    dyadic = Odometer([2], depth_limit=12)
+    w = construct_minimal_z_witness(dyadic, 1)
+    q, colors = project_witness_to_quotient(dyadic, w, 6)
+    G = cyclic_rotation_groupoid(q)
+    K = G.moves(w.generator_set)
+    generated = [generate_subgroupoid(G, seed) for seed in _seeds(G, K, colors)]
+    return G, GroupoidDadWitness(K, colors, generated), (2 * (w.meta["M"] + 1) + 1) * q
+
+
+def blr_ring_z96():
+    """The corpus case ``blr_ring_z96`` through ``dad_witness_from_blr``,
+    which builds the declared blocks by ``generate_subgroupoid``."""
+    n, t = 96, Fraction(2, 5)
+    G = cyclic_rotation_groupoid(n)
+    C = SimplicialComplex(range(n), [{i, (i + 1) % n} for i in range(n)])
+    f = {x: SimplicialPoint({x: 1 - t, (x + 1) % n: t}) for x in range(n)}
+    eq = check_equivariance(f, n, symmetrized(n, [1]), inner_radius(C.dimension))
+    res = dad_witness_from_blr(f, [1], C, G, eq)
+    return G, res.groupoid_witness, len(res.moving_set) * n
+
+
+def merged(label: np.ndarray) -> np.ndarray:
+    """Least-member labels with the two least components made one."""
+    label = label.copy()
+    roots = np.flatnonzero(label == np.arange(len(label)))
+    if len(roots) > 1:
+        label[label == roots[1]] = roots[0]
+    return label
+
+
+def edges_split_by_parity(n, a, b):
+    keep = a % 2 == b % 2
+    return _edge_components(n, a[keep], b[keep])
+
+
+def edges_merge_two(n, a, b):
+    return merged(_edge_components(n, a, b))
+
+
+def edges_drop_one(n, a, b):
+    """Without the first edge that joins two nodes, in both directions."""
+    k = np.flatnonzero(a != b)[:1]
+    if not k.size:
+        return _edge_components(n, a, b)
+    gone = ((a == a[k]) & (b == b[k])) | ((a == b[k]) & (b == a[k]))
+    return _edge_components(n, a[~gone], b[~gone])
+
+
+SHIFT_COMPONENTS = Offsets.components
+SHIFT_PAIRS = Offsets.pairs.func
+
+
+def shifts_split_by_parity(self, group):
+    if group.dtype == bool:
+        group = np.where(group, 0, -1)
+    return SHIFT_COMPONENTS(self, np.where(group >= 0, 2 * group + np.arange(self.size) % 2, -1))
+
+
+def shifts_merge_two(self, group):
+    labels = SHIFT_COMPONENTS(self, group)
+    return np.array([merged(row) for row in labels.reshape(-1, self.size)]).reshape(labels.shape)
+
+
+def shifts_drop_one(self):
+    """The first slice pair without its first cell: the edge from the
+    box's first cell along the first offset."""
+    (a, b), *rest = SHIFT_PAIRS(self)
+    return [tuple((*p[:-1], slice(p[-1].start + 1, p[-1].stop)) for p in (a, b)), *rest]
+
+
+PLANTED = {
+    "parity split": (
+        mock.patch.object(groupoid, "_edge_components", edges_split_by_parity),
+        mock.patch.object(Offsets, "components", shifts_split_by_parity),
+    ),
+    "merge of two components": (
+        mock.patch.object(groupoid, "_edge_components", edges_merge_two),
+        mock.patch.object(Offsets, "components", shifts_merge_two),
+    ),
+    "dropped edge": (
+        mock.patch.object(groupoid, "_edge_components", edges_drop_one),
+        mock.patch.object(Offsets, "pairs", property(shifts_drop_one)),
+    ),
+}
+
+
+@pytest.mark.parametrize("build", [dyadic_stage2, blr_ring_z96])
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_rotation_verifier_refuses_blocks_of_a_planted_kernel_fault(build, fault):
+    """The verifier on Z/q labels blocks with the shift kernel, and the
+    constructors (stage 2, ``dad_witness_from_blr``) with the edge-list
+    kernel of ``generate_subgroupoid``.  A fault planted in the edge-list
+    kernel changes the declared blocks, and the verifier refuses them; the
+    same fault planted in the shift kernel refuses the honest blocks.  On
+    the Z/96 ring the one non-empty color is a single block, the whole
+    cycle, which a merge or one dropped edge leaves as it is: there the
+    witness stands."""
+    G, honest, bound = build()
+    assert verify_groupoid_dad(G, honest, bound).accepted
+    edge_fault, shift_fault = PLANTED[fault]
+    with edge_fault:
+        G, planted, bound = build()
+        report = verify_groupoid_dad(G, planted, bound)
+    changed = planted.generated != honest.generated
+    assert changed == (build is dyadic_stage2 or fault == "parity split")
+    assert report.code in ("NotClosed", "SizeExceeded") if changed else report.accepted
+    with shift_fault:
+        report = verify_groupoid_dad(G, honest, bound)
+    assert report.code in ("NotClosed", "SizeExceeded") if changed else report.accepted
 
 
 def test_freeness_matches_bruteforce_isotropy():
